@@ -14,10 +14,10 @@
 
 #include "accessor/accessor.hpp"
 #include "core/core.hpp"
-#include "explore/workload.hpp"
 #include "kernel/kernel.hpp"
 #include "ocp/memory.hpp"
 #include "ocp/ocp.hpp"
+#include "workload/generators.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -31,8 +31,8 @@ constexpr std::uint64_t kCompute = 10;
 void run_mapped_level(benchmark::State& state, core::AbstractionLevel level) {
   double sim_us = 0.0;
   for (auto _ : state) {
-    expl::ProducerPe prod("prod", kMessages, kPayload, kCompute);
-    expl::SinkPe sink("sink", kMessages);
+    workload::ProducerPe prod("prod", kMessages, kPayload, kCompute);
+    workload::SinkPe sink("sink", kMessages);
     core::SystemGraph g;
     g.add_pe(prod);
     g.add_pe(sink);

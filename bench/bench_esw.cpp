@@ -12,8 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/core.hpp"
-#include "explore/workload.hpp"
 #include "kernel/kernel.hpp"
+#include "workload/generators.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -28,8 +28,8 @@ void run_partitioned(benchmark::State& state, core::Partition prod_part,
                      std::uint64_t ctx_switch_cycles = 20) {
   double sim_us = 0.0, switches = 0.0;
   for (auto _ : state) {
-    expl::ProducerPe prod("prod", kMessages, kPayload, 10);
-    expl::SinkPe sink("sink", kMessages);
+    workload::ProducerPe prod("prod", kMessages, kPayload, 10);
+    workload::SinkPe sink("sink", kMessages);
     core::SystemGraph g;
     g.add_pe(prod, prod_part);
     g.add_pe(sink, sink_part);

@@ -26,15 +26,15 @@ using namespace stlm::time_literals;
 
 namespace {
 
-expl::Explorer::GraphFactory soc_factory() {
+workload::GraphFactory soc_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
-    auto video = std::make_unique<expl::ProducerPe>("video", 16, 512, 50);
-    auto audio = std::make_unique<expl::ProducerPe>("audio", 16, 64, 200);
-    auto v_sink = std::make_unique<expl::SinkPe>("v_sink", 16);
-    auto a_sink = std::make_unique<expl::SinkPe>("a_sink", 16);
-    auto client = std::make_unique<expl::RequesterPe>("client", 8, 32, 100);
-    auto server = std::make_unique<expl::EchoServerPe>("server", 8, 50);
+    auto video = std::make_unique<workload::ProducerPe>("video", 16, 512, 50);
+    auto audio = std::make_unique<workload::ProducerPe>("audio", 16, 64, 200);
+    auto v_sink = std::make_unique<workload::SinkPe>("v_sink", 16);
+    auto a_sink = std::make_unique<workload::SinkPe>("a_sink", 16);
+    auto client = std::make_unique<workload::RequesterPe>("client", 8, 32, 100);
+    auto server = std::make_unique<workload::EchoServerPe>("server", 8, 50);
     g.add_pe(*video);
     g.add_pe(*audio);
     g.add_pe(*v_sink);
@@ -76,10 +76,11 @@ void set_obs_counters(benchmark::State& state,
 }
 
 void BM_ExploreCamLibrary(benchmark::State& state) {
-  expl::Explorer explorer(soc_factory());
+  expl::Explorer explorer;
+  const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   const auto candidates = expl::default_candidates();
   for (auto _ : state) {
-    g_last_rows = explorer.sweep(candidates, 200_ms);
+    g_last_rows = explorer.sweep_parallel(candidates, soc, 200_ms, 1);
     for (const auto& r : g_last_rows) {
       if (!r.completed) state.SkipWithError("candidate did not complete");
     }
@@ -111,17 +112,18 @@ std::vector<core::Platform> fast_grid() {
 }
 
 // The 40-platform cross-product grid sharded over `threads` workers.
-// threads=1 is the sequential baseline; the ratio of the two real-time
+// threads=1 is the one-thread baseline; the ratio of the two real-time
 // entries in BENCH_exploration.json is the parallel-exploration speedup
 // CI tracks across PRs.
 void BM_ExploreGrid(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   g_grid_bench_ran = true;
-  expl::Explorer explorer(soc_factory());
+  expl::Explorer explorer;
+  const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   const auto candidates = atomic_grid();
   std::vector<expl::ExplorationRow> rows;
   for (auto _ : state) {
-    rows = explorer.sweep_parallel(candidates, 200_ms, threads);
+    rows = explorer.sweep_parallel(candidates, soc, 200_ms, threads);
     for (const auto& r : rows) {
       if (!r.completed) state.SkipWithError("candidate did not complete");
     }
@@ -141,11 +143,12 @@ void BM_ExploreGrid(benchmark::State& state) {
 void BM_ExploreFastGrid(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   g_grid_bench_ran = true;
-  expl::Explorer explorer(soc_factory());
+  expl::Explorer explorer;
+  const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   const auto candidates = fast_grid();
   std::vector<expl::ExplorationRow> rows;
   for (auto _ : state) {
-    rows = explorer.sweep_parallel(candidates, 200_ms, threads);
+    rows = explorer.sweep_parallel(candidates, soc, 200_ms, threads);
     for (const auto& r : rows) {
       if (!r.completed) state.SkipWithError("candidate did not complete");
     }
@@ -167,12 +170,13 @@ void BM_ExploreFastGrid(benchmark::State& state) {
 void BM_ExploreSplitGrid(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   g_grid_bench_ran = true;
-  expl::Explorer explorer(soc_factory());
+  expl::Explorer explorer;
+  const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   expl::GridSpec spec;
   spec.fast_targets = {false};
   const auto candidates = expl::grid_candidates(spec);
   for (auto _ : state) {
-    auto rows = explorer.sweep_parallel(candidates, 200_ms, threads);
+    auto rows = explorer.sweep_parallel(candidates, soc, 200_ms, threads);
     for (const auto& r : rows) {
       if (!r.completed) state.SkipWithError("candidate did not complete");
     }
@@ -267,13 +271,14 @@ void BM_ExploreAtCcatbLevel(benchmark::State& state) {
 // human-readable speedup table for README/EXPERIMENTS updates.
 void report_parallel_speedup() {
   if (!g_grid_bench_ran) return;
-  expl::Explorer explorer(soc_factory());
+  expl::Explorer explorer;
+  const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   const auto candidates = expl::grid_candidates();
   const unsigned hw = std::thread::hardware_concurrency();
 
   auto timed_sweep = [&](unsigned threads) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto rows = explorer.sweep_parallel(candidates, 200_ms, threads);
+    auto rows = explorer.sweep_parallel(candidates, soc, 200_ms, threads);
     const auto t1 = std::chrono::steady_clock::now();
     g_last_rows = std::move(rows);
     return std::chrono::duration<double, std::milli>(t1 - t0).count();

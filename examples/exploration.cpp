@@ -6,7 +6,7 @@
 // arbiter x bus clock x data width); the printed table is the artifact a
 // designer would use to pick the interconnect. The sweep is sharded
 // across worker threads — one complete simulator per worker — and the
-// parallel run is checked (and reported) against the sequential one:
+// N-thread run is checked (and reported) against the 1-thread one:
 // identical simulated results, smaller wall clock.
 //
 // Build & run:  ./example_exploration
@@ -26,18 +26,19 @@ using namespace stlm::time_literals;
 
 namespace {
 
-expl::Explorer::GraphFactory soc_factory() {
+workload::GraphFactory soc_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
     // Two bulk streams (DMA-like), one light stream, one RPC client.
-    auto video = std::make_unique<expl::ProducerPe>("video", 24, 512, 50);
-    auto audio = std::make_unique<expl::ProducerPe>("audio", 24, 64, 200);
-    auto ctrl = std::make_unique<expl::ProducerPe>("ctrl", 12, 16, 400);
-    auto v_sink = std::make_unique<expl::SinkPe>("v_sink", 24);
-    auto a_sink = std::make_unique<expl::SinkPe>("a_sink", 24);
-    auto c_sink = std::make_unique<expl::SinkPe>("c_sink", 12);
-    auto client = std::make_unique<expl::RequesterPe>("client", 16, 32, 100);
-    auto server = std::make_unique<expl::EchoServerPe>("server", 16, 50);
+    auto video = std::make_unique<workload::ProducerPe>("video", 24, 512, 50);
+    auto audio = std::make_unique<workload::ProducerPe>("audio", 24, 64, 200);
+    auto ctrl = std::make_unique<workload::ProducerPe>("ctrl", 12, 16, 400);
+    auto v_sink = std::make_unique<workload::SinkPe>("v_sink", 24);
+    auto a_sink = std::make_unique<workload::SinkPe>("a_sink", 24);
+    auto c_sink = std::make_unique<workload::SinkPe>("c_sink", 12);
+    auto client =
+        std::make_unique<workload::RequesterPe>("client", 16, 32, 100);
+    auto server = std::make_unique<workload::EchoServerPe>("server", 16, 50);
 
     g.add_pe(*video);
     g.add_pe(*audio);
@@ -69,7 +70,8 @@ int main() {
   std::printf("== communication architecture exploration: synthetic SoC ==\n");
   std::printf("workload: 2 bulk streams + control stream + RPC service\n\n");
 
-  expl::Explorer explorer(soc_factory());
+  expl::Explorer explorer;
+  const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   auto candidates = expl::grid_candidates();
 
   // Also try a TDMA variant with longer slots.
@@ -88,20 +90,20 @@ int main() {
               candidates.size());
 
   const auto seq_start = std::chrono::steady_clock::now();
-  const auto seq_rows = explorer.sweep(candidates, 500_ms);
+  const auto seq_rows = explorer.sweep_parallel(candidates, soc, 500_ms, 1);
   const auto seq_end = std::chrono::steady_clock::now();
-  const auto rows = explorer.sweep_parallel(candidates, 500_ms, threads);
+  const auto rows = explorer.sweep_parallel(candidates, soc, 500_ms, threads);
   const auto par_end = std::chrono::steady_clock::now();
 
   expl::Explorer::print_table(std::cout, rows);
 
-  // The parallel shard must reproduce the sequential results exactly —
-  // each worker runs its own simulator from fresh state.
+  // N threads must reproduce the 1-thread results exactly — each worker
+  // runs its own simulator from fresh state.
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].sim_time_us != seq_rows[i].sim_time_us ||
         rows[i].transactions != seq_rows[i].transactions) {
-      std::printf("MISMATCH between sequential and parallel sweep at %s\n",
-                  rows[i].platform.c_str());
+      std::printf("MISMATCH between 1-thread and %u-thread sweep at %s\n",
+                  threads, rows[i].platform.c_str());
       return 1;
     }
   }
@@ -110,7 +112,7 @@ int main() {
       std::chrono::duration<double, std::milli>(seq_end - seq_start).count();
   const double par_ms =
       std::chrono::duration<double, std::milli>(par_end - seq_end).count();
-  std::printf("\nsweep wall clock: sequential %.1f ms, %u threads %.1f ms "
+  std::printf("\nsweep wall clock: 1 thread %.1f ms, %u threads %.1f ms "
               "(%.2fx), results identical\n",
               seq_ms, threads, par_ms, seq_ms / par_ms);
 

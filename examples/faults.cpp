@@ -41,13 +41,13 @@ using namespace stlm::time_literals;
 
 namespace {
 
-expl::Explorer::GraphFactory streams_factory() {
+workload::GraphFactory streams_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
-    auto video = std::make_unique<expl::ProducerPe>("video", 200, 96, 20);
-    auto audio = std::make_unique<expl::ProducerPe>("audio", 200, 96, 20);
-    auto v_sink = std::make_unique<expl::SinkPe>("v_sink", 200);
-    auto a_sink = std::make_unique<expl::SinkPe>("a_sink", 200);
+    auto video = std::make_unique<workload::ProducerPe>("video", 200, 96, 20);
+    auto audio = std::make_unique<workload::ProducerPe>("audio", 200, 96, 20);
+    auto v_sink = std::make_unique<workload::SinkPe>("v_sink", 200);
+    auto a_sink = std::make_unique<workload::SinkPe>("a_sink", 200);
     g.add_pe(*video);
     g.add_pe(*audio);
     g.add_pe(*v_sink);

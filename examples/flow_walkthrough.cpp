@@ -138,16 +138,18 @@ int main() {
 
   std::printf("\n== step 4: communication architecture selection ==\n");
   {
-    expl::Explorer ex([](core::SystemGraph& g,
-                         std::vector<std::unique_ptr<core::ProcessingElement>>&
-                             o) {
-      // Rebuild the same abstract system for each candidate; the PE
-      // lambdas keep their state alive via shared_ptr captures.
-      FusionSystem sys;
-      for (auto& pe : sys.owned) o.push_back(std::move(pe));
-      g = std::move(sys.graph);
-    });
-    const auto rows = ex.sweep(expl::default_candidates(), 500_ms);
+    const workload::WorkloadCase fusion{
+        "", [](core::SystemGraph& g,
+               std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
+          // Rebuild the same abstract system for each candidate; the PE
+          // lambdas keep their state alive via shared_ptr captures.
+          FusionSystem sys;
+          for (auto& pe : sys.owned) o.push_back(std::move(pe));
+          g = std::move(sys.graph);
+        }};
+    expl::Explorer ex;
+    const auto rows =
+        ex.sweep_parallel(expl::default_candidates(), {fusion}, 500_ms, 1);
     expl::Explorer::print_table(std::cout, rows);
   }
 

@@ -83,7 +83,7 @@ struct PipelineStats {
 };
 
 // Factory so the explorer can rebuild the system per candidate.
-expl::Explorer::GraphFactory make_factory(PipelineStats* stats) {
+workload::GraphFactory make_factory(PipelineStats* stats) {
   return [stats](core::SystemGraph& g,
                  std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
     auto camera = std::make_unique<core::LambdaPe>(
@@ -237,8 +237,10 @@ int main() {
   }
 
   std::printf("\n== communication architecture exploration (CAM level) ==\n");
-  expl::Explorer explorer(make_factory(&stats));
-  const auto rows = explorer.sweep(expl::default_candidates(), 200_ms);
+  // One thread: every cell's factory shares `stats`.
+  expl::Explorer explorer;
+  const auto rows = explorer.sweep_parallel(
+      expl::default_candidates(), {{"", make_factory(&stats)}}, 200_ms, 1);
   expl::Explorer::print_table(std::cout, rows);
 
   // Pick the fastest completed candidate.

@@ -39,15 +39,15 @@ using namespace stlm;
 
 namespace {
 
-expl::Explorer::GraphFactory soc_factory() {
+workload::GraphFactory soc_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
-    auto video = std::make_unique<expl::ProducerPe>("video", 16, 256, 80);
-    auto ctrl = std::make_unique<expl::ProducerPe>("ctrl", 8, 16, 300);
-    auto v_sink = std::make_unique<expl::SinkPe>("v_sink", 16);
-    auto c_sink = std::make_unique<expl::SinkPe>("c_sink", 8);
-    auto client = std::make_unique<expl::RequesterPe>("client", 8, 32, 150);
-    auto server = std::make_unique<expl::EchoServerPe>("server", 8, 40);
+    auto video = std::make_unique<workload::ProducerPe>("video", 16, 256, 80);
+    auto ctrl = std::make_unique<workload::ProducerPe>("ctrl", 8, 16, 300);
+    auto v_sink = std::make_unique<workload::SinkPe>("v_sink", 16);
+    auto c_sink = std::make_unique<workload::SinkPe>("c_sink", 8);
+    auto client = std::make_unique<workload::RequesterPe>("client", 8, 32, 150);
+    auto server = std::make_unique<workload::EchoServerPe>("server", 8, 40);
 
     g.add_pe(*video);
     g.add_pe(*ctrl);

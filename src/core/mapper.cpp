@@ -34,6 +34,13 @@ MappedSystem::FailureTotals MappedSystem::failure_totals() const {
   return t;
 }
 
+MappedSystem::~MappedSystem() {
+  if constexpr (kill_unwind_compiled_in()) {
+    for (Process* p : hw_procs_) sim_.kill_process(*p);
+    if (rtos_) rtos_->kill_threads();
+  }
+}
+
 bool MappedSystem::workload_done() const {
   for (const Process* p : hw_procs_) {
     if (!p->terminated()) return false;

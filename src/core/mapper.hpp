@@ -43,6 +43,12 @@ const char* level_name(AbstractionLevel l);
 
 class MappedSystem {
 public:
+  // Unwinds the PE threads and RTOS tasks spawned for this system while
+  // the wrappers, channels and drivers their parked frames point into are
+  // still alive — ~Simulator, which would otherwise unwind them, runs
+  // after this object is gone (see Simulator::kill_process).
+  ~MappedSystem();
+
   Simulator& sim() { return sim_; }
   const Platform& platform() const { return plat_; }
   AbstractionLevel level() const { return level_; }

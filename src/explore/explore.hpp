@@ -4,4 +4,4 @@
 #include "explore/explorer.hpp"
 #include "explore/pool.hpp"
 #include "explore/search.hpp"
-#include "explore/workload.hpp"
+#include "workload/generators.hpp"

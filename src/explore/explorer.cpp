@@ -14,27 +14,26 @@
 
 namespace stlm::expl {
 
-ExplorationRow Explorer::evaluate_with(const GraphFactory& factory,
-                                       const std::string& workload_name,
-                                       const core::Platform& platform,
-                                       Time max_time,
-                                       const EvalBudget& budget) {
-  STLM_ASSERT(factory != nullptr, "Explorer: no workload factory bound");
+ExplorationRow Explorer::evaluate(const core::Platform& platform,
+                                  const WorkloadCase& workload, Time max_time,
+                                  const EvalBudget& budget) {
+  STLM_ASSERT(workload.factory != nullptr,
+              "Explorer: workload '" + workload.name + "' has no factory");
   ExplorationRow row;
   row.platform = platform.name;
-  row.workload = workload_name;
+  row.workload = workload.name;
   row.cost = platform.cost_proxy();
 
   std::vector<std::unique_ptr<core::ProcessingElement>> owned;
   core::SystemGraph graph;
-  factory(graph, owned);
+  workload.factory(graph, owned);
   graph.discover_roles();
 
   Simulator sim;
   // Opt-in per-cell timeline trace (see TraceTarget in the header).
   std::optional<obs::TraceSession> cell_trace;
   if (!trace_target_.path.empty() && trace_target_.platform == platform.name &&
-      trace_target_.workload == workload_name) {
+      trace_target_.workload == workload.name) {
     cell_trace.emplace();
     cell_trace->attach(sim);
   }
@@ -162,91 +161,25 @@ ExplorationRow Explorer::evaluate_with(const GraphFactory& factory,
   return row;
 }
 
-ExplorationRow Explorer::evaluate(const core::Platform& platform,
-                                  Time max_time) {
-  return evaluate_with(factory_, "", platform, max_time, {});
-}
-
-ExplorationRow Explorer::evaluate(const core::Platform& platform,
-                                  const WorkloadCase& workload,
-                                  Time max_time) {
-  return evaluate_with(workload.factory, workload.name, platform, max_time,
-                       {});
-}
-
-ExplorationRow Explorer::evaluate(const core::Platform& platform,
-                                  Time max_time, const EvalBudget& budget) {
-  return evaluate_with(factory_, "", platform, max_time, budget);
-}
-
-ExplorationRow Explorer::evaluate(const core::Platform& platform,
-                                  const WorkloadCase& workload, Time max_time,
-                                  const EvalBudget& budget) {
-  return evaluate_with(workload.factory, workload.name, platform, max_time,
-                       budget);
-}
-
-std::vector<ExplorationRow> Explorer::sweep(
-    const std::vector<core::Platform>& cands, Time max_time) {
-  std::vector<ExplorationRow> rows;
-  rows.reserve(cands.size());
-  for (const auto& p : cands) rows.push_back(evaluate(p, max_time));
-  return rows;
-}
-
-std::vector<ExplorationRow> Explorer::sweep(
-    const std::vector<core::Platform>& cands,
-    const std::vector<WorkloadCase>& workloads, Time max_time) {
-  std::vector<ExplorationRow> rows;
-  rows.reserve(cands.size() * workloads.size());
-  for (const auto& p : cands) {
-    for (const auto& w : workloads) rows.push_back(evaluate(p, w, max_time));
-  }
-  return rows;
-}
-
-void Explorer::run_sharded(std::size_t n, unsigned n_threads,
-                           const std::function<void(std::size_t)>& eval) {
-  // The WorkPool's caller thread always participates, so the sweep
-  // completes even when every helper spawn fails; spawn failures are
-  // surfaced through last_spawn_failures() instead of being swallowed
-  // (the old atomic-cursor loop only reported them when *zero* workers
-  // started — a partial pool silently ran at reduced parallelism).
-  WorkPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(n_threads, n)),
-      thread_factory_);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&eval, i] { eval(i); });
-  }
-  pool.run();
-  last_spawn_failures_ = pool.spawn_failures();
-  if (pool.first_error()) std::rethrow_exception(pool.first_error());
-}
-
-std::vector<ExplorationRow> Explorer::sweep_parallel(
-    const std::vector<core::Platform>& cands, Time max_time,
-    unsigned n_threads) {
-  const std::size_t n = cands.size();
-  if (n_threads <= 1 || n <= 1) return sweep(cands, max_time);
-
-  std::vector<ExplorationRow> rows(n);
-  run_sharded(n, n_threads,
-              [&](std::size_t i) { rows[i] = evaluate(cands[i], max_time); });
-  return rows;
-}
-
 std::vector<ExplorationRow> Explorer::sweep_parallel(
     const std::vector<core::Platform>& cands,
     const std::vector<WorkloadCase>& workloads, Time max_time,
     unsigned n_threads) {
   const std::size_t nw = workloads.size();
-  const std::size_t n = cands.size() * nw;
-  if (n_threads <= 1 || n <= 1) return sweep(cands, workloads, max_time);
-
-  std::vector<ExplorationRow> rows(n);
-  run_sharded(n, n_threads, [&](std::size_t i) {
-    rows[i] = evaluate(cands[i / nw], workloads[i % nw], max_time);
-  });
+  std::vector<ExplorationRow> rows(cands.size() * nw);
+  // Cells submitted before run() queue FIFO, so a lone caller thread
+  // evaluates them in row order.
+  WorkPool pool(
+      static_cast<unsigned>(std::min<std::size_t>(n_threads, rows.size())),
+      thread_factory_);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    pool.submit([&, i] {
+      rows[i] = evaluate(cands[i / nw], workloads[i % nw], max_time);
+    });
+  }
+  pool.run();
+  last_spawn_failures_ = pool.spawn_failures();
+  if (pool.first_error()) std::rethrow_exception(pool.first_error());
   return rows;
 }
 

@@ -1,17 +1,18 @@
 #pragma once
 // Communication architecture exploration engine (paper §3).
 //
-// Given a factory that builds the *same* abstract system each time, the
-// explorer maps it onto each candidate platform at the CAM level, runs
-// the workload to completion, and tabulates: simulated completion time,
+// Given a workload whose factory builds the *same* abstract system each
+// time, the explorer maps it onto each candidate platform at the CAM
+// level, runs it to completion, and tabulates: simulated completion time,
 // transaction latency, bus utilization, traffic — plus the host wall
 // clock it took, which is the "fast yet timing-accurate exploration"
 // claim made measurable.
 //
 // The sweep is two-dimensional: a candidate *platform* list crossed with
 // a candidate *workload* list (workload::WorkloadCase — synthetic seeded
-// generators, trace replays, or hand-built factories). The single-factory
-// overloads remain for one-workload exploration.
+// generators, trace replays, or hand-built factories). One-workload
+// exploration is the same sweep over a single case; a case with an empty
+// name keeps the workload column out of print_table.
 
 #include <functional>
 #include <memory>
@@ -31,7 +32,7 @@ using workload::workload_candidates;
 
 struct ExplorationRow {
   std::string platform;
-  std::string workload;           // empty for single-factory sweeps
+  std::string workload;           // the WorkloadCase name (may be empty)
   bool completed = false;
   double sim_time_us = 0.0;       // simulated completion time
   double wall_ms = 0.0;           // host time spent simulating
@@ -124,22 +125,13 @@ inline bool is_master_channel(const std::string& channel,
 
 class Explorer {
 public:
-  // The factory fills `graph` (PE registration, partitions, connections)
-  // and parks PE ownership in `owned`. It is invoked once per candidate
-  // platform so every run starts from fresh state.
-  using GraphFactory = workload::GraphFactory;
-
-  // Workload-grid sweeps carry their factories in the WorkloadCase list.
-  Explorer() = default;
-  explicit Explorer(GraphFactory factory) : factory_(std::move(factory)) {}
-
   // Opt-in "trace this row": when a sweep evaluates the cell whose
-  // platform (and workload, empty for single-factory sweeps) names match,
-  // an obs::TraceSession is attached to that cell's private simulator and
-  // the Chrome Trace Event JSON is written to `path` after the run —
-  // drill into any grid candidate with Perfetto without re-running the
-  // sweep under a debugger. No-op when `path` is empty or STLM_OBS is
-  // compiled out (the file is still written, containing only metadata).
+  // platform and workload names match, an obs::TraceSession is attached
+  // to that cell's private simulator and the Chrome Trace Event JSON is
+  // written to `path` after the run — drill into any grid candidate with
+  // Perfetto without re-running the sweep under a debugger. No-op when
+  // `path` is empty or STLM_OBS is compiled out (the file is still
+  // written, containing only metadata).
   struct TraceTarget {
     std::string platform;
     std::string workload;
@@ -164,46 +156,24 @@ public:
     std::function<bool(Time now, std::uint64_t txns_logged)> should_abort;
   };
 
-  // Map + simulate one candidate.
-  ExplorationRow evaluate(const core::Platform& platform, Time max_time);
-  ExplorationRow evaluate(const core::Platform& platform,
-                          const WorkloadCase& workload, Time max_time);
-  ExplorationRow evaluate(const core::Platform& platform, Time max_time,
-                          const EvalBudget& budget);
+  // Map + simulate one cell: a fresh SystemGraph (from the workload's
+  // factory), Simulator and MappedSystem, run for at most `max_time`.
   ExplorationRow evaluate(const core::Platform& platform,
                           const WorkloadCase& workload, Time max_time,
-                          const EvalBudget& budget);
+                          const EvalBudget& budget = {});
 
-  // Sweep a candidate list with the bound factory.
-  std::vector<ExplorationRow> sweep(const std::vector<core::Platform>& cands,
-                                    Time max_time);
-
-  // Sweep the full platform x workload grid. Rows are platform-major:
-  // row index = platform_index * workloads.size() + workload_index.
-  std::vector<ExplorationRow> sweep(const std::vector<core::Platform>& cands,
-                                    const std::vector<WorkloadCase>& workloads,
-                                    Time max_time);
-
-  // Sweep the candidate list sharded across `n_threads` worker threads.
+  // Evaluate the platform x workload grid on `n_threads` WorkPool workers,
+  // the calling thread included. Rows are platform-major: row index =
+  // platform_index * workloads.size() + workload_index. Every cell is a
+  // complete evaluate(), so no simulation state crosses threads (the
+  // kernel's "current simulator" is thread-local by design) and the
+  // simulated metrics are bit-identical at any thread count. With one
+  // thread the caller runs the cells in row order. The first exception
+  // thrown by any cell is rethrown on the calling thread after all
+  // workers have joined; remaining cells are abandoned.
   //
-  // Each worker pulls candidate indices off a shared atomic cursor and
-  // runs a complete evaluate() — fresh SystemGraph, Simulator and
-  // MappedSystem — so no simulation state crosses threads (the kernel's
-  // "current simulator" is thread-local by design). Results land at their
-  // candidate's index: the returned rows are in candidate order and, for
-  // the simulated metrics, bit-identical to a sequential sweep. The first
-  // exception thrown by any worker is rethrown on the calling thread
-  // after all workers have joined; remaining work is abandoned.
-  //
-  // The factory is invoked concurrently from multiple threads and must be
-  // thread-safe (stateless factories, like every one in this repo, are).
-  // `n_threads <= 1` degrades to the sequential sweep.
-  std::vector<ExplorationRow> sweep_parallel(
-      const std::vector<core::Platform>& cands, Time max_time,
-      unsigned n_threads);
-
-  // The platform x workload grid sharded the same way; one grid cell =
-  // one unit of work. Row order matches the sequential grid sweep.
+  // Workload factories are invoked concurrently and must be thread-safe
+  // (stateless factories, like every one in this repo, are).
   std::vector<ExplorationRow> sweep_parallel(
       const std::vector<core::Platform>& cands,
       const std::vector<WorkloadCase>& workloads, Time max_time,
@@ -212,11 +182,10 @@ public:
   static void print_table(std::ostream& os,
                           const std::vector<ExplorationRow>& rows);
 
-  // Helper-thread creation failures during the last parallel sweep on
-  // this explorer. Non-zero means the sweep *completed correctly* but at
+  // Helper-thread creation failures during the last sweep on this
+  // explorer. Non-zero means the sweep *completed correctly* but at
   // reduced parallelism (the calling thread always participates, so a
-  // failed spawn can never stall the sweep) — degraded, not wrong, and
-  // no longer silent.
+  // failed spawn can never stall the sweep) — degraded, not wrong.
   unsigned last_spawn_failures() const { return last_spawn_failures_; }
 
   // Test seam: substitute how sweep workers are created (see
@@ -226,16 +195,6 @@ public:
   }
 
 private:
-  ExplorationRow evaluate_with(const GraphFactory& factory,
-                               const std::string& workload_name,
-                               const core::Platform& platform, Time max_time,
-                               const EvalBudget& budget);
-  // Run eval(0..n-1) across a WorkPool with the exception semantics
-  // documented on sweep_parallel.
-  void run_sharded(std::size_t n, unsigned n_threads,
-                   const std::function<void(std::size_t)>& eval);
-
-  GraphFactory factory_;
   TraceTarget trace_target_;
   Time slo_ = Time::zero();
   WorkPool::ThreadFactory thread_factory_;

@@ -112,8 +112,8 @@ void WorkPool::run() {
     } catch (...) {
       // Thread creation can fail (EAGAIN under a thread limit). The
       // caller still participates below, so the run always completes;
-      // record the degradation instead of losing it (run_sharded's old
-      // partial-pool bug) or letting ~thread() terminate the process.
+      // record the degradation instead of losing it or letting ~thread()
+      // terminate the process.
       std::lock_guard<std::mutex> lock(m_);
       ++spawn_failures_;
     }

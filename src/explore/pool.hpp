@@ -1,11 +1,12 @@
 #pragma once
 // Work-stealing task pool for exploration sweeps and searches.
 //
-// Generalizes the original run_sharded() atomic-cursor loop: tasks are
-// closures, and a running task may submit() further tasks (adaptive
-// search enqueues mutated neighbors while a rung drains). Each worker
-// owns a deque — own-back LIFO pop, steal-front FIFO from victims — so
-// dynamically discovered work stays warm on the worker that found it.
+// Tasks are closures, and a running task may submit() further tasks
+// (adaptive search enqueues mutated neighbors while a rung drains). Tasks
+// submitted before run() queue FIFO, so a one-worker pool runs them on
+// the caller in submission order. Each worker owns a deque — own-back
+// LIFO pop, steal-front FIFO from victims — so dynamically discovered
+// work stays warm on the worker that found it.
 // One task here is a whole simulation run (milliseconds), so the deques
 // share a single mutex: contention is negligible at that granularity and
 // the sleep/wake logic stays trivially correct.

@@ -84,7 +84,7 @@ constexpr std::size_t kNoDepth = static_cast<std::size_t>(-1);
 
 struct Cell {
   core::Platform platform;
-  std::size_t workload = 0;  // index into the workload list (0 if none)
+  std::size_t workload = 0;  // index into the workload list
   std::size_t depth = 0;     // mutation hops from a seed candidate
   // Depth this cell last proposed neighbors at (kNoDepth = never). A
   // later, shorter discovery path relaxes `depth` below it and the cell
@@ -102,19 +102,13 @@ struct Cell {
 SearchDriver::SearchDriver(SearchConfig cfg) : cfg_(std::move(cfg)) {}
 
 SearchReport SearchDriver::run(Explorer& ex,
-                               const std::vector<core::Platform>& platforms) {
-  return run(ex, platforms, {});
-}
-
-SearchReport SearchDriver::run(Explorer& ex,
                                const std::vector<core::Platform>& platforms,
                                const std::vector<WorkloadCase>& workloads) {
   STLM_ASSERT(!cfg_.horizons.empty(), "SearchDriver: no horizons configured");
   STLM_ASSERT(!cfg_.objectives.empty(),
               "SearchDriver: no objectives configured");
   SearchReport report;
-  const bool with_workloads = !workloads.empty();
-  const std::size_t n_wl = with_workloads ? workloads.size() : 1;
+  const std::size_t n_wl = workloads.size();
 
   auto cell_key = [](const std::string& platform_name, std::size_t wl) {
     return platform_name + '\n' + std::to_string(wl);
@@ -234,13 +228,9 @@ SearchReport SearchDriver::run(Explorer& ex,
           return now >= limit;
         };
       }
-      ExplorationRow row =
-          with_workloads
-              ? ex.evaluate(c->platform, workloads[c->workload], horizon,
-                            budget)
-              : ex.evaluate(c->platform, horizon, budget);
+      c->row = ex.evaluate(c->platform, workloads[c->workload], horizon,
+                           budget);
       c->evaluated = true;
-      c->row = std::move(row);
       std::lock_guard<std::mutex> lock(m);
       c->done = c->row.completed && !c->row.pruned;
       ++rs.evaluated;

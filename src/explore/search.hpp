@@ -111,14 +111,10 @@ class SearchDriver {
 public:
   explicit SearchDriver(SearchConfig cfg = {});
 
-  // Search the platform x workload grid with `ex` evaluating cells
-  // (workload factories come from the cases; `ex`'s bound factory is
-  // unused). Deterministic for a fixed (config, platforms, workloads).
+  // Search the platform x workload grid with `ex` evaluating cells.
+  // Deterministic for a fixed (config, platforms, workloads).
   SearchReport run(Explorer& ex, const std::vector<core::Platform>& platforms,
                    const std::vector<WorkloadCase>& workloads);
-
-  // Single-workload search using the factory bound to `ex`.
-  SearchReport run(Explorer& ex, const std::vector<core::Platform>& platforms);
 
   // Frontier table. Sim columns only — no wall clock — so the printout
   // for a given report is byte-identical across runs and hosts (the CI

@@ -52,6 +52,14 @@ Process& Module::spawn_thread(std::string name, std::function<void()> body,
   return ref;
 }
 
+void Module::kill_threads() {
+  for (const auto& p : processes_) {
+    if (p->kind() == ProcessBase::Kind::Thread) {
+      sim_.kill_process(static_cast<Process&>(*p));
+    }
+  }
+}
+
 MethodProcess& Module::spawn_method(std::string name, std::function<void()> fn,
                                     std::vector<Event*> sensitivity,
                                     bool run_at_start) {

@@ -102,6 +102,11 @@ public:
                               std::vector<Event*> sensitivity,
                               bool run_at_start = true);
 
+  // Unwind every parked thread process this module owns (see
+  // Simulator::kill_process) — for owners that must do it before objects
+  // those threads' frames reference are destroyed.
+  void kill_threads();
+
   // Kernel-internal: called from PortBase's constructor/destructor.
   void register_port(PortBase& p) { ports_.push_back(&p); }
   void unregister_port(PortBase& p);

@@ -20,8 +20,8 @@
 
 namespace stlm::workload {
 
-// Same signature as expl::Explorer::GraphFactory (the explorer aliases
-// this type): fill the graph, park PE ownership in `owned`.
+// Builds one fresh copy of a workload's system (Explorer::evaluate calls
+// it once per cell): fill the graph, park PE ownership in `owned`.
 using GraphFactory = std::function<void(
     core::SystemGraph& graph,
     std::vector<std::unique_ptr<core::ProcessingElement>>& owned)>;

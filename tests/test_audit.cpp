@@ -150,7 +150,7 @@ TEST(Audit, CanonicalGridIsConflictFree) {
   const auto loads = workload_candidates();
   ASSERT_EQ(plats.size(), 108u);
   ASSERT_EQ(loads.size(), 5u);
-  Explorer ex(loads.front().factory);
+  Explorer ex;
   std::uint64_t audited_cells = 0;
   for (const auto& p : plats) {
     for (const auto& w : loads) {

@@ -573,9 +573,9 @@ TEST(CamSplit, MapperPlumbsSplitKnobsAndSplitPlatformFinishesSooner) {
   auto factory = [](SystemGraph& g,
                     std::vector<std::unique_ptr<ProcessingElement>>& o) {
     for (int s = 0; s < 2; ++s) {
-      auto p = std::make_unique<ProducerPe>("p" + std::to_string(s), 12, 256,
-                                            10);
-      auto k = std::make_unique<SinkPe>("s" + std::to_string(s), 12);
+      auto p = std::make_unique<workload::ProducerPe>(
+          "p" + std::to_string(s), 12, 256, 10);
+      auto k = std::make_unique<workload::SinkPe>("s" + std::to_string(s), 12);
       g.add_pe(*p);
       g.add_pe(*k);
       g.connect("ch" + std::to_string(s), *p, "out", *k, "in", 2);
@@ -583,7 +583,8 @@ TEST(CamSplit, MapperPlumbsSplitKnobsAndSplitPlatformFinishesSooner) {
       o.push_back(std::move(k));
     }
   };
-  Explorer ex(factory);
+  const WorkloadCase wl{"", factory};
+  Explorer ex;
 
   Platform atomic;
   atomic.name = "plb-atomic";
@@ -593,8 +594,8 @@ TEST(CamSplit, MapperPlumbsSplitKnobsAndSplitPlatformFinishesSooner) {
   split.max_outstanding = 4;
   split.coalesce_bursts = true;
 
-  const auto r_atomic = ex.evaluate(atomic, 100_ms);
-  const auto r_split = ex.evaluate(split, 100_ms);
+  const auto r_atomic = ex.evaluate(atomic, wl, 100_ms);
+  const auto r_split = ex.evaluate(split, wl, 100_ms);
   ASSERT_TRUE(r_atomic.completed);
   ASSERT_TRUE(r_split.completed);
   EXPECT_LT(r_split.sim_time_us, r_atomic.sim_time_us);
@@ -604,7 +605,7 @@ TEST(CamSplit, MapperPlumbsSplitKnobsAndSplitPlatformFinishesSooner) {
   off.name = "plb-split-off";
   off.split_txns = true;
   off.max_outstanding = 1;
-  const auto r_off = ex.evaluate(off, 100_ms);
+  const auto r_off = ex.evaluate(off, wl, 100_ms);
   EXPECT_EQ(r_off.sim_time_us, r_atomic.sim_time_us);
   EXPECT_EQ(r_off.transactions, r_atomic.transactions);
   EXPECT_EQ(r_off.bytes, r_atomic.bytes);

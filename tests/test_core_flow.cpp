@@ -7,8 +7,8 @@
 #include <sstream>
 
 #include "core/core.hpp"
-#include "explore/workload.hpp"
 #include "kernel/kernel.hpp"
+#include "workload/generators.hpp"
 
 using namespace stlm;
 using namespace stlm::core;
@@ -20,13 +20,13 @@ namespace {
 struct TestSystem {
   std::vector<std::unique_ptr<ProcessingElement>> owned;
   SystemGraph graph;
-  expl::SinkPe* sink = nullptr;
+  workload::SinkPe* sink = nullptr;
 
   explicit TestSystem(std::uint64_t messages = 16,
                       std::size_t payload = 64) {
-    auto prod = std::make_unique<expl::ProducerPe>("prod", messages, payload,
-                                                   /*compute=*/10);
-    auto snk = std::make_unique<expl::SinkPe>("sink", messages);
+    auto prod = std::make_unique<workload::ProducerPe>(
+        "prod", messages, payload, /*compute=*/10);
+    auto snk = std::make_unique<workload::SinkPe>("sink", messages);
     sink = snk.get();
     graph.add_pe(*prod);
     graph.add_pe(*snk);
@@ -154,8 +154,8 @@ TEST(Mapper, RequestReplyWorksAtEveryLevel) {
                      AbstractionLevel::Ccatb, AbstractionLevel::Cam}) {
     std::vector<std::unique_ptr<ProcessingElement>> owned;
     SystemGraph g;
-    auto req = std::make_unique<expl::RequesterPe>("req", 6, 16);
-    auto srv = std::make_unique<expl::EchoServerPe>("srv", 6, 5);
+    auto req = std::make_unique<workload::RequesterPe>("req", 6, 16);
+    auto srv = std::make_unique<workload::EchoServerPe>("srv", 6, 5);
     g.add_pe(*req);
     g.add_pe(*srv);
     g.connect("rpc", *req, "out", *srv, "in");

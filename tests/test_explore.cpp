@@ -6,45 +6,24 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "explore/explore.hpp"
+#include "explore_fixtures.hpp"
 #include "kernel/kernel.hpp"
 
 using namespace stlm;
 using namespace stlm::core;
 using namespace stlm::expl;
+using stlm::test::expect_sim_columns_equal;
+using stlm::test::two_streams;
 using namespace stlm::time_literals;
 
-namespace {
-
-Explorer::GraphFactory two_stream_factory(std::uint64_t msgs,
-                                          std::size_t payload) {
-  return [msgs, payload](SystemGraph& g,
-                         std::vector<std::unique_ptr<ProcessingElement>>& o) {
-    auto p0 = std::make_unique<ProducerPe>("p0", msgs, payload, 20);
-    auto p1 = std::make_unique<ProducerPe>("p1", msgs, payload, 20);
-    auto s0 = std::make_unique<SinkPe>("s0", msgs);
-    auto s1 = std::make_unique<SinkPe>("s1", msgs);
-    g.add_pe(*p0);
-    g.add_pe(*p1);
-    g.add_pe(*s0);
-    g.add_pe(*s1);
-    g.connect("ch0", *p0, "out", *s0, "in", 2);
-    g.connect("ch1", *p1, "out", *s1, "in", 2);
-    o.push_back(std::move(p0));
-    o.push_back(std::move(p1));
-    o.push_back(std::move(s0));
-    o.push_back(std::move(s1));
-  };
-}
-
-}  // namespace
-
 TEST(Explorer, EvaluatesOnePlatform) {
-  Explorer ex(two_stream_factory(8, 64));
+  Explorer ex;
   Platform p;  // default PLB/priority
-  const auto row = ex.evaluate(p, 10_ms);
+  const auto row = ex.evaluate(p, two_streams(8, 64), 10_ms);
   EXPECT_TRUE(row.completed);
   EXPECT_GT(row.sim_time_us, 0.0);
   EXPECT_GT(row.transactions, 0u);
@@ -53,8 +32,9 @@ TEST(Explorer, EvaluatesOnePlatform) {
 }
 
 TEST(Explorer, SweepCoversCamLibrary) {
-  Explorer ex(two_stream_factory(6, 64));
-  const auto rows = ex.sweep(default_candidates(), 50_ms);
+  Explorer ex;
+  const auto rows =
+      ex.sweep_parallel(default_candidates(), {two_streams(6, 64)}, 50_ms, 1);
   ASSERT_EQ(rows.size(), 6u);
   for (const auto& r : rows) {
     EXPECT_TRUE(r.completed) << r.platform;
@@ -63,15 +43,16 @@ TEST(Explorer, SweepCoversCamLibrary) {
 }
 
 TEST(Explorer, ArchitectureChoiceChangesTiming) {
-  Explorer ex(two_stream_factory(10, 256));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(10, 256);
   Platform plb;
   plb.name = "plb";
   Platform opb;
   opb.name = "opb";
   opb.bus = BusKind::Opb;
   opb.bus_cycle = 20_ns;
-  const auto r_plb = ex.evaluate(plb, 100_ms);
-  const auto r_opb = ex.evaluate(opb, 100_ms);
+  const auto r_plb = ex.evaluate(plb, wl, 100_ms);
+  const auto r_opb = ex.evaluate(opb, wl, 100_ms);
   ASSERT_TRUE(r_plb.completed);
   ASSERT_TRUE(r_opb.completed);
   // A 64-bit 100 MHz PLB must finish the same workload sooner than a
@@ -81,23 +62,25 @@ TEST(Explorer, ArchitectureChoiceChangesTiming) {
 }
 
 TEST(Explorer, CrossbarBeatsSharedBusOnIndependentStreams) {
-  Explorer ex(two_stream_factory(10, 256));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(10, 256);
   Platform shared;
   shared.name = "shared";
   shared.bus = BusKind::SharedBus;
   Platform xbar;
   xbar.name = "xbar";
   xbar.bus = BusKind::Crossbar;
-  const auto r_shared = ex.evaluate(shared, 100_ms);
-  const auto r_xbar = ex.evaluate(xbar, 100_ms);
+  const auto r_shared = ex.evaluate(shared, wl, 100_ms);
+  const auto r_xbar = ex.evaluate(xbar, wl, 100_ms);
   ASSERT_TRUE(r_shared.completed);
   ASSERT_TRUE(r_xbar.completed);
   EXPECT_LT(r_xbar.sim_time_us, r_shared.sim_time_us);
 }
 
 TEST(Explorer, TableRendersAllRows) {
-  Explorer ex(two_stream_factory(4, 32));
-  const auto rows = ex.sweep({Platform{}}, 10_ms);
+  Explorer ex;
+  const auto rows = ex.sweep_parallel({Platform{}}, {two_streams(4, 32)},
+                                      10_ms, 1);
   std::ostringstream os;
   Explorer::print_table(os, rows);
   const std::string t = os.str();
@@ -114,11 +97,11 @@ TEST(Explorer, TableRendersAllRows) {
 // queueing delay must be nonzero — the numbers that actually rank
 // platforms once the mean saturates.
 TEST(Explorer, LatencyPercentilesAreOrderedAndQueueingVisible) {
-  Explorer ex(two_stream_factory(10, 256));
+  Explorer ex;
   Platform shared;
   shared.name = "shared";
   shared.bus = BusKind::SharedBus;
-  const auto r = ex.evaluate(shared, 100_ms);
+  const auto r = ex.evaluate(shared, two_streams(10, 256), 100_ms);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.p50_latency_ns, 0.0);
   EXPECT_LE(r.p50_latency_ns, r.p95_latency_ns);
@@ -128,8 +111,9 @@ TEST(Explorer, LatencyPercentilesAreOrderedAndQueueingVisible) {
 }
 
 TEST(Explorer, PrintTableRestoresStreamFormatting) {
-  Explorer ex(two_stream_factory(4, 32));
-  const auto rows = ex.sweep({Platform{}}, 10_ms);
+  Explorer ex;
+  const auto rows = ex.sweep_parallel({Platform{}}, {two_streams(4, 32)},
+                                      10_ms, 1);
   std::ostringstream os;
   const auto flags = os.flags();
   const auto precision = os.precision();
@@ -210,15 +194,16 @@ TEST(Explorer, GridSpecIsParameterizable) {
 }
 
 TEST(Explorer, DataWidthChangesTiming) {
-  Explorer ex(two_stream_factory(10, 256));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(10, 256);
   Platform narrow;
   narrow.name = "plb-32b";
   narrow.data_width_bytes = 4;
   Platform wide;
   wide.name = "plb-64b";
   wide.data_width_bytes = 8;
-  const auto r_narrow = ex.evaluate(narrow, 100_ms);
-  const auto r_wide = ex.evaluate(wide, 100_ms);
+  const auto r_narrow = ex.evaluate(narrow, wl, 100_ms);
+  const auto r_wide = ex.evaluate(wide, wl, 100_ms);
   ASSERT_TRUE(r_narrow.completed);
   ASSERT_TRUE(r_wide.completed);
   // Halving the data path doubles the beats per payload: the narrow bus
@@ -227,33 +212,17 @@ TEST(Explorer, DataWidthChangesTiming) {
 }
 
 TEST(Explorer, ParallelSweepMatchesSequentialBitExactly) {
-  Explorer ex(two_stream_factory(5, 96));
+  Explorer ex;
   const auto cands = grid_candidates();
+  const std::vector<WorkloadCase> wl{two_streams(5, 96)};
   const Time budget = 200_ms;
-  const auto seq = ex.sweep(cands, budget);
-  const auto par = ex.sweep_parallel(cands, budget, 4);
+  const auto seq = ex.sweep_parallel(cands, wl, budget, 1);
+  const auto par = ex.sweep_parallel(cands, wl, budget, 4);
   ASSERT_EQ(par.size(), seq.size());
+  // Each worker runs its own Simulator from fresh state, so thread
+  // interleaving cannot perturb any simulated column.
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(par[i].platform, seq[i].platform) << i;
-    EXPECT_EQ(par[i].completed, seq[i].completed) << seq[i].platform;
-    // Simulated metrics must be bit-identical — each worker runs its own
-    // Simulator from fresh state, so thread interleaving cannot perturb
-    // simulated time, traffic, or latency.
-    EXPECT_EQ(par[i].sim_time_us, seq[i].sim_time_us) << seq[i].platform;
-    EXPECT_EQ(par[i].transactions, seq[i].transactions) << seq[i].platform;
-    EXPECT_EQ(par[i].bytes, seq[i].bytes) << seq[i].platform;
-    EXPECT_EQ(par[i].mean_latency_ns, seq[i].mean_latency_ns)
-        << seq[i].platform;
-    // The distribution metrics are simulated results too: bit-identical.
-    EXPECT_EQ(par[i].p50_latency_ns, seq[i].p50_latency_ns)
-        << seq[i].platform;
-    EXPECT_EQ(par[i].p95_latency_ns, seq[i].p95_latency_ns)
-        << seq[i].platform;
-    EXPECT_EQ(par[i].p99_latency_ns, seq[i].p99_latency_ns)
-        << seq[i].platform;
-    EXPECT_EQ(par[i].mean_queue_ns, seq[i].mean_queue_ns) << seq[i].platform;
-    EXPECT_EQ(par[i].bus_utilization, seq[i].bus_utilization)
-        << seq[i].platform;
+    expect_sim_columns_equal(par[i], seq[i]);
   }
 }
 
@@ -261,7 +230,7 @@ TEST(Explorer, WorkloadGridRowsArePlatformMajorAndComplete) {
   Explorer ex;
   const auto plats = default_candidates();
   const auto loads = workload_candidates();
-  const auto rows = ex.sweep(plats, loads, 200_ms);
+  const auto rows = ex.sweep_parallel(plats, loads, 200_ms, 1);
   ASSERT_EQ(rows.size(), plats.size() * loads.size());
   for (std::size_t pi = 0; pi < plats.size(); ++pi) {
     for (std::size_t wi = 0; wi < loads.size(); ++wi) {
@@ -279,7 +248,7 @@ TEST(Explorer, WorkloadChoiceChangesTiming) {
   // new axis adds rows but no information.
   Explorer ex;
   const auto loads = workload_candidates();
-  const auto rows = ex.sweep({Platform{}}, loads, 200_ms);
+  const auto rows = ex.sweep_parallel({Platform{}}, loads, 200_ms, 1);
   std::set<double> times;
   for (const auto& r : rows) times.insert(r.sim_time_us);
   EXPECT_EQ(times.size(), rows.size()) << "workloads are indistinguishable";
@@ -287,10 +256,9 @@ TEST(Explorer, WorkloadChoiceChangesTiming) {
 
 // The acceptance bar for the workload axis: the atomic 40-platform x
 // 5-workload grid (200 rows, banked included) is bit-identical between
-// the sequential sweep and a 4-thread parallel sweep. (The split axis is
-// pinned to depth 1 here to keep this anchor's platform list at its
-// historical size; the split-mode platforms get the same
-// seq-vs-parallel guarantee from
+// a 1-thread and a 4-thread sweep. (The split axis is pinned to depth 1
+// here to keep this anchor's platform list at its historical size; the
+// split-mode platforms get the same guarantee from
 // Explorer.ParallelSweepMatchesSequentialBitExactly.)
 TEST(Explorer, WorkloadGrid200RowsParallelMatchesSequentialBitExactly) {
   Explorer ex;
@@ -301,30 +269,12 @@ TEST(Explorer, WorkloadGrid200RowsParallelMatchesSequentialBitExactly) {
   const auto loads = workload_candidates();
   ASSERT_EQ(plats.size() * loads.size(), 200u);
   const Time budget = 200_ms;
-  const auto seq = ex.sweep(plats, loads, budget);
+  const auto seq = ex.sweep_parallel(plats, loads, budget, 1);
   const auto par = ex.sweep_parallel(plats, loads, budget, 4);
   ASSERT_EQ(seq.size(), 200u);
   ASSERT_EQ(par.size(), seq.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(par[i].platform, seq[i].platform) << i;
-    EXPECT_EQ(par[i].workload, seq[i].workload) << i;
-    EXPECT_EQ(par[i].completed, seq[i].completed) << i;
-    EXPECT_EQ(par[i].sim_time_us, seq[i].sim_time_us)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].transactions, seq[i].transactions)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].bytes, seq[i].bytes)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].mean_latency_ns, seq[i].mean_latency_ns)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].p95_latency_ns, seq[i].p95_latency_ns)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].p99_latency_ns, seq[i].p99_latency_ns)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].mean_queue_ns, seq[i].mean_queue_ns)
-        << seq[i].platform << "/" << seq[i].workload;
-    EXPECT_EQ(par[i].bus_utilization, seq[i].bus_utilization)
-        << seq[i].platform << "/" << seq[i].workload;
+    expect_sim_columns_equal(par[i], seq[i]);
   }
 }
 
@@ -428,15 +378,15 @@ TEST(Explorer, GridConservesTrafficAcrossSplitModeAndWorkloads) {
 }
 
 TEST(Explorer, PrintTableShowsWorkloadColumnOnlyWhenPresent) {
-  Explorer ex(two_stream_factory(4, 32));
-  const auto plain = ex.sweep({Platform{}}, 10_ms);
+  Explorer ex;
+  const auto plain =
+      ex.sweep_parallel({Platform{}}, {two_streams(4, 32)}, 10_ms, 1);
   std::ostringstream os_plain;
   Explorer::print_table(os_plain, plain);
   EXPECT_EQ(os_plain.str().find("workload"), std::string::npos);
 
-  Explorer gx;
   const auto rows =
-      gx.sweep({Platform{}}, workload_candidates(), 200_ms);
+      ex.sweep_parallel({Platform{}}, workload_candidates(), 200_ms, 1);
   std::ostringstream os;
   Explorer::print_table(os, rows);
   EXPECT_NE(os.str().find("workload"), std::string::npos);
@@ -444,16 +394,34 @@ TEST(Explorer, PrintTableShowsWorkloadColumnOnlyWhenPresent) {
   EXPECT_NE(os.str().find("pipeline"), std::string::npos);
 }
 
-TEST(Explorer, ParallelSweepSingleThreadDegradesToSequential) {
-  Explorer ex(two_stream_factory(4, 64));
+TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInRowOrder) {
+  // Each factory call records which cell it builds; with one thread the
+  // caller must build them in platform-major row order.
+  std::vector<std::string> built;
+  const std::thread::id caller = std::this_thread::get_id();
+  auto recording = [&](std::string name, WorkloadCase inner) {
+    return WorkloadCase{name, [&built, caller, name, inner](
+                                  SystemGraph& g, auto& owned) {
+                          EXPECT_EQ(std::this_thread::get_id(), caller);
+                          built.push_back(name);
+                          inner.factory(g, owned);
+                        }};
+  };
+  Explorer ex;
   const auto cands = default_candidates();
-  const auto rows = ex.sweep_parallel(cands, 50_ms, 1);
-  ASSERT_EQ(rows.size(), cands.size());
-  for (const auto& r : rows) EXPECT_TRUE(r.completed) << r.platform;
+  const std::vector<WorkloadCase> loads{recording("a", two_streams(4, 64)),
+                                        recording("b", two_streams(2, 32))};
+  const auto rows = ex.sweep_parallel(cands, loads, 50_ms, 1);
+  ASSERT_EQ(rows.size(), cands.size() * loads.size());
+  ASSERT_EQ(built.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rows[i].completed) << rows[i].platform;
+    EXPECT_EQ(built[i], loads[i % loads.size()].name) << i;
+  }
 }
 
 TEST(Explorer, ParallelSweepPropagatesWorkerExceptions) {
-  Explorer ex(two_stream_factory(4, 64));
+  Explorer ex;
   // A mailbox window below one OCP word fails wrapper elaboration inside
   // the worker thread; the error must resurface on the calling thread.
   auto cands = default_candidates();
@@ -461,16 +429,64 @@ TEST(Explorer, ParallelSweepPropagatesWorkerExceptions) {
   bad.name = "bad-mailbox";
   bad.mailbox_window = 1;
   cands.insert(cands.begin() + 2, bad);
-  EXPECT_THROW(ex.sweep_parallel(cands, 50_ms, 4), SimulationError);
+  EXPECT_THROW(ex.sweep_parallel(cands, {two_streams(4, 64)}, 50_ms, 4),
+               SimulationError);
 }
 
 TEST(Explorer, ParallelSweepPropagatesFactoryExceptions) {
-  Explorer ex([](SystemGraph&,
-                 std::vector<std::unique_ptr<ProcessingElement>>&) {
-    throw std::runtime_error("factory boom");
-  });
-  EXPECT_THROW(ex.sweep_parallel(default_candidates(), 10_ms, 4),
+  Explorer ex;
+  const WorkloadCase boom{
+      "", [](SystemGraph&, std::vector<std::unique_ptr<ProcessingElement>>&) {
+        throw std::runtime_error("factory boom");
+      }};
+  EXPECT_THROW(ex.sweep_parallel(default_candidates(), {boom}, 10_ms, 4),
                std::runtime_error);
+}
+
+// A horizon too short to finish leaves PE threads parked inside bus
+// transactions. Tearing such a cell down must unwind them before the
+// MappedSystem frees the wrappers their frames point into (sanitized
+// builds unwind parked stacks; see Simulator::kill_process).
+TEST(Explorer, HorizonCutCellsTearDownCleanly) {
+  // One atomic, one -split4 and one crossbar grid point.
+  std::vector<Platform> plats;
+  for (const auto& p : grid_candidates()) {
+    if (p.name == "shared-bus-priority-10ns-32b" ||
+        p.name == "shared-bus-priority-10ns-32b-split4" ||
+        p.name == "crossbar-10ns-32b") {
+      plats.push_back(p);
+    }
+  }
+  ASSERT_EQ(plats.size(), 3u);
+  // The canonical workloads plus a HW/SW variant whose sinks are RTOS
+  // tasks behind the software driver.
+  auto loads = workload_candidates();
+  std::size_t sw_tasks = 0;
+  WorkloadCase sw = loads.front();
+  sw.name += "-sw-sinks";
+  sw.factory = [inner = sw.factory, &sw_tasks](
+                   SystemGraph& g,
+                   std::vector<std::unique_ptr<ProcessingElement>>& o) {
+    inner(g, o);
+    for (ProcessingElement* pe : g.pes()) {
+      if (pe->name().ends_with(".sink")) {
+        g.set_partition(*pe, Partition::Software);
+        ++sw_tasks;
+      }
+    }
+  };
+  loads.push_back(sw);
+  const Time horizon = 2_us;
+  Explorer ex;
+  for (const auto& p : plats) {
+    for (const auto& w : loads) {
+      const auto row = ex.evaluate(p, w, horizon);
+      EXPECT_FALSE(row.completed) << p.name << "/" << w.name;
+      EXPECT_FALSE(row.pruned) << p.name << "/" << w.name;
+      EXPECT_DOUBLE_EQ(row.sim_time_us, 2.0) << p.name << "/" << w.name;
+    }
+  }
+  EXPECT_GT(sw_tasks, 0u);
 }
 
 TEST(Explorer, PrintTableSeparatorMatchesHeaderWidth) {
@@ -499,7 +515,7 @@ TEST(Explorer, GoodputCountsLateButDeliveredTimeoutPayloads) {
   // Goodput must count those bytes; with no injected errors, statuses
   // are Ok or Timeout only, so goodput equals raw throughput exactly.
   // (The old Ok-only goodput was strictly lower whenever timeouts > 0.)
-  Explorer ex(two_stream_factory(20, 256));
+  Explorer ex;
   Platform p;
   p.fault.name = "spiky";
   p.fault.seed = 7;
@@ -508,7 +524,7 @@ TEST(Explorer, GoodputCountsLateButDeliveredTimeoutPayloads) {
   p.retry.name = "wd";
   p.retry.timeout = 300_ns;  // tight enough that spiked bursts miss it
   p.name = "plb-priority-10ns-64b-spiky-wd";
-  const auto row = ex.evaluate(p, 50_ms);
+  const auto row = ex.evaluate(p, two_streams(20, 256), 50_ms);
   ASSERT_TRUE(row.completed);
   ASSERT_GT(row.timeouts, 0u);
   EXPECT_GT(row.error_rate, 0.0);  // timeouts still count as not-Ok

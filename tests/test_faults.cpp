@@ -308,24 +308,25 @@ TEST(QosArbiters, BandwidthIsWorkConserving) {
 }
 
 TEST(QosArbiters, PlatformsMapAndCompleteUnderQosArbitration) {
-  expl::Explorer ex([](core::SystemGraph& g,
-                       std::vector<std::unique_ptr<core::ProcessingElement>>&
-                           o) {
-    auto p0 = std::make_unique<expl::ProducerPe>("p0", 6, 64, 20);
-    auto p1 = std::make_unique<expl::ProducerPe>("p1", 6, 64, 20);
-    auto s0 = std::make_unique<expl::SinkPe>("s0", 6);
-    auto s1 = std::make_unique<expl::SinkPe>("s1", 6);
-    g.add_pe(*p0);
-    g.add_pe(*p1);
-    g.add_pe(*s0);
-    g.add_pe(*s1);
-    g.connect("ch0", *p0, "out", *s0, "in", 2);
-    g.connect("ch1", *p1, "out", *s1, "in", 2);
-    o.push_back(std::move(p0));
-    o.push_back(std::move(p1));
-    o.push_back(std::move(s0));
-    o.push_back(std::move(s1));
-  });
+  const workload::WorkloadCase wl{
+      "", [](core::SystemGraph& g,
+             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
+        auto p0 = std::make_unique<workload::ProducerPe>("p0", 6, 64, 20);
+        auto p1 = std::make_unique<workload::ProducerPe>("p1", 6, 64, 20);
+        auto s0 = std::make_unique<workload::SinkPe>("s0", 6);
+        auto s1 = std::make_unique<workload::SinkPe>("s1", 6);
+        g.add_pe(*p0);
+        g.add_pe(*p1);
+        g.add_pe(*s0);
+        g.add_pe(*s1);
+        g.connect("ch0", *p0, "out", *s0, "in", 2);
+        g.connect("ch1", *p1, "out", *s1, "in", 2);
+        o.push_back(std::move(p0));
+        o.push_back(std::move(p1));
+        o.push_back(std::move(s0));
+        o.push_back(std::move(s1));
+      }};
+  expl::Explorer ex;
   core::Platform aging;
   aging.name = "plb-aging";
   aging.arb = core::ArbKind::PriorityAging;
@@ -335,7 +336,7 @@ TEST(QosArbiters, PlatformsMapAndCompleteUnderQosArbitration) {
   bw.arb = core::ArbKind::Bandwidth;
   bw.qos_shares = {4, 1, 1, 1};
   for (const auto* p : {&aging, &bw}) {
-    const auto row = ex.evaluate(*p, 50_ms);
+    const auto row = ex.evaluate(*p, wl, 50_ms);
     EXPECT_TRUE(row.completed) << p->name;
     EXPECT_GT(row.transactions, 0u) << p->name;
   }
@@ -347,13 +348,13 @@ TEST(QosArbiters, PlatformsMapAndCompleteUnderQosArbitration) {
 
 namespace {
 
-expl::Explorer::GraphFactory faulted_factory() {
+workload::GraphFactory faulted_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
-    auto p0 = std::make_unique<expl::ProducerPe>("p0", 10, 96, 20);
-    auto p1 = std::make_unique<expl::ProducerPe>("p1", 10, 96, 20);
-    auto s0 = std::make_unique<expl::SinkPe>("s0", 10);
-    auto s1 = std::make_unique<expl::SinkPe>("s1", 10);
+    auto p0 = std::make_unique<workload::ProducerPe>("p0", 10, 96, 20);
+    auto p1 = std::make_unique<workload::ProducerPe>("p1", 10, 96, 20);
+    auto s0 = std::make_unique<workload::SinkPe>("s0", 10);
+    auto s1 = std::make_unique<workload::SinkPe>("s1", 10);
     g.add_pe(*p0);
     g.add_pe(*p1);
     g.add_pe(*s0);
@@ -676,9 +677,10 @@ TEST(FaultExplore, GridAxesMultiplyAndSuffixNames) {
 }
 
 TEST(FaultExplore, RowCarriesFailureColumns) {
-  expl::Explorer ex(faulted_factory());
+  const workload::WorkloadCase wl{"", faulted_factory()};
+  expl::Explorer ex;
   const auto p = faulted_platform("plb-columns");
-  const auto row = ex.evaluate(p, 200_ms);
+  const auto row = ex.evaluate(p, wl, 200_ms);
   ASSERT_TRUE(row.completed);
   EXPECT_GT(row.error_rate, 0.0);
   EXPECT_LT(row.error_rate, 1.0);
@@ -691,17 +693,18 @@ TEST(FaultExplore, RowCarriesFailureColumns) {
             static_cast<double>(row.bytes) / row.sim_time_us);
   EXPECT_EQ(row.slo_miss_pct, 0.0);  // no SLO configured
 
-  expl::Explorer strict(faulted_factory());
+  expl::Explorer strict;
   strict.set_slo(Time::ns(1));  // nothing on a real bus is this fast
-  const auto missed = strict.evaluate(p, 200_ms);
+  const auto missed = strict.evaluate(p, wl, 200_ms);
   EXPECT_EQ(missed.slo_miss_pct, 100.0);
   strict.set_slo(1_ms);  // nothing is this slow either
-  EXPECT_EQ(strict.evaluate(p, 200_ms).slo_miss_pct, 0.0);
+  EXPECT_EQ(strict.evaluate(p, wl, 200_ms).slo_miss_pct, 0.0);
 }
 
 TEST(FaultExplore, FaultFreeRowsAreUnchangedByTheNewColumns) {
-  expl::Explorer ex(faulted_factory());
-  const auto row = ex.evaluate(core::Platform{}, 200_ms);
+  expl::Explorer ex;
+  const auto row =
+      ex.evaluate(core::Platform{}, {"", faulted_factory()}, 200_ms);
   ASSERT_TRUE(row.completed);
   EXPECT_EQ(row.error_rate, 0.0);
   EXPECT_EQ(row.retries, 0u);
@@ -715,8 +718,9 @@ TEST(FaultExplore, FaultFreeRowsAreUnchangedByTheNewColumns) {
 }
 
 TEST(FaultExplore, TableRendersFailureColumns) {
-  expl::Explorer ex(faulted_factory());
-  const auto rows = ex.sweep({faulted_platform("plb-table")}, 200_ms);
+  expl::Explorer ex;
+  const auto rows = ex.sweep_parallel({faulted_platform("plb-table")},
+                                      {{"", faulted_factory()}}, 200_ms, 1);
   std::ostringstream os;
   expl::Explorer::print_table(os, rows);
   const std::string t = os.str();

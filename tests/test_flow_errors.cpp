@@ -80,8 +80,9 @@ TEST(FlowErrors, MailboxWindowsDoNotOverlapAcrossChannels) {
   std::vector<std::unique_ptr<ProcessingElement>> owned;
   SystemGraph g;
   for (int i = 0; i < 8; ++i) {
-    auto p = std::make_unique<expl::ProducerPe>("p" + std::to_string(i), 2, 16);
-    auto s = std::make_unique<expl::SinkPe>("s" + std::to_string(i), 2);
+    auto p =
+        std::make_unique<workload::ProducerPe>("p" + std::to_string(i), 2, 16);
+    auto s = std::make_unique<workload::SinkPe>("s" + std::to_string(i), 2);
     g.add_pe(*p);
     g.add_pe(*s);
     g.connect("ch" + std::to_string(i), *p, "out", *s, "in", 1,
@@ -99,17 +100,19 @@ TEST(FlowErrors, ExplorationSurvivesIncompleteWorkload) {
   // A sink expecting more messages than the producer sends: the run hits
   // the time budget; the row reports completed == false instead of
   // hanging or throwing.
-  expl::Explorer ex([](SystemGraph& g,
-                       std::vector<std::unique_ptr<ProcessingElement>>& o) {
-    auto p = std::make_unique<expl::ProducerPe>("p", 2, 16);
-    auto s = std::make_unique<expl::SinkPe>("s", 99);
-    g.add_pe(*p);
-    g.add_pe(*s);
-    g.connect("ch", *p, "out", *s, "in", 1, ship::Role::Master);
-    o.push_back(std::move(p));
-    o.push_back(std::move(s));
-  });
-  const auto row = ex.evaluate(Platform{}, 1_ms);
+  const workload::WorkloadCase starved{
+      "", [](SystemGraph& g,
+             std::vector<std::unique_ptr<ProcessingElement>>& o) {
+        auto p = std::make_unique<workload::ProducerPe>("p", 2, 16);
+        auto s = std::make_unique<workload::SinkPe>("s", 99);
+        g.add_pe(*p);
+        g.add_pe(*s);
+        g.connect("ch", *p, "out", *s, "in", 1, ship::Role::Master);
+        o.push_back(std::move(p));
+        o.push_back(std::move(s));
+      }};
+  expl::Explorer ex;
+  const auto row = ex.evaluate(Platform{}, starved, 1_ms);
   EXPECT_FALSE(row.completed);
 }
 

@@ -140,8 +140,8 @@ TEST(Integration, MixedRpcAndStreamOnOneBus) {
   std::vector<std::unique_ptr<ProcessingElement>> owned;
   SystemGraph g;
   int rpc_sum = 0;
-  auto prod = std::make_unique<expl::ProducerPe>("prod", 20, 128, 10);
-  auto sink = std::make_unique<expl::SinkPe>("sink", 20);
+  auto prod = std::make_unique<workload::ProducerPe>("prod", 20, 128, 10);
+  auto sink = std::make_unique<workload::SinkPe>("sink", 20);
   auto client = std::make_unique<LambdaPe>("client", [&](ExecContext& ctx) {
     ship::ship_if& out = ctx.channel("out");
     for (int i = 0; i < 10; ++i) {
@@ -160,7 +160,7 @@ TEST(Integration, MixedRpcAndStreamOnOneBus) {
       in.reply(resp);
     }
   });
-  expl::SinkPe* sink_ptr = sink.get();
+  workload::SinkPe* sink_ptr = sink.get();
   g.add_pe(*prod);
   g.add_pe(*sink);
   g.add_pe(*client);
@@ -201,26 +201,28 @@ TEST(Integration, TimingRefinesMonotonically) {
 
 TEST(Integration, ExplorerAgreesWithDirectMapping) {
   // The explorer's reported sim time matches a hand-built run.
-  expl::Explorer ex([](SystemGraph& g,
-                       std::vector<std::unique_ptr<ProcessingElement>>& o) {
-    auto prod = std::make_unique<expl::ProducerPe>("p", 8, 64, 10);
-    auto sink = std::make_unique<expl::SinkPe>("s", 8);
-    g.add_pe(*prod);
-    g.add_pe(*sink);
-    g.connect("ch", *prod, "out", *sink, "in", 2);
-    o.push_back(std::move(prod));
-    o.push_back(std::move(sink));
-  });
+  const workload::WorkloadCase wl{
+      "", [](SystemGraph& g,
+             std::vector<std::unique_ptr<ProcessingElement>>& o) {
+        auto prod = std::make_unique<workload::ProducerPe>("p", 8, 64, 10);
+        auto sink = std::make_unique<workload::SinkPe>("s", 8);
+        g.add_pe(*prod);
+        g.add_pe(*sink);
+        g.connect("ch", *prod, "out", *sink, "in", 2);
+        o.push_back(std::move(prod));
+        o.push_back(std::move(sink));
+      }};
+  expl::Explorer ex;
   Platform p;
-  const auto row = ex.evaluate(p, 50_ms);
+  const auto row = ex.evaluate(p, wl, 50_ms);
   ASSERT_TRUE(row.completed);
 
   long dummy = 0;
   (void)dummy;
   std::vector<std::unique_ptr<ProcessingElement>> owned;
   SystemGraph g;
-  auto prod = std::make_unique<expl::ProducerPe>("p", 8, 64, 10);
-  auto sink = std::make_unique<expl::SinkPe>("s", 8);
+  auto prod = std::make_unique<workload::ProducerPe>("p", 8, 64, 10);
+  auto sink = std::make_unique<workload::SinkPe>("s", 8);
   g.add_pe(*prod);
   g.add_pe(*sink);
   g.connect("ch", *prod, "out", *sink, "in", 2);

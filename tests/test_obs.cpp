@@ -114,11 +114,11 @@ TraceRun run_traced_plb(bool fast, obs::TraceSession::Options opts = {}) {
   return r;
 }
 
-expl::Explorer::GraphFactory tiny_factory() {
+workload::GraphFactory tiny_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
-    auto prod = std::make_unique<expl::ProducerPe>("prod", 8, 64, 100);
-    auto sink = std::make_unique<expl::SinkPe>("sink", 8);
+    auto prod = std::make_unique<workload::ProducerPe>("prod", 8, 64, 100);
+    auto sink = std::make_unique<workload::SinkPe>("sink", 8);
     g.add_pe(*prod);
     g.add_pe(*sink);
     g.connect("ch", *prod, "out", *sink, "in", 1);
@@ -437,10 +437,11 @@ TEST(ObsIntegration, ReportSurfacesOcpMonitors) {
 // the opt-in trace target writes a per-cell trace file.
 TEST(ObsIntegration, ExplorerRowsTableAndTraceTarget) {
   const std::string path = "obs_test_cell_trace.json";
-  expl::Explorer ex(tiny_factory());
+  const workload::WorkloadCase tiny{"", tiny_factory()};
+  expl::Explorer ex;
   ex.set_trace_target({"plb-fast", "", path});
   const expl::ExplorationRow row =
-      ex.evaluate(fast_plb_platform(), Time::us(300));
+      ex.evaluate(fast_plb_platform(), tiny, Time::us(300));
   ASSERT_TRUE(row.completed);
 
   // fast_hit_rate derives from the always-on bus stats counters;
@@ -471,9 +472,9 @@ TEST(ObsIntegration, ExplorerRowsTableAndTraceTarget) {
 
   // Non-matching target: no file is produced for other cells.
   const std::string other = "obs_test_other_trace.json";
-  expl::Explorer ex2(tiny_factory());
+  expl::Explorer ex2;
   ex2.set_trace_target({"no-such-platform", "", other});
-  (void)ex2.evaluate(fast_plb_platform(), Time::us(300));
+  (void)ex2.evaluate(fast_plb_platform(), tiny, Time::us(300));
   std::ifstream none(other);
   EXPECT_FALSE(none.good());
 }

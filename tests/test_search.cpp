@@ -15,65 +15,15 @@
 #include <vector>
 
 #include "explore/explore.hpp"
+#include "explore_fixtures.hpp"
 #include "kernel/kernel.hpp"
 
 using namespace stlm;
 using namespace stlm::core;
 using namespace stlm::expl;
+using stlm::test::expect_sim_columns_equal;
+using stlm::test::two_streams;
 using namespace stlm::time_literals;
-
-namespace {
-
-Explorer::GraphFactory two_stream_factory(std::uint64_t msgs,
-                                          std::size_t payload) {
-  return [msgs, payload](SystemGraph& g,
-                         std::vector<std::unique_ptr<ProcessingElement>>& o) {
-    auto p0 = std::make_unique<ProducerPe>("p0", msgs, payload, 20);
-    auto p1 = std::make_unique<ProducerPe>("p1", msgs, payload, 20);
-    auto s0 = std::make_unique<SinkPe>("s0", msgs);
-    auto s1 = std::make_unique<SinkPe>("s1", msgs);
-    g.add_pe(*p0);
-    g.add_pe(*p1);
-    g.add_pe(*s0);
-    g.add_pe(*s1);
-    g.connect("ch0", *p0, "out", *s0, "in", 2);
-    g.connect("ch1", *p1, "out", *s1, "in", 2);
-    o.push_back(std::move(p0));
-    o.push_back(std::move(p1));
-    o.push_back(std::move(s0));
-    o.push_back(std::move(s1));
-  };
-}
-
-// Every simulated column — everything except the host-side wall clock.
-void expect_sim_columns_equal(const ExplorationRow& a,
-                              const ExplorationRow& b) {
-  EXPECT_EQ(a.platform, b.platform);
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.pruned, b.pruned);
-  EXPECT_EQ(a.sim_time_us, b.sim_time_us) << a.platform;
-  EXPECT_EQ(a.mean_latency_ns, b.mean_latency_ns) << a.platform;
-  EXPECT_EQ(a.p50_latency_ns, b.p50_latency_ns) << a.platform;
-  EXPECT_EQ(a.p95_latency_ns, b.p95_latency_ns) << a.platform;
-  EXPECT_EQ(a.p99_latency_ns, b.p99_latency_ns) << a.platform;
-  EXPECT_EQ(a.mean_queue_ns, b.mean_queue_ns) << a.platform;
-  EXPECT_EQ(a.worst_master_p99_ns, b.worst_master_p99_ns) << a.platform;
-  EXPECT_EQ(a.bus_utilization, b.bus_utilization) << a.platform;
-  EXPECT_EQ(a.transactions, b.transactions) << a.platform;
-  EXPECT_EQ(a.bytes, b.bytes) << a.platform;
-  EXPECT_EQ(a.ctx_switches, b.ctx_switches) << a.platform;
-  EXPECT_EQ(a.fast_hit_rate, b.fast_hit_rate) << a.platform;
-  EXPECT_EQ(a.error_rate, b.error_rate) << a.platform;
-  EXPECT_EQ(a.retries, b.retries) << a.platform;
-  EXPECT_EQ(a.timeouts, b.timeouts) << a.platform;
-  EXPECT_EQ(a.aborted, b.aborted) << a.platform;
-  EXPECT_EQ(a.goodput_mbps, b.goodput_mbps) << a.platform;
-  EXPECT_EQ(a.slo_miss_pct, b.slo_miss_pct) << a.platform;
-  EXPECT_EQ(a.cost, b.cost) << a.platform;
-}
-
-}  // namespace
 
 // ------------------------------------------------ knob space / naming ----
 
@@ -243,15 +193,16 @@ TEST(WorkPool, FirstTaskErrorIsHeldAndRemainingWorkDiscarded) {
 
 TEST(Explorer, SpawnFailureDegradesParallelSweepLoudly) {
   // A thread factory that always fails must not lose the sweep *or* the
-  // signal: results match the sequential sweep bit for bit and the
+  // signal: results match the 1-thread sweep bit for bit and the
   // degradation is visible on the explorer.
-  Explorer ex(two_stream_factory(6, 64));
+  Explorer ex;
   const auto cands = default_candidates();
-  const auto seq = ex.sweep(cands, 50_ms);
+  const std::vector<WorkloadCase> wl{two_streams(6, 64)};
+  const auto seq = ex.sweep_parallel(cands, wl, 50_ms, 1);
   ex.set_thread_factory([](std::function<void()>) -> std::thread {
     throw std::runtime_error("EAGAIN");
   });
-  const auto par = ex.sweep_parallel(cands, 50_ms, 4);
+  const auto par = ex.sweep_parallel(cands, wl, 50_ms, 4);
   EXPECT_EQ(ex.last_spawn_failures(), 3u);
   ASSERT_EQ(par.size(), seq.size());
   for (std::size_t i = 0; i < par.size(); ++i) {
@@ -262,15 +213,16 @@ TEST(Explorer, SpawnFailureDegradesParallelSweepLoudly) {
 // ------------------------------------------------- run budget / abort ----
 
 TEST(EvalBudget, AbortsMidSimulationAtACleanDeltaBoundary) {
-  Explorer ex(two_stream_factory(64, 256));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(64, 256);
   Platform p;
-  const auto full = ex.evaluate(p, 10_ms);
+  const auto full = ex.evaluate(p, wl, 10_ms);
   ASSERT_TRUE(full.completed);
   ASSERT_GT(full.sim_time_us, 20.0);
 
   Explorer::EvalBudget budget;
   budget.should_abort = [](Time now, std::uint64_t) { return now >= 10_us; };
-  const auto cut = ex.evaluate(p, 10_ms, budget);
+  const auto cut = ex.evaluate(p, wl, 10_ms, budget);
   EXPECT_TRUE(cut.pruned);
   EXPECT_FALSE(cut.completed);
   EXPECT_GE(cut.sim_time_us, 10.0);
@@ -279,14 +231,15 @@ TEST(EvalBudget, AbortsMidSimulationAtACleanDeltaBoundary) {
 }
 
 TEST(EvalBudget, NullAndNeverFiringBudgetsReproduceThePlainRun) {
-  Explorer ex(two_stream_factory(8, 64));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(8, 64);
   Platform p;
-  const auto plain = ex.evaluate(p, 10_ms);
-  const auto null_budget = ex.evaluate(p, 10_ms, Explorer::EvalBudget{});
+  const auto plain = ex.evaluate(p, wl, 10_ms);
+  const auto null_budget = ex.evaluate(p, wl, 10_ms, Explorer::EvalBudget{});
   expect_sim_columns_equal(plain, null_budget);
   Explorer::EvalBudget never;
   never.should_abort = [](Time, std::uint64_t) { return false; };
-  const auto idle = ex.evaluate(p, 10_ms, never);
+  const auto idle = ex.evaluate(p, wl, 10_ms, never);
   EXPECT_FALSE(idle.pruned);
   expect_sim_columns_equal(plain, idle);
 }
@@ -296,15 +249,16 @@ TEST(SearchDriver, DominatedCandidateIsAbortedMidRun) {
   // the slow cell survives rung 0 as a pad, is off the front, and at the
   // full-horizon rung its budgeted re-run must be cut off at
   // abort_slack x the fast cell's demonstrated completion time.
-  Explorer ex(two_stream_factory(200, 512));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(200, 512);
   Platform fast;
   fast.name = "fast-plb";
   Platform slow;
   slow.name = "slow-opb";
   slow.bus = BusKind::Opb;
   slow.bus_cycle = 20_ns;
-  const auto tf = ex.evaluate(fast, 500_ms);
-  const auto ts = ex.evaluate(slow, 500_ms);
+  const auto tf = ex.evaluate(fast, wl, 500_ms);
+  const auto ts = ex.evaluate(slow, wl, 500_ms);
   ASSERT_TRUE(tf.completed);
   ASSERT_TRUE(ts.completed);
   ASSERT_GT(ts.sim_time_us, 2.0 * tf.sim_time_us);
@@ -317,7 +271,7 @@ TEST(SearchDriver, DominatedCandidateIsAbortedMidRun) {
   cfg.pad_fraction = 1.0;
   cfg.abort_slack = mid_us / tf.sim_time_us;  // ...but not the budget
   SearchDriver driver(cfg);
-  const auto report = driver.run(ex, {fast, slow});
+  const auto report = driver.run(ex, {fast, slow}, {wl});
 
   ASSERT_EQ(report.rungs.size(), 2u);
   EXPECT_EQ(report.rungs[0].evaluated, 2u);
@@ -424,11 +378,12 @@ TEST(SearchDriver, SameSeedSearchesAreByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(SearchDriver, PrintFrontierSeparatorMatchesHeaderWidth) {
-  Explorer ex(two_stream_factory(6, 64));
+  Explorer ex;
   SearchConfig cfg;
   cfg.horizons = {10_ms};
   SearchDriver driver(cfg);
-  const auto report = driver.run(ex, default_candidates());
+  const auto report =
+      driver.run(ex, default_candidates(), {two_streams(6, 64)});
   std::ostringstream os;
   SearchDriver::print_frontier(os, report);
   std::istringstream in(os.str());
@@ -441,19 +396,19 @@ TEST(SearchDriver, PrintFrontierSeparatorMatchesHeaderWidth) {
 TEST(SearchDriver, SingleHorizonSearchFrontsAllCandidates) {
   // One rung == plain sweep + Pareto extraction; every frontier row must
   // match a direct evaluation bit for bit.
-  Explorer ex(two_stream_factory(8, 128));
+  Explorer ex;
+  const WorkloadCase wl = two_streams(8, 128);
   SearchConfig cfg;
   cfg.horizons = {50_ms};
   SearchDriver driver(cfg);
   const auto cands = default_candidates();
-  const auto report = driver.run(ex, cands);
+  const auto report = driver.run(ex, cands, {wl});
   ASSERT_EQ(report.rungs.size(), 1u);
   EXPECT_EQ(report.rungs[0].evaluated, cands.size());
   EXPECT_EQ(report.full_horizon_evals, cands.size());
   ASSERT_GE(report.frontier.size(), 1u);
   for (std::size_t i = 0; i < report.frontier.size(); ++i) {
-    const auto direct =
-        ex.evaluate(report.frontier_platforms[i], 50_ms);
+    const auto direct = ex.evaluate(report.frontier_platforms[i], wl, 50_ms);
     expect_sim_columns_equal(report.frontier[i], direct);
   }
 }

@@ -182,13 +182,13 @@ namespace {
 
 // A small mixed workload (streams + request/reply) used as the capture
 // source for replay tests.
-expl::Explorer::GraphFactory capture_factory() {
+workload::GraphFactory capture_factory() {
   return [](core::SystemGraph& g,
             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
-    auto prod = std::make_unique<expl::ProducerPe>("prod", 8, 96, 40);
-    auto sink = std::make_unique<expl::SinkPe>("sink", 8);
-    auto client = std::make_unique<expl::RequesterPe>("client", 5, 32, 80);
-    auto server = std::make_unique<expl::EchoServerPe>("server", 5, 30);
+    auto prod = std::make_unique<workload::ProducerPe>("prod", 8, 96, 40);
+    auto sink = std::make_unique<workload::SinkPe>("sink", 8);
+    auto client = std::make_unique<workload::RequesterPe>("client", 5, 32, 80);
+    auto server = std::make_unique<workload::EchoServerPe>("server", 5, 30);
     g.add_pe(*prod);
     g.add_pe(*sink);
     g.add_pe(*client);
@@ -209,7 +209,7 @@ struct CaptureResult {
   trace::TxnLogger::Summary summary;
 };
 
-CaptureResult capture_run(const expl::Explorer::GraphFactory& factory,
+CaptureResult capture_run(const workload::GraphFactory& factory,
                           const core::Platform& p,
                           core::AbstractionLevel level) {
   std::vector<std::unique_ptr<core::ProcessingElement>> owned;
@@ -256,8 +256,8 @@ TEST(TraceReplay, CapturedTraceRunsOnEveryCandidatePlatform) {
 
   expl::Explorer ex;
   const auto rows =
-      ex.sweep(expl::default_candidates(),
-               {workload::replay_case("replay", loaded)}, 100_ms);
+      ex.sweep_parallel(expl::default_candidates(),
+                        {workload::replay_case("replay", loaded)}, 100_ms, 1);
   ASSERT_EQ(rows.size(), 6u);
   for (const auto& r : rows) {
     EXPECT_TRUE(r.completed) << r.platform;
@@ -335,7 +335,7 @@ namespace {
 
 // Capture a run and hand back the raw logger (not just its CSV), for
 // distribution comparisons.
-trace::TxnLogger capture_log(const expl::Explorer::GraphFactory& factory,
+trace::TxnLogger capture_log(const workload::GraphFactory& factory,
                              const core::Platform& p,
                              core::AbstractionLevel level) {
   std::vector<std::unique_ptr<core::ProcessingElement>> owned;
