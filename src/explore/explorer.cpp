@@ -4,7 +4,6 @@
 #include <chrono>
 #include <fstream>
 #include <iomanip>
-#include <map>
 #include <optional>
 #include <sstream>
 
@@ -13,6 +12,109 @@
 #include "trace/stats.hpp"
 
 namespace stlm::expl {
+
+namespace {
+
+// Latency buffers for the row analysis, reused by every cell a thread
+// evaluates: one for the bus rows, one per per-master channel id.
+struct RowScratch {
+  std::vector<char> is_master;
+  std::vector<double> overall;
+  std::vector<std::vector<double>> per_master;
+};
+
+}  // namespace
+
+// The row's latency, failure and goodput columns, in one pass over the
+// log. Per-master "<bus>.<master>" channels duplicate the bus rows, so
+// the overall columns exclude them and they feed the worst-master tail
+// column instead. Sums run in record order and the percentiles are the
+// same nearest-rank picks trace::latency_dist makes, so every column is
+// bit-identical to a latency_dist over the filtered records.
+void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
+  thread_local RowScratch scratch;
+  const trace::TxnLogger& log = ms.txn_log();
+  const std::uint32_t n_channels = log.channel_count();
+
+  // Classify channels once up front — string compares per channel, not
+  // per record (logs carry hundreds of records over a handful of
+  // channels).
+  std::vector<char>& is_master = scratch.is_master;
+  is_master.assign(n_channels, 0);
+  const std::string bus_channel = ms.bus() ? ms.bus()->name() : std::string();
+  if (!bus_channel.empty()) {
+    std::vector<std::string> master_labels;
+    master_labels.reserve(ms.bus()->master_count());
+    for (std::size_t i = 0; i < ms.bus()->master_count(); ++i) {
+      master_labels.push_back(ms.bus()->master_label(i));
+    }
+    for (std::uint32_t id = 0; id < n_channels; ++id) {
+      is_master[id] =
+          is_master_channel(log.channel_name(id), bus_channel, master_labels);
+    }
+  }
+  std::vector<double>& lat = scratch.overall;
+  lat.clear();
+  if (scratch.per_master.size() < n_channels) {
+    scratch.per_master.resize(n_channels);
+  }
+  for (std::uint32_t id = 0; id < n_channels; ++id) {
+    scratch.per_master[id].clear();
+  }
+
+  double sum_lat = 0.0;
+  double sum_queue = 0.0;
+  std::uint64_t not_ok = 0;
+  std::uint64_t valid_bytes = 0;
+  std::uint64_t slo_missed = 0;
+  const double slo_ns = slo_.to_ns();
+  for (const auto& r : log.records()) {
+    const double l = r.latency_ns();
+    if (r.channel < n_channels && is_master[r.channel]) {
+      scratch.per_master[r.channel].push_back(l);
+      continue;
+    }
+    lat.push_back(l);
+    sum_lat += l;
+    sum_queue += r.queue_ns();
+    row.bytes += r.bytes;
+    if (r.status != trace::TxnStatus::Ok) ++not_ok;
+    // Goodput follows Transaction::data_valid(): Ok plus late-but-
+    // correct Timeout — the watchdog fired but the payload arrived, so
+    // the bytes were delivered (they still count toward error_rate).
+    if (r.status == trace::TxnStatus::Ok ||
+        r.status == trace::TxnStatus::Timeout) {
+      valid_bytes += r.bytes;
+    }
+    if (r.retries > 0) ++row.retries;
+    if (slo_ns > 0.0 && l > slo_ns) ++slo_missed;
+  }
+
+  row.transactions = lat.size();
+  if (!lat.empty()) {
+    const auto n = static_cast<double>(lat.size());
+    row.mean_latency_ns = sum_lat / n;
+    row.mean_queue_ns = sum_queue / n;
+    row.p50_latency_ns = trace::percentile(lat, 50.0);
+    row.p95_latency_ns = trace::percentile(lat, 95.0);
+    row.p99_latency_ns = trace::percentile(lat, 99.0);
+    row.error_rate = static_cast<double>(not_ok) / n;
+    row.slo_miss_pct = 100.0 * static_cast<double>(slo_missed) / n;
+  }
+  if (row.sim_time_us > 0.0) {
+    // MB/s of delivered payload: bytes / us == MB/s.
+    row.goodput_mbps = static_cast<double>(valid_bytes) / row.sim_time_us;
+  }
+  const auto totals = ms.failure_totals();
+  row.timeouts = totals.timeouts;
+  row.aborted = totals.aborts;
+  for (std::uint32_t id = 0; id < n_channels; ++id) {
+    std::vector<double>& m = scratch.per_master[id];
+    if (m.empty()) continue;
+    row.worst_master_p99_ns =
+        std::max(row.worst_master_p99_ns, trace::percentile(m, 99.0));
+  }
+}
 
 ExplorationRow Explorer::evaluate(const core::Platform& platform,
                                   const WorkloadCase& workload, Time max_time,
@@ -60,84 +162,7 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
   row.sim_time_us = sim.now().to_seconds() * 1e6;
   row.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  // Split the log: per-master "<bus>.<master>" channels duplicate the
-  // bus rows, so the overall distribution excludes them (its meaning is
-  // unchanged from before per-master channels existed) and they feed the
-  // worst-master tail column instead.
-  const trace::TxnLogger& log = ms->txn_log();
-  const std::string bus_channel =
-      ms->bus() ? ms->bus()->name() : std::string();
-  std::vector<std::string> master_labels;
-  if (ms->bus()) {
-    master_labels.reserve(ms->bus()->master_count());
-    for (std::size_t i = 0; i < ms->bus()->master_count(); ++i) {
-      master_labels.push_back(ms->bus()->master_label(i));
-    }
-  }
-  std::vector<trace::TxnRecord> overall;
-  overall.reserve(log.size());
-  std::map<std::uint32_t, std::vector<trace::TxnRecord>> per_master;
-  // Classify channels once up front — string compares per channel, not
-  // per record (logs carry hundreds of records over a handful of
-  // channels).
-  std::vector<char> is_master(log.channel_count(), 0);
-  if (!bus_channel.empty()) {
-    for (std::uint32_t id = 0; id < log.channel_count(); ++id) {
-      is_master[id] =
-          is_master_channel(log.channel_name(id), bus_channel, master_labels);
-    }
-  }
-  for (const auto& r : log.records()) {
-    if (r.channel < is_master.size() && is_master[r.channel]) {
-      per_master[r.channel].push_back(r);
-    } else {
-      overall.push_back(r);
-    }
-  }
-  const auto dist = trace::latency_dist(overall);
-  row.mean_latency_ns = dist.mean_ns;
-  row.p50_latency_ns = dist.p50_ns;
-  row.p95_latency_ns = dist.p95_ns;
-  row.p99_latency_ns = dist.p99_ns;
-  row.mean_queue_ns = dist.mean_queue_ns;
-  row.transactions = dist.count;
-  row.bytes = dist.bytes;
-  // Failure-semantics columns from the same de-duplicated record set.
-  {
-    std::uint64_t not_ok = 0;
-    std::uint64_t valid_bytes = 0;
-    std::uint64_t slo_missed = 0;
-    const double slo_ns = slo_.to_ns();
-    for (const auto& r : overall) {
-      if (r.status != trace::TxnStatus::Ok) ++not_ok;
-      // Goodput follows Transaction::data_valid(): Ok plus late-but-
-      // correct Timeout — the watchdog fired but the payload arrived, so
-      // the bytes were delivered (they still count toward error_rate).
-      if (r.status == trace::TxnStatus::Ok ||
-          r.status == trace::TxnStatus::Timeout) {
-        valid_bytes += r.bytes;
-      }
-      if (r.retries > 0) ++row.retries;
-      if (slo_ns > 0.0 && r.latency_ns() > slo_ns) ++slo_missed;
-    }
-    if (!overall.empty()) {
-      row.error_rate =
-          static_cast<double>(not_ok) / static_cast<double>(overall.size());
-      row.slo_miss_pct = 100.0 * static_cast<double>(slo_missed) /
-                         static_cast<double>(overall.size());
-    }
-    if (row.sim_time_us > 0.0) {
-      // MB/s of delivered payload: bytes / us == MB/s.
-      row.goodput_mbps = static_cast<double>(valid_bytes) / row.sim_time_us;
-    }
-    const auto totals = ms->failure_totals();
-    row.timeouts = totals.timeouts;
-    row.aborted = totals.aborts;
-  }
-  for (auto& [id, rows] : per_master) {
-    row.worst_master_p99_ns =
-        std::max(row.worst_master_p99_ns, trace::latency_dist(rows).p99_ns);
-  }
+  analyze_log(*ms, row);
   if (ms->bus()) {
     row.bus_utilization = ms->bus()->utilization();
     // stats() folds sharded counters (crossbar), so read it once here.

@@ -195,6 +195,10 @@ public:
   }
 
 private:
+  // Fill the row's latency, failure and goodput columns from the cell's
+  // transaction log (sim_time_us must already be set).
+  void analyze_log(core::MappedSystem& ms, ExplorationRow& row) const;
+
   TraceTarget trace_target_;
   Time slo_ = Time::zero();
   WorkPool::ThreadFactory thread_factory_;

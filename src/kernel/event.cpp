@@ -67,15 +67,16 @@ void Event::trigger() {
   timed_pending_ = false;
   ++sched_gen_;
 
-  // One-shot dynamic waiters.
-  std::vector<DynWaiter> dyn;
-  dyn.swap(dynamic_);
-  for (const DynWaiter& w : dyn) {
+  // One-shot dynamic waiters, walked in place: make_runnable only
+  // enqueues, so nothing re-enters add_dynamic_waiter on this event
+  // mid-loop, and clear() keeps the buffer for the next wait.
+  for (const DynWaiter& w : dynamic_) {
     if (!sim_->process_alive(w.proc)) continue;
     if (w.proc->terminated()) continue;
     if (w.gen != w.proc->wake_gen()) continue;  // stale registration
     sim_->make_runnable(*w.proc, Process::WakeReason::Event, this);
   }
+  dynamic_.clear();
 
   // Statically sensitive processes. Thread processes handle static
   // sensitivity via wait_static() (which registers dynamically), so only

@@ -14,10 +14,58 @@ inline bool entry_less(const TimedEntry& a, const TimedEntry& b) {
 }
 }  // namespace
 
-// Bucket storage (2048 buckets, ~80 KiB) is allocated on the first push:
+namespace {
+// Set when the calling thread's spare list is destroyed at thread exit.
+// A plain thread_local bool has no destructor, so it stays readable by
+// wheels torn down after that point.
+thread_local bool t_spares_gone = false;
+}  // namespace
+
+// Bucket storage (2048 buckets, ~80 KiB) is taken on the first push:
 // scratch simulators that never schedule a timed event (role discovery,
-// construction-only tests) skip the cost entirely.
+// construction-only tests) skip it entirely. Later simulators on the same
+// OS thread reuse a destroyed wheel's array instead of building a new one.
 EventWheel::EventWheel() = default;
+
+EventWheel::~EventWheel() {
+  if (buckets_.empty()) return;
+  std::vector<std::vector<Bucket>>* spares = spare_arrays();
+  if (spares == nullptr || spares->size() >= kMaxSpareArrays) return;
+  // A bucket's occupancy bit clears exactly when it drains (and resets),
+  // so only the occupied ones still hold entries.
+  for (std::size_t w = 0; w < kOccWords; ++w) {
+    for (std::uint64_t bits = occ_[w]; bits != 0; bits &= bits - 1) {
+      Bucket& b = buckets_[(w << 6) +
+                           static_cast<std::size_t>(std::countr_zero(bits))];
+      b.v.clear();
+      b.head = 0;
+      b.sorted = true;
+    }
+  }
+  spares->push_back(std::move(buckets_));
+}
+
+std::vector<std::vector<EventWheel::Bucket>>* EventWheel::spare_arrays() {
+  struct SpareList {
+    std::vector<std::vector<Bucket>> arrays;
+    // Reserved up front so a release never allocates.
+    SpareList() { arrays.reserve(kMaxSpareArrays); }
+    ~SpareList() { t_spares_gone = true; }
+  };
+  if (t_spares_gone) return nullptr;
+  thread_local SpareList list;
+  return &list.arrays;
+}
+
+void EventWheel::take_buckets() {
+  std::vector<std::vector<Bucket>>* spares = spare_arrays();
+  if (spares != nullptr && !spares->empty()) {
+    buckets_ = std::move(spares->back());
+    spares->pop_back();
+    return;
+  }
+  buckets_.resize(kWheelBuckets);
+}
 
 void EventWheel::push_into_wheel(const TimedEntry& e, std::uint64_t idx) {
   Bucket& b = bucket(idx);
@@ -55,7 +103,7 @@ std::uint64_t EventWheel::next_occupied(std::uint64_t from) const {
 }
 
 void EventWheel::push(const TimedEntry& e) {
-  if (buckets_.empty()) buckets_.resize(kWheelBuckets);
+  if (buckets_.empty()) take_buckets();
 #ifdef STLM_OBS
   ++stats_.pushes;
   const std::size_t sz = size() + 1;

@@ -26,6 +26,12 @@
 // prunes such stale entries when they reach the front, via the caller's
 // StaleFn (a plain function pointer + context, so peek allocates
 // nothing). This is the same lazy scheme the heap used.
+//
+// Storage: the bucket array is taken on the first push and, when the
+// wheel is destroyed, handed to a small per-OS-thread spare list (like
+// StackPool's stacks) with only its occupied buckets cleared. The next
+// Simulator on that thread reuses the array and the capacity its buckets
+// grew, so an exploration sweep builds no bucket array per cell.
 
 #include <array>
 #include <cstddef>
@@ -71,6 +77,10 @@ public:
   static constexpr std::size_t kWheelBuckets = 2048;
 
   EventWheel();
+  // Returns the bucket array to the calling thread's spare list.
+  ~EventWheel();
+  EventWheel(const EventWheel&) = delete;
+  EventWheel& operator=(const EventWheel&) = delete;
 
   // Number of queued entries, including not-yet-pruned stale ones (the
   // same semantics the heap's empty()/size() had, which idle() relies
@@ -137,6 +147,15 @@ private:
   // First occupied absolute bucket index >= `from` inside the wheel
   // window. Precondition: wheel_count_ > 0 (some bucket is occupied).
   std::uint64_t next_occupied(std::uint64_t from) const;
+
+  // Spare bucket arrays kept per OS thread; more are freed on release.
+  static constexpr std::size_t kMaxSpareArrays = 2;
+  // The calling thread's spare list, or nullptr once it has been
+  // destroyed (thread exit) — a wheel outliving it frees its array.
+  static std::vector<std::vector<Bucket>>* spare_arrays();
+  // Fill buckets_ on the first push: a spare array when one is cached,
+  // otherwise a freshly built one.
+  void take_buckets();
 
   void push_into_wheel(const TimedEntry& e, std::uint64_t idx);
   // Re-anchor the wheel window at absolute bucket `idx` (wheel must be

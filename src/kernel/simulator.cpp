@@ -1,3 +1,6 @@
+// stlm-lint: hot-path — the scheduler loop runs every delta cycle;
+// steady-state simulation must stay heap-allocation-free (see
+// tools/stlm_lint.py).
 #include "kernel/simulator.hpp"
 
 #include <algorithm>
@@ -55,6 +58,8 @@ Process& Simulator::require_process(const char* what) const {
 
 Process& Simulator::spawn_thread(std::string name, std::function<void()> body,
                                  std::size_t stack_bytes) {
+  // stlm-lint: allow(hot-path-alloc): process creation is elaboration,
+  // once per process, not per event
   auto proc = std::make_unique<Process>(*this, std::move(name),
                                         std::move(body), stack_bytes);
   Process& ref = *proc;
@@ -67,6 +72,8 @@ MethodProcess& Simulator::spawn_method(std::string name,
                                        std::function<void()> fn,
                                        std::vector<Event*> sensitivity,
                                        bool run_at_start) {
+  // stlm-lint: allow(hot-path-alloc): process creation is elaboration,
+  // once per process, not per event
   auto proc = std::make_unique<MethodProcess>(*this, std::move(name),
                                               std::move(fn), run_at_start);
   MethodProcess& ref = *proc;
@@ -157,6 +164,8 @@ Event* Simulator::last_triggered_event() const {
 
 void Simulator::set_audit_enabled(bool on) {
   if (on == audit_enabled()) return;
+  // stlm-lint: allow(hot-path-alloc): configuration switch, flipped
+  // before a run, never per event
   auditor_ = on ? std::make_unique<audit::Auditor>(*this) : nullptr;
 }
 
@@ -168,10 +177,10 @@ audit::Report Simulator::audit_report() const {
 
 void Simulator::initialize() {
   initialized_ = true;
-  // Snapshot: processes spawned during initialization join immediately via
-  // spawn_*'s initialized_ check.
-  std::vector<ProcessBase*> procs = all_processes_;
-  for (ProcessBase* pb : procs) {
+  // Only the processes registered so far: one spawned during
+  // initialization joins immediately via spawn_*'s initialized_ check.
+  for (std::size_t i = 0, n = all_processes_.size(); i < n; ++i) {
+    ProcessBase* pb = all_processes_[i];
     if (!process_alive(pb) || pb->terminated_) continue;
     if (pb->kind() == ProcessBase::Kind::Thread) {
       make_runnable(static_cast<Process&>(*pb), Process::WakeReason::Start,
@@ -248,14 +257,12 @@ void Simulator::evaluate_phase() {
   while (!method_queue_.empty() || !runnable_.empty()) {
     if (stop_requested_) return;
     if (!method_queue_.empty()) {
-      MethodProcess* m = method_queue_.front();
-      method_queue_.pop_front();
+      MethodProcess* m = method_queue_.pop_front();
       if (!process_alive(m)) continue;
       run_method(*m);
       continue;
     }
-    Process* p = runnable_.front();
-    runnable_.pop_front();
+    Process* p = runnable_.pop_front();
     if (!process_alive(p) || p->terminated_) continue;
     resume_thread(*p);
   }
@@ -377,23 +384,32 @@ void Simulator::kill_process(Process& p) {
 #endif
 }
 
+// Both phases walk a snapshot swapped into a member scratch vector:
+// requests made meanwhile (an update's delta notification, say) land in
+// the emptied pending list for the next round, and both buffers keep
+// their capacity, so no delta cycle touches the heap. Empty phases skip
+// the swap: the buffers then alternate per use rather than per delta and
+// both reach the working size (with an even number of deltas between
+// uses, one would otherwise never be filled).
 void Simulator::update_phase() {
-  std::vector<UpdateIf*> updates;
-  updates.swap(update_requests_);
-  for (UpdateIf* u : updates) {
+  if (update_requests_.empty()) return;
+  update_scratch_.swap(update_requests_);
+  for (UpdateIf* u : update_scratch_) {
     u->update_pending_ = false;
     u->update();
   }
+  update_scratch_.clear();
 }
 
 void Simulator::delta_phase() {
-  std::vector<Event*> events;
-  events.swap(delta_events_);
-  for (Event* e : events) {
+  if (delta_events_.empty()) return;
+  delta_scratch_.swap(delta_events_);
+  for (Event* e : delta_scratch_) {
     if (!event_alive(e)) continue;
     if (!e->delta_pending_) continue;  // cancelled meanwhile
     e->trigger();
   }
+  delta_scratch_.clear();
 }
 
 void Simulator::dispatch_timed(const TimedEntry& entry) {

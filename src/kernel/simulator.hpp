@@ -18,7 +18,6 @@
 // through every protocol layer.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -42,6 +41,44 @@ namespace obs {
 class TraceSession;
 class Profiler;
 }  // namespace obs
+
+namespace detail {
+
+// FIFO of scheduler pointers: a vector plus a consume index that rewinds
+// to the front whenever the queue drains. Unlike std::deque, a steady
+// stream of push/pop never returns storage to the heap — the buffer
+// settles at the peak depth and stays there.
+template <class T>
+class FifoQueue {
+public:
+  bool empty() const { return head_ == v_.size(); }
+  void push_back(T x) {
+    // A queue that runs long without draining (a chain of immediate
+    // notifications inside one evaluation phase) drops its consumed
+    // prefix once that is most of the buffer, so memory follows the live
+    // depth; each element is moved at most once per doubling of pops.
+    if (head_ >= kCompactAt && 2 * head_ >= v_.size()) {
+      v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    v_.push_back(x);
+  }
+  T pop_front() {
+    T x = v_[head_++];
+    if (head_ == v_.size()) {
+      v_.clear();
+      head_ = 0;
+    }
+    return x;
+  }
+
+private:
+  static constexpr std::size_t kCompactAt = 4096;
+  std::vector<T> v_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace detail
 
 // Implemented by primitive channels (signals) that need an update phase.
 class UpdateIf {
@@ -245,10 +282,13 @@ private:
   // advance_inline never warps simulated time past it.
   std::optional<Time> run_end_time_;
 
-  std::deque<Process*> runnable_;
-  std::deque<MethodProcess*> method_queue_;
+  detail::FifoQueue<Process*> runnable_;
+  detail::FifoQueue<MethodProcess*> method_queue_;
   std::vector<Event*> delta_events_;
   std::vector<UpdateIf*> update_requests_;
+  // Scratch twins of the two lists above (see update_phase).
+  std::vector<Event*> delta_scratch_;
+  std::vector<UpdateIf*> update_scratch_;
   // Timed notifications: calendar queue with deterministic FIFO order
   // within a timestamp (see kernel/event_wheel.hpp).
   detail::EventWheel timed_;

@@ -180,3 +180,31 @@ TEST(Scheduler, IdleDetection) {
   sim.run();
   EXPECT_TRUE(sim.idle());
 }
+
+TEST(Scheduler, LongImmediateNotifyChainStaysFifo) {
+  // Three threads hand one event around by immediate notification, so
+  // the run queue holds two entries for the whole evaluation phase and
+  // never drains: its consumed prefix is reclaimed mid-phase many times
+  // over. Every hand-off must still follow FIFO order, all at time zero.
+  Simulator sim;
+  Event ev(sim, "ev");
+  constexpr int kRounds = 5000;
+  std::vector<int> order;
+  order.reserve(3 * kRounds);
+  for (int i = 0; i < 3; ++i) {
+    sim.spawn_thread("t" + std::to_string(i), [&, i] {
+      for (int r = 0; r < kRounds; ++r) {
+        order.push_back(i);
+        ev.notify();
+        if (r + 1 < kRounds) wait(ev);
+      }
+    });
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 3u * kRounds);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    ASSERT_EQ(order[k], static_cast<int>(k % 3)) << "hand-off " << k;
+  }
+  EXPECT_EQ(sim.now(), Time::zero());
+  EXPECT_EQ(sim.delta_count(), 1u);
+}

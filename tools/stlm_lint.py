@@ -19,9 +19,13 @@ reproducible and the library embeddable:
                           kernel/report.hpp (stderr).
   hot-path-alloc          files tagged `// stlm-lint: hot-path` must not
                           introduce per-event heap allocation (new,
-                          malloc/calloc/realloc, make_unique/make_shared):
-                          the kernel's speed story depends on steady-state
-                          simulation being allocation-free.
+                          malloc/calloc/realloc, make_unique/make_shared),
+                          nor swap a member container into a function-local
+                          one (`local.swap(member_)`, `std::swap(local,
+                          member_)`): the local's destructor then frees the
+                          member's buffer on every call. The kernel's speed
+                          story depends on steady-state simulation being
+                          allocation-free; double-buffer with a member.
   test-coverage           every src/**/*.cpp translation unit must be
                           reachable from at least one tests/test_*.cpp via
                           the quoted-include graph (a .cpp counts as
@@ -74,6 +78,15 @@ TOKEN_RULES = [
      "printf() in library code; take an ostream& or use kernel/report.hpp"),
 ]
 
+# Swap idiom: a plain identifier not ending in `_` is a local, one ending
+# in `_` a member (the repo's naming convention). A member swapped into a
+# local leaves with the local's destructor, so every call frees and the
+# next push reallocates.
+LOCAL = r"[A-Za-z](?:\w*[A-Za-z0-9])?"
+MEMBER = r"\w+_"
+SWAP_MSG = ("member container swapped into a function-local one: its buffer is "
+            "freed on every call; double-buffer with a member scratch")
+
 ALLOC_RULES = [
     ("hot-path-alloc", re.compile(r"(?<![\w])new\b(?!\s*\()"),
      "heap allocation in a hot-path file"),
@@ -81,6 +94,13 @@ ALLOC_RULES = [
      "heap allocation in a hot-path file"),
     ("hot-path-alloc", re.compile(r"make_(unique|shared)\s*<"),
      "heap allocation in a hot-path file"),
+    ("hot-path-alloc",
+     re.compile(rf"(?<![\w.>:]){LOCAL}\s*\.\s*swap\s*\(\s*{MEMBER}\s*\)"),
+     SWAP_MSG),
+    ("hot-path-alloc",
+     re.compile(rf"(?<![\w.>])swap\s*\(\s*(?:{LOCAL}\s*,\s*{MEMBER}|"
+                rf"{MEMBER}\s*,\s*{LOCAL})\s*\)"),
+     SWAP_MSG),
 ]
 
 HOT_PATH_TAG = re.compile(r"//\s*stlm-lint:\s*hot-path\b")

@@ -107,6 +107,52 @@ class TestHotPathRule(LintHarness):
         self.assertIn("[hot-path-alloc]", out)
 
 
+class TestHotPathSwapIdiom(LintHarness):
+    QUEUE = ("// stlm-lint: hot-path\n#include <utility>\n#include <vector>\n"
+             "struct Q {\n  std::vector<int> pending_, scratch_;\n"
+             "  void drain();\n};\n")
+
+    def test_member_swapped_into_local_flagged(self):
+        code, out = self.lint_src(
+            self.QUEUE + "void Q::drain() {\n  std::vector<int> batch;\n"
+            "  batch.swap(pending_);\n}")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[hot-path-alloc]"), 1)
+        self.assertIn("swapped into a function-local", out)
+
+    def test_std_swap_with_local_flagged_either_order(self):
+        code, out = self.lint_src(
+            self.QUEUE + "void Q::drain() {\n  std::vector<int> batch;\n"
+            "  std::swap(batch, pending_);\n  std::swap(pending_, batch);\n}")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[hot-path-alloc]"), 2)
+
+    def test_member_double_buffer_ok(self):
+        code, out = self.lint_src(
+            self.QUEUE + "void Q::drain() {\n  scratch_.swap(pending_);\n"
+            "  std::swap(scratch_, pending_);\n  scratch_.clear();\n}")
+        self.assertEqual(code, 0, out)
+
+    def test_local_to_local_swap_ok(self):
+        code, out = self.lint_src(
+            self.QUEUE + "void Q::drain() {\n  std::vector<int> a, b;\n"
+            "  a.swap(b);\n  std::swap(a, b);\n}")
+        self.assertEqual(code, 0, out)
+
+    def test_swap_idiom_in_untagged_file_ok(self):
+        code, out = self.lint_src(
+            "#include <vector>\nstruct Q { std::vector<int> pending_; "
+            "void drain() { std::vector<int> batch; batch.swap(pending_); } };")
+        self.assertEqual(code, 0, out)
+
+    def test_swap_idiom_suppressible_with_justification(self):
+        code, out = self.lint_src(
+            self.QUEUE + "void Q::drain() {\n  std::vector<int> batch;\n"
+            "  batch.swap(pending_);  "
+            "// stlm-lint: allow(hot-path-alloc): teardown only\n}")
+        self.assertEqual(code, 0, out)
+
+
 class TestSuppressions(LintHarness):
     def test_trailing_allow_with_justification(self):
         code, out = self.lint_src(
