@@ -22,7 +22,7 @@ std::size_t CrossbarCam::add_master(const std::string& name) {
   mp->xbar = this;
   mp->index = masters_.size();
   mp->label = name;
-  if (logger_) mp->log.bind(logger_, full_name() + "." + name);
+  mp->log_id = log_.intern(full_name() + "." + name);
   masters_.push_back(std::move(mp));
   inflight_.push_back(0);
   return masters_.size() - 1;
@@ -87,9 +87,10 @@ trace::StatSet& CrossbarCam::stats() {
 }
 
 void CrossbarCam::set_txn_logger(trace::TxnLogger* log) {
-  logger_ = log;
   log_.bind(log, full_name());
-  for (auto& mp : masters_) mp->log.bind(log, full_name() + "." + mp->label);
+  for (auto& mp : masters_) {
+    mp->log_id = log_.intern(full_name() + "." + mp->label);
+  }
 }
 
 void CrossbarCam::MasterPort::transport(Txn& txn) {
@@ -247,17 +248,11 @@ void CrossbarCam::finish(std::size_t master, std::size_t lane, Txn& txn,
   const auto kind = txn.op == Txn::Op::Read ? trace::TxnKind::Read
                                             : trace::TxnKind::Write;
   const trace::TxnStatus row_status = txn_row_status(txn);
+  // One row per transaction, tagged with the issuing master (see
+  // CamBase::complete_txn).
   if (log_) {
     log_.record(kind, txn.id, bytes, start, sim().now(), txn.t_grant,
-                txn.t_data, row_status, txn.retries);
-  }
-  // Per-master channel: same row under "<bus>.<master>". Consumers
-  // aggregating across channels must skip these supplementary rows (see
-  // expl::is_master_channel).
-  if (masters_[master]->log) {
-    masters_[master]->log.record(kind, txn.id, bytes, start, sim().now(),
-                                 txn.t_grant, txn.t_data, row_status,
-                                 txn.retries);
+                txn.t_data, row_status, txn.retries, masters_[master]->log_id);
   }
 #ifdef STLM_OBS
   // Timeline spans: `start` (the outer arrival time) is the issue stamp —

@@ -160,7 +160,8 @@ private:
     CrossbarCam* xbar = nullptr;
     std::size_t index = 0;
     std::string label;
-    trace::LogHandle log;  // per-master channel: "<bus>.<master>"
+    // Interned "<bus>.<master>" name carried on this master's bus rows.
+    std::uint32_t log_id = trace::kNoMaster;
   };
 
   // Per-lane statistics shard. Crossbar completions run concurrently on
@@ -211,7 +212,6 @@ private:
   Time busy_time_ = Time::zero();
   trace::StatSet stats_;
   trace::LogHandle log_;
-  trace::TxnLogger* logger_ = nullptr;  // for binding late-added masters
 };
 
 }  // namespace stlm::cam

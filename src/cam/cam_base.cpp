@@ -87,9 +87,9 @@ std::size_t CamBase::add_master(const std::string& name) {
   mp->index = masters_.size();
   mp->label = name;
   mp->latency = &stats_.acc("master_" + name + "_latency_ns");
-  // Per-master latency channel "<bus>.<master>" (logger may be set
-  // before or after masters are added; set_txn_logger rebinds).
-  if (logger_) mp->log.bind(logger_, full_name() + "." + name);
+  // The master's "<bus>.<master>" name tags its bus rows (logger may be
+  // set before or after masters are added; set_txn_logger re-interns).
+  mp->log_id = log_.intern(full_name() + "." + name);
   masters_.push_back(std::move(mp));
   const std::size_t idx = engine_.add_master();
   if (split_active_) {
@@ -119,10 +119,9 @@ void CamBase::attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
 }
 
 void CamBase::set_txn_logger(trace::TxnLogger* log) {
-  logger_ = log;
   log_.bind(log, full_name());
   for (auto& mp : masters_) {
-    mp->log.bind(log, full_name() + "." + mp->label);
+    mp->log_id = log_.intern(full_name() + "." + mp->label);
   }
 }
 
@@ -542,18 +541,11 @@ void CamBase::complete_txn(Txn& txn, std::size_t master,
   const trace::TxnKind kind = txn.op == Txn::Op::Read ? trace::TxnKind::Read
                                                       : trace::TxnKind::Write;
   const trace::TxnStatus row_status = txn_row_status(txn);
+  // One row per transaction, tagged with the issuing master so
+  // per-master distributions are a group-by on TxnRecord::master.
   if (log_) {
     log_.record(kind, txn.id, bytes, txn.enqueued, sim().now(), txn.t_grant,
-                txn.t_data, row_status, txn.retries);
-  }
-  // Per-master channel ("<bus>.<master>"): same row keyed under the
-  // issuing master, so channel_stats can report per-master latency
-  // distributions. Consumers aggregating across channels must skip
-  // these supplementary rows (see expl::is_master_channel).
-  MasterPort& mp = *masters_[master];
-  if (mp.log) {
-    mp.log.record(kind, txn.id, bytes, txn.enqueued, sim().now(), txn.t_grant,
-                  txn.t_data, row_status, txn.retries);
+                txn.t_data, row_status, txn.retries, masters_[master]->log_id);
   }
 #ifdef STLM_OBS
   // Timeline spans for this transaction. complete_txn is the single

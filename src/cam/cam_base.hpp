@@ -136,7 +136,8 @@ private:
     std::size_t index = 0;
     std::string label;
     trace::Accumulator* latency = nullptr;  // cached per-master stat slot
-    trace::LogHandle log;  // per-master channel: "<bus>.<master>"
+    // Interned "<bus>.<master>" name carried on this master's bus rows.
+    std::uint32_t log_id = trace::kNoMaster;
   };
 
   void atomic_engine();
@@ -176,7 +177,6 @@ private:
   fault::Injector* injector_ = nullptr;
   trace::StatSet stats_;
   trace::LogHandle log_;
-  trace::TxnLogger* logger_ = nullptr;  // for binding late-added masters
 
   // Fast-path state. slave_fast_ caches fast_capable() per attached
   // slave; fast_busy_until_ is the instant the bus frees again after a

@@ -65,7 +65,8 @@ public:
   virtual std::size_t master_count() const = 0;
 
   /// Label master `i` was registered with — the suffix of its per-master
-  /// statistics slot and of its "<bus>.<label>" supplementary log channel.
+  /// statistics slot and of the "<bus>.<label>" name its bus rows carry
+  /// in trace::TxnRecord::master.
   virtual const std::string& master_label(std::size_t i) const = 0;
 
   /// Attach a slave device decoding `range`; later transactions whose

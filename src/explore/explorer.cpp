@@ -16,9 +16,8 @@ namespace stlm::expl {
 namespace {
 
 // Latency buffers for the row analysis, reused by every cell a thread
-// evaluates: one for the bus rows, one per per-master channel id.
+// evaluates: one for every row, one per master id (TxnRecord::master).
 struct RowScratch {
-  std::vector<char> is_master;
   std::vector<double> overall;
   std::vector<std::vector<double>> per_master;
 };
@@ -26,33 +25,15 @@ struct RowScratch {
 }  // namespace
 
 // The row's latency, failure and goodput columns, in one pass over the
-// log. Per-master "<bus>.<master>" channels duplicate the bus rows, so
-// the overall columns exclude them and they feed the worst-master tail
-// column instead. Sums run in record order and the percentiles are the
-// same nearest-rank picks trace::latency_dist makes, so every column is
-// bit-identical to a latency_dist over the filtered records.
+// log. Bus rows carrying a master also feed that master's group for the
+// worst-master tail column. Sums run in record order and the percentiles
+// are the same nearest-rank picks trace::latency_dist makes, so every
+// column is bit-identical to a latency_dist over the records.
 void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
   thread_local RowScratch scratch;
   const trace::TxnLogger& log = ms.txn_log();
   const std::uint32_t n_channels = log.channel_count();
 
-  // Classify channels once up front — string compares per channel, not
-  // per record (logs carry hundreds of records over a handful of
-  // channels).
-  std::vector<char>& is_master = scratch.is_master;
-  is_master.assign(n_channels, 0);
-  const std::string bus_channel = ms.bus() ? ms.bus()->name() : std::string();
-  if (!bus_channel.empty()) {
-    std::vector<std::string> master_labels;
-    master_labels.reserve(ms.bus()->master_count());
-    for (std::size_t i = 0; i < ms.bus()->master_count(); ++i) {
-      master_labels.push_back(ms.bus()->master_label(i));
-    }
-    for (std::uint32_t id = 0; id < n_channels; ++id) {
-      is_master[id] =
-          is_master_channel(log.channel_name(id), bus_channel, master_labels);
-    }
-  }
   std::vector<double>& lat = scratch.overall;
   lat.clear();
   if (scratch.per_master.size() < n_channels) {
@@ -70,10 +51,7 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
   const double slo_ns = slo_.to_ns();
   for (const auto& r : log.records()) {
     const double l = r.latency_ns();
-    if (r.channel < n_channels && is_master[r.channel]) {
-      scratch.per_master[r.channel].push_back(l);
-      continue;
-    }
+    if (r.master < n_channels) scratch.per_master[r.master].push_back(l);
     lat.push_back(l);
     sum_lat += l;
     sum_queue += r.queue_ns();
@@ -145,12 +123,7 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
   // the row's wall_ms speed metric; never feeds back into simulated state
   const auto wall_start = std::chrono::steady_clock::now();
   if (budget.should_abort) {
-    core::MappedSystem::RunBudget rb;
-    core::MappedSystem* const sys = ms.get();
-    rb.should_abort = [&budget, sys](Time now) {
-      return budget.should_abort(now, sys->txn_log().size());
-    };
-    row.completed = ms->run_until_done(max_time, rb);
+    row.completed = ms->run_until_done(max_time, budget);
     row.pruned = ms->aborted_early();
   } else {
     row.completed = ms->run_until_done(max_time);

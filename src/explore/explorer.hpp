@@ -14,7 +14,6 @@
 // exploration is the same sweep over a single case; a case with an empty
 // name keeps the workload column out of print_table.
 
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -45,8 +44,8 @@ struct ExplorationRow {
   // Mean queueing delay (issue -> grant): arbitration/outstanding-cap
   // wait, as opposed to the service span the bus itself charges.
   double mean_queue_ns = 0.0;
-  // Highest p99 latency any single master observed on the bus (from the
-  // per-master "<bus>.<master>" channels). The overall p99 averages the
+  // Highest p99 latency any single master observed on the bus (the bus
+  // rows grouped by TxnRecord::master). The overall p99 averages the
   // starved master away; this column is what flags unfair arbitration.
   double worst_master_p99_ns = 0.0;
   double bus_utilization = 0.0;
@@ -99,11 +98,11 @@ struct ExplorationRow {
   }
 };
 
-// True when `channel` is a per-master supplementary channel of the bus
-// channel `bus_channel` — buses duplicate every completed transaction's
-// row under "<bus>.<master>" so per-master latency distributions can be
-// derived. Consumers aggregating across channels (the overall latency
-// distribution above) must skip these rows or they count twice.
+// True when `channel` is a per-master "<bus>.<master>" channel of the bus
+// channel `bus_channel`. Traces captured before CSV schema v4 logged every
+// bus row a second time under that channel (v4 tags the one bus row with
+// TxnRecord::master instead); consumers aggregating such a trace across
+// channels must skip these rows or they count twice.
 // `master_labels` are the bus's registered master names (see
 // CamIf::master_label); matching the suffix against them keeps other
 // channels that merely share the bus-name prefix plus a dot (e.g. a
@@ -145,16 +144,13 @@ public:
   void set_slo(Time threshold) { slo_ = threshold; }
 
   // Mid-simulation early-termination hook for adaptive search: the
-  // predicate is polled by the kernel between settled deltas (see
-  // Simulator::set_run_guard) with the cell's simulated time and logged
-  // transaction count; returning true stops the run and marks the row
-  // pruned. Must be a pure function of its arguments — no wall clock, no
-  // shared mutable state — so budgeted runs keep the determinism
-  // contract. A default-constructed budget (null predicate) is "no
-  // budget".
-  struct EvalBudget {
-    std::function<bool(Time now, std::uint64_t txns_logged)> should_abort;
-  };
+  // should_abort predicate is polled by the kernel between settled deltas
+  // (see Simulator::set_run_guard) with the cell's simulated time;
+  // returning true stops the run and marks the row pruned. Must be a pure
+  // function of its argument — no wall clock, no shared mutable state —
+  // so budgeted runs keep the determinism contract. A default-constructed
+  // budget (null predicate) is "no budget".
+  using EvalBudget = core::MappedSystem::RunBudget;
 
   // Map + simulate one cell: a fresh SystemGraph (from the workload's
   // factory), Simulator and MappedSystem, run for at most `max_time`.

@@ -224,9 +224,7 @@ SearchReport SearchDriver::run(Explorer& ex,
       Explorer::EvalBudget budget;
       if (c->off_front && abort_at > Time::zero()) {
         const Time limit = abort_at;
-        budget.should_abort = [limit](Time now, std::uint64_t) {
-          return now >= limit;
-        };
+        budget.should_abort = [limit](Time now) { return now >= limit; };
       }
       c->row = ex.evaluate(c->platform, workloads[c->workload], horizon,
                            budget);

@@ -66,10 +66,13 @@ LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
 }
 
 std::vector<ChannelStats> per_channel_stats(const TxnLogger& log) {
-  // Bucket the records per channel id, then build one dist per bucket in
-  // id (interning) order.
+  // Bucket the records per channel id — and bus rows also under their
+  // master's id — then build one dist per bucket in id (interning) order.
   std::map<std::uint32_t, std::vector<TxnRecord>> by_channel;
-  for (const auto& r : log.records()) by_channel[r.channel].push_back(r);
+  for (const auto& r : log.records()) {
+    by_channel[r.channel].push_back(r);
+    if (r.master != kNoMaster) by_channel[r.master].push_back(r);
+  }
 
   std::vector<ChannelStats> out;
   out.reserve(by_channel.size());

@@ -61,8 +61,10 @@ struct ChannelStats {
   LatencyDist dist;
 };
 
-// One ChannelStats per channel that logged at least one record, in
-// interning order (wiring order — deterministic for a given build).
+// One ChannelStats per channel that logged at least one record, and per
+// bus master (TxnRecord::master) that issued one, in interning order
+// (wiring order — deterministic for a given build). A master's row
+// reuses its interned "<bus>.<label>" name.
 std::vector<ChannelStats> per_channel_stats(const TxnLogger& log);
 
 // Aligned per-channel table: count, bytes, mean/p50/p95/p99 latency,

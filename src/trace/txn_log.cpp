@@ -75,10 +75,10 @@ void TxnLogger::record(std::uint32_t channel_id, TxnKind kind,
 void TxnLogger::record(std::uint32_t channel_id, TxnKind kind,
                        std::uint64_t txn_id, std::uint64_t bytes, Time start,
                        Time end, Time grant, Time data, TxnStatus status,
-                       std::uint32_t retries) {
+                       std::uint32_t retries, std::uint32_t master) {
   if (!enabled_) return;
-  records_.push_back(TxnRecord{channel_id, kind, txn_id, bytes, start, end,
-                               grant, data, status, retries});
+  records_.push_back(TxnRecord{channel_id, master, txn_id, bytes, start, end,
+                               grant, data, kind, status, retries});
 }
 
 void TxnLogger::record(const std::string& channel, TxnKind kind,
@@ -121,10 +121,13 @@ TxnLogger::Summary TxnLogger::summarize() const {
 
 namespace {
 
-// The header line is the format version. v3 adds the failure-semantics
-// columns; v2 (phase columns, no status) loads with status = ok and
-// retries = 0; v1 (pre-phase traces) additionally defaults
-// grant = data = start.
+// The header line is the format version. v4 adds the issuing master;
+// v3 (no master column) loads with master = kNoMaster; v2 (phase columns,
+// no status) additionally loads with status = ok and retries = 0; v1
+// (pre-phase traces) additionally defaults grant = data = start.
+constexpr const char* kCsvHeaderV4 =
+    "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,"
+    "status,retries,master";
 constexpr const char* kCsvHeaderV3 =
     "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,"
     "status,retries";
@@ -256,14 +259,16 @@ bool parse_double(const std::string& s, double& out) {
 }  // namespace
 
 void TxnLogger::dump_csv(std::ostream& os) const {
-  os << kCsvHeaderV3 << "\n";
+  os << kCsvHeaderV4 << "\n";
   for (const auto& r : records_) {
     write_csv_field(os, channel_name(r.channel));
     os << "," << txn_kind_name(r.kind) << "," << r.bytes << ","
        << r.start.femtoseconds() << "," << r.grant.femtoseconds() << ","
        << r.data.femtoseconds() << "," << r.end.femtoseconds() << ","
        << (r.end - r.start).to_ns() << "," << r.txn << ","
-       << txn_status_name(r.status) << "," << r.retries << "\n";
+       << txn_status_name(r.status) << "," << r.retries << ",";
+    if (r.master != kNoMaster) write_csv_field(os, channel_name(r.master));
+    os << "\n";
   }
 }
 
@@ -286,15 +291,17 @@ void TxnLogger::load_csv_impl(std::istream& is) {
   if (!read_csv_record(is, line)) {
     throw SimulationError("TxnLogger::load_csv: empty input (missing header)");
   }
-  const bool v3 = line == kCsvHeaderV3;
-  const bool v2 = line == kCsvHeaderV2;
-  if (!v3 && !v2 && line != kCsvHeaderV1) {
+  const bool v4 = line == kCsvHeaderV4;
+  const bool v3 = v4 || line == kCsvHeaderV3;  // status/retries columns
+  const bool v2 = v3 || line == kCsvHeaderV2;  // phase columns
+  if (!v2 && line != kCsvHeaderV1) {
     throw SimulationError(
         "TxnLogger::load_csv: unrecognized header '" + line +
-        "' (expected '" + kCsvHeaderV3 + "', the v2 header '" +
-        kCsvHeaderV2 + "', or the v1 header '" + kCsvHeaderV1 + "')");
+        "' (expected '" + kCsvHeaderV4 + "', the v3 header '" +
+        kCsvHeaderV3 + "', the v2 header '" + kCsvHeaderV2 +
+        "', or the v1 header '" + kCsvHeaderV1 + "')");
   }
-  const std::size_t n_fields = v3 ? 11 : (v2 ? 9 : 7);
+  const std::size_t n_fields = v4 ? 12 : (v3 ? 11 : (v2 ? 9 : 7));
 
   std::vector<std::string> fields;
   std::string err;
@@ -313,6 +320,8 @@ void TxnLogger::load_csv_impl(std::istream& is) {
       csv_error(line_no, "unknown kind '" + fields[1] + "'");
     }
     // Field layout after (channel, kind, bytes):
+    //   v4: start_fs grant_fs data_fs end_fs latency_ns txn status retries
+    //       master
     //   v3: start_fs grant_fs data_fs end_fs latency_ns txn status retries
     //   v2: start_fs grant_fs data_fs end_fs latency_ns txn
     //   v1: start_fs end_fs latency_ns txn   (phases default to start)
@@ -325,7 +334,7 @@ void TxnLogger::load_csv_impl(std::istream& is) {
       csv_error(line_no, "bad start_fs '" + fields[3] + "'");
     }
     std::size_t f = 4;
-    if (v3 || v2) {
+    if (v2) {
       if (!parse_u64(fields[4], grant_fs)) {
         csv_error(line_no, "bad grant_fs '" + fields[4] + "'");
       }
@@ -353,8 +362,15 @@ void TxnLogger::load_csv_impl(std::istream& is) {
       if (!txn_status_from_name(fields[f + 3], status)) {
         csv_error(line_no, "unknown status '" + fields[f + 3] + "'");
       }
-      if (!parse_u64(fields[f + 4], retries)) {
+      if (!parse_u64(fields[f + 4], retries) || retries > UINT32_MAX) {
         csv_error(line_no, "bad retries '" + fields[f + 4] + "'");
+      }
+    }
+    if (v4 && !fields[f + 5].empty()) {
+      r.master = intern(fields[f + 5]);
+      // The id must not alias the kNoMaster sentinel (a full id space).
+      if (r.master == kNoMaster) {
+        csv_error(line_no, "bad master '" + fields[f + 5] + "'");
       }
     }
     if (end_fs < start_fs) {

@@ -46,9 +46,15 @@ const char* txn_status_name(TxnStatus s);
 // Inverse of txn_status_name. Returns false if `name` is no known status.
 bool txn_status_from_name(const std::string& name, TxnStatus& out);
 
+// TxnRecord::master on rows of layers without bus masters.
+inline constexpr std::uint32_t kNoMaster = 0xFFFFFFFFu;
+
 struct TxnRecord {
   std::uint32_t channel;  // interned channel id (see TxnLogger::intern)
-  TxnKind kind;
+  // Issuing bus master (schema v4): the interned id of the master's
+  // "<bus>.<label>" name, so per-master views are a group-by on this
+  // field. kNoMaster on layers without masters.
+  std::uint32_t master = kNoMaster;
   std::uint64_t txn;      // stlm::Txn::id of the pooled descriptor (0 = n/a)
   std::uint64_t bytes;
   Time start;             // issue: the initiator handed the txn to the layer
@@ -61,6 +67,7 @@ struct TxnRecord {
   // `end` across records no longer follows the order of `grant`.
   Time grant;
   Time data;
+  TxnKind kind;
   // Failure semantics (schema v3): the row's final outcome and how many
   // re-issues preceded this attempt (0 = first issue). Layers without
   // failure semantics record Ok/0 by construction.
@@ -73,6 +80,9 @@ struct TxnRecord {
   // Service span: grant -> completion (bus occupancy + target service).
   double service_ns() const { return (end - grant).to_ns(); }
 };
+// kind and status share the tail with retries so the row packs into one
+// cache line; logs hold one record per transaction.
+static_assert(sizeof(TxnRecord) == 64, "TxnRecord must stay 64 bytes");
 
 class TxnLogger {
 public:
@@ -84,7 +94,6 @@ public:
   std::uint32_t intern(const std::string& channel);
   const std::string& channel_name(std::uint32_t id) const;
   // Number of interned channels; valid ids are [0, channel_count()).
-  // Lets consumers classify channels once instead of per record.
   std::uint32_t channel_count() const {
     return static_cast<std::uint32_t>(channels_.size());
   }
@@ -92,13 +101,14 @@ public:
   // Hot path: fixed-width row, no string traffic. The phase-less
   // overload records grant == data == start (no distinguishable phases
   // on that layer); the phase-accurate overload carries the grant and
-  // data-phase timestamps stamped by the CAM engines.
+  // data-phase timestamps stamped by the CAM engines, and the bus's
+  // interned id of the issuing master (kNoMaster without one).
   void record(std::uint32_t channel_id, TxnKind kind, std::uint64_t txn_id,
               std::uint64_t bytes, Time start, Time end);
   void record(std::uint32_t channel_id, TxnKind kind, std::uint64_t txn_id,
               std::uint64_t bytes, Time start, Time end, Time grant,
               Time data, TxnStatus status = TxnStatus::Ok,
-              std::uint32_t retries = 0);
+              std::uint32_t retries = 0, std::uint32_t master = kNoMaster);
   // Convenience overload for edge/test code; interns per call.
   void record(const std::string& channel, TxnKind kind, std::uint64_t bytes,
               Time start, Time end);
@@ -131,31 +141,35 @@ public:
   };
   Summary summarize() const;
 
-  // CSV schema v3 (one header line, then one line per record):
+  // CSV schema v4 (one header line, then one line per record):
   //
   //   channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,
-  //   status,retries
+  //   status,retries,master
   //
   // Timestamps are integer femtoseconds, so dump_csv -> load_csv
   // round-trips records bit-identically including the phase columns;
   // latency_ns is a derived human-readable column that load_csv validates
   // syntactically but does not store. `status` is a txn_status_name
-  // (ok/error/timeout/aborted), `retries` the attempt's re-issue count.
-  // Channel names containing commas, quotes, or newlines are
-  // RFC4180-quoted.
+  // (ok/error/timeout/aborted), `retries` the attempt's re-issue count,
+  // `master` the issuing master's channel name (empty for kNoMaster).
+  // Names containing commas, quotes, or newlines are RFC4180-quoted.
   //
   // The header line doubles as the format version: load_csv also accepts
-  // the v2 header (without status/retries, defaulted to ok/0) and the v1
+  // the v3 header (without master, defaulted to kNoMaster), the v2 header
+  // (additionally without status/retries, defaulted to ok/0) and the v1
   // header (channel,kind,bytes,start_fs,end_fs,latency_ns,txn; phase
   // columns defaulted to grant = data = start), so traces captured before
-  // either schema extension stay loadable.
+  // any schema extension stay loadable. Pre-v4 bus traces carry each bus
+  // row a second time under its "<bus>.<master>" channel
+  // (expl::is_master_channel recognises those rows).
   void dump_csv(std::ostream& os) const;
 
   // Replace this logger's records (and channel table) with the contents
-  // of a dump_csv stream (either schema version). Validates the header
+  // of a dump_csv stream (any schema version). Validates the header
   // and every row (including phase ordering start <= grant <= data <=
-  // end); throws SimulationError naming the offending line and field on
-  // malformed input, leaving the logger empty.
+  // end and the 32-bit range of retries); throws SimulationError naming
+  // the offending line and field on malformed input, leaving the logger
+  // empty.
   void load_csv(std::istream& is);
 
 private:
@@ -177,16 +191,21 @@ public:
     if (log_) channel_ = log_->intern(channel);
   }
   explicit operator bool() const { return log_ != nullptr; }
+  // Intern another name on the bound logger (kNoMaster when unbound) —
+  // a bus master's "<bus>.<label>" for TxnRecord::master.
+  std::uint32_t intern(const std::string& name) const {
+    return log_ ? log_->intern(name) : kNoMaster;
+  }
   void record(TxnKind kind, std::uint64_t txn_id, std::uint64_t bytes,
               Time start, Time end) const {
     log_->record(channel_, kind, txn_id, bytes, start, end);
   }
   void record(TxnKind kind, std::uint64_t txn_id, std::uint64_t bytes,
               Time start, Time end, Time grant, Time data,
-              TxnStatus status = TxnStatus::Ok,
-              std::uint32_t retries = 0) const {
+              TxnStatus status = TxnStatus::Ok, std::uint32_t retries = 0,
+              std::uint32_t master = kNoMaster) const {
     log_->record(channel_, kind, txn_id, bytes, start, end, grant, data,
-                 status, retries);
+                 status, retries, master);
   }
 
 private:

@@ -1,11 +1,12 @@
 // Tests for the kernel fast path (fast-target contract): with
 // `fast_targets` on, uncontended transactions to fast-capable slaves
 // resolve inline — no grant-engine wakeup, no coroutine switch — and
-// every observable (simulated time, stats, per-master channels, bank
+// every observable (simulated time, stats, per-master rows, bank
 // state evolution) stays bit-identical to the engine path. Contention
 // falls back to the unchanged engine.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -401,10 +402,10 @@ TEST(CamFast, CrossbarLanesBitIdentical) {
   EXPECT_EQ(fast.second, slow.second);
 }
 
-// Per-master latency channels: every bus duplicates its log rows under
-// "<bus>.<master>"; per_channel_stats then reports a distribution per
-// master, and the explorer's helper tells the supplementary channels
-// apart from the bus channel.
+// Per-master latency distributions: every bus row carries its issuing
+// master (TxnRecord::master), per_channel_stats groups by it, and the
+// explorer's helper tells "<bus>.<master>" names apart from the bus
+// channel.
 TEST(CamFast, PerMasterChannelsCarryLatencyDistributions) {
   Simulator sim;
   trace::TxnLogger log;
@@ -432,6 +433,17 @@ TEST(CamFast, PerMasterChannelsCarryLatencyDistributions) {
   });
   sim.run();
 
+  // One row per transaction, all on the bus channel.
+  ASSERT_EQ(log.size(), 4u);
+  std::map<std::string, std::uint64_t> rows_of;
+  for (const auto& r : log.records()) {
+    EXPECT_EQ(log.channel_name(r.channel), "plb");
+    ASSERT_NE(r.master, trace::kNoMaster);
+    ++rows_of[log.channel_name(r.master)];
+  }
+  EXPECT_EQ(rows_of["plb.a"], 3u);
+  EXPECT_EQ(rows_of["plb.b"], 1u);
+
   const auto stats = trace::per_channel_stats(log);
   const std::vector<std::string> labels{"a", "b"};
   double a_mean = -1.0, b_mean = -1.0;
@@ -451,7 +463,7 @@ TEST(CamFast, PerMasterChannelsCarryLatencyDistributions) {
   EXPECT_FALSE(expl::is_master_channel("plb2.a", "plb", labels));
   EXPECT_TRUE(expl::is_master_channel("plb.a", "plb", labels));
   EXPECT_EQ(bus_count, 4u);
-  // The per-master channel distributions match the per-master stat slots
+  // The per-master group distributions match the per-master stat slots
   // the bus already tracks.
   EXPECT_DOUBLE_EQ(a_mean, bus.stats().acc("master_a_latency_ns").mean());
   EXPECT_DOUBLE_EQ(b_mean, bus.stats().acc("master_b_latency_ns").mean());

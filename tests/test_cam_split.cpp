@@ -19,15 +19,25 @@ using namespace stlm;
 using namespace stlm::cam;
 using namespace stlm::time_literals;
 
-// Rows a CAM records under its own channel. Buses additionally duplicate
-// every row under a per-master "<bus>.<master>" channel for per-master
-// latency distributions; tests pinning row counts/order look at the bus
-// channel only.
+// Rows a CAM records under its own channel: one per transaction, each
+// tagged with its issuing master's "<bus>.<master>" name (master_rows).
 static std::vector<trace::TxnRecord> channel_rows(const trace::TxnLogger& log,
                                                   const std::string& channel) {
   std::vector<trace::TxnRecord> out;
   for (const auto& r : log.records()) {
     if (log.channel_name(r.channel) == channel) out.push_back(r);
+  }
+  return out;
+}
+
+// Rows whose issuing master is `master` ("<bus>.<master>").
+static std::vector<trace::TxnRecord> master_rows(const trace::TxnLogger& log,
+                                                 const std::string& master) {
+  std::vector<trace::TxnRecord> out;
+  for (const auto& r : log.records()) {
+    if (r.master != trace::kNoMaster && log.channel_name(r.master) == master) {
+      out.push_back(r);
+    }
   }
   return out;
 }
@@ -402,12 +412,13 @@ TEST(CamSplit, AtomicEngineStampsFusedPhasesAndQueueing) {
   });
   sim.run();
 
-  // One row under the bus channel plus one under each issuing master's
-  // "<bus>.<master>" channel.
+  // One row per transaction under the bus channel, tagged with the
+  // issuing master.
   const auto rows = channel_rows(log, "plb");
+  ASSERT_EQ(log.size(), 2u);
   ASSERT_EQ(rows.size(), 2u);
-  ASSERT_EQ(channel_rows(log, "plb.a").size(), 1u);
-  ASSERT_EQ(channel_rows(log, "plb.b").size(), 1u);
+  ASSERT_EQ(master_rows(log, "plb.a").size(), 1u);
+  ASSERT_EQ(master_rows(log, "plb.b").size(), 1u);
   for (const auto& r : rows) {
     EXPECT_EQ(r.grant, r.data);               // fused phases
     EXPECT_LE(r.start, r.grant);
@@ -467,8 +478,8 @@ TEST(CamSplit, SplitEngineRowsDivergeGrantFromCompletion) {
     EXPECT_LE(r.grant, r.data);  // data phase strictly after the address phase
     EXPECT_LE(r.data, r.end);
   }
-  // All rows (bus channel + per-master duplicates) survive the CSV round
-  // trip with their phases intact.
+  // The rows survive the CSV round trip with their phases and master
+  // intact.
   std::ostringstream os;
   log.dump_csv(os);
   trace::TxnLogger back;
@@ -479,6 +490,7 @@ TEST(CamSplit, SplitEngineRowsDivergeGrantFromCompletion) {
   ASSERT_EQ(back_rows.size(), 2u);
   EXPECT_EQ(back_rows[0].grant, first_done.grant);
   EXPECT_EQ(back_rows[1].data, second_done.data);
+  EXPECT_EQ(master_rows(back, "plb.pe").size(), 2u);
 }
 
 // Every row any engine writes respects the phase order invariant — the
@@ -508,12 +520,12 @@ TEST(CamSplit, SplitRunRowsRespectPhaseOrderInvariant) {
     });
   }
   sim.run();
-  // 120 bus-channel rows plus a per-master duplicate of each.
-  ASSERT_EQ(log.size(), 240u);
+  // 120 bus-channel rows, 40 per master.
+  ASSERT_EQ(log.size(), 120u);
   const auto rows = channel_rows(log, "plb");
   ASSERT_EQ(rows.size(), 120u);
   for (std::size_t m = 0; m < 3; ++m) {
-    EXPECT_EQ(channel_rows(log, "plb.m" + std::to_string(m)).size(), 40u);
+    EXPECT_EQ(master_rows(log, "plb.m" + std::to_string(m)).size(), 40u);
   }
   std::size_t queued = 0;
   for (const auto& r : rows) {

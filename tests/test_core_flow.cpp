@@ -4,10 +4,12 @@
 // every level, with timing refined underneath.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/core.hpp"
 #include "kernel/kernel.hpp"
+#include "trace/channel_stats.hpp"
 #include "workload/generators.hpp"
 
 using namespace stlm;
@@ -35,6 +37,41 @@ struct TestSystem {
     owned.push_back(std::move(snk));
   }
 };
+
+// Two independent producer -> sink streams: at CAM level each producer
+// drives the bus through its own master.
+struct TwoStreams {
+  std::vector<std::unique_ptr<ProcessingElement>> owned;
+  SystemGraph graph;
+
+  TwoStreams() {
+    for (const char* id : {"0", "1"}) {
+      auto prod = std::make_unique<workload::ProducerPe>(
+          std::string("prod") + id, 12, 48, /*compute=*/10);
+      auto snk =
+          std::make_unique<workload::SinkPe>(std::string("sink") + id, 12);
+      graph.add_pe(*prod);
+      graph.add_pe(*snk);
+      graph.connect(std::string("stream") + id, *prod, "out", *snk, "in", 2);
+      owned.push_back(std::move(prod));
+      owned.push_back(std::move(snk));
+    }
+    graph.discover_roles();
+  }
+};
+
+// Atomic PLB, split PLB (4 outstanding) and crossbar platforms.
+std::vector<Platform> bus_platforms() {
+  Platform plb;
+  Platform split = plb;
+  split.name = "plb-split4";
+  split.split_txns = true;
+  split.max_outstanding = 4;
+  Platform xbar;
+  xbar.name = "crossbar";
+  xbar.bus = BusKind::Crossbar;
+  return {plb, split, xbar};
+}
 
 }  // namespace
 
@@ -201,3 +238,53 @@ TEST_P(LevelEquivalence, SinkReceivesAllMessages) {
 
 INSTANTIATE_TEST_SUITE_P(Payloads, LevelEquivalence,
                          ::testing::Values(4u, 64u, 300u, 1024u));
+
+// The log holds one row per bus transaction: its summary agrees with the
+// bus's own transaction and byte counters.
+TEST(Mapper, LogSummaryCountsEachBusTransactionOnce) {
+  for (const Platform& p : bus_platforms()) {
+    TwoStreams sys;
+    Simulator sim;
+    auto ms = Mapper::map(sim, sys.graph, p, AbstractionLevel::Cam);
+    ASSERT_TRUE(ms->run_until_done(50_ms)) << p.name;
+    const auto s = ms->txn_log().summarize();
+    const trace::StatSet& st = ms->bus()->stats();
+    EXPECT_GT(s.count, 0u) << p.name;
+    EXPECT_EQ(s.count, st.counter("transactions")) << p.name;
+    EXPECT_EQ(s.bytes, st.counter("bytes")) << p.name;
+  }
+}
+
+// Per-master rows are a group-by on TxnRecord::master: the groups
+// partition the bus channel exactly, in count and in bytes.
+TEST(Mapper, PerMasterGroupsSumToTheBusChannel) {
+  for (const Platform& p : bus_platforms()) {
+    TwoStreams sys;
+    Simulator sim;
+    auto ms = Mapper::map(sim, sys.graph, p, AbstractionLevel::Cam);
+    ASSERT_TRUE(ms->run_until_done(50_ms)) << p.name;
+    const cam::CamIf& bus = *ms->bus();
+    std::vector<std::string> masters;
+    for (std::size_t i = 0; i < bus.master_count(); ++i) {
+      masters.push_back(bus.name() + "." + bus.master_label(i));
+    }
+    ASSERT_EQ(masters.size(), 2u) << p.name;
+    std::uint64_t bus_count = 0, bus_bytes = 0;
+    std::uint64_t master_count = 0, master_bytes = 0, master_groups = 0;
+    for (const auto& c : trace::per_channel_stats(ms->txn_log())) {
+      if (c.channel == bus.name()) {
+        bus_count = c.dist.count;
+        bus_bytes = c.dist.bytes;
+      } else if (std::find(masters.begin(), masters.end(), c.channel) !=
+                 masters.end()) {
+        master_count += c.dist.count;
+        master_bytes += c.dist.bytes;
+        ++master_groups;
+      }
+    }
+    EXPECT_EQ(master_groups, 2u) << p.name;
+    EXPECT_GT(bus_count, 0u) << p.name;
+    EXPECT_EQ(master_count, bus_count) << p.name;
+    EXPECT_EQ(master_bytes, bus_bytes) << p.name;
+  }
+}

@@ -735,16 +735,34 @@ TEST(FaultExplore, PerChannelStatsCountFailureOutcomes) {
   trace::TxnLogger log;
   std::istringstream is(run.csv);
   log.load_csv(is);
-  const auto channels = trace::per_channel_stats(log);
-  std::uint64_t errors = 0, retried = 0;
-  for (const auto& c : channels) {
-    errors += c.dist.errors;
-    retried += c.dist.retried;
+  std::uint64_t bus_errors = 0, bus_retried = 0;
+  for (const auto& r : run.bus_rows) {
+    if (r.status == trace::TxnStatus::Error) ++bus_errors;
+    if (r.retries > 0) ++bus_retried;
   }
-  // Bus rows are duplicated on per-master channels, so the totals fold
-  // each outcome twice — nonzero is the contract here.
-  EXPECT_GT(errors, 0u);
-  EXPECT_GT(retried, 0u);
+  ASSERT_GT(bus_errors, 0u);
+  ASSERT_GT(bus_retried, 0u);
+  // Every CAM-level row is a bus row tagged with its master: the bus
+  // channel tallies each outcome once, and the per-master groups
+  // partition those tallies exactly.
+  ASSERT_EQ(log.size(), run.bus_rows.size());
+  const std::string bus = log.channel_name(log.records()[0].channel);
+  const auto channels = trace::per_channel_stats(log);
+  std::uint64_t master_errors = 0, master_retried = 0, master_groups = 0;
+  for (const auto& c : channels) {
+    if (c.channel == bus) {
+      EXPECT_EQ(c.dist.count, run.bus_rows.size());
+      EXPECT_EQ(c.dist.errors, bus_errors);
+      EXPECT_EQ(c.dist.retried, bus_retried);
+      continue;
+    }
+    master_errors += c.dist.errors;
+    master_retried += c.dist.retried;
+    ++master_groups;
+  }
+  EXPECT_GT(master_groups, 0u);
+  EXPECT_EQ(master_errors, bus_errors);
+  EXPECT_EQ(master_retried, bus_retried);
   std::ostringstream os;
   trace::print_channel_table(os, channels);
   EXPECT_NE(os.str().find("err"), std::string::npos);

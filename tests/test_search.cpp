@@ -221,7 +221,7 @@ TEST(EvalBudget, AbortsMidSimulationAtACleanDeltaBoundary) {
   ASSERT_GT(full.sim_time_us, 20.0);
 
   Explorer::EvalBudget budget;
-  budget.should_abort = [](Time now, std::uint64_t) { return now >= 10_us; };
+  budget.should_abort = [](Time now) { return now >= 10_us; };
   const auto cut = ex.evaluate(p, wl, 10_ms, budget);
   EXPECT_TRUE(cut.pruned);
   EXPECT_FALSE(cut.completed);
@@ -238,7 +238,7 @@ TEST(EvalBudget, NullAndNeverFiringBudgetsReproduceThePlainRun) {
   const auto null_budget = ex.evaluate(p, wl, 10_ms, Explorer::EvalBudget{});
   expect_sim_columns_equal(plain, null_budget);
   Explorer::EvalBudget never;
-  never.should_abort = [](Time, std::uint64_t) { return false; };
+  never.should_abort = [](Time) { return false; };
   const auto idle = ex.evaluate(p, wl, 10_ms, never);
   EXPECT_FALSE(idle.pruned);
   expect_sim_columns_equal(plain, idle);

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 
+#include "explore/explorer.hpp"
 #include "kernel/kernel.hpp"
 #include "trace/channel_stats.hpp"
 #include "trace/stats.hpp"
@@ -265,7 +266,8 @@ TEST(TxnLog, LoadCsvAcceptsV1HeaderWithDefaultedPhases) {
   EXPECT_EQ(r.txn, 9u);
   EXPECT_DOUBLE_EQ(r.queue_ns(), 0.0);
 
-  // A v1 trace re-dumps as v2 (the loader upgraded the records).
+  // A v1 trace re-dumps in the current schema (the loader upgraded the
+  // records).
   std::ostringstream os;
   log.dump_csv(os);
   EXPECT_NE(os.str().find("grant_fs,data_fs"), std::string::npos);
@@ -318,6 +320,106 @@ TEST(TxnLog, LoadCsvRejectsMalformedInput) {
   std::istringstream is(header + "ch,send,4,0,1,0.0,0\nch,BAD,4,0,1,0.0,0\n");
   EXPECT_THROW(log.load_csv(is), SimulationError);
   EXPECT_EQ(log.size(), 0u);
+}
+
+// The v4 schema tags bus rows with their issuing master; a dump -> load ->
+// dump trip is a byte-for-byte fixed point, master column included.
+TEST(TxnLog, CsvV4RoundTripKeepsMasterByteIdentical) {
+  trace::TxnLogger log;
+  const auto bus = log.intern("plb");
+  const auto a = log.intern("plb.a");
+  const auto odd = log.intern("plb.b,\"odd\"");  // needs RFC4180 quoting
+  log.record(bus, trace::TxnKind::Write, 1, 64, 0_ns, 100_ns, 10_ns, 20_ns,
+             trace::TxnStatus::Ok, 0, a);
+  log.record(bus, trace::TxnKind::Read, 2, 32, 5_ns, 150_ns, 100_ns, 120_ns,
+             trace::TxnStatus::Error, 2, odd);
+  log.record("ship", trace::TxnKind::Send, 8, 0_ns, 10_ns);  // no master
+
+  std::ostringstream os;
+  log.dump_csv(os);
+  const std::string csv = os.str();
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,"
+            "txn,status,retries,master");
+  EXPECT_NE(csv.find(",ok,0,plb.a\n"), std::string::npos);
+  EXPECT_NE(csv.find(",error,2,\"plb.b,\"\"odd\"\"\"\n"), std::string::npos);
+  EXPECT_NE(csv.find("ship,send,8,0,0,0,10000000,10,0,ok,0,\n"),
+            std::string::npos);
+
+  trace::TxnLogger back;
+  std::istringstream is(csv);
+  back.load_csv(is);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back.channel_name(back.records()[0].master), "plb.a");
+  EXPECT_EQ(back.channel_name(back.records()[1].master), "plb.b,\"odd\"");
+  EXPECT_EQ(back.records()[1].retries, 2u);
+  EXPECT_EQ(back.records()[2].master, trace::kNoMaster);
+
+  std::ostringstream os2;
+  back.dump_csv(os2);
+  EXPECT_EQ(os2.str(), csv);
+}
+
+// Traces captured before v4 logged each bus row twice, once on the bus
+// channel and once on "<bus>.<master>". They still load (master = none),
+// and expl::is_master_channel recognises the duplicate rows.
+TEST(TxnLog, LoadCsvAcceptsV3TraceWithPerMasterDuplicateRows) {
+  const std::string v3 =
+      "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,"
+      "status,retries\n"
+      "plb,write,64,0,0,0,100000000,100,1,ok,0\n"
+      "plb.a,write,64,0,0,0,100000000,100,1,ok,0\n"
+      "plb,read,32,0,100000000,100000000,180000000,180,2,ok,1\n"
+      "plb.b,read,32,0,100000000,100000000,180000000,180,2,ok,1\n";
+  trace::TxnLogger log;
+  std::istringstream is(v3);
+  log.load_csv(is);
+  ASSERT_EQ(log.size(), 4u);
+  const std::vector<std::string> labels{"a", "b"};
+  std::uint64_t bus_rows = 0, duplicates = 0;
+  for (const auto& r : log.records()) {
+    EXPECT_EQ(r.master, trace::kNoMaster);
+    if (expl::is_master_channel(log.channel_name(r.channel), "plb", labels)) {
+      ++duplicates;
+    } else {
+      ++bus_rows;
+    }
+  }
+  EXPECT_EQ(bus_rows, 2u);
+  EXPECT_EQ(duplicates, 2u);
+  EXPECT_EQ(log.records()[2].retries, 1u);
+}
+
+// retries is a 32-bit record field: a value that does not fit is a load
+// error naming the line and field, not a silent truncation.
+TEST(TxnLog, LoadCsvRejectsOutOfRangeRetries) {
+  const std::string v3 =
+      "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,"
+      "status,retries\n";
+  const std::string v4 =
+      "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,"
+      "status,retries,master\n";
+  auto load_error = [](const std::string& text) -> std::string {
+    trace::TxnLogger log;
+    std::istringstream is(text);
+    try {
+      log.load_csv(is);
+    } catch (const SimulationError& e) {
+      EXPECT_EQ(log.size(), 0u);
+      return e.what();
+    }
+    return "";
+  };
+  const std::string max_row = "bus,write,4,0,0,0,10,0,1,ok,4294967295";
+  const std::string over_row = "bus,write,4,0,0,0,10,0,1,ok,4294967297";
+  EXPECT_EQ(load_error(v3 + max_row + "\n"), "");
+  EXPECT_EQ(load_error(v4 + max_row + ",bus.a\n"), "");
+  for (const std::string& text :
+       {v3 + over_row + "\n", v4 + over_row + ",bus.a\n"}) {
+    const std::string err = load_error(text);
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("retries"), std::string::npos) << err;
+  }
 }
 
 // ------------------------------------------------- latency distributions --
