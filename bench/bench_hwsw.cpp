@@ -31,13 +31,12 @@ void BM_HwSwRoundTrip(benchmark::State& state) {
 
   for (auto _ : state) {
     Simulator sim;
-    Clock clk(sim, "clk", 10_ns);
     cam::PlbCam bus(sim, "plb", 10_ns,
                     std::make_unique<cam::PriorityArbiter>());
     cam::MailboxLayout layout{0x8000, 256};
     hwsw::HwAdapter adapter(sim, "hwacc", layout, 10_ns);
     bus.attach_slave(adapter, layout.range(), "hwacc");
-    cpu::CpuModel cpu(sim, "cpu", clk);
+    cpu::CpuModel cpu(sim, "cpu", 10_ns);
     cpu.bus().bind(bus.master_port(bus.add_master("cpu")));
     cpu::IrqController ic(sim, "ic");
     ic.attach(adapter.irq(), 0);

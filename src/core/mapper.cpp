@@ -321,8 +321,7 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
   }();
 
   if (any_sw) {
-    ms.clock_ = std::make_unique<Clock>(ms.sim_, "cpu_clk", p.cpu_clock);
-    ms.cpu_ = std::make_unique<cpu::CpuModel>(ms.sim_, "cpu", *ms.clock_);
+    ms.cpu_ = std::make_unique<cpu::CpuModel>(ms.sim_, "cpu", p.cpu_clock);
     ms.irq_ = std::make_unique<cpu::IrqController>(ms.sim_, "irq_ctrl");
     ms.rtos_ = std::make_unique<rtos::Rtos>(ms.sim_, "rtos", *ms.cpu_,
                                             p.rtos_cfg);

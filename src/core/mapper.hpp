@@ -32,7 +32,6 @@
 #include "core/system_graph.hpp"
 #include "cpu/irq.hpp"
 #include "hwsw/hwsw.hpp"
-#include "kernel/clock.hpp"
 #include "obs/metrics.hpp"
 #include "ocp/monitor.hpp"
 
@@ -134,7 +133,6 @@ private:
   trace::TxnLogger log_;
 
   std::vector<std::unique_ptr<ship::ShipChannel>> channels_;
-  std::unique_ptr<Clock> clock_;
   std::unique_ptr<cam::CamIf> cam_;
   std::unique_ptr<fault::Injector> injector_;
   std::vector<std::unique_ptr<cam::RetryPolicy>> retries_;

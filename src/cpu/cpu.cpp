@@ -2,16 +2,16 @@
 
 namespace stlm::cpu {
 
-CpuModel::CpuModel(Simulator& sim, std::string name, Clock& clk,
+CpuModel::CpuModel(Simulator& sim, std::string name, Time period,
                    Module* parent)
     : Module(sim, std::move(name), parent),
-      clk_(clk),
+      period_(period),
       bus_(*this, "bus") {}
 
 void CpuModel::consume(std::uint64_t cycles) {
   if (cycles == 0) return;
   cycles_ += cycles;
-  wait(clk_.period() * cycles);
+  wait(period_ * cycles);
 }
 
 std::uint32_t CpuModel::mmio_read32(std::uint64_t addr) {

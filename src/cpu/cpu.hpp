@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "kernel/clock.hpp"
 #include "kernel/module.hpp"
 #include "ocp/tl_if.hpp"
 
@@ -17,13 +16,12 @@ namespace stlm::cpu {
 
 class CpuModel final : public Module {
 public:
-  CpuModel(Simulator& sim, std::string name, Clock& clk,
+  // `period` is the CPU clock period that consume() charges per cycle.
+  CpuModel(Simulator& sim, std::string name, Time period,
            Module* parent = nullptr);
 
   // Bind to a CAM master port (or any OCP TL target).
   ocp::OcpMasterPort& bus() { return bus_; }
-
-  Clock& clock() const { return clk_; }
 
   // Charge `cycles` of computation time (callable from task context).
   void consume(std::uint64_t cycles);
@@ -44,7 +42,7 @@ public:
   std::uint64_t bus_transactions() const { return bus_txns_; }
 
 private:
-  Clock& clk_;
+  Time period_;
   ocp::OcpMasterPort bus_;
   std::uint64_t cycles_ = 0;
   std::uint64_t bus_txns_ = 0;

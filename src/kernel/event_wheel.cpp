@@ -102,7 +102,7 @@ std::uint64_t EventWheel::next_occupied(std::uint64_t from) const {
   return from;  // unreachable while the precondition holds
 }
 
-void EventWheel::push(const TimedEntry& e) {
+void EventWheel::push(const TimedEntry& e, Time now) {
   if (buckets_.empty()) take_buckets();
 #ifdef STLM_OBS
   ++stats_.pushes;
@@ -110,6 +110,12 @@ void EventWheel::push(const TimedEntry& e) {
   if (sz > stats_.peak_size) stats_.peak_size = sz;
 #endif
   const std::uint64_t idx = idx_of(e.when);
+  if (idx >= base_ + kWheelBuckets && wheel_count_ == 0 &&
+      idx_of(now) != base_) {
+    // Time moved on (inline advances) while the wheel sat empty: catch
+    // the window up so this entry and the ones after it land near `now`.
+    rebase(idx_of(now));
+  }
   if (idx >= base_ + kWheelBuckets) {
 #ifdef STLM_OBS
     ++stats_.overflow_pushes;
@@ -117,30 +123,7 @@ void EventWheel::push(const TimedEntry& e) {
     overflow_.push(e);
     return;
   }
-  if (idx < base_) {
-    // Only possible after a far-future rebase followed by an earlier
-    // notify from outside run() — rare enough to pay a full respill:
-    // park everything (including the new entry) in overflow, then
-    // re-anchor the window at the new entry's bucket, which pulls the
-    // near portion back in.
-    spill_wheel();
-    overflow_.push(e);
-    rebase(idx);
-    return;
-  }
   push_into_wheel(e, idx);
-}
-
-void EventWheel::spill_wheel() {
-  if (wheel_count_ == 0) return;
-  for (Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.v.size(); ++i) overflow_.push(b.v[i]);
-    b.v.clear();
-    b.head = 0;
-    b.sorted = true;
-  }
-  wheel_count_ = 0;
-  occ_.fill(0);
 }
 
 void EventWheel::rebase(std::uint64_t idx) {
@@ -161,9 +144,12 @@ void EventWheel::rebase(std::uint64_t idx) {
 const TimedEntry* EventWheel::peek(StaleFn stale, const void* ctx) {
   for (;;) {
     if (wheel_count_ == 0) {
-      if (overflow_.empty()) return nullptr;
-      rebase(idx_of(overflow_.top().when));
-      continue;
+      // Report the overflow top without moving the window: time may
+      // stop short of it, and the next pushes then still fit the window.
+      while (!overflow_.empty() && stale(ctx, overflow_.top())) {
+        overflow_.pop();
+      }
+      return overflow_.empty() ? nullptr : &overflow_.top();
     }
     scan_idx_ = next_occupied(scan_idx_);
     Bucket& b = bucket(scan_idx_);
@@ -189,6 +175,14 @@ const TimedEntry* EventWheel::peek(StaleFn stale, const void* ctx) {
 }
 
 TimedEntry EventWheel::pop() {
+  if (wheel_count_ == 0) {
+    // Time has reached the overflow top: the window moves here, pulling
+    // the entries that now fall inside it.
+    const TimedEntry e = overflow_.top();
+    overflow_.pop();
+    rebase(idx_of(e.when));
+    return e;
+  }
   Bucket& b = bucket(scan_idx_);
   TimedEntry e = b.v[b.head++];
   --wheel_count_;

@@ -9,9 +9,17 @@
 // timestamps into fixed-width buckets (kBucketShift bits of femtoseconds
 // per bucket, so one bucket ≈ 1 ns — below any modeled clock period) and
 // keeps a cursor that only moves forward; push is an O(1) append for any
-// event within the wheel horizon (~2 µs ahead), and far-future events
-// spill to a conventional min-heap that is migrated bucket-wise when the
-// cursor reaches it.
+// event within the wheel window (~2 µs), and later events wait in a
+// conventional min-heap.
+//
+// The window follows simulated time. It moves only when time reaches an
+// overflow entry (pop() re-anchors it at that entry's bucket) or when a
+// push falls past an empty wheel's window (re-anchored at `now`, which is
+// why push takes it). peek() never moves it: a lone runner that peeks at
+// a far-future watchdog and then advances inline to an earlier instant
+// keeps the window where its next notifications land. So
+// base_ <= bucket(now) <= bucket of every queued entry always holds, and
+// no push ever falls before the window.
 //
 // Determinism contract (tested by kernel tie-break tests): entries that
 // share a timestamp fire in push order. Every entry carries the
@@ -88,10 +96,10 @@ public:
   std::size_t size() const { return wheel_count_ + overflow_.size(); }
   bool empty() const { return size() == 0; }
 
-  // Queue an entry. `e.when` may be any absolute time >= the last
-  // popped timestamp; entries beyond the wheel horizon go to the
-  // overflow heap.
-  void push(const TimedEntry& e);
+  // Queue an entry at `e.when` >= `now`, the simulator's current time;
+  // entries past the wheel window go to the overflow heap. A push past
+  // an empty wheel's window first re-anchors the window at `now`.
+  void push(const TimedEntry& e, Time now);
 
   // Behaviour counters for the obs::Profiler: how often pushes landed in
   // the wheel vs. spilled to the overflow heap, how often the window was
@@ -106,14 +114,16 @@ public:
   };
   const Stats& stats() const { return stats_; }
 
-  // Earliest live entry, pruning stale leading entries via `stale` and
-  // migrating overflow buckets as the cursor reaches them. Returns
-  // nullptr when nothing live remains. The pointer is valid until the
-  // next push/pop/peek.
+  // Earliest live entry, pruning stale leading entries via `stale`; with
+  // the wheel drained, the overflow heap's top. Never moves the window.
+  // Returns nullptr when nothing live remains. The pointer is valid
+  // until the next push/pop/peek.
   const TimedEntry* peek(StaleFn stale, const void* ctx);
 
   // Remove and return the entry peek() just returned. Must be called
-  // immediately after a successful peek(), with no intervening push.
+  // immediately after a successful peek(), with no intervening push, and
+  // only once simulated time has reached it: popping an overflow entry
+  // re-anchors the window at its bucket.
   TimedEntry pop();
 
 private:
@@ -159,11 +169,9 @@ private:
 
   void push_into_wheel(const TimedEntry& e, std::uint64_t idx);
   // Re-anchor the wheel window at absolute bucket `idx` (wheel must be
-  // empty) and pull every overflow entry inside the new window in.
+  // empty, idx <= every queued entry's bucket) and pull every overflow
+  // entry inside the new window in.
   void rebase(std::uint64_t idx);
-  // Dump all wheel entries into the overflow heap (used by the rare
-  // before-window push after a far-future rebase).
-  void spill_wheel();
 
   std::vector<Bucket> buckets_;
   std::array<std::uint64_t, kOccWords> occ_{};
@@ -173,7 +181,8 @@ private:
   // Absolute bucket indices. The wheel window is [base_, base_ +
   // kWheelBuckets); entries at or past the end spill to overflow_.
   // scan_idx_ is the consume cursor: every wheel bucket below it is
-  // empty. Invariant: base_ <= scan_idx_ <= base_ + kWheelBuckets.
+  // empty. Invariants: base_ <= scan_idx_ <= base_ + kWheelBuckets, and
+  // base_ <= bucket of the simulator's `now` (see the header comment).
   std::uint64_t base_ = 0;
   std::uint64_t scan_idx_ = 0;
   std::size_t wheel_count_ = 0;  // unconsumed entries in the wheel

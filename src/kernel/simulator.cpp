@@ -146,14 +146,15 @@ void Simulator::queue_method(MethodProcess& m) {
 }
 
 void Simulator::schedule_timed_event(Event& e, Time abs_time) {
-  timed_.push(TimedEntry{abs_time, timed_seq_++, &e, nullptr, e.sched_gen_});
+  timed_.push(TimedEntry{abs_time, timed_seq_++, &e, nullptr, e.sched_gen_},
+              now_);
 }
 
 void Simulator::schedule_delta_event(Event& e) { delta_events_.push_back(&e); }
 
 void Simulator::schedule_timeout(Process& p, Time abs_time,
                                  std::uint64_t gen) {
-  timed_.push(TimedEntry{abs_time, timed_seq_++, nullptr, &p, gen});
+  timed_.push(TimedEntry{abs_time, timed_seq_++, nullptr, &p, gen}, now_);
 }
 
 Event* Simulator::last_triggered_event() const {

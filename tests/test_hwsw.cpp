@@ -24,11 +24,10 @@ namespace {
 // on a PLB on the other, sideband IRQ in between.
 struct HwSwFixture {
   Simulator sim;
-  Clock clk{sim, "clk", 10_ns};
   cam::PlbCam bus{sim, "plb", 10_ns, std::make_unique<cam::PriorityArbiter>()};
   cam::MailboxLayout layout{0x8000, 256};
   hwsw::HwAdapter adapter{sim, "hwacc", layout, 10_ns};
-  cpu::CpuModel cpu{sim, "cpu", clk};
+  cpu::CpuModel cpu{sim, "cpu", 10_ns};
   cpu::IrqController ic{sim, "ic"};
   rtos::Rtos os{sim, "os", cpu, {1_us, 20}};
   hwsw::ShipDriver drv{"drv", os, cpu, layout};
@@ -233,13 +232,12 @@ TEST(HwSw, ReplyWithoutRequestThrowsOnDriver) {
 // intact.
 TEST(HwSw, PostedDmaWindowsDoNotPerturbInOrderDriverDelivery) {
   Simulator sim;
-  Clock clk{sim, "clk", 10_ns};
   cam::PlbCam bus{sim, "plb", 10_ns, std::make_unique<cam::PriorityArbiter>(),
                   0, cam::SplitConfig{true, 4}};
   ASSERT_TRUE(bus.split_active());
   cam::MailboxLayout layout{0x8000, 256};
   hwsw::HwAdapter adapter{sim, "hwacc", layout, 10_ns};
-  cpu::CpuModel cpu{sim, "cpu", clk};
+  cpu::CpuModel cpu{sim, "cpu", 10_ns};
   cpu::IrqController ic{sim, "ic"};
   rtos::Rtos os{sim, "os", cpu, {1_us, 20}};
   hwsw::ShipDriver drv{"drv", os, cpu, layout};

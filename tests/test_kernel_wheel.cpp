@@ -11,6 +11,7 @@
 
 #include "kernel/kernel.hpp"
 #include "kernel/stack_pool.hpp"
+#include "obs/obs.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -132,6 +133,41 @@ TEST(TimedWheel, RolloverAndLongHopsAccumulateExactly) {
   EXPECT_EQ(sim.now(), expected);
 }
 
+// A far-future entry (a watchdog, a bursty source's OFF gap) sits in the
+// overflow heap while a stepper ticks in 2 ns steps well inside the
+// window. Peeking at the far entry must not drag the window out to it,
+// so the steps keep landing in the wheel: the window moves once, when
+// time reaches the far entry.
+TEST(TimedWheel, FarEntryDoesNotPullTheWindowAwayFromNearSteps) {
+  Simulator sim;
+  Event far(sim, "far"), tick(sim, "tick");
+  std::vector<Time> fires;
+  Time far_fired = Time::zero();
+  sim.spawn_thread("far_waiter", [&] {
+    wait(far);
+    far_fired = sim.now();
+  });
+  sim.spawn_thread("stepper", [&] {
+    far.notify(Time::us(10));
+    for (int i = 0; i < 1000; ++i) {
+      tick.notify(2_ns);
+      wait(tick);
+      fires.push_back(sim.now());
+    }
+  });
+  sim.run();
+  ASSERT_EQ(fires.size(), 1000u);
+  for (std::size_t i = 0; i < fires.size(); ++i) {
+    ASSERT_EQ(fires[i], Time::ns(2) * static_cast<std::uint64_t>(i + 1))
+        << "step " << i;
+  }
+  EXPECT_EQ(far_fired, Time::us(10));
+  EXPECT_EQ(sim.now(), Time::us(10));
+  if (obs::compiled_in()) {
+    EXPECT_LE(sim.timed_queue().stats().rebases, 4u);
+  }
+}
+
 // --------------------------------------------------------- stack pool ----
 
 namespace {
@@ -159,28 +195,48 @@ TEST(StackPool, RecyclesStacksAcrossSimulators) {
   EXPECT_GE(pool.reuses() - reuses_before, 8u);
 }
 
-// Two-epoch high-water shrink: a burst's stacks stay cached through the
-// next epoch (steady repeated demand recycles everything), then get
-// shed once two consecutive epochs no longer need them.
-TEST(StackPool, ShedsBurstAfterTwoQuietEpochs) {
+// A burst's stacks stay cached however many quieter simulators follow:
+// the pool caches up to the size class's all-time peak demand and unmaps
+// nothing until trim().
+TEST(StackPool, KeepsBurstCachedThroughQuietEpochsUntilTrim) {
   auto& pool = detail::StackPool::local();
-  run_sim_with_threads(16);  // burst epoch: high-water mark 16
-  const auto cached_after_burst = pool.cached_blocks();
-  EXPECT_GE(cached_after_burst, 16u);
+  pool.trim();
+  run_sim_with_threads(16);  // burst: 16 concurrent stacks
+  EXPECT_EQ(pool.cached_blocks(), 16u);
   const auto unmaps_before = pool.unmaps();
-  run_sim_with_threads(1);  // quiet epoch 1: burst still protected
-  EXPECT_GE(pool.cached_blocks(), 16u);
-  run_sim_with_threads(1);  // quiet epoch 2: cap drops to the new demand
-  EXPECT_LE(pool.cached_blocks(), 2u);
-  EXPECT_GE(pool.unmaps() - unmaps_before, 14u);
+  const auto maps_before = pool.maps();
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    run_sim_with_threads(1);
+    EXPECT_EQ(pool.cached_blocks(), 16u) << "quiet epoch " << epoch;
+  }
+  EXPECT_EQ(pool.unmaps(), unmaps_before);
+  EXPECT_EQ(pool.maps(), maps_before);
+  pool.trim();
+  EXPECT_EQ(pool.cached_blocks(), 0u);
+  EXPECT_EQ(pool.unmaps() - unmaps_before, 16u);
+}
+
+// Cells of varying size, as in an exploration sweep: once the largest
+// one has run, every later cell recycles cached stacks and maps nothing.
+TEST(StackPool, AlternatingDemandMapsNothingAfterWarmup) {
+  auto& pool = detail::StackPool::local();
+  pool.trim();
+  run_sim_with_threads(16);
+  const auto maps_after_warmup = pool.maps();
+  const auto unmaps_after_warmup = pool.unmaps();
+  for (std::size_t n : {4, 4, 16, 4, 4, 16}) {
+    run_sim_with_threads(n);
+    EXPECT_EQ(pool.maps(), maps_after_warmup) << "cell of " << n << " threads";
+  }
+  EXPECT_EQ(pool.unmaps(), unmaps_after_warmup);
+  pool.trim();
 }
 
 // Cross-thread release: a block released on a pool other than the one
 // it was acquired from is unmapped immediately (the releasing pool's
 // lists and counters stay untouched), and the owning pool reconciles
-// its usage count on its next operation — so its epoch/high-water
-// bookkeeping cannot ratchet upward under acquire-here/release-there
-// churn.
+// its usage count on its next operation — so in_use cannot ratchet
+// upward under acquire-here/release-there churn.
 TEST(StackPool, CrossThreadReleaseReconcilesOwner) {
   auto& pool = detail::StackPool::local();
   pool.trim();
@@ -198,8 +254,7 @@ TEST(StackPool, CrossThreadReleaseReconcilesOwner) {
   });
   t.join();
   // The credit is folded in at the owner's next operation: releasing b2
-  // drains usage to zero, so the epoch logic still runs (cached blocks
-  // capped by the high-water mark, not pinned by a phantom user).
+  // drains usage to zero and caches b2 alone (b1's pages are gone).
   pool.release(b2);
   EXPECT_EQ(pool.in_use_blocks(), 0u);
   EXPECT_EQ(pool.cached_blocks(), 1u);

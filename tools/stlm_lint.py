@@ -26,6 +26,14 @@ reproducible and the library embeddable:
                           member's buffer on every call. The kernel's speed
                           story depends on steady-state simulation being
                           allocation-free; double-buffer with a member.
+  hot-path-syscall        files tagged `// stlm-lint: hot-path` must not
+                          call ::mmap/::munmap/::mprotect (the repo
+                          spells libc calls globally qualified) outside a
+                          justified allow(): a mapping change costs a
+                          syscall (and, on unmap, a TLB shootdown across
+                          every thread of the process), so it belongs
+                          where the cache misses, not on a per-cell or
+                          per-event path.
   test-coverage           every src/**/*.cpp translation unit must be
                           reachable from at least one tests/test_*.cpp via
                           the quoted-include graph (a .cpp counts as
@@ -54,6 +62,7 @@ RULES = (
     "determinism-wall-clock",
     "io-stdout",
     "hot-path-alloc",
+    "hot-path-syscall",
     "test-coverage",
 )
 
@@ -101,6 +110,12 @@ ALLOC_RULES = [
      re.compile(rf"(?<![\w.>])swap\s*\(\s*(?:{LOCAL}\s*,\s*{MEMBER}|"
                 rf"{MEMBER}\s*,\s*{LOCAL})\s*\)"),
      SWAP_MSG),
+]
+
+SYSCALL_RULES = [
+    ("hot-path-syscall",
+     re.compile(r"(?<![\w:])::(?:mmap|munmap|mprotect)\s*\("),
+     "memory-mapping syscall in a hot-path file; cache the mapping"),
 ]
 
 HOT_PATH_TAG = re.compile(r"//\s*stlm-lint:\s*hot-path\b")
@@ -197,7 +212,7 @@ def scan_file(path, findings):
     consumed = set()
 
     hot = any(HOT_PATH_TAG.search(l) for l in raw_lines[:30])
-    rules = TOKEN_RULES + (ALLOC_RULES if hot else [])
+    rules = TOKEN_RULES + (ALLOC_RULES + SYSCALL_RULES if hot else [])
 
     for lineno, line in enumerate(raw_lines, start=1):
         m = ALLOW.search(line)

@@ -153,6 +153,49 @@ class TestHotPathSwapIdiom(LintHarness):
         self.assertEqual(code, 0, out)
 
 
+class TestHotPathSyscall(LintHarness):
+    MAP = ("#include <sys/mman.h>\n"
+           "void* m(unsigned long n) {\n"
+           "  void* p = ::mmap(nullptr, n, PROT_READ, MAP_PRIVATE, -1, 0);\n"
+           "  ::mprotect(p, 4096, PROT_NONE);\n"
+           "  ::munmap(p, n);\n"
+           "  return p;\n}")
+
+    def test_mapping_syscalls_in_tagged_file_flagged(self):
+        code, out = self.lint_src("// stlm-lint: hot-path\n" + self.MAP)
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[hot-path-syscall]"), 3)
+
+    def test_mapping_syscalls_in_untagged_file_ok(self):
+        code, out = self.lint_src(self.MAP)
+        self.assertEqual(code, 0, out)
+
+    def test_member_and_qualified_names_ok(self):
+        code, out = self.lint_src(
+            "// stlm-lint: hot-path\n"
+            "struct Pool { void mmap(int); void munmap(int); };\n"
+            "void f(Pool& a, Pool* b) { a.mmap(1); b->munmap(2); }\n"
+            "namespace sim { void mprotect(int); }\n"
+            "void g() { sim::mprotect(3); }")
+        self.assertEqual(code, 0, out)
+
+    def test_mapping_syscall_suppressible_with_justification(self):
+        code, out = self.lint_src(
+            "// stlm-lint: hot-path\n#include <sys/mman.h>\n"
+            "void u(void* p, unsigned long n) {\n"
+            "  // stlm-lint: allow(hot-path-syscall): cache miss only\n"
+            "  ::munmap(p, n);\n}")
+        self.assertEqual(code, 0, out)
+
+    def test_bare_allow_on_syscall_is_finding(self):
+        code, out = self.lint_src(
+            "// stlm-lint: hot-path\n#include <sys/mman.h>\n"
+            "void u(void* p, unsigned long n) {\n"
+            "  ::munmap(p, n);  // stlm-lint: allow(hot-path-syscall)\n}")
+        self.assertEqual(code, 1)
+        self.assertIn("[bad-suppression]", out)
+
+
 class TestSuppressions(LintHarness):
     def test_trailing_allow_with_justification(self):
         code, out = self.lint_src(
