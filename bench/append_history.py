@@ -5,7 +5,8 @@ Usage:
     python3 bench/append_history.py BUILD_DIR SHORT_LABEL
 
 Copies BUILD_DIR/BENCH_cam.json and BUILD_DIR/BENCH_exploration.json
-into bench/history/NNNN-SHORT_LABEL/ where NNNN is one past the highest
+(and BUILD_DIR/BENCH_abstraction.json when present) into
+bench/history/NNNN-SHORT_LABEL/ where NNNN is one past the highest
 existing entry number. Refuses to overwrite and validates that each file
 is Google-Benchmark JSON (has a "benchmarks" list) before copying.
 
@@ -13,7 +14,9 @@ Also distils a summary.json into the entry: real_time plus the kernel
 observability counters (ctx_switches, fast_hit_rate) for the grid
 benchmarks, so the "did the wall-clock move because scheduling changed"
 question is answerable from the history alone, without re-parsing the
-full benchmark documents.
+full benchmark documents. With BENCH_abstraction.json, the summary's
+"ladder" table adds the host time per message of each abstraction rung
+and BM_Pin's simulated time (sim_us, which must never move).
 """
 
 import json
@@ -23,6 +26,7 @@ import sys
 from pathlib import Path
 
 SUITES = ("BENCH_cam.json", "BENCH_exploration.json")
+OPTIONAL_SUITES = ("BENCH_abstraction.json",)
 
 # Benchmarks whose per-PR trajectory the summary tracks; substring match
 # against the emitted row names (which carry /arg/real_time suffixes).
@@ -46,6 +50,24 @@ def summarize(exploration_doc: dict) -> dict:
     return out
 
 
+# The abstraction ladder's rungs (bench_abstraction), top to bottom.
+LADDER_BENCHES = ("BM_ComponentAssembly", "BM_Ccatb", "BM_Cam", "BM_Pin")
+
+
+def summarize_ladder(abstraction_doc: dict) -> dict:
+    """Host ns per message for each rung, plus BM_Pin's sim_us."""
+    out = {}
+    for row in abstraction_doc.get("benchmarks", []):
+        name = row.get("name", "")
+        if name not in LADDER_BENCHES or not row.get("items_per_second"):
+            continue
+        entry = {"host_ns_per_msg": 1e9 / row["items_per_second"]}
+        if name == "BM_Pin" and "sim_us" in row:
+            entry["sim_us"] = row["sim_us"]
+        out[name] = entry
+    return out
+
+
 def fail(msg: str) -> "None":
     print(f"error: {msg}", file=sys.stderr)
     sys.exit(2)
@@ -63,9 +85,11 @@ def main() -> int:
 
     sources = []
     summary = {}
-    for name in SUITES:
+    for name in SUITES + OPTIONAL_SUITES:
         src = build_dir / name
         if not src.is_file():
+            if name in OPTIONAL_SUITES:
+                continue
             fail(f"{src} not found — run the benchmark with "
                  f"--benchmark_out={name} --benchmark_out_format=json first")
         try:
@@ -76,7 +100,9 @@ def main() -> int:
         if not isinstance(doc.get("benchmarks"), list) or not doc["benchmarks"]:
             fail(f"{src} has no 'benchmarks' rows — not benchmark JSON?")
         if name == "BENCH_exploration.json":
-            summary = summarize(doc)
+            summary.update(summarize(doc))
+        elif name == "BENCH_abstraction.json":
+            summary["ladder"] = summarize_ladder(doc)
         sources.append(src)
 
     history = Path(__file__).resolve().parent / "history"
@@ -97,7 +123,7 @@ def main() -> int:
         with open(dest / "summary.json", "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
-        print(f"  grid digest -> {dest / 'summary.json'}")
+        print(f"  grid/ladder digest -> {dest / 'summary.json'}")
     print(f"created {dest.relative_to(history.parent.parent)} — commit it "
           "together with the refreshed bench/baselines/")
     return 0

@@ -12,11 +12,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "accessor/accessor.hpp"
 #include "core/core.hpp"
 #include "kernel/kernel.hpp"
-#include "ocp/memory.hpp"
-#include "ocp/ocp.hpp"
+#include "pin_rig.hpp"
 #include "workload/generators.hpp"
 
 using namespace stlm;
@@ -67,34 +65,12 @@ void BM_Cam(benchmark::State& state) {
 void BM_Pin(benchmark::State& state) {
   double sim_us = 0.0;
   for (auto _ : state) {
-    Simulator sim;
-    Clock clk(sim, "clk", 10_ns);
-    accessor::BusPins bus(sim, "bus");
-    accessor::RtlArbiter arb(sim, "arb", bus, clk);
-    ocp::OcpPins pe_pins(sim, "pe");
-    ocp::OcpPinMaster pe(sim, "pe.m", pe_pins, clk);
-    accessor::MasterAccessor acc(sim, "acc", pe_pins, bus, arb, clk);
-    ocp::OcpPins mem_pins(sim, "mem");
-    ocp::MemorySlave mem("mem", 0x0, 0x10000);
-    ocp::OcpPinSlave mem_pe(sim, "mem.s", mem_pins, clk, mem);
-    accessor::SlaveAccessor sacc(sim, "sacc", mem_pins, bus, clk,
-                                 {0x0, 0x10000});
-    bool ok = true;
-    sim.spawn_thread("producer", [&] {
-      std::vector<std::uint8_t> payload(kPayload, 0xa5);
-      for (std::uint64_t i = 0; i < kMessages; ++i) {
-        // The compute budget the mapped producer charges.
-        wait(10_ns * kCompute);
-        const auto addr = (i * kPayload) % 0x8000;
-        if (!pe.transport(ocp::Request::write(addr, payload)).good()) {
-          ok = false;
-        }
-      }
-      sim.stop();
-    });
-    sim.run();
-    if (!ok) state.SkipWithError("pin-level write failed");
-    sim_us = sim.now().to_seconds() * 1e6;
+    bench::PinRig rig;
+    // The compute budget the mapped producer charges, as clock cycles.
+    if (!rig.run_stream(kMessages, kPayload, kCompute)) {
+      state.SkipWithError("pin-level write failed");
+    }
+    sim_us = rig.sim.now().to_seconds() * 1e6;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kMessages));

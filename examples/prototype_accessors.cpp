@@ -64,7 +64,9 @@ int main() {
   vcd.add(pe1_pins.MCmd, "pe1_mcmd");
 
   int errors = 0;
-  bool writer_done = false;
+  // Immediate notification: the checker starts in the very delta the
+  // writer's last response lands in, whatever order the two run in.
+  Event writer_done(sim, "writer_done");
 
   sim.spawn_thread("writer", [&] {
     std::vector<std::uint8_t> pattern(64);
@@ -75,11 +77,11 @@ int main() {
                               pattern));
       if (!r.good()) ++errors;
     }
-    writer_done = true;
+    writer_done.notify();
   });
 
   sim.spawn_thread("checker", [&] {
-    while (!writer_done) wait(clk.posedge_event());
+    wait(writer_done);
     for (int i = 0; i < 4; ++i) {
       auto r = pe1.transport(
           ocp::Request::read(static_cast<std::uint64_t>(0x100 + 64 * i), 64));

@@ -21,9 +21,8 @@ void MasterAccessor::BusEngine::handle(Txn& txn) {
 
   // Request and wait for grant.
   a.req_line_.write(true);
-  do {
-    wait(edge);
-  } while (a.bus_.Grant.read() != a.my_id_);
+  a.clk_.wait_posedge_until(
+      a.bus_.Grant, [id = a.my_id_](std::uint8_t g) { return g == id; });
 
   // Address phase (one cycle).
   a.bus_.PAValid.write(true);
@@ -54,13 +53,8 @@ void MasterAccessor::BusEngine::handle(Txn& txn) {
     }
     a.bus_.WrValid.write(false);
     // Completion.
-    for (;;) {
-      wait(edge);
-      if (a.bus_.Comp.read()) {
-        error = a.bus_.CompErr.read();
-        break;
-      }
-    }
+    a.clk_.wait_posedge_until(a.bus_.Comp, [](bool comp) { return comp; });
+    error = a.bus_.CompErr.read();
     a.req_line_.write(false);
     ++transactions;
     if (error) {

@@ -16,8 +16,8 @@ SlaveAccessor::SlaveAccessor(Simulator& sim, std::string name,
 void SlaveAccessor::fsm() {
   Event& edge = clk_.posedge_event();
   for (;;) {
-    wait(edge);
-    if (!bus_.PAValid.read()) continue;
+    // Idle: sleep until an address phase is on the bus at a rising edge.
+    clk_.wait_posedge_until(bus_.PAValid, [](bool valid) { return valid; });
     const std::uint64_t addr = bus_.ABus.read();
     if (!decode_.contains(addr)) continue;
 

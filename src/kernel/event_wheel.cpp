@@ -14,13 +14,6 @@ inline bool entry_less(const TimedEntry& a, const TimedEntry& b) {
 }
 }  // namespace
 
-namespace {
-// Set when the calling thread's spare list is destroyed at thread exit.
-// A plain thread_local bool has no destructor, so it stays readable by
-// wheels torn down after that point.
-thread_local bool t_spares_gone = false;
-}  // namespace
-
 // Bucket storage (2048 buckets, ~80 KiB) is taken on the first push:
 // scratch simulators that never schedule a timed event (role discovery,
 // construction-only tests) skip it entirely. Later simulators on the same
@@ -29,8 +22,6 @@ EventWheel::EventWheel() = default;
 
 EventWheel::~EventWheel() {
   if (buckets_.empty()) return;
-  std::vector<std::vector<Bucket>>* spares = spare_arrays();
-  if (spares == nullptr || spares->size() >= kMaxSpareArrays) return;
   // A bucket's occupancy bit clears exactly when it drains (and resets),
   // so only the occupied ones still hold entries.
   for (std::size_t w = 0; w < kOccWords; ++w) {
@@ -42,29 +33,11 @@ EventWheel::~EventWheel() {
       b.sorted = true;
     }
   }
-  spares->push_back(std::move(buckets_));
-}
-
-std::vector<std::vector<EventWheel::Bucket>>* EventWheel::spare_arrays() {
-  struct SpareList {
-    std::vector<std::vector<Bucket>> arrays;
-    // Reserved up front so a release never allocates.
-    SpareList() { arrays.reserve(kMaxSpareArrays); }
-    ~SpareList() { t_spares_gone = true; }
-  };
-  if (t_spares_gone) return nullptr;
-  thread_local SpareList list;
-  return &list.arrays;
+  SpareArrays::give(std::move(buckets_));
 }
 
 void EventWheel::take_buckets() {
-  std::vector<std::vector<Bucket>>* spares = spare_arrays();
-  if (spares != nullptr && !spares->empty()) {
-    buckets_ = std::move(spares->back());
-    spares->pop_back();
-    return;
-  }
-  buckets_.resize(kWheelBuckets);
+  if (!SpareArrays::take(buckets_)) buckets_.resize(kWheelBuckets);
 }
 
 void EventWheel::push_into_wheel(const TimedEntry& e, std::uint64_t idx) {

@@ -47,6 +47,7 @@
 #include <queue>
 #include <vector>
 
+#include "kernel/thread_spares.hpp"
 #include "kernel/time.hpp"
 
 namespace stlm {
@@ -158,11 +159,9 @@ private:
   // window. Precondition: wheel_count_ > 0 (some bucket is occupied).
   std::uint64_t next_occupied(std::uint64_t from) const;
 
-  // Spare bucket arrays kept per OS thread; more are freed on release.
-  static constexpr std::size_t kMaxSpareArrays = 2;
-  // The calling thread's spare list, or nullptr once it has been
-  // destroyed (thread exit) — a wheel outliving it frees its array.
-  static std::vector<std::vector<Bucket>>* spare_arrays();
+  // Spare bucket arrays kept per OS thread (kernel/thread_spares.hpp);
+  // more are freed on release.
+  using SpareArrays = ThreadSpares<std::vector<Bucket>, 2>;
   // Fill buckets_ on the first push: a spare array when one is cached,
   // otherwise a freshly built one.
   void take_buckets();

@@ -44,26 +44,23 @@ void OcpPinMaster::transport(Txn& txn) {
     }
     pins_.MCmd.write(static_cast<std::uint8_t>(Cmd::Idle));
     // Response phase: wait for the slave's write acknowledge.
-    for (;;) {
-      wait(edge);
-      const auto r = static_cast<RespCode>(pins_.SResp.read());
-      if (r == RespCode::DVA) break;
-      if (r == RespCode::Err || r == RespCode::Fail) {
-        ++transactions_;
-        txn.respond_error();
-        return;
-      }
-    }
+    clk_.wait_posedge_until(pins_.SResp, [](std::uint8_t r) {
+      const auto code = static_cast<RespCode>(r);
+      return code == RespCode::DVA || code == RespCode::Err ||
+             code == RespCode::Fail;
+    });
     ++transactions_;
-    txn.respond_ok();
+    if (static_cast<RespCode>(pins_.SResp.read()) == RespCode::DVA) {
+      txn.respond_ok();
+    } else {
+      txn.respond_error();
+    }
     return;
   }
 
   // Read: command phase.
   pins_.MCmd.write(static_cast<std::uint8_t>(Cmd::Read));
-  do {
-    wait(edge);
-  } while (!pins_.SCmdAccept.read());
+  clk_.wait_posedge_until(pins_.SCmdAccept, [](bool accept) { return accept; });
   pins_.MCmd.write(static_cast<std::uint8_t>(Cmd::Idle));
 
   // Response phase: capture one word per DVA edge, straight into the

@@ -28,9 +28,12 @@ std::uint32_t OcpPinSlave::word_at(const std::vector<std::uint8_t>& bytes,
 void OcpPinSlave::fsm() {
   Event& edge = clk_.posedge_event();
   for (;;) {
-    wait(edge);
+    // Idle: sleep until a command is on MCmd at a rising edge.
+    clk_.wait_posedge_until(pins_.MCmd, [](std::uint8_t c) {
+      return static_cast<Cmd>(c) != Cmd::Idle;
+    });
     const auto cmd = static_cast<Cmd>(pins_.MCmd.read());
-    if (cmd == Cmd::Idle || !pins_.SCmdAccept.read()) continue;
+    if (!pins_.SCmdAccept.read()) continue;
 
     const std::uint32_t addr = pins_.MAddr.read();
     const std::uint32_t beats = pins_.MBurstLen.read();

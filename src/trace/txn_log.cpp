@@ -49,6 +49,17 @@ bool txn_status_from_name(const std::string& name, TxnStatus& out) {
   return false;
 }
 
+TxnLogger::~TxnLogger() {
+  records_.clear();
+  SpareRows::give(std::move(records_));
+}
+
+void TxnLogger::take_spare_rows() {
+  // First growth of a fresh logger: start from the thread's spare buffer
+  // when there is one; push_back doubles as usual past its capacity.
+  if (records_.capacity() == 0) SpareRows::take(records_);
+}
+
 std::uint32_t TxnLogger::intern(const std::string& channel) {
   if (const auto it = channel_index_.find(channel);
       it != channel_index_.end()) {
@@ -77,6 +88,7 @@ void TxnLogger::record(std::uint32_t channel_id, TxnKind kind,
                        Time end, Time grant, Time data, TxnStatus status,
                        std::uint32_t retries, std::uint32_t master) {
   if (!enabled_) return;
+  if (records_.size() == records_.capacity()) [[unlikely]] take_spare_rows();
   records_.push_back(TxnRecord{channel_id, master, txn_id, bytes, start, end,
                                grant, data, kind, status, retries});
 }

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kernel/thread_spares.hpp"
 #include "kernel/time.hpp"
 #include "trace/stats.hpp"
 
@@ -86,6 +87,15 @@ static_assert(sizeof(TxnRecord) == 64, "TxnRecord must stay 64 bytes");
 
 class TxnLogger {
 public:
+  TxnLogger() = default;
+  // Hands the row buffer to the calling thread's spare slot (see
+  // SpareRows below).
+  ~TxnLogger();
+  TxnLogger(const TxnLogger&) = default;
+  TxnLogger& operator=(const TxnLogger&) = default;
+  TxnLogger(TxnLogger&&) noexcept = default;
+  TxnLogger& operator=(TxnLogger&&) noexcept = default;
+
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
@@ -173,6 +183,13 @@ public:
   void load_csv(std::istream& is);
 
 private:
+  // Row buffers outlive their logger on a per-OS-thread spare slot: the
+  // next logger on the thread takes it at its first record, so a sweep
+  // grows (and page-faults) the row vector once per thread, not once per
+  // cell. One slot, keeping the largest buffer released so far.
+  using SpareRows = stlm::detail::ThreadSpares<std::vector<TxnRecord>, 1>;
+  void take_spare_rows();
+
   void load_csv_impl(std::istream& is);
 
   bool enabled_ = true;

@@ -44,6 +44,102 @@ struct Proto {
 
 }  // namespace
 
+namespace {
+
+// Completion times (ns) of back-to-back transactions from one PE
+// through the accessor stack, whose first command goes out `lead` after
+// time zero: a single-word write, a 4-beat burst write, a single-word
+// read, a 4-beat burst read, then — 13 ns later — another write. Rising
+// edges are at multiples of 10 ns.
+std::vector<std::uint64_t> accessor_completion_ns(Time lead) {
+  Proto p;
+  std::vector<std::uint64_t> t;
+  p.sim.spawn_thread("sw", [&] {
+    auto note = [&] { t.push_back(p.sim.now() / 1_ns); };
+    wait(lead);
+    p.pe0.transport(ocp::Request::write(0x40, {1, 2, 3, 4}));
+    note();
+    p.pe0.transport(ocp::Request::write(0x80, std::vector<std::uint8_t>(16, 7)));
+    note();
+    EXPECT_EQ(p.pe0.transport(ocp::Request::read(0x40, 4)).data,
+              (std::vector<std::uint8_t>{1, 2, 3, 4}));
+    note();
+    EXPECT_EQ(p.pe0.transport(ocp::Request::read(0x80, 16)).data,
+              std::vector<std::uint8_t>(16, 7));
+    note();
+    wait(13_ns);
+    p.pe0.transport(ocp::Request::write(0x40, {5, 6, 7, 8}));
+    note();
+    p.sim.stop();
+  });
+  p.sim.run();
+  return t;
+}
+
+// One master, two slave accessors with disjoint decode ranges: every
+// address phase is a decode hit for one slave and a miss for the other.
+struct TwoSlaveProto {
+  Simulator sim;
+  Clock clk{sim, "clk", 10_ns};
+  BusPins bus{sim, "bus"};
+  RtlArbiter arb{sim, "arb", bus, clk};
+  ocp::OcpPins pe_pins{sim, "pe"};
+  ocp::OcpPinMaster pe{sim, "pe.m", pe_pins, clk};
+  MasterAccessor acc{sim, "acc", pe_pins, bus, arb, clk};
+
+  ocp::OcpPins a_pins{sim, "a"};
+  ocp::MemorySlave a_mem{"a", 0x0, 0x1000};
+  ocp::OcpPinSlave a_pe{sim, "a.s", a_pins, clk, a_mem};
+  SlaveAccessor a_acc{sim, "a_acc", a_pins, bus, clk, {0x0, 0x1000}};
+
+  ocp::OcpPins b_pins{sim, "b"};
+  ocp::MemorySlave b_mem{"b", 0x1000, 0x1000};
+  ocp::OcpPinSlave b_pe{sim, "b.s", b_pins, clk, b_mem};
+  SlaveAccessor b_acc{sim, "b_acc", b_pins, bus, clk, {0x1000, 0x1000}};
+};
+
+}  // namespace
+
+// The PE's wait ends on a rising edge: its MCmd lands in the same delta
+// as the clock, and the master accessor must take it at that edge.
+TEST(Accessor, CommandWrittenOnARisingEdgeCompletesAtPinnedTimes) {
+  EXPECT_EQ(accessor_completion_ns(20_ns),
+            (std::vector<std::uint64_t>{100, 280, 370, 550, 650}));
+}
+
+// MCmd is written 3 ns after an edge: it is taken at the next one.
+TEST(Accessor, CommandWrittenMidCycleCompletesAtPinnedTimes) {
+  EXPECT_EQ(accessor_completion_ns(23_ns),
+            (std::vector<std::uint64_t>{110, 290, 380, 560, 660}));
+}
+
+TEST(Accessor, BackToBackTransactionsToTwoSlavesCompleteAtPinnedTimes) {
+  TwoSlaveProto p;
+  std::vector<std::uint64_t> t;
+  p.sim.spawn_thread("sw", [&] {
+    auto note = [&] { t.push_back(p.sim.now() / 1_ns); };
+    p.pe.transport(ocp::Request::write(0x0010, {1, 2, 3, 4}));
+    note();
+    p.pe.transport(ocp::Request::write(0x1010, std::vector<std::uint8_t>(8, 9)));
+    note();
+    p.pe.transport(ocp::Request::write(0x0020, std::vector<std::uint8_t>(8, 5)));
+    note();
+    EXPECT_EQ(p.pe.transport(ocp::Request::read(0x1010, 8)).data,
+              std::vector<std::uint8_t>(8, 9));
+    note();
+    EXPECT_EQ(p.pe.transport(ocp::Request::read(0x0010, 4)).data,
+              (std::vector<std::uint8_t>{1, 2, 3, 4}));
+    note();
+    p.sim.stop();
+  });
+  p.sim.run();
+  EXPECT_EQ(t, (std::vector<std::uint64_t>{80, 200, 320, 440, 530}));
+  EXPECT_EQ(p.a_acc.transactions(), 3u);
+  EXPECT_EQ(p.b_acc.transactions(), 2u);
+  EXPECT_EQ(p.a_mem.peek(0x0020), 5);
+  EXPECT_EQ(p.b_mem.peek(0x1017), 9);
+}
+
 TEST(Accessor, SingleMasterWriteRead) {
   Proto p;
   std::vector<std::uint8_t> got;

@@ -89,6 +89,54 @@ TEST(OcpPin, WriteTakesExpectedCycles) {
   EXPECT_LE(done, 40_ns);
 }
 
+namespace {
+
+// Completion times (ns) of back-to-back transactions from one PE whose
+// first command goes out `lead` after time zero: a single-word write, a
+// 4-beat burst write, a single-word read, a 4-beat burst read, then —
+// 13 ns later, mid-cycle whatever the phase — another single-word write.
+// Rising edges are at multiples of 10 ns.
+std::vector<std::uint64_t> pin_completion_ns(Time lead) {
+  PinFixture f;
+  std::vector<std::uint64_t> t;
+  f.sim.spawn_thread("pe", [&] {
+    auto note = [&] { t.push_back(f.sim.now() / 1_ns); };
+    wait(lead);
+    f.master.transport(Request::write(0x40, {1, 2, 3, 4}));
+    note();
+    f.master.transport(Request::write(0x80, std::vector<std::uint8_t>(16, 7)));
+    note();
+    EXPECT_EQ(f.master.transport(Request::read(0x40, 4)).data,
+              (std::vector<std::uint8_t>{1, 2, 3, 4}));
+    note();
+    EXPECT_EQ(f.master.transport(Request::read(0x80, 16)).data,
+              std::vector<std::uint8_t>(16, 7));
+    note();
+    wait(13_ns);
+    f.master.transport(Request::write(0x40, {5, 6, 7, 8}));
+    note();
+    f.sim.stop();
+  });
+  f.sim.run();
+  EXPECT_EQ(f.monitor.violations(), 0u);
+  return t;
+}
+
+}  // namespace
+
+// The PE's wait ends on a rising edge, so MCmd is written in the same
+// delta as the clock: the slave must sample the command at that edge.
+TEST(OcpPin, CommandWrittenOnARisingEdgeCompletesAtPinnedTimes) {
+  EXPECT_EQ(pin_completion_ns(20_ns),
+            (std::vector<std::uint64_t>{30, 80, 100, 150, 180}));
+}
+
+// MCmd is written 3 ns after an edge: the slave samples it at the next.
+TEST(OcpPin, CommandWrittenMidCycleCompletesAtPinnedTimes) {
+  EXPECT_EQ(pin_completion_ns(23_ns),
+            (std::vector<std::uint64_t>{40, 90, 110, 160, 190}));
+}
+
 TEST(OcpPin, ReadLatencyScalesWithBurstLength) {
   PinFixture f;
   Time t1, t8;

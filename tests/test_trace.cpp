@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "explore/explorer.hpp"
 #include "kernel/kernel.hpp"
@@ -423,6 +425,52 @@ TEST(TxnLog, LoadCsvRejectsOutOfRangeRetries) {
 }
 
 // ------------------------------------------------- latency distributions --
+
+namespace {
+void record_rows(trace::TxnLogger& log, int n) {
+  for (int i = 0; i < n; ++i) {
+    log.record(0, trace::TxnKind::Write, 1, 4, Time::zero(), Time::ns(1));
+  }
+}
+}  // namespace
+
+// Each case runs on a thread of its own, whose spare slot starts empty.
+TEST(TxnLog, NextLoggerOnAThreadStartsWithTheLargestReleasedRows) {
+  std::size_t inherited = 0;
+  std::thread([&] {
+    {
+      trace::TxnLogger big;
+      trace::TxnLogger small;
+      record_rows(big, 1000);
+      record_rows(small, 10);
+      // Destroyed small first, then big: the larger buffer wins the slot.
+    }
+    {
+      trace::TxnLogger tiny;
+      record_rows(tiny, 3);
+      // Destroyed holding less than the spare: it is freed, not kept.
+    }
+    trace::TxnLogger next;
+    record_rows(next, 1);
+    inherited = next.records().capacity();
+    EXPECT_EQ(next.size(), 1u);
+  }).join();
+  EXPECT_GE(inherited, 1000u);
+}
+
+TEST(TxnLog, LoggerDestroyedAfterItsThreadsSpareSlotIsSafe) {
+  // A thread_local constructed before the spare slot is destroyed after
+  // it: its logger's release must find the slot gone and free the rows.
+  struct Holder {
+    std::optional<trace::TxnLogger> log;
+  };
+  std::thread([] {
+    thread_local Holder h;
+    h.log.emplace();
+    record_rows(*h.log, 100);  // first growth creates the spare slot
+  }).join();
+  SUCCEED();
+}
 
 TEST(ChannelStats, PercentileIsNearestRank) {
   std::vector<double> s{10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
