@@ -17,6 +17,14 @@ warnings into a non-zero exit (useful on dedicated perf runners).
 Refresh a baseline by copying the build's BENCH_*.json over it when a
 deliberate change moves the numbers.
 
+Simulated counters are NOT advisory. A baseline may list counter names
+in a top-level "exact_counters" array. Each such counter that a baseline
+benchmark carries must appear on the same benchmark in the current file
+with exactly the baseline value, or the comparison exits 1 with or
+without --strict. These counters are
+pure functions of the simulated model (simulated time, bus transactions,
+interrupts), so any difference is a behaviour change, not noise.
+
 Input validation is NOT advisory: a missing file, unparseable JSON, or a
 file without any benchmark entries exits with status 2 (for either
 argument). A silently-empty comparison would otherwise report "no
@@ -48,7 +56,13 @@ def load(path):
     benchmarks = data.get("benchmarks", [])
     if not isinstance(benchmarks, list):
         raise BenchFileError(f"{path}: 'benchmarks' is not an array")
+    exact = data.get("exact_counters", [])
+    if not isinstance(exact, list) or not all(
+            isinstance(c, str) for c in exact):
+        raise BenchFileError(f"{path}: 'exact_counters' is not a list of "
+                             f"counter names")
     rows = {}
+    entries = {}
     for b in benchmarks:
         if not isinstance(b, dict):
             raise BenchFileError(f"{path}: non-object benchmark entry ({b!r})")
@@ -57,13 +71,32 @@ def load(path):
         try:
             scale = _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
             rows[b["name"]] = b["real_time"] * scale
+            entries[b["name"]] = b
         except (KeyError, TypeError) as e:
             raise BenchFileError(
                 f"{path}: benchmark entry missing name/real_time ({e})"
             ) from e
     if not rows:
         raise BenchFileError(f"{path}: no benchmark entries")
-    return rows
+    for c in exact:
+        if not any(c in entry for entry in entries.values()):
+            raise BenchFileError(f"{path}: exact counter {c!r} appears in "
+                                 f"no benchmark entry")
+    return rows, entries, exact
+
+
+def counter_mismatches(base_entries, cur_entries, exact):
+    """(benchmark, counter, baseline value, current value) per difference."""
+    out = []
+    for name in sorted(base_entries):
+        for c in exact:
+            if c not in base_entries[name]:
+                continue
+            want = base_entries[name][c]
+            got = cur_entries.get(name, {}).get(c)
+            if got != want:
+                out.append((name, c, want, got))
+    return out
 
 
 def fmt_ns(ns):
@@ -87,8 +120,8 @@ def main():
     args = ap.parse_args()
 
     try:
-        base = load(args.baseline)
-        cur = load(args.current)
+        base, base_entries, exact = load(args.baseline)
+        cur, cur_entries, _ = load(args.current)
     except BenchFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -115,13 +148,21 @@ def main():
               f"{ratio:.2f}x the checked-in baseline "
               f"(threshold {1.0 + args.threshold:.2f}x)")
 
+    mismatches = counter_mismatches(base_entries, cur_entries, exact)
+    for name, c, want, got in mismatches:
+        print(f"::error title=simulated counter changed::{name} {c} is "
+              f"{'missing' if got is None else got}, baseline {want}")
+
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) regressed beyond "
               f"+{args.threshold:.0%}.")
-        if args.strict:
-            return 1
     else:
         print("\nNo regressions beyond the threshold.")
+    if exact:
+        print(f"{len(mismatches)} exact counter mismatch(es) over "
+              f"{', '.join(exact)}.")
+    if mismatches or (regressions and args.strict):
+        return 1
     return 0
 
 

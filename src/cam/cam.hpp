@@ -8,5 +8,6 @@
 #include "cam/cam_base.hpp"
 #include "cam/cam_if.hpp"
 #include "cam/grant_engine.hpp"
+#include "cam/mailbox.hpp"
 #include "cam/retry.hpp"
 #include "cam/wrappers.hpp"

@@ -9,124 +9,25 @@ namespace stlm::cam {
 ShipSlaveWrapper::ShipSlaveWrapper(Simulator& sim, std::string name,
                                    MailboxLayout layout)
     : Module(sim, std::move(name)),
-      layout_(layout),
-      chunk_buf_(layout.window_bytes, 0),
-      rx_available_(sim, full_name() + ".rx"),
-      reply_consumed_(sim, full_name() + ".rack") {
-  STLM_ASSERT(layout_.window_bytes >= ocp::kWordBytes,
-              "mailbox window too small: " + full_name());
-}
-
-void ShipSlaveWrapper::handle(Txn& txn) {
-  const std::uint64_t a = txn.addr;
-
-  if (txn.op == Txn::Op::Write) {
-    // DATA_IN window: stage chunk bytes.
-    if (a >= layout_.data_in() &&
-        a + txn.data.size() <= layout_.data_in() + layout_.window_bytes) {
-      const std::size_t off = static_cast<std::size_t>(a - layout_.data_in());
-      std::copy(txn.data.begin(), txn.data.end(), chunk_buf_.begin() + off);
-      txn.respond_ok();
-      return;
-    }
-    // CTRL: commit a chunk. A one-word write commits the bytes staged in
-    // DATA_IN; a longer write is a coalesced commit carrying its own
-    // chunk payload followed by the trailing control word.
-    if (a == layout_.ctrl() && txn.data.size() >= ocp::kWordBytes) {
-      const std::size_t n = txn.data.size();
-      const std::uint32_t ctrl =
-          ocp::u32_from_le(txn.data.data() + (n - ocp::kWordBytes));
-      const std::uint32_t len = ctrl & MailboxLayout::kLenMask;
-      const bool coalesced = n > ocp::kWordBytes;
-      if (len > layout_.window_bytes ||
-          (coalesced && len != n - ocp::kWordBytes)) {
-        txn.respond_error();
-        return;
-      }
-      const std::uint8_t* chunk =
-          coalesced ? txn.data.data() : chunk_buf_.data();
-      rx_accum_.insert(rx_accum_.end(), chunk, chunk + len);
-      if (ctrl & MailboxLayout::kLastFlag) {
-        Txn& m = sim().txn_pool().acquire();
-        m.begin_msg((ctrl & MailboxLayout::kRequestFlag) ? Txn::kFlagRequest
-                                                         : 0);
-        m.data.assign(rx_accum_.begin(), rx_accum_.end());
-        rx_accum_.clear();
-        rx_queue_.push_back(m);
-        ++messages_rx_;
-        rx_available_.notify_delta();
-      }
-      txn.respond_ok();
-      return;
-    }
-    // RACK: current reply chunk consumed.
-    if (a == layout_.rack()) {
-      const std::size_t chunk =
-          std::min<std::size_t>(reply_buf_.size(), layout_.window_bytes);
-      reply_buf_.erase(reply_buf_.begin(),
-                       reply_buf_.begin() + static_cast<std::ptrdiff_t>(chunk));
-      reply_consumed_.notify_delta();
-      txn.respond_ok();
-      return;
-    }
-    txn.respond_error();
-    return;
-  }
-
-  if (txn.op == Txn::Op::Read) {
-    // RSTATUS: remaining reply bytes.
-    if (a == layout_.rstatus()) {
-      std::uint8_t bytes[4];
-      ocp::u32_to_le(static_cast<std::uint32_t>(reply_buf_.size()), bytes);
-      txn.respond_data(bytes, sizeof bytes);
-      return;
-    }
-    // DATA_OUT window: serve reply bytes from the current chunk.
-    if (a >= layout_.data_out() &&
-        a + txn.read_bytes <= layout_.data_out() + layout_.window_bytes) {
-      const std::size_t off = static_cast<std::size_t>(a - layout_.data_out());
-      std::vector<std::uint8_t>& bytes = txn.respond_buffer(txn.read_bytes);
-      for (std::size_t i = 0; i < bytes.size(); ++i) {
-        if (off + i < reply_buf_.size()) bytes[i] = reply_buf_[off + i];
-      }
-      return;
-    }
-    txn.respond_error();
-    return;
-  }
-  txn.respond_error();
-}
+      mailbox_(sim, full_name(), layout),
+      term_(Module::name(), ship::Role::Slave) {}
 
 void ShipSlaveWrapper::send(const ship::ship_serializable_if&) {
-  throw ProtocolError("SHIP slave wrapper " + full_name() +
-                      " cannot send (master call on slave terminal)");
+  term_.mark(ship::Role::Master, "send");
 }
 
 void ShipSlaveWrapper::request(const ship::ship_serializable_if&,
                                ship::ship_serializable_if&) {
-  throw ProtocolError("SHIP slave wrapper " + full_name() +
-                      " cannot request (master call on slave terminal)");
+  term_.mark(ship::Role::Master, "request");
 }
 
 void ShipSlaveWrapper::recv(ship::ship_serializable_if& msg) {
-  while (rx_queue_.empty()) wait(rx_available_);
-  Txn* m = rx_queue_.pop_front();
-  if (m->is_request()) ++pending_replies_;
-  ship::from_bytes(msg, m->data);
-  sim().txn_pool().release(*m);
+  term_.note_recv(mailbox_.take(msg));
 }
 
 void ShipSlaveWrapper::reply(const ship::ship_serializable_if& resp) {
-  if (pending_replies_ == 0) {
-    throw ProtocolError("SHIP wrapper " + full_name() +
-                        ": reply without outstanding request");
-  }
-  --pending_replies_;
-  // Wait until the previous reply was fully drained by the master.
-  while (!reply_buf_.empty()) wait(reply_consumed_);
-  ship::to_bytes_into(resp, reply_buf_);
-  // Ensure even empty replies are observable via RSTATUS.
-  if (reply_buf_.empty()) reply_buf_.push_back(0);
+  term_.take_reply();
+  mailbox_.put(resp, MailboxLayout::kReplyFlag);
 }
 
 // ------------------------------------------------------------ master ----
@@ -140,7 +41,7 @@ ShipMasterWrapper::ShipMasterWrapper(Simulator& sim, std::string name,
       master_(master_index),
       remote_(remote),
       poll_interval_(poll_interval),
-      coalesce_(coalesce) {}
+      pusher_(remote, coalesce) {}
 
 ShipMasterWrapper::BusyGuard::BusyGuard(ShipMasterWrapper& w, const char* call)
     : w_(w) {
@@ -173,44 +74,21 @@ std::uint32_t ShipMasterWrapper::read_u32(std::uint64_t addr) {
   return ocp::u32_from_le(bus_txn_.resp_data.data());
 }
 
-void ShipMasterWrapper::push_message(const ship::ship_serializable_if& msg,
-                                     bool is_request) {
-  const std::size_t total = ship::to_bytes_into(msg, tx_buf_);
-  const std::size_t w = remote_.window_bytes;
-  std::size_t sent = 0;
-  do {
-    const std::size_t chunk = std::min(w, total - sent);
-    std::uint32_t ctrl = static_cast<std::uint32_t>(chunk);
-    if (sent + chunk == total) ctrl |= MailboxLayout::kLastFlag;
-    if (is_request) ctrl |= MailboxLayout::kRequestFlag;
-    std::uint8_t cw[4];
-    ocp::u32_to_le(ctrl, cw);
-    if (coalesce_) {
-      // Coalesced commit: [chunk bytes ++ ctrl word] as one burst to
-      // CTRL — the data and commit writes merged into a single grant.
-      co_buf_.assign(tx_buf_.data() + sent, tx_buf_.data() + sent + chunk);
-      co_buf_.insert(co_buf_.end(), cw, cw + sizeof cw);
-      bus_txn_.begin_write(remote_.ctrl(), co_buf_.data(), co_buf_.size(),
-                           static_cast<std::uint32_t>(master_));
-      transport_checked(bus_txn_);
-    } else {
-      if (chunk > 0) {
-        bus_txn_.begin_write(remote_.data_in(), tx_buf_.data() + sent, chunk,
-                             static_cast<std::uint32_t>(master_));
-        transport_checked(bus_txn_);
-      }
-      bus_txn_.begin_write(remote_.ctrl(), cw, sizeof cw,
-                           static_cast<std::uint32_t>(master_));
-      transport_checked(bus_txn_);
-    }
-    sent += chunk;
-  } while (sent < total);
+void ShipMasterWrapper::push(const ship::ship_serializable_if& msg,
+                             std::uint32_t flags) {
+  pusher_.push(msg, flags,
+               [this](std::uint64_t addr, const std::uint8_t* p, std::size_t n) {
+                 bus_txn_.begin_write(addr, p, n,
+                                      static_cast<std::uint32_t>(master_));
+                 transport_checked(bus_txn_);
+               });
 }
 
 void ShipMasterWrapper::pull_reply() {
   rx_buf_.clear();
   for (;;) {
-    const std::uint32_t remaining = read_u32(remote_.rstatus());
+    const std::uint32_t remaining =
+        read_u32(remote_.rstatus()) & MailboxLayout::kLenMask;
     if (remaining == 0) {
       if (!rx_buf_.empty()) break;  // fully drained
       ++polls_;
@@ -234,17 +112,15 @@ void ShipMasterWrapper::pull_reply() {
 
 void ShipMasterWrapper::send(const ship::ship_serializable_if& msg) {
   BusyGuard busy(*this, "send");
-  push_message(msg, /*is_request=*/false);
+  push(msg, 0);
 }
 
 void ShipMasterWrapper::request(const ship::ship_serializable_if& req,
                                 ship::ship_serializable_if& resp) {
   BusyGuard busy(*this, "request");
-  push_message(req, /*is_request=*/true);
+  push(req, MailboxLayout::kRequestFlag);
   pull_reply();
-  // Empty replies are padded with one marker byte by the slave wrapper.
-  if (rx_buf_.size() == 1 && ship::serialized_size(resp) == 0) rx_buf_.clear();
-  ship::from_bytes(resp, rx_buf_);
+  decode_outbound(rx_buf_, resp);
 }
 
 void ShipMasterWrapper::recv(ship::ship_serializable_if&) {

@@ -4,52 +4,22 @@
 //
 // A mapped channel becomes a pair:
 //   * ShipSlaveWrapper  — sits at the slave PE; it is an OCP TL slave on
-//     the CAM (a mailbox with a data window, control/status registers and
-//     chunked flow control) and presents the SHIP slave calls
-//     (recv/reply) to its PE.
+//     the CAM (the SHIP mailbox of cam/mailbox.hpp) and presents the SHIP
+//     slave calls (recv/reply) to its PE.
 //   * ShipMasterWrapper — sits at the master PE; it presents the SHIP
 //     master calls (send/request) and converts them into burst write
-//     transactions into the remote mailbox, polling the status register
-//     for replies.
-//
-// Mailbox register map (word offsets from the wrapper's base address):
-//   +0x00  CTRL     W  chunk descriptor: len[23:0] | last[24] | request[25].
-//                      A write longer than one word is a *coalesced
-//                      commit*: the leading len bytes are the chunk
-//                      payload and the trailing word is the descriptor
-//                      (burst coalescing merges DATA_IN + CTRL).
-//   +0x04  RSTATUS  R  remaining reply bytes (0 = no reply pending)
-//   +0x08  RACK     W  master consumed the current reply chunk
-//   +0x10  DATA_IN  W  inbound chunk window  (window_bytes wide)
-//   +0x10+W DATA_OUT R outbound (reply) chunk window (window_bytes wide)
+//     transactions into the remote mailbox, polling RSTATUS for replies.
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "cam/cam_if.hpp"
+#include "cam/mailbox.hpp"
 #include "kernel/module.hpp"
 #include "ship/channel.hpp"
 
 namespace stlm::cam {
-
-struct MailboxLayout {
-  std::uint64_t base = 0;
-  std::uint32_t window_bytes = 256;
-
-  std::uint64_t ctrl() const { return base + 0x00; }
-  std::uint64_t rstatus() const { return base + 0x04; }
-  std::uint64_t rack() const { return base + 0x08; }
-  std::uint64_t data_in() const { return base + 0x10; }
-  std::uint64_t data_out() const { return base + 0x10 + window_bytes; }
-  std::uint64_t span() const { return 0x10 + 2ull * window_bytes; }
-  AddressRange range() const { return AddressRange{base, span()}; }
-
-  static constexpr std::uint32_t kLenMask = 0x00ffffff;
-  static constexpr std::uint32_t kLastFlag = 1u << 24;
-  static constexpr std::uint32_t kRequestFlag = 1u << 25;
-};
 
 class ShipSlaveWrapper final : public Module,
                                public ocp::ocp_tl_slave_if,
@@ -61,10 +31,10 @@ public:
 
   // --- OCP slave side (bus-facing) ------------------------------------
   using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override;
-  // The mailbox FSM is wait-free (register decode + delta notifies
-  // only), so the default zero-latency fast_handle() — which simply
-  // runs handle() at the effective access time — is exact.
+  void handle(Txn& txn) override { mailbox_.handle(txn); }
+  // The mailbox FSM is wait-free, so the default zero-latency
+  // fast_handle() — which simply runs handle() at the effective access
+  // time — is exact.
   bool fast_capable() const override { return true; }
 
   // --- SHIP slave side (PE-facing) ------------------------------------
@@ -73,23 +43,17 @@ public:
   void request(const ship::ship_serializable_if&,
                ship::ship_serializable_if&) override;
   void reply(const ship::ship_serializable_if& resp) override;
-  bool message_available() const override { return !rx_queue_.empty(); }
-  ship::Role role() const override { return ship::Role::Slave; }
+  bool message_available() const override {
+    return mailbox_.message_available();
+  }
+  ship::Role role() const override { return term_.role(); }
   const std::string& channel_name() const override { return Module::name(); }
 
-  const MailboxLayout& layout() const { return layout_; }
-  std::uint64_t messages_received() const { return messages_rx_; }
+  std::uint64_t messages_received() const { return mailbox_.messages_in(); }
 
 private:
-  MailboxLayout layout_;
-  std::vector<std::uint8_t> chunk_buf_;   // DATA_IN staging
-  std::vector<std::uint8_t> rx_accum_;    // chunks of the current message
-  TxnQueue rx_queue_;                     // completed messages (pooled Txns)
-  Event rx_available_;
-  std::vector<std::uint8_t> reply_buf_;   // remaining reply bytes
-  Event reply_consumed_;
-  std::uint64_t pending_replies_ = 0;
-  std::uint64_t messages_rx_ = 0;
+  MailboxTarget mailbox_;
+  ship::TerminalState term_;
 };
 
 class ShipMasterWrapper final : public Module, public ship::ship_if {
@@ -125,13 +89,13 @@ public:
   void set_retry(ocp::ocp_tl_master_if* via) { retry_via_ = via; }
 
 private:
-  void push_message(const ship::ship_serializable_if& msg, bool is_request);
+  void push(const ship::ship_serializable_if& msg, std::uint32_t flags);
   void pull_reply();  // fills rx_buf_
   void transport_checked(Txn& txn);
   std::uint32_t read_u32(std::uint64_t addr);
 
   // The wrapper serves one PE: its SHIP calls are strictly sequential, so
-  // one reusable descriptor and two scratch buffers suffice. BusyGuard
+  // one reusable descriptor and its scratch buffers suffice. BusyGuard
   // turns accidental overlapping use (two processes on one wrapper) into
   // a loud protocol error instead of silent descriptor corruption.
   class BusyGuard {
@@ -147,28 +111,13 @@ private:
   std::size_t master_;
   MailboxLayout remote_;
   Time poll_interval_;
-  bool coalesce_;
+  MailboxPusher pusher_;
   ocp::ocp_tl_master_if* retry_via_ = nullptr;
   Txn bus_txn_;                       // reusable bus descriptor
-  std::vector<std::uint8_t> tx_buf_;  // serialization scratch
-  std::vector<std::uint8_t> co_buf_;  // coalesced [chunk ++ ctrl] scratch
   std::vector<std::uint8_t> rx_buf_;  // reply reassembly scratch
   bool busy_ = false;
   std::uint64_t bus_txns_ = 0;
   std::uint64_t polls_ = 0;
-};
-
-// Adapter: exposes an OCP TL slave that forwards every request into a TL
-// master interface. Used to hang a pin-level PE (through OcpPinSlave) or
-// a bridge-like component in front of a CAM master port.
-class TlForwarder final : public ocp::ocp_tl_slave_if {
-public:
-  explicit TlForwarder(ocp::ocp_tl_master_if& down) : down_(down) {}
-  using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override { down_.transport(txn); }
-
-private:
-  ocp::ocp_tl_master_if& down_;
 };
 
 }  // namespace stlm::cam

@@ -36,8 +36,6 @@ SwLocalChannel::SwLocalChannel(rtos::Rtos& os, std::string name,
     : name_(std::move(name)) {
   STLM_ASSERT(depth > 0, "SW channel depth must be positive: " + name_);
   for (int i = 0; i < 2; ++i) {
-    term_[i].ch = this;
-    term_[i].index = i;
     dir_[i].items = std::make_unique<rtos::Semaphore>(
         os, name_ + ".items" + std::to_string(i), 0);
     dir_[i].space = std::make_unique<rtos::Semaphore>(
@@ -47,14 +45,6 @@ SwLocalChannel::SwLocalChannel(rtos::Rtos& os, std::string name,
 
 const std::string& SwLocalChannel::Terminal::channel_name() const {
   return ch->name_;
-}
-
-void SwLocalChannel::mark(Terminal& t, ship::Role r, const char* call) {
-  if (t.role_ != ship::Role::Unknown && t.role_ != r) {
-    throw ProtocolError("SHIP role conflict on SW channel " + name_ +
-                        ": terminal called " + call);
-  }
-  t.role_ = r;
 }
 
 void SwLocalChannel::push(Direction& d, Message m) {
@@ -72,32 +62,27 @@ SwLocalChannel::Message SwLocalChannel::pop(Direction& d) {
 }
 
 void SwLocalChannel::Terminal::send(const ship::ship_serializable_if& msg) {
-  ch->mark(*this, ship::Role::Master, "send");
+  state.mark(ship::Role::Master, "send");
   ch->push(ch->dir_[index], Message{ship::to_bytes(msg), false});
 }
 
 void SwLocalChannel::Terminal::recv(ship::ship_serializable_if& msg) {
-  ch->mark(*this, ship::Role::Slave, "recv");
+  state.mark(ship::Role::Slave, "recv");
   Message m = ch->pop(ch->dir_[1 - index]);
-  if (m.is_request) ++pending_replies;
+  state.note_recv(m.is_request);
   ship::from_bytes(msg, m.payload);
 }
 
 void SwLocalChannel::Terminal::request(const ship::ship_serializable_if& req,
                                        ship::ship_serializable_if& resp) {
-  ch->mark(*this, ship::Role::Master, "request");
+  state.mark(ship::Role::Master, "request");
   ch->push(ch->dir_[index], Message{ship::to_bytes(req), true});
   Message r = ch->pop(ch->dir_[1 - index]);
   ship::from_bytes(resp, r.payload);
 }
 
 void SwLocalChannel::Terminal::reply(const ship::ship_serializable_if& resp) {
-  ch->mark(*this, ship::Role::Slave, "reply");
-  if (pending_replies == 0) {
-    throw ProtocolError("SW channel " + ch->name_ +
-                        ": reply without outstanding request");
-  }
-  --pending_replies;
+  state.take_reply();
   ch->push(ch->dir_[index], Message{ship::to_bytes(resp), false});
 }
 

@@ -100,27 +100,26 @@ private:
   };
 
   struct Terminal final : ship::ship_if {
+    Terminal(SwLocalChannel& c, int i) : ch(&c), index(i), state(c.name_) {}
     void send(const ship::ship_serializable_if& msg) override;
     void recv(ship::ship_serializable_if& msg) override;
     void request(const ship::ship_serializable_if& req,
                  ship::ship_serializable_if& resp) override;
     void reply(const ship::ship_serializable_if& resp) override;
     bool message_available() const override;
-    ship::Role role() const override { return role_; }
+    ship::Role role() const override { return state.role(); }
     const std::string& channel_name() const override;
 
-    SwLocalChannel* ch = nullptr;
-    int index = 0;
-    ship::Role role_ = ship::Role::Unknown;
-    std::uint64_t pending_replies = 0;
+    SwLocalChannel* ch;
+    int index;
+    ship::TerminalState state;
   };
 
-  void mark(Terminal& t, ship::Role r, const char* call);
   void push(Direction& d, Message m);
   Message pop(Direction& d);
 
   std::string name_;
-  Terminal term_[2];
+  Terminal term_[2]{{*this, 0}, {*this, 1}};
   Direction dir_[2];
 };
 

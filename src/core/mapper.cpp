@@ -408,8 +408,6 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
     ProcessingElement* master_pe =
         spec.role_a == ship::Role::Master ? spec.a : spec.b;
     ProcessingElement* slave_pe = master_pe == spec.a ? spec.b : spec.a;
-    const Partition master_part = g.partition(*master_pe);
-    const Partition slave_part = g.partition(*slave_pe);
 
     if (part_a == Partition::Software && part_b == Partition::Software) {
       ms.sw_channels_.push_back(
@@ -456,8 +454,6 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
     }
 
     // HW/HW: wrapper pair over the CAM.
-    (void)master_part;
-    (void)slave_part;
     const cam::MailboxLayout layout = alloc_layout();
     ms.slave_wraps_.push_back(std::make_unique<cam::ShipSlaveWrapper>(
         ms.sim_, spec.name + ".slave", layout));

@@ -32,13 +32,6 @@ void CpuModel::mmio_write32(std::uint64_t addr, std::uint32_t value) {
   mmio_write_span(addr, bytes, sizeof bytes);
 }
 
-std::vector<std::uint8_t> CpuModel::mmio_read(std::uint64_t addr,
-                                              std::uint32_t bytes) {
-  std::vector<std::uint8_t> out;
-  mmio_read_append(addr, bytes, out);
-  return out;
-}
-
 void CpuModel::mmio_read_append(std::uint64_t addr, std::uint32_t bytes,
                                 std::vector<std::uint8_t>& out) {
   ++bus_txns_;
@@ -50,10 +43,6 @@ void CpuModel::mmio_read_append(std::uint64_t addr, std::uint32_t bytes,
                         std::to_string(addr));
   }
   out.insert(out.end(), t->resp_data.begin(), t->resp_data.end());
-}
-
-void CpuModel::mmio_write(std::uint64_t addr, std::vector<std::uint8_t> bytes) {
-  mmio_write_span(addr, bytes.data(), bytes.size());
 }
 
 void CpuModel::mmio_write_span(std::uint64_t addr, const void* p,

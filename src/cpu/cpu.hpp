@@ -31,9 +31,6 @@ public:
   // allocation and no event-registry churn.
   std::uint32_t mmio_read32(std::uint64_t addr);
   void mmio_write32(std::uint64_t addr, std::uint32_t value);
-  std::vector<std::uint8_t> mmio_read(std::uint64_t addr, std::uint32_t bytes);
-  void mmio_write(std::uint64_t addr, std::vector<std::uint8_t> bytes);
-  // Zero-copy variants for driver hot paths.
   void mmio_read_append(std::uint64_t addr, std::uint32_t bytes,
                         std::vector<std::uint8_t>& out);
   void mmio_write_span(std::uint64_t addr, const void* p, std::size_t n);

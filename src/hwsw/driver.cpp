@@ -12,76 +12,59 @@ ShipDriver::ShipDriver(std::string name, rtos::Rtos& os, cpu::CpuModel& cpu,
       mb_(mailbox),
       cfg_(cfg),
       rx_normal_sem_(os, name_ + ".rx_normal", 0),
-      rx_reply_sem_(os, name_ + ".rx_reply", 0) {}
-
-void ShipDriver::mark_sw(ship::Role r, const char* call) {
-  if (sw_role_ != ship::Role::Unknown && sw_role_ != r) {
-    throw ProtocolError("SHIP role conflict on driver " + name_ +
-                        ": SW task called " + call);
-  }
-  sw_role_ = r;
-}
+      rx_reply_sem_(os, name_ + ".rx_reply", 0),
+      pusher_(mailbox, /*coalesce=*/false),
+      term_(name_) {}
 
 void ShipDriver::push_to_hw(const ship::ship_serializable_if& msg,
                             std::uint32_t flags) {
   cpu_.consume(cfg_.call_overhead_cycles);
-  // Serialize into the reusable scratch buffer; MMIO rides pooled Txns, so
-  // the whole driver entry is allocation-free once warmed up.
-  const std::size_t total = ship::to_bytes_into(msg, tx_buf_);
-  const std::size_t w = mb_.window_bytes;
-  std::size_t sent = 0;
-  do {
-    const std::size_t chunk = std::min(w, total - sent);
-    if (chunk > 0) {
-      cpu_.mmio_write_span(mb_.data_in(), tx_buf_.data() + sent, chunk);
-    }
-    sent += chunk;
-    std::uint32_t ctrl = static_cast<std::uint32_t>(chunk) | flags;
-    if (sent == total) ctrl |= HwSwFlags::kLastFlag;
-    cpu_.mmio_write32(mb_.ctrl(), ctrl);
-  } while (sent < total);
+  // The pusher serializes into its reusable scratch buffer and MMIO rides
+  // pooled Txns, so the whole driver entry is allocation-free once warmed
+  // up.
+  pusher_.push(msg, flags,
+               [this](std::uint64_t addr, const std::uint8_t* p, std::size_t n) {
+                 cpu_.mmio_write_span(addr, p, n);
+               });
 }
 
-void ShipDriver::pop_and_deserialize(TxnQueue& q,
-                                     ship::ship_serializable_if& msg) {
+std::uint32_t ShipDriver::pop_and_deserialize(TxnQueue& q,
+                                              ship::ship_serializable_if& msg) {
   Txn* m = q.pop_front();
   STLM_ASSERT(m != nullptr, "driver " + name_ + ": semaphore/queue mismatch");
-  // Empty payloads travel as a single marker byte (RSTATUS visibility).
-  if (m->data.size() == 1 && ship::serialized_size(msg) == 0) m->data.clear();
-  ship::from_bytes(msg, m->data);
+  const std::uint32_t flags = m->flags;
+  cam::decode_outbound(m->data, msg);
   cpu_.sim().txn_pool().release(*m);
+  return flags;
 }
 
 void ShipDriver::send(const ship::ship_serializable_if& msg) {
   os_.require_task("ShipDriver::send");
-  mark_sw(ship::Role::Master, "send");
+  term_.mark(ship::Role::Master, "send");
   push_to_hw(msg, 0);
 }
 
 void ShipDriver::request(const ship::ship_serializable_if& req,
                          ship::ship_serializable_if& resp) {
   os_.require_task("ShipDriver::request");
-  mark_sw(ship::Role::Master, "request");
-  push_to_hw(req, HwSwFlags::kRequestFlag);
+  term_.mark(ship::Role::Master, "request");
+  push_to_hw(req, cam::MailboxLayout::kRequestFlag);
   rx_reply_sem_.wait();  // blocks the task; the ISR posts on reply
   pop_and_deserialize(rx_replies_, resp);
 }
 
 void ShipDriver::recv(ship::ship_serializable_if& msg) {
   os_.require_task("ShipDriver::recv");
-  mark_sw(ship::Role::Slave, "recv");
+  term_.mark(ship::Role::Slave, "recv");
   rx_normal_sem_.wait();
-  pop_and_deserialize(rx_normal_, msg);
+  term_.note_recv((pop_and_deserialize(rx_normal_, msg) &
+                   cam::MailboxLayout::kRequestFlag) != 0);
 }
 
 void ShipDriver::reply(const ship::ship_serializable_if& resp) {
   os_.require_task("ShipDriver::reply");
-  mark_sw(ship::Role::Slave, "reply");
-  if (pending_replies_ == 0) {
-    throw ProtocolError("driver " + name_ + ": reply without outstanding request");
-  }
-  --pending_replies_;
-  push_to_hw(resp, HwSwFlags::kReplyFlag);
+  term_.take_reply();
+  push_to_hw(resp, cam::MailboxLayout::kReplyFlag);
 }
 
 void ShipDriver::on_irq() {
@@ -90,12 +73,11 @@ void ShipDriver::on_irq() {
   // Drain every complete outbound message the adapter currently holds.
   for (;;) {
     const std::uint32_t status = cpu_.mmio_read32(mb_.rstatus());
-    std::uint32_t remaining = status & HwSwFlags::kLenMask;
+    std::uint32_t remaining = status & cam::MailboxLayout::kLenMask;
     if (remaining == 0) break;
-    const std::uint32_t flags = status & ~HwSwFlags::kLenMask;
+    const std::uint32_t flags = status & ~cam::MailboxLayout::kLenMask;
     Txn& m = cpu_.sim().txn_pool().acquire();
-    m.begin_msg(0);
-    m.flags = flags;
+    m.begin_msg(flags);
     // `remaining` covers exactly this message; the adapter pops its head
     // only once the final chunk is acknowledged.
     while (remaining > 0) {
@@ -105,13 +87,11 @@ void ShipDriver::on_irq() {
       cpu_.mmio_write32(mb_.rack(), 0);
       remaining -= chunk;
     }
-    ++rx_count_;
-    if (flags & HwSwFlags::kReplyFlag) {
+    if (flags & cam::MailboxLayout::kReplyFlag) {
       rx_replies_.push_back(m);
       rx_reply_sem_.post_from_isr();
     } else {
       rx_normal_.push_back(m);
-      if (flags & HwSwFlags::kRequestFlag) ++pending_replies_;
       rx_normal_sem_.post_from_isr();
     }
   }

@@ -13,13 +13,10 @@
 //   rtos.attach_isr(irq_ctrl, [&](int line){ if (line == n) drv.on_irq(); });
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
-#include "cam/wrappers.hpp"
+#include "cam/mailbox.hpp"
 #include "cpu/cpu.hpp"
-#include "hwsw/hw_adapter.hpp"
 #include "rtos/rtos.hpp"
 #include "ship/channel.hpp"
 
@@ -44,19 +41,19 @@ public:
                ship::ship_serializable_if& resp) override;
   void reply(const ship::ship_serializable_if& resp) override;
   bool message_available() const override { return !rx_normal_.empty(); }
-  ship::Role role() const override { return sw_role_; }
+  ship::Role role() const override { return term_.role(); }
   const std::string& channel_name() const override { return name_; }
 
   // --- interrupt service routine (ISR context) -------------------------
   void on_irq();
 
   std::uint64_t isr_count() const { return isrs_; }
-  std::uint64_t messages_rx() const { return rx_count_; }
 
 private:
-  void mark_sw(ship::Role r, const char* call);
   void push_to_hw(const ship::ship_serializable_if& msg, std::uint32_t flags);
-  void pop_and_deserialize(TxnQueue& q, ship::ship_serializable_if& msg);
+  // Returns the message's descriptor flags.
+  std::uint32_t pop_and_deserialize(TxnQueue& q,
+                                    ship::ship_serializable_if& msg);
 
   std::string name_;
   rtos::Rtos& os_;
@@ -69,12 +66,9 @@ private:
   // Received messages are pooled Txn descriptors (data = payload bytes).
   TxnQueue rx_normal_;
   TxnQueue rx_replies_;
-  std::vector<std::uint8_t> tx_buf_;  // reusable serialization scratch
-  std::uint64_t pending_replies_ = 0;
-
-  ship::Role sw_role_ = ship::Role::Unknown;
+  cam::MailboxPusher pusher_;
+  ship::TerminalState term_;
   std::uint64_t isrs_ = 0;
-  std::uint64_t rx_count_ = 0;
 };
 
 }  // namespace stlm::hwsw

@@ -1,20 +1,15 @@
 #include "hwsw/hw_adapter.hpp"
 
-#include <algorithm>
-
 namespace stlm::hwsw {
 
 HwAdapter::HwAdapter(Simulator& sim, std::string name,
                      cam::MailboxLayout layout, Time irq_pulse)
     : Module(sim, std::move(name)),
-      layout_(layout),
+      mailbox_(sim, full_name(), layout),
+      term_(Module::name()),
       irq_(sim, full_name() + ".irq", false),
       irq_pulse_(irq_pulse),
-      irq_trigger_(sim, full_name() + ".irq_trigger"),
-      chunk_buf_(layout.window_bytes, 0),
-      rx_normal_ev_(sim, full_name() + ".rx_normal"),
-      rx_reply_ev_(sim, full_name() + ".rx_reply"),
-      out_consumed_(sim, full_name() + ".out_consumed") {
+      irq_trigger_(sim, full_name() + ".irq_trigger") {
   STLM_ASSERT(!irq_pulse_.is_zero(), "IRQ pulse must be positive: " + full_name());
   spawn_thread("irq_pulser", [this] { irq_pulser(); });
 }
@@ -29,159 +24,34 @@ void HwAdapter::irq_pulser() {
     // Let the negedge settle so back-to-back messages produce distinct
     // rising edges.
     wait(irq_pulse_);
-    if (!out_queue_.empty()) irq_trigger_.notify_delta();
+    if (mailbox_.outbound_pending()) irq_trigger_.notify_delta();
   }
 }
 
-void HwAdapter::enqueue_outbound(const ship::ship_serializable_if& msg,
-                                 std::uint32_t flags) {
-  Txn& t = sim().txn_pool().acquire();
-  t.begin_msg(0);
-  ship::to_bytes_into(msg, t.data);
-  // Even empty payloads must be observable through RSTATUS.
-  if (t.data.empty()) t.data.push_back(0);
-  t.flags = flags;
-  const bool was_empty = out_queue_.empty();
-  out_queue_.push_back(t);
-  ++to_sw_;
-  if (was_empty) irq_trigger_.notify_delta();
-}
-
-// ------------------------------------------------------------ bus side --
-
-void HwAdapter::handle(Txn& txn) {
-  const std::uint64_t a = txn.addr;
-
-  if (txn.op == Txn::Op::Write) {
-    if (a >= layout_.data_in() &&
-        a + txn.data.size() <= layout_.data_in() + layout_.window_bytes) {
-      const std::size_t off = static_cast<std::size_t>(a - layout_.data_in());
-      std::copy(txn.data.begin(), txn.data.end(), chunk_buf_.begin() + off);
-      txn.respond_ok();
-      return;
-    }
-    if (a == layout_.ctrl() && txn.data.size() >= 4) {
-      const std::uint32_t ctrl = ocp::u32_from_le(txn.data.data());
-      const std::uint32_t len = ctrl & HwSwFlags::kLenMask;
-      if (len > layout_.window_bytes) {
-        txn.respond_error();
-        return;
-      }
-      rx_accum_.insert(rx_accum_.end(), chunk_buf_.begin(),
-                       chunk_buf_.begin() + len);
-      if (ctrl & HwSwFlags::kLastFlag) {
-        Txn& m = sim().txn_pool().acquire();
-        m.begin_msg(0);
-        m.data.assign(rx_accum_.begin(), rx_accum_.end());
-        m.flags = ctrl & ~HwSwFlags::kLenMask;
-        rx_accum_.clear();
-        ++from_sw_;
-        if (ctrl & HwSwFlags::kReplyFlag) {
-          rx_replies_.push_back(m);
-          rx_reply_ev_.notify_delta();
-        } else {
-          rx_normal_.push_back(m);
-          rx_normal_ev_.notify_delta();
-        }
-      }
-      txn.respond_ok();
-      return;
-    }
-    if (a == layout_.rack()) {
-      if (Txn* head = out_queue_.front()) {
-        const std::size_t remaining = head->data.size() - head->cursor;
-        const std::size_t chunk =
-            std::min<std::size_t>(remaining, layout_.window_bytes);
-        head->cursor += static_cast<std::uint32_t>(chunk);
-        if (head->cursor >= head->data.size()) {
-          out_queue_.pop_front();
-          sim().txn_pool().release(*head);
-        }
-        out_consumed_.notify_delta();
-      }
-      txn.respond_ok();
-      return;
-    }
-    txn.respond_error();
-    return;
-  }
-
-  if (txn.op == Txn::Op::Read) {
-    if (a == layout_.rstatus()) {
-      std::uint32_t status = 0;
-      if (const Txn* head = out_queue_.front()) {
-        status = static_cast<std::uint32_t>(head->data.size() - head->cursor) &
-                 HwSwFlags::kLenMask;
-        status |= head->flags & (HwSwFlags::kRequestFlag | HwSwFlags::kReplyFlag);
-      }
-      std::uint8_t bytes[4];
-      ocp::u32_to_le(status, bytes);
-      txn.respond_data(bytes, sizeof bytes);
-      return;
-    }
-    if (a >= layout_.data_out() &&
-        a + txn.read_bytes <= layout_.data_out() + layout_.window_bytes) {
-      const std::size_t off = static_cast<std::size_t>(a - layout_.data_out());
-      std::vector<std::uint8_t>& bytes = txn.respond_buffer(txn.read_bytes);
-      if (const Txn* head = out_queue_.front()) {
-        const std::size_t base = head->cursor + off;
-        for (std::size_t i = 0; i < bytes.size(); ++i) {
-          if (base + i < head->data.size()) bytes[i] = head->data[base + i];
-        }
-      }
-      return;
-    }
-    txn.respond_error();
-    return;
-  }
-  txn.respond_error();
-}
-
-// ----------------------------------------------------------- SHIP side --
-
-void HwAdapter::mark_hw(ship::Role r, const char* call) {
-  if (hw_role_ != ship::Role::Unknown && hw_role_ != r) {
-    throw ProtocolError("SHIP role conflict on HW/SW interface " +
-                        full_name() + ": HW PE called " + call);
-  }
-  hw_role_ = r;
-}
-
-Txn* HwAdapter::pop_rx(TxnQueue& q, Event& ev) {
-  while (q.empty()) wait(ev);
-  return q.pop_front();
+void HwAdapter::put(const ship::ship_serializable_if& msg, std::uint32_t flags) {
+  if (mailbox_.put(msg, flags)) irq_trigger_.notify_delta();
 }
 
 void HwAdapter::send(const ship::ship_serializable_if& msg) {
-  mark_hw(ship::Role::Master, "send");
-  enqueue_outbound(msg, 0);
+  term_.mark(ship::Role::Master, "send");
+  put(msg, 0);
 }
 
 void HwAdapter::request(const ship::ship_serializable_if& req,
                         ship::ship_serializable_if& resp) {
-  mark_hw(ship::Role::Master, "request");
-  enqueue_outbound(req, HwSwFlags::kRequestFlag);
-  Txn* m = pop_rx(rx_replies_, rx_reply_ev_);
-  ship::from_bytes(resp, m->data);
-  sim().txn_pool().release(*m);
+  term_.mark(ship::Role::Master, "request");
+  put(req, cam::MailboxLayout::kRequestFlag);
+  mailbox_.take_reply(resp);
 }
 
 void HwAdapter::recv(ship::ship_serializable_if& msg) {
-  mark_hw(ship::Role::Slave, "recv");
-  Txn* m = pop_rx(rx_normal_, rx_normal_ev_);
-  if (m->flags & HwSwFlags::kRequestFlag) ++pending_replies_;
-  ship::from_bytes(msg, m->data);
-  sim().txn_pool().release(*m);
+  term_.mark(ship::Role::Slave, "recv");
+  term_.note_recv(mailbox_.take(msg));
 }
 
 void HwAdapter::reply(const ship::ship_serializable_if& resp) {
-  mark_hw(ship::Role::Slave, "reply");
-  if (pending_replies_ == 0) {
-    throw ProtocolError("HW/SW interface " + full_name() +
-                        ": reply without outstanding request");
-  }
-  --pending_replies_;
-  enqueue_outbound(resp, HwSwFlags::kReplyFlag);
+  term_.take_reply();
+  put(resp, cam::MailboxLayout::kReplyFlag);
 }
 
 }  // namespace stlm::hwsw

@@ -8,31 +8,19 @@
 // HW PE it presents the SHIP interface method calls; toward the CPU it
 // raises a sideband interrupt when hardware-to-software data is ready.
 //
-// Register map (offsets from base):
-//   +0x00  CTRL     W  inbound chunk: len[23:0] | last[24] | req[25] | rep[26]
-//   +0x04  RSTATUS  R  outbound head: remaining[23:0] | req[25] | rep[26]
-//   +0x08  RACK     W  outbound chunk consumed
-//   +0x10  DATA_IN  W  inbound chunk window
-//   +0x10+W DATA_OUT R outbound chunk window
+// The register protocol is the SHIP mailbox of cam/mailbox.hpp, the same
+// one the HW/HW wrappers speak; the adapter adds the interrupt.
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
-#include "cam/wrappers.hpp"
+#include "cam/mailbox.hpp"
 #include "kernel/module.hpp"
 #include "kernel/signal.hpp"
+#include "ocp/tl_if.hpp"
 #include "ship/channel.hpp"
 
 namespace stlm::hwsw {
-
-struct HwSwFlags {
-  static constexpr std::uint32_t kLenMask = 0x00ffffff;
-  static constexpr std::uint32_t kLastFlag = 1u << 24;
-  static constexpr std::uint32_t kRequestFlag = 1u << 25;
-  static constexpr std::uint32_t kReplyFlag = 1u << 26;
-};
 
 class HwAdapter final : public Module,
                         public ocp::ocp_tl_slave_if,
@@ -45,14 +33,13 @@ public:
 
   // Sideband interrupt toward the CPU's interrupt controller.
   Signal<bool>& irq() { return irq_; }
-  const cam::MailboxLayout& layout() const { return layout_; }
 
   // --- OCP slave side (bus-facing; driven by the SW driver) -----------
   using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override;
-  // Register FSM is wait-free (decode + delta notifies; the timed waits
-  // live in the irq pulser / SHIP-side processes), so the default
-  // zero-latency fast_handle() is exact.
+  void handle(Txn& txn) override { mailbox_.handle(txn); }
+  // The mailbox FSM is wait-free (the timed waits live in the irq pulser
+  // and the SHIP-side processes), so the default zero-latency
+  // fast_handle() is exact.
   bool fast_capable() const override { return true; }
 
   // --- SHIP side (HW PE-facing) ----------------------------------------
@@ -61,46 +48,28 @@ public:
   void request(const ship::ship_serializable_if& req,
                ship::ship_serializable_if& resp) override;
   void reply(const ship::ship_serializable_if& resp) override;
-  bool message_available() const override { return !rx_normal_.empty(); }
-  ship::Role role() const override { return hw_role_; }
+  bool message_available() const override {
+    return mailbox_.message_available();
+  }
+  ship::Role role() const override { return term_.role(); }
   const std::string& channel_name() const override { return Module::name(); }
 
   std::uint64_t irq_count() const { return irqs_; }
-  std::uint64_t messages_to_sw() const { return to_sw_; }
-  std::uint64_t messages_from_sw() const { return from_sw_; }
+  std::uint64_t messages_to_sw() const { return mailbox_.messages_out(); }
+  std::uint64_t messages_from_sw() const { return mailbox_.messages_in(); }
 
 private:
-  // Messages on both sides are pooled Txn descriptors: `data` holds the
-  // payload, `flags` the HwSwFlags bits, `cursor` the bytes the consumer
-  // already drained from the outbound head.
-  void mark_hw(ship::Role r, const char* call);
-  void enqueue_outbound(const ship::ship_serializable_if& msg,
-                        std::uint32_t flags);
-  Txn* pop_rx(TxnQueue& q, Event& ev);
+  // Queues `msg` for the SW side and raises the IRQ when the queue was
+  // empty (the pulser re-raises it while messages remain).
+  void put(const ship::ship_serializable_if& msg, std::uint32_t flags);
   void irq_pulser();
 
-  cam::MailboxLayout layout_;
+  cam::MailboxTarget mailbox_;
+  ship::TerminalState term_;
   Signal<bool> irq_;
   Time irq_pulse_;
   Event irq_trigger_;
-
-  // Inbound (SW -> HW).
-  std::vector<std::uint8_t> chunk_buf_;
-  std::vector<std::uint8_t> rx_accum_;
-  TxnQueue rx_normal_;   // sends + requests from SW
-  TxnQueue rx_replies_;  // replies from SW
-  Event rx_normal_ev_;
-  Event rx_reply_ev_;
-  std::uint64_t pending_replies_ = 0;  // requests HW has recv'd, not replied
-
-  // Outbound (HW -> SW).
-  TxnQueue out_queue_;
-  Event out_consumed_;
-
-  ship::Role hw_role_ = ship::Role::Unknown;
   std::uint64_t irqs_ = 0;
-  std::uint64_t to_sw_ = 0;
-  std::uint64_t from_sw_ = 0;
 };
 
 }  // namespace stlm::hwsw

@@ -116,8 +116,6 @@ public:
   static constexpr std::size_t kWordBytes = 4;
   // SHIP round-trip request marker (flags bit).
   static constexpr std::uint32_t kFlagRequest = 1u << 0;
-  // SHIP reply marker (flags bit) — used by mailbox-style adapters.
-  static constexpr std::uint32_t kFlagReply = 1u << 1;
 
   // --- request half ------------------------------------------------------
   Op op = Op::Read;

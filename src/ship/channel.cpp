@@ -11,6 +11,20 @@ const char* role_name(Role r) {
   return "?";
 }
 
+void TerminalState::throw_conflict(const char* call) const {
+  throw ProtocolError("SHIP role conflict on " + endpoint_ + ": " +
+                      role_name(role_) + " terminal called " + call);
+}
+
+void TerminalState::take_reply() {
+  mark(Role::Slave, "reply");
+  if (pending_replies_ == 0) {
+    throw ProtocolError("SHIP endpoint " + endpoint_ +
+                        ": reply without outstanding request");
+  }
+  --pending_replies_;
+}
+
 ShipChannel::ShipChannel(Simulator& sim, std::string name,
                          std::size_t queue_depth,
                          std::unique_ptr<TimingModel> timing)
@@ -20,8 +34,6 @@ ShipChannel::ShipChannel(Simulator& sim, std::string name,
       timing_(timing ? std::move(timing) : std::make_unique<UntimedModel>()) {
   STLM_ASSERT(depth_ > 0, "SHIP queue depth must be positive: " + name_);
   for (int i = 0; i < 2; ++i) {
-    term_[i].ch = this;
-    term_[i].index = i;
     dir_[i].written =
         std::make_unique<Event>(sim, name_ + ".dir" + std::to_string(i) + ".written");
     dir_[i].consumed =
@@ -40,22 +52,6 @@ void ShipChannel::set_txn_logger(trace::TxnLogger* log) {
 
 const std::string& ShipChannel::Terminal::channel_name() const {
   return ch->name_;
-}
-
-void ShipChannel::mark_master(Terminal& t, const char* call) {
-  if (t.role_ == Role::Slave) {
-    throw ProtocolError("SHIP role conflict on channel " + name_ +
-                        ": slave terminal called " + call);
-  }
-  t.role_ = Role::Master;
-}
-
-void ShipChannel::mark_slave(Terminal& t, const char* call) {
-  if (t.role_ == Role::Master) {
-    throw ProtocolError("SHIP role conflict on channel " + name_ +
-                        ": master terminal called " + call);
-  }
-  t.role_ = Role::Slave;
 }
 
 ShipChannel::Sent ShipChannel::send_msg(Direction& d,
@@ -95,23 +91,23 @@ void ShipChannel::log_txn(trace::TxnKind kind, std::uint64_t txn_id,
 }
 
 void ShipChannel::Terminal::send(const ship_serializable_if& msg) {
-  ch->mark_master(*this, "send");
+  state.mark(Role::Master, "send");
   const Time start = ch->sim_.now();
   const Sent s = ch->send_msg(ch->dir_[index], msg, /*is_request=*/false);
   ch->log_txn(trace::TxnKind::Send, s.id, s.bytes, start);
 }
 
 void ShipChannel::Terminal::recv(ship_serializable_if& msg) {
-  ch->mark_slave(*this, "recv");
+  state.mark(Role::Slave, "recv");
   Txn* t = ch->pop(ch->dir_[1 - index]);
-  if (t->is_request()) ++pending_replies;
+  state.note_recv(t->is_request());
   from_bytes(msg, t->data);
   ch->sim_.txn_pool().release(*t);
 }
 
 void ShipChannel::Terminal::request(const ship_serializable_if& req,
                                     ship_serializable_if& resp) {
-  ch->mark_master(*this, "request");
+  state.mark(Role::Master, "request");
   const Time start = ch->sim_.now();
   const Sent s = ch->send_msg(ch->dir_[index], req, /*is_request=*/true);
   ch->log_txn(trace::TxnKind::Request, s.id, s.bytes, start);
@@ -137,12 +133,7 @@ void ShipChannel::Terminal::request(const ship_serializable_if& req,
 }
 
 void ShipChannel::Terminal::reply(const ship_serializable_if& resp) {
-  ch->mark_slave(*this, "reply");
-  if (pending_replies == 0) {
-    throw ProtocolError("SHIP channel " + ch->name_ +
-                        ": reply without outstanding request");
-  }
-  --pending_replies;
+  state.take_reply();
   ch->send_msg(ch->dir_[index], resp, /*is_request=*/false);
 }
 

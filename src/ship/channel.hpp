@@ -38,6 +38,36 @@ namespace stlm::ship {
 enum class Role : std::uint8_t { Unknown, Master, Slave };
 const char* role_name(Role r);
 
+// Role and reply bookkeeping of one SHIP endpoint. The first master call
+// (send/request) or slave call (recv/reply) latches the role; a call of
+// the other group afterwards is a role conflict. reply() must answer a
+// request recv() returned. Both violations throw ProtocolError naming
+// the endpoint. A wrapper whose role is fixed by construction passes it
+// as `fixed`.
+class TerminalState {
+public:
+  explicit TerminalState(const std::string& endpoint, Role fixed = Role::Unknown)
+      : endpoint_(endpoint), role_(fixed) {}
+
+  Role role() const { return role_; }
+  void mark(Role r, const char* call) {
+    if (role_ != Role::Unknown && role_ != r) throw_conflict(call);
+    role_ = r;
+  }
+  void note_recv(bool is_request) {
+    if (is_request) ++pending_replies_;
+  }
+  // Marks a slave call and consumes one outstanding request.
+  void take_reply();
+
+private:
+  [[noreturn]] void throw_conflict(const char* call) const;
+
+  const std::string& endpoint_;  // owned by the endpoint
+  Role role_;
+  std::uint64_t pending_replies_ = 0;
+};
+
 // The interface a PE port binds to (one per channel terminal).
 class ship_if {
 public:
@@ -70,8 +100,8 @@ public:
   ship_if& b() { return term_[1]; }
 
   const std::string& name() const { return name_; }
-  Role role_a() const { return term_[0].role_; }
-  Role role_b() const { return term_[1].role_; }
+  Role role_a() const { return term_[0].state.role(); }
+  Role role_b() const { return term_[1].state.role(); }
 
   // Replace the timing policy (switching abstraction level in place).
   void set_timing(std::unique_ptr<TimingModel> t);
@@ -90,20 +120,19 @@ public:
 
 private:
   struct Terminal final : ship_if {
+    Terminal(ShipChannel& c, int i) : ch(&c), index(i), state(c.name_) {}
     void send(const ship_serializable_if& msg) override;
     void recv(ship_serializable_if& msg) override;
     void request(const ship_serializable_if& req,
                  ship_serializable_if& resp) override;
     void reply(const ship_serializable_if& resp) override;
     bool message_available() const override;
-    Role role() const override { return role_; }
+    Role role() const override { return state.role(); }
     const std::string& channel_name() const override;
 
-    ShipChannel* ch = nullptr;
-    int index = 0;  // 0 = a, 1 = b
-    Role role_ = Role::Unknown;
-    // Requests received but not yet replied to (slave side bookkeeping).
-    std::uint64_t pending_replies = 0;
+    ShipChannel* ch;
+    int index;  // 0 = a, 1 = b
+    TerminalState state;
   };
 
   // In-flight messages are pooled Txn descriptors (op == Msg) linked
@@ -114,8 +143,6 @@ private:
     std::unique_ptr<Event> consumed;
   };
 
-  void mark_master(Terminal& t, const char* call);
-  void mark_slave(Terminal& t, const char* call);
   struct Sent {
     std::size_t bytes;
     std::uint64_t id;  // Txn id of the enqueued descriptor (trace key)
@@ -132,7 +159,7 @@ private:
   std::string name_;
   std::size_t depth_;
   std::unique_ptr<TimingModel> timing_;
-  Terminal term_[2];
+  Terminal term_[2]{{*this, 0}, {*this, 1}};
   Direction dir_[2];  // dir_[i]: messages flowing *out of* terminal i
   trace::LogHandle log_;
   std::uint64_t messages_ = 0;

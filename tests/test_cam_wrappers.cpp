@@ -74,6 +74,7 @@ TEST(ShipWrappers, LargeMessageIsChunked) {
   std::vector<std::uint8_t> got;
   std::vector<std::uint8_t> payload(1500);
   std::iota(payload.begin(), payload.end(), 0);
+  Time arrival;
   f.sim.spawn_thread("p", [&] {
     VectorMsg<> m(payload);
     f.master.send(m);
@@ -82,22 +83,26 @@ TEST(ShipWrappers, LargeMessageIsChunked) {
     VectorMsg<> m;
     f.slave.recv(m);
     got = m.data;
+    arrival = f.sim.now();
   });
   f.sim.run();
   EXPECT_EQ(got, payload);
-  // 1504 wire bytes over 256-byte window: at least 6 data+ctrl pairs.
-  EXPECT_GE(f.master.bus_transactions(), 12u);
+  // 1504 wire bytes over a 256-byte window: 6 DATA_IN + CTRL pairs.
+  EXPECT_EQ(f.master.bus_transactions(), 12u);
+  EXPECT_EQ(arrival, Time::ns(1960));
 }
 
 TEST(ShipWrappers, LargeReplyIsChunkedBack) {
   WrapperFixture f;
   std::vector<std::uint8_t> reply_payload(1000, 0x5a);
   std::vector<std::uint8_t> got;
+  Time done;
   f.sim.spawn_thread("m", [&] {
     PodMsg<std::uint8_t> req(1);
     VectorMsg<> resp;
     f.master.request(req, resp);
     got = resp.data;
+    done = f.sim.now();
   });
   f.sim.spawn_thread("s", [&] {
     PodMsg<std::uint8_t> req;
@@ -107,6 +112,11 @@ TEST(ShipWrappers, LargeReplyIsChunkedBack) {
   });
   f.sim.run();
   EXPECT_EQ(got, reply_payload);
+  // The master re-reads RSTATUS before every reply chunk: the 1004 reply
+  // bytes cross the 256-byte window in 4 RSTATUS/DATA_OUT/RACK rounds.
+  EXPECT_EQ(f.master.bus_transactions(), 2u + 4u * 3u);
+  EXPECT_EQ(f.master.poll_count(), 0u);
+  EXPECT_EQ(done, Time::ns(1380));
 }
 
 TEST(ShipWrappers, RoleViolationsThrow) {

@@ -193,6 +193,19 @@ TEST(Mapper, HwSwCellGoesIdleWhenItsWorkloadCompletes) {
   }
 }
 
+// A zero-byte mailbox window cannot carry a chunk: the driver's push
+// would commit empty chunks forever. Mapping rejects it up front.
+TEST(Mapper, HwSwRejectsAMailboxWindowBelowOneWord) {
+  TestSystem sys(8, 32);
+  sys.graph.set_partition(*sys.graph.pes()[0], Partition::Software);
+  sys.graph.discover_roles();
+  Platform p;
+  p.mailbox_window = 0;
+  Simulator sim;
+  EXPECT_THROW(Mapper::map(sim, sys.graph, p, AbstractionLevel::Cam),
+               SimulationError);
+}
+
 TEST(Mapper, CamLevelSwSwViaRtosQueues) {
   TestSystem sys(8, 32);
   sys.graph.set_partition(*sys.graph.pes()[0], Partition::Software);

@@ -149,11 +149,13 @@ TEST(HwSw, LargeReplyDrainedByIsr) {
   HwSwFixture f;
   std::vector<std::uint8_t> reply_payload(1200, 0x3c);
   std::vector<std::uint8_t> got;
+  Time done;
   f.os.create_task("app", 1, [&] {
     ship::PodMsg<std::uint8_t> req(1);
     ship::VectorMsg<> resp;
     f.drv.request(req, resp);
     got = resp.data;
+    done = f.sim.now();
   });
   f.sim.spawn_thread("hw_pe", [&] {
     ship::PodMsg<std::uint8_t> req;
@@ -163,18 +165,27 @@ TEST(HwSw, LargeReplyDrainedByIsr) {
   });
   f.run_until_tasks_done();
   EXPECT_EQ(got, reply_payload);
+  // The ISR reads RSTATUS once per message and drains the 1204 reply
+  // bytes in 5 DATA_OUT/RACK rounds; the pulser keeps re-raising the IRQ
+  // until the last RACK.
+  EXPECT_EQ(f.adapter.irq_count(), 120u);
+  EXPECT_EQ(f.drv.isr_count(), 2u);
+  EXPECT_EQ(f.cpu.bus_transactions(), 15u);
+  EXPECT_EQ(done, Time::ns(3330));
 }
 
 TEST(HwSw, BackToBackMessagesAllArrive) {
   HwSwFixture f;
   constexpr int kCount = 10;
   int matches = 0;
+  Time last;
   f.os.create_task("app", 1, [&] {
     for (int i = 0; i < kCount; ++i) {
       ship::PodMsg<int> m;
       f.drv.recv(m);
       if (m.value == i) ++matches;
     }
+    last = f.sim.now();
   });
   f.sim.spawn_thread("hw_pe", [&] {
     for (int i = 0; i < kCount; ++i) {
@@ -184,6 +195,11 @@ TEST(HwSw, BackToBackMessagesAllArrive) {
   });
   f.run_until_tasks_done();
   EXPECT_EQ(matches, kCount);
+  // The pulser re-raises the IRQ while messages stay queued.
+  EXPECT_EQ(f.adapter.irq_count(), 57u);
+  EXPECT_EQ(f.drv.isr_count(), 2u);
+  EXPECT_EQ(f.cpu.bus_transactions(), 32u);
+  EXPECT_EQ(last, Time::ns(1260));
 }
 
 TEST(HwSw, RoleConflictsDetectedOnBothSides) {

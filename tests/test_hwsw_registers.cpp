@@ -1,8 +1,10 @@
-// Register-level tests of the HW adapter: drive its OCP slave interface
-// directly (as a bus master / device driver would) and check the mailbox
-// register semantics bit by bit — the contract the SW driver relies on.
+// Register-level tests of the SHIP mailbox: drive a front-end's OCP slave
+// interface directly (as a bus master / device driver would) and check
+// the register semantics bit by bit — the contract the SW driver and the
+// HW/HW master wrapper rely on.
 #include <gtest/gtest.h>
 
+#include "cam/cam.hpp"
 #include "hwsw/hwsw.hpp"
 #include "kernel/kernel.hpp"
 #include "ship/ship.hpp"
@@ -35,33 +37,59 @@ struct AdapterFixture {
 
 }  // namespace
 
-TEST(HwAdapterRegisters, CtrlCommitsStagedChunk) {
-  AdapterFixture f;
+// The inbound half of the register protocol is shared by both mailbox
+// front-ends: the HW/SW adapter (driven by the SW driver) and the HW/HW
+// slave wrapper (driven by a ShipMasterWrapper). These cases run against
+// both.
+struct AdapterFront {
+  Simulator sim;
+  cam::MailboxLayout layout{0x1000, 64};
+  HwAdapter dut{sim, "ad", layout, 10_ns};
+  std::uint64_t messages_in() const { return dut.messages_from_sw(); }
+};
+
+struct WrapperFront {
+  Simulator sim;
+  cam::MailboxLayout layout{0x1000, 64};
+  cam::ShipSlaveWrapper dut{sim, "sw", layout};
+  std::uint64_t messages_in() const { return dut.messages_received(); }
+};
+
+template <class Front>
+class MailboxRegisters : public ::testing::Test {
+ protected:
+  Front f;
+};
+
+using FrontEnds = ::testing::Types<AdapterFront, WrapperFront>;
+TYPED_TEST_SUITE(MailboxRegisters, FrontEnds);
+
+TYPED_TEST(MailboxRegisters, CtrlCommitsStagedChunk) {
+  auto& f = this->f;
   std::string got;
   f.sim.spawn_thread("bus_master", [&] {
     // Stage "hi" + length prefix via DATA_IN, then commit with CTRL.
     ship::StringMsg msg("hi");
     const auto bytes = ship::to_bytes(msg);
-    EXPECT_TRUE(f.adapter
-                    .handle(ocp::Request::write(f.layout.data_in(), bytes))
-                    .good());
+    EXPECT_TRUE(
+        f.dut.handle(ocp::Request::write(f.layout.data_in(), bytes)).good());
     const std::uint32_t ctrl =
-        static_cast<std::uint32_t>(bytes.size()) | HwSwFlags::kLastFlag;
-    EXPECT_TRUE(f.adapter
-                    .handle(ocp::Request::write(f.layout.ctrl(), word(ctrl)))
-                    .good());
+        static_cast<std::uint32_t>(bytes.size()) | cam::MailboxLayout::kLastFlag;
+    EXPECT_TRUE(
+        f.dut.handle(ocp::Request::write(f.layout.ctrl(), word(ctrl))).good());
   });
-  f.sim.spawn_thread("hw_pe", [&] {
+  f.sim.spawn_thread("pe", [&] {
     ship::StringMsg m;
-    f.adapter.recv(m);
+    f.dut.recv(m);
     got = m.text;
   });
   f.sim.run();
   EXPECT_EQ(got, "hi");
+  EXPECT_EQ(f.messages_in(), 1u);
 }
 
-TEST(HwAdapterRegisters, MultiChunkAssembly) {
-  AdapterFixture f;  // 64-byte window
+TYPED_TEST(MailboxRegisters, MultiChunkAssembly) {
+  auto& f = this->f;  // 64-byte window
   std::vector<std::uint8_t> got;
   f.sim.spawn_thread("bus_master", [&] {
     // A 100-byte logical message in two chunks: 64 + 36.
@@ -70,14 +98,14 @@ TEST(HwAdapterRegisters, MultiChunkAssembly) {
         static_cast<std::uint8_t>(i);
     for (int i = 0; i < 36; ++i) part2[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(64 + i);
-    f.adapter.handle(ocp::Request::write(f.layout.data_in(), part1));
-    f.adapter.handle(ocp::Request::write(f.layout.ctrl(), word(64)));
-    f.adapter.handle(ocp::Request::write(f.layout.data_in(), part2));
-    f.adapter.handle(ocp::Request::write(
-        f.layout.ctrl(), word(36u | HwSwFlags::kLastFlag)));
+    f.dut.handle(ocp::Request::write(f.layout.data_in(), part1));
+    f.dut.handle(ocp::Request::write(f.layout.ctrl(), word(64)));
+    f.dut.handle(ocp::Request::write(f.layout.data_in(), part2));
+    f.dut.handle(ocp::Request::write(
+        f.layout.ctrl(), word(36u | cam::MailboxLayout::kLastFlag)));
   });
-  f.sim.spawn_thread("hw_pe", [&] {
-    // The HW PE sees one contiguous 100-byte payload.
+  f.sim.spawn_thread("pe", [&] {
+    // The PE sees one contiguous 100-byte payload.
     class Raw final : public ship::ship_serializable_if {
      public:
       void serialize(ship::Serializer& s) const override {
@@ -89,7 +117,7 @@ TEST(HwAdapterRegisters, MultiChunkAssembly) {
       }
       std::vector<std::uint8_t> data;
     } raw;
-    f.adapter.recv(raw);
+    f.dut.recv(raw);
     got = raw.data;
   });
   f.sim.run();
@@ -98,16 +126,47 @@ TEST(HwAdapterRegisters, MultiChunkAssembly) {
   EXPECT_EQ(got[99], 99u);
 }
 
-TEST(HwAdapterRegisters, OversizedChunkRejected) {
-  AdapterFixture f;
+TYPED_TEST(MailboxRegisters, OversizedChunkRejected) {
+  auto& f = this->f;
   f.sim.spawn_thread("bus_master", [&] {
     // len exceeds window: error response, nothing committed.
-    const auto r = f.adapter.handle(
-        ocp::Request::write(f.layout.ctrl(), word(65u | HwSwFlags::kLastFlag)));
+    const auto r = f.dut.handle(ocp::Request::write(
+        f.layout.ctrl(), word(65u | cam::MailboxLayout::kLastFlag)));
     EXPECT_FALSE(r.good());
   });
   f.sim.run();
-  EXPECT_EQ(f.adapter.messages_from_sw(), 0u);
+  EXPECT_EQ(f.messages_in(), 0u);
+}
+
+TYPED_TEST(MailboxRegisters, UnmappedOffsetsError) {
+  auto& f = this->f;
+  f.sim.spawn_thread("bus_master", [&] {
+    EXPECT_FALSE(
+        f.dut.handle(ocp::Request::write(f.layout.base + 0x0c, word(0)))
+            .good());
+    EXPECT_FALSE(
+        f.dut.handle(ocp::Request::read(f.layout.base + 0x0c, 4)).good());
+    // Reads/writes straddling the window edge fail too.
+    EXPECT_FALSE(f.dut
+                     .handle(ocp::Request::write(
+                         f.layout.data_in() + 62, {1, 2, 3, 4}))
+                     .good());
+  });
+  f.sim.run();
+}
+
+// A chunk must hold one word, and its length must fit the descriptor's
+// 24-bit len field; either front-end rejects any other window.
+TEST(MailboxWindow, BoundsCheckedOnBothFrontEnds) {
+  for (std::uint32_t w : {0u, 3u, cam::MailboxLayout::kLenMask + 1}) {
+    Simulator sim;
+    const cam::MailboxLayout layout{0x1000, w};
+    EXPECT_THROW(HwAdapter(sim, "ad", layout, 10_ns), SimulationError) << w;
+    EXPECT_THROW(cam::ShipSlaveWrapper(sim, "sw", layout), SimulationError)
+        << w;
+  }
+  Simulator sim;
+  EXPECT_NO_THROW(HwAdapter(sim, "ad", {0x1000, 4}, 10_ns));
 }
 
 TEST(HwAdapterRegisters, RstatusReflectsOutboundHead) {
@@ -122,8 +181,8 @@ TEST(HwAdapterRegisters, RstatusReflectsOutboundHead) {
         f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4));
     ASSERT_TRUE(st.good());
     const std::uint32_t status = as_word(st.data);
-    EXPECT_EQ(status & HwSwFlags::kLenMask, 4u);       // 4 payload bytes
-    EXPECT_EQ(status & HwSwFlags::kReplyFlag, 0u);     // plain send
+    EXPECT_EQ(status & cam::MailboxLayout::kLenMask, 4u);       // 4 payload bytes
+    EXPECT_EQ(status & cam::MailboxLayout::kReplyFlag, 0u);     // plain send
     // Read the data window and acknowledge.
     const auto data =
         f.adapter.handle(ocp::Request::read(f.layout.data_out(), 4));
@@ -133,7 +192,7 @@ TEST(HwAdapterRegisters, RstatusReflectsOutboundHead) {
     // Queue drained.
     const auto st2 =
         f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4));
-    EXPECT_EQ(as_word(st2.data) & HwSwFlags::kLenMask, 0u);
+    EXPECT_EQ(as_word(st2.data) & cam::MailboxLayout::kLenMask, 0u);
   });
   f.sim.run();
 }
@@ -162,7 +221,7 @@ TEST(HwAdapterRegisters, IrqPulsesOnOutboundMessage) {
         len = as_word(
                   f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4))
                       .data) &
-              HwSwFlags::kLenMask;
+              cam::MailboxLayout::kLenMask;
       } while (len == 0);
       f.adapter.handle(ocp::Request::read(f.layout.data_out(), len));
       f.adapter.handle(ocp::Request::write(f.layout.rack(), word(0)));
@@ -171,23 +230,6 @@ TEST(HwAdapterRegisters, IrqPulsesOnOutboundMessage) {
   f.sim.run();
   EXPECT_GE(posedges, 2);
   EXPECT_EQ(f.adapter.irq_count(), static_cast<std::uint64_t>(posedges));
-}
-
-TEST(HwAdapterRegisters, UnmappedOffsetsError) {
-  AdapterFixture f;
-  f.sim.spawn_thread("bus_master", [&] {
-    EXPECT_FALSE(
-        f.adapter.handle(ocp::Request::write(f.layout.base + 0x0c, word(0)))
-            .good());
-    EXPECT_FALSE(
-        f.adapter.handle(ocp::Request::read(f.layout.base + 0x0c, 4)).good());
-    // Reads/writes straddling the window edge fail too.
-    EXPECT_FALSE(f.adapter
-                     .handle(ocp::Request::write(
-                         f.layout.data_in() + 62, {1, 2, 3, 4}))
-                     .good());
-  });
-  f.sim.run();
 }
 
 TEST(HwAdapterRegisters, ReplyFlagRoutesToReplyQueue) {
@@ -203,16 +245,16 @@ TEST(HwAdapterRegisters, ReplyFlagRoutesToReplyQueue) {
     wait(1_us);
     const auto st = f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4));
     const std::uint32_t status = as_word(st.data);
-    EXPECT_NE(status & HwSwFlags::kRequestFlag, 0u);
+    EXPECT_NE(status & cam::MailboxLayout::kRequestFlag, 0u);
     f.adapter.handle(ocp::Request::read(f.layout.data_out(),
-                                        status & HwSwFlags::kLenMask));
+                                        status & cam::MailboxLayout::kLenMask));
     f.adapter.handle(ocp::Request::write(f.layout.rack(), word(0)));
     // Push the reply with the reply flag: must wake request(), not recv().
     f.adapter.handle(
         ocp::Request::write(f.layout.data_in(), word(1234)));
     f.adapter.handle(ocp::Request::write(
         f.layout.ctrl(),
-        word(4u | HwSwFlags::kLastFlag | HwSwFlags::kReplyFlag)));
+        word(4u | cam::MailboxLayout::kLastFlag | cam::MailboxLayout::kReplyFlag)));
   });
   f.sim.run();
   EXPECT_EQ(answer, 1234u);

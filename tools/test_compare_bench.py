@@ -4,7 +4,8 @@
 Runs the comparator against well-formed, malformed, missing and empty
 inputs and checks the exit-code contract: 0 for a clean comparison, 2
 for any input that cannot anchor one (the failure mode used to be a
-silent "no regressions" pass).
+silent "no regressions" pass), and 1 whenever a counter the baseline
+lists under "exact_counters" differs, even without --strict.
 """
 
 import json
@@ -28,6 +29,15 @@ REGRESSED = {
         {"name": "BM_B/1", "real_time": 2.0, "time_unit": "ms"},
     ]
 }
+
+
+def with_counters(doc, exact=None, **values):
+    """`doc` with `values` as counters on every row (and an optional
+    top-level exact_counters list)."""
+    out = {"benchmarks": [dict(b, **values) for b in doc["benchmarks"]]}
+    if exact is not None:
+        out["exact_counters"] = exact
+    return out
 
 
 def run(baseline, current, *flags):
@@ -62,6 +72,22 @@ def main():
             json.dump({"benchmarks": [42, "x"]}, f)
         missing = os.path.join(tmp, "does_not_exist.json")
 
+        def dump(name, doc):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            return path
+
+        gated = dump("gated.json", with_counters(
+            GOOD, ["sim_us", "irqs"], sim_us=128.02, irqs=3.0))
+        same = dump("same.json", with_counters(GOOD, sim_us=128.02, irqs=3.0))
+        moved = dump("moved.json", with_counters(GOOD, sim_us=128.03, irqs=3.0))
+        dropped = dump("dropped.json", with_counters(GOOD, sim_us=128.02))
+        slow_same = dump("slow_same.json",
+                         with_counters(REGRESSED, sim_us=128.02, irqs=3.0))
+        bad_list = dump("bad_list.json", dict(GOOD, exact_counters="sim_us"))
+        typo = dump("typo.json", with_counters(GOOD, ["sim_su"], sim_us=1.0))
+
         expect("identical inputs", run(good, good), 0)
         expect("regression warns only", run(good, regressed), 0)
         expect("regression strict", run(good, regressed, "--strict"), 1)
@@ -70,6 +96,13 @@ def main():
         expect("missing baseline", run(missing, good), 2)
         expect("empty baseline", run(empty, good), 2)
         expect("non-object entries", run(nondict, good), 2)
+        expect("exact counters equal", run(gated, same), 0)
+        expect("exact counter moved", run(gated, moved), 1)
+        expect("exact counter missing", run(gated, dropped), 1)
+        expect("exact counters gate only simulated values",
+               run(gated, slow_same), 0)
+        expect("exact_counters not a list", run(bad_list, good), 2)
+        expect("exact counter in no baseline row", run(typo, good), 2)
         expect("help mentions validation",
                run(good, good, "--help"), 0)
         help_text = run(good, good, "--help").stdout
@@ -79,7 +112,7 @@ def main():
     if failures:
         print("\n".join(failures))
         return 1
-    print("compare_bench.py exit-code contract holds (9 cases)")
+    print("compare_bench.py exit-code contract holds (15 cases)")
     return 0
 
 
