@@ -60,8 +60,7 @@ bool g_grid_bench_ran = false;
 // total coroutine dispatches across the grid and the mean fast-path hit
 // rate. Both land in the emitted JSON next to real_time, so the bench
 // history records *why* a wall-clock number moved (fewer switches /
-// more fast-path completions), not just that it moved. Zero when built
-// with -DSTLM_OBS=OFF.
+// more fast-path completions), not just that it moved.
 void set_obs_counters(benchmark::State& state,
                       const std::vector<expl::ExplorationRow>& rows) {
   double switches = 0.0;

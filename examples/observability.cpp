@@ -73,9 +73,7 @@ workload::GraphFactory soc_factory() {
 int main(int argc, char** argv) {
   const std::string prefix = argc > 1 ? argv[1] : "obs_";
 
-  std::printf("== observability walkthrough ==\n");
-  std::printf("obs hooks compiled in: %s\n\n",
-              obs::compiled_in() ? "yes" : "no (-DSTLM_OBS=OFF)");
+  std::printf("== observability walkthrough ==\n\n");
 
   // Build the abstract system and map it onto a fast-target PLB platform
   // (the fast path engages on uncontended accesses, so the trace shows

@@ -39,14 +39,7 @@ void MasterAccessor::BusEngine::handle(Txn& txn) {
   if (txn.op == Txn::Op::Write) {
     // Write data phase: advance one beat per acknowledged edge.
     for (std::uint32_t beat = 0; beat < beats;) {
-      std::uint32_t w = 0;
-      for (std::size_t i = 0; i < ocp::kWordBytes; ++i) {
-        const std::size_t idx = beat * ocp::kWordBytes + i;
-        if (idx < txn.data.size()) {
-          w |= static_cast<std::uint32_t>(txn.data[idx]) << (8 * i);
-        }
-      }
-      a.bus_.WrDBus.write(w);
+      a.bus_.WrDBus.write(ocp::word_at(txn.data, beat));
       a.bus_.WrValid.write(true);
       wait(edge);
       if (a.bus_.WrAck.read()) ++beat;
@@ -71,12 +64,7 @@ void MasterAccessor::BusEngine::handle(Txn& txn) {
   rd_bytes.clear();
   for (;;) {
     wait(edge);
-    if (a.bus_.RdAck.read()) {
-      const std::uint32_t w = a.bus_.RdDBus.read();
-      for (std::size_t i = 0; i < ocp::kWordBytes; ++i) {
-        rd_bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-      }
-    }
+    if (a.bus_.RdAck.read()) ocp::append_word(rd_bytes, a.bus_.RdDBus.read());
     if (a.bus_.Comp.read()) {
       error = a.bus_.CompErr.read();
       break;

@@ -35,10 +35,7 @@ void SlaveAccessor::fsm() {
       for (std::uint32_t got = 0; got < beats;) {
         wait(edge);
         if (!bus_.WrValid.read()) continue;
-        const std::uint32_t w = bus_.WrDBus.read();
-        for (std::size_t i = 0; i < ocp::kWordBytes; ++i) {
-          bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-        }
+        ocp::append_word(bytes, bus_.WrDBus.read());
         ++got;
       }
       bus_.WrAck.write(false);
@@ -52,14 +49,7 @@ void SlaveAccessor::fsm() {
       error = !txn_.ok();
       if (!error) {
         for (std::uint32_t beat = 0; beat < beats; ++beat) {
-          std::uint32_t w = 0;
-          for (std::size_t i = 0; i < ocp::kWordBytes; ++i) {
-            const std::size_t idx = beat * ocp::kWordBytes + i;
-            if (idx < txn_.resp_data.size()) {
-              w |= static_cast<std::uint32_t>(txn_.resp_data[idx]) << (8 * i);
-            }
-          }
-          bus_.RdDBus.write(w);
+          bus_.RdDBus.write(ocp::word_at(txn_.resp_data, beat));
           bus_.RdAck.write(true);
           wait(edge);
         }

@@ -205,11 +205,9 @@ void CrossbarCam::serve(std::size_t s, Txn& txn, Time occ) {
     if (f.spike_cycles != 0) wait(cycle_ * f.spike_cycles);
     if (f.error) {
       txn.respond_error();
-#ifdef STLM_OBS
       if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
         ts->instant(full_name(), "fault", sim().now());
       }
-#endif
       return;
     }
   }
@@ -254,14 +252,12 @@ void CrossbarCam::finish(std::size_t master, std::size_t lane, Txn& txn,
     log_.record(kind, txn.id, bytes, start, sim().now(), txn.t_grant,
                 txn.t_data, row_status, txn.retries, masters_[master]->log_id);
   }
-#ifdef STLM_OBS
   // Timeline spans: `start` (the outer arrival time) is the issue stamp —
   // hierarchical routes re-stamp txn.enqueued per hop, but the span
   // should cover the whole crossbar round trip.
   if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
     ts->txn_phases(full_name(), txn, start);
   }
-#endif
 }
 
 }  // namespace stlm::cam

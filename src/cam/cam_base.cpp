@@ -19,14 +19,9 @@ bool inject_access_fault(fault::Injector* inj, std::size_t slave, Txn& txn,
   if (f.spike_cycles != 0) wait(cycle * f.spike_cycles);
   if (!f.error) return false;
   txn.respond_error();
-#ifdef STLM_OBS
   if (obs::TraceSession* ts = sim.trace_session(); ts != nullptr) {
     ts->instant(channel, "fault", sim.now());
   }
-#else
-  (void)sim;
-  (void)channel;
-#endif
   return true;
 }
 
@@ -144,7 +139,6 @@ void CamBase::post(std::size_t master, Txn& txn) {
   audit::on_access(sim(), masters_[master].get(), audit::Mode::Write,
                    "cam.master", masters_[master]->label);
   if (try_fast_post(master, txn)) return;
-#ifdef STLM_OBS
   // A fast-capable bus fell back to the full engine path (contention,
   // split mode, non-fast target): mark the spot on the timeline so
   // fast-hit-rate regressions can be localized in simulated time.
@@ -153,7 +147,6 @@ void CamBase::post(std::size_t master, Txn& txn) {
       ts->instant(full_name(), "fast_fallback", sim().now());
     }
   }
-#endif
   txn.enqueued = sim().now();
   txn.reset_phases();  // re-queued descriptors must not carry stale stamps
   txn.status = Txn::Status::Pending;
@@ -170,13 +163,11 @@ void CamBase::MasterPort::transport(Txn& txn) {
   Txn::PhaseShelf shelf(txn);
   CompletionEvent::NestedScope nest(txn.done);
   if (c.try_fast_transport(index, txn)) return;
-#ifdef STLM_OBS
   if (c.fast_targets_) {
     if (obs::TraceSession* ts = c.sim().trace_session(); ts != nullptr) {
       ts->instant(c.full_name(), "fast_fallback", c.sim().now());
     }
   }
-#endif
   txn.enqueued = c.sim().now();
   txn.reset_phases();
   txn.status = Txn::Status::Pending;
@@ -547,7 +538,6 @@ void CamBase::complete_txn(Txn& txn, std::size_t master,
     log_.record(kind, txn.id, bytes, txn.enqueued, sim().now(), txn.t_grant,
                 txn.t_data, row_status, txn.retries, masters_[master]->log_id);
   }
-#ifdef STLM_OBS
   // Timeline spans for this transaction. complete_txn is the single
   // completion point shared by the atomic engine, the split data engine,
   // AND both fast paths — so fast-path completions show up in the trace
@@ -555,7 +545,6 @@ void CamBase::complete_txn(Txn& txn, std::size_t master,
   if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
     ts->txn_phases(full_name(), txn, txn.enqueued);
   }
-#endif
   txn.done.complete(sim());  // immediate: initiator resumes within this delta
 }
 

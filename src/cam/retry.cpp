@@ -33,7 +33,6 @@ void RetryPolicy::disarm(Txn& txn) {
       std::find_if(armed_.begin(), armed_.end(),
                    [&txn](const Armed& a) { return a.txn == &txn; });
   if (it == armed_.end()) return;  // settle() on an unwatched descriptor
-#ifdef STLM_OBS
   // Retrospective span covering the watched window: armed -> settled.
   // When the deadline was missed, the "timeout" instant (stamped at the
   // deadline by watchdog_fire) falls inside this span by construction —
@@ -41,7 +40,6 @@ void RetryPolicy::disarm(Txn& txn) {
   if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
     ts->async_span(full_name(), "watchdog", txn.id, it->armed_at, sim().now());
   }
-#endif
   armed_.erase(it);
   // Re-aim (or drop) the timer so a settled descriptor's stale deadline
   // cannot keep the simulation alive past the last real event.
@@ -55,11 +53,9 @@ void RetryPolicy::watchdog_fire() {
     if (a.txn->deadline_missed || a.txn->done.completed()) continue;
     a.txn->deadline_missed = true;
     ++timeouts_;
-#ifdef STLM_OBS
     if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
       ts->instant(full_name(), "timeout", now);
     }
-#endif
   }
   renotify(now);
 }
@@ -83,11 +79,9 @@ bool RetryPolicy::prepare_retry(Txn& txn) {
   if (txn.retries >= spec_.max_retries) {
     txn.status = Txn::Status::Aborted;
     ++aborts_;
-#ifdef STLM_OBS
     if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
       ts->instant(full_name(), "abort", sim().now());
     }
-#endif
     return false;
   }
   // Exponential backoff in simulated time: attempt k (1-based) re-issues
@@ -96,11 +90,9 @@ bool RetryPolicy::prepare_retry(Txn& txn) {
   if (cycles != 0) wait(cycle_ * cycles);
   txn.rearm_retry();
   ++retries_;
-#ifdef STLM_OBS
   if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
     ts->instant(full_name(), "retry", sim().now());
   }
-#endif
   return true;
 }
 

@@ -6,18 +6,10 @@ const char* partition_name(Partition p) {
   return p == Partition::Hardware ? "HW" : "SW";
 }
 
-ship::ship_if& HwExecContext::channel(const std::string& name) {
+ship::ship_if& ExecContext::channel(const std::string& name) {
   auto it = endpoints_.find(name);
   if (it == endpoints_.end()) {
     throw ElaborationError("PE asked for unbound channel '" + name + "'");
-  }
-  return *it->second;
-}
-
-ship::ship_if& SwExecContext::channel(const std::string& name) {
-  auto it = endpoints_.find(name);
-  if (it == endpoints_.end()) {
-    throw ElaborationError("SW task asked for unbound channel '" + name + "'");
   }
   return *it->second;
 }
@@ -33,42 +25,23 @@ void SwExecContext::idle(Time t) {
 
 SwLocalChannel::SwLocalChannel(rtos::Rtos& os, std::string name,
                                std::size_t depth)
-    : name_(std::move(name)) {
+    : name_(std::move(name)),
+      dir_{{os, name_ + ".0", depth}, {os, name_ + ".1", depth}} {
   STLM_ASSERT(depth > 0, "SW channel depth must be positive: " + name_);
-  for (int i = 0; i < 2; ++i) {
-    dir_[i].items = std::make_unique<rtos::Semaphore>(
-        os, name_ + ".items" + std::to_string(i), 0);
-    dir_[i].space = std::make_unique<rtos::Semaphore>(
-        os, name_ + ".space" + std::to_string(i), static_cast<int>(depth));
-  }
 }
 
 const std::string& SwLocalChannel::Terminal::channel_name() const {
   return ch->name_;
 }
 
-void SwLocalChannel::push(Direction& d, Message m) {
-  d.space->wait();
-  d.queue.push_back(std::move(m));
-  d.items->post();
-}
-
-SwLocalChannel::Message SwLocalChannel::pop(Direction& d) {
-  d.items->wait();
-  Message m = std::move(d.queue.front());
-  d.queue.pop_front();
-  d.space->post();
-  return m;
-}
-
 void SwLocalChannel::Terminal::send(const ship::ship_serializable_if& msg) {
   state.mark(ship::Role::Master, "send");
-  ch->push(ch->dir_[index], Message{ship::to_bytes(msg), false});
+  ch->dir_[index].send(Message{ship::to_bytes(msg), false});
 }
 
 void SwLocalChannel::Terminal::recv(ship::ship_serializable_if& msg) {
   state.mark(ship::Role::Slave, "recv");
-  Message m = ch->pop(ch->dir_[1 - index]);
+  Message m = ch->dir_[1 - index].recv();
   state.note_recv(m.is_request);
   ship::from_bytes(msg, m.payload);
 }
@@ -76,18 +49,23 @@ void SwLocalChannel::Terminal::recv(ship::ship_serializable_if& msg) {
 void SwLocalChannel::Terminal::request(const ship::ship_serializable_if& req,
                                        ship::ship_serializable_if& resp) {
   state.mark(ship::Role::Master, "request");
-  ch->push(ch->dir_[index], Message{ship::to_bytes(req), true});
-  Message r = ch->pop(ch->dir_[1 - index]);
+  ch->dir_[index].send(Message{ship::to_bytes(req), true});
+  Message r = ch->dir_[1 - index].recv();
+  if (r.is_request) {
+    throw ProtocolError("SHIP channel " + ch->name_ +
+                        ": request crossed with opposing request "
+                        "(both terminals acting as master)");
+  }
   ship::from_bytes(resp, r.payload);
 }
 
 void SwLocalChannel::Terminal::reply(const ship::ship_serializable_if& resp) {
   state.take_reply();
-  ch->push(ch->dir_[index], Message{ship::to_bytes(resp), false});
+  ch->dir_[index].send(Message{ship::to_bytes(resp), false});
 }
 
 bool SwLocalChannel::Terminal::message_available() const {
-  return !ch->dir_[1 - index].queue.empty();
+  return ch->dir_[1 - index].size() != 0;
 }
 
 }  // namespace stlm::core

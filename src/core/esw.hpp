@@ -12,8 +12,6 @@
 //     tasks: message queues on RTOS semaphores (no bus traffic), the
 //     substitution Herrera et al. prescribe for channel objects.
 
-#include <deque>
-#include <map>
 #include <string>
 
 #include "core/pe.hpp"
@@ -28,9 +26,6 @@ public:
   HwExecContext(Simulator& sim, Time pe_cycle)
       : sim_(sim), cycle_(pe_cycle) {}
 
-  void add_channel(const std::string& name, ship::ship_if& endpoint) {
-    endpoints_[name] = &endpoint;
-  }
   // CAM-level mapping only: give this PE a bus master port for direct
   // memory traffic (SystemGraph::add_memory clients). `retry` optionally
   // interposes an initiator-side failure policy (bound to the same bus
@@ -42,7 +37,6 @@ public:
     mem_retry_ = retry;
   }
 
-  ship::ship_if& channel(const std::string& name) override;
   void consume(std::uint64_t cycles) override { wait(cycle_ * cycles); }
   void idle(Time t) override { wait(t); }
   cam::CamIf* mem_bus() override { return mem_bus_; }
@@ -53,7 +47,6 @@ public:
 private:
   Simulator& sim_;
   Time cycle_;
-  std::map<std::string, ship::ship_if*> endpoints_;
   cam::CamIf* mem_bus_ = nullptr;
   std::size_t mem_master_ = 0;
   cam::RetryPolicy* mem_retry_ = nullptr;
@@ -63,11 +56,6 @@ class SwExecContext final : public ExecContext {
 public:
   SwExecContext(rtos::Rtos& os, cpu::CpuModel& cpu) : os_(os), cpu_(cpu) {}
 
-  void add_channel(const std::string& name, ship::ship_if& endpoint) {
-    endpoints_[name] = &endpoint;
-  }
-
-  ship::ship_if& channel(const std::string& name) override;
   void consume(std::uint64_t cycles) override { cpu_.consume(cycles); }
   void idle(Time t) override;
   Simulator& sim() override { return os_.sim(); }
@@ -75,7 +63,6 @@ public:
 private:
   rtos::Rtos& os_;
   cpu::CpuModel& cpu_;
-  std::map<std::string, ship::ship_if*> endpoints_;
 };
 
 // SHIP channel between two SW tasks on the same CPU.
@@ -91,12 +78,6 @@ private:
   struct Message {
     std::vector<std::uint8_t> payload;
     bool is_request;
-  };
-
-  struct Direction {
-    std::unique_ptr<rtos::Semaphore> items;
-    std::unique_ptr<rtos::Semaphore> space;
-    std::deque<Message> queue;
   };
 
   struct Terminal final : ship::ship_if {
@@ -115,12 +96,9 @@ private:
     ship::TerminalState state;
   };
 
-  void push(Direction& d, Message m);
-  Message pop(Direction& d);
-
   std::string name_;
   Terminal term_[2]{{*this, 0}, {*this, 1}};
-  Direction dir_[2];
+  rtos::Queue<Message> dir_[2];  // dir_[i] carries terminal i's messages
 };
 
 }  // namespace stlm::core

@@ -146,22 +146,18 @@ void MappedSystem::report(std::ostream& out) const {
           << " outstanding=" << m->outstanding() << "\n";
     }
   }
-  if constexpr (obs::compiled_in()) {
-    // Kernel observability counters (maintained under STLM_OBS; the
-    // whole section is omitted when compiled out rather than printing
-    // misleading zeros).
-    out << "  kernel ctx switches              " << sim_.ctx_switches() << "\n"
-        << "  kernel inline advances           " << sim_.inline_advances()
-        << "\n";
-    if (cam_) {
-      auto& st = const_cast<cam::CamIf*>(cam_.get())->stats();
-      const std::uint64_t tx = st.counter("transactions");
-      if (tx != 0) {
-        out << "  bus fast-path hit rate           "
-            << static_cast<double>(st.counter("fast_path_hits")) /
-                   static_cast<double>(tx)
-            << "\n";
-      }
+  // Kernel observability counters.
+  out << "  kernel ctx switches              " << sim_.ctx_switches() << "\n"
+      << "  kernel inline advances           " << sim_.inline_advances()
+      << "\n";
+  if (cam_) {
+    auto& st = const_cast<cam::CamIf*>(cam_.get())->stats();
+    const std::uint64_t tx = st.counter("transactions");
+    if (tx != 0) {
+      out << "  bus fast-path hit rate           "
+          << static_cast<double>(st.counter("fast_path_hits")) /
+                 static_cast<double>(tx)
+          << "\n";
     }
   }
 }
@@ -335,17 +331,18 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
     }
   }
 
-  // Execution contexts.
+  // Execution contexts: every context binds channels; hardware contexts
+  // also bind memory ports.
+  std::map<const ProcessingElement*, ExecContext*> ctx_of;
   std::map<const ProcessingElement*, HwExecContext*> hw_ctx_of;
-  std::map<const ProcessingElement*, SwExecContext*> sw_ctx_of;
   for (ProcessingElement* pe : g.pes()) {
     if (g.partition(*pe) == Partition::Hardware) {
       ms.hw_ctx_.push_back(
           std::make_unique<HwExecContext>(ms.sim_, p.pe_clock));
-      hw_ctx_of[pe] = ms.hw_ctx_.back().get();
+      ctx_of[pe] = hw_ctx_of[pe] = ms.hw_ctx_.back().get();
     } else {
       ms.sw_ctx_.push_back(std::make_unique<SwExecContext>(*ms.rtos_, *ms.cpu_));
-      sw_ctx_of[pe] = ms.sw_ctx_.back().get();
+      ctx_of[pe] = ms.sw_ctx_.back().get();
     }
   }
 
@@ -376,14 +373,6 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
         std::to_string(mem.clients.size()) + " direct masters)");
   }
 
-  auto endpoint_binder = [&](ProcessingElement* pe, const std::string& name,
-                             ship::ship_if& ep) {
-    if (auto it = hw_ctx_of.find(pe); it != hw_ctx_of.end()) {
-      it->second->add_channel(name, ep);
-    } else {
-      sw_ctx_of.at(pe)->add_channel(name, ep);
-    }
-  };
   auto port_of = [](const ChannelSpec& spec, const ProcessingElement* pe) {
     return pe == spec.a ? spec.port_a : spec.port_b;
   };
@@ -414,8 +403,8 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
           std::make_unique<SwLocalChannel>(*ms.rtos_, spec.name,
                                            spec.queue_depth));
       SwLocalChannel& ch = *ms.sw_channels_.back();
-      endpoint_binder(spec.a, spec.port_a, ch.a());
-      endpoint_binder(spec.b, spec.port_b, ch.b());
+      ctx_of.at(spec.a)->add_channel(spec.port_a, ch.a());
+      ctx_of.at(spec.b)->add_channel(spec.port_b, ch.b());
       ms.mapping_notes_.push_back("channel " + spec.name +
                                   " -> RTOS-local queue (SW/SW)");
       continue;
@@ -439,8 +428,8 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
       ProcessingElement* hw_pe =
           g.partition(*spec.a) == Partition::Hardware ? spec.a : spec.b;
       ProcessingElement* sw_pe = hw_pe == spec.a ? spec.b : spec.a;
-      endpoint_binder(hw_pe, port_of(spec, hw_pe), ad);
-      endpoint_binder(sw_pe, port_of(spec, sw_pe), drv);
+      ctx_of.at(hw_pe)->add_channel(port_of(spec, hw_pe), ad);
+      ctx_of.at(sw_pe)->add_channel(port_of(spec, sw_pe), drv);
       ms.mapping_notes_.push_back(
           "channel " + spec.name + " -> HW/SW interface (mailbox @0x" +
           [&] {
@@ -465,8 +454,8 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
         p.poll_interval, p.coalesce_bursts));
     cam::ShipMasterWrapper& mw = *ms.master_wraps_.back();
     if (with_retry) mw.set_retry(make_retry(spec.name + ".retry", midx));
-    endpoint_binder(master_pe, port_of(spec, master_pe), mw);
-    endpoint_binder(slave_pe, port_of(spec, slave_pe), sw);
+    ctx_of.at(master_pe)->add_channel(port_of(spec, master_pe), mw);
+    ctx_of.at(slave_pe)->add_channel(port_of(spec, slave_pe), sw);
     ms.mapping_notes_.push_back("channel " + spec.name +
                                 " -> SHIP/OCP wrappers on " +
                                 std::string(bus_kind_name(p.bus)));
@@ -481,12 +470,11 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
 
   // Spawn PE execution.
   for (ProcessingElement* pe : g.pes()) {
+    ExecContext* ctx = ctx_of.at(pe);
     if (g.partition(*pe) == Partition::Hardware) {
-      HwExecContext* ctx = hw_ctx_of.at(pe);
       ms.hw_procs_.push_back(&ms.sim_.spawn_thread(
           "pe." + pe->name(), [pe, ctx] { pe->run(*ctx); }));
     } else {
-      SwExecContext* ctx = sw_ctx_of.at(pe);
       ms.rtos_->create_task(pe->name(), /*priority=*/1,
                             [pe, ctx] { pe->run(*ctx); });
       ms.mapping_notes_.push_back("pe " + pe->name() +

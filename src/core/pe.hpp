@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 
 #include "kernel/simulator.hpp"
@@ -33,7 +34,11 @@ public:
   virtual ~ExecContext() = default;
 
   // The SHIP endpoint this PE was connected to under `name`.
-  virtual ship::ship_if& channel(const std::string& name) = 0;
+  ship::ship_if& channel(const std::string& name);
+  // Bind `endpoint` under `name` (the mapper's job).
+  void add_channel(const std::string& name, ship::ship_if& endpoint) {
+    endpoints_[name] = &endpoint;
+  }
   // Charge computation time (cycles of the PE's clock / the CPU).
   virtual void consume(std::uint64_t cycles) = 0;
   // Explicit idle time (sensor intervals, frame pacing, ...).
@@ -55,6 +60,9 @@ public:
   virtual cam::RetryPolicy* mem_retry() { return nullptr; }
 
   virtual Simulator& sim() = 0;
+
+private:
+  std::map<std::string, ship::ship_if*> endpoints_;
 };
 
 class ProcessingElement {

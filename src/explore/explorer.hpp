@@ -56,8 +56,7 @@ struct ExplorationRow {
   // off; the grid-audit test asserts zero with it on.
   std::uint64_t audit_conflicts = 0;
   // Kernel thread-coroutine dispatches this cell's simulator performed —
-  // the scheduler-overhead side of the wall_ms column (src/obs). Zero
-  // when built without STLM_OBS.
+  // the scheduler-overhead side of the wall_ms column (src/obs).
   std::uint64_t ctx_switches = 0;
   // Fast-path completions / total bus transactions for this cell (0 for
   // buses without a fast path, e.g. the crossbar).
@@ -129,8 +128,7 @@ public:
   // to that cell's private simulator and the Chrome Trace Event JSON is
   // written to `path` after the run — drill into any grid candidate with
   // Perfetto without re-running the sweep under a debugger. No-op when
-  // `path` is empty or STLM_OBS is compiled out (the file is still
-  // written, containing only metadata).
+  // `path` is empty.
   struct TraceTarget {
     std::string platform;
     std::string workload;

@@ -67,13 +67,11 @@ void Auditor::begin_lifetime(const void* key) {
 void Auditor::note_conflict(const Object& obj, const Access& first,
                             const Access& second) {
   ++conflict_events_;
-#ifdef STLM_OBS
   // Surface the conflict on the timeline too: an instant event on a
   // dedicated "audit" track at the simulated time it was detected.
   if (obs::TraceSession* ts = sim_.trace_session(); ts != nullptr) {
     ts->instant("audit", "conflict: " + obj.label, sim_.now());
   }
-#endif
   const std::string f = process_name(first.proc);
   const std::string s = process_name(second.proc);
   std::string pair_key;
@@ -124,7 +122,6 @@ std::string Report::table() const {
   return os.str();
 }
 
-#ifdef STLM_AUDIT
 void on_access(Simulator& sim, const void* key, Mode mode, const char* kind,
                const std::string& name) {
   if (Auditor* a = sim.auditor()) a->access(key, mode, kind, name);
@@ -133,6 +130,5 @@ void on_access(Simulator& sim, const void* key, Mode mode, const char* kind,
 void on_fresh(Simulator& sim, const void* key) {
   if (Auditor* a = sim.auditor()) a->begin_lifetime(key);
 }
-#endif
 
 }  // namespace stlm::audit

@@ -35,14 +35,12 @@
 //     the arbiter ranks deterministically stay quiet while two processes
 //     sharing one master port is flagged.
 //
-// Build/runtime gating: instrumentation call sites compile to empty
-// inlines unless the library is built with -DSTLM_AUDIT (CMake option
-// STLM_AUDIT, default ON; the perf-gate CI job builds with it OFF and
-// BM_CamRoundtrip pins the no-op claim). With the hooks compiled in,
-// auditing is still off until enabled — per simulator via
+// Runtime gating: the instrumentation call sites are always compiled
+// in, but auditing is off until enabled — per simulator via
 // Simulator::set_audit_enabled(), or for every subsequently constructed
 // Simulator via audit::set_default_enabled() (what the exploration grid
-// test uses to audit the sweep's internal simulators).
+// test uses to audit the sweep's internal simulators). While off, each
+// hook is one pointer test.
 
 #include <cstdint>
 #include <string>
@@ -92,21 +90,11 @@ struct Report {
 void set_default_enabled(bool on);
 bool default_enabled();
 
-// True when the library was built with the instrumentation call sites
-// compiled in (-DSTLM_AUDIT). Tests skip their audit assertions when the
-// hooks are compiled out.
-constexpr bool compiled_in() {
-#ifdef STLM_AUDIT
-  return true;
-#else
-  return false;
-#endif
-}
+// Always true: the hooks are part of the one library build. Kept only
+// because perfbench/ still reports it.
+constexpr bool compiled_in() { return true; }
 
-// Per-simulator access recorder. Always compiled (it is small and lets
-// audit_report() exist unconditionally); only the *call sites* are
-// gated, so an STLM_AUDIT=OFF build pays literally nothing on the hot
-// paths.
+// Per-simulator access recorder, created when auditing is enabled.
 class Auditor {
  public:
   explicit Auditor(Simulator& sim) : sim_(sim) {}
@@ -151,21 +139,13 @@ class Auditor {
   std::uint64_t conflict_events_ = 0;
 };
 
-// ---- instrumentation hook ------------------------------------------------
+// ---- instrumentation hooks -----------------------------------------------
 //
-// Call-site entry point. With STLM_AUDIT off this is an empty inline —
-// the compiler removes the call and its argument setup entirely. With it
-// on, the out-of-line implementation forwards to the simulator's Auditor
-// when runtime auditing is enabled (one pointer test otherwise).
+// Call-site entry points: forward to the simulator's Auditor when
+// runtime auditing is enabled (one pointer test otherwise).
 
-#ifdef STLM_AUDIT
 void on_access(Simulator& sim, const void* key, Mode mode, const char* kind,
                const std::string& name);
 void on_fresh(Simulator& sim, const void* key);
-#else
-inline void on_access(Simulator&, const void*, Mode, const char*,
-                      const std::string&) {}
-inline void on_fresh(Simulator&, const void*) {}
-#endif
 
 }  // namespace stlm::audit

@@ -77,11 +77,9 @@ std::uint64_t EventWheel::next_occupied(std::uint64_t from) const {
 
 void EventWheel::push(const TimedEntry& e, Time now) {
   if (buckets_.empty()) take_buckets();
-#ifdef STLM_OBS
   ++stats_.pushes;
   const std::size_t sz = size() + 1;
   if (sz > stats_.peak_size) stats_.peak_size = sz;
-#endif
   const std::uint64_t idx = idx_of(e.when);
   if (idx >= base_ + kWheelBuckets && wheel_count_ == 0 &&
       idx_of(now) != base_) {
@@ -90,9 +88,7 @@ void EventWheel::push(const TimedEntry& e, Time now) {
     rebase(idx_of(now));
   }
   if (idx >= base_ + kWheelBuckets) {
-#ifdef STLM_OBS
     ++stats_.overflow_pushes;
-#endif
     overflow_.push(e);
     return;
   }
@@ -100,9 +96,7 @@ void EventWheel::push(const TimedEntry& e, Time now) {
 }
 
 void EventWheel::rebase(std::uint64_t idx) {
-#ifdef STLM_OBS
   ++stats_.rebases;
-#endif
   base_ = idx;
   scan_idx_ = idx;
   const std::uint64_t horizon = base_ + kWheelBuckets;

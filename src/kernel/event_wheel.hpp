@@ -105,8 +105,7 @@ public:
   // Behaviour counters for the obs::Profiler: how often pushes landed in
   // the wheel vs. spilled to the overflow heap, how often the window was
   // re-anchored, and the peak queue occupancy. Plain members (no heap, no
-  // branches beyond an increment) so this file's hot-path contract holds;
-  // only maintained when built with STLM_OBS, zeros otherwise.
+  // branches beyond an increment) so this file's hot-path contract holds.
   struct Stats {
     std::uint64_t pushes = 0;
     std::uint64_t overflow_pushes = 0;

@@ -130,18 +130,14 @@ void Simulator::make_runnable(Process& p, Process::WakeReason reason,
   p.runnable_ = true;
   p.wake_reason_ = reason;
   p.last_event_ = cause;
-#ifdef STLM_AUDIT
   p.audit_enq_seq_ = audit_dispatch_seq_;
-#endif
   runnable_.push_back(&p);
 }
 
 void Simulator::queue_method(MethodProcess& m) {
   if (m.terminated_ || m.queued_) return;
   m.queued_ = true;
-#ifdef STLM_AUDIT
   m.audit_enq_seq_ = audit_dispatch_seq_;
-#endif
   method_queue_.push_back(&m);
 }
 
@@ -271,14 +267,10 @@ void Simulator::evaluate_phase() {
 
 void Simulator::run_method(MethodProcess& m) {
   m.queued_ = false;
-#ifdef STLM_AUDIT
   ++audit_dispatch_seq_;
   audit_current_ = &m;
-#endif
-#ifdef STLM_OBS
   if (profiler_ != nullptr) profiler_->dispatch_begin(m);
   if (trace_session_ != nullptr) trace_session_->process_begin(m, now_);
-#endif
   try {
     m.fn_();
   } catch (...) {
@@ -286,28 +278,20 @@ void Simulator::run_method(MethodProcess& m) {
     m.terminated_ = true;
     stop_requested_ = true;
   }
-#ifdef STLM_OBS
   if (trace_session_ != nullptr) trace_session_->process_end(m, now_);
   if (profiler_ != nullptr) profiler_->dispatch_end(m);
-#endif
-#ifdef STLM_AUDIT
   audit_current_ = nullptr;
-#endif
 }
 
 void Simulator::resume_thread(Process& p) {
   p.runnable_ = false;
   ++p.wake_gen_;  // invalidate every stale registration of this process
   current_process_ = &p;
-#ifdef STLM_AUDIT
   ++audit_dispatch_seq_;
   audit_current_ = &p;
-#endif
-#ifdef STLM_OBS
   ++ctx_switches_;
   if (profiler_ != nullptr) profiler_->dispatch_begin(p);
   if (trace_session_ != nullptr) trace_session_->process_begin(p, now_);
-#endif
   p.ensure_started();
   detail::fiber_switch_begin(&sched_fake_stack_, p.stack_.base,
                              p.stack_bytes_);
@@ -315,15 +299,11 @@ void Simulator::resume_thread(Process& p) {
   detail::stlm_ctx_swap(&sched_sp_, p.sp_);
   detail::fiber_switch_end(sched_fake_stack_);
   current_process_ = nullptr;
-#ifdef STLM_OBS
   // now_ may have moved while the process ran (lone-runner inline
   // advances), so the end stamp closes a span of real simulated width.
   if (trace_session_ != nullptr) trace_session_->process_end(p, now_);
   if (profiler_ != nullptr) profiler_->dispatch_end(p);
-#endif
-#ifdef STLM_AUDIT
   audit_current_ = nullptr;
-#endif
   if (p.error_) {
     if (!pending_error_) pending_error_ = p.error_;
     p.error_ = nullptr;
@@ -452,9 +432,7 @@ bool Simulator::advance_inline(Time abs) {
   const TimedEntry* head = timed_.peek(&Simulator::timed_entry_stale, this);
   if (head && head->when <= abs) return false;
   now_ = abs;
-#ifdef STLM_OBS
   ++inline_advances_;
-#endif
   return true;
 }
 

@@ -218,11 +218,11 @@ public:
   // Runtime switch for per-delta access-set recording. New simulators
   // sample audit::default_enabled(); flip that before constructing (or
   // before Explorer sweeps construct their internal simulators) to audit
-  // whole runs. Instrumentation only exists when built with STLM_AUDIT.
+  // whole runs.
   void set_audit_enabled(bool on);
   bool audit_enabled() const { return auditor_ != nullptr; }
   // Conflict summary for this simulator's run so far. With auditing off
-  // (or STLM_AUDIT compiled out) returns a report with enabled == false.
+  // returns a report with enabled == false.
   audit::Report audit_report() const;
 
   // Hook plumbing (see audit.hpp). audit_current() is the dispatched
@@ -236,10 +236,9 @@ public:
   // --- observability layer (src/obs) -------------------------------------
   // Non-owning session pointers set by obs::TraceSession::attach /
   // obs::Profiler::attach. The kernel and CAM hooks test these pointers
-  // (under STLM_OBS) before recording; with nothing attached each hook is
-  // one branch. The counters below are maintained unconditionally under
-  // STLM_OBS — they are single increments on paths that already swap
-  // whole coroutine contexts — and read 0 when compiled out.
+  // before recording; with nothing attached each hook is one branch. The
+  // counters below are maintained unconditionally — they are single
+  // increments on paths that already swap whole coroutine contexts.
   void set_trace_session(obs::TraceSession* t) { trace_session_ = t; }
   obs::TraceSession* trace_session() const { return trace_session_; }
   void set_profiler(obs::Profiler* p) { profiler_ = p; }

@@ -410,26 +410,18 @@ private:
   // belong to a logically different object). A double release of one
   // live window is a same-key W/W on the free side and gets flagged.
   void audit_acquire(Txn& t) {
-#ifdef STLM_AUDIT
     if (sim_ != nullptr) {
       static const std::string label("descriptor");
       audit::on_fresh(*sim_, &t);
       audit::on_fresh(*sim_, &t.done);
       audit::on_access(*sim_, &t, audit::Mode::Write, "txn.live", label);
     }
-#else
-    (void)t;
-#endif
   }
   void audit_release(Txn& t) {
-#ifdef STLM_AUDIT
     if (sim_ != nullptr) {
       static const std::string label("descriptor");
       audit::on_access(*sim_, &t.done, audit::Mode::Write, "txn.free", label);
     }
-#else
-    (void)t;
-#endif
   }
 
   Simulator* sim_ = nullptr;  // owning simulator; set by Simulator's ctor

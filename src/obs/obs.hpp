@@ -10,14 +10,9 @@
 //   * obs::MetricsRegistry — simulated-time series of user gauges sampled
 //                            by a PeriodicSampler process into CSV/JSON.
 //
-// Gating follows the STLM_AUDIT pattern (kernel/audit.hpp): the classes
-// are always compiled so tooling can link against them unconditionally,
-// but the kernel/CAM hook *call sites* only exist when built with
-// -DSTLM_OBS (a CMake option, ON by default). With the option OFF every
-// hook compiles to nothing — the perf-gate CI job builds that
-// configuration and holds it to the strict benchmark gate. With the
-// option ON but no session attached, each hook is a single null-pointer
-// test on the owning Simulator.
+// The kernel/CAM hook call sites are always compiled in. With no session
+// attached, each hook is a single null-pointer test on the owning
+// Simulator.
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -25,14 +20,8 @@
 
 namespace stlm::obs {
 
-// True when the kernel/CAM observability hooks are compiled in. Tests
-// gate hook-driven assertions on this, mirroring audit::compiled_in().
-constexpr bool compiled_in() {
-#ifdef STLM_OBS
-  return true;
-#else
-  return false;
-#endif
-}
+// Always true: the hooks are part of the one library build. Kept only
+// because perfbench/ still calls it.
+constexpr bool compiled_in() { return true; }
 
 }  // namespace stlm::obs

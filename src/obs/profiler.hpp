@@ -8,7 +8,7 @@
 //     dispatch count to that process. The wall clock is intentionally
 //     kept OUT of the trace/metrics artifacts: those must be
 //     byte-deterministic across runs, and host timing never is.
-//   * snapshot() — pulls counters the kernel maintains under STLM_OBS:
+//   * snapshot() — pulls counters the kernel maintains on every run:
 //     context switches and lone-runner inline advances from the
 //     Simulator, push/overflow/rebase/occupancy statistics from the
 //     EventWheel, map/reuse/high-water counts from the calling thread's
@@ -88,7 +88,7 @@ public:
 
   void add_bus(std::string name, BusSampleFn sample);
 
-  // --- scheduler hooks (called by the kernel under STLM_OBS) ------------
+  // --- scheduler hooks (called by the kernel) ------------------------------
   void dispatch_begin(const ProcessBase& p);
   void dispatch_end(const ProcessBase& p);
 

@@ -65,7 +65,7 @@ public:
   void detach();
   Simulator* simulator() const { return sim_; }
 
-  // --- recording hooks (called by the kernel/CAM under STLM_OBS) --------
+  // --- recording hooks (called by the kernel/CAM) --------------------------
   void process_begin(const ProcessBase& p, Time now);
   void process_end(const ProcessBase& p, Time now);
   // Queue + service async spans for a completed transaction on the track

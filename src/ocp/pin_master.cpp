@@ -9,18 +9,6 @@ OcpPinMaster::OcpPinMaster(Simulator& sim, std::string name, OcpPins& pins,
       clk_(clk),
       busy_(sim, full_name() + ".busy") {}
 
-std::uint32_t OcpPinMaster::word_at(const std::vector<std::uint8_t>& bytes,
-                                    std::size_t beat) {
-  std::uint32_t w = 0;
-  for (std::size_t i = 0; i < kWordBytes; ++i) {
-    const std::size_t idx = beat * kWordBytes + i;
-    if (idx < bytes.size()) {
-      w |= static_cast<std::uint32_t>(bytes[idx]) << (8 * i);
-    }
-  }
-  return w;
-}
-
 void OcpPinMaster::transport(Txn& txn) {
   STLM_ASSERT(txn.op != Txn::Op::Msg,
               "pin-level transport needs a read/write txn on " + full_name());
@@ -77,10 +65,7 @@ void OcpPinMaster::transport(Txn& txn) {
       return;
     }
     if (r != RespCode::DVA) continue;
-    const std::uint32_t w = pins_.SData.read();
-    for (std::size_t i = 0; i < kWordBytes; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-    }
+    append_word(bytes, pins_.SData.read());
     ++beat;
   }
   bytes.resize(txn.read_bytes);  // trim padding of the final word

@@ -27,9 +27,6 @@ public:
   std::uint64_t transactions() const { return transactions_; }
 
 private:
-  static std::uint32_t word_at(const std::vector<std::uint8_t>& bytes,
-                               std::size_t beat);
-
   OcpPins& pins_;
   Clock& clk_;
   Mutex busy_;

@@ -13,18 +13,6 @@ OcpPinSlave::OcpPinSlave(Simulator& sim, std::string name, OcpPins& pins,
   spawn_thread("fsm", [this] { fsm(); });
 }
 
-std::uint32_t OcpPinSlave::word_at(const std::vector<std::uint8_t>& bytes,
-                                   std::size_t beat) {
-  std::uint32_t w = 0;
-  for (std::size_t i = 0; i < kWordBytes; ++i) {
-    const std::size_t idx = beat * kWordBytes + i;
-    if (idx < bytes.size()) {
-      w |= static_cast<std::uint32_t>(bytes[idx]) << (8 * i);
-    }
-  }
-  return w;
-}
-
 void OcpPinSlave::fsm() {
   Event& edge = clk_.posedge_event();
   for (;;) {
@@ -45,14 +33,10 @@ void OcpPinSlave::fsm() {
       txn_.begin_write(addr, nullptr, 0);
       std::vector<std::uint8_t>& bytes = txn_.data;
       bytes.reserve(static_cast<std::size_t>(beats) * kWordBytes);
-      std::uint32_t w = pins_.MData.read();
-      for (std::uint32_t beat = 0;;) {
-        for (std::size_t i = 0; i < kWordBytes; ++i) {
-          bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-        }
-        if (++beat >= beats) break;
+      append_word(bytes, pins_.MData.read());
+      for (std::uint32_t beat = 1; beat < beats; ++beat) {
         wait(edge);
-        w = pins_.MData.read();
+        append_word(bytes, pins_.MData.read());
       }
       bytes.resize(byte_cnt);  // drop final-word padding
       pins_.SCmdAccept.write(false);

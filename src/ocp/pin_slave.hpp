@@ -27,9 +27,6 @@ public:
 
 private:
   void fsm();
-  static std::uint32_t word_at(const std::vector<std::uint8_t>& bytes,
-                               std::size_t beat);
-
   OcpPins& pins_;
   Clock& clk_;
   ocp_tl_slave_if& device_;

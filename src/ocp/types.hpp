@@ -41,6 +41,29 @@ inline void u32_to_le(std::uint32_t v, std::uint8_t* p) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+// Pin-level burst packing shared by the OCP pin FSMs and the bus
+// accessors: beat `beat` of `bytes` as one little-endian word,
+// zero-padded past the end of the payload...
+inline std::uint32_t word_at(const std::vector<std::uint8_t>& bytes,
+                             std::size_t beat) {
+  std::uint32_t w = 0;
+  for (std::size_t i = 0; i < kWordBytes; ++i) {
+    const std::size_t idx = beat * kWordBytes + i;
+    if (idx < bytes.size()) {
+      w |= static_cast<std::uint32_t>(bytes[idx]) << (8 * i);
+    }
+  }
+  return w;
+}
+
+// ...and the inverse: append one captured beat. The caller trims the
+// final word's padding once the burst is complete.
+inline void append_word(std::vector<std::uint8_t>& bytes, std::uint32_t w) {
+  for (std::size_t i = 0; i < kWordBytes; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+  }
+}
+
 enum class Cmd : std::uint8_t { Idle = 0, Write = 1, Read = 2 };
 enum class RespCode : std::uint8_t { Null = 0, DVA = 1, Fail = 2, Err = 3 };
 

@@ -49,7 +49,6 @@ TEST(Audit, DisabledSimulatorReportsNothing) {
 // simulated causality — decides whose value lands first. That is the
 // exact hazard the auditor exists to flag.
 TEST(Audit, CoRunnableWritersAreFlagged) {
-  if (!audit::compiled_in()) GTEST_SKIP() << "built without STLM_AUDIT";
   Simulator sim;
   sim.set_audit_enabled(true);
   Fifo<int> f(sim, "f", 4);
@@ -74,7 +73,6 @@ TEST(Audit, CoRunnableWritersAreFlagged) {
 // The same shape repeated in a loop must report one conflict pair with a
 // multiplicity, not one row per occurrence.
 TEST(Audit, RepeatedConflictAggregatesCount) {
-  if (!audit::compiled_in()) GTEST_SKIP() << "built without STLM_AUDIT";
   Simulator sim;
   sim.set_audit_enabled(true);
   Fifo<int> f(sim, "f", 64);
@@ -101,7 +99,6 @@ TEST(Audit, RepeatedConflictAggregatesCount) {
 // because the push side woke it (and the sides audit as separate keys),
 // so a clean handshake must stay quiet.
 TEST(Audit, CausalProducerConsumerIsClean) {
-  if (!audit::compiled_in()) GTEST_SKIP() << "built without STLM_AUDIT";
   Simulator sim;
   sim.set_audit_enabled(true);
   Fifo<int> f(sim, "f", 2);
@@ -122,7 +119,6 @@ TEST(Audit, CausalProducerConsumerIsClean) {
 // One process touching an object repeatedly within a dispatch is not a
 // race with itself.
 TEST(Audit, SingleProcessIsClean) {
-  if (!audit::compiled_in()) GTEST_SKIP() << "built without STLM_AUDIT";
   Simulator sim;
   sim.set_audit_enabled(true);
   Fifo<int> f(sim, "f", 8);
@@ -142,7 +138,6 @@ TEST(Audit, SingleProcessIsClean) {
 // crossbars — runs with zero determinism conflicts. A regression here
 // means somebody introduced scheduler-order-dependent state.
 TEST(Audit, CanonicalGridIsConflictFree) {
-  if (!audit::compiled_in()) GTEST_SKIP() << "built without STLM_AUDIT";
   AuditDefaultGuard guard;
   audit::set_default_enabled(true);  // sampled by the sweep's simulators
 
@@ -237,10 +232,8 @@ TEST(Audit, FastPathBoundaryBitIdenticalUnderAuditor) {
   EXPECT_EQ(fast.latency_sum, fast_unaudited.latency_sum);
   EXPECT_EQ(fast.transactions, fast_unaudited.transactions);
 
-  if (audit::compiled_in()) {
-    EXPECT_EQ(engine.conflicts, 0u);
-    EXPECT_EQ(fast.conflicts, 0u);
-  }
+  EXPECT_EQ(engine.conflicts, 0u);
+  EXPECT_EQ(fast.conflicts, 0u);
 }
 
 // Crossbar stat shards: the per-lane accumulators must fold into the
@@ -286,8 +279,6 @@ TEST(Audit, CrossbarShardedStatsFoldDeterministically) {
   auto& again = xbar.stats();
   EXPECT_EQ(again.acc("latency_ns").sum(), first_sum);
   EXPECT_EQ(again.acc("latency_ns").stddev(), first_sd);
-  if (audit::compiled_in()) {
-    EXPECT_EQ(sim.audit_report().conflicts.size(), 0u)
-        << sim.audit_report().table();
-  }
+  EXPECT_EQ(sim.audit_report().conflicts.size(), 0u)
+      << sim.audit_report().table();
 }

@@ -74,6 +74,43 @@ TEST(FlowErrors, RoleConflictSurfacesAtCamLevelToo) {
   EXPECT_THROW(ms->run_until_done(10_ms), ProtocolError);
 }
 
+TEST(FlowErrors, CrossedRequestsThrowAtEveryLevel) {
+  // Both terminals call request(): each would take the other's request
+  // as its reply. The abstract SHIP channel and the SW-local RTOS queue
+  // (both PEs in software at the CAM level) must both reject it.
+  struct Case {
+    AbstractionLevel level;
+    Partition part;
+  };
+  for (const Case c : {Case{AbstractionLevel::ComponentAssembly,
+                            Partition::Hardware},
+                       Case{AbstractionLevel::Cam, Partition::Software}}) {
+    auto asker = [](int v) {
+      return [v](ExecContext& ctx) {
+        ship::PodMsg<int> req(v);
+        ship::PodMsg<int> resp;
+        ctx.channel("p").request(req, resp);
+      };
+    };
+    LambdaPe a("a", asker(1));
+    LambdaPe b("b", asker(2));
+    SystemGraph g;
+    g.add_pe(a, c.part);
+    g.add_pe(b, c.part);
+    g.connect("ch", a, "p", b, "p", 1, ship::Role::Master);
+    Simulator sim;
+    auto ms = Mapper::map(sim, g, Platform{}, c.level);
+    try {
+      ms->run_until_done(10_ms);
+      ADD_FAILURE() << "no throw at " << level_name(c.level);
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("request crossed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FlowErrors, MailboxWindowsDoNotOverlapAcrossChannels) {
   // Many channels: every mailbox gets a distinct window; elaboration of
   // the CAM address map must not throw.

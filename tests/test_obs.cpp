@@ -142,7 +142,6 @@ core::Platform fast_plb_platform() {
 // names every track, duration pairs balance, async pairs balance, and
 // timestamps are monotonically non-decreasing in file order.
 TEST(ObsTrace, SchemaBalanceAndMonotonicity) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   const TraceRun r = run_traced_plb(/*fast=*/false);
   const std::string& j = r.json;
 
@@ -176,7 +175,6 @@ TEST(ObsTrace, SchemaBalanceAndMonotonicity) {
 // process-global txn-id offset is masked out — and exactly identical when
 // txn spans (the only id-carrying events) are disabled.
 TEST(ObsTrace, ExportIsDeterministic) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   const TraceRun full1 = run_traced_plb(false);
   const TraceRun full2 = run_traced_plb(false);
   EXPECT_EQ(strip_ids(full1.json), strip_ids(full2.json));
@@ -194,7 +192,6 @@ TEST(ObsTrace, ExportIsDeterministic) {
 // A fast run and an engine-only run of the same workload agree on the
 // transaction-span count, and the fast run demonstrably used both paths.
 TEST(ObsTrace, FastPathTransactionsAreTraced) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   const TraceRun slow = run_traced_plb(/*fast=*/false);
   const TraceRun fast = run_traced_plb(/*fast=*/true);
 
@@ -216,7 +213,6 @@ TEST(ObsTrace, FastPathTransactionsAreTraced) {
 // The event cap drops whole spans, never half of one: B/E stay balanced
 // and the drop counter owns everything that fell off the end.
 TEST(ObsTrace, EventCapKeepsPairsBalanced) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   obs::TraceSession::Options tiny;
   tiny.max_events = 16;
   const TraceRun r = run_traced_plb(false, tiny);
@@ -233,7 +229,6 @@ TEST(ObsTrace, EventCapKeepsPairsBalanced) {
 // process, kernel counters flow into the snapshot, and bus sample
 // callbacks produce the fast-hit rate. The JSON export carries the same.
 TEST(ObsProfiler, AttributesDispatchesAndCounters) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   Simulator sim;
   obs::Profiler prof;
   prof.attach(sim);
@@ -286,7 +281,6 @@ TEST(ObsProfiler, AttributesDispatchesAndCounters) {
 // The wheel and stack-pool internals the profiler snapshots move when the
 // kernel actually schedules timed work across coroutine stacks.
 TEST(ObsProfiler, KernelInternalCountersMove) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   Simulator sim;
   obs::Profiler prof;
   prof.attach(sim);
@@ -307,7 +301,6 @@ TEST(ObsProfiler, KernelInternalCountersMove) {
 // A single runner with nothing else live advances time inline instead of
 // taking a scheduler round trip; the kernel counts those separately.
 TEST(ObsProfiler, InlineAdvancesCounted) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with -DSTLM_OBS=OFF";
   Simulator sim;
   sim.spawn_thread("lone", [] {
     for (int i = 0; i < 10; ++i) wait(5_ns);
@@ -385,13 +378,9 @@ TEST(ObsIntegration, MappedSystemReportAndDefaultGauges) {
   std::ostringstream os;
   ms->report(os);
   const std::string rep = os.str();
-  if (obs::compiled_in()) {
-    EXPECT_NE(rep.find("kernel ctx switches"), std::string::npos);
-    EXPECT_NE(rep.find("kernel inline advances"), std::string::npos);
-    EXPECT_NE(rep.find("bus fast-path hit rate"), std::string::npos);
-  } else {
-    EXPECT_EQ(rep.find("kernel ctx switches"), std::string::npos);
-  }
+  EXPECT_NE(rep.find("kernel ctx switches"), std::string::npos);
+  EXPECT_NE(rep.find("kernel inline advances"), std::string::npos);
+  EXPECT_NE(rep.find("bus fast-path hit rate"), std::string::npos);
 }
 
 // Attached OCP monitors show up in the report with their full counter set
@@ -445,14 +434,10 @@ TEST(ObsIntegration, ExplorerRowsTableAndTraceTarget) {
   ASSERT_TRUE(row.completed);
 
   // fast_hit_rate derives from the always-on bus stats counters;
-  // ctx_switches is the kernel-side counter maintained under STLM_OBS.
+  // ctx_switches is the kernel-side dispatch counter.
   EXPECT_GT(row.fast_hit_rate, 0.0);
   EXPECT_LE(row.fast_hit_rate, 1.0);
-  if (obs::compiled_in()) {
-    EXPECT_GT(row.ctx_switches, 0u);
-  } else {
-    EXPECT_EQ(row.ctx_switches, 0u);
-  }
+  EXPECT_GT(row.ctx_switches, 0u);
 
   std::ostringstream table;
   expl::Explorer::print_table(table, {row});
@@ -464,9 +449,7 @@ TEST(ObsIntegration, ExplorerRowsTableAndTraceTarget) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
-  if (obs::compiled_in()) {
-    EXPECT_NE(buf.str().find("\"ph\":\"B\""), std::string::npos);
-  }
+  EXPECT_NE(buf.str().find("\"ph\":\"B\""), std::string::npos);
   in.close();
   std::remove(path.c_str());
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "../bench/pin_rig.hpp"
-#include "obs/obs.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -26,7 +25,6 @@ TEST(PinLadder, BenchRigKeepsItsSimulatedTime) {
 }
 
 TEST(PinLadder, BenchRigContextSwitchesPerMessageStayBounded) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built without STLM_OBS";
   bench::PinRig rig;
   ASSERT_TRUE(rig.run_stream(kMessages, kPayload, kCompute));
   const double per_msg = static_cast<double>(rig.sim.ctx_switches()) /
@@ -36,7 +34,6 @@ TEST(PinLadder, BenchRigContextSwitchesPerMessageStayBounded) {
 }
 
 TEST(PinLadder, LoneClockCostsNoContextSwitches) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built without STLM_OBS";
   Simulator sim;
   Clock clk(sim, "clk", 10_ns);
   sim.run_for(10_us);

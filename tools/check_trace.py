@@ -18,7 +18,7 @@ Stdlib only (runs in bare CI images). Checks:
     (inclusive: the watchdog fires at the deadline, the span closes at
     settle time >= the deadline)
   * at least --min-events non-metadata events (an empty trace usually
-    means the hooks were compiled out or nothing was attached)
+    means no session was attached)
 
 Optional:
   --same OTHER      byte-compare against a second trace (determinism)

@@ -34,6 +34,11 @@ reproducible and the library embeddable:
                           every thread of the process), so it belongs
                           where the cache misses, not on a per-cell or
                           per-event path.
+  build-switch            no STLM_AUDIT / STLM_OBS in src/ or tests/, code
+                          or comments: the audit and observability hooks
+                          are always compiled in, so the library has one
+                          configuration and no test may gate on a switch
+                          that no longer exists.
   test-coverage           every src/**/*.cpp translation unit must be
                           reachable from at least one tests/test_*.cpp via
                           the quoted-include graph (a .cpp counts as
@@ -63,6 +68,7 @@ RULES = (
     "io-stdout",
     "hot-path-alloc",
     "hot-path-syscall",
+    "build-switch",
     "test-coverage",
 )
 
@@ -117,6 +123,12 @@ SYSCALL_RULES = [
      re.compile(r"(?<![\w:])::(?:mmap|munmap|mprotect)\s*\("),
      "memory-mapping syscall in a hot-path file; cache the mapping"),
 ]
+
+# Checked on raw lines (comments included) of src/ and tests/ files.
+BUILD_SWITCH_RULE = (
+    "build-switch", re.compile(r"STLM_(?:AUDIT|OBS)(?!\w)"),
+    "removed build switch; the audit and observability hooks are always "
+    "compiled in")
 
 HOT_PATH_TAG = re.compile(r"//\s*stlm-lint:\s*hot-path\b")
 ALLOW = re.compile(r"//\s*stlm-lint:\s*allow\(([a-z-]+)\)\s*(?::\s*(.*?))?\s*$")
@@ -204,12 +216,26 @@ def is_allowed(allowed, lineno, rule, findings, path, consumed):
     return False
 
 
+def scan_build_switch(path, raw_lines, allowed, findings, consumed):
+    rule, pat, msg = BUILD_SWITCH_RULE
+    for lineno, line in enumerate(raw_lines, start=1):
+        if pat.search(line) and not is_allowed(allowed, lineno, rule,
+                                              findings, path, consumed):
+            findings.add(path, lineno, rule, msg)
+
+
+def scan_test_file(path, findings):
+    raw_lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    scan_build_switch(path, raw_lines, allowances(raw_lines), findings, set())
+
+
 def scan_file(path, findings):
     raw = path.read_text(encoding="utf-8", errors="replace")
     raw_lines = raw.splitlines()
     code_lines = strip_code(raw).splitlines()
     allowed = allowances(raw_lines)
     consumed = set()
+    scan_build_switch(path, raw_lines, allowed, findings, consumed)
 
     hot = any(HOT_PATH_TAG.search(l) for l in raw_lines[:30])
     rules = TOKEN_RULES + (ALLOC_RULES + SYSCALL_RULES if hot else [])
@@ -289,6 +315,9 @@ def main(argv=None):
     findings = Findings()
     for f in sorted(list(src_root.rglob("*.cpp")) + list(src_root.rglob("*.hpp"))):
         scan_file(f, findings)
+    tests_root = repo / "tests"
+    for f in sorted(list(tests_root.rglob("*.cpp")) + list(tests_root.rglob("*.hpp"))):
+        scan_test_file(f, findings)
     check_test_coverage(repo, findings)
 
     for path, line, rule, msg in sorted(findings.items):

@@ -196,6 +196,27 @@ class TestHotPathSyscall(LintHarness):
         self.assertIn("[bad-suppression]", out)
 
 
+class TestBuildSwitch(LintHarness):
+    def test_switch_in_src_flagged_in_code_and_comments(self):
+        code, out = self.lint_src(
+            "#ifdef STLM_AUDIT\nint a;\n#endif\n// kept under STLM_OBS")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[build-switch]"), 2)
+
+    def test_switch_in_tests_flagged(self):
+        code, out = self.lint_src(
+            "", **{"tests/test_gate.cpp":
+                   '// skipped when built with -DSTLM_OBS=OFF\n'})
+        self.assertEqual(code, 1)
+        self.assertIn("tests/test_gate.cpp:1: [build-switch]", out)
+
+    def test_other_stlm_macros_ok(self):
+        code, out = self.lint_src(
+            "#ifdef STLM_KILL_UNWIND\nint a;\n#endif\n"
+            "#ifdef STLM_OBSERVER\nint b;\n#endif")
+        self.assertEqual(code, 0, out)
+
+
 class TestSuppressions(LintHarness):
     def test_trailing_allow_with_justification(self):
         code, out = self.lint_src(
