@@ -146,6 +146,7 @@ void BM_SplitOutstanding(benchmark::State& state) {
   double sim_us = 0.0, util = 0.0, mean_lat = 0.0;
   double mean_queue = 0.0, mean_service = 0.0;
   double fast_hits = 0.0;
+  double ctx_switches = 0.0;
 
   for (auto _ : state) {
     Simulator sim;
@@ -179,6 +180,7 @@ void BM_SplitOutstanding(benchmark::State& state) {
     mean_queue = bus.stats().acc("grant_wait_ns").mean();
     mean_service = bus.stats().acc("service_ns").mean();
     fast_hits = static_cast<double>(bus.fast_path_hits());
+    ctx_switches = static_cast<double>(sim.ctx_switches());
   }
 
   state.SetLabel(std::string(outstanding > 1 ? "split" : "atomic") +
@@ -195,6 +197,10 @@ void BM_SplitOutstanding(benchmark::State& state) {
   state.counters["mean_queue_ns"] = mean_queue;
   state.counters["mean_service_ns"] = mean_service;
   state.counters["fast_hits"] = fast_hits;
+  // Coroutine resumes of one run: deterministic, and the number that
+  // shows whether a granted split transaction wakes one service worker
+  // or the whole pool (it then grows with the window depth).
+  state.counters["ctx_switches"] = ctx_switches;
 }
 
 }  // namespace

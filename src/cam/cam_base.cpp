@@ -37,7 +37,6 @@ CamBase::CamBase(Simulator& sim, std::string name, Time cycle,
       split_active_(split.active() && protocol_supports_split),
       engine_(std::move(arbiter), split_active_ ? split.max_outstanding : 1),
       new_request_(sim, full_name() + ".new_request"),
-      service_avail_(sim, full_name() + ".service_avail"),
       resp_avail_(sim, full_name() + ".resp_avail"),
       fast_targets_(fast_targets && !split_active_),
       fast_complete_(sim, full_name() + ".fast_complete") {
@@ -92,9 +91,13 @@ std::size_t CamBase::add_master(const std::string& name) {
     // can be in target service concurrently, so a slow slave never
     // stalls the address or data pipelines of unrelated transactions.
     for (std::size_t w = 0; w < engine_.max_outstanding(); ++w) {
-      spawn_thread("svc_" + name + "_" + std::to_string(w),
-                   [this] { service_worker(); });
+      const std::string worker = "svc_" + name + "_" + std::to_string(w);
+      const std::size_t id = worker_wake_.size();
+      worker_wake_.push_back(
+          std::make_unique<Event>(sim(), full_name() + "." + worker + ".wake"));
+      spawn_thread(worker, [this, id] { service_worker(id); });
     }
+    idle_workers_.reserve(worker_wake_.size());
   }
   return idx;
 }
@@ -456,13 +459,24 @@ void CamBase::addr_engine() {
       continue;
     }
     service_q_.push_back(*txn);
-    service_avail_.notify_delta();
+    // Wake one parked worker. Workers are interchangeable, so which one
+    // cannot change results; none parked means every worker is busy or
+    // already woken, and the first to loop back drains the queue.
+    if (!idle_workers_.empty()) {
+      worker_wake_[idle_workers_.back()]->notify_delta();
+      idle_workers_.pop_back();
+    }
   }
 }
 
-void CamBase::service_worker() {
+void CamBase::service_worker(std::size_t worker) {
   for (;;) {
-    while (service_q_.empty()) wait(service_avail_);
+    // A woken worker may find the queue drained by a busy one that
+    // looped back first; it then parks again.
+    while (service_q_.empty()) {
+      idle_workers_.push_back(worker);
+      wait(*worker_wake_[worker]);
+    }
     Txn* txn = service_q_.pop_front();
     // Re-derive the decode from the address phase (cheap, and it keeps
     // the descriptor free of CAM-internal routing state).

@@ -142,7 +142,7 @@ private:
 
   void atomic_engine();
   void addr_engine();
-  void service_worker();
+  void service_worker(std::size_t worker);
   void data_engine();
   void complete_txn(Txn& txn, std::size_t master, std::uint64_t cycles);
   std::uint64_t now_cycle() const { return sim().now() / cycle_; }
@@ -163,9 +163,14 @@ private:
   AddressMap map_;
   Event new_request_;
   // Split-mode plumbing: address engine -> service workers -> data engine.
+  // Each service worker parks on its own wake event (indexed by worker
+  // id) after pushing its id on idle_workers_; a granted transaction
+  // wakes exactly one parked worker. The stack is reserved to the worker
+  // count, so parking never allocates.
   TxnQueue service_q_;
   TxnQueue resp_q_;
-  Event service_avail_;
+  std::vector<std::unique_ptr<Event>> worker_wake_;
+  std::vector<std::size_t> idle_workers_;
   Event resp_avail_;
   Time busy_time_ = Time::zero();
   Time last_txn_end_ = Time::zero();

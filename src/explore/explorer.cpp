@@ -73,9 +73,10 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
     const auto n = static_cast<double>(lat.size());
     row.mean_latency_ns = sum_lat / n;
     row.mean_queue_ns = sum_queue / n;
-    row.p50_latency_ns = trace::percentile(lat, 50.0);
-    row.p95_latency_ns = trace::percentile(lat, 95.0);
-    row.p99_latency_ns = trace::percentile(lat, 99.0);
+    const trace::TailPercentiles tail = trace::tail_percentiles(lat);
+    row.p50_latency_ns = tail.p50;
+    row.p95_latency_ns = tail.p95;
+    row.p99_latency_ns = tail.p99;
     row.error_rate = static_cast<double>(not_ok) / n;
     row.slo_miss_pct = 100.0 * static_cast<double>(slo_missed) / n;
   }

@@ -26,6 +26,7 @@ Simulator::Simulator() {
 }
 
 Simulator::~Simulator() {
+  tearing_down_ = true;  // dying processes skip the registry erase
   owned_processes_.clear();
   auto it = std::find(g_sim_stack.rbegin(), g_sim_stack.rend(), this);
   if (it != g_sim_stack.rend()) {
@@ -92,7 +93,12 @@ void Simulator::register_process(ProcessBase& p) {
 
 void Simulator::unregister_process(ProcessBase& p) {
   process_unregistered_ever_ = true;
-  std::erase(all_processes_, &p);
+  // The liveness set stays exact even in teardown: destructors unwinding
+  // a later process may still trigger events whose waiters died before.
+  // all_processes_ is only read by initialize(), which never runs again
+  // once ~Simulator has begun, so its erase (a scan and shift per
+  // process, quadratic over a teardown) is skipped there.
+  if (!tearing_down_) std::erase(all_processes_, &p);
   live_processes_.erase(&p);
 }
 

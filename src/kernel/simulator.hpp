@@ -297,6 +297,7 @@ private:
   std::uint64_t events_registered_total_ = 0;
   bool event_unregistered_ever_ = false;
   bool process_unregistered_ever_ = false;
+  bool tearing_down_ = false;  // set by ~Simulator
   std::unordered_set<const Event*> live_events_;
   std::unordered_set<const ProcessBase*> live_processes_;
   std::vector<Module*> modules_;

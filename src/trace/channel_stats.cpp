@@ -4,23 +4,53 @@
 #include <cmath>
 #include <iomanip>
 #include <map>
+#include <utility>
 
 namespace stlm::trace {
 
-double percentile(std::vector<double>& samples, double pct) {
-  if (samples.empty()) return 0.0;
+namespace {
+
+// 0-based position of the nearest-rank pick among n > 0 sorted samples:
+// the smallest value with at least pct% of samples at or below it. The
+// 1-based rank is clamped to [1, n]; pct <= 0 degenerates to the minimum.
+std::size_t nearest_rank_index(std::size_t n, double pct) {
   if (!(pct > 0.0)) pct = 0.0;  // also catches NaN
   if (pct > 100.0) pct = 100.0;
-  // Nearest-rank: the smallest value with at least pct% of samples at or
-  // below it. rank is 1-based; pct == 0 degenerates to the minimum.
-  const auto n = samples.size();
   std::size_t rank = static_cast<std::size_t>(
       std::ceil(pct / 100.0 * static_cast<double>(n)));
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
-  auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  return rank - 1;
+}
+
+}  // namespace
+
+double percentile(std::vector<double>& samples, double pct) {
+  if (samples.empty()) return 0.0;
+  auto nth = samples.begin() + static_cast<std::ptrdiff_t>(
+                                   nearest_rank_index(samples.size(), pct));
   std::nth_element(samples.begin(), nth, samples.end());
   return *nth;
+}
+
+TailPercentiles tail_percentiles(std::vector<double>& samples) {
+  TailPercentiles t;
+  if (samples.empty()) return t;
+  // Everything after a pick is >= it and everything before is <= it, so
+  // a higher rank's order statistic lies in [pick + 1, end). Equal ranks
+  // (small n) reuse the previous pick, which sits at from - 1.
+  auto from = samples.begin();
+  for (auto [pct, out] : {std::pair{50.0, &t.p50}, std::pair{95.0, &t.p95},
+                          std::pair{99.0, &t.p99}}) {
+    auto nth = samples.begin() + static_cast<std::ptrdiff_t>(
+                                     nearest_rank_index(samples.size(), pct));
+    if (nth >= from) {
+      std::nth_element(from, nth, samples.end());
+      from = nth + 1;
+    }
+    *out = *nth;
+  }
+  return t;
 }
 
 LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
@@ -55,9 +85,10 @@ LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
   d.mean_ns = sum_lat / n;
   d.mean_queue_ns = sum_queue / n;
   d.mean_service_ns = sum_service / n;
-  d.p50_ns = percentile(lat, 50.0);
-  d.p95_ns = percentile(lat, 95.0);
-  d.p99_ns = percentile(lat, 99.0);
+  const TailPercentiles tail = tail_percentiles(lat);
+  d.p50_ns = tail.p50;
+  d.p95_ns = tail.p95;
+  d.p99_ns = tail.p99;
   d.p95_queue_ns = percentile(queue, 95.0);
 
   d.hist = Histogram(0.0, d.max_ns, LatencyDist::kHistBins);

@@ -26,6 +26,18 @@ namespace stlm::trace {
 // sorts the buffer in place; returns 0 for an empty buffer.
 double percentile(std::vector<double>& samples, double pct);
 
+// Nearest-rank p50, p95 and p99 of `samples` — the values three
+// percentile() calls return — from one selection pass: each pick
+// partitions the buffer, so the next, higher rank is selected only among
+// the elements after it. Partially sorts the buffer in place; all zero
+// for an empty buffer.
+struct TailPercentiles {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+TailPercentiles tail_percentiles(std::vector<double>& samples);
+
 // Latency distribution over a set of records.
 struct LatencyDist {
   std::uint64_t count = 0;

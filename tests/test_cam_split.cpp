@@ -191,6 +191,65 @@ TEST(CamSplit, DeeperOutstandingWindowHidesMoreServiceLatency) {
   EXPECT_LT(d4, d2);
 }
 
+namespace {
+
+struct SplitRigRun {
+  Time sim_time;
+  std::uint64_t ctx_switches = 0;
+};
+
+// A smaller twin of bench_cam's BM_SplitOutstanding rig: round-robin
+// PLB, 4 masters x 64 posted 32-byte writes with a window of
+// `outstanding` descriptors, one 200 ns memory.
+constexpr std::size_t kRigMasters = 4;
+constexpr int kRigTxnsPerMaster = 64;
+
+SplitRigRun run_split_rig(std::size_t outstanding) {
+  Simulator sim;
+  PlbCam bus(sim, "plb", 10_ns, std::make_unique<RoundRobinArbiter>(), 0,
+             SplitConfig{true, outstanding});
+  ocp::MemorySlave mem("mem", 0, 1 << 20, 200_ns);
+  bus.attach_slave(mem, {0, 1 << 20}, "mem");
+  for (std::size_t m = 0; m < kRigMasters; ++m) {
+    const std::size_t idx = bus.add_master("m" + std::to_string(m));
+    sim.spawn_thread("pe" + std::to_string(m), [&, m, idx] {
+      std::vector<std::uint8_t> payload(32, static_cast<std::uint8_t>(m));
+      std::vector<Txn> txns(outstanding);
+      for (int i = 0; i < kRigTxnsPerMaster; ++i) {
+        Txn& t = txns[static_cast<std::size_t>(i) % outstanding];
+        if (static_cast<std::size_t>(i) >= outstanding) t.done.wait(sim);
+        const std::uint64_t addr =
+            (m << 12) + static_cast<std::uint64_t>(i % 32) * 32;
+        t.begin_write(addr, payload.data(), payload.size());
+        bus.post(idx, t);
+      }
+      for (auto& t : txns) t.done.wait(sim);
+    });
+  }
+  sim.run();
+  return {sim.now(), sim.ctx_switches()};
+}
+
+}  // namespace
+
+// A granted split transaction wakes one parked service worker, not all
+// of them: resumes per transaction stay flat as the worker pool deepens
+// (a shared wake event gave 16.8 at depth 4 and 32.2 at depth 8), and
+// simulated time does not move.
+TEST(CamSplit, GrantWakesOneServiceWorkerPerTransaction) {
+  const SplitRigRun d4 = run_split_rig(4);
+  const SplitRigRun d8 = run_split_rig(8);
+  EXPECT_EQ(d4.sim_time, 10460_ns);
+  EXPECT_EQ(d8.sim_time, 10460_ns);
+
+  const double txns = kRigMasters * kRigTxnsPerMaster;
+  EXPECT_LE(static_cast<double>(d4.ctx_switches) / txns, 7.0)
+      << d4.ctx_switches << " resumes at max_outstanding 4";
+  EXPECT_LE(static_cast<double>(d8.ctx_switches) / txns, 7.0)
+      << d8.ctx_switches << " resumes at max_outstanding 8";
+  EXPECT_LE(d8.ctx_switches, d4.ctx_switches);
+}
+
 TEST(CamSplit, SharedBusSupportsSplitAndOpbIgnoresIt) {
   {
     Simulator sim;

@@ -2,11 +2,13 @@
 // histograms, and the transaction logger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -483,6 +485,33 @@ TEST(ChannelStats, PercentileIsNearestRank) {
   EXPECT_DOUBLE_EQ(trace::percentile(one, 50.0), 42.0);
   std::vector<double> none;
   EXPECT_DOUBLE_EQ(trace::percentile(none, 50.0), 0.0);
+}
+
+// tail_percentiles selects p95 only above the p50 pick and p99 only
+// above p95; every pick must equal the nearest-rank value of a fully
+// sorted copy. Seeded values drawn from a narrow range force ties.
+TEST(ChannelStats, TailPercentilesMatchSortedNearestRank) {
+  std::mt19937_64 rng(20261017);
+  for (std::size_t n = 1; n <= 1000; ++n) {
+    std::vector<double> s(n);
+    for (double& v : s) v = static_cast<double>(rng() % (n / 4 + 2)) * 0.5;
+    std::vector<double> sorted = s;
+    std::sort(sorted.begin(), sorted.end());
+    const auto nearest_rank = [&](double pct) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(pct / 100.0 * static_cast<double>(n)));
+      return sorted[std::max<std::size_t>(rank, 1) - 1];
+    };
+    const trace::TailPercentiles t = trace::tail_percentiles(s);
+    ASSERT_EQ(t.p50, nearest_rank(50.0)) << "n=" << n;
+    ASSERT_EQ(t.p95, nearest_rank(95.0)) << "n=" << n;
+    ASSERT_EQ(t.p99, nearest_rank(99.0)) << "n=" << n;
+  }
+  std::vector<double> none;
+  const trace::TailPercentiles t = trace::tail_percentiles(none);
+  EXPECT_EQ(t.p50, 0.0);
+  EXPECT_EQ(t.p95, 0.0);
+  EXPECT_EQ(t.p99, 0.0);
 }
 
 TEST(ChannelStats, LatencyDistDerivesPercentilesAndQueueing) {
