@@ -39,7 +39,7 @@ const char* arb_name(int kind) {
 }
 
 // Single-master uncontended roundtrips — the kernel fast path's home
-// turf. fast=0 takes the grant engine (an event-wheel wakeup plus two
+// turf. fast=0 takes the grant engine (a timed-queue wakeup plus two
 // coroutine switches per transaction); fast=1 resolves the identical
 // timing inline from the initiator's coroutine. Simulated time is the
 // same in both rows; the wall-clock ratio is pure kernel overhead

@@ -13,7 +13,7 @@
 //   <prefix>metrics.csv   bus utilization / outstanding txns / queue
 //                         depth sampled every 200 ns of simulated time.
 //   <prefix>profile.json  kernel self-profile: wall-clock per process,
-//                         ctx switches, event-wheel and stack-pool
+//                         ctx switches, timed-queue and stack-pool
 //                         internals, fast-path hit rate.
 //
 // The trace and CSV depend only on simulated behaviour, so two runs of

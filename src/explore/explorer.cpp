@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 
+#include "kernel/report.hpp"
 #include "obs/obs.hpp"
 #include "trace/channel_stats.hpp"
 #include "trace/stats.hpp"
@@ -155,6 +156,9 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
   if (cell_trace) {
     cell_trace->detach();
     std::ofstream trace_out(trace_target_.path);
+    if (!trace_out) {
+      throw SimulationError("cannot open trace file: " + trace_target_.path);
+    }
     cell_trace->write_json(trace_out);
   }
   return row;

@@ -40,10 +40,9 @@ std::string Module::full_name() const {
 
 void Module::unregister_port(PortBase& p) { std::erase(ports_, &p); }
 
-Process& Module::spawn_thread(std::string name, std::function<void()> body,
-                              std::size_t stack_bytes) {
+Process& Module::spawn_thread(std::string name, std::function<void()> body) {
   auto proc = std::make_unique<Process>(sim_, full_name() + "." + name,
-                                        std::move(body), stack_bytes);
+                                        std::move(body));
   Process& ref = *proc;
   processes_.push_back(std::move(proc));
   if (sim_.initialized()) {

@@ -95,8 +95,7 @@ public:
 
   // Spawn a thread process owned by this module. The process name is
   // prefixed with the module's full name.
-  Process& spawn_thread(std::string name, std::function<void()> body,
-                        std::size_t stack_bytes = Process::kDefaultStackBytes);
+  Process& spawn_thread(std::string name, std::function<void()> body);
   // Spawn a method process with static sensitivity.
   MethodProcess& spawn_method(std::string name, std::function<void()> fn,
                               std::vector<Event*> sensitivity,

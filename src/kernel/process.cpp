@@ -71,12 +71,10 @@ void ProcessBase::set_static_sensitivity(const std::vector<Event*>& events) {
 
 // -------------------------------------------------------------- thread --
 
-Process::Process(Simulator& sim, std::string name, std::function<void()> body,
-                 std::size_t stack_bytes)
+Process::Process(Simulator& sim, std::string name, std::function<void()> body)
     : ProcessBase(sim, std::move(name), Kind::Thread),
       body_(std::move(body)),
-      stack_(detail::StackPool::local().acquire(stack_bytes)),
-      stack_bytes_(stack_.bytes) {
+      stack_(detail::StackPool::local().acquire()) {
   STLM_ASSERT(body_ != nullptr, "thread process needs a body: " + name_);
 }
 
@@ -130,7 +128,7 @@ void Process::ensure_started() {
   // Craft the initial frame stlm_ctx_swap will "restore": six zeroed
   // callee-saved registers, then the trampoline as return address. The
   // pad slot keeps rsp % 16 == 8 at trampoline entry (SysV call ABI).
-  char* top = stack_.base + stack_bytes_;
+  char* top = stack_.base + detail::StackPool::kStackBytes;
   top -= reinterpret_cast<std::uintptr_t>(top) % 16;
   void** frame = reinterpret_cast<void**>(top) - 8;
   for (int i = 0; i < 6; ++i) frame[i] = nullptr;     // r15..rbx

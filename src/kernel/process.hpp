@@ -90,10 +90,8 @@ protected:
 // Thread process: coroutine with dedicated stack.
 class Process final : public ProcessBase {
 public:
-  static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
-
-  Process(Simulator& sim, std::string name, std::function<void()> body,
-          std::size_t stack_bytes = kDefaultStackBytes);
+  // Every thread process gets a StackPool::kStackBytes coroutine stack.
+  Process(Simulator& sim, std::string name, std::function<void()> body);
   ~Process() override;
 
   enum class WakeReason { None, Start, Event, Timeout, Kill };
@@ -116,7 +114,6 @@ private:
 
   std::function<void()> body_;
   detail::StackPool::Block stack_;  // pooled, guard-paged (see stack_pool.hpp)
-  std::size_t stack_bytes_;
   void* fake_stack_ = nullptr;  // sanitizer fiber handle (ASan builds)
   void* tsan_fiber_ = nullptr;  // fiber identity (TSan builds)
   void* sp_ = nullptr;  // saved stack pointer while suspended

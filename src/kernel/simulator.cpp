@@ -57,12 +57,11 @@ Process& Simulator::require_process(const char* what) const {
 
 // ------------------------------------------------------------ creation --
 
-Process& Simulator::spawn_thread(std::string name, std::function<void()> body,
-                                 std::size_t stack_bytes) {
+Process& Simulator::spawn_thread(std::string name, std::function<void()> body) {
   // stlm-lint: allow(hot-path-alloc): process creation is elaboration,
   // once per process, not per event
   auto proc = std::make_unique<Process>(*this, std::move(name),
-                                        std::move(body), stack_bytes);
+                                        std::move(body));
   Process& ref = *proc;
   owned_processes_.push_back(std::move(proc));
   if (initialized_) make_runnable(ref, Process::WakeReason::Start, nullptr);
@@ -148,15 +147,14 @@ void Simulator::queue_method(MethodProcess& m) {
 }
 
 void Simulator::schedule_timed_event(Event& e, Time abs_time) {
-  timed_.push(TimedEntry{abs_time, timed_seq_++, &e, nullptr, e.sched_gen_},
-              now_);
+  timed_.push(TimedEntry{abs_time, timed_seq_++, &e, nullptr, e.sched_gen_});
 }
 
 void Simulator::schedule_delta_event(Event& e) { delta_events_.push_back(&e); }
 
 void Simulator::schedule_timeout(Process& p, Time abs_time,
                                  std::uint64_t gen) {
-  timed_.push(TimedEntry{abs_time, timed_seq_++, nullptr, &p, gen}, now_);
+  timed_.push(TimedEntry{abs_time, timed_seq_++, nullptr, &p, gen});
 }
 
 Event* Simulator::last_triggered_event() const {
@@ -300,7 +298,7 @@ void Simulator::resume_thread(Process& p) {
   if (trace_session_ != nullptr) trace_session_->process_begin(p, now_);
   p.ensure_started();
   detail::fiber_switch_begin(&sched_fake_stack_, p.stack_.base,
-                             p.stack_bytes_);
+                             detail::StackPool::kStackBytes);
   detail::tsan_fiber_switch(p.tsan_fiber_);
   detail::stlm_ctx_swap(&sched_sp_, p.sp_);
   detail::fiber_switch_end(sched_fake_stack_);
@@ -359,7 +357,7 @@ void Simulator::kill_process(Process& p) {
   p.last_event_ = nullptr;
   current_process_ = &p;
   detail::fiber_switch_begin(&sched_fake_stack_, p.stack_.base,
-                             p.stack_bytes_);
+                             detail::StackPool::kStackBytes);
   detail::tsan_fiber_switch(p.tsan_fiber_);
   detail::stlm_ctx_swap(&sched_sp_, p.sp_);
   detail::fiber_switch_end(sched_fake_stack_);
@@ -413,7 +411,7 @@ void Simulator::dispatch_timed(const TimedEntry& entry) {
   }
 }
 
-// Stale pruning happens inside the wheel's peek(): entries cancelled
+// Stale pruning happens inside the queue's peek(): entries cancelled
 // or overridden since registration never advance time. Plain function
 // pointer + context so peek allocates nothing per call.
 bool Simulator::timed_entry_stale(const void* ctx, const TimedEntry& e) {

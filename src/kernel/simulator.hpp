@@ -27,10 +27,10 @@
 
 #include "kernel/audit.hpp"
 #include "kernel/event.hpp"
-#include "kernel/event_wheel.hpp"
 #include "kernel/process.hpp"
 #include "kernel/report.hpp"
 #include "kernel/time.hpp"
+#include "kernel/timed_queue.hpp"
 #include "kernel/txn.hpp"
 
 namespace stlm {
@@ -108,8 +108,7 @@ public:
   // --- process creation --------------------------------------------------
   // Processes spawned before run() start in the initialization phase;
   // processes spawned while running become runnable immediately.
-  Process& spawn_thread(std::string name, std::function<void()> body,
-                        std::size_t stack_bytes = Process::kDefaultStackBytes);
+  Process& spawn_thread(std::string name, std::function<void()> body);
   MethodProcess& spawn_method(std::string name, std::function<void()> fn,
                               std::vector<Event*> sensitivity,
                               bool run_at_start = true);
@@ -248,7 +247,7 @@ public:
   // Successful lone-runner inline advances (see advance_inline).
   std::uint64_t inline_advances() const { return inline_advances_; }
   // Read-only view of the timed queue for profiler snapshots.
-  const detail::EventWheel& timed_queue() const { return timed_; }
+  const detail::TimedQueue& timed_queue() const { return timed_; }
 
 private:
   using TimedEntry = detail::TimedEntry;
@@ -288,9 +287,9 @@ private:
   // Scratch twins of the two lists above (see update_phase).
   std::vector<Event*> delta_scratch_;
   std::vector<UpdateIf*> update_scratch_;
-  // Timed notifications: calendar queue with deterministic FIFO order
-  // within a timestamp (see kernel/event_wheel.hpp).
-  detail::EventWheel timed_;
+  // Timed notifications: min-heap with deterministic FIFO order within a
+  // timestamp (see kernel/timed_queue.hpp).
+  detail::TimedQueue timed_;
 
   std::vector<ProcessBase*> all_processes_;
   TxnPool txn_pool_;

@@ -33,11 +33,11 @@ StackPool& StackPool::local() {
 
 StackPool::~StackPool() { trim(); }
 
-StackPool::Block StackPool::map_block(std::size_t bytes) {
+StackPool::Block StackPool::map_block() {
   const std::size_t page = page_size();
-  // stlm-lint: allow(hot-path-syscall): cache miss only — a class maps a
+  // stlm-lint: allow(hot-path-syscall): cache miss only — the pool maps a
   // block when its demand exceeds every earlier peak
-  void* raw = ::mmap(nullptr, bytes + page, PROT_READ | PROT_WRITE,
+  void* raw = ::mmap(nullptr, kStackBytes + page, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (raw == MAP_FAILED) {
     throw SimulationError("StackPool: mmap failed for coroutine stack");
@@ -48,12 +48,11 @@ StackPool::Block StackPool::map_block(std::size_t bytes) {
   ::mprotect(raw, page, PROT_NONE);
   Block b;
   b.base = static_cast<char*>(raw) + page;
-  b.bytes = bytes;
 #ifdef STLM_ASAN_FIBERS
   // munmap does not clear ASan shadow, so a fresh mapping can inherit
   // stale redzone poison from an earlier coroutine stack unmapped at
   // the same address.
-  __asan_unpoison_memory_region(b.base, b.bytes);
+  __asan_unpoison_memory_region(b.base, kStackBytes);
 #endif
   return b;
 }
@@ -62,41 +61,34 @@ void StackPool::unmap_block(const Block& b) {
   const std::size_t page = page_size();
   // stlm-lint: allow(hot-path-syscall): trim(), pool teardown and
   // cross-thread releases only; a same-thread release always caches
-  ::munmap(b.base - page, b.bytes + page);
+  ::munmap(b.base - page, kStackBytes + page);
 }
 
-void StackPool::reconcile(SizeClass& sc) {
+void StackPool::reconcile() {
   const std::size_t n =
-      sc.foreign_released.exchange(0, std::memory_order_relaxed);
-  sc.in_use -= std::min(n, sc.in_use);
+      foreign_released_.exchange(0, std::memory_order_relaxed);
+  in_use_ -= std::min(n, in_use_);
 }
 
-StackPool::Block StackPool::acquire(std::size_t bytes) {
-  const std::size_t page = page_size();
-  bytes = (bytes + page - 1) / page * page;
-  SizeClass& sc = classes_[bytes];
-  reconcile(sc);
-  ++sc.in_use;
-  // Pool-level concurrent-usage high-water for profiler snapshots; the
-  // class map is tiny (one or two stack sizes), so the sum is cheap.
-  const std::size_t total = in_use_blocks();
-  if (total > peak_in_use_) peak_in_use_ = total;
+StackPool::Block StackPool::acquire() {
+  reconcile();
+  ++in_use_;
+  if (in_use_ > peak_in_use_) peak_in_use_ = in_use_;
   Block b;
-  if (!sc.free.empty()) {
-    b = sc.free.back();
-    sc.free.pop_back();
+  if (!free_.empty()) {
+    b = free_.back();
+    free_.pop_back();
     ++reuses_;
 #ifdef STLM_ASAN_FIBERS
     // The previous coroutine's shadow poison is meaningless for the next
     // user of this address range.
-    __asan_unpoison_memory_region(b.base, b.bytes);
+    __asan_unpoison_memory_region(b.base, kStackBytes);
 #endif
   } else {
     ++maps_;
-    b = map_block(bytes);
+    b = map_block();
   }
   b.owner = this;
-  b.home = &sc;
   return b;
 }
 
@@ -104,48 +96,27 @@ void StackPool::release(Block b) {
   if (!b) return;
   if (b.owner != this) {
     // Cross-thread release: the Process outlived the thread context it
-    // was created on. Never touch the foreign pool's lists — return the
-    // pages to the kernel here and credit the owning size class through
-    // its atomic, which the owner reconciles on its next operation (the
+    // was created on. Never touch the foreign pool's list — return the
+    // pages to the kernel here and credit the owning pool through its
+    // atomic, which the owner reconciles on its next operation (the
     // owning thread's pool must still be alive; see the header).
-    b.home->foreign_released.fetch_add(1, std::memory_order_relaxed);
+    b.owner->foreign_released_.fetch_add(1, std::memory_order_relaxed);
     ++unmaps_;
     unmap_block(b);
     return;
   }
-  SizeClass& sc = *b.home;
-  reconcile(sc);
-  if (sc.in_use > 0) --sc.in_use;
-  sc.free.push_back(b);
+  reconcile();
+  if (in_use_ > 0) --in_use_;
+  free_.push_back(b);
 }
 
 void StackPool::trim() {
-  for (auto& [bytes, sc] : classes_) {
-    reconcile(sc);
-    for (const Block& b : sc.free) {
-      ++unmaps_;
-      unmap_block(b);
-    }
-    sc.free.clear();
+  reconcile();
+  for (const Block& b : free_) {
+    ++unmaps_;
+    unmap_block(b);
   }
-}
-
-std::size_t StackPool::cached_blocks() const {
-  std::size_t n = 0;
-  for (const auto& [bytes, sc] : classes_) n += sc.free.size();
-  return n;
-}
-
-std::size_t StackPool::cached_bytes() const {
-  std::size_t n = 0;
-  for (const auto& [bytes, sc] : classes_) n += bytes * sc.free.size();
-  return n;
-}
-
-std::size_t StackPool::in_use_blocks() const {
-  std::size_t n = 0;
-  for (const auto& [bytes, sc] : classes_) n += sc.in_use;
-  return n;
+  free_.clear();
 }
 
 }  // namespace stlm::detail

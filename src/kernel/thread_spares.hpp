@@ -1,8 +1,8 @@
 #pragma once
 // Per-OS-thread spares: released buffers kept for the next owner.
 //
-// Objects that are rebuilt once per simulated cell — the event wheel's
-// bucket array, the transaction log's row vector — hand their storage to
+// Objects that are rebuilt once per simulated cell — the timed queue's
+// heap vector, the transaction log's row vector — hand their storage to
 // the calling thread's spare slots when they die, and their successor on
 // the same thread takes it back. The capacity, and the page faults that
 // grew it, are paid once per thread instead of once per cell.

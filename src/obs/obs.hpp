@@ -6,7 +6,7 @@
 //                            (loadable in Perfetto / chrome://tracing).
 //   * obs::Profiler        — host wall-clock + dispatch-count attribution
 //                            per process, plus kernel-internal snapshots
-//                            (event wheel, stack pool, fast-path hits).
+//                            (timed queue, stack pool, fast-path hits).
 //   * obs::MetricsRegistry — simulated-time series of user gauges sampled
 //                            by a PeriodicSampler process into CSV/JSON.
 //

@@ -66,13 +66,10 @@ Profiler::Snapshot Profiler::snapshot() const {
   if (sim_ != nullptr) {
     s.ctx_switches = sim_->ctx_switches();
     s.inline_advances = sim_->inline_advances();
-    const auto& wheel = sim_->timed_queue();
-    const auto& ws = wheel.stats();
-    s.wheel_pushes = ws.pushes;
-    s.wheel_overflow_pushes = ws.overflow_pushes;
-    s.wheel_rebases = ws.rebases;
-    s.wheel_peak_size = ws.peak_size;
-    s.wheel_size = wheel.size();
+    const auto& timed = sim_->timed_queue();
+    s.timed_pushes = timed.stats().pushes;
+    s.timed_peak_size = timed.stats().peak_size;
+    s.timed_size = timed.size();
   }
   const auto& pool = detail::StackPool::local();
   s.stack_maps = pool.maps();
@@ -115,10 +112,9 @@ void Profiler::write_table(std::ostream& os) const {
   os << "kernel profile\n";
   os << "  ctx switches            " << s.ctx_switches << "\n";
   os << "  inline advances         " << s.inline_advances << "\n";
-  os << "  wheel pushes            " << s.wheel_pushes << " (overflow "
-     << s.wheel_overflow_pushes << ", rebases " << s.wheel_rebases << ")\n";
-  os << "  wheel occupancy         " << s.wheel_size << " (peak "
-     << s.wheel_peak_size << ")\n";
+  os << "  timed pushes            " << s.timed_pushes << "\n";
+  os << "  timed occupancy         " << s.timed_size << " (peak "
+     << s.timed_peak_size << ")\n";
   os << "  stack maps              " << s.stack_maps << " (reuses "
      << s.stack_reuses << ", peak in use " << s.stack_peak_in_use << ")\n";
   os << std::fixed << std::setprecision(3);
@@ -152,10 +148,8 @@ void Profiler::write_json(std::ostream& os) const {
   os << "{\n";
   os << "  \"ctx_switches\": " << s.ctx_switches << ",\n";
   os << "  \"inline_advances\": " << s.inline_advances << ",\n";
-  os << "  \"wheel_pushes\": " << s.wheel_pushes << ",\n";
-  os << "  \"wheel_overflow_pushes\": " << s.wheel_overflow_pushes << ",\n";
-  os << "  \"wheel_rebases\": " << s.wheel_rebases << ",\n";
-  os << "  \"wheel_peak_size\": " << s.wheel_peak_size << ",\n";
+  os << "  \"timed_pushes\": " << s.timed_pushes << ",\n";
+  os << "  \"timed_peak_size\": " << s.timed_peak_size << ",\n";
   os << "  \"stack_maps\": " << s.stack_maps << ",\n";
   os << "  \"stack_reuses\": " << s.stack_reuses << ",\n";
   os << "  \"stack_peak_in_use\": " << s.stack_peak_in_use << ",\n";

@@ -10,8 +10,8 @@
 //     byte-deterministic across runs, and host timing never is.
 //   * snapshot() — pulls counters the kernel maintains on every run:
 //     context switches and lone-runner inline advances from the
-//     Simulator, push/overflow/rebase/occupancy statistics from the
-//     EventWheel, map/reuse/high-water counts from the calling thread's
+//     Simulator, push/occupancy statistics from the timed queue,
+//     map/reuse/high-water counts from the calling thread's
 //     StackPool, plus per-bus transaction and fast-path-hit counters
 //     registered by the harness — one registry instead of four ad-hoc
 //     accessors.
@@ -55,12 +55,10 @@ public:
     // Scheduler.
     std::uint64_t ctx_switches = 0;    // thread-coroutine resumes
     std::uint64_t inline_advances = 0; // lone-runner wait() fast path
-    // Event wheel.
-    std::uint64_t wheel_pushes = 0;
-    std::uint64_t wheel_overflow_pushes = 0;
-    std::uint64_t wheel_rebases = 0;
-    std::size_t wheel_peak_size = 0;
-    std::size_t wheel_size = 0;
+    // Timed queue.
+    std::uint64_t timed_pushes = 0;
+    std::size_t timed_peak_size = 0;
+    std::size_t timed_size = 0;
     // Stack pool (the calling thread's pool).
     std::uint64_t stack_maps = 0;
     std::uint64_t stack_reuses = 0;

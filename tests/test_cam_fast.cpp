@@ -249,7 +249,7 @@ TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
     const std::size_t m1 = bus.add_master("b");
     // PLB @10ns, 8-byte width, 64-byte payload: a non-back-to-back
     // write occupies 2 + 8 = 10 cycles = 100 ns. b is spawned first so
-    // its wait(100ns) gets the smaller wheel sequence number and runs
+    // its wait(100ns) gets the smaller timed sequence number and runs
     // before a's occupancy-end resume at the same instant.
     sim.spawn_thread("b", [&] {
       wait(100_ns);

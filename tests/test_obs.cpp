@@ -278,7 +278,7 @@ TEST(ObsProfiler, AttributesDispatchesAndCounters) {
   EXPECT_NE(json.str().find("\"fast_hit_rate\": 1"), std::string::npos);
 }
 
-// The wheel and stack-pool internals the profiler snapshots move when the
+// The timed-queue and stack-pool internals the profiler snapshots move when the
 // kernel actually schedules timed work across coroutine stacks.
 TEST(ObsProfiler, KernelInternalCountersMove) {
   Simulator sim;
@@ -291,9 +291,9 @@ TEST(ObsProfiler, KernelInternalCountersMove) {
   }
   sim.run();
   const obs::Profiler::Snapshot s = prof.snapshot();
-  EXPECT_GT(s.wheel_pushes, 0u);
-  EXPECT_GT(s.wheel_peak_size, 0u);
-  EXPECT_EQ(s.wheel_size, 0u) << "run() drains the wheel";
+  EXPECT_GT(s.timed_pushes, 0u);
+  EXPECT_GT(s.timed_peak_size, 0u);
+  EXPECT_EQ(s.timed_size, 0u) << "run() drains the timed queue";
   EXPECT_GT(s.stack_peak_in_use, 0u);
   EXPECT_GE(s.ctx_switches, 4u);
 }
@@ -460,4 +460,20 @@ TEST(ObsIntegration, ExplorerRowsTableAndTraceTarget) {
   (void)ex2.evaluate(fast_plb_platform(), tiny, Time::us(300));
   std::ifstream none(other);
   EXPECT_FALSE(none.good());
+}
+
+// A trace target that cannot be written is an error naming the path, not
+// a silently missing file (as for an unopenable VCD file).
+TEST(ObsIntegration, UnwritableTraceTargetThrows) {
+  const std::string path = "obs_test_missing_dir/cell_trace.json";
+  const workload::WorkloadCase tiny{"", tiny_factory()};
+  expl::Explorer ex;
+  ex.set_trace_target({"plb-fast", "", path});
+  try {
+    (void)ex.evaluate(fast_plb_platform(), tiny, Time::us(300));
+    FAIL() << "expected SimulationError for " << path;
+  } catch (const SimulationError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
 }
