@@ -203,6 +203,68 @@ void BM_SplitOutstanding(benchmark::State& state) {
   state.counters["ctx_switches"] = ctx_switches;
 }
 
+// Crossbar lanes: N masters write 64-byte payloads across four memory
+// lanes, master m moving to the next lane every m + 1 writes, so the
+// masters drift in and out of each other's lanes and contend there. outstanding == 1 runs the
+// atomic route through the blocking access point; deeper windows post
+// into the split lane engines. sim_us and ctx_switches are simulated
+// and exact, like the PLB rows above.
+void BM_Crossbar(benchmark::State& state) {
+  const auto masters = static_cast<std::size_t>(state.range(0));
+  const auto outstanding = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kLanes = 4;
+  constexpr std::uint64_t kLaneBytes = 1 << 16;
+  const cam::SplitConfig split{outstanding > 1, outstanding};
+  double sim_us = 0.0, ctx_switches = 0.0;
+
+  for (auto _ : state) {
+    Simulator sim;
+    cam::CrossbarCam xbar(sim, "xbar", 10_ns, 8, split);
+    std::vector<std::unique_ptr<ocp::MemorySlave>> mems;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::string name = "mem" + std::to_string(l);
+      mems.push_back(std::make_unique<ocp::MemorySlave>(
+          name, l * kLaneBytes, kLaneBytes, /*access_time=*/20_ns));
+      xbar.attach_slave(*mems.back(), {l * kLaneBytes, kLaneBytes}, name);
+    }
+    for (std::size_t m = 0; m < masters; ++m) {
+      const std::size_t idx = xbar.add_master("m" + std::to_string(m));
+      sim.spawn_thread("pe" + std::to_string(m), [&, m, idx] {
+        std::vector<std::uint8_t> payload(kPayload,
+                                          static_cast<std::uint8_t>(m));
+        std::vector<Txn> txns(outstanding);
+        for (int i = 0; i < kTxnsPerMaster; ++i) {
+          const auto n = static_cast<std::size_t>(i);
+          const std::uint64_t addr = (n / (m + 1) % kLanes) * kLaneBytes +
+                                     (m << 10) + (n % 16) * kPayload;
+          Txn& t = txns[n % outstanding];
+          if (outstanding == 1) {
+            t.begin_write(addr, payload.data(), payload.size());
+            xbar.master_port(idx).transport(t);
+            continue;
+          }
+          if (n >= outstanding) t.done.wait(sim);
+          t.begin_write(addr, payload.data(), payload.size());
+          xbar.post(idx, t);
+        }
+        if (outstanding > 1) {
+          for (auto& t : txns) t.done.wait(sim);
+        }
+      });
+    }
+    sim.run();
+    sim_us = sim.now().to_seconds() * 1e6;
+    ctx_switches = static_cast<double>(sim.ctx_switches());
+  }
+
+  state.SetLabel(outstanding > 1 ? "split" : "atomic");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(masters) *
+                          kTxnsPerMaster);
+  state.counters["sim_us"] = sim_us;
+  state.counters["ctx_switches"] = ctx_switches;
+}
+
 }  // namespace
 
 BENCHMARK(BM_CamRoundtrip)
@@ -216,6 +278,10 @@ BENCHMARK(BM_Contention)
 
 BENCHMARK(BM_SplitOutstanding)
     ->ArgsProduct({{1, 2, 4}, {1, 4, 8}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_Crossbar)
+    ->ArgsProduct({{1, 2, 4}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

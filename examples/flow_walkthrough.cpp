@@ -19,6 +19,7 @@
 #include "explore/explore.hpp"
 #include "kernel/kernel.hpp"
 #include "ship/ship.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -112,7 +113,7 @@ void run_level(const char* label, core::AbstractionLevel level,
   Simulator sim;
   auto ms = core::Mapper::map(sim, sys.graph, plat, level);
   const bool done = ms->run_until_done(500_ms);
-  const auto traffic = ms->txn_log().summarize();
+  const auto traffic = trace::latency_dist(ms->txn_log().records());
   std::printf("  %-28s done=%-3s sim=%-11s checksum=%-8d txns=%-5llu",
               label, done ? "yes" : "NO", sim.now().to_string().c_str(),
               sys.fused_checksum(),

@@ -29,6 +29,7 @@
 #include "explore/explore.hpp"
 #include "kernel/kernel.hpp"
 #include "ship/ship.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -172,7 +173,7 @@ int main() {
   auto factory = make_factory(&stats);
 
   std::string captured_csv;
-  trace::TxnLogger::Summary captured;
+  trace::LatencyDist captured;
   for (auto level : {core::AbstractionLevel::ComponentAssembly,
                      core::AbstractionLevel::Ccatb,
                      core::AbstractionLevel::Cam}) {
@@ -195,7 +196,7 @@ int main() {
       std::ostringstream os;
       ms->txn_log().dump_csv(os);
       captured_csv = os.str();
-      captured = ms->txn_log().summarize();
+      captured = trace::latency_dist(ms->txn_log().records());
     }
   }
 
@@ -216,7 +217,7 @@ int main() {
     auto ms = core::Mapper::map(sim, graph, core::Platform{},
                                 core::AbstractionLevel::Ccatb);
     const bool done = ms->run_until_done(100_ms);
-    const auto replayed = ms->txn_log().summarize();
+    const auto replayed = trace::latency_dist(ms->txn_log().records());
     const bool exact = replayed.count == captured.count &&
                        replayed.bytes == captured.bytes;
     std::printf("  replay: done=%s txns=%llu bytes=%llu  (capture: txns=%llu "

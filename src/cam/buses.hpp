@@ -110,41 +110,19 @@ protected:
 // split mode each lane is served by its own engine process and a master
 // may post() up to `max_outstanding` transactions across lanes; their
 // completions arrive in lane-service order, not issue order (per-port
-// out-of-order completion).
-class CrossbarCam final : public Module, public CamIf {
+// out-of-order completion). A decode error holds no lane: it completes
+// at issue time with an error row.
+class CrossbarCam final : public CamIf {
 public:
   static constexpr std::size_t kDefaultWidthBytes = 8;
 
-  // `fast_targets` opts lanes into the fast-target contract: when the
-  // routed slave is fast_capable(), the lane resolves the service latency
-  // inline via fast_handle() instead of a blocking handle() call. Lane
-  // occupancy and queuing are unchanged (the crossbar already runs each
-  // transaction on the initiator's or a lane engine's coroutine), so
-  // timing is identical either way — the win is skipping the slave's
-  // internal wait() bookkeeping for zero-latency FSM targets.
   CrossbarCam(Simulator& sim, std::string name, Time cycle,
               std::size_t width_bytes = kDefaultWidthBytes,
-              SplitConfig split = {}, bool fast_targets = false);
+              SplitConfig split = {});
 
-  std::size_t add_master(const std::string& name) override;
-  ocp::ocp_tl_master_if& master_port(std::size_t i) override;
-  std::size_t master_count() const override { return masters_.size(); }
-  const std::string& master_label(std::size_t i) const override {
-    STLM_ASSERT(i < masters_.size(),
-                "master index out of range on " + full_name());
-    return masters_[i]->label;
-  }
-  void attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
-                    const std::string& label) override;
-  void post(std::size_t master, Txn& txn) override;
-  const std::string& name() const override { return Module::name(); }
-  Time cycle() const override { return cycle_; }
-  const AddressMap& address_map() const override { return map_; }
   // Folds the per-lane stat shards (lane-index order, scheduler-free)
   // into the public set before returning it — see LaneStats below.
   trace::StatSet& stats() override;
-  void set_txn_logger(trace::TxnLogger* log) override;
-  void set_fault_injector(fault::Injector* inj) override { injector_ = inj; }
   double utilization() const override;
 
   bool split_active() const { return split_.active(); }
@@ -154,16 +132,6 @@ public:
   }
 
 private:
-  struct MasterPort final : ocp::ocp_tl_master_if {
-    using ocp::ocp_tl_master_if::transport;
-    void transport(Txn& txn) override;
-    CrossbarCam* xbar = nullptr;
-    std::size_t index = 0;
-    std::string label;
-    // Interned "<bus>.<master>" name carried on this master's bus rows.
-    std::uint32_t log_id = trace::kNoMaster;
-  };
-
   // Per-lane statistics shard. Crossbar completions run concurrently on
   // per-lane coroutines (initiators holding the lane mutex in atomic
   // mode, one lane engine in split mode), so a single shared StatSet
@@ -181,21 +149,22 @@ private:
     std::vector<trace::Accumulator> per_master;  // grown on demand
   };
 
+  void transport(std::size_t master, Txn& txn) override;
+  void submit(std::size_t master, Txn& txn) override;
+  void on_master(std::size_t i) override;
+  void on_slave(std::size_t lane, const std::string& label) override;
+
   void route(std::size_t master, Txn& txn);
   void lane_engine(std::size_t lane);
-  void finish(std::size_t master, std::size_t lane, Txn& txn, Time start);
+  // Charge lane occupancy for `txn`, then deliver it to the lane's slave.
+  void serve(std::size_t lane, Txn& txn);
+  // Completion point plus the lane's statistics shard.
+  void retire(std::size_t master, std::size_t lane, Txn& txn, Time start);
+  // Answer an unmapped access at issue time, with its row (counted
+  // directly on stats_: integer increments commute across lanes).
+  void decode_error(std::size_t master, Txn& txn);
 
-  // Deliver `txn` to slave `s`, charging lane occupancy `occ` and then
-  // the target's service latency (fast path when the slave opted in).
-  void serve(std::size_t s, Txn& txn, Time occ);
-
-  Time cycle_;
-  std::size_t width_;
   SplitConfig split_;
-  bool fast_targets_;
-  std::vector<std::unique_ptr<MasterPort>> masters_;
-  std::vector<ocp::ocp_tl_slave_if*> slaves_;
-  std::vector<bool> slave_fast_;
   std::vector<std::unique_ptr<Mutex>> lanes_;
   std::vector<std::unique_ptr<LaneStats>> lane_stats_;  // one per lane
   // Split mode: per-lane intrusive queues + wake events, per-master
@@ -204,14 +173,6 @@ private:
   std::vector<std::unique_ptr<Event>> lane_avail_;
   std::vector<std::size_t> inflight_;
   Event slot_free_;
-  // Seeded fault source (nullptr = fault-free), consulted per lane
-  // delivery in serve(). Lanes are arbiter-free FIFOs, so the crossbar
-  // has no grant stream to stall — only errors and latency spikes apply.
-  fault::Injector* injector_ = nullptr;
-  AddressMap map_;
-  Time busy_time_ = Time::zero();
-  trace::StatSet stats_;
-  trace::LogHandle log_;
 };
 
 }  // namespace stlm::cam

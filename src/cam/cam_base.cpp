@@ -5,42 +5,18 @@
 
 namespace stlm::cam {
 
-namespace {
-
-// Fault delivery shared by the engines: draw the injector's verdict for
-// one decoded access. Returns true when an error was injected (the
-// caller skips handle()); a latency spike is charged as extra bus cycles
-// before the verdict applies, from the calling engine's coroutine.
-bool inject_access_fault(fault::Injector* inj, std::size_t slave, Txn& txn,
-                         Time cycle, Simulator& sim,
-                         const std::string& channel) {
-  if (inj == nullptr) return false;
-  const auto f = inj->on_access(slave);
-  if (f.spike_cycles != 0) wait(cycle * f.spike_cycles);
-  if (!f.error) return false;
-  txn.respond_error();
-  if (obs::TraceSession* ts = sim.trace_session(); ts != nullptr) {
-    ts->instant(channel, "fault", sim.now());
-  }
-  return true;
-}
-
-}  // namespace
-
 CamBase::CamBase(Simulator& sim, std::string name, Time cycle,
                  std::unique_ptr<Arbiter> arbiter, std::size_t width_bytes,
                  std::size_t default_width_bytes, SplitConfig split,
                  bool protocol_supports_split, bool fast_targets)
-    : Module(sim, std::move(name)),
-      cycle_(cycle),
-      width_(width_bytes ? width_bytes : default_width_bytes),
+    : CamIf(sim, std::move(name), cycle,
+            width_bytes ? width_bytes : default_width_bytes),
       split_active_(split.active() && protocol_supports_split),
       engine_(std::move(arbiter), split_active_ ? split.max_outstanding : 1),
       new_request_(sim, full_name() + ".new_request"),
       resp_avail_(sim, full_name() + ".resp_avail"),
       fast_targets_(fast_targets && !split_active_),
       fast_complete_(sim, full_name() + ".fast_complete") {
-  STLM_ASSERT(!cycle_.is_zero(), "CAM cycle must be positive: " + full_name());
   acc_grant_wait_ = &stats_.acc("grant_wait_ns");
   acc_txn_cycles_ = &stats_.acc("txn_cycles");
   acc_latency_ = &stats_.acc("latency_ns");
@@ -75,17 +51,10 @@ std::uint64_t CamBase::split_data_cycles(const Txn&) const {
                         " enabled split mode without split timing");
 }
 
-std::size_t CamBase::add_master(const std::string& name) {
-  auto mp = std::make_unique<MasterPort>();
-  mp->cam = this;
-  mp->index = masters_.size();
-  mp->label = name;
-  mp->latency = &stats_.acc("master_" + name + "_latency_ns");
-  // The master's "<bus>.<master>" name tags its bus rows (logger may be
-  // set before or after masters are added; set_txn_logger re-interns).
-  mp->log_id = log_.intern(full_name() + "." + name);
-  masters_.push_back(std::move(mp));
-  const std::size_t idx = engine_.add_master();
+void CamBase::on_master(std::size_t i) {
+  const std::string& name = master_label(i);
+  master_latency_.push_back(&stats_.acc("master_" + name + "_latency_ns"));
+  engine_.add_master();
   if (split_active_) {
     // One service worker per in-flight slot: every granted transaction
     // can be in target service concurrently, so a slow slave never
@@ -99,52 +68,27 @@ std::size_t CamBase::add_master(const std::string& name) {
     }
     idle_workers_.reserve(worker_wake_.size());
   }
-  return idx;
 }
 
-ocp::ocp_tl_master_if& CamBase::master_port(std::size_t i) {
-  STLM_ASSERT(i < masters_.size(), "master index out of range on " + full_name());
-  return *masters_[i];
+void CamBase::submit(std::size_t master, Txn& txn) {
+  if (!try_fast_post(master, txn)) enqueue(master, txn);
 }
 
-void CamBase::attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
-                           const std::string& label) {
-  map_.add(range, label);
-  slaves_.push_back(&slave);
-  // Capability is a static property of the target type; cache it so the
-  // fast-path eligibility check is a vector<bool> lookup.
-  slave_fast_.push_back(slave.fast_capable());
+void CamBase::transport(std::size_t master, Txn& txn) {
+  // A bridge may forward the same descriptor into this CAM while the
+  // original initiator still waits on it: shelve the outer waiter (and
+  // the outer CAM's enqueue/phase timestamps) for the inner round-trip.
+  Txn::PhaseShelf shelf(txn);
+  CompletionEvent::NestedScope nest(txn.done);
+  if (try_fast_transport(master, txn)) return;
+  enqueue(master, txn);
+  txn.done.wait(sim());
 }
 
-void CamBase::set_txn_logger(trace::TxnLogger* log) {
-  log_.bind(log, full_name());
-  for (auto& mp : masters_) {
-    mp->log_id = log_.intern(full_name() + "." + mp->label);
-  }
-}
-
-double CamBase::utilization() const {
-  // Guard: before any simulated time has elapsed there is nothing to
-  // normalize by — report an idle bus instead of dividing by zero.
-  // In split mode busy_time_ counts data-channel occupancy (the shared
-  // resource the pipeline is bound by); hidden address phases are free.
-  const Time elapsed = sim().now();
-  if (elapsed.is_zero()) return 0.0;
-  return busy_time_.to_seconds() / elapsed.to_seconds();
-}
-
-void CamBase::post(std::size_t master, Txn& txn) {
-  STLM_ASSERT(master < masters_.size(),
-              "master index out of range on " + full_name());
-  // Audited per access point: the arbiter ranks same-delta requests from
-  // *different* masters deterministically, but two processes issuing
-  // through one master port race for its pending queue's order.
-  audit::on_access(sim(), masters_[master].get(), audit::Mode::Write,
-                   "cam.master", masters_[master]->label);
-  if (try_fast_post(master, txn)) return;
+void CamBase::enqueue(std::size_t master, Txn& txn) {
   // A fast-capable bus fell back to the full engine path (contention,
-  // split mode, non-fast target): mark the spot on the timeline so
-  // fast-hit-rate regressions can be localized in simulated time.
+  // non-fast target): mark the spot on the timeline so fast-hit-rate
+  // regressions can be localized in simulated time.
   if (fast_targets_) {
     if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
       ts->instant(full_name(), "fast_fallback", sim().now());
@@ -155,28 +99,6 @@ void CamBase::post(std::size_t master, Txn& txn) {
   txn.status = Txn::Status::Pending;
   engine_.enqueue(master, txn);
   new_request_.notify_delta();
-}
-
-void CamBase::MasterPort::transport(Txn& txn) {
-  CamBase& c = *cam;
-  audit::on_access(c.sim(), this, audit::Mode::Write, "cam.master", label);
-  // A bridge may forward the same descriptor into this CAM while the
-  // original initiator still waits on it: shelve the outer waiter (and
-  // the outer CAM's enqueue/phase timestamps) for the inner round-trip.
-  Txn::PhaseShelf shelf(txn);
-  CompletionEvent::NestedScope nest(txn.done);
-  if (c.try_fast_transport(index, txn)) return;
-  if (c.fast_targets_) {
-    if (obs::TraceSession* ts = c.sim().trace_session(); ts != nullptr) {
-      ts->instant(c.full_name(), "fast_fallback", c.sim().now());
-    }
-  }
-  txn.enqueued = c.sim().now();
-  txn.reset_phases();
-  txn.status = Txn::Status::Pending;
-  c.engine_.enqueue(index, txn);
-  c.new_request_.notify_delta();
-  txn.done.wait(c.sim());
 }
 
 // ---------------------------------------------------------- fast path ----
@@ -194,7 +116,7 @@ bool CamBase::fast_eligible(const Txn& txn, std::size_t* slave_out) const {
   // the constant-latency contract merged completions rely on, and the
   // injector draw itself must happen at the engine's delivery point to
   // keep the per-slave streams in simulation order.
-  if (injector_ != nullptr) return false;
+  if (injector() != nullptr) return false;
   if (fast_pending_) return false;                 // a fast post is in flight
   if (fast_inflight_) return false;                // a fast transport is
   if (sim().now() < fast_busy_until_) return false;  // bus still occupied
@@ -202,29 +124,33 @@ bool CamBase::fast_eligible(const Txn& txn, std::size_t* slave_out) const {
   // take the engine. (Between an engine grant and its retire the txn is
   // in flight, which also covers the engine's occupancy wait.)
   if (engine_.any_pending() || engine_.any_inflight()) return false;
-  const std::size_t bytes = txn.payload_bytes();
-  const auto slave = map_.decode(txn.addr, bytes ? bytes : 1);
+  const auto s = decode(txn);
   // Decode errors keep their engine-side timing/stats path.
-  if (!slave || !slave_fast_[*slave]) return false;
-  *slave_out = *slave;
+  if (!s || !slave(*s).fast_capable()) return false;
+  *slave_out = *s;
   return true;
+}
+
+std::uint64_t CamBase::fast_grant(std::size_t master, Txn& txn) {
+  txn.enqueued = sim().now();
+  txn.reset_phases();
+  txn.status = Txn::Status::Pending;
+  // Zero grant wait: the engine would grant in the next delta at the
+  // same instant.
+  const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
+  txn.t_grant = sim().now();
+  txn.t_data = txn.t_grant;
+  acc_grant_wait_->add(0.0);
+  engine_.note_fast_grant(master, now_cycle());
+  return txn_cycles(txn, back_to_back);
 }
 
 bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
   std::size_t s = 0;
   if (!fast_eligible(txn, &s)) return false;
-  txn.enqueued = sim().now();
-  txn.reset_phases();
-  txn.status = Txn::Status::Pending;
-  // Mirror the engine's grant: stamps, zero grant wait (the engine would
-  // grant in the next delta at the same instant), arbiter evolution.
-  const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
-  const std::uint64_t cycles = txn_cycles(txn, back_to_back);
-  const Time occupancy = cycle_ * cycles;
-  txn.t_grant = sim().now();
-  txn.t_data = txn.t_grant;
-  acc_grant_wait_->add(0.0);
-  engine_.note_fast_grant(master, now_cycle());
+  const std::uint64_t cycles = fast_grant(master, txn);
+  const Time occupancy = cycle() * cycles;
+  ocp::ocp_tl_slave_if& target = slave(s);
   // Hold the bus: competing requests issued during the occupancy fall
   // back to the engine, whose gate stalls until fast_busy_until_.
   // fast_inflight_ closes the strict time check's boundary hole: a
@@ -232,7 +158,7 @@ bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
   // fast_busy_until_ and runs before this process resumes must still
   // see the bus as taken.
   fast_inflight_ = true;
-  const auto fixed = slaves_[s]->fast_fixed_latency();
+  const auto fixed = target.fast_fixed_latency();
   if (fixed) {
     // Constant-latency target: the access resolves at grant time and a
     // single merged wait covers occupancy + service (see the
@@ -242,14 +168,14 @@ bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
     fast_busy_until_ = sim().now() + occupancy + *fixed;
     last_txn_end_ = fast_busy_until_;
     engine_busy_ = true;
-    const Time latency = slaves_[s]->fast_handle(txn);
+    const Time latency = target.fast_handle(txn);
     wait(occupancy + latency);
     busy_time_ += occupancy;
   } else {
     fast_busy_until_ = sim().now() + occupancy;
     wait(occupancy);
     busy_time_ += occupancy;
-    const Time latency = slaves_[s]->fast_handle(txn);
+    const Time latency = target.fast_handle(txn);
     if (!latency.is_zero()) {
       // Target service time: the engine path would sit in handle() here.
       fast_busy_until_ = sim().now() + latency;
@@ -270,16 +196,8 @@ bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
 bool CamBase::try_fast_post(std::size_t master, Txn& txn) {
   std::size_t s = 0;
   if (!fast_eligible(txn, &s)) return false;
-  txn.enqueued = sim().now();
-  txn.reset_phases();
-  txn.status = Txn::Status::Pending;
-  const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
-  const std::uint64_t cycles = txn_cycles(txn, back_to_back);
-  const Time occupancy = cycle_ * cycles;
-  txn.t_grant = txn.enqueued;
-  txn.t_data = txn.t_grant;
-  acc_grant_wait_->add(0.0);
-  engine_.note_fast_grant(master, now_cycle());
+  const std::uint64_t cycles = fast_grant(master, txn);
+  const Time occupancy = cycle() * cycles;
   // post() must not block: park the transaction in the single fast slot
   // and let the timed fast_step method pick it up at occupancy end.
   // Methods run before threads within a timestamp, so the slot (and the
@@ -293,13 +211,13 @@ bool CamBase::try_fast_post(std::size_t master, Txn& txn) {
   // grant, so a run_for() cutoff mid-transaction samples the same
   // utilization either way.
   fast_pending_busy_ = occupancy;
-  const auto fixed = slaves_[s]->fast_fixed_latency();
+  const auto fixed = slave(s).fast_fixed_latency();
   if (fixed) {
     // Constant-latency target: service the access now and schedule one
     // merged completion — fast_post_step fires once, straight into its
     // completion stage. The retire instant is known now; stamp it so a
     // completion-instant reader can never observe a stale value.
-    const Time latency = slaves_[s]->fast_handle(txn);
+    const Time latency = slave(s).fast_handle(txn);
     fast_in_service_ = true;
     fast_busy_until_ = sim().now() + occupancy + latency;
     last_txn_end_ = fast_busy_until_;
@@ -324,7 +242,7 @@ void CamBase::fast_post_step() {
   if (!fast_in_service_) {
     // Occupancy elapsed — the effective access instant, exactly when the
     // engine path would have called handle().
-    const Time latency = slaves_[fast_pending_slave_]->fast_handle(txn);
+    const Time latency = slave(fast_pending_slave_).fast_handle(txn);
     if (!latency.is_zero()) {
       fast_in_service_ = true;
       fast_busy_until_ = sim().now() + latency;
@@ -375,18 +293,11 @@ void CamBase::atomic_engine() {
       continue;
     }
 
-    // Grant-stall burst: the arbiter withholds the granted request for a
-    // few cycles. Charged before the grant stamp, so the stall reads as
-    // queueing delay (arbitration wait), not bus service.
-    if (injector_ != nullptr) {
-      if (const std::uint64_t stall = injector_->on_grant()) {
-        wait(cycle_ * stall);
-      }
-    }
+    stall_grant();
 
     const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
     const std::uint64_t cycles = txn_cycles(*txn, back_to_back);
-    const Time occupancy = cycle_ * cycles;
+    const Time occupancy = cycle() * cycles;
 
     // The atomic engine charges arbitration+address+data+response as one
     // occupancy wait, so address and data phases are indistinguishable:
@@ -397,14 +308,11 @@ void CamBase::atomic_engine() {
     wait(occupancy);
     busy_time_ += occupancy;
 
-    const std::size_t bytes = txn->payload_bytes();
-    const auto slave = map_.decode(txn->addr, bytes ? bytes : 1);
-    if (!slave) {
+    if (const auto slave = decode(*txn)) {
+      deliver(*slave, *txn);
+    } else {
       txn->respond_error();
       ++*cnt_decode_errors_;
-    } else if (!inject_access_fault(injector_, *slave, *txn, cycle_, sim(),
-                                    full_name())) {
-      slaves_[*slave]->handle(*txn);
     }
 
     last_txn_end_ = sim().now();
@@ -434,24 +342,16 @@ void CamBase::addr_engine() {
       continue;
     }
 
-    // Grant-stall burst (see atomic_engine): delays the grant stamp, so
-    // the stall is accounted as arbitration wait.
-    if (injector_ != nullptr) {
-      if (const std::uint64_t stall = injector_->on_grant()) {
-        wait(cycle_ * stall);
-      }
-    }
+    stall_grant();
 
     txn->t_grant = sim().now();
     acc_grant_wait_->add((sim().now() - txn->enqueued).to_ns());
     const std::uint64_t ac = split_addr_cycles(*txn);
-    if (ac) wait(cycle_ * ac);
+    if (ac) wait(cycle() * ac);
 
     // Address decode happens in the address phase. Errors skip target
     // service and go straight to the data engine for completion.
-    const std::size_t bytes = txn->payload_bytes();
-    const auto slave = map_.decode(txn->addr, bytes ? bytes : 1);
-    if (!slave) {
+    if (!decode(*txn)) {
       txn->respond_error();
       ++*cnt_decode_errors_;
       resp_q_.push_back(*txn);
@@ -480,13 +380,9 @@ void CamBase::service_worker(std::size_t worker) {
     Txn* txn = service_q_.pop_front();
     // Re-derive the decode from the address phase (cheap, and it keeps
     // the descriptor free of CAM-internal routing state).
-    const std::size_t bytes = txn->payload_bytes();
-    const auto slave = map_.decode(txn->addr, bytes ? bytes : 1);
+    const auto slave = decode(*txn);
     STLM_ASSERT(slave.has_value(), "split service lost its decode");
-    if (!inject_access_fault(injector_, *slave, *txn, cycle_, sim(),
-                             full_name())) {
-      slaves_[*slave]->handle(*txn);
-    }
+    deliver(*slave, *txn);
     resp_q_.push_back(*txn);
     resp_avail_.notify_delta();
   }
@@ -498,8 +394,10 @@ void CamBase::data_engine() {
     Txn* txn = resp_q_.pop_front();
     txn->t_data = sim().now();  // response won the data channel
     const std::uint64_t dc = split_data_cycles(*txn);
-    const Time occupancy = cycle_ * dc;
+    const Time occupancy = cycle() * dc;
     if (dc) wait(occupancy);
+    // Split-mode utilization counts data-channel occupancy, the resource
+    // the pipeline is bound by; hidden address phases are free.
     busy_time_ += occupancy;
 
     const std::size_t g = engine_.owner_of(*txn);
@@ -513,8 +411,18 @@ void CamBase::data_engine() {
   }
 }
 
-// Completion bookkeeping shared by both engines: statistics, logging and
-// waking the initiator.
+// Grant-stall burst: the arbiter withholds the granted request for a few
+// cycles. Charged before the grant stamp, so the stall reads as queueing
+// delay (arbitration wait), not bus service.
+void CamBase::stall_grant() {
+  if (injector() == nullptr) return;
+  if (const std::uint64_t stall = injector()->on_grant()) {
+    wait(cycle() * stall);
+  }
+}
+
+// Completion bookkeeping shared by both engines and both fast paths: the
+// core's completion point, statistics, and waking the initiator.
 void CamBase::complete_txn(Txn& txn, std::size_t master,
                            std::uint64_t cycles) {
   // Stat slots accumulate floating-point sums: two same-delta completions
@@ -522,19 +430,10 @@ void CamBase::complete_txn(Txn& txn, std::size_t master,
   // order, so the whole StatSet is audited as one object.
   audit::on_access(sim(), &stats_, audit::Mode::Write, "cam.stats",
                    Module::name());
-  txn.t_complete = sim().now();
-  // Final-status stamp. This is the one completion point shared by the
-  // atomic engine, the split data engine and both fast paths, so every
-  // path agrees on the same lifecycle: a watchdog-flagged transaction
-  // that still answered Ok is promoted to Timeout here (an Error stays
-  // an Error — it already failed harder than the deadline).
-  if (txn.deadline_missed && txn.status == Txn::Status::Ok) {
-    txn.status = Txn::Status::Timeout;
-  }
-  const std::size_t bytes = txn.payload_bytes();
+  finish(txn, master, txn.enqueued);
   ++*cnt_transactions_;
   ++*(txn.op == Txn::Op::Read ? cnt_reads_ : cnt_writes_);
-  *cnt_bytes_ += bytes;
+  *cnt_bytes_ += txn.payload_bytes();
   acc_txn_cycles_->add(static_cast<double>(cycles));
   // latency_ns stays the end-to-end issue→completion span;
   // service_ns = grant→completion isolates the cost once the bus took
@@ -542,23 +441,7 @@ void CamBase::complete_txn(Txn& txn, std::size_t master,
   const double latency_ns = (txn.t_complete - txn.enqueued).to_ns();
   acc_latency_->add(latency_ns);
   acc_service_->add((txn.t_complete - txn.t_grant).to_ns());
-  masters_[master]->latency->add(latency_ns);
-  const trace::TxnKind kind = txn.op == Txn::Op::Read ? trace::TxnKind::Read
-                                                      : trace::TxnKind::Write;
-  const trace::TxnStatus row_status = txn_row_status(txn);
-  // One row per transaction, tagged with the issuing master so
-  // per-master distributions are a group-by on TxnRecord::master.
-  if (log_) {
-    log_.record(kind, txn.id, bytes, txn.enqueued, sim().now(), txn.t_grant,
-                txn.t_data, row_status, txn.retries, masters_[master]->log_id);
-  }
-  // Timeline spans for this transaction. complete_txn is the single
-  // completion point shared by the atomic engine, the split data engine,
-  // AND both fast paths — so fast-path completions show up in the trace
-  // by construction (the fast-path blind spot the VCD tracer has).
-  if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
-    ts->txn_phases(full_name(), txn, txn.enqueued);
-  }
+  master_latency_[master]->add(latency_ns);
   txn.done.complete(sim());  // immediate: initiator resumes within this delta
 }
 

@@ -1,5 +1,6 @@
 #pragma once
-// Shared implementation of single-resource (bus-style) CAMs.
+// Shared implementation of single-resource (bus-style) CAMs on the
+// CamIf bus core (cam_if.hpp).
 //
 // Two engine modes, selected by SplitConfig at construction:
 //
@@ -55,11 +56,10 @@
 
 #include "cam/grant_engine.hpp"
 #include "cam/cam_if.hpp"
-#include "kernel/module.hpp"
 
 namespace stlm::cam {
 
-class CamBase : public Module, public CamIf {
+class CamBase : public CamIf {
 public:
   // `width_bytes == 0` selects `default_width_bytes`, the protocol's
   // native data-path width (the Platform grid sweeps explicit widths).
@@ -70,26 +70,6 @@ public:
           std::unique_ptr<Arbiter> arbiter, std::size_t width_bytes,
           std::size_t default_width_bytes, SplitConfig split,
           bool protocol_supports_split, bool fast_targets = false);
-
-  // --- CamIf ---------------------------------------------------------
-  std::size_t add_master(const std::string& name) override;
-  ocp::ocp_tl_master_if& master_port(std::size_t i) override;
-  std::size_t master_count() const override { return masters_.size(); }
-  const std::string& master_label(std::size_t i) const override {
-    STLM_ASSERT(i < masters_.size(),
-                "master index out of range on " + full_name());
-    return masters_[i]->label;
-  }
-  void attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
-                    const std::string& label) override;
-  void post(std::size_t master, Txn& txn) override;
-  const std::string& name() const override { return Module::name(); }
-  Time cycle() const override { return cycle_; }
-  const AddressMap& address_map() const override { return map_; }
-  trace::StatSet& stats() override { return stats_; }
-  void set_txn_logger(trace::TxnLogger* log) override;
-  void set_fault_injector(fault::Injector* inj) override { injector_ = inj; }
-  double utilization() const override;
 
   const Arbiter& arbiter() const { return engine_.arbiter(); }
   const GrantEngine& grant_engine() const { return engine_; }
@@ -124,43 +104,35 @@ protected:
   virtual std::uint64_t split_addr_cycles(const Txn& txn) const;
   virtual std::uint64_t split_data_cycles(const Txn& txn) const;
 
-  // Data-path width for the derived protocol's beat math.
-  std::size_t width_bytes() const { return width_; }
-
 private:
-  // Access point given to each master.
-  struct MasterPort final : ocp::ocp_tl_master_if {
-    using ocp::ocp_tl_master_if::transport;
-    void transport(Txn& txn) override;
-    CamBase* cam = nullptr;
-    std::size_t index = 0;
-    std::string label;
-    trace::Accumulator* latency = nullptr;  // cached per-master stat slot
-    // Interned "<bus>.<master>" name carried on this master's bus rows.
-    std::uint32_t log_id = trace::kNoMaster;
-  };
+  void transport(std::size_t master, Txn& txn) override;
+  void submit(std::size_t master, Txn& txn) override;
+  void on_master(std::size_t i) override;
+
+  // Queue `txn` for the grant engine (the path every transaction takes
+  // when the fast path declines it).
+  void enqueue(std::size_t master, Txn& txn);
 
   void atomic_engine();
   void addr_engine();
   void service_worker(std::size_t worker);
   void data_engine();
+  void stall_grant();
   void complete_txn(Txn& txn, std::size_t master, std::uint64_t cycles);
-  std::uint64_t now_cycle() const { return sim().now() / cycle_; }
+  std::uint64_t now_cycle() const { return sim().now() / cycle(); }
 
   // Fast path (see the class comment). try_fast_* return false without
   // side effects when the transaction must take the engine.
   bool fast_eligible(const Txn& txn, std::size_t* slave_out) const;
+  // The engine's grant, mirrored inline: stamps, zero grant wait and
+  // arbiter evolution. Returns the transaction's bus cycles.
+  std::uint64_t fast_grant(std::size_t master, Txn& txn);
   bool try_fast_transport(std::size_t master, Txn& txn);
   bool try_fast_post(std::size_t master, Txn& txn);
   void fast_post_step();  // timed method: occupancy end / service end
 
-  Time cycle_;
-  std::size_t width_;
   bool split_active_;
   GrantEngine engine_;
-  std::vector<std::unique_ptr<MasterPort>> masters_;
-  std::vector<ocp::ocp_tl_slave_if*> slaves_;
-  AddressMap map_;
   Event new_request_;
   // Split-mode plumbing: address engine -> service workers -> data engine.
   // Each service worker parks on its own wake event (indexed by worker
@@ -172,27 +144,17 @@ private:
   std::vector<std::unique_ptr<Event>> worker_wake_;
   std::vector<std::size_t> idle_workers_;
   Event resp_avail_;
-  Time busy_time_ = Time::zero();
   Time last_txn_end_ = Time::zero();
   bool engine_busy_ = false;
-  // Seeded fault source (nullptr = fault-free). Consulted by the engines
-  // at grant (stalls) and at target delivery (errors/spikes); its
-  // presence also vetoes the fast path (fast_eligible), whose merged
-  // completions assume a constant service latency.
-  fault::Injector* injector_ = nullptr;
-  trace::StatSet stats_;
-  trace::LogHandle log_;
 
-  // Fast-path state. slave_fast_ caches fast_capable() per attached
-  // slave; fast_busy_until_ is the instant the bus frees again after a
-  // fast transaction (the engine's gate); fast_inflight_ marks a fast
+  // Fast-path state. fast_busy_until_ is the instant the bus frees again
+  // after a fast transaction (the engine's gate); fast_inflight_ marks a fast
   // *transport* for its whole span — the strict time check alone would
   // let a competitor waking at exactly fast_busy_until_, before the
   // initiator's coroutine resumes, treat the bus as idle; the
   // fast_pending_* slot holds the single posted fast transaction between
   // its issue and the timed fast_complete_ callback that finishes it.
   bool fast_targets_ = false;
-  std::vector<bool> slave_fast_;
   Time fast_busy_until_ = Time::zero();
   bool fast_inflight_ = false;
   Txn* fast_pending_ = nullptr;
@@ -214,6 +176,7 @@ private:
   std::uint64_t* cnt_writes_;
   std::uint64_t* cnt_bytes_;
   std::uint64_t* cnt_decode_errors_;
+  std::vector<trace::Accumulator*> master_latency_;  // per master index
 };
 
 }  // namespace stlm::cam

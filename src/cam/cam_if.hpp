@@ -1,5 +1,5 @@
 #pragma once
-// Common interface of every communication architecture model.
+// The bus core every communication architecture model derives from.
 //
 // A CAM is a simulation model of a bus or network that is cycle-count
 // accurate at transaction boundaries (CCATB): externally each transaction
@@ -10,11 +10,23 @@
 // PEs attach through OCP TL master ports; targets attach as OCP TL slaves
 // with an address range. Wrappers (ship<->ocp, pin<->tl) let "virtually
 // any PE" connect regardless of its native interface (paper §3).
+//
+// CamIf owns the contract every bus keeps, so each bus keeps it once:
+// the master access points, the slave table and its address decode,
+// fault delivery to a decoded target, and the completion point that
+// stamps the final status and writes the transaction's trace row. A
+// concrete bus implements only its timing and resource model: how a
+// transaction is routed, arbitrated and occupies the interconnect
+// (transport/submit), plus its statistics.
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "cam/address_map.hpp"
+#include "kernel/module.hpp"
 #include "kernel/time.hpp"
 #include "ocp/tl_if.hpp"
 #include "trace/stats.hpp"
@@ -26,53 +38,30 @@ class Injector;
 
 namespace stlm::cam {
 
-/// Map a completed descriptor's kernel-side status onto the trace
-/// schema's outcome column. A logged row is by definition settled, so a
-/// still-Pending status (a CAM forgot to stamp) degrades to Ok rather
-/// than inventing a fifth CSV value.
-inline trace::TxnStatus txn_row_status(const Txn& txn) {
-  switch (txn.status) {
-    case Txn::Status::Error:
-      return trace::TxnStatus::Error;
-    case Txn::Status::Timeout:
-      return trace::TxnStatus::Timeout;
-    case Txn::Status::Aborted:
-      return trace::TxnStatus::Aborted;
-    case Txn::Status::Pending:
-    case Txn::Status::Ok:
-      break;
-  }
-  return trace::TxnStatus::Ok;
-}
-
-/// Abstract interface of a communication architecture model (bus,
-/// crossbar, bridge fabric). One CamIf instance is one arbitrated
-/// interconnect; masters attach via numbered access points, targets via
-/// address ranges.
-class CamIf {
+/// One interconnect (bus, crossbar): masters attach via numbered
+/// access points, targets via address ranges.
+class CamIf : public Module {
 public:
-  virtual ~CamIf() = default;
-
   /// Register a new master access point.
   /// @param name  label used for per-master statistics slots
   /// @return the master's index (stable for the CAM's lifetime)
-  virtual std::size_t add_master(const std::string& name) = 0;
+  std::size_t add_master(const std::string& name);
 
   /// Access point for master `i`; bind a PE's OcpMasterPort to this.
   /// Its transport() blocks the calling process until the transaction
   /// completes on the modeled interconnect.
-  virtual ocp::ocp_tl_master_if& master_port(std::size_t i) = 0;
-  virtual std::size_t master_count() const = 0;
+  ocp::ocp_tl_master_if& master_port(std::size_t i);
+  std::size_t master_count() const { return masters_.size(); }
 
   /// Label master `i` was registered with — the suffix of its per-master
   /// statistics slot and of the "<bus>.<label>" name its bus rows carry
   /// in trace::TxnRecord::master.
-  virtual const std::string& master_label(std::size_t i) const = 0;
+  const std::string& master_label(std::size_t i) const;
 
   /// Attach a slave device decoding `range`; later transactions whose
   /// address falls inside the range are delivered to `slave.handle()`.
-  virtual void attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
-                            const std::string& label) = 0;
+  void attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
+                    const std::string& label);
 
   /// Non-blocking issue for split/out-of-order masters: enqueue `txn` on
   /// master `master` and return without waiting; the initiator
@@ -83,28 +72,90 @@ public:
   /// completion before returning — `done` is then already complete, so
   /// the same initiator code works on every bus. A bus may block the
   /// caller when it is at its per-master outstanding cap.
-  virtual void post(std::size_t master, Txn& txn) = 0;
+  void post(std::size_t master, Txn& txn);
 
-  virtual const std::string& name() const = 0;
   /// Bus clock period of this interconnect.
-  virtual Time cycle() const = 0;
-  virtual const AddressMap& address_map() const = 0;
+  Time cycle() const { return cycle_; }
+  const AddressMap& address_map() const { return map_; }
 
   /// Mutable statistic set (counters + accumulators) of this CAM.
-  virtual trace::StatSet& stats() = 0;
-  /// Route per-transaction begin/end records into `log` (nullptr stops).
-  virtual void set_txn_logger(trace::TxnLogger* log) = 0;
+  virtual trace::StatSet& stats() { return stats_; }
+  /// Route per-transaction records into `log` (nullptr stops).
+  void set_txn_logger(trace::TxnLogger* log);
 
-  /// Attach a seeded fault source (fault/fault.hpp): slaves consult it
-  /// per access (error responses, latency spikes) and the grant logic per
-  /// grant (stall bursts). nullptr detaches; the default ignores it, so
-  /// CAMs without failure semantics stay valid. While an injector is
-  /// attached a CAM must disable constant-latency fast paths — injected
-  /// spikes break their fixed-latency contract.
-  virtual void set_fault_injector(fault::Injector* /*inj*/) {}
+  /// Attach a seeded fault source (fault/fault.hpp): deliver() consults
+  /// it per access (error responses, latency spikes) and an arbitrated
+  /// bus per grant (stall bursts). nullptr detaches. While an injector
+  /// is attached a bus must disable constant-latency fast paths —
+  /// injected spikes break their fixed-latency contract.
+  void set_fault_injector(fault::Injector* inj) { injector_ = inj; }
 
   /// Fraction of elapsed bus cycles spent moving transactions.
-  virtual double utilization() const = 0;
+  virtual double utilization() const;
+
+protected:
+  // `width_bytes` is the data-path width the bus's beat math uses.
+  CamIf(Simulator& sim, std::string name, Time cycle, std::size_t width_bytes);
+
+  // --- hooks a bus implements ------------------------------------------
+  // Blocking transaction from master `master`'s access point (already
+  // audited): returns once `txn` completed on the interconnect.
+  virtual void transport(std::size_t master, Txn& txn) = 0;
+  // The body of post(), after the index check and the audit.
+  virtual void submit(std::size_t master, Txn& txn) = 0;
+  // Per-master / per-slave elaboration (stat slots, lanes, workers):
+  // called right after the core registered master `i` / slave `s`.
+  virtual void on_master(std::size_t /*i*/) {}
+  virtual void on_slave(std::size_t /*s*/, const std::string& /*label*/) {}
+
+  // --- shared mechanics ------------------------------------------------
+  // The slave decoding `txn`'s address range, nullopt on a decode error.
+  std::optional<std::size_t> decode(const Txn& txn) const {
+    const std::size_t bytes = txn.payload_bytes();
+    return map_.decode(txn.addr, bytes ? bytes : 1);
+  }
+  // Hand a decoded access to slave `s`, from the calling engine's
+  // coroutine: the injector's draw first — a latency spike is charged
+  // as extra bus cycles, an injected error answers without touching the
+  // slave — then the slave's handle().
+  void deliver(std::size_t s, Txn& txn);
+  // The completion point: stamps t_complete, promotes a watchdog-flagged
+  // Ok to Timeout (an Error stays an Error — it already failed harder
+  // than the deadline), writes the transaction's row tagged with
+  // `master` and its timeline spans from `issue`. Statistics and waking
+  // the initiator stay with the bus.
+  void finish(Txn& txn, std::size_t master, Time issue);
+
+  ocp::ocp_tl_slave_if& slave(std::size_t s) const { return *slaves_[s]; }
+  fault::Injector* injector() const { return injector_; }
+  // Data-path width for the protocol's beat math.
+  std::size_t width_bytes() const { return width_; }
+
+  trace::StatSet stats_;
+  // Bus occupancy accumulated by the bus's engines (utilization()).
+  Time busy_time_ = Time::zero();
+
+private:
+  // Access point given to each master: audits the port, then forwards
+  // to the bus's transport().
+  struct MasterPort final : ocp::ocp_tl_master_if {
+    using ocp::ocp_tl_master_if::transport;
+    void transport(Txn& txn) override;
+    CamIf* cam = nullptr;
+    std::size_t index = 0;
+    std::string label;
+    // Interned "<bus>.<master>" name carried on this master's rows.
+    std::uint32_t log_id = trace::kNoMaster;
+  };
+
+  Time cycle_;
+  std::size_t width_;
+  std::vector<std::unique_ptr<MasterPort>> masters_;
+  std::vector<ocp::ocp_tl_slave_if*> slaves_;
+  AddressMap map_;
+  trace::LogHandle log_;
+  // Seeded fault source (nullptr = fault-free).
+  fault::Injector* injector_ = nullptr;
 };
 
 }  // namespace stlm::cam

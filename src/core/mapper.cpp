@@ -90,12 +90,12 @@ void MappedSystem::report(std::ostream& out) const {
   out << "=== mapped system: level=" << level_name(level_)
       << " platform=" << plat_.name << " ===\n";
   for (const auto& note : mapping_notes_) out << "  " << note << "\n";
-  const auto s = log_.summarize();
+  const auto s = trace::latency_dist(log_.records());
   out << "  simulated time                   " << sim_.now().to_string()
       << "\n"
       << "  logged transactions              " << s.count << "\n"
       << "  logged bytes                     " << s.bytes << "\n"
-      << "  mean txn latency                 " << s.mean_latency_ns << " ns\n"
+      << "  mean txn latency                 " << s.mean_ns << " ns\n"
       << "  mean queueing delay              " << s.mean_queue_ns
       << " ns (issue->grant)\n"
       << "  mean service span                " << s.mean_service_ns
@@ -221,7 +221,7 @@ std::unique_ptr<cam::CamIf> Mapper::make_bus(Simulator& sim,
                                            p.fast_targets);
     case BusKind::Crossbar:
       return std::make_unique<cam::CrossbarCam>(sim, "xbar", p.bus_cycle,
-                                                width, split, p.fast_targets);
+                                                width, split);
   }
   throw ElaborationError("unknown bus kind");
 }

@@ -1,7 +1,7 @@
 #pragma once
 // Kernel determinism auditor.
 //
-// The repo's speed story (sharded sweeps, the calendar-queue scheduler,
+// The repo's speed story (sharded sweeps, the binary-heap timed queue,
 // lone-runner inline advance, fast-path transports) is only usable
 // because simulated results stay bit-identical across those rewrites.
 // Bit-identity today rests on the runnable queue's FIFO discipline: any

@@ -85,7 +85,7 @@ public:
   TimedEntry pop();
 
 private:
-  using Spare = ThreadSpares<std::vector<TimedEntry>, 1>;
+  using Spare = ThreadSpares<std::vector<TimedEntry>>;
 
   std::vector<TimedEntry> heap_;  // std::push_heap order, greater-on-top
   Stats stats_;

@@ -70,9 +70,11 @@ LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
     queue.push_back(q);
     sum_lat += l;
     sum_queue += q;
-    sum_service += r.service_ns();
+    const double sv = r.service_ns();
+    sum_service += sv;
     if (l > d.max_ns) d.max_ns = l;
     if (q > d.max_queue_ns) d.max_queue_ns = q;
+    if (sv > d.max_service_ns) d.max_service_ns = sv;
     switch (r.status) {
       case TxnStatus::Error: ++d.errors; break;
       case TxnStatus::Timeout: ++d.timeouts; break;

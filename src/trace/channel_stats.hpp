@@ -1,13 +1,13 @@
 #pragma once
-// Per-channel latency distributions derived from a TxnLogger.
+// Latency distributions derived from a TxnLogger — over the whole log
+// (latency_dist(log.records())) or per channel.
 //
-// The mean/max pair in TxnLogger::Summary cannot rank platforms whose
-// split engines reorder completions: a split bus often *improves* the
-// mean while a handful of capacity-starved transactions blow out the
-// tail. LatencyDist carries the full picture per channel — exact
-// nearest-rank percentiles (p50/p95/p99), the queueing/service split
-// (queue = grant − issue, service = completion − grant), and a
-// trace::Histogram of the latency shape for reports.
+// A mean/max pair cannot rank platforms whose split engines reorder
+// completions: a split bus often *improves* the mean while a handful of
+// capacity-starved transactions blow out the tail. LatencyDist carries
+// the full picture — exact nearest-rank percentiles (p50/p95/p99), the
+// queueing/service split (queue = grant − issue, service = completion −
+// grant), and a trace::Histogram of the latency shape for reports.
 //
 // All numbers are derived purely from recorded timestamps, so they are
 // bit-identical run-to-run and across sweep vs. sweep_parallel like
@@ -52,6 +52,7 @@ struct LatencyDist {
   double max_queue_ns = 0.0;
   double p95_queue_ns = 0.0;
   double mean_service_ns = 0.0;
+  double max_service_ns = 0.0;
   // Failure-semantics tallies (schema v3 record fields): final-status
   // counts and how many records settled only after at least one retry.
   // All zero on channels without failure semantics.

@@ -106,31 +106,6 @@ void TxnLogger::record(const std::string& channel, TxnKind kind,
   record(intern(channel), kind, /*txn_id=*/0, bytes, start, end, grant, data);
 }
 
-TxnLogger::Summary TxnLogger::summarize() const {
-  Summary s;
-  double total_ns = 0.0, total_queue = 0.0, total_service = 0.0;
-  for (const auto& r : records_) {
-    ++s.count;
-    s.bytes += r.bytes;
-    const double lat = r.latency_ns();
-    const double queue = r.queue_ns();
-    const double service = r.service_ns();
-    total_ns += lat;
-    total_queue += queue;
-    total_service += service;
-    if (lat > s.max_latency_ns) s.max_latency_ns = lat;
-    if (queue > s.max_queue_ns) s.max_queue_ns = queue;
-    if (service > s.max_service_ns) s.max_service_ns = service;
-  }
-  if (s.count) {
-    const auto n = static_cast<double>(s.count);
-    s.mean_latency_ns = total_ns / n;
-    s.mean_queue_ns = total_queue / n;
-    s.mean_service_ns = total_service / n;
-  }
-  return s;
-}
-
 namespace {
 
 // The header line is the format version. v4 adds the issuing master;

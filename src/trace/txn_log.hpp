@@ -130,27 +130,6 @@ public:
   std::size_t size() const { return records_.size(); }
   void clear() { records_.clear(); }
 
-  // Aggregate view. `mean/max_latency_ns` are the end-to-end
-  // issue→completion spans (unchanged definition). The queue/service
-  // split decomposes that end-to-end latency per record:
-  //
-  //   latency = queue (issue→grant) + service (grant→completion)
-  //
-  // On a split bus a deep outstanding window inflates queue while
-  // service stays flat — compare service, not total latency, when asking
-  // whether split mode made the bus itself slower.
-  struct Summary {
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;
-    double mean_latency_ns = 0.0;
-    double max_latency_ns = 0.0;
-    double mean_queue_ns = 0.0;
-    double max_queue_ns = 0.0;
-    double mean_service_ns = 0.0;
-    double max_service_ns = 0.0;
-  };
-  Summary summarize() const;
-
   // CSV schema v4 (one header line, then one line per record):
   //
   //   channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,
@@ -187,7 +166,7 @@ private:
   // next logger on the thread takes it at its first record, so a sweep
   // grows (and page-faults) the row vector once per thread, not once per
   // cell. One slot, keeping the largest buffer released so far.
-  using SpareRows = stlm::detail::ThreadSpares<std::vector<TxnRecord>, 1>;
+  using SpareRows = stlm::detail::ThreadSpares<std::vector<TxnRecord>>;
   void take_spare_rows();
 
   void load_csv_impl(std::istream& is);

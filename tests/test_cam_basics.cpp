@@ -76,6 +76,66 @@ TEST(Cam, DecodeErrorReturnsErrResponse) {
   EXPECT_EQ(bus.stats().counter("decode_errors"), 1u);
 }
 
+// Every bus answers an unmapped access through the core's completion
+// point: one error row, counted as a transaction and a decode error, in
+// atomic (blocking transport) and split (posted) mode alike. The
+// crossbar holds no lane for it, so its row completes at issue time.
+TEST(CamIf, DecodeErrorLogsOneErrorRowOnEveryBus) {
+  struct Case {
+    const char* name;
+    bool crossbar;
+    bool posted;
+  };
+  for (const Case c : {Case{"shared-atomic", false, false},
+                       Case{"plb-split2-posted", false, true},
+                       Case{"xbar-atomic", true, false},
+                       Case{"xbar-split2-posted", true, true}}) {
+    SCOPED_TRACE(c.name);
+    Simulator sim;
+    const SplitConfig split{c.posted, c.posted ? 2u : 1u};
+    std::unique_ptr<CamIf> bus;
+    if (c.crossbar) {
+      bus = std::make_unique<CrossbarCam>(sim, "bus", 10_ns, 8, split);
+    } else if (c.posted) {
+      bus = std::make_unique<PlbCam>(
+          sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0, split);
+    } else {
+      bus = std::make_unique<SharedBusCam>(
+          sim, "bus", 10_ns, std::make_unique<PriorityArbiter>());
+    }
+    trace::TxnLogger log;
+    bus->set_txn_logger(&log);
+    ocp::MemorySlave mem("mem", 0x1000, 0x100);
+    bus->attach_slave(mem, {0x1000, 0x100}, "mem");
+    const std::size_t m = bus->add_master("pe");
+    Txn txn;
+    sim.spawn_thread("pe", [&] {
+      wait(30_ns);  // issue off time zero, so a zero stamp would show
+      txn.begin_read(0x9000, 4);
+      if (c.posted) {
+        bus->post(m, txn);
+        txn.done.wait(sim);
+      } else {
+        bus->master_port(m).transport(txn);
+      }
+    });
+    sim.run();
+    EXPECT_EQ(txn.status, Txn::Status::Error);
+    EXPECT_EQ(bus->stats().counter("transactions"), 1u);
+    EXPECT_EQ(bus->stats().counter("decode_errors"), 1u);
+    EXPECT_EQ(log.size(), 1u);
+    if (log.size() != 1u) continue;
+    const trace::TxnRecord& row = log.records()[0];
+    EXPECT_EQ(row.status, trace::TxnStatus::Error);
+    EXPECT_EQ(log.channel_name(row.master), "bus.pe");
+    EXPECT_EQ(row.start, 30_ns);
+    EXPECT_LE(row.start, row.grant);
+    EXPECT_LE(row.grant, row.data);
+    EXPECT_LE(row.data, row.end);
+    if (c.crossbar) EXPECT_EQ(row.end, row.start);
+  }
+}
+
 TEST(Cam, SharedBusTimingIsCycleAccurateAtBoundary) {
   Simulator sim;
   SharedBusCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>());

@@ -360,48 +360,6 @@ TEST(CamFast, FallbackKeepsDeterminism) {
   EXPECT_DOUBLE_EQ(first.mean_latency_ns, second.mean_latency_ns);
 }
 
-// The crossbar's fast lanes: occupancy and queuing are unchanged (lanes
-// already run on coroutines), so fast mode is bit-identical by
-// construction — guard it anyway.
-TEST(CamFast, CrossbarLanesBitIdentical) {
-  auto run = [](bool fast) {
-    Simulator sim;
-    CrossbarCam xbar(sim, "xbar", 10_ns, 8, SplitConfig{}, fast);
-    ocp::MemorySlave m0("m0", 0x0000, 0x1000, 25_ns);
-    ocp::MemorySlave m1("m1", 0x1000, 0x1000);
-    xbar.attach_slave(m0, {0x0000, 0x1000}, "m0");
-    xbar.attach_slave(m1, {0x1000, 0x1000}, "m1");
-    const std::size_t a = xbar.add_master("a");
-    const std::size_t b = xbar.add_master("b");
-    Time end_a, end_b;
-    sim.spawn_thread("a", [&] {
-      std::vector<std::uint8_t> p(64, 1);
-      Txn t;
-      for (int i = 0; i < 8; ++i) {
-        t.begin_write(static_cast<std::uint64_t>(i % 4) * 64, p.data(),
-                      p.size());
-        xbar.master_port(a).transport(t);
-      }
-      end_a = sim.now();
-    });
-    sim.spawn_thread("b", [&] {
-      std::vector<std::uint8_t> p(32, 2);
-      Txn t;
-      for (int i = 0; i < 8; ++i) {
-        t.begin_read(0x1000 + static_cast<std::uint64_t>(i % 4) * 32, 32);
-        xbar.master_port(b).transport(t);
-      }
-      end_b = sim.now();
-    });
-    sim.run();
-    return std::make_pair(end_a, end_b);
-  };
-  const auto slow = run(false);
-  const auto fast = run(true);
-  EXPECT_EQ(fast.first, slow.first);
-  EXPECT_EQ(fast.second, slow.second);
-}
-
 // Per-master latency distributions: every bus row carries its issuing
 // master (TxnRecord::master), per_channel_stats groups by it, and the
 // explorer's helper tells "<bus>.<master>" names apart from the bus

@@ -280,7 +280,7 @@ TEST(Mapper, LogSummaryCountsEachBusTransactionOnce) {
     Simulator sim;
     auto ms = Mapper::map(sim, sys.graph, p, AbstractionLevel::Cam);
     ASSERT_TRUE(ms->run_until_done(50_ms)) << p.name;
-    const auto s = ms->txn_log().summarize();
+    const auto s = trace::latency_dist(ms->txn_log().records());
     const trace::StatSet& st = ms->bus()->stats();
     EXPECT_GT(s.count, 0u) << p.name;
     EXPECT_EQ(s.count, st.counter("transactions")) << p.name;

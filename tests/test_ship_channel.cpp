@@ -7,6 +7,7 @@
 
 #include "kernel/kernel.hpp"
 #include "ship/ship.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::ship;
@@ -217,7 +218,7 @@ TEST(ShipChannel, TxnLoggerRecordsTraffic) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log.records()[0].kind, trace::TxnKind::Request);
   EXPECT_EQ(log.records()[1].kind, trace::TxnKind::Reply);
-  EXPECT_EQ(log.summarize().bytes, 8u);
+  EXPECT_EQ(trace::latency_dist(log.records()).bytes, 8u);
   EXPECT_EQ(ch.messages_transferred(), 2u);
   EXPECT_EQ(ch.bytes_transferred(), 8u);
 }

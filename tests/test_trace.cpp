@@ -171,11 +171,11 @@ TEST(TxnLog, SummaryAndCsv) {
   trace::TxnLogger log;
   log.record("ch0", trace::TxnKind::Send, 64, 0_ns, 100_ns);
   log.record("ch1", trace::TxnKind::Read, 32, 50_ns, 250_ns);
-  const auto s = log.summarize();
+  const auto s = trace::latency_dist(log.records());
   EXPECT_EQ(s.count, 2u);
   EXPECT_EQ(s.bytes, 96u);
-  EXPECT_DOUBLE_EQ(s.mean_latency_ns, 150.0);
-  EXPECT_DOUBLE_EQ(s.max_latency_ns, 200.0);
+  EXPECT_DOUBLE_EQ(s.mean_ns, 150.0);
+  EXPECT_DOUBLE_EQ(s.max_ns, 200.0);
   // Phase-less rows: grant == start, so the whole latency is service.
   EXPECT_DOUBLE_EQ(s.mean_queue_ns, 0.0);
   EXPECT_DOUBLE_EQ(s.mean_service_ns, 150.0);
@@ -195,8 +195,8 @@ TEST(TxnLog, SummarySplitsQueueingFromService) {
   log.record("bus", trace::TxnKind::Write, 64, 0_ns, 100_ns, 70_ns, 80_ns);
   // issue at 200, granted immediately, complete at 230.
   log.record("bus", trace::TxnKind::Read, 4, 200_ns, 230_ns, 200_ns, 210_ns);
-  const auto s = log.summarize();
-  EXPECT_DOUBLE_EQ(s.mean_latency_ns, 65.0);   // (100 + 30) / 2
+  const auto s = trace::latency_dist(log.records());
+  EXPECT_DOUBLE_EQ(s.mean_ns, 65.0);           // (100 + 30) / 2
   EXPECT_DOUBLE_EQ(s.mean_queue_ns, 35.0);     // (70 + 0) / 2
   EXPECT_DOUBLE_EQ(s.max_queue_ns, 70.0);
   EXPECT_DOUBLE_EQ(s.mean_service_ns, 30.0);   // (30 + 30) / 2

@@ -9,6 +9,7 @@
 #include "core/core.hpp"
 #include "explore/explore.hpp"
 #include "kernel/kernel.hpp"
+#include "trace/channel_stats.hpp"
 #include "workload/workload.hpp"
 
 using namespace stlm;
@@ -206,7 +207,7 @@ workload::GraphFactory capture_factory() {
 // logger contents via dump_csv (plus the summary).
 struct CaptureResult {
   std::string csv;
-  trace::TxnLogger::Summary summary;
+  trace::LatencyDist summary;
 };
 
 CaptureResult capture_run(const workload::GraphFactory& factory,
@@ -221,7 +222,7 @@ CaptureResult capture_run(const workload::GraphFactory& factory,
   EXPECT_TRUE(ms->run_until_done(100_ms));
   std::ostringstream os;
   ms->txn_log().dump_csv(os);
-  return CaptureResult{os.str(), ms->txn_log().summarize()};
+  return CaptureResult{os.str(), trace::latency_dist(ms->txn_log().records())};
 }
 
 }  // namespace
