@@ -8,8 +8,7 @@ MailboxTarget::MailboxTarget(Simulator& sim, const std::string& owner,
                              MailboxLayout layout)
     : sim_(sim),
       layout_(layout),
-      rx_ev_(sim, owner + ".rx"),
-      rx_reply_ev_(sim, owner + ".rx_reply") {
+      rx_ev_{{sim, owner + ".rx"}, {sim, owner + ".rx_reply"}} {
   STLM_ASSERT(layout.window_bytes >= ocp::kWordBytes &&
                   layout.window_bytes <= MailboxLayout::kLenMask,
               "mailbox window of " + owner + " must hold 4.." +
@@ -53,13 +52,9 @@ void MailboxTarget::handle(Txn& txn) {
         m.data.assign(rx_accum_.begin(), rx_accum_.end());
         rx_accum_.clear();
         ++messages_in_;
-        if (ctrl & MailboxLayout::kReplyFlag) {
-          rx_replies_.push_back(m);
-          rx_reply_ev_.notify_delta();
-        } else {
-          rx_.push_back(m);
-          rx_ev_.notify_delta();
-        }
+        const bool reply = (ctrl & MailboxLayout::kReplyFlag) != 0;
+        rx_[reply].push_back(m);
+        rx_ev_[reply].notify_delta();
       }
       txn.respond_ok();
       return;
@@ -106,22 +101,13 @@ void MailboxTarget::handle(Txn& txn) {
   txn.respond_error();
 }
 
-std::uint32_t MailboxTarget::take_from(TxnQueue& q, Event& ev,
-                                       ship::ship_serializable_if& msg) {
-  while (q.empty()) wait(ev);
-  Txn* m = q.pop_front();
-  const std::uint32_t flags = m->flags;
+bool MailboxTarget::take(ship::ship_serializable_if& msg, bool reply) {
+  while (rx_[reply].empty()) wait(rx_ev_[reply]);
+  Txn* m = rx_[reply].pop_front();
+  const bool is_request = (m->flags & MailboxLayout::kRequestFlag) != 0;
   ship::from_bytes(msg, m->data);
   sim_.txn_pool().release(*m);
-  return flags;
-}
-
-bool MailboxTarget::take(ship::ship_serializable_if& msg) {
-  return (take_from(rx_, rx_ev_, msg) & MailboxLayout::kRequestFlag) != 0;
-}
-
-void MailboxTarget::take_reply(ship::ship_serializable_if& msg) {
-  take_from(rx_replies_, rx_reply_ev_, msg);
+  return is_request;
 }
 
 bool MailboxTarget::put(const ship::ship_serializable_if& msg,
@@ -134,6 +120,17 @@ bool MailboxTarget::put(const ship::ship_serializable_if& msg,
   out_.push_back(t);
   ++messages_out_;
   return was_empty;
+}
+
+MailboxTerminal::MailboxTerminal(Simulator& sim, std::string name,
+                                 MailboxLayout layout, ship::Role fixed)
+    : Module(sim, std::move(name)),
+      ship::ship_if(Module::name(), fixed),
+      mailbox_(sim, full_name(), layout) {}
+
+void MailboxTerminal::put(const ship::ship_serializable_if& msg,
+                          ship::MsgKind kind) {
+  if (mailbox_.put(msg, MailboxLayout::flags(kind))) outbound_started();
 }
 
 void decode_outbound(std::vector<std::uint8_t>& bytes,

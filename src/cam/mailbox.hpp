@@ -6,6 +6,7 @@
 //     ShipSlaveWrapper (target);
 //   * HW/SW — ShipDriver (initiator, CPU MMIO, drains on an interrupt)
 //     talks to an HwAdapter (target).
+// Both targets are a MailboxTerminal.
 //
 // Register map (offsets from the mailbox base; W = window_bytes):
 //   +0x00    CTRL     W  chunk descriptor: len[23:0] | last[24] |
@@ -27,9 +28,11 @@
 
 #include "cam/address_map.hpp"
 #include "kernel/event.hpp"
+#include "kernel/module.hpp"
 #include "kernel/txn.hpp"
+#include "ocp/tl_if.hpp"
 #include "ocp/types.hpp"
-#include "ship/serialization.hpp"
+#include "ship/channel.hpp"
 
 namespace stlm::cam {
 
@@ -49,6 +52,13 @@ struct MailboxLayout {
   static constexpr std::uint32_t kLastFlag = 1u << 24;
   static constexpr std::uint32_t kRequestFlag = 1u << 25;
   static constexpr std::uint32_t kReplyFlag = 1u << 26;
+
+  // The descriptor bits a message of `kind` travels with.
+  static constexpr std::uint32_t flags(ship::MsgKind kind) {
+    return kind == ship::MsgKind::Request ? kRequestFlag
+           : kind == ship::MsgKind::Reply ? kReplyFlag
+                                          : 0;
+  }
 };
 
 // Target side: the register FSM. Inbound chunks are reassembled into
@@ -65,12 +75,11 @@ public:
 
   void handle(Txn& txn);
 
-  // take() blocks the calling process until a send or request is
-  // complete, deserializes it into `msg` and returns true for a request;
-  // take_reply() does the same for reply-tagged messages.
-  bool take(ship::ship_serializable_if& msg);
-  void take_reply(ship::ship_serializable_if& msg);
-  bool message_available() const { return !rx_.empty(); }
+  // Blocks the calling process until a send or request (a reply when
+  // `reply`) is complete, deserializes it into `msg` and returns true for
+  // a request.
+  bool take(ship::ship_serializable_if& msg, bool reply);
+  bool message_available() const { return !rx_[0].empty(); }
 
   // Queues `msg` with descriptor `flags` (kRequestFlag or kReplyFlag) for
   // the initiator to drain; an empty payload travels as one marker byte
@@ -82,21 +91,55 @@ public:
   std::uint64_t messages_out() const { return messages_out_; }
 
 private:
-  // Returns the message's descriptor flags.
-  std::uint32_t take_from(TxnQueue& q, Event& ev,
-                          ship::ship_serializable_if& msg);
-
   Simulator& sim_;
   MailboxLayout layout_;
   std::vector<std::uint8_t> chunk_buf_;  // DATA_IN staging
   std::vector<std::uint8_t> rx_accum_;   // chunks of the current message
-  TxnQueue rx_;                          // complete sends and requests
-  TxnQueue rx_replies_;                  // complete replies
-  Event rx_ev_;
-  Event rx_reply_ev_;
+  // Complete messages: [0] sends and requests, [1] replies.
+  TxnQueue rx_[2];
+  Event rx_ev_[2];
   TxnQueue out_;
   std::uint64_t messages_in_ = 0;
   std::uint64_t messages_out_ = 0;
+};
+
+// The target-side SHIP terminal: an OCP slave toward the bus that serves
+// the mailbox registers, and a ship_if toward its PE whose transport is
+// the MailboxTarget's queues. The caller must attach it to the CAM:
+// cam.attach_slave(t, layout.range(), name) (the mapper does this).
+class MailboxTerminal : public Module,
+                        public ocp::ocp_tl_slave_if,
+                        public ship::ship_if {
+public:
+  MailboxTerminal(Simulator& sim, std::string name, MailboxLayout layout,
+                  ship::Role fixed = ship::Role::Unknown);
+
+  using ocp::ocp_tl_slave_if::handle;
+  void handle(Txn& txn) override { mailbox_.handle(txn); }
+  // The mailbox FSM is wait-free, so the default zero-latency
+  // fast_handle(), which runs handle() at the effective access time, is
+  // exact.
+  bool fast_capable() const override { return true; }
+  bool message_available() const override {
+    return mailbox_.message_available();
+  }
+
+  std::uint64_t messages_in() const { return mailbox_.messages_in(); }
+  std::uint64_t messages_out() const { return mailbox_.messages_out(); }
+
+protected:
+  // Runs when put() queues a message behind an empty outbound queue.
+  virtual void outbound_started() {}
+  bool outbound_pending() const { return mailbox_.outbound_pending(); }
+
+private:
+  void put(const ship::ship_serializable_if& msg,
+           ship::MsgKind kind) override;
+  bool take(ship::ship_serializable_if& msg, bool reply) override {
+    return mailbox_.take(msg, reply);
+  }
+
+  MailboxTarget mailbox_;
 };
 
 // Initiator side: deserializes a message drained from DATA_OUT into

@@ -7,13 +7,13 @@
 namespace stlm::cam {
 
 RetryPolicy::RetryPolicy(Simulator& sim, std::string name,
-                         fault::RetrySpec spec, Time cycle)
+                         fault::RetrySpec spec, CamIf& bus,
+                         std::size_t master)
     : Module(sim, std::move(name)),
       spec_(spec),
-      cycle_(cycle),
+      bus_(bus),
+      master_(master),
       timer_(sim, full_name() + ".watchdog") {
-  STLM_ASSERT(!cycle_.is_zero(),
-              "retry policy needs a positive bus cycle: " + full_name());
   if (watching()) {
     spawn_method("watchdog", [this] { watchdog_fire(); }, {&timer_},
                  /*run_at_start=*/false);
@@ -87,7 +87,7 @@ bool RetryPolicy::prepare_retry(Txn& txn) {
   // Exponential backoff in simulated time: attempt k (1-based) re-issues
   // after backoff_cycles << (k-1) bus cycles.
   const std::uint64_t cycles = spec_.backoff_cycles << txn.retries;
-  if (cycles != 0) wait(cycle_ * cycles);
+  if (cycles != 0) wait(bus_.cycle() * cycles);
   txn.rearm_retry();
   ++retries_;
   if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
@@ -97,11 +97,9 @@ bool RetryPolicy::prepare_retry(Txn& txn) {
 }
 
 void RetryPolicy::transport(Txn& txn) {
-  STLM_ASSERT(down_ != nullptr,
-              "retry policy has no downstream port: " + full_name());
   for (;;) {
     if (watching()) arm(txn);
-    down_->transport(txn);
+    bus_.master_port(master_).transport(txn);
     if (watching()) disarm(txn);
     if (txn.status != Txn::Status::Error) return;
     ++errors_;
@@ -110,10 +108,8 @@ void RetryPolicy::transport(Txn& txn) {
 }
 
 void RetryPolicy::post(Txn& txn) {
-  STLM_ASSERT(bus_ != nullptr,
-              "retry policy has no posted binding: " + full_name());
   if (watching()) arm(txn);
-  bus_->post(master_, txn);
+  bus_.post(master_, txn);
 }
 
 void RetryPolicy::settle(Txn& txn) {
@@ -125,7 +121,7 @@ void RetryPolicy::settle(Txn& txn) {
     // slot is already drained, so a blocking round trip here keeps the
     // initiator's posting depth intact.
     if (watching()) arm(txn);
-    bus_->post(master_, txn);
+    bus_.post(master_, txn);
     txn.done.wait(sim());
     if (watching()) disarm(txn);
   }

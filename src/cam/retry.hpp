@@ -4,10 +4,10 @@
 // outstanding transactions, both parameterized by fault::RetrySpec.
 //
 // A RetryPolicy is an OCP TL shim: it implements ocp_tl_master_if and
-// forwards to a downstream master port (a CAM access point), so it drops
-// between any blocking initiator and the fabric without touching PE code
-// — the mapper rebinds CpuModel::bus() and the SHIP master wrappers to
-// the policy when the platform carries an active RetrySpec. Posted
+// forwards to one CAM master's access point, so it drops between any
+// blocking initiator and the fabric without touching PE code — the
+// mapper rebinds CpuModel::bus() and the SHIP master wrappers to the
+// policy when the platform carries an active RetrySpec. Posted
 // (split-window) initiators use the post()/settle() pair instead: post()
 // arms the watchdog and forwards to CamIf::post(); settle(), called by
 // the initiator after done.wait(), classifies the outcome and performs
@@ -44,21 +44,14 @@ namespace stlm::cam {
 
 class RetryPolicy final : public Module, public ocp::ocp_tl_master_if {
 public:
-  // `cycle` is the downstream bus clock period — the unit backoff delays
-  // are charged in.
+  // The policy issues on `bus` as master `master`: transport() through
+  // its access point, post() into its posted window. Backoff delays are
+  // charged in bus cycles.
   RetryPolicy(Simulator& sim, std::string name, fault::RetrySpec spec,
-              Time cycle);
-
-  // Blocking path: forward transport() to `downstream` with the retry
-  // loop around it.
-  void bind(ocp::ocp_tl_master_if& downstream) { down_ = &downstream; }
-  // Posted path: post()/settle() issue on `bus` as master `master`.
-  void bind_posted(CamIf& bus, std::size_t master) {
-    bus_ = &bus;
-    master_ = master;
-  }
+              CamIf& bus, std::size_t master);
 
   // --- blocking initiators --------------------------------------------
+  // The retry loop around the bus access point's transport().
   using ocp::ocp_tl_master_if::transport;
   void transport(Txn& txn) override;
 
@@ -95,10 +88,8 @@ private:
   bool prepare_retry(Txn& txn);
 
   fault::RetrySpec spec_;
-  Time cycle_;
-  ocp::ocp_tl_master_if* down_ = nullptr;
-  CamIf* bus_ = nullptr;
-  std::size_t master_ = 0;
+  CamIf& bus_;
+  std::size_t master_;
   Event timer_;
   std::vector<Armed> armed_;
   std::uint64_t errors_ = 0;

@@ -4,39 +4,12 @@
 
 namespace stlm::cam {
 
-// ------------------------------------------------------------- slave ----
-
-ShipSlaveWrapper::ShipSlaveWrapper(Simulator& sim, std::string name,
-                                   MailboxLayout layout)
-    : Module(sim, std::move(name)),
-      mailbox_(sim, full_name(), layout),
-      term_(Module::name(), ship::Role::Slave) {}
-
-void ShipSlaveWrapper::send(const ship::ship_serializable_if&) {
-  term_.mark(ship::Role::Master, "send");
-}
-
-void ShipSlaveWrapper::request(const ship::ship_serializable_if&,
-                               ship::ship_serializable_if&) {
-  term_.mark(ship::Role::Master, "request");
-}
-
-void ShipSlaveWrapper::recv(ship::ship_serializable_if& msg) {
-  term_.note_recv(mailbox_.take(msg));
-}
-
-void ShipSlaveWrapper::reply(const ship::ship_serializable_if& resp) {
-  term_.take_reply();
-  mailbox_.put(resp, MailboxLayout::kReplyFlag);
-}
-
-// ------------------------------------------------------------ master ----
-
 ShipMasterWrapper::ShipMasterWrapper(Simulator& sim, std::string name,
                                      CamIf& cam, std::size_t master_index,
                                      MailboxLayout remote, Time poll_interval,
                                      bool coalesce)
     : Module(sim, std::move(name)),
+      ship::ship_if(Module::name(), ship::Role::Master),
       cam_(cam),
       master_(master_index),
       remote_(remote),
@@ -74,9 +47,10 @@ std::uint32_t ShipMasterWrapper::read_u32(std::uint64_t addr) {
   return ocp::u32_from_le(bus_txn_.resp_data.data());
 }
 
-void ShipMasterWrapper::push(const ship::ship_serializable_if& msg,
-                             std::uint32_t flags) {
-  pusher_.push(msg, flags,
+void ShipMasterWrapper::put(const ship::ship_serializable_if& msg,
+                            ship::MsgKind kind) {
+  BusyGuard busy(*this, kind == ship::MsgKind::Send ? "send" : "request");
+  pusher_.push(msg, MailboxLayout::flags(kind),
                [this](std::uint64_t addr, const std::uint8_t* p, std::size_t n) {
                  bus_txn_.begin_write(addr, p, n,
                                       static_cast<std::uint32_t>(master_));
@@ -84,7 +58,8 @@ void ShipMasterWrapper::push(const ship::ship_serializable_if& msg,
                });
 }
 
-void ShipMasterWrapper::pull_reply() {
+bool ShipMasterWrapper::take(ship::ship_serializable_if& msg, bool) {
+  BusyGuard busy(*this, "request");
   rx_buf_.clear();
   for (;;) {
     const std::uint32_t remaining =
@@ -108,29 +83,8 @@ void ShipMasterWrapper::pull_reply() {
     transport_checked(bus_txn_);
     if (chunk == remaining) break;
   }
-}
-
-void ShipMasterWrapper::send(const ship::ship_serializable_if& msg) {
-  BusyGuard busy(*this, "send");
-  push(msg, 0);
-}
-
-void ShipMasterWrapper::request(const ship::ship_serializable_if& req,
-                                ship::ship_serializable_if& resp) {
-  BusyGuard busy(*this, "request");
-  push(req, MailboxLayout::kRequestFlag);
-  pull_reply();
-  decode_outbound(rx_buf_, resp);
-}
-
-void ShipMasterWrapper::recv(ship::ship_serializable_if&) {
-  throw ProtocolError("SHIP master wrapper " + full_name() +
-                      " cannot recv (slave call on master terminal)");
-}
-
-void ShipMasterWrapper::reply(const ship::ship_serializable_if&) {
-  throw ProtocolError("SHIP master wrapper " + full_name() +
-                      " cannot reply (slave call on master terminal)");
+  decode_outbound(rx_buf_, msg);
+  return false;
 }
 
 }  // namespace stlm::cam

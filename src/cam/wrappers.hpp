@@ -3,12 +3,12 @@
 // architecture model without touching PE code (paper §3).
 //
 // A mapped channel becomes a pair:
-//   * ShipSlaveWrapper  — sits at the slave PE; it is an OCP TL slave on
-//     the CAM (the SHIP mailbox of cam/mailbox.hpp) and presents the SHIP
-//     slave calls (recv/reply) to its PE.
-//   * ShipMasterWrapper — sits at the master PE; it presents the SHIP
-//     master calls (send/request) and converts them into burst write
-//     transactions into the remote mailbox, polling RSTATUS for replies.
+//   * ShipSlaveWrapper  — sits at the slave PE; it is the SHIP mailbox's
+//     target terminal (cam::MailboxTerminal) with its role fixed to
+//     slave.
+//   * ShipMasterWrapper — sits at the master PE; its role is fixed to
+//     master. It converts send/request into burst write transactions into
+//     the remote mailbox, polling RSTATUS for replies.
 
 #include <cstdint>
 #include <string>
@@ -21,39 +21,10 @@
 
 namespace stlm::cam {
 
-class ShipSlaveWrapper final : public Module,
-                               public ocp::ocp_tl_slave_if,
-                               public ship::ship_if {
+class ShipSlaveWrapper final : public MailboxTerminal {
 public:
-  // Caller must attach this wrapper to the CAM: cam.attach_slave(w,
-  // layout.range(), name). (The mapper does this automatically.)
-  ShipSlaveWrapper(Simulator& sim, std::string name, MailboxLayout layout);
-
-  // --- OCP slave side (bus-facing) ------------------------------------
-  using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override { mailbox_.handle(txn); }
-  // The mailbox FSM is wait-free, so the default zero-latency
-  // fast_handle() — which simply runs handle() at the effective access
-  // time — is exact.
-  bool fast_capable() const override { return true; }
-
-  // --- SHIP slave side (PE-facing) ------------------------------------
-  void send(const ship::ship_serializable_if&) override;
-  void recv(ship::ship_serializable_if& msg) override;
-  void request(const ship::ship_serializable_if&,
-               ship::ship_serializable_if&) override;
-  void reply(const ship::ship_serializable_if& resp) override;
-  bool message_available() const override {
-    return mailbox_.message_available();
-  }
-  ship::Role role() const override { return term_.role(); }
-  const std::string& channel_name() const override { return Module::name(); }
-
-  std::uint64_t messages_received() const { return mailbox_.messages_in(); }
-
-private:
-  MailboxTarget mailbox_;
-  ship::TerminalState term_;
+  ShipSlaveWrapper(Simulator& sim, std::string name, MailboxLayout layout)
+      : MailboxTerminal(sim, std::move(name), layout, ship::Role::Slave) {}
 };
 
 class ShipMasterWrapper final : public Module, public ship::ship_if {
@@ -70,14 +41,7 @@ public:
                     std::size_t master_index, MailboxLayout remote,
                     Time poll_interval, bool coalesce = false);
 
-  void send(const ship::ship_serializable_if& msg) override;
-  void recv(ship::ship_serializable_if&) override;
-  void request(const ship::ship_serializable_if& req,
-               ship::ship_serializable_if& resp) override;
-  void reply(const ship::ship_serializable_if&) override;
   bool message_available() const override { return false; }
-  ship::Role role() const override { return ship::Role::Master; }
-  const std::string& channel_name() const override { return Module::name(); }
 
   std::uint64_t bus_transactions() const { return bus_txns_; }
   std::uint64_t poll_count() const { return polls_; }
@@ -89,8 +53,11 @@ public:
   void set_retry(ocp::ocp_tl_master_if* via) { retry_via_ = via; }
 
 private:
-  void push(const ship::ship_serializable_if& msg, std::uint32_t flags);
-  void pull_reply();  // fills rx_buf_
+  // put() pushes into the remote mailbox; take() polls for the reply (a
+  // master terminal takes nothing else).
+  void put(const ship::ship_serializable_if& msg,
+           ship::MsgKind kind) override;
+  bool take(ship::ship_serializable_if& msg, bool reply) override;
   void transport_checked(Txn& txn);
   std::uint32_t read_u32(std::uint64_t addr);
 

@@ -30,38 +30,18 @@ SwLocalChannel::SwLocalChannel(rtos::Rtos& os, std::string name,
   STLM_ASSERT(depth > 0, "SW channel depth must be positive: " + name_);
 }
 
-const std::string& SwLocalChannel::Terminal::channel_name() const {
-  return ch->name_;
+void SwLocalChannel::Terminal::put(const ship::ship_serializable_if& msg,
+                                   ship::MsgKind kind) {
+  ch->dir_[index].send(
+      Message{ship::to_bytes(msg), kind == ship::MsgKind::Request});
 }
 
-void SwLocalChannel::Terminal::send(const ship::ship_serializable_if& msg) {
-  state.mark(ship::Role::Master, "send");
-  ch->dir_[index].send(Message{ship::to_bytes(msg), false});
-}
-
-void SwLocalChannel::Terminal::recv(ship::ship_serializable_if& msg) {
-  state.mark(ship::Role::Slave, "recv");
+bool SwLocalChannel::Terminal::take(ship::ship_serializable_if& msg,
+                                    bool reply) {
   Message m = ch->dir_[1 - index].recv();
-  state.note_recv(m.is_request);
-  ship::from_bytes(msg, m.payload);
-}
-
-void SwLocalChannel::Terminal::request(const ship::ship_serializable_if& req,
-                                       ship::ship_serializable_if& resp) {
-  state.mark(ship::Role::Master, "request");
-  ch->dir_[index].send(Message{ship::to_bytes(req), true});
-  Message r = ch->dir_[1 - index].recv();
-  if (r.is_request) {
-    throw ProtocolError("SHIP channel " + ch->name_ +
-                        ": request crossed with opposing request "
-                        "(both terminals acting as master)");
-  }
-  ship::from_bytes(resp, r.payload);
-}
-
-void SwLocalChannel::Terminal::reply(const ship::ship_serializable_if& resp) {
-  state.take_reply();
-  ch->dir_[index].send(Message{ship::to_bytes(resp), false});
+  // A request taken as a reply has crossed: ship_if throws.
+  if (!(reply && m.is_request)) ship::from_bytes(msg, m.payload);
+  return m.is_request;
 }
 
 bool SwLocalChannel::Terminal::message_available() const {

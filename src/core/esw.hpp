@@ -81,19 +81,14 @@ private:
   };
 
   struct Terminal final : ship::ship_if {
-    Terminal(SwLocalChannel& c, int i) : ch(&c), index(i), state(c.name_) {}
-    void send(const ship::ship_serializable_if& msg) override;
-    void recv(ship::ship_serializable_if& msg) override;
-    void request(const ship::ship_serializable_if& req,
-                 ship::ship_serializable_if& resp) override;
-    void reply(const ship::ship_serializable_if& resp) override;
+    Terminal(SwLocalChannel& c, int i) : ship_if(c.name_), ch(&c), index(i) {}
     bool message_available() const override;
-    ship::Role role() const override { return state.role(); }
-    const std::string& channel_name() const override;
+    void put(const ship::ship_serializable_if& msg,
+             ship::MsgKind kind) override;
+    bool take(ship::ship_serializable_if& msg, bool reply) override;
 
     SwLocalChannel* ch;
     int index;
-    ship::TerminalState state;
   };
 
   std::string name_;

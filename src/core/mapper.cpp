@@ -302,11 +302,8 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
   auto make_retry = [&](const std::string& name,
                         std::size_t midx) -> cam::RetryPolicy* {
     ms.retries_.push_back(std::make_unique<cam::RetryPolicy>(
-        ms.sim_, name, p.retry, p.bus_cycle));
-    cam::RetryPolicy& rp = *ms.retries_.back();
-    rp.bind(ms.cam_->master_port(midx));
-    rp.bind_posted(*ms.cam_, midx);
-    return &rp;
+        ms.sim_, name, p.retry, *ms.cam_, midx));
+    return ms.retries_.back().get();
   };
 
   const bool any_sw = [&] {

@@ -102,6 +102,10 @@ void SystemGraph::discover_roles(Time budget) {
     if (spec.role_a != ship::Role::Unknown) continue;
     const ship::Role a = chans[i]->role_a();
     const ship::Role b = chans[i]->role_b();
+    if (a != ship::Role::Unknown && a == b) {
+      throw ElaborationError("role discovery: both terminals of channel '" +
+                             spec.name + "' acted as " + ship::role_name(a));
+    }
     if (a != ship::Role::Unknown) {
       spec.role_a = a;
     } else if (b != ship::Role::Unknown) {

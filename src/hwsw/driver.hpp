@@ -34,15 +34,7 @@ public:
   ShipDriver(std::string name, rtos::Rtos& os, cpu::CpuModel& cpu,
              cam::MailboxLayout mailbox, DriverConfig cfg = {});
 
-  // --- SHIP interface method calls (RTOS task context) -----------------
-  void send(const ship::ship_serializable_if& msg) override;
-  void recv(ship::ship_serializable_if& msg) override;
-  void request(const ship::ship_serializable_if& req,
-               ship::ship_serializable_if& resp) override;
-  void reply(const ship::ship_serializable_if& resp) override;
-  bool message_available() const override { return !rx_normal_.empty(); }
-  ship::Role role() const override { return term_.role(); }
-  const std::string& channel_name() const override { return name_; }
+  bool message_available() const override { return !rx_[0].empty(); }
 
   // --- interrupt service routine (ISR context) -------------------------
   void on_irq();
@@ -50,10 +42,12 @@ public:
   std::uint64_t isr_count() const { return isrs_; }
 
 private:
-  void push_to_hw(const ship::ship_serializable_if& msg, std::uint32_t flags);
-  // Returns the message's descriptor flags.
-  std::uint32_t pop_and_deserialize(TxnQueue& q,
-                                    ship::ship_serializable_if& msg);
+  // The SHIP calls' transport (RTOS task context): put() pushes into the
+  // adapter's mailbox by MMIO; take() blocks the task until the ISR has
+  // drained a message of the asked kind.
+  void put(const ship::ship_serializable_if& msg,
+           ship::MsgKind kind) override;
+  bool take(ship::ship_serializable_if& msg, bool reply) override;
 
   std::string name_;
   rtos::Rtos& os_;
@@ -61,13 +55,11 @@ private:
   cam::MailboxLayout mb_;
   DriverConfig cfg_;
 
-  rtos::Semaphore rx_normal_sem_;
-  rtos::Semaphore rx_reply_sem_;
-  // Received messages are pooled Txn descriptors (data = payload bytes).
-  TxnQueue rx_normal_;
-  TxnQueue rx_replies_;
+  // Drained messages, as pooled Txn descriptors (data = payload bytes):
+  // [0] sends and requests, [1] replies, each counted by its semaphore.
+  rtos::Semaphore rx_sem_[2];
+  TxnQueue rx_[2];
   cam::MailboxPusher pusher_;
-  ship::TerminalState term_;
   std::uint64_t isrs_ = 0;
 };
 

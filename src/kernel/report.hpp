@@ -15,8 +15,8 @@ public:
   using std::runtime_error::runtime_error;
 };
 
-// Misuse of a communication protocol (SHIP role conflict, OCP phase order,
-// mailbox overflow, ...).
+// Misuse of a communication protocol (mixed SHIP roles on one terminal,
+// OCP phase order, mailbox overflow, ...).
 class ProtocolError : public SimulationError {
 public:
   using SimulationError::SimulationError;

@@ -4,10 +4,8 @@ namespace stlm::rtos {
 
 // ----------------------------------------------------------- semaphore --
 
-Semaphore::Semaphore(Rtos& os, std::string name, int initial)
-    : os_(os), name_(std::move(name)), count_(initial) {
-  STLM_ASSERT(initial >= 0, "semaphore initial value must be >= 0: " + name_);
-}
+Semaphore::Semaphore(Rtos& os, std::string name, std::size_t initial)
+    : os_(os), name_(std::move(name)), count_(initial) {}
 
 void Semaphore::wait() {
   Task& t = os_.require_task("Semaphore::wait");

@@ -59,18 +59,18 @@ private:
 
 class Semaphore {
 public:
-  Semaphore(Rtos& os, std::string name, int initial);
+  Semaphore(Rtos& os, std::string name, std::size_t initial);
 
   void wait();            // task context; blocks while the count is zero
   bool try_wait();        // task context; never blocks
   void post();            // task context
   void post_from_isr();   // ISR/any-process context
-  int count() const { return count_; }
+  std::size_t count() const { return count_; }
 
 private:
   Rtos& os_;
   std::string name_;
-  int count_;
+  std::size_t count_;
   std::deque<Task*> waiters_;
 };
 
@@ -80,7 +80,7 @@ class Queue {
 public:
   Queue(Rtos& os, std::string name, std::size_t capacity)
       : items_(os, name + ".items", 0),
-        space_(os, name + ".space", static_cast<int>(capacity)) {}
+        space_(os, name + ".space", capacity) {}
 
   void send(T v) {
     space_.wait();

@@ -11,18 +11,20 @@ const char* role_name(Role r) {
   return "?";
 }
 
-void TerminalState::throw_conflict(const char* call) const {
-  throw ProtocolError("SHIP role conflict on " + endpoint_ + ": " +
+void ship_if::throw_conflict(const char* call) const {
+  throw ProtocolError("SHIP role conflict on " + name_ + ": " +
                       role_name(role_) + " terminal called " + call);
 }
 
-void TerminalState::take_reply() {
-  mark(Role::Slave, "reply");
-  if (pending_replies_ == 0) {
-    throw ProtocolError("SHIP endpoint " + endpoint_ +
-                        ": reply without outstanding request");
-  }
-  --pending_replies_;
+void ship_if::throw_crossed() const {
+  throw ProtocolError("SHIP channel " + name_ +
+                      ": request crossed with opposing request "
+                      "(both terminals acting as master)");
+}
+
+void ship_if::throw_unanswered() const {
+  throw ProtocolError("SHIP endpoint " + name_ +
+                      ": reply without outstanding request");
 }
 
 ShipChannel::ShipChannel(Simulator& sim, std::string name,
@@ -48,10 +50,6 @@ void ShipChannel::set_timing(std::unique_ptr<TimingModel> t) {
 
 void ShipChannel::set_txn_logger(trace::TxnLogger* log) {
   log_.bind(log, name_);
-}
-
-const std::string& ShipChannel::Terminal::channel_name() const {
-  return ch->name_;
 }
 
 ShipChannel::Sent ShipChannel::send_msg(Direction& d,
@@ -90,51 +88,33 @@ void ShipChannel::log_txn(trace::TxnKind kind, std::uint64_t txn_id,
   if (log_) log_.record(kind, txn_id, bytes, start, sim_.now());
 }
 
-void ShipChannel::Terminal::send(const ship_serializable_if& msg) {
-  state.mark(Role::Master, "send");
+void ShipChannel::Terminal::put(const ship_serializable_if& msg,
+                                MsgKind kind) {
   const Time start = ch->sim_.now();
-  const Sent s = ch->send_msg(ch->dir_[index], msg, /*is_request=*/false);
-  ch->log_txn(trace::TxnKind::Send, s.id, s.bytes, start);
+  const Sent s = ch->send_msg(ch->dir_[index], msg, kind == MsgKind::Request);
+  if (kind == MsgKind::Reply) return;
+  ch->log_txn(kind == MsgKind::Send ? trace::TxnKind::Send
+                                    : trace::TxnKind::Request,
+              s.id, s.bytes, start);
 }
 
-void ShipChannel::Terminal::recv(ship_serializable_if& msg) {
-  state.mark(Role::Slave, "recv");
+bool ShipChannel::Terminal::take(ship_serializable_if& msg, bool reply) {
   Txn* t = ch->pop(ch->dir_[1 - index]);
-  state.note_recv(t->is_request());
-  from_bytes(msg, t->data);
-  ch->sim_.txn_pool().release(*t);
-}
-
-void ShipChannel::Terminal::request(const ship_serializable_if& req,
-                                    ship_serializable_if& resp) {
-  state.mark(Role::Master, "request");
-  const Time start = ch->sim_.now();
-  const Sent s = ch->send_msg(ch->dir_[index], req, /*is_request=*/true);
-  ch->log_txn(trace::TxnKind::Request, s.id, s.bytes, start);
-
-  // Block for the reply travelling the opposite direction.
-  Txn* r = ch->pop(ch->dir_[1 - index]);
-  if (r->is_request()) {
-    ch->sim_.txn_pool().release(*r);
-    throw ProtocolError("SHIP channel " + ch->name_ +
-                        ": request crossed with opposing request "
-                        "(both terminals acting as master)");
-  }
-  const std::size_t reply_bytes = r->data.size();
-  const std::uint64_t reply_id = r->id;
+  const bool is_request = t->is_request();
+  // A request taken as a reply has crossed: ship_if throws, so it is
+  // dropped undeserialized.
+  const bool crossed = reply && is_request;
+  if (!crossed) from_bytes(msg, t->data);
   // Phase-accurate reply row: from the slave's reply() issue (stamped on
   // the descriptor by send_msg) to its arrival here. The server's think
   // time lives *between* the request row's end and this row's start,
   // where trace replay can reproduce it as serve compute.
-  const Time reply_issue = r->enqueued;
-  from_bytes(resp, r->data);
-  ch->sim_.txn_pool().release(*r);
-  ch->log_txn(trace::TxnKind::Reply, reply_id, reply_bytes, reply_issue);
-}
-
-void ShipChannel::Terminal::reply(const ship_serializable_if& resp) {
-  state.take_reply();
-  ch->send_msg(ch->dir_[index], resp, /*is_request=*/false);
+  const std::size_t bytes = t->data.size();
+  const std::uint64_t id = t->id;
+  const Time issue = t->enqueued;
+  ch->sim_.txn_pool().release(*t);
+  if (reply && !crossed) ch->log_txn(trace::TxnKind::Reply, id, bytes, issue);
+  return is_request;
 }
 
 bool ShipChannel::Terminal::message_available() const {

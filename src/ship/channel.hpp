@@ -38,50 +38,76 @@ namespace stlm::ship {
 enum class Role : std::uint8_t { Unknown, Master, Slave };
 const char* role_name(Role r);
 
-// Role and reply bookkeeping of one SHIP endpoint. The first master call
-// (send/request) or slave call (recv/reply) latches the role; a call of
-// the other group afterwards is a role conflict. reply() must answer a
-// request recv() returned. Both violations throw ProtocolError naming
-// the endpoint. A wrapper whose role is fixed by construction passes it
-// as `fixed`.
-class TerminalState {
-public:
-  explicit TerminalState(const std::string& endpoint, Role fixed = Role::Unknown)
-      : endpoint_(endpoint), role_(fixed) {}
+// The kind of message an endpoint's put() carries.
+enum class MsgKind : std::uint8_t { Send, Request, Reply };
 
+// The one SHIP terminal a PE port binds to. The four interface method
+// calls are defined once, here, and are not virtual: the first master
+// call (send/request) or slave call (recv/reply) latches role(), and a
+// call of the other group afterwards is a role conflict; reply() must
+// answer a request recv() returned; a request() answered by a request
+// has crossed with the peer's. Each violation throws ProtocolError
+// naming the endpoint.
+//
+// An endpoint supplies only its transport:
+//   put(msg, kind)      queue one message toward the peer (may block);
+//   take(msg, reply)    block for the next inbound message (the next
+//                       reply when `reply`), deserialize it into `msg`
+//                       and return whether it is a request. A request
+//                       taken as a reply may be dropped undeserialized;
+//   message_available() non-blocking probe: is a message waiting for
+//                       recv()?
+class ship_if {
+public:
+  virtual ~ship_if() = default;
+
+  // Inline on purpose: a PE blocks inside these calls, and every frame
+  // between the PE and the kernel's wait costs a mispredicted return
+  // after each context switch.
+  void send(const ship_serializable_if& msg) {
+    mark(Role::Master, "send");
+    put(msg, MsgKind::Send);
+  }
+  void recv(ship_serializable_if& msg) {
+    mark(Role::Slave, "recv");
+    if (take(msg, /*reply=*/false)) ++pending_replies_;
+  }
+  void request(const ship_serializable_if& req, ship_serializable_if& resp) {
+    mark(Role::Master, "request");
+    put(req, MsgKind::Request);
+    if (take(resp, /*reply=*/true)) throw_crossed();
+  }
+  void reply(const ship_serializable_if& resp) {
+    mark(Role::Slave, "reply");
+    if (pending_replies_ == 0) throw_unanswered();
+    --pending_replies_;
+    put(resp, MsgKind::Reply);
+  }
+
+  virtual bool message_available() const = 0;
   Role role() const { return role_; }
+
+protected:
+  // `name` is owned by the endpoint and names it in errors. An endpoint
+  // whose role is fixed by construction passes it as `fixed`.
+  explicit ship_if(const std::string& name, Role fixed = Role::Unknown)
+      : name_(name), role_(fixed) {}
+
+  virtual void put(const ship_serializable_if& msg, MsgKind kind) = 0;
+  virtual bool take(ship_serializable_if& msg, bool reply) = 0;
+
+private:
   void mark(Role r, const char* call) {
     if (role_ != Role::Unknown && role_ != r) throw_conflict(call);
     role_ = r;
   }
-  void note_recv(bool is_request) {
-    if (is_request) ++pending_replies_;
-  }
-  // Marks a slave call and consumes one outstanding request.
-  void take_reply();
-
-private:
   [[noreturn]] void throw_conflict(const char* call) const;
+  [[noreturn]] void throw_crossed() const;
+  [[noreturn]] void throw_unanswered() const;
 
-  const std::string& endpoint_;  // owned by the endpoint
+  const std::string& name_;
   Role role_;
   std::uint64_t pending_replies_ = 0;
-};
-
-// The interface a PE port binds to (one per channel terminal).
-class ship_if {
-public:
-  virtual ~ship_if() = default;
-  virtual void send(const ship_serializable_if& msg) = 0;
-  virtual void recv(ship_serializable_if& msg) = 0;
-  virtual void request(const ship_serializable_if& req,
-                       ship_serializable_if& resp) = 0;
-  virtual void reply(const ship_serializable_if& resp) = 0;
-
-  // Non-blocking probe: is a message waiting for recv()?
-  virtual bool message_available() const = 0;
-  virtual Role role() const = 0;
-  virtual const std::string& channel_name() const = 0;
 };
 
 class ShipChannel {
@@ -100,8 +126,8 @@ public:
   ship_if& b() { return term_[1]; }
 
   const std::string& name() const { return name_; }
-  Role role_a() const { return term_[0].state.role(); }
-  Role role_b() const { return term_[1].state.role(); }
+  Role role_a() const { return term_[0].role(); }
+  Role role_b() const { return term_[1].role(); }
 
   // Replace the timing policy (switching abstraction level in place).
   void set_timing(std::unique_ptr<TimingModel> t);
@@ -119,20 +145,16 @@ public:
   }
 
 private:
+  // Send and Request rows are written at put(); a Reply row is written
+  // where the reply arrives, in take().
   struct Terminal final : ship_if {
-    Terminal(ShipChannel& c, int i) : ch(&c), index(i), state(c.name_) {}
-    void send(const ship_serializable_if& msg) override;
-    void recv(ship_serializable_if& msg) override;
-    void request(const ship_serializable_if& req,
-                 ship_serializable_if& resp) override;
-    void reply(const ship_serializable_if& resp) override;
+    Terminal(ShipChannel& c, int i) : ship_if(c.name_), ch(&c), index(i) {}
     bool message_available() const override;
-    Role role() const override { return state.role(); }
-    const std::string& channel_name() const override;
+    void put(const ship_serializable_if& msg, MsgKind kind) override;
+    bool take(ship_serializable_if& msg, bool reply) override;
 
     ShipChannel* ch;
     int index;  // 0 = a, 1 = b
-    TerminalState state;
   };
 
   // In-flight messages are pooled Txn descriptors (op == Msg) linked

@@ -45,7 +45,7 @@ TEST(ShipWrappers, SendRecvOverBus) {
   });
   f.sim.run();
   EXPECT_EQ(got, "over the PLB");
-  EXPECT_EQ(f.slave.messages_received(), 1u);
+  EXPECT_EQ(f.slave.messages_in(), 1u);
   // DATA_IN burst + CTRL write at minimum.
   EXPECT_GE(f.master.bus_transactions(), 2u);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "core/core.hpp"
@@ -108,6 +109,57 @@ TEST(SystemGraph, DiscoveryFailsForSilentChannel) {
   g.add_pe(b);
   g.connect("silent", a, b);
   EXPECT_THROW(g.discover_roles(1_us), ElaborationError);
+}
+
+TEST(SystemGraph, DiscoveryRejectsTwoMastersOrTwoSlaves) {
+  // Both terminals latching one role is no channel any CAM can carry:
+  // discovery must say so, naming the channel, instead of mapping it.
+  const std::function<void(ExecContext&)> sender = [](ExecContext& ctx) {
+    const ship::PodMsg<int> m(1);
+    for (int i = 0; i < 2; ++i) ctx.channel("p").send(m);
+  };
+  const std::function<void(ExecContext&)> receiver = [](ExecContext& ctx) {
+    ship::PodMsg<int> m;
+    ctx.channel("p").recv(m);
+  };
+  for (const auto* body : {&sender, &receiver}) {
+    LambdaPe a("a", *body);
+    LambdaPe b("b", *body);
+    SystemGraph g;
+    g.add_pe(a);
+    g.add_pe(b);
+    g.connect("twin", a, "p", b, "p");
+    try {
+      g.discover_roles();
+      ADD_FAILURE() << "discovery accepted role_a="
+                    << ship::role_name(g.channels()[0].role_a);
+    } catch (const ElaborationError& e) {
+      EXPECT_NE(std::string(e.what()).find("'twin'"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Mapper, SwSwChannelKeepsAQueueDepthBeyondInt) {
+  // A SW/SW channel runs on an RTOS queue; its depth must reach the
+  // queue unnarrowed. Any depth of at least the message count runs as
+  // unbounded.
+  auto finish = [](std::size_t depth) {
+    workload::ProducerPe prod("prod", 3, 16);
+    workload::SinkPe sink("sink", 3);
+    SystemGraph g;
+    g.add_pe(prod, Partition::Software);
+    g.add_pe(sink, Partition::Software);
+    g.connect("ch", prod, "out", sink, "in", depth, ship::Role::Master);
+    Simulator sim;
+    auto ms = Mapper::map(sim, g, Platform{}, AbstractionLevel::Cam);
+    EXPECT_TRUE(ms->run_until_done(1_ms)) << "depth " << depth;
+    EXPECT_EQ(sink.received(), 3u) << "depth " << depth;
+    return sim.now();
+  };
+  const Time unbounded = finish(3);
+  EXPECT_EQ(finish(std::size_t{1} << 32), unbounded);
+  EXPECT_EQ(finish((std::size_t{1} << 32) + 1), unbounded);
 }
 
 TEST(Mapper, ComponentAssemblyRunsUntimed) {

@@ -75,8 +75,7 @@ PolicyRun run_policy_write(int fails, fault::RetrySpec spec,
   bus.attach_slave(flaky, {0, 1 << 12}, "flaky");
   bus.attach_slave(mem, {0x10000, 1 << 12}, "mem");
   const std::size_t m = bus.add_master("m0");
-  RetryPolicy policy(sim, "retry0", std::move(spec), bus.cycle());
-  policy.bind(bus.master_port(m));
+  RetryPolicy policy(sim, "retry0", std::move(spec), bus, m);
 
   PolicyRun out{};
   sim.spawn_thread("pe", [&] {

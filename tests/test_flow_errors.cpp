@@ -4,6 +4,9 @@
 // resources, malformed platforms.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "cam/cam.hpp"
 #include "core/core.hpp"
 #include "explore/explore.hpp"
@@ -108,6 +111,96 @@ TEST(FlowErrors, CrossedRequestsThrowAtEveryLevel) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(FlowErrors, OneShipContractOnEveryMapping) {
+  // The same PE code over every endpoint pair the mapper can put under a
+  // channel: payloads arrive intact, roles read as on the abstract
+  // channel, and the same misuse throws the same ProtocolError.
+  struct Mapping {
+    const char* name;
+    AbstractionLevel level;
+    Partition master;
+    Partition slave;
+  };
+  constexpr Partition kHw = Partition::Hardware;
+  constexpr Partition kSw = Partition::Software;
+  const Mapping mappings[] = {
+      {"component assembly", AbstractionLevel::ComponentAssembly, kHw, kHw},
+      {"CCATB", AbstractionLevel::Ccatb, kHw, kHw},
+      {"CAM HW/HW", AbstractionLevel::Cam, kHw, kHw},
+      {"CAM HW master, SW slave", AbstractionLevel::Cam, kHw, kSw},
+      {"CAM SW master, HW slave", AbstractionLevel::Cam, kSw, kHw},
+      {"CAM SW/SW", AbstractionLevel::Cam, kSw, kSw},
+  };
+  using Body = std::function<void(ship::ship_if&)>;
+  auto run = [](const Mapping& m, const Body& master, const Body& slave) {
+    LambdaPe a("a", [&](ExecContext& ctx) { master(ctx.channel("p")); });
+    LambdaPe b("b", [&](ExecContext& ctx) { slave(ctx.channel("p")); });
+    SystemGraph g;
+    g.add_pe(a, m.master);
+    g.add_pe(b, m.slave);
+    g.connect("ch", a, "p", b, "p", 1, ship::Role::Master);
+    Simulator sim;
+    auto ms = Mapper::map(sim, g, Platform{}, m.level);
+    return ms->run_until_done(10_ms);
+  };
+  // Longer than one mailbox window, so the CAM rows move it in chunks.
+  std::vector<std::uint8_t> payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+
+  for (const Mapping& m : mappings) {
+    SCOPED_TRACE(m.name);
+    std::vector<std::uint8_t> got;
+    int got_req = 0;
+    int got_resp = 0;
+    ship::Role master_role = ship::Role::Unknown;
+    ship::Role slave_role = ship::Role::Unknown;
+    EXPECT_TRUE(run(
+        m,
+        [&](ship::ship_if& p) {
+          p.send(ship::VectorMsg<>(payload));
+          ship::PodMsg<int> resp;
+          p.request(ship::PodMsg<int>(7), resp);
+          got_resp = resp.value;
+          master_role = p.role();
+        },
+        [&](ship::ship_if& p) {
+          ship::VectorMsg<> msg;
+          p.recv(msg);
+          got = msg.data;
+          ship::PodMsg<int> req;
+          p.recv(req);
+          got_req = req.value;
+          p.reply(ship::PodMsg<int>(req.value * 3));
+          slave_role = p.role();
+        }));
+    EXPECT_EQ(got, payload);
+    EXPECT_EQ(got_req, 7);
+    EXPECT_EQ(got_resp, 21);
+    EXPECT_EQ(master_role, ship::Role::Master);
+    EXPECT_EQ(slave_role, ship::Role::Slave);
+
+    EXPECT_THROW(run(
+                     m,
+                     [](ship::ship_if& p) {
+                       p.send(ship::PodMsg<int>(1));
+                       ship::PodMsg<int> msg;
+                       p.recv(msg);  // slave call on the master terminal
+                     },
+                     [](ship::ship_if& p) {
+                       ship::PodMsg<int> msg;
+                       p.recv(msg);
+                     }),
+                 ProtocolError);
+
+    EXPECT_THROW(run(
+                     m, [](ship::ship_if&) {},
+                     [](ship::ship_if& p) { p.reply(ship::PodMsg<int>(1)); }),
+                 ProtocolError);
   }
 }
 

@@ -66,7 +66,7 @@ TEST(HwSw, SwMasterSendsToHwSlave) {
   });
   f.run_until_tasks_done();
   EXPECT_EQ(got, "hello hardware");
-  EXPECT_EQ(f.adapter.messages_from_sw(), 1u);
+  EXPECT_EQ(f.adapter.messages_in(), 1u);
 }
 
 TEST(HwSw, SwRequestHwReplyRoundTrip) {
@@ -104,7 +104,7 @@ TEST(HwSw, HwMasterSendsToSwSlave) {
   });
   f.run_until_tasks_done();
   EXPECT_EQ(got, "hello software");
-  EXPECT_EQ(f.adapter.messages_to_sw(), 1u);
+  EXPECT_EQ(f.adapter.messages_out(), 1u);
   EXPECT_GE(f.adapter.irq_count(), 1u);
 }
 

@@ -45,14 +45,12 @@ struct AdapterFront {
   Simulator sim;
   cam::MailboxLayout layout{0x1000, 64};
   HwAdapter dut{sim, "ad", layout, 10_ns};
-  std::uint64_t messages_in() const { return dut.messages_from_sw(); }
 };
 
 struct WrapperFront {
   Simulator sim;
   cam::MailboxLayout layout{0x1000, 64};
   cam::ShipSlaveWrapper dut{sim, "sw", layout};
-  std::uint64_t messages_in() const { return dut.messages_received(); }
 };
 
 template <class Front>
@@ -85,7 +83,7 @@ TYPED_TEST(MailboxRegisters, CtrlCommitsStagedChunk) {
   });
   f.sim.run();
   EXPECT_EQ(got, "hi");
-  EXPECT_EQ(f.messages_in(), 1u);
+  EXPECT_EQ(f.dut.messages_in(), 1u);
 }
 
 TYPED_TEST(MailboxRegisters, MultiChunkAssembly) {
@@ -135,7 +133,7 @@ TYPED_TEST(MailboxRegisters, OversizedChunkRejected) {
     EXPECT_FALSE(r.good());
   });
   f.sim.run();
-  EXPECT_EQ(f.messages_in(), 0u);
+  EXPECT_EQ(f.dut.messages_in(), 0u);
 }
 
 TYPED_TEST(MailboxRegisters, UnmappedOffsetsError) {
