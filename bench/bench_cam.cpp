@@ -10,9 +10,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "cam/cam.hpp"
 #include "kernel/kernel.hpp"
 #include "ocp/memory.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -78,62 +81,136 @@ void BM_CamRoundtrip(benchmark::State& state) {
   state.counters["fast_hits"] = fast_hits;
 }
 
+// Simulated outcome of one run (the timed loop keeps the last one).
+struct RunOut {
+  double sim_us = 0.0;
+  double util = 0.0;
+  double fast_hits = 0.0;
+  double ctx_switches = 0.0;
+};
+
+RunOut finish_run(Simulator& sim, const cam::PlbCam& bus) {
+  RunOut out;
+  out.sim_us = sim.now().to_seconds() * 1e6;
+  out.util = bus.utilization();
+  out.fast_hits = static_cast<double>(bus.fast_path_hits());
+  out.ctx_switches = static_cast<double>(sim.ctx_switches());
+  return out;
+}
+
+// Latency figures of one run, from its rows: the mean over all rows, the
+// worst per-master mean, and the queueing (issue -> grant) and service
+// (grant -> completion) means. Rows come from one extra, untimed run
+// with a logger attached, so the timed loop stays logger-free.
+struct RowFigures {
+  double mean_lat = 0.0;
+  double worst_master_lat = 0.0;
+  double mean_queue = 0.0;
+  double mean_service = 0.0;
+};
+
+RowFigures row_figures(const trace::TxnLogger& log, const std::string& bus) {
+  const trace::LatencyDist d = trace::latency_dist(log.records());
+  RowFigures f;
+  f.mean_lat = d.mean_ns;
+  f.mean_queue = d.mean_queue_ns;
+  f.mean_service = d.mean_service_ns;
+  for (const auto& c : trace::per_channel_stats(log)) {
+    if (c.channel != bus) {
+      f.worst_master_lat = std::max(f.worst_master_lat, c.dist.mean_ns);
+    }
+  }
+  return f;
+}
+
+// N masters hammer a PLB-class bus with 64-byte writes; `log`, when
+// set, receives every transaction's row.
+RunOut run_contention(std::size_t masters, int arb_kind,
+                      trace::TxnLogger* log) {
+  Simulator sim;
+  cam::PlbCam bus(sim, "plb", 10_ns, make_arbiter(arb_kind, masters));
+  bus.set_txn_logger(log);
+  ocp::MemorySlave mem("mem", 0, 1 << 20);
+  bus.attach_slave(mem, {0, 1 << 20}, "mem");
+  for (std::size_t m = 0; m < masters; ++m) {
+    const std::size_t idx = bus.add_master("m" + std::to_string(m));
+    sim.spawn_thread("pe" + std::to_string(m), [&, m, idx] {
+      std::vector<std::uint8_t> payload(kPayload,
+                                        static_cast<std::uint8_t>(m));
+      // Hot path: one reusable descriptor per master — zero allocation
+      // and zero event-registry churn per transaction.
+      Txn txn;
+      for (int i = 0; i < kTxnsPerMaster; ++i) {
+        const std::uint64_t addr =
+            (m << 12) + static_cast<std::uint64_t>(i % 32) * kPayload;
+        txn.begin_write(addr, payload.data(), payload.size());
+        bus.master_port(idx).transport(txn);
+      }
+    });
+  }
+  sim.run();
+  return finish_run(sim, bus);
+}
+
 void BM_Contention(benchmark::State& state) {
   const auto masters = static_cast<std::size_t>(state.range(0));
   const int arb_kind = static_cast<int>(state.range(1));
-  double sim_us = 0.0, util = 0.0, mean_lat = 0.0, max_master_lat = 0.0;
-
-  for (auto _ : state) {
-    Simulator sim;
-    cam::PlbCam bus(sim, "plb", 10_ns, make_arbiter(arb_kind, masters));
-    ocp::MemorySlave mem("mem", 0, 1 << 20);
-    bus.attach_slave(mem, {0, 1 << 20}, "mem");
-    for (std::size_t m = 0; m < masters; ++m) {
-      const std::size_t idx = bus.add_master("m" + std::to_string(m));
-      sim.spawn_thread("pe" + std::to_string(m), [&, m, idx] {
-        std::vector<std::uint8_t> payload(kPayload,
-                                          static_cast<std::uint8_t>(m));
-        // Hot path: one reusable descriptor per master — zero allocation
-        // and zero event-registry churn per transaction.
-        Txn txn;
-        for (int i = 0; i < kTxnsPerMaster; ++i) {
-          const std::uint64_t addr =
-              (m << 12) + static_cast<std::uint64_t>(i % 32) * kPayload;
-          txn.begin_write(addr, payload.data(), payload.size());
-          bus.master_port(idx).transport(txn);
-        }
-      });
-    }
-    sim.run();
-    sim_us = sim.now().to_seconds() * 1e6;
-    util = bus.utilization();
-    mean_lat = bus.stats().acc("latency_ns").mean();
-    for (std::size_t m = 0; m < masters; ++m) {
-      const double lat =
-          bus.stats().acc("master_m" + std::to_string(m) + "_latency_ns")
-              .mean();
-      if (lat > max_master_lat) max_master_lat = lat;
-    }
-  }
+  RunOut run;
+  for (auto _ : state) run = run_contention(masters, arb_kind, nullptr);
+  trace::TxnLogger log;
+  run_contention(masters, arb_kind, &log);
+  const RowFigures f = row_figures(log, "plb");
 
   state.SetLabel(arb_name(arb_kind));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(masters) *
                           kTxnsPerMaster);
-  state.counters["sim_us"] = sim_us;
-  state.counters["bus_util"] = util;
-  state.counters["mean_lat_ns"] = mean_lat;
-  state.counters["worst_master_lat_ns"] = max_master_lat;
+  state.counters["sim_us"] = run.sim_us;
+  state.counters["bus_util"] = run.util;
+  state.counters["mean_lat_ns"] = f.mean_lat;
+  state.counters["worst_master_lat_ns"] = f.worst_master_lat;
 }
 
-// Split/out-of-order mode: N masters keep a window of `outstanding`
-// posted transactions against a PLB whose memory target has real service
-// latency. outstanding == 1 runs the atomic engine (the seed timing);
-// deeper windows engage the split engine — address/data phases pipeline
-// and target service runs off the bus, so simulated completion time
-// (sim_us) drops while the transaction count stays fixed. The sim_us
-// ratio between /1 and /4 rows is the simulated-throughput gain the
-// split mode exists for.
+// N masters keep a window of `outstanding` posted 64-byte writes against
+// a PLB whose memory target has real service latency; `log`, when set,
+// receives every transaction's row.
+RunOut run_split(std::size_t masters, std::size_t outstanding, bool fast,
+                 trace::TxnLogger* log) {
+  const cam::SplitConfig split{outstanding > 1, outstanding};
+  Simulator sim;
+  cam::PlbCam bus(sim, "plb", 10_ns, std::make_unique<cam::RoundRobinArbiter>(),
+                  0, split, fast);
+  bus.set_txn_logger(log);
+  ocp::MemorySlave mem("mem", 0, 1 << 20, /*access_time=*/200_ns);
+  bus.attach_slave(mem, {0, 1 << 20}, "mem");
+  for (std::size_t m = 0; m < masters; ++m) {
+    const std::size_t idx = bus.add_master("m" + std::to_string(m));
+    sim.spawn_thread("pe" + std::to_string(m), [&, m, idx] {
+      std::vector<std::uint8_t> payload(kPayload,
+                                        static_cast<std::uint8_t>(m));
+      // Sliding window of `outstanding` reusable descriptors.
+      std::vector<Txn> txns(outstanding);
+      for (int i = 0; i < kTxnsPerMaster; ++i) {
+        Txn& t = txns[static_cast<std::size_t>(i) % outstanding];
+        if (static_cast<std::size_t>(i) >= outstanding) t.done.wait(sim);
+        const std::uint64_t addr =
+            (m << 12) + static_cast<std::uint64_t>(i % 32) * kPayload;
+        t.begin_write(addr, payload.data(), payload.size());
+        bus.post(idx, t);
+      }
+      for (auto& t : txns) t.done.wait(sim);
+    });
+  }
+  sim.run();
+  return finish_run(sim, bus);
+}
+
+// Split/out-of-order mode: outstanding == 1 runs the atomic engine (the
+// seed timing); deeper windows engage the split engine — address/data
+// phases pipeline and target service runs off the bus, so simulated
+// completion time (sim_us) drops while the transaction count stays
+// fixed. The sim_us ratio between /1 and /4 rows is the simulated-
+// throughput gain the split mode exists for.
 void BM_SplitOutstanding(benchmark::State& state) {
   const auto masters = static_cast<std::size_t>(state.range(0));
   const auto outstanding = static_cast<std::size_t>(state.range(1));
@@ -142,65 +219,30 @@ void BM_SplitOutstanding(benchmark::State& state) {
   // transactions back to the engine — the fast rows measure the
   // eligibility check's overhead under load, not a win.
   const bool fast = state.range(2) != 0;
-  const cam::SplitConfig split{outstanding > 1, outstanding};
-  double sim_us = 0.0, util = 0.0, mean_lat = 0.0;
-  double mean_queue = 0.0, mean_service = 0.0;
-  double fast_hits = 0.0;
-  double ctx_switches = 0.0;
-
-  for (auto _ : state) {
-    Simulator sim;
-    cam::PlbCam bus(sim, "plb", 10_ns,
-                    std::make_unique<cam::RoundRobinArbiter>(), 0, split,
-                    fast);
-    ocp::MemorySlave mem("mem", 0, 1 << 20, /*access_time=*/200_ns);
-    bus.attach_slave(mem, {0, 1 << 20}, "mem");
-    for (std::size_t m = 0; m < masters; ++m) {
-      const std::size_t idx = bus.add_master("m" + std::to_string(m));
-      sim.spawn_thread("pe" + std::to_string(m), [&, m, idx] {
-        std::vector<std::uint8_t> payload(kPayload,
-                                          static_cast<std::uint8_t>(m));
-        // Sliding window of `outstanding` reusable descriptors.
-        std::vector<Txn> txns(outstanding);
-        for (int i = 0; i < kTxnsPerMaster; ++i) {
-          Txn& t = txns[static_cast<std::size_t>(i) % outstanding];
-          if (static_cast<std::size_t>(i) >= outstanding) t.done.wait(sim);
-          const std::uint64_t addr =
-              (m << 12) + static_cast<std::uint64_t>(i % 32) * kPayload;
-          t.begin_write(addr, payload.data(), payload.size());
-          bus.post(idx, t);
-        }
-        for (auto& t : txns) t.done.wait(sim);
-      });
-    }
-    sim.run();
-    sim_us = sim.now().to_seconds() * 1e6;
-    util = bus.utilization();
-    mean_lat = bus.stats().acc("latency_ns").mean();
-    mean_queue = bus.stats().acc("grant_wait_ns").mean();
-    mean_service = bus.stats().acc("service_ns").mean();
-    fast_hits = static_cast<double>(bus.fast_path_hits());
-    ctx_switches = static_cast<double>(sim.ctx_switches());
-  }
+  RunOut run;
+  for (auto _ : state) run = run_split(masters, outstanding, fast, nullptr);
+  trace::TxnLogger log;
+  run_split(masters, outstanding, fast, &log);
+  const RowFigures f = row_figures(log, "plb");
 
   state.SetLabel(std::string(outstanding > 1 ? "split" : "atomic") +
                  (fast ? "+fast" : ""));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(masters) *
                           kTxnsPerMaster);
-  state.counters["sim_us"] = sim_us;
-  state.counters["bus_util"] = util;
-  state.counters["mean_lat_ns"] = mean_lat;
+  state.counters["sim_us"] = run.sim_us;
+  state.counters["bus_util"] = run.util;
+  state.counters["mean_lat_ns"] = f.mean_lat;
   // The queue/service split: a deep posted window inflates end-to-end
   // latency with queueing while the service span stays flat — the
   // number that says the split bus did not get slower, it got deeper.
-  state.counters["mean_queue_ns"] = mean_queue;
-  state.counters["mean_service_ns"] = mean_service;
-  state.counters["fast_hits"] = fast_hits;
+  state.counters["mean_queue_ns"] = f.mean_queue;
+  state.counters["mean_service_ns"] = f.mean_service;
+  state.counters["fast_hits"] = run.fast_hits;
   // Coroutine resumes of one run: deterministic, and the number that
   // shows whether a granted split transaction wakes one service worker
   // or the whole pool (it then grows with the window depth).
-  state.counters["ctx_switches"] = ctx_switches;
+  state.counters["ctx_switches"] = run.ctx_switches;
 }
 
 // Crossbar lanes: N masters write 64-byte payloads across four memory

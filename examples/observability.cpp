@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     cam::CamIf* bus = ms->bus();
     prof.add_bus(bus->name(), [bus] {
       obs::Profiler::BusSample s;
-      trace::StatSet& st = bus->stats();
+      const trace::StatSet& st = bus->stats();
       s.transactions = st.counter("transactions");
       s.fast_hits = st.counter("fast_path_hits");
       return s;

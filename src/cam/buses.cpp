@@ -1,3 +1,6 @@
+// stlm-lint: hot-path — the crossbar's route and lane engines run once
+// per bus transaction; steady-state simulation must stay
+// heap-allocation-free (see tools/stlm_lint.py).
 #include "cam/buses.hpp"
 
 namespace stlm::cam {
@@ -12,13 +15,15 @@ CrossbarCam::CrossbarCam(Simulator& sim, std::string name, Time cycle,
 void CrossbarCam::on_master(std::size_t) { inflight_.push_back(0); }
 
 void CrossbarCam::on_slave(std::size_t lane, const std::string& label) {
-  lanes_.push_back(
-      std::make_unique<Mutex>(sim(), full_name() + ".lane" + label));
-  lane_stats_.push_back(std::make_unique<LaneStats>());
+  const std::string lane_name = full_name() + ".lane" + label;
+  // stlm-lint: allow(hot-path-alloc): lane creation is elaboration, once
+  // per attached slave
+  lanes_.push_back(std::make_unique<Mutex>(sim(), lane_name));
   if (split_.active()) {
+    // stlm-lint: allow(hot-path-alloc): elaboration, once per lane
     lane_q_.push_back(std::make_unique<TxnQueue>());
-    lane_avail_.push_back(
-        std::make_unique<Event>(sim(), full_name() + ".lane" + label + ".avail"));
+    // stlm-lint: allow(hot-path-alloc): elaboration, once per lane
+    lane_avail_.push_back(std::make_unique<Event>(sim(), lane_name + ".avail"));
     spawn_thread("lane_" + label, [this, lane] { lane_engine(lane); });
   }
 }
@@ -29,35 +34,6 @@ double CrossbarCam::utilization() const {
   // Aggregate lane busy time normalized by lanes (parallel resource).
   return busy_time_.to_seconds() /
          (elapsed.to_seconds() * static_cast<double>(lanes_.size()));
-}
-
-trace::StatSet& CrossbarCam::stats() {
-  // Recompute the lane-derived slots from the shards on every read. The
-  // fold order is lane-index order — fixed at elaboration — so the
-  // published floating-point sums cannot depend on how the scheduler
-  // interleaved the lanes. decode_errors is counted directly on stats_
-  // (integer increments commute), survives the fold untouched, and its
-  // transactions join the lanes' count.
-  trace::Accumulator latency, service;
-  std::uint64_t txns = stats_.counter("decode_errors"), bytes = 0;
-  for (const auto& ls : lane_stats_) {
-    latency.merge(ls->latency);
-    service.merge(ls->service);
-    txns += ls->transactions;
-    bytes += ls->bytes;
-  }
-  stats_.acc("latency_ns") = latency;
-  stats_.acc("service_ns") = service;
-  stats_.counter_slot("transactions") = txns;
-  stats_.counter_slot("bytes") = bytes;
-  for (std::size_t m = 0; m < master_count(); ++m) {
-    trace::Accumulator per_master;
-    for (const auto& ls : lane_stats_) {
-      if (m < ls->per_master.size()) per_master.merge(ls->per_master[m]);
-    }
-    stats_.acc("master_" + master_label(m) + "_latency_ns") = per_master;
-  }
-  return stats_;
 }
 
 void CrossbarCam::transport(std::size_t master, Txn& txn) {
@@ -95,7 +71,7 @@ void CrossbarCam::submit(std::size_t master, Txn& txn) {
     return;
   }
   // The access point stamps its port index so the lane engine can retire
-  // the right master's slot and statistics (restored by transport()).
+  // the right master's slot and row (restored by transport()).
   txn.master_id = static_cast<std::uint32_t>(master);
   // Enforce the per-master outstanding cap at the issue point — a master
   // cannot launch deeper than its outstanding capability.
@@ -116,7 +92,7 @@ void CrossbarCam::lane_engine(std::size_t lane) {
     Txn* txn = lane_q_[lane]->pop_front();
     serve(lane, *txn);
     const auto master = static_cast<std::size_t>(txn->master_id);
-    retire(master, lane, *txn, txn->enqueued);
+    finish(*txn, master, txn->enqueued);
     --inflight_[master];
     slot_free_.notify_delta();
     txn->done.complete(sim());
@@ -135,11 +111,14 @@ void CrossbarCam::route(std::size_t master, Txn& txn) {
   }
   LockGuard lane(*lanes_[*slave]);
   serve(*slave, txn);
-  retire(master, *slave, txn, start);
+  // `start` (the outer arrival time) is the issue stamp: hierarchical
+  // routes re-stamp txn.enqueued per hop, but the row and spans should
+  // cover the whole crossbar round trip.
+  finish(txn, master, start);
 }
 
 void CrossbarCam::decode_error(std::size_t master, Txn& txn) {
-  stats_.count("decode_errors");
+  stats_.count("decode_errors");  // rare: the by-name lookup is fine
   txn.respond_error();
   txn.t_grant = sim().now();
   txn.t_data = txn.t_grant;
@@ -158,29 +137,6 @@ void CrossbarCam::serve(std::size_t lane, Txn& txn) {
   // Lanes are arbiter-free FIFOs, so the crossbar has no grant stream to
   // stall — only injected errors and latency spikes apply.
   deliver(lane, txn);
-}
-
-// Statistics shared by the atomic route and the split lanes. Completions
-// run concurrently across lanes, so everything here lands in the lane's
-// own shard (see LaneStats); within one lane, updates are totally
-// ordered — the lane mutex (atomic) or the single lane engine (split) —
-// which is exactly what the audit key asserts.
-void CrossbarCam::retire(std::size_t master, std::size_t lane, Txn& txn,
-                         Time start) {
-  audit::on_access(sim(), lane_stats_[lane].get(), audit::Mode::Write,
-                   "cam.stats", Module::name());
-  // `start` (the outer arrival time) is the issue stamp: hierarchical
-  // routes re-stamp txn.enqueued per hop, but the row and spans should
-  // cover the whole crossbar round trip.
-  finish(txn, master, start);
-  LaneStats& ls = *lane_stats_[lane];
-  ++ls.transactions;
-  ls.bytes += txn.payload_bytes();
-  const double latency_ns = (txn.t_complete - start).to_ns();
-  ls.latency.add(latency_ns);
-  ls.service.add((txn.t_complete - txn.t_grant).to_ns());
-  if (ls.per_master.size() <= master) ls.per_master.resize(master_count());
-  ls.per_master[master].add(latency_ns);
 }
 
 }  // namespace stlm::cam

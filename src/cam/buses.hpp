@@ -120,9 +120,6 @@ public:
               std::size_t width_bytes = kDefaultWidthBytes,
               SplitConfig split = {});
 
-  // Folds the per-lane stat shards (lane-index order, scheduler-free)
-  // into the public set before returning it — see LaneStats below.
-  trace::StatSet& stats() override;
   double utilization() const override;
 
   bool split_active() const { return split_.active(); }
@@ -132,23 +129,6 @@ public:
   }
 
 private:
-  // Per-lane statistics shard. Crossbar completions run concurrently on
-  // per-lane coroutines (initiators holding the lane mutex in atomic
-  // mode, one lane engine in split mode), so a single shared StatSet
-  // would make its floating-point sums depend on dispatch order — the
-  // exact hazard the determinism auditor flags. Each lane accumulates
-  // into its own shard (updates within a lane are totally ordered:
-  // mutex-serialized at distinct instants, or a single engine process);
-  // stats() folds the shards in lane-index order, so the published sums
-  // are invariant under any legal scheduler interleaving.
-  struct LaneStats {
-    std::uint64_t transactions = 0;
-    std::uint64_t bytes = 0;
-    trace::Accumulator latency;
-    trace::Accumulator service;
-    std::vector<trace::Accumulator> per_master;  // grown on demand
-  };
-
   void transport(std::size_t master, Txn& txn) override;
   void submit(std::size_t master, Txn& txn) override;
   void on_master(std::size_t i) override;
@@ -158,15 +138,11 @@ private:
   void lane_engine(std::size_t lane);
   // Charge lane occupancy for `txn`, then deliver it to the lane's slave.
   void serve(std::size_t lane, Txn& txn);
-  // Completion point plus the lane's statistics shard.
-  void retire(std::size_t master, std::size_t lane, Txn& txn, Time start);
-  // Answer an unmapped access at issue time, with its row (counted
-  // directly on stats_: integer increments commute across lanes).
+  // Answer an unmapped access at issue time, with its row.
   void decode_error(std::size_t master, Txn& txn);
 
   SplitConfig split_;
   std::vector<std::unique_ptr<Mutex>> lanes_;
-  std::vector<std::unique_ptr<LaneStats>> lane_stats_;  // one per lane
   // Split mode: per-lane intrusive queues + wake events, per-master
   // in-flight counts bounded by max_outstanding.
   std::vector<std::unique_ptr<TxnQueue>> lane_q_;

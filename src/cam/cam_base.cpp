@@ -1,3 +1,6 @@
+// stlm-lint: hot-path — the grant engines and the fast path run once
+// per bus transaction; steady-state simulation must stay
+// heap-allocation-free (see tools/stlm_lint.py).
 #include "cam/cam_base.hpp"
 
 #include "fault/fault.hpp"
@@ -16,16 +19,8 @@ CamBase::CamBase(Simulator& sim, std::string name, Time cycle,
       new_request_(sim, full_name() + ".new_request"),
       resp_avail_(sim, full_name() + ".resp_avail"),
       fast_targets_(fast_targets && !split_active_),
-      fast_complete_(sim, full_name() + ".fast_complete") {
-  acc_grant_wait_ = &stats_.acc("grant_wait_ns");
-  acc_txn_cycles_ = &stats_.acc("txn_cycles");
-  acc_latency_ = &stats_.acc("latency_ns");
-  acc_service_ = &stats_.acc("service_ns");
-  cnt_transactions_ = &stats_.counter_slot("transactions");
-  cnt_reads_ = &stats_.counter_slot("reads");
-  cnt_writes_ = &stats_.counter_slot("writes");
-  cnt_bytes_ = &stats_.counter_slot("bytes");
-  cnt_decode_errors_ = &stats_.counter_slot("decode_errors");
+      fast_complete_(sim, full_name() + ".fast_complete"),
+      cnt_decode_errors_(&stats_.counter_slot("decode_errors")) {
   if (fast_targets_) {
     // Only materialize the stat slot when the knob is on, so the stats
     // table of a fast-off platform is unchanged.
@@ -52,18 +47,19 @@ std::uint64_t CamBase::split_data_cycles(const Txn&) const {
 }
 
 void CamBase::on_master(std::size_t i) {
-  const std::string& name = master_label(i);
-  master_latency_.push_back(&stats_.acc("master_" + name + "_latency_ns"));
   engine_.add_master();
   if (split_active_) {
     // One service worker per in-flight slot: every granted transaction
     // can be in target service concurrently, so a slow slave never
     // stalls the address or data pipelines of unrelated transactions.
     for (std::size_t w = 0; w < engine_.max_outstanding(); ++w) {
-      const std::string worker = "svc_" + name + "_" + std::to_string(w);
+      const std::string worker =
+          "svc_" + master_label(i) + "_" + std::to_string(w);
+      const std::string wake = full_name() + "." + worker + ".wake";
       const std::size_t id = worker_wake_.size();
-      worker_wake_.push_back(
-          std::make_unique<Event>(sim(), full_name() + "." + worker + ".wake"));
+      // stlm-lint: allow(hot-path-alloc): worker creation is elaboration,
+      // once per in-flight slot
+      worker_wake_.push_back(std::make_unique<Event>(sim(), wake));
       spawn_thread(worker, [this, id] { service_worker(id); });
     }
     idle_workers_.reserve(worker_wake_.size());
@@ -105,7 +101,7 @@ void CamBase::enqueue(std::size_t master, Txn& txn) {
 //
 // Inline completion for provably uncontended accesses to fast-capable
 // targets (see the class comment in cam_base.hpp). Everything observable
-// — stamps, stats, log rows, arbiter state, busy accounting, timing —
+// — stamps, counters, log rows, arbiter state, busy accounting, timing —
 // matches what the atomic engine would have produced for the same
 // isolated transaction; the only thing missing is the engine wakeup and
 // its coroutine switches.
@@ -140,7 +136,6 @@ std::uint64_t CamBase::fast_grant(std::size_t master, Txn& txn) {
   const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
   txn.t_grant = sim().now();
   txn.t_data = txn.t_grant;
-  acc_grant_wait_->add(0.0);
   engine_.note_fast_grant(master, now_cycle());
   return txn_cycles(txn, back_to_back);
 }
@@ -148,8 +143,7 @@ std::uint64_t CamBase::fast_grant(std::size_t master, Txn& txn) {
 bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
   std::size_t s = 0;
   if (!fast_eligible(txn, &s)) return false;
-  const std::uint64_t cycles = fast_grant(master, txn);
-  const Time occupancy = cycle() * cycles;
+  const Time occupancy = cycle() * fast_grant(master, txn);
   ocp::ocp_tl_slave_if& target = slave(s);
   // Hold the bus: competing requests issued during the occupancy fall
   // back to the engine, whose gate stalls until fast_busy_until_.
@@ -186,7 +180,7 @@ bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
   }
   fast_inflight_ = false;
   ++*cnt_fast_hits_;
-  complete_txn(txn, master, cycles);
+  complete_txn(txn, master);
   // Competitors that fell back while we held the bus are grantable now;
   // the engine may be parked in its gate waiting for exactly this.
   if (engine_.any_pending()) new_request_.notify_delta();
@@ -196,8 +190,7 @@ bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
 bool CamBase::try_fast_post(std::size_t master, Txn& txn) {
   std::size_t s = 0;
   if (!fast_eligible(txn, &s)) return false;
-  const std::uint64_t cycles = fast_grant(master, txn);
-  const Time occupancy = cycle() * cycles;
+  const Time occupancy = cycle() * fast_grant(master, txn);
   // post() must not block: park the transaction in the single fast slot
   // and let the timed fast_step method pick it up at occupancy end.
   // Methods run before threads within a timestamp, so the slot (and the
@@ -205,7 +198,6 @@ bool CamBase::try_fast_post(std::size_t master, Txn& txn) {
   fast_pending_ = &txn;
   fast_pending_master_ = master;
   fast_pending_slave_ = s;
-  fast_pending_cycles_ = cycles;
   // Bus occupancy is accounted by fast_post_step's next firing — the
   // engine's accounting instant (after its occupancy wait) — not here at
   // grant, so a run_for() cutoff mid-transaction samples the same
@@ -254,7 +246,7 @@ void CamBase::fast_post_step() {
   engine_busy_ = true;
   ++*cnt_fast_hits_;
   fast_pending_ = nullptr;
-  complete_txn(txn, fast_pending_master_, fast_pending_cycles_);
+  complete_txn(txn, fast_pending_master_);
   // Requests that fell back to the engine mid-flight are grantable now.
   // Only wake the engine when there is actually work: a spurious wake
   // would clear engine_busy_ and lose the back-to-back timing the next
@@ -296,15 +288,13 @@ void CamBase::atomic_engine() {
     stall_grant();
 
     const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
-    const std::uint64_t cycles = txn_cycles(*txn, back_to_back);
-    const Time occupancy = cycle() * cycles;
+    const Time occupancy = cycle() * txn_cycles(*txn, back_to_back);
 
     // The atomic engine charges arbitration+address+data+response as one
     // occupancy wait, so address and data phases are indistinguishable:
     // both stamps carry the grant instant.
     txn->t_grant = sim().now();
     txn->t_data = txn->t_grant;
-    acc_grant_wait_->add((sim().now() - txn->enqueued).to_ns());
     wait(occupancy);
     busy_time_ += occupancy;
 
@@ -319,7 +309,7 @@ void CamBase::atomic_engine() {
     engine_busy_ = true;
 
     engine_.retire(g, *txn);
-    complete_txn(*txn, g, cycles);
+    complete_txn(*txn, g);
 
     // Yield one delta so just-completed masters can re-enqueue before the
     // next arbitration — otherwise a saturating high-priority master
@@ -345,7 +335,6 @@ void CamBase::addr_engine() {
     stall_grant();
 
     txn->t_grant = sim().now();
-    acc_grant_wait_->add((sim().now() - txn->enqueued).to_ns());
     const std::uint64_t ac = split_addr_cycles(*txn);
     if (ac) wait(cycle() * ac);
 
@@ -404,7 +393,7 @@ void CamBase::data_engine() {
     STLM_ASSERT(g != GrantEngine::npos,
                 "split data phase for an unowned transaction");
     engine_.retire(g, *txn);
-    complete_txn(*txn, g, split_addr_cycles(*txn) + dc);
+    complete_txn(*txn, g);
     // The retirement freed an outstanding slot — the address engine may
     // have an eligible master again.
     new_request_.notify_delta();
@@ -421,27 +410,10 @@ void CamBase::stall_grant() {
   }
 }
 
-// Completion bookkeeping shared by both engines and both fast paths: the
-// core's completion point, statistics, and waking the initiator.
-void CamBase::complete_txn(Txn& txn, std::size_t master,
-                           std::uint64_t cycles) {
-  // Stat slots accumulate floating-point sums: two same-delta completions
-  // from different processes would make the totals depend on dispatch
-  // order, so the whole StatSet is audited as one object.
-  audit::on_access(sim(), &stats_, audit::Mode::Write, "cam.stats",
-                   Module::name());
+// Completion shared by both engines and both fast paths: the core's
+// completion point, then waking the initiator.
+void CamBase::complete_txn(Txn& txn, std::size_t master) {
   finish(txn, master, txn.enqueued);
-  ++*cnt_transactions_;
-  ++*(txn.op == Txn::Op::Read ? cnt_reads_ : cnt_writes_);
-  *cnt_bytes_ += txn.payload_bytes();
-  acc_txn_cycles_->add(static_cast<double>(cycles));
-  // latency_ns stays the end-to-end issue→completion span;
-  // service_ns = grant→completion isolates the cost once the bus took
-  // the request, so a deep split queue reads as queueing, not slowness.
-  const double latency_ns = (txn.t_complete - txn.enqueued).to_ns();
-  acc_latency_->add(latency_ns);
-  acc_service_->add((txn.t_complete - txn.t_grant).to_ns());
-  master_latency_[master]->add(latency_ns);
   txn.done.complete(sim());  // immediate: initiator resumes within this delta
 }
 

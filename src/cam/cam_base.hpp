@@ -31,7 +31,7 @@
 // target opted into the fast-target contract (ocp_tl_slave_if::
 // fast_capable()), transport()/post() resolve the whole transaction
 // from the initiator's context: same arbiter evolution (a single-
-// candidate pick), same occupancy math, same stamps/stats/log rows —
+// candidate pick), same occupancy math, same stamps/counters/log rows —
 // but no grant-engine wakeup and no coroutine switches. The moment
 // anything contends, the request falls back to the unchanged engine,
 // which also stalls behind any fast transaction still holding the bus
@@ -46,8 +46,8 @@
 //     lists — no allocation on enqueue/dequeue;
 //   * completion uses Txn's CompletionEvent — no Event construction, no
 //     liveness-registry churn;
-//   * per-transaction statistics go through cached accumulator/counter
-//     slots — no string building per transaction.
+//   * per-transaction counters go through cached slots — no string
+//     building per transaction.
 
 #include <cstdint>
 #include <memory>
@@ -118,7 +118,7 @@ private:
   void service_worker(std::size_t worker);
   void data_engine();
   void stall_grant();
-  void complete_txn(Txn& txn, std::size_t master, std::uint64_t cycles);
+  void complete_txn(Txn& txn, std::size_t master);
   std::uint64_t now_cycle() const { return sim().now() / cycle(); }
 
   // Fast path (see the class comment). try_fast_* return false without
@@ -160,23 +160,12 @@ private:
   Txn* fast_pending_ = nullptr;
   std::size_t fast_pending_master_ = 0;
   std::size_t fast_pending_slave_ = 0;
-  std::uint64_t fast_pending_cycles_ = 0;
   Time fast_pending_busy_ = Time::zero();  // occupancy to charge at firing
   bool fast_in_service_ = false;  // stage 2: target latency elapsing
   Event fast_complete_;
+  // Cached counter slots (stable addresses inside stats_).
   std::uint64_t* cnt_fast_hits_ = nullptr;
-
-  // Cached hot statistic slots (stable addresses inside stats_).
-  trace::Accumulator* acc_grant_wait_;
-  trace::Accumulator* acc_txn_cycles_;
-  trace::Accumulator* acc_latency_;
-  trace::Accumulator* acc_service_;  // grant -> completion span
-  std::uint64_t* cnt_transactions_;
-  std::uint64_t* cnt_reads_;
-  std::uint64_t* cnt_writes_;
-  std::uint64_t* cnt_bytes_;
   std::uint64_t* cnt_decode_errors_;
-  std::vector<trace::Accumulator*> master_latency_;  // per master index
 };
 
 }  // namespace stlm::cam

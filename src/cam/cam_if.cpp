@@ -1,3 +1,5 @@
+// stlm-lint: hot-path — finish() runs once per bus transaction; the
+// completion point must stay heap-allocation-free (see tools/stlm_lint.py).
 #include "cam/cam_if.hpp"
 
 #include "fault/fault.hpp"
@@ -30,11 +32,19 @@ trace::TxnStatus txn_row_status(const Txn& txn) {
 
 CamIf::CamIf(Simulator& sim, std::string name, Time cycle,
              std::size_t width_bytes)
-    : Module(sim, std::move(name)), cycle_(cycle), width_(width_bytes) {
+    : Module(sim, std::move(name)),
+      cycle_(cycle),
+      width_(width_bytes),
+      cnt_transactions_(&stats_.counter_slot("transactions")),
+      cnt_reads_(&stats_.counter_slot("reads")),
+      cnt_writes_(&stats_.counter_slot("writes")),
+      cnt_bytes_(&stats_.counter_slot("bytes")) {
   STLM_ASSERT(!cycle_.is_zero(), "CAM cycle must be positive: " + full_name());
 }
 
 std::size_t CamIf::add_master(const std::string& name) {
+  // stlm-lint: allow(hot-path-alloc): master registration is elaboration,
+  // once per access point
   auto mp = std::make_unique<MasterPort>();
   mp->cam = this;
   mp->index = masters_.size();
@@ -117,11 +127,15 @@ void CamIf::finish(Txn& txn, std::size_t master, Time issue) {
   if (txn.deadline_missed && txn.status == Txn::Status::Ok) {
     txn.status = Txn::Status::Timeout;
   }
+  const bool read = txn.op == Txn::Op::Read;
+  ++*cnt_transactions_;
+  ++*(read ? cnt_reads_ : cnt_writes_);
+  *cnt_bytes_ += txn.payload_bytes();
   // One row per transaction, tagged with the issuing master so
   // per-master distributions are a group-by on TxnRecord::master.
   if (log_) {
-    const trace::TxnKind kind = txn.op == Txn::Op::Read ? trace::TxnKind::Read
-                                                        : trace::TxnKind::Write;
+    const trace::TxnKind kind =
+        read ? trace::TxnKind::Read : trace::TxnKind::Write;
     log_.record(kind, txn.id, txn.payload_bytes(), issue, txn.t_complete,
                 txn.t_grant, txn.t_data, txn_row_status(txn), txn.retries,
                 masters_[master]->log_id);

@@ -14,10 +14,13 @@
 // CamIf owns the contract every bus keeps, so each bus keeps it once:
 // the master access points, the slave table and its address decode,
 // fault delivery to a decoded target, and the completion point that
-// stamps the final status and writes the transaction's trace row. A
-// concrete bus implements only its timing and resource model: how a
-// transaction is routed, arbitrated and occupies the interconnect
-// (transport/submit), plus its statistics.
+// stamps the final status, counts the transaction and writes its trace
+// row. A concrete bus implements only its timing and resource model: how
+// a transaction is routed, arbitrated and occupies the interconnect
+// (transport/submit).
+//
+// A bus keeps integer counters only. Every latency, queueing and service
+// figure comes from the rows finish() writes (trace/channel_stats.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -78,8 +81,9 @@ public:
   Time cycle() const { return cycle_; }
   const AddressMap& address_map() const { return map_; }
 
-  /// Mutable statistic set (counters + accumulators) of this CAM.
-  virtual trace::StatSet& stats() { return stats_; }
+  /// Integer counters of this CAM: transactions, reads, writes, bytes,
+  /// plus the bus's own decode_errors / fast_path_hits.
+  const trace::StatSet& stats() const { return stats_; }
   /// Route per-transaction records into `log` (nullptr stops).
   void set_txn_logger(trace::TxnLogger* log);
 
@@ -121,9 +125,9 @@ protected:
   void deliver(std::size_t s, Txn& txn);
   // The completion point: stamps t_complete, promotes a watchdog-flagged
   // Ok to Timeout (an Error stays an Error — it already failed harder
-  // than the deadline), writes the transaction's row tagged with
-  // `master` and its timeline spans from `issue`. Statistics and waking
-  // the initiator stay with the bus.
+  // than the deadline), counts the transaction, writes its row tagged
+  // with `master` and its timeline spans from `issue`. Waking the
+  // initiator stays with the bus.
   void finish(Txn& txn, std::size_t master, Time issue);
 
   ocp::ocp_tl_slave_if& slave(std::size_t s) const { return *slaves_[s]; }
@@ -150,6 +154,13 @@ private:
 
   Time cycle_;
   std::size_t width_;
+  // Cached counter slots (stable addresses inside stats_). Completions
+  // on concurrent lanes may bump them in any order: integer increments
+  // commute.
+  std::uint64_t* cnt_transactions_;
+  std::uint64_t* cnt_reads_;
+  std::uint64_t* cnt_writes_;
+  std::uint64_t* cnt_bytes_;
   std::vector<std::unique_ptr<MasterPort>> masters_;
   std::vector<ocp::ocp_tl_slave_if*> slaves_;
   AddressMap map_;

@@ -106,9 +106,8 @@ void MappedSystem::report(std::ostream& out) const {
     trace::print_channel_table(out, channels);
   }
   if (cam_) {
-    out << "  bus utilization                  "
-        << const_cast<cam::CamIf*>(cam_.get())->utilization() << "\n";
-    const_cast<cam::CamIf*>(cam_.get())->stats().report(out, "bus statistics");
+    out << "  bus utilization                  " << cam_->utilization() << "\n";
+    cam_->stats().report(out, "bus statistics");
   }
   // Failure-semantics section: only printed when the platform actually
   // carries an injector or retry shims, so fault-free reports stay
@@ -151,7 +150,7 @@ void MappedSystem::report(std::ostream& out) const {
       << "  kernel inline advances           " << sim_.inline_advances()
       << "\n";
   if (cam_) {
-    auto& st = const_cast<cam::CamIf*>(cam_.get())->stats();
+    const trace::StatSet& st = cam_->stats();
     const std::uint64_t tx = st.counter("transactions");
     if (tx != 0) {
       out << "  bus fast-path hit rate           "

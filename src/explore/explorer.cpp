@@ -140,7 +140,6 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
   analyze_log(*ms, row);
   if (ms->bus()) {
     row.bus_utilization = ms->bus()->utilization();
-    // stats() folds sharded counters (crossbar), so read it once here.
     const trace::StatSet& st = ms->bus()->stats();
     const std::uint64_t tx = st.counter("transactions");
     if (tx != 0) {

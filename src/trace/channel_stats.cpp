@@ -6,6 +6,8 @@
 #include <map>
 #include <utility>
 
+#include "trace/stats.hpp"
+
 namespace stlm::trace {
 
 namespace {
@@ -57,9 +59,8 @@ LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
   LatencyDist d;
   if (records.empty()) return d;
 
-  std::vector<double> lat, queue;
+  std::vector<double> lat;
   lat.reserve(records.size());
-  queue.reserve(records.size());
   double sum_lat = 0.0, sum_queue = 0.0, sum_service = 0.0;
   for (const auto& r : records) {
     ++d.count;
@@ -67,7 +68,6 @@ LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
     const double l = r.latency_ns();
     const double q = r.queue_ns();
     lat.push_back(l);
-    queue.push_back(q);
     sum_lat += l;
     sum_queue += q;
     const double sv = r.service_ns();
@@ -91,10 +91,6 @@ LatencyDist latency_dist(const std::vector<TxnRecord>& records) {
   d.p50_ns = tail.p50;
   d.p95_ns = tail.p95;
   d.p99_ns = tail.p99;
-  d.p95_queue_ns = percentile(queue, 95.0);
-
-  d.hist = Histogram(0.0, d.max_ns, LatencyDist::kHistBins);
-  for (double l : lat) d.hist.add(l);
   return d;
 }
 

@@ -7,7 +7,7 @@
 // capacity-starved transactions blow out the tail. LatencyDist carries
 // the full picture — exact nearest-rank percentiles (p50/p95/p99), the
 // queueing/service split (queue = grant − issue, service = completion −
-// grant), and a trace::Histogram of the latency shape for reports.
+// grant).
 //
 // All numbers are derived purely from recorded timestamps, so they are
 // bit-identical run-to-run and across sweep vs. sweep_parallel like
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/stats.hpp"
 #include "trace/txn_log.hpp"
 
 namespace stlm::trace {
@@ -50,7 +49,6 @@ struct LatencyDist {
   // Queueing delay (issue -> grant) and service span (grant -> end).
   double mean_queue_ns = 0.0;
   double max_queue_ns = 0.0;
-  double p95_queue_ns = 0.0;
   double mean_service_ns = 0.0;
   double max_service_ns = 0.0;
   // Failure-semantics tallies (schema v3 record fields): final-status
@@ -60,10 +58,6 @@ struct LatencyDist {
   std::uint64_t timeouts = 0;
   std::uint64_t aborted = 0;
   std::uint64_t retried = 0;
-  // Latency shape over [0, max_ns] (kHistBins fixed-width bins).
-  Histogram hist{0.0, 1.0, 1};
-
-  static constexpr std::size_t kHistBins = 16;
 };
 
 // Distribution over every record in the log.

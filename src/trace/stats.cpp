@@ -10,11 +10,6 @@ void StatSet::report(std::ostream& os, const std::string& title) const {
   for (const auto& [name, c] : counters_) {
     os << "  " << std::left << std::setw(32) << name << " " << c << "\n";
   }
-  for (const auto& [name, a] : accs_) {
-    os << "  " << std::left << std::setw(32) << name << " n=" << a.count()
-       << " mean=" << a.mean() << " min=" << a.min() << " max=" << a.max()
-       << " sd=" << a.stddev() << "\n";
-  }
 }
 
 }  // namespace stlm::trace

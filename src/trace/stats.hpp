@@ -1,16 +1,13 @@
 #pragma once
-// Lightweight statistics used by the CAMs, the HW/SW interface, and the
-// exploration engine: scalar accumulators, counters, and named registries
-// whose contents render as report tables.
+// Lightweight statistics used by the CAMs and the exploration engine:
+// named integer counters whose contents render as a report table.
+// Latency, queueing and service figures are not kept here; they come
+// from the transaction rows (trace/channel_stats.hpp).
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace stlm::trace {
 
@@ -38,118 +35,9 @@ private:
   char fill_;
 };
 
-// Streaming accumulator: count / sum / min / max / mean / stddev.
-//
-// The variance is maintained with Welford's online algorithm: the naive
-// sum-of-squares formula cancels catastrophically once the mean dwarfs the
-// spread (e.g. nanosecond latencies offset by seconds of simulated time),
-// returning 0 or NaN where the true stddev is well-defined.
-class Accumulator {
-public:
-  void add(double v) {
-    ++n_;
-    sum_ += v;
-    const double delta = v - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (v - mean_);
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double stddev() const {
-    if (n_ < 2) return 0.0;
-    const double var = m2_ / static_cast<double>(n_ - 1);
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-  }
-
-  // Fold another accumulator into this one (Chan's parallel variant of
-  // Welford's update). Lets producers accumulate into per-shard
-  // accumulators — one per lane/worker, each updated by a single ordered
-  // producer — and combine them in a *fixed* shard order at read time,
-  // so the folded sums never depend on how the scheduler interleaved the
-  // producers (the hazard the determinism auditor flags on shared slots).
-  void merge(const Accumulator& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      *this = o;
-      return;
-    }
-    const std::uint64_t n = n_ + o.n_;
-    const double delta = o.mean_ - mean_;
-    m2_ += o.m2_ + delta * delta *
-                       (static_cast<double>(n_) * static_cast<double>(o.n_) /
-                        static_cast<double>(n));
-    mean_ += delta * static_cast<double>(o.n_) / static_cast<double>(n);
-    sum_ += o.sum_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-    n_ = n;
-  }
-
-  void reset() { *this = Accumulator{}; }
-
-private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;  // sum of squared deviations from the running mean
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Fixed-width bin histogram over [lo, hi); out-of-range values clamp into
-// the edge bins. Degenerate shapes are repaired at construction: zero bins
-// becomes one bin, and a non-increasing range (hi <= lo, or NaN bounds)
-// collapses to the unit interval above `lo` — so add() can never divide
-// by zero or clamp over an inverted range (both undefined behavior).
-class Histogram {
-public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo),
-        // Pure comparison — no `hi - lo` arithmetic, which would overflow
-        // to inf for valid ranges spanning most of the double domain and
-        // misclassify them as degenerate. NaN compares false and repairs.
-        hi_(hi > lo ? hi : lo + 1.0),
-        counts_(bins ? bins : 1, 0) {}
-
-  void add(double v) {
-    // Halved operands keep the span finite even for ranges approaching
-    // the full double domain (hi - lo would overflow to inf and send
-    // every sample to bin 0).
-    const double t = (v * 0.5 - lo_ * 0.5) / (hi_ * 0.5 - lo_ * 0.5);
-    // Clamp in floating point *before* the integer conversion: casting a
-    // NaN or an out-of-int64-range product is undefined behavior.
-    const double bins_d = static_cast<double>(counts_.size());
-    double scaled = t * bins_d;
-    if (!(scaled > 0.0)) scaled = 0.0;  // also catches NaN
-    if (scaled > bins_d - 1.0) scaled = bins_d - 1.0;
-    ++counts_[static_cast<std::size_t>(scaled)];
-    ++total_;
-  }
-
-  std::uint64_t total() const { return total_; }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
-private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-// Named scalar statistics, rendered as an aligned two-column table.
+// Named integer counters, rendered as an aligned two-column table.
 class StatSet {
 public:
-  Accumulator& acc(const std::string& name) { return accs_[name]; }
   void count(const std::string& name, std::uint64_t delta = 1) {
     counters_[name] += delta;
   }
@@ -162,24 +50,10 @@ public:
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-  const std::map<std::string, Accumulator>& accumulators() const {
-    return accs_;
-  }
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
 
   void report(std::ostream& os, const std::string& title) const;
-  // Zeroes every statistic IN PLACE (keys survive): hot paths cache
-  // references to the map nodes via acc()/counter_slot(), so reset must
-  // never erase nodes out from under them.
-  void reset() {
-    for (auto& [name, a] : accs_) a.reset();
-    for (auto& [name, v] : counters_) v = 0;
-  }
 
 private:
-  std::map<std::string, Accumulator> accs_;
   std::map<std::string, std::uint64_t> counters_;
 };
 

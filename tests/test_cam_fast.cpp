@@ -1,8 +1,8 @@
 // Tests for the kernel fast path (fast-target contract): with
 // `fast_targets` on, uncontended transactions to fast-capable slaves
 // resolve inline — no grant-engine wakeup, no coroutine switch — and
-// every observable (simulated time, stats, per-master rows, bank
-// state evolution) stays bit-identical to the engine path. Contention
+// every observable (simulated time, counters, rows, bank state
+// evolution) stays bit-identical to the engine path. Contention
 // falls back to the unchanged engine.
 #include <gtest/gtest.h>
 
@@ -55,11 +55,15 @@ std::unique_ptr<CamBase> make_bus(Simulator& sim, BusProto proto, bool fast) {
   return nullptr;
 }
 
-RunResult collect(Simulator& sim, CamBase& bus) {
+// `log` is the logger attached to `bus` for the whole run: the latency
+// and service means come from its rows.
+RunResult collect(Simulator& sim, const CamBase& bus,
+                  const trace::TxnLogger& log) {
+  const trace::LatencyDist d = trace::latency_dist(log.records());
   RunResult r;
   r.end = sim.now();
-  r.mean_latency_ns = bus.stats().acc("latency_ns").mean();
-  r.mean_service_ns = bus.stats().acc("service_ns").mean();
+  r.mean_latency_ns = d.mean_ns;
+  r.mean_service_ns = d.mean_service_ns;
   r.utilization = bus.utilization();
   r.transactions = bus.stats().counter("transactions");
   r.bytes = bus.stats().counter("bytes");
@@ -80,6 +84,7 @@ void expect_identical(const RunResult& fast, const RunResult& slow) {
 // a memory with real service latency.
 RunResult run_single_master(BusProto proto, bool fast, Time access_time) {
   Simulator sim;
+  trace::TxnLogger log;
   auto bus = make_bus(sim, proto, fast);
   ocp::MemorySlave mem("mem", 0, 1 << 16, access_time);
   bus->attach_slave(mem, {0, 1 << 16}, "mem");
@@ -97,8 +102,9 @@ RunResult run_single_master(BusProto proto, bool fast, Time access_time) {
       wait(5_ns);
     }
   });
+  bus->set_txn_logger(&log);
   sim.run();
-  return collect(sim, *bus);
+  return collect(sim, *bus, log);
 }
 
 }  // namespace
@@ -125,6 +131,7 @@ TEST(CamFast, SingleMasterBitIdenticalAcrossProtocols) {
 TEST(CamFast, PostedTransactionsBitIdentical) {
   auto run = [](bool fast) {
     Simulator sim;
+    trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
     ocp::MemorySlave mem("mem", 0, 1 << 16, 30_ns);
@@ -141,8 +148,9 @@ TEST(CamFast, PostedTransactionsBitIdentical) {
         wait(7_ns);
       }
     });
+    bus.set_txn_logger(&log);
     sim.run();
-    return collect(sim, bus);
+    return collect(sim, bus, log);
   };
   const RunResult slow = run(false);
   const RunResult fast = run(true);
@@ -156,6 +164,7 @@ TEST(CamFast, PostedTransactionsBitIdentical) {
 TEST(CamFast, BankedMemoryStateEvolutionBitIdentical) {
   auto run = [](bool fast) {
     Simulator sim;
+    trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
     ocp::BankedMemorySlave mem("dram", 0, 1 << 18);
@@ -176,8 +185,9 @@ TEST(CamFast, BankedMemoryStateEvolutionBitIdentical) {
         if (i % 4 == 0) wait(15_ns);
       }
     });
+    bus.set_txn_logger(&log);
     sim.run();
-    return collect(sim, bus);
+    return collect(sim, bus, log);
   };
   const RunResult slow = run(false);
   const RunResult fast = run(true);
@@ -193,6 +203,7 @@ TEST(CamFast, BankedMemoryStateEvolutionBitIdentical) {
 TEST(CamFast, ContendedTrafficFallsBackBitIdentical) {
   auto run = [](bool fast) {
     Simulator sim;
+    trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
     ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);
@@ -219,8 +230,9 @@ TEST(CamFast, ContendedTrafficFallsBackBitIdentical) {
         wait(10_ns);
       }
     });
+    bus.set_txn_logger(&log);
     sim.run();
-    return collect(sim, bus);
+    return collect(sim, bus, log);
   };
   const RunResult slow = run(false);
   const RunResult fast = run(true);
@@ -241,6 +253,7 @@ TEST(CamFast, ContendedTrafficFallsBackBitIdentical) {
 TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
   auto run = [](bool fast) {
     Simulator sim;
+    trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
     ocp::BankedMemorySlave mem("dram", 0, 1 << 18);  // variable latency
@@ -271,8 +284,9 @@ TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
         wait(40_ns);
       }
     });
+    bus.set_txn_logger(&log);
     sim.run();
-    return collect(sim, bus);
+    return collect(sim, bus, log);
   };
   const RunResult slow = run(false);
   const RunResult fast = run(true);
@@ -289,6 +303,7 @@ TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
 TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
   auto run = [](bool fast) {
     Simulator sim;
+    trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
     ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);  // fixed latency
@@ -316,8 +331,9 @@ TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
         wait(60_ns);
       }
     });
+    bus.set_txn_logger(&log);
     sim.run();
-    return collect(sim, bus);
+    return collect(sim, bus, log);
   };
   const RunResult slow = run(false);
   const RunResult fast = run(true);
@@ -332,6 +348,7 @@ TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
 TEST(CamFast, FallbackKeepsDeterminism) {
   auto run = [] {
     Simulator sim;
+    trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, /*fast_targets=*/true);
     ocp::MemorySlave mem("mem", 0, 1 << 16);
@@ -350,8 +367,9 @@ TEST(CamFast, FallbackKeepsDeterminism) {
       t.begin_write(0x100, p.data(), p.size());
       bus.master_port(m1).transport(t);
     });
+    bus.set_txn_logger(&log);
     sim.run();
-    return collect(sim, bus);
+    return collect(sim, bus, log);
   };
   const RunResult first = run();
   const RunResult second = run();
@@ -421,9 +439,5 @@ TEST(CamFast, PerMasterChannelsCarryLatencyDistributions) {
   EXPECT_FALSE(expl::is_master_channel("plb2.a", "plb", labels));
   EXPECT_TRUE(expl::is_master_channel("plb.a", "plb", labels));
   EXPECT_EQ(bus_count, 4u);
-  // The per-master group distributions match the per-master stat slots
-  // the bus already tracks.
-  EXPECT_DOUBLE_EQ(a_mean, bus.stats().acc("master_a_latency_ns").mean());
-  EXPECT_DOUBLE_EQ(b_mean, bus.stats().acc("master_b_latency_ns").mean());
   EXPECT_GT(b_mean, a_mean) << "b queued behind a and must show it";
 }

@@ -14,6 +14,7 @@
 #include "kernel/kernel.hpp"
 #include "ocp/memory.hpp"
 #include "ship/ship.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::cam;
@@ -492,9 +493,10 @@ TEST(CamSplit, AtomicEngineStampsFusedPhasesAndQueueing) {
   EXPECT_DOUBLE_EQ(rows[0].queue_ns(), 0.0);
   EXPECT_DOUBLE_EQ(rows[1].queue_ns(), 100.0);
   EXPECT_DOUBLE_EQ(rows[1].service_ns(), 80.0);
-  // The stats set separates service from end-to-end latency.
-  EXPECT_DOUBLE_EQ(bus.stats().acc("service_ns").mean(), 90.0);
-  EXPECT_DOUBLE_EQ(bus.stats().acc("latency_ns").mean(), 140.0);
+  // The row distribution separates service from end-to-end latency.
+  const trace::LatencyDist d = trace::latency_dist(log.records());
+  EXPECT_DOUBLE_EQ(d.mean_service_ns, 90.0);
+  EXPECT_DOUBLE_EQ(d.mean_ns, 140.0);
 }
 
 // Split engine: the data-phase stamp diverges from the grant stamp, and

@@ -8,6 +8,7 @@
 #include "cam/cam.hpp"
 #include "kernel/kernel.hpp"
 #include "ocp/memory.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::cam;
@@ -193,6 +194,7 @@ TEST(CamStressMisc, TdmaBoundsWorstCaseLatencyVsPriority) {
   // exceed its latency under static priority (where it is served last).
   auto run = [&](int arb_kind) {
     Simulator sim;
+    trace::TxnLogger log;
     std::unique_ptr<Arbiter> arb;
     if (arb_kind == 0) {
       arb = std::make_unique<PriorityArbiter>();
@@ -201,6 +203,7 @@ TEST(CamStressMisc, TdmaBoundsWorstCaseLatencyVsPriority) {
                                           8);
     }
     PlbCam bus(sim, "plb", 10_ns, std::move(arb));
+    bus.set_txn_logger(&log);
     ocp::MemorySlave mem("mem", 0, 1 << 20);
     bus.attach_slave(mem, {0, 1 << 20}, "mem");
     for (int m = 0; m < 4; ++m) {
@@ -214,7 +217,11 @@ TEST(CamStressMisc, TdmaBoundsWorstCaseLatencyVsPriority) {
       });
     }
     sim.run();
-    return bus.stats().acc("master_m3_latency_ns").mean();
+    for (const auto& c : trace::per_channel_stats(log)) {
+      if (c.channel == "plb.m3") return c.dist.mean_ns;
+    }
+    ADD_FAILURE() << "no rows for master m3";
+    return 0.0;
   };
   const double prio_worst = run(0);
   const double tdma_worst = run(1);

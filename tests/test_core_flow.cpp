@@ -325,7 +325,7 @@ INSTANTIATE_TEST_SUITE_P(Payloads, LevelEquivalence,
                          ::testing::Values(4u, 64u, 300u, 1024u));
 
 // The log holds one row per bus transaction: its summary agrees with the
-// bus's own transaction and byte counters.
+// bus's own transaction, read, write and byte counters.
 TEST(Mapper, LogSummaryCountsEachBusTransactionOnce) {
   for (const Platform& p : bus_platforms()) {
     TwoStreams sys;
@@ -337,6 +337,14 @@ TEST(Mapper, LogSummaryCountsEachBusTransactionOnce) {
     EXPECT_GT(s.count, 0u) << p.name;
     EXPECT_EQ(s.count, st.counter("transactions")) << p.name;
     EXPECT_EQ(s.bytes, st.counter("bytes")) << p.name;
+    std::uint64_t read_rows = 0;
+    for (const auto& r : ms->txn_log().records()) {
+      if (r.kind == trace::TxnKind::Read) ++read_rows;
+    }
+    EXPECT_EQ(st.counter("reads") + st.counter("writes"),
+              st.counter("transactions"))
+        << p.name;
+    EXPECT_EQ(st.counter("reads"), read_rows) << p.name;
   }
 }
 

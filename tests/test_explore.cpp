@@ -2,6 +2,7 @@
 // identical PE code and getting per-architecture metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "explore/explore.hpp"
 #include "explore_fixtures.hpp"
 #include "kernel/kernel.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::core;
@@ -108,6 +110,67 @@ TEST(Explorer, LatencyPercentilesAreOrderedAndQueueingVisible) {
   EXPECT_LE(r.p95_latency_ns, r.p99_latency_ns);
   EXPECT_GT(r.mean_queue_ns, 0.0) << "two producers on one bus never queued?";
   EXPECT_LT(r.mean_queue_ns, r.mean_latency_ns);
+}
+
+// analyze_log's claim: every latency column of a row is bit-identical to
+// trace::latency_dist over the cell's records, and the worst-master tail
+// is the largest p99 among the per-master row groups. The reference is
+// the same cell mapped and run by hand.
+TEST(Explorer, RowColumnsEqualLatencyDistOfTheCell) {
+  Platform shared;
+  shared.name = "shared";
+  shared.bus = BusKind::SharedBus;
+  Platform plb;
+  plb.name = "plb";
+  Platform split = plb;
+  split.name = "plb-split4";
+  split.split_txns = true;
+  split.max_outstanding = 4;
+  Platform opb;
+  opb.name = "opb";
+  opb.bus = BusKind::Opb;
+  opb.bus_cycle = 20_ns;
+  Platform xbar;
+  xbar.name = "xbar";
+  xbar.bus = BusKind::Crossbar;
+  const WorkloadCase wl = two_streams(10, 256);
+  for (const Platform& p : {shared, plb, split, opb, xbar}) {
+    Explorer ex;
+    const ExplorationRow row = ex.evaluate(p, wl, 100_ms);
+    ASSERT_TRUE(row.completed) << p.name;
+
+    std::vector<std::unique_ptr<ProcessingElement>> owned;
+    SystemGraph graph;
+    wl.factory(graph, owned);
+    graph.discover_roles();
+    Simulator sim;
+    auto ms = Mapper::map(sim, graph, p, AbstractionLevel::Cam);
+    ASSERT_TRUE(ms->run_until_done(100_ms)) << p.name;
+    const trace::LatencyDist d = trace::latency_dist(ms->txn_log().records());
+    ASSERT_GT(d.count, 0u) << p.name;
+    EXPECT_EQ(row.transactions, d.count) << p.name;
+    EXPECT_EQ(row.bytes, d.bytes) << p.name;
+    EXPECT_EQ(row.mean_latency_ns, d.mean_ns) << p.name;
+    EXPECT_EQ(row.p50_latency_ns, d.p50_ns) << p.name;
+    EXPECT_EQ(row.p95_latency_ns, d.p95_ns) << p.name;
+    EXPECT_EQ(row.p99_latency_ns, d.p99_ns) << p.name;
+    EXPECT_EQ(row.mean_queue_ns, d.mean_queue_ns) << p.name;
+
+    const cam::CamIf& bus = *ms->bus();
+    std::set<std::string> masters;
+    for (std::size_t i = 0; i < bus.master_count(); ++i) {
+      masters.insert(bus.name() + "." + bus.master_label(i));
+    }
+    double worst_p99 = 0.0;
+    std::size_t master_groups = 0;
+    for (const auto& c : trace::per_channel_stats(ms->txn_log())) {
+      if (masters.count(c.channel) == 0) continue;
+      ++master_groups;
+      worst_p99 = std::max(worst_p99, c.dist.p99_ns);
+    }
+    EXPECT_EQ(master_groups, 2u) << p.name;
+    EXPECT_EQ(row.worst_master_p99_ns, worst_p99) << p.name;
+  }
 }
 
 TEST(Explorer, PrintTableRestoresStreamFormatting) {

@@ -9,6 +9,7 @@
 #include "cam/cam.hpp"
 #include "kernel/kernel.hpp"
 #include "ocp/memory.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -112,7 +113,7 @@ struct RunResult {
   Time finished;
   std::uint64_t transactions;
   std::uint64_t bytes;
-  double latency_sum_ns;
+  double latency_sum_ns = 0.0;  // row order
   double latency_mean_ns;
   double utilization;
   std::uint64_t events_registered_during_run;
@@ -128,8 +129,10 @@ constexpr std::size_t kPayload = 64;
 // otherwise every transaction goes through the value-typed compat API.
 RunResult run_scenario(bool use_txn_api) {
   Simulator sim;
+  trace::TxnLogger log;
   cam::PlbCam bus(sim, "plb", 10_ns,
                   std::make_unique<cam::RoundRobinArbiter>());
+  bus.set_txn_logger(&log);
   ocp::MemorySlave mem("mem", 0, 1 << 20);
   bus.attach_slave(mem, {0, 1 << 20}, "mem");
   for (std::size_t m = 0; m < kMasters; ++m) {
@@ -159,8 +162,8 @@ RunResult run_scenario(bool use_txn_api) {
   r.finished = sim.now();
   r.transactions = bus.stats().counter("transactions");
   r.bytes = bus.stats().counter("bytes");
-  r.latency_sum_ns = bus.stats().acc("latency_ns").sum();
-  r.latency_mean_ns = bus.stats().acc("latency_ns").mean();
+  for (const auto& row : log.records()) r.latency_sum_ns += row.latency_ns();
+  r.latency_mean_ns = trace::latency_dist(log.records()).mean_ns;
   r.utilization = bus.utilization();
   r.events_registered_during_run =
       sim.events_registered_total() - events_before;
