@@ -2,7 +2,9 @@
 //
 // A SW task (RTOS on the CPU model) does SHIP request/reply round trips
 // to a HW PE through the generic HW/SW interface, swept over payload
-// size. Reported: simulated round-trip latency and simulated goodput.
+// size. Reported: simulated round-trip latency and simulated goodput
+// (both directions' payload over the time the last round trip
+// completed), interrupts, CPU bus transactions and thread resumes.
 // Expected shape: latency flat for small payloads (driver + IRQ + ISR
 // overhead dominates), then linear once chunked mailbox copies dominate;
 // goodput saturates toward the bus limit.
@@ -27,14 +29,14 @@ constexpr int kRoundTrips = 24;
 void BM_HwSwRoundTrip(benchmark::State& state) {
   const auto payload = static_cast<std::size_t>(state.range(0));
   double rt_latency_us = 0.0, goodput_mbps = 0.0;
-  double irqs = 0.0, cpu_txns = 0.0;
+  double irqs = 0.0, cpu_txns = 0.0, ctx_switches = 0.0;
 
   for (auto _ : state) {
     Simulator sim;
     cam::PlbCam bus(sim, "plb", 10_ns,
                     std::make_unique<cam::PriorityArbiter>());
     cam::MailboxLayout layout{0x8000, 256};
-    hwsw::HwAdapter adapter(sim, "hwacc", layout, 10_ns);
+    hwsw::HwAdapter adapter(sim, "hwacc", layout);
     bus.attach_slave(adapter, layout.range(), "hwacc");
     cpu::CpuModel cpu(sim, "cpu", 10_ns);
     cpu.bus().bind(bus.master_port(bus.add_master("cpu")));
@@ -47,6 +49,7 @@ void BM_HwSwRoundTrip(benchmark::State& state) {
     });
 
     Time total_rt = Time::zero();
+    Time last_done = Time::zero();
     os.create_task("app", 1, [&] {
       ship::VectorMsg<> req(payload, 0x22), resp;
       for (int i = 0; i < kRoundTrips; ++i) {
@@ -54,6 +57,7 @@ void BM_HwSwRoundTrip(benchmark::State& state) {
         drv.request(req, resp);
         total_rt += sim.now() - s;
       }
+      last_done = sim.now();
     });
     sim.spawn_thread("hw_pe", [&] {
       ship::VectorMsg<> msg;
@@ -62,20 +66,21 @@ void BM_HwSwRoundTrip(benchmark::State& state) {
         adapter.reply(msg);
       }
     });
-    sim.spawn_thread("watch", [&] {
-      while (!os.all_tasks_terminated()) wait(10_us);
-      sim.stop();
-    });
-    sim.run();
+    sim.run();  // ends when the events run out
+    if (!os.all_tasks_terminated()) {
+      state.SkipWithError("round trips did not complete");
+      break;
+    }
 
     rt_latency_us = total_rt.to_seconds() * 1e6 / kRoundTrips;
-    const double sim_s = sim.now().to_seconds();
+    const double sim_s = last_done.to_seconds();
     goodput_mbps = sim_s > 0
                        ? 2.0 * kRoundTrips * static_cast<double>(payload) /
                              sim_s / 1e6
                        : 0.0;
     irqs = static_cast<double>(adapter.irq_count());
     cpu_txns = static_cast<double>(cpu.bus_transactions());
+    ctx_switches = static_cast<double>(sim.ctx_switches());
   }
 
   state.SetItemsProcessed(state.iterations() * kRoundTrips);
@@ -83,6 +88,7 @@ void BM_HwSwRoundTrip(benchmark::State& state) {
   state.counters["goodput_MBps_sim"] = goodput_mbps;
   state.counters["irqs"] = irqs;
   state.counters["cpu_bus_txns"] = cpu_txns;
+  state.counters["ctx_switches"] = ctx_switches;
 }
 
 }  // namespace

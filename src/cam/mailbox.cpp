@@ -128,9 +128,15 @@ MailboxTerminal::MailboxTerminal(Simulator& sim, std::string name,
       ship::ship_if(Module::name(), fixed),
       mailbox_(sim, full_name(), layout) {}
 
+void MailboxTerminal::handle(Txn& txn) {
+  const bool was_pending = mailbox_.outbound_pending();
+  mailbox_.handle(txn);
+  if (was_pending && !mailbox_.outbound_pending()) outbound_changed(false);
+}
+
 void MailboxTerminal::put(const ship::ship_serializable_if& msg,
                           ship::MsgKind kind) {
-  if (mailbox_.put(msg, MailboxLayout::flags(kind))) outbound_started();
+  if (mailbox_.put(msg, MailboxLayout::flags(kind))) outbound_changed(true);
 }
 
 void decode_outbound(std::vector<std::uint8_t>& bytes,

@@ -5,7 +5,8 @@
 //   * HW/HW — ShipMasterWrapper (initiator, polls RSTATUS) talks to a
 //     ShipSlaveWrapper (target);
 //   * HW/SW — ShipDriver (initiator, CPU MMIO, drains on an interrupt)
-//     talks to an HwAdapter (target).
+//     talks to an HwAdapter (target), whose interrupt is high while the
+//     outbound queue is non-empty.
 // Both targets are a MailboxTerminal.
 //
 // Register map (offsets from the mailbox base; W = window_bytes):
@@ -115,7 +116,7 @@ public:
                   ship::Role fixed = ship::Role::Unknown);
 
   using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override { mailbox_.handle(txn); }
+  void handle(Txn& txn) override;
   // The mailbox FSM is wait-free, so the default zero-latency
   // fast_handle(), which runs handle() at the effective access time, is
   // exact.
@@ -128,9 +129,10 @@ public:
   std::uint64_t messages_out() const { return mailbox_.messages_out(); }
 
 protected:
-  // Runs when put() queues a message behind an empty outbound queue.
-  virtual void outbound_started() {}
-  bool outbound_pending() const { return mailbox_.outbound_pending(); }
+  // Runs when the outbound queue turns non-empty (put() behind an empty
+  // queue; `pending` true) or empty (the RACK that pops its last message;
+  // `pending` false).
+  virtual void outbound_changed(bool /*pending*/) {}
 
 private:
   void put(const ship::ship_serializable_if& msg,

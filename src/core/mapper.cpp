@@ -410,7 +410,7 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
       // HW/SW crossing: adapter + driver.
       const cam::MailboxLayout layout = alloc_layout();
       ms.adapters_.push_back(std::make_unique<hwsw::HwAdapter>(
-          ms.sim_, spec.name + ".hwadapter", layout, p.bus_cycle));
+          ms.sim_, spec.name + ".hwadapter", layout));
       hwsw::HwAdapter& ad = *ms.adapters_.back();
       ms.cam_->attach_slave(ad, layout.range(), spec.name);
       const std::uint32_t line = next_irq_line++;

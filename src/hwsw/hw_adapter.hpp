@@ -6,10 +6,24 @@
 // hardware half: toward the system's communication architecture it is an
 // OCP slave (shared-memory mailbox + control registers); toward the
 // HW PE it presents the SHIP interface method calls; toward the CPU it
-// raises a sideband interrupt when hardware-to-software data is ready.
+// drives a sideband interrupt while hardware-to-software data is ready.
 //
 // The adapter is a cam::MailboxTerminal, the same target terminal as the
 // HW/HW slave wrapper; it adds the interrupt.
+//
+// The interrupt is a level: irq() is high exactly while an outbound
+// message is queued. put() raises it behind an empty queue, and the RACK
+// that pops the last message lowers it; no process runs for it. The
+// interrupt controller latches rising edges, and the driver's ISR drains
+// until RSTATUS reads 0, which is the acknowledge. No message is missed:
+//   * a put() while the queue is non-empty makes no edge, but the ISR's
+//     drain loop is still running and reads RSTATUS again;
+//   * a put() in the same delta as the RACK that empties the queue leaves
+//     the line high with no edge, and is caught the same way: the ISR
+//     always reads RSTATUS again after its last RACK;
+//   * a put() after that final RSTATUS read finds the line low (the RACK's
+//     write has settled) and raises a fresh edge, which the controller
+//     latches and the RTOS dispatches once the current ISR returns.
 
 #include <cstdint>
 #include <string>
@@ -21,24 +35,24 @@ namespace stlm::hwsw {
 
 class HwAdapter final : public cam::MailboxTerminal {
 public:
-  // `irq_pulse` is how long the sideband interrupt stays high (typically
-  // one bus clock cycle).
-  HwAdapter(Simulator& sim, std::string name, cam::MailboxLayout layout,
-            Time irq_pulse);
+  HwAdapter(Simulator& sim, std::string name, cam::MailboxLayout layout)
+      : MailboxTerminal(sim, std::move(name), layout),
+        irq_(sim, full_name() + ".irq", false) {}
 
   // Sideband interrupt toward the CPU's interrupt controller.
   Signal<bool>& irq() { return irq_; }
+  // Rising edges of irq().
   std::uint64_t irq_count() const { return irqs_; }
 
 private:
-  // A message queued for the SW side raises the IRQ when the queue was
-  // empty (the pulser re-raises it while messages remain).
-  void outbound_started() override { irq_trigger_.notify_delta(); }
-  void irq_pulser();
+  void outbound_changed(bool pending) override {
+    // read() is the settled level: a lower and a raise in one delta leave
+    // it high, so that raise is no edge.
+    if (pending && !irq_.read()) ++irqs_;
+    irq_.write(pending);
+  }
 
   Signal<bool> irq_;
-  Time irq_pulse_;
-  Event irq_trigger_;
   std::uint64_t irqs_ = 0;
 };
 

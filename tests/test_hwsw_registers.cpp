@@ -32,7 +32,7 @@ std::uint32_t as_word(const std::vector<std::uint8_t>& b) {
 struct AdapterFixture {
   Simulator sim;
   cam::MailboxLayout layout{0x1000, 64};
-  HwAdapter adapter{sim, "ad", layout, 10_ns};
+  HwAdapter adapter{sim, "ad", layout};
 };
 
 }  // namespace
@@ -44,7 +44,7 @@ struct AdapterFixture {
 struct AdapterFront {
   Simulator sim;
   cam::MailboxLayout layout{0x1000, 64};
-  HwAdapter dut{sim, "ad", layout, 10_ns};
+  HwAdapter dut{sim, "ad", layout};
 };
 
 struct WrapperFront {
@@ -159,12 +159,12 @@ TEST(MailboxWindow, BoundsCheckedOnBothFrontEnds) {
   for (std::uint32_t w : {0u, 3u, cam::MailboxLayout::kLenMask + 1}) {
     Simulator sim;
     const cam::MailboxLayout layout{0x1000, w};
-    EXPECT_THROW(HwAdapter(sim, "ad", layout, 10_ns), SimulationError) << w;
+    EXPECT_THROW(HwAdapter(sim, "ad", layout), SimulationError) << w;
     EXPECT_THROW(cam::ShipSlaveWrapper(sim, "sw", layout), SimulationError)
         << w;
   }
   Simulator sim;
-  EXPECT_NO_THROW(HwAdapter(sim, "ad", {0x1000, 4}, 10_ns));
+  EXPECT_NO_THROW(HwAdapter(sim, "ad", {0x1000, 4}));
 }
 
 TEST(HwAdapterRegisters, RstatusReflectsOutboundHead) {
@@ -195,39 +195,56 @@ TEST(HwAdapterRegisters, RstatusReflectsOutboundHead) {
   f.sim.run();
 }
 
-TEST(HwAdapterRegisters, IrqPulsesOnOutboundMessage) {
+// The IRQ is a level: high exactly while an outbound message is queued,
+// with one rising edge per empty -> non-empty transition of the queue.
+TEST(HwAdapterRegisters, IrqLineFollowsOutboundQueue) {
   AdapterFixture f;
   int posedges = 0;
   f.sim.spawn_method("count", [&] { ++posedges; },
                      {&f.adapter.irq().posedge_event()},
                      /*run_at_start=*/false);
+  std::vector<std::string> mismatches;
+  // Samples the settled line against the queue once per 50 ns.
+  f.sim.spawn_thread("probe", [&] {
+    for (int i = 0; i < 60; ++i) {
+      wait(50_ns);
+      const bool queued =
+          (as_word(f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4))
+                       .data) &
+           cam::MailboxLayout::kLenMask) != 0;
+      if (f.adapter.irq().read() != queued) {
+        mismatches.push_back(f.sim.now().to_string());
+      }
+    }
+  });
   f.sim.spawn_thread("hw_pe", [&] {
     ship::PodMsg<int> m(1);
     f.adapter.send(m);
     wait(1_us);
-    // Second message while the first is still queued: after the SW side
-    // drains the first, the pulser re-raises for the second.
+    // Second message while the first is still queued: no new edge, and
+    // the line stays high after the first RACK.
     f.adapter.send(m);
     wait(1_us);
   });
   f.sim.spawn_thread("bus_master", [&] {
-    // Drain both messages with RACKs.
+    wait(1510_ns);  // both messages queued
     for (int i = 0; i < 2; ++i) {
-      std::uint32_t len = 0;
-      do {
-        wait(100_ns);
-        len = as_word(
-                  f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4))
+      const std::uint32_t len =
+          as_word(f.adapter.handle(ocp::Request::read(f.layout.rstatus(), 4))
                       .data) &
-              cam::MailboxLayout::kLenMask;
-      } while (len == 0);
+          cam::MailboxLayout::kLenMask;
+      ASSERT_NE(len, 0u);
       f.adapter.handle(ocp::Request::read(f.layout.data_out(), len));
       f.adapter.handle(ocp::Request::write(f.layout.rack(), word(0)));
+      wait(200_ns);
+      EXPECT_EQ(f.adapter.irq().read(), i == 0) << "after RACK " << i;
     }
   });
   f.sim.run();
-  EXPECT_GE(posedges, 2);
-  EXPECT_EQ(f.adapter.irq_count(), static_cast<std::uint64_t>(posedges));
+  EXPECT_TRUE(mismatches.empty()) << ::testing::PrintToString(mismatches);
+  EXPECT_EQ(posedges, 1);
+  EXPECT_EQ(f.adapter.irq_count(), 1u);
+  EXPECT_FALSE(f.adapter.irq().read());
 }
 
 TEST(HwAdapterRegisters, ReplyFlagRoutesToReplyQueue) {
