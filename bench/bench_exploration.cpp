@@ -94,8 +94,8 @@ void BM_ExploreCamLibrary(benchmark::State& state) {
 // comparable across PRs even as the default grid grows new axes.
 std::vector<core::Platform> atomic_grid() {
   expl::GridSpec spec;
-  spec.max_outstanding = {1};
-  spec.fast_targets = {false};
+  spec.knobs.max_outstanding = {1};
+  spec.knobs.fast_targets = {false};
   return expl::grid_candidates(spec);
 }
 
@@ -105,8 +105,8 @@ std::vector<core::Platform> atomic_grid() {
 // is pure kernel overhead removed by fast targets.
 std::vector<core::Platform> fast_grid() {
   expl::GridSpec spec;
-  spec.max_outstanding = {1};
-  spec.fast_targets = {true};
+  spec.knobs.max_outstanding = {1};
+  spec.knobs.fast_targets = {true};
   return expl::grid_candidates(spec);
 }
 
@@ -172,7 +172,7 @@ void BM_ExploreSplitGrid(benchmark::State& state) {
   expl::Explorer explorer;
   const std::vector<workload::WorkloadCase> soc{{"", soc_factory()}};
   expl::GridSpec spec;
-  spec.fast_targets = {false};
+  spec.knobs.fast_targets = {false};
   const auto candidates = expl::grid_candidates(spec);
   for (auto _ : state) {
     auto rows = explorer.sweep_parallel(candidates, soc, 200_ms, threads);

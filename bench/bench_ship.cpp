@@ -4,6 +4,9 @@
 // channel (pure protocol + serialization overhead, no modeled bus time),
 // swept over payload size. Expected shape: near-constant base cost,
 // linear growth once the payload dominates (the serialization memcpy).
+// The `ctx_switches` counter (kernel coroutine dispatches of one run) is
+// simulated, so bench/baselines/BENCH_ship.baseline.json gates it
+// exactly.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +22,7 @@ constexpr int kMessagesPerRun = 256;
 
 void BM_SendRecv(benchmark::State& state) {
   const auto payload = static_cast<std::size_t>(state.range(0));
+  double switches = 0.0;
   for (auto _ : state) {
     Simulator sim;
     ship::ShipChannel ch(sim, "ch", 2);
@@ -31,14 +35,17 @@ void BM_SendRecv(benchmark::State& state) {
       for (int i = 0; i < kMessagesPerRun; ++i) ch.b().recv(m);
     });
     sim.run();
+    switches = static_cast<double>(sim.ctx_switches());
   }
   state.SetItemsProcessed(state.iterations() * kMessagesPerRun);
   state.SetBytesProcessed(state.iterations() * kMessagesPerRun *
                           static_cast<std::int64_t>(payload));
+  state.counters["ctx_switches"] = switches;
 }
 
 void BM_RequestReply(benchmark::State& state) {
   const auto payload = static_cast<std::size_t>(state.range(0));
+  double switches = 0.0;
   for (auto _ : state) {
     Simulator sim;
     ship::ShipChannel ch(sim, "ch");
@@ -54,15 +61,18 @@ void BM_RequestReply(benchmark::State& state) {
       }
     });
     sim.run();
+    switches = static_cast<double>(sim.ctx_switches());
   }
   state.SetItemsProcessed(state.iterations() * kMessagesPerRun);
   state.SetBytesProcessed(state.iterations() * kMessagesPerRun * 2 *
                           static_cast<std::int64_t>(payload));
+  state.counters["ctx_switches"] = switches;
 }
 
 // Baseline: the cost of a bare coroutine handoff through the kernel (one
 // event wait + notify round trip), to show SHIP's overhead on top.
 void BM_RawHandoffBaseline(benchmark::State& state) {
+  double switches = 0.0;
   for (auto _ : state) {
     Simulator sim;
     Event ping(sim, "ping"), pong(sim, "pong");
@@ -79,8 +89,10 @@ void BM_RawHandoffBaseline(benchmark::State& state) {
       }
     });
     sim.run();
+    switches = static_cast<double>(sim.ctx_switches());
   }
   state.SetItemsProcessed(state.iterations() * kMessagesPerRun);
+  state.counters["ctx_switches"] = switches;
 }
 
 }  // namespace

@@ -74,6 +74,11 @@ public:
   bool aborted_early() const { return aborted_early_; }
 
   trace::TxnLogger& txn_log() { return log_; }
+  // The SHIP channels of the abstract levels, in SystemGraph::channels()
+  // order (empty at the CAM level).
+  const std::vector<std::unique_ptr<ship::ShipChannel>>& channels() const {
+    return channels_;
+  }
   cam::CamIf* bus() { return cam_.get(); }
   cpu::CpuModel* cpu_model() { return cpu_.get(); }
   rtos::Rtos* os() { return rtos_.get(); }

@@ -57,8 +57,14 @@ std::string grid_point_name(const Platform& p) {
     name += arb_kind_name(p.arb);
   }
   name += '-';
-  name += std::to_string(p.bus_cycle / Time::ns(1));
-  name += "ns-";
+  if (p.bus_cycle % Time::ns(1) == Time::zero()) {
+    name += std::to_string(p.bus_cycle / Time::ns(1)) + "ns";
+  } else if (p.bus_cycle % Time::ps(1) == Time::zero()) {
+    name += std::to_string(p.bus_cycle / Time::ps(1)) + "ps";
+  } else {
+    name += std::to_string(p.bus_cycle / Time::fs(1)) + "fs";
+  }
+  name += '-';
   name += std::to_string(p.bus_width_bytes() * 8);
   name += 'b';
   if (p.split_active()) {
@@ -77,6 +83,13 @@ std::string grid_point_name(const Platform& p) {
     name += p.retry.name.empty() ? std::string("retry") : p.retry.name;
   }
   return name;
+}
+
+void finish_knob_point(Platform& p, const KnobSpace& space) {
+  if (p.bus == BusKind::Crossbar && !space.arbs.empty()) {
+    p.arb = space.arbs.front();
+  }
+  p.name = grid_point_name(p);
 }
 
 namespace {
@@ -114,13 +127,7 @@ std::vector<Platform> grid_neighbors(const Platform& p,
   auto emit = [&](Platform cand) {
     const std::size_t k = cand.split_active() ? cand.max_outstanding : 1;
     if (!knob_point_valid(cand.bus, k, cand.fast_targets)) return;
-    // A crossbar has no arbiter and its grid name does not encode one;
-    // pin the field so the emitted Platform is a pure function of its
-    // name (two parents proposing the same crossbar point must agree).
-    if (cand.bus == BusKind::Crossbar && !space.arbs.empty()) {
-      cand.arb = space.arbs.front();
-    }
-    cand.name = grid_point_name(cand);
+    finish_knob_point(cand, space);
     out.push_back(std::move(cand));
   };
 

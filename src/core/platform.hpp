@@ -108,10 +108,10 @@ struct Platform {
 };
 
 // Knob axes of the exploration space: the ordered value lists a search
-// may step through, one knob at a time. Mirrors the timing axes of
-// expl::GridSpec (see GridSpec::knobs()); failure axes are deliberately
-// absent — mutation explores timing knobs and inherits the parent's
-// fault/retry configuration unchanged.
+// may step through, one knob at a time. expl::GridSpec crosses the same
+// axes into a grid; failure axes are deliberately absent — mutation
+// explores timing knobs and inherits the parent's fault/retry
+// configuration unchanged.
 struct KnobSpace {
   std::vector<BusKind> buses;
   std::vector<ArbKind> arbs;
@@ -128,11 +128,20 @@ struct KnobSpace {
 bool knob_point_valid(BusKind bus, std::size_t outstanding, bool fast);
 
 // Canonical exploration-grid name for a platform's knob settings:
-// "<bus>[-<arb>]-<cycle>ns-<width>b[-split<k>][-fast][-<fault>][-<retry>]".
+// "<bus>[-<arb>]-<cycle>-<width>b[-split<k>][-fast][-<fault>][-<retry>]".
+// The cycle is spelled in whole ns ("10ns") when it is one, else exactly
+// in ps or fs ("2500ps"), so distinct cycles never share a name.
 // grid_candidates() and grid_neighbors() both name through here, so a
 // mutated neighbor that lands on an existing grid point gets the grid
 // point's exact name (deduplication by name is sound).
 std::string grid_point_name(const Platform& p);
+
+// Settle a point of `space` whose knob fields are set: a crossbar has no
+// arbiter and its name encodes none, so its `arb` is pinned to the
+// space's first arbiter, and the point is named by grid_point_name. Both
+// grid_candidates() and grid_neighbors() finish their points here, so a
+// Platform is a pure function of its name, whichever of them built it.
+void finish_knob_point(Platform& p, const KnobSpace& space);
 
 // One-knob-at-a-time neighbors of `p` inside `space`: for every axis
 // whose value list contains p's current setting, the adjacent values

@@ -1,11 +1,8 @@
 #include "core/system_graph.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 
-#include "core/esw.hpp"
-#include "ship/timing.hpp"
+#include "core/mapper.hpp"
 
 namespace stlm::core {
 
@@ -72,30 +69,18 @@ bool SystemGraph::roles_known() const {
 void SystemGraph::discover_roles(Time budget) {
   if (roles_known()) return;
 
-  // Scratch component-assembly run. A minimal CCATB timing (one cycle per
-  // message) guarantees simulated time advances, so the budget bounds the
-  // run even for PEs that never wait.
+  // Probe run: the graph mapped at CCATB level in a scratch simulator.
+  // One-cycle (1 ns) message timing guarantees simulated time advances,
+  // so the budget bounds the run even for PEs that never wait.
+  Platform probe;
+  probe.pe_clock = Time::ns(1);
+  probe.bus_cycle = Time::ns(1);
+  probe.data_width_bytes = 4;
+  probe.ccatb_setup_cycles = 1;
   Simulator scratch;
-  std::vector<std::unique_ptr<ship::ShipChannel>> chans;
-  std::vector<std::unique_ptr<HwExecContext>> ctxs;
-  std::map<const ProcessingElement*, HwExecContext*> ctx_of;
-
-  for (ProcessingElement* pe : pes_) {
-    ctxs.push_back(std::make_unique<HwExecContext>(scratch, Time::ns(1)));
-    ctx_of[pe] = ctxs.back().get();
-  }
-  for (const ChannelSpec& spec : channels_) {
-    chans.push_back(std::make_unique<ship::ShipChannel>(
-        scratch, spec.name, spec.queue_depth,
-        std::make_unique<ship::CcatbModel>(Time::ns(1), 4, 1)));
-    ctx_of[spec.a]->add_channel(spec.port_a, chans.back()->a());
-    ctx_of[spec.b]->add_channel(spec.port_b, chans.back()->b());
-  }
-  for (ProcessingElement* pe : pes_) {
-    HwExecContext* ctx = ctx_of[pe];
-    scratch.spawn_thread("probe." + pe->name(), [pe, ctx] { pe->run(*ctx); });
-  }
-  scratch.run_for(budget);
+  const auto ms = Mapper::map(scratch, *this, probe, AbstractionLevel::Ccatb);
+  ms->run_for(budget);
+  const auto& chans = ms->channels();
 
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     ChannelSpec& spec = channels_[i];

@@ -81,11 +81,12 @@ public:
   const std::vector<ChannelSpec>& channels() const { return channels_; }
   std::vector<ChannelSpec>& channels() { return channels_; }
 
-  // Execute the component-assembly model in a scratch simulator for
-  // `budget` of simulated activity and record each channel's detected
-  // roles. Throws ElaborationError if any channel's roles remain unknown
-  // afterwards (e.g. a PE that never communicated within the budget) or
-  // both of its terminals acted as master, or both as slave.
+  // Map the graph at CCATB level (Mapper::map, one-cycle 1 ns message
+  // timing) in a scratch simulator, run it for `budget` of simulated
+  // activity and record each channel's detected roles. Throws
+  // ElaborationError if any channel's roles remain unknown afterwards
+  // (e.g. a PE that never communicated within the budget) or both of
+  // its terminals acted as master, or both as slave.
   void discover_roles(Time budget = Time::us(100));
 
   // True once every channel has known roles.

@@ -14,50 +14,35 @@
 
 namespace stlm::expl {
 
-namespace {
-
-// Latency buffers for the row analysis, reused by every cell a thread
-// evaluates: one for every row, one per master id (TxnRecord::master).
-struct RowScratch {
-  std::vector<double> overall;
-  std::vector<std::vector<double>> per_master;
-};
-
-}  // namespace
-
-// The row's latency, failure and goodput columns, in one pass over the
-// log. Bus rows carrying a master also feed that master's group for the
-// worst-master tail column. Sums run in record order and the percentiles
-// are the same nearest-rank picks trace::latency_dist makes, so every
-// column is bit-identical to a latency_dist over the records.
+// The row's latency, failure and goodput columns. The distribution
+// columns come from trace::latency_dist over the log; one more pass
+// collects what it lacks: per-master latencies (TxnRecord::master) for
+// the worst-master tail, delivered bytes for goodput, and SLO misses.
 void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
-  thread_local RowScratch scratch;
   const trace::TxnLogger& log = ms.txn_log();
+  const trace::LatencyDist d = trace::latency_dist(log.records());
+  row.transactions = d.count;
+  row.bytes = d.bytes;
+  row.mean_latency_ns = d.mean_ns;
+  row.p50_latency_ns = d.p50_ns;
+  row.p95_latency_ns = d.p95_ns;
+  row.p99_latency_ns = d.p99_ns;
+  row.mean_queue_ns = d.mean_queue_ns;
+  row.retries = d.retried;
+
+  // One latency buffer per master id, reused by every cell a thread
+  // evaluates.
+  thread_local std::vector<std::vector<double>> per_master;
   const std::uint32_t n_channels = log.channel_count();
+  if (per_master.size() < n_channels) per_master.resize(n_channels);
+  for (std::uint32_t id = 0; id < n_channels; ++id) per_master[id].clear();
 
-  std::vector<double>& lat = scratch.overall;
-  lat.clear();
-  if (scratch.per_master.size() < n_channels) {
-    scratch.per_master.resize(n_channels);
-  }
-  for (std::uint32_t id = 0; id < n_channels; ++id) {
-    scratch.per_master[id].clear();
-  }
-
-  double sum_lat = 0.0;
-  double sum_queue = 0.0;
-  std::uint64_t not_ok = 0;
   std::uint64_t valid_bytes = 0;
   std::uint64_t slo_missed = 0;
   const double slo_ns = slo_.to_ns();
   for (const auto& r : log.records()) {
     const double l = r.latency_ns();
-    if (r.master < n_channels) scratch.per_master[r.master].push_back(l);
-    lat.push_back(l);
-    sum_lat += l;
-    sum_queue += r.queue_ns();
-    row.bytes += r.bytes;
-    if (r.status != trace::TxnStatus::Ok) ++not_ok;
+    if (r.master < n_channels) per_master[r.master].push_back(l);
     // Goodput follows Transaction::data_valid(): Ok plus late-but-
     // correct Timeout — the watchdog fired but the payload arrived, so
     // the bytes were delivered (they still count toward error_rate).
@@ -65,20 +50,12 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
         r.status == trace::TxnStatus::Timeout) {
       valid_bytes += r.bytes;
     }
-    if (r.retries > 0) ++row.retries;
     if (slo_ns > 0.0 && l > slo_ns) ++slo_missed;
   }
 
-  row.transactions = lat.size();
-  if (!lat.empty()) {
-    const auto n = static_cast<double>(lat.size());
-    row.mean_latency_ns = sum_lat / n;
-    row.mean_queue_ns = sum_queue / n;
-    const trace::TailPercentiles tail = trace::tail_percentiles(lat);
-    row.p50_latency_ns = tail.p50;
-    row.p95_latency_ns = tail.p95;
-    row.p99_latency_ns = tail.p99;
-    row.error_rate = static_cast<double>(not_ok) / n;
+  if (d.count != 0) {
+    const auto n = static_cast<double>(d.count);
+    row.error_rate = static_cast<double>(d.errors + d.timeouts + d.aborted) / n;
     row.slo_miss_pct = 100.0 * static_cast<double>(slo_missed) / n;
   }
   if (row.sim_time_us > 0.0) {
@@ -89,7 +66,7 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
   row.timeouts = totals.timeouts;
   row.aborted = totals.aborts;
   for (std::uint32_t id = 0; id < n_channels; ++id) {
-    std::vector<double>& m = scratch.per_master[id];
+    std::vector<double>& m = per_master[id];
     if (m.empty()) continue;
     row.worst_master_p99_ns =
         std::max(row.worst_master_p99_ns, trace::percentile(m, 99.0));
@@ -124,12 +101,8 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
   // stlm-lint: allow(determinism-wall-clock): measures host wall time for
   // the row's wall_ms speed metric; never feeds back into simulated state
   const auto wall_start = std::chrono::steady_clock::now();
-  if (budget.should_abort) {
-    row.completed = ms->run_until_done(max_time, budget);
-    row.pruned = ms->aborted_early();
-  } else {
-    row.completed = ms->run_until_done(max_time);
-  }
+  row.completed = ms->run_until_done(max_time, budget);
+  row.pruned = ms->aborted_early();
   // stlm-lint: allow(determinism-wall-clock): second endpoint of the
   // wall_ms measurement above; reporting-only
   const auto wall_end = std::chrono::steady_clock::now();
@@ -291,15 +264,16 @@ std::vector<core::Platform> default_candidates() {
 }
 
 std::vector<core::Platform> grid_candidates(const GridSpec& spec) {
+  const core::KnobSpace& k = spec.knobs;
   std::vector<core::Platform> cands;
-  for (core::BusKind bus : spec.buses) {
+  for (core::BusKind bus : k.buses) {
     const bool arbitrated = bus != core::BusKind::Crossbar;
-    const std::size_t arb_count = arbitrated ? spec.arbs.size() : 1;
+    const std::size_t arb_count = arbitrated ? k.arbs.size() : 1;
     for (std::size_t ai = 0; ai < arb_count; ++ai) {
-      for (Time cycle : spec.bus_cycles) {
-        for (std::size_t width : spec.data_widths) {
-          for (std::size_t outstanding : spec.max_outstanding) {
-            for (bool fast : spec.fast_targets) {
+      for (Time cycle : k.bus_cycles) {
+        for (std::size_t width : k.data_widths) {
+          for (std::size_t outstanding : k.max_outstanding) {
+            for (bool fast : k.fast_targets) {
               // Validity (OPB never splits, fast is atomic-only) is
               // shared with grid_neighbors so mutation can never step
               // outside the sweepable space.
@@ -308,6 +282,7 @@ std::vector<core::Platform> grid_candidates(const GridSpec& spec) {
                 for (const fault::RetrySpec& rs : spec.retries) {
                   core::Platform p;
                   p.bus = bus;
+                  if (arbitrated) p.arb = k.arbs[ai];
                   p.bus_cycle = cycle;
                   p.data_width_bytes = width;
                   if (outstanding > 1) {
@@ -317,8 +292,7 @@ std::vector<core::Platform> grid_candidates(const GridSpec& spec) {
                   p.fast_targets = fast;
                   p.fault = fp;
                   p.retry = rs;
-                  if (arbitrated) p.arb = spec.arbs[ai];
-                  p.name = core::grid_point_name(p);
+                  core::finish_knob_point(p, k);
                   cands.push_back(std::move(p));
                 }
               }

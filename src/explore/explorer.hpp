@@ -205,15 +205,16 @@ std::vector<core::Platform> default_candidates();
 // Cross-product candidate grid: BusKind x ArbKind x bus cycle x data
 // width x outstanding depth. The crossbar has no arbiter, so it
 // contributes one point per (cycle, width) pair instead of one per
-// arbiter; OPB has no address pipelining, so it skips the split
-// (max_outstanding > 1) points. An outstanding depth of 1 is the atomic
-// bus; a depth k > 1 becomes a split platform (`split_txns = true,
-// max_outstanding = k`, named "-split<k>"). The fast-target axis applies
-// to atomic points only (the fast path never engages in split mode): a
-// `true` entry duplicates every atomic point with `fast_targets` on,
-// named "-fast". The defaults span 108 platforms (68 distinct timing
-// points + 40 fast variants) — the workload the parallel sweep is built
-// to chew through.
+// arbiter (its `arb` field holds the axis's first arbiter, see
+// core::finish_knob_point); OPB has no address pipelining, so it skips
+// the split (max_outstanding > 1) points. An outstanding depth of 1 is
+// the atomic bus; a depth k > 1 becomes a split platform (`split_txns =
+// true, max_outstanding = k`, named "-split<k>"). The fast-target axis
+// applies to atomic points only (the fast path never engages in split
+// mode): a `true` entry duplicates every atomic point with
+// `fast_targets` on, named "-fast". The defaults span 108 platforms (68
+// distinct timing points + 40 fast variants) — the workload the
+// parallel sweep is built to chew through.
 //
 // The failure axes cross every timing point with a fault profile and a
 // retry policy. The defaults hold a single *inactive* entry each, so the
@@ -221,25 +222,21 @@ std::vector<core::Platform> default_candidates();
 // unchanged names; an active FaultProfile/RetrySpec appends "-<name>" to
 // the platform name and sets Platform::fault / Platform::retry.
 struct GridSpec {
-  std::vector<core::BusKind> buses{
-      core::BusKind::SharedBus, core::BusKind::Plb, core::BusKind::Opb,
-      core::BusKind::Crossbar};
-  std::vector<core::ArbKind> arbs{
-      core::ArbKind::Priority, core::ArbKind::RoundRobin, core::ArbKind::Tdma};
-  std::vector<Time> bus_cycles{Time::ns(10), Time::ns(20)};
-  std::vector<std::size_t> data_widths{4, 8};
-  std::vector<std::size_t> max_outstanding{1, 4};
-  std::vector<bool> fast_targets{false, true};
+  // The timing axes; also the knob space a search mutates in
+  // (core::grid_neighbors) to stay inside this grid.
+  core::KnobSpace knobs{
+      {core::BusKind::SharedBus, core::BusKind::Plb, core::BusKind::Opb,
+       core::BusKind::Crossbar},
+      {core::ArbKind::Priority, core::ArbKind::RoundRobin,
+       core::ArbKind::Tdma},
+      {Time::ns(10), Time::ns(20)},
+      {4, 8},
+      {1, 4},
+      {false, true}};
+  // The failure axes. They are not knobs: a mutated neighbor inherits
+  // its parent's fault/retry configuration unchanged.
   std::vector<fault::FaultProfile> faults{{}};
   std::vector<fault::RetrySpec> retries{{}};
-
-  // The timing axes as a core::KnobSpace, for neighbor mutation
-  // (core::grid_neighbors). The failure axes are not knobs — a mutated
-  // neighbor inherits its parent's fault/retry configuration unchanged.
-  core::KnobSpace knobs() const {
-    return {buses, arbs, bus_cycles, data_widths, max_outstanding,
-            fast_targets};
-  }
 };
 
 std::vector<core::Platform> grid_candidates(const GridSpec& spec = {});

@@ -1,15 +1,9 @@
 #include "explore/pool.hpp"
 
 #include <utility>
+#include <vector>
 
 namespace stlm::expl {
-
-namespace {
-// Which pool/worker the current thread is executing a task for, so
-// submit() from inside a task can route to the worker's own deque.
-thread_local WorkPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker = 0;
-}  // namespace
 
 WorkPool::WorkPool(unsigned n_threads, ThreadFactory factory)
     : requested_(n_threads > 1 ? n_threads - 1 : 0),
@@ -19,57 +13,23 @@ WorkPool::WorkPool(unsigned n_threads, ThreadFactory factory)
       return std::thread(std::move(body));
     };
   }
-  queues_.resize(static_cast<std::size_t>(requested_) + 1);
 }
 
 void WorkPool::submit(Task t) {
   {
     std::lock_guard<std::mutex> lock(m_);
     ++pending_;
-    if (tls_pool == this) {
-      queues_[tls_worker].push_back(std::move(t));
-    } else {
-      inject_.push_back(std::move(t));
-    }
+    queue_.push_back(std::move(t));
   }
   cv_.notify_one();
 }
 
-WorkPool::Task WorkPool::take_locked(std::size_t w) {
-  // Own deque from the back: LIFO keeps a worker's freshly discovered
-  // neighbors (mutation proposals) on the worker that proposed them.
-  if (!queues_[w].empty()) {
-    Task t = std::move(queues_[w].back());
-    queues_[w].pop_back();
-    return t;
-  }
-  if (!inject_.empty()) {
-    Task t = std::move(inject_.front());
-    inject_.pop_front();
-    return t;
-  }
-  // Steal from the front of a victim: the oldest task is the one the
-  // owner is least likely to touch next.
-  for (std::size_t i = 1; i < queues_.size(); ++i) {
-    const std::size_t victim = (w + i) % queues_.size();
-    if (!queues_[victim].empty()) {
-      Task t = std::move(queues_[victim].front());
-      queues_[victim].pop_front();
-      return t;
-    }
-  }
-  return nullptr;
-}
-
-void WorkPool::worker_loop(std::size_t w) {
-  WorkPool* const prev_pool = tls_pool;
-  const std::size_t prev_worker = tls_worker;
-  tls_pool = this;
-  tls_worker = w;
-
+void WorkPool::worker_loop() {
   std::unique_lock<std::mutex> lock(m_);
   for (;;) {
-    if (Task t = take_locked(w)) {
+    if (!queue_.empty()) {
+      Task t = std::move(queue_.front());
+      queue_.pop_front();
       const bool skip = abort_;
       lock.unlock();
       if (!skip) {
@@ -87,13 +47,10 @@ void WorkPool::worker_loop(std::size_t w) {
       continue;
     }
     if (pending_ == 0) break;
-    // Work exists but is all in flight (or was just submitted); sleep
-    // until a submit or the final completion wakes us.
+    // Work exists but is all in flight; sleep until a submit or the
+    // final completion wakes us.
     cv_.wait(lock);
   }
-
-  tls_pool = prev_pool;
-  tls_worker = prev_worker;
 }
 
 void WorkPool::run() {
@@ -106,9 +63,8 @@ void WorkPool::run() {
   std::vector<std::thread> helpers;
   helpers.reserve(requested_);
   for (unsigned h = 0; h < requested_; ++h) {
-    const std::size_t w = static_cast<std::size_t>(h) + 1;
     try {
-      helpers.push_back(factory_([this, w] { worker_loop(w); }));
+      helpers.push_back(factory_([this] { worker_loop(); }));
     } catch (...) {
       // Thread creation can fail (EAGAIN under a thread limit). The
       // caller still participates below, so the run always completes;
@@ -118,7 +74,7 @@ void WorkPool::run() {
       ++spawn_failures_;
     }
   }
-  worker_loop(0);
+  worker_loop();
   for (auto& th : helpers) th.join();
 }
 

@@ -1,15 +1,17 @@
 #pragma once
-// Work-stealing task pool for exploration sweeps and searches.
+// FIFO task pool for exploration sweeps and searches.
 //
 // Tasks are closures, and a running task may submit() further tasks
-// (adaptive search enqueues mutated neighbors while a rung drains). Tasks
-// submitted before run() queue FIFO, so a one-worker pool runs them on
-// the caller in submission order. Each worker owns a deque — own-back
-// LIFO pop, steal-front FIFO from victims — so dynamically discovered
-// work stays warm on the worker that found it.
-// One task here is a whole simulation run (milliseconds), so the deques
-// share a single mutex: contention is negligible at that granularity and
-// the sleep/wake logic stays trivially correct.
+// (adaptive search enqueues mutated neighbors while a rung drains). All
+// tasks share one FIFO queue: submit() appends from any thread and
+// workers take from the front, so a one-worker pool runs tasks on the
+// caller in submission order, and a task submitted from inside a running
+// task runs after the tasks already queued. No task carries per-worker
+// state, so there is nothing to keep warm on the worker that found it;
+// first-in-first-out also lets the search reach a mutated cell by its
+// shortest path first (see SearchDriver::run). One task here is a whole
+// simulation run (milliseconds), so the single mutex sees negligible
+// contention and the sleep/wake logic stays trivially correct.
 //
 // Determinism: the pool never decides *what* work exists or what it
 // computes — only which thread runs it when. Callers that want
@@ -18,15 +20,13 @@
 // per-task seed), never of execution order. Every sweep/search in this
 // repo follows that rule.
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <vector>
-
-#include <condition_variable>
 
 namespace stlm::expl {
 
@@ -39,13 +39,13 @@ public:
   using ThreadFactory = std::function<std::thread(std::function<void()>)>;
 
   // `n_threads` is the total worker count *including* the calling
-  // thread: run() spawns n_threads - 1 helpers and then works the queues
+  // thread: run() spawns n_threads - 1 helpers and then works the queue
   // itself, so a sweep completes even if every helper spawn fails.
   explicit WorkPool(unsigned n_threads, ThreadFactory factory = {});
 
-  // Enqueue a task. Callable before run() (seeding the initial batch)
-  // and from inside a running task (dynamic work discovery); a task
-  // submitted from worker w lands on w's own deque.
+  // Append a task to the queue. Callable before run() (seeding the
+  // initial batch) and from inside a running task (dynamic work
+  // discovery).
   void submit(Task t);
 
   // Run until every submitted task — including tasks submitted while
@@ -64,17 +64,15 @@ public:
   unsigned spawn_failures() const { return spawn_failures_; }
 
 private:
-  Task take_locked(std::size_t w);
-  void worker_loop(std::size_t w);
+  void worker_loop();
 
   unsigned requested_;  // helpers (total workers - 1)
   ThreadFactory factory_;
 
   std::mutex m_;
   std::condition_variable cv_;
-  std::vector<std::deque<Task>> queues_;  // one per worker, caller = 0
-  std::deque<Task> inject_;               // submits from non-worker threads
-  std::size_t pending_ = 0;               // submitted, not yet finished
+  std::deque<Task> queue_;
+  std::size_t pending_ = 0;  // submitted, not yet finished
   bool abort_ = false;
   std::exception_ptr first_error_;
   unsigned spawn_failures_ = 0;

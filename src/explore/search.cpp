@@ -172,7 +172,9 @@ SearchReport SearchDriver::run(Explorer& ex,
     // its depth — re-expanding it if the lower depth newly clears
     // mutation_depth. At the drain fixpoint every depth is the minimal
     // hop count, so the admitted *set* (and the proposal counters) are
-    // a pure function of (seeds, space, seed), at any thread count.
+    // a pure function of (seeds, space, seed), at any thread count. The
+    // pool's FIFO order admits most cells by a shortest path already,
+    // so re-expansions stay rare.
     std::function<void(Cell*)> eval_cell;
     std::function<void(Cell*, std::size_t, bool)> expand_cell;
 

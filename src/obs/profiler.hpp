@@ -36,8 +36,8 @@ namespace obs {
 class Profiler {
 public:
   // Per-bus counters sampled at snapshot time. Registered as a callback
-  // so CAMs that fold sharded counters lazily (the crossbar) are read
-  // fresh, and so this header needs no CAM dependency.
+  // so each snapshot reads the bus's counters as they stand then, and so
+  // this header needs no CAM dependency.
   struct BusSample {
     std::uint64_t transactions = 0;
     std::uint64_t fast_hits = 0;

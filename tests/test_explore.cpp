@@ -225,12 +225,12 @@ TEST(Explorer, GridCoversCrossProduct) {
 
 TEST(Explorer, GridSpecIsParameterizable) {
   GridSpec spec;
-  spec.buses = {BusKind::Plb};
-  spec.arbs = {ArbKind::Priority};
-  spec.bus_cycles = {10_ns};
-  spec.data_widths = {4, 8, 16};
-  spec.max_outstanding = {1};
-  spec.fast_targets = {false};
+  spec.knobs.buses = {BusKind::Plb};
+  spec.knobs.arbs = {ArbKind::Priority};
+  spec.knobs.bus_cycles = {10_ns};
+  spec.knobs.data_widths = {4, 8, 16};
+  spec.knobs.max_outstanding = {1};
+  spec.knobs.fast_targets = {false};
   const auto cands = grid_candidates(spec);
   ASSERT_EQ(cands.size(), 3u);
   EXPECT_EQ(cands[2].data_width_bytes, 16u);
@@ -238,7 +238,7 @@ TEST(Explorer, GridSpecIsParameterizable) {
 
   // The outstanding axis multiplies split-capable points and stamps the
   // split knobs onto the platform.
-  spec.max_outstanding = {1, 2, 8};
+  spec.knobs.max_outstanding = {1, 2, 8};
   const auto split_cands = grid_candidates(spec);
   ASSERT_EQ(split_cands.size(), 9u);
   EXPECT_FALSE(split_cands[0].split_txns);
@@ -248,7 +248,7 @@ TEST(Explorer, GridSpecIsParameterizable) {
 
   // The fast-target axis duplicates atomic points only, with a "-fast"
   // suffix and the knob stamped onto the platform.
-  spec.fast_targets = {false, true};
+  spec.knobs.fast_targets = {false, true};
   const auto fast_cands = grid_candidates(spec);
   ASSERT_EQ(fast_cands.size(), 12u);  // 3 atomic x 2 fast + 6 split
   EXPECT_FALSE(fast_cands[0].fast_targets);
@@ -326,8 +326,8 @@ TEST(Explorer, WorkloadChoiceChangesTiming) {
 TEST(Explorer, WorkloadGrid200RowsParallelMatchesSequentialBitExactly) {
   Explorer ex;
   GridSpec atomic_spec;
-  atomic_spec.max_outstanding = {1};
-  atomic_spec.fast_targets = {false};  // keep the historical 40 platforms
+  atomic_spec.knobs.max_outstanding = {1};
+  atomic_spec.knobs.fast_targets = {false};  // keep the historical 40 platforms
   const auto plats = grid_candidates(atomic_spec);
   const auto loads = workload_candidates();
   ASSERT_EQ(plats.size() * loads.size(), 200u);

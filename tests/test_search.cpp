@@ -1,5 +1,5 @@
 // Tests for adaptive exploration: the Pareto/successive-halving search
-// driver, the work-stealing pool underneath it, the knob-space neighbor
+// driver, the FIFO work pool underneath it, the knob-space neighbor
 // enumeration it mutates with, and the run-budget early-termination
 // hook.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "explore/explore.hpp"
@@ -31,6 +32,22 @@ TEST(KnobSpace, GridPointNameReproducesGridCandidateNames) {
   for (const auto& p : grid_candidates()) {
     EXPECT_EQ(p.name, grid_point_name(p));
   }
+  // A cycle that is not a whole number of nanoseconds is spelled
+  // exactly: 2 ns and 2.5 ns platforms must not share a name (the
+  // search dedups cells by name).
+  GridSpec sub_ns;
+  sub_ns.knobs.bus_cycles = {2_ns, Time::ps(2500)};
+  const auto cands = grid_candidates(sub_ns);
+  std::set<std::string> names;
+  for (const auto& p : cands) {
+    EXPECT_EQ(p.name, grid_point_name(p));
+    EXPECT_TRUE(names.insert(p.name).second) << "duplicate name " << p.name;
+  }
+  EXPECT_TRUE(names.count("plb-priority-2ns-32b"));
+  EXPECT_TRUE(names.count("plb-priority-2500ps-32b"));
+  Platform sub_ps = cands.front();
+  sub_ps.bus_cycle = Time::fs(2500);
+  EXPECT_NE(grid_point_name(sub_ps).find("-2500fs-"), std::string::npos);
 }
 
 TEST(KnobSpace, GridPointNameCoversFailureAxes) {
@@ -58,7 +75,7 @@ TEST(KnobSpace, NeighborsStepOneKnobInAxisOrder) {
   p.data_width_bytes = 4;
   p.name = grid_point_name(p);
   ASSERT_EQ(p.name, "plb-priority-10ns-32b");
-  const auto nb = grid_neighbors(p, spec.knobs());
+  const auto nb = grid_neighbors(p, spec.knobs);
   std::vector<std::string> names;
   names.reserve(nb.size());
   for (const auto& n : nb) names.push_back(n.name);
@@ -82,7 +99,7 @@ TEST(KnobSpace, NeighborsRespectValidityRules) {
   opb.bus_cycle = 10_ns;
   opb.data_width_bytes = 4;
   opb.name = grid_point_name(opb);
-  for (const auto& n : grid_neighbors(opb, spec.knobs())) {
+  for (const auto& n : grid_neighbors(opb, spec.knobs)) {
     // No OPB split point may ever be proposed.
     EXPECT_TRUE(knob_point_valid(
         n.bus, n.split_active() ? n.max_outstanding : 1, n.fast_targets))
@@ -100,26 +117,45 @@ TEST(KnobSpace, NeighborsRespectValidityRules) {
   fast.data_width_bytes = 4;
   fast.fast_targets = true;
   fast.name = grid_point_name(fast);
-  for (const auto& n : grid_neighbors(fast, spec.knobs())) {
+  for (const auto& n : grid_neighbors(fast, spec.knobs)) {
     EXPECT_FALSE(n.fast_targets && n.split_active()) << n.name;
   }
 }
 
+namespace {
+
+// The knob fields of a platform: two points with the same grid name must
+// agree on all of them.
+auto knob_fields(const Platform& p) {
+  return std::tuple(p.bus, p.arb, p.bus_cycle, p.bus_width_bytes(),
+                    p.split_txns, p.max_outstanding, p.fast_targets);
+}
+
+}  // namespace
+
 TEST(KnobSpace, NeighborsOfGridPointsStayInsideTheGrid) {
   // With the mutation space set to the grid's own axes, every neighbor
-  // of every grid candidate must *be* a grid candidate with the grid's
-  // exact name — the dedup-by-name invariant mutation relies on.
-  GridSpec spec;
-  const auto grid = grid_candidates(spec);
-  std::set<std::string> names;
-  for (const auto& p : grid) names.insert(p.name);
-  for (const auto& p : grid) {
-    std::set<std::string> local;
-    for (const auto& n : grid_neighbors(p, spec.knobs())) {
-      EXPECT_TRUE(names.count(n.name)) << n.name << " (from " << p.name << ")";
-      EXPECT_NE(n.name, p.name);
-      EXPECT_TRUE(local.insert(n.name).second)
-          << "duplicate neighbor " << n.name;
+  // of every grid candidate must *be* a grid candidate: the grid's exact
+  // name and the same knob fields — the dedup-by-name invariant mutation
+  // relies on. The second spec's arbiter axis does not start at the
+  // Platform default, so a crossbar's pinned `arb` is checked too.
+  GridSpec rr_tdma;
+  rr_tdma.knobs.arbs = {ArbKind::RoundRobin, ArbKind::Tdma};
+  for (const GridSpec& spec : {GridSpec{}, rr_tdma}) {
+    const auto grid = grid_candidates(spec);
+    std::map<std::string, const Platform*> by_name;
+    for (const auto& p : grid) by_name.emplace(p.name, &p);
+    for (const auto& p : grid) {
+      std::set<std::string> local;
+      for (const auto& n : grid_neighbors(p, spec.knobs)) {
+        const auto it = by_name.find(n.name);
+        ASSERT_NE(it, by_name.end()) << n.name << " (from " << p.name << ")";
+        EXPECT_EQ(knob_fields(n), knob_fields(*it->second))
+            << n.name << " (from " << p.name << ")";
+        EXPECT_NE(n.name, p.name);
+        EXPECT_TRUE(local.insert(n.name).second)
+            << "duplicate neighbor " << n.name;
+      }
     }
   }
 }
@@ -164,6 +200,22 @@ TEST(WorkPool, RunsDynamicallySubmittedTasks) {
   EXPECT_EQ(ran.load(), 16);
   EXPECT_EQ(pool.first_error(), nullptr);
   EXPECT_EQ(pool.spawn_failures(), 0u);
+}
+
+TEST(WorkPool, TaskSubmittedFromATaskRunsAfterTheQueuedOnes) {
+  // One FIFO queue: work discovered by a running task joins the back,
+  // behind the tasks that were already queued.
+  WorkPool pool(1);
+  std::vector<int> order;
+  pool.submit([&pool, &order] {
+    order.push_back(0);
+    pool.submit([&order] { order.push_back(3); });
+  });
+  pool.submit([&order] { order.push_back(1); });
+  pool.submit([&order] { order.push_back(2); });
+  pool.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(pool.first_error(), nullptr);
 }
 
 TEST(WorkPool, CompletesWhenEveryHelperSpawnFails) {
@@ -349,7 +401,7 @@ TEST(SearchDriver, SameSeedSearchesAreByteIdenticalAcrossThreadCounts) {
   auto search = [&](unsigned n_threads) {
     Explorer ex;
     SearchConfig cfg;
-    cfg.space = spec.knobs();
+    cfg.space = spec.knobs;
     cfg.mutation_depth = 2;
     cfg.mutation_limit = 3;
     cfg.n_threads = n_threads;
