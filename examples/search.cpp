@@ -6,8 +6,8 @@
 // mutates inside is much larger: five arbiters (including the QoS
 // pair), four bus clocks, four data widths, four outstanding depths.
 // Cells that complete at the short rung-0 horizon propose one-knob
-// neighbors (core::grid_neighbors) while the rung drains — the work-
-// stealing pool admits the proposals dynamically — and the search grows
+// neighbors (core::grid_neighbors) while the rung drains — the FIFO
+// work pool admits the proposals dynamically — and the search grows
 // well past a thousand distinct platforms without ever enumerating the
 // cross product. Successive halving then keeps the Pareto front (plus a
 // near-front pad) for the full-horizon rung, and dominated survivors

@@ -4,7 +4,9 @@
 // Attached to a fast bus (PLB) as a slave covering the peripheral address
 // space; forwards each transaction into the slow bus (OPB) through its own
 // master port, adding a fixed crossing latency. This reproduces the
-// two-tier CoreConnect topology the paper's flow targets.
+// two-tier CoreConnect topology the paper's flow targets. The forwarded
+// access is a pooled descriptor of the bridge's own: the request half is
+// copied in, status and response are copied back.
 
 #include <string>
 

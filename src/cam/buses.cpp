@@ -36,45 +36,22 @@ double CrossbarCam::utilization() const {
          (elapsed.to_seconds() * static_cast<double>(lanes_.size()));
 }
 
-void CrossbarCam::transport(std::size_t master, Txn& txn) {
-  if (!split_.active()) {
-    route(master, txn);
-    return;
-  }
-  // Split mode: a blocking transport is post + wait. Shelve the outer
-  // waiter/bookkeeping like CamBase does, so bridges can forward the
-  // same descriptor into a split crossbar.
-  const std::uint32_t outer_master = txn.master_id;
-  Txn::PhaseShelf shelf(txn);
-  CompletionEvent::NestedScope nest(txn.done);
-  post(master, txn);
-  txn.done.wait(sim());
-  txn.master_id = outer_master;
-}
-
-void CrossbarCam::submit(std::size_t master, Txn& txn) {
+void CrossbarCam::submit(Txn& txn) {
   if (!split_.active()) {
     // CamIf::post contract: without split support the call may run the
     // transaction to completion before returning — the initiator's
     // later done.wait() then returns immediately.
-    route(master, txn);
-    txn.done.complete(sim());
+    route(txn);
     return;
   }
   const auto slave = decode(txn);
-  txn.enqueued = sim().now();
-  txn.reset_phases();
-  txn.status = Txn::Status::Pending;
   if (!slave) {
-    decode_error(master, txn);
-    txn.done.complete(sim());
+    decode_error(txn);
     return;
   }
-  // The access point stamps its port index so the lane engine can retire
-  // the right master's slot and row (restored by transport()).
-  txn.master_id = static_cast<std::uint32_t>(master);
   // Enforce the per-master outstanding cap at the issue point — a master
   // cannot launch deeper than its outstanding capability.
+  const std::size_t master = txn.master_id;
   while (inflight_[master] >= split_.max_outstanding) wait(slot_free_);
   ++inflight_[master];
   // Lanes are arbiter-free FIFOs: same-delta pushes from two masters
@@ -91,38 +68,32 @@ void CrossbarCam::lane_engine(std::size_t lane) {
     while (lane_q_[lane]->empty()) wait(*lane_avail_[lane]);
     Txn* txn = lane_q_[lane]->pop_front();
     serve(lane, *txn);
-    const auto master = static_cast<std::size_t>(txn->master_id);
-    finish(*txn, master, txn->enqueued);
-    --inflight_[master];
+    finish(*txn);
+    --inflight_[txn->master_id];
     slot_free_.notify_delta();
     txn->done.complete(sim());
   }
 }
 
-void CrossbarCam::route(std::size_t master, Txn& txn) {
-  const Time start = sim().now();
-  // Shelve any outer layer's phase stamps (a bridge may forward the same
-  // descriptor through here mid-transaction).
-  Txn::PhaseShelf shelf(txn);
+void CrossbarCam::route(Txn& txn) {
   const auto slave = decode(txn);
   if (!slave) {
-    decode_error(master, txn);
+    decode_error(txn);
     return;
   }
   LockGuard lane(*lanes_[*slave]);
   serve(*slave, txn);
-  // `start` (the outer arrival time) is the issue stamp: hierarchical
-  // routes re-stamp txn.enqueued per hop, but the row and spans should
-  // cover the whole crossbar round trip.
-  finish(txn, master, start);
+  finish(txn);
+  txn.done.complete(sim());
 }
 
-void CrossbarCam::decode_error(std::size_t master, Txn& txn) {
+void CrossbarCam::decode_error(Txn& txn) {
   stats_.count("decode_errors");  // rare: the by-name lookup is fine
   txn.respond_error();
   txn.t_grant = sim().now();
   txn.t_data = txn.t_grant;
-  finish(txn, master, sim().now());
+  finish(txn);
+  txn.done.complete(sim());
 }
 
 void CrossbarCam::serve(std::size_t lane, Txn& txn) {

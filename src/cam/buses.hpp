@@ -129,17 +129,17 @@ public:
   }
 
 private:
-  void transport(std::size_t master, Txn& txn) override;
-  void submit(std::size_t master, Txn& txn) override;
+  void submit(Txn& txn) override;
   void on_master(std::size_t i) override;
   void on_slave(std::size_t lane, const std::string& label) override;
 
-  void route(std::size_t master, Txn& txn);
+  // Atomic mode: hold the decoded lane for the whole transaction.
+  void route(Txn& txn);
   void lane_engine(std::size_t lane);
   // Charge lane occupancy for `txn`, then deliver it to the lane's slave.
   void serve(std::size_t lane, Txn& txn);
-  // Answer an unmapped access at issue time, with its row.
-  void decode_error(std::size_t master, Txn& txn);
+  // Answer and complete an unmapped access at issue time, with its row.
+  void decode_error(Txn& txn);
 
   SplitConfig split_;
   std::vector<std::unique_ptr<Mutex>> lanes_;

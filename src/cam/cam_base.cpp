@@ -66,22 +66,17 @@ void CamBase::on_master(std::size_t i) {
   }
 }
 
-void CamBase::submit(std::size_t master, Txn& txn) {
-  if (!try_fast_post(master, txn)) enqueue(master, txn);
+void CamBase::submit(Txn& txn) {
+  if (!try_fast_post(txn)) enqueue(txn);
 }
 
-void CamBase::transport(std::size_t master, Txn& txn) {
-  // A bridge may forward the same descriptor into this CAM while the
-  // original initiator still waits on it: shelve the outer waiter (and
-  // the outer CAM's enqueue/phase timestamps) for the inner round-trip.
-  Txn::PhaseShelf shelf(txn);
-  CompletionEvent::NestedScope nest(txn.done);
-  if (try_fast_transport(master, txn)) return;
-  enqueue(master, txn);
+void CamBase::transport(Txn& txn) {
+  if (try_fast_transport(txn)) return;
+  enqueue(txn);
   txn.done.wait(sim());
 }
 
-void CamBase::enqueue(std::size_t master, Txn& txn) {
+void CamBase::enqueue(Txn& txn) {
   // A fast-capable bus fell back to the full engine path (contention,
   // non-fast target): mark the spot on the timeline so fast-hit-rate
   // regressions can be localized in simulated time.
@@ -90,10 +85,7 @@ void CamBase::enqueue(std::size_t master, Txn& txn) {
       ts->instant(full_name(), "fast_fallback", sim().now());
     }
   }
-  txn.enqueued = sim().now();
-  txn.reset_phases();  // re-queued descriptors must not carry stale stamps
-  txn.status = Txn::Status::Pending;
-  engine_.enqueue(master, txn);
+  engine_.enqueue(txn);
   new_request_.notify_delta();
 }
 
@@ -127,23 +119,20 @@ bool CamBase::fast_eligible(const Txn& txn, std::size_t* slave_out) const {
   return true;
 }
 
-std::uint64_t CamBase::fast_grant(std::size_t master, Txn& txn) {
-  txn.enqueued = sim().now();
-  txn.reset_phases();
-  txn.status = Txn::Status::Pending;
+std::uint64_t CamBase::fast_grant(Txn& txn) {
   // Zero grant wait: the engine would grant in the next delta at the
   // same instant.
   const bool back_to_back = engine_busy_ && last_txn_end_ == sim().now();
   txn.t_grant = sim().now();
   txn.t_data = txn.t_grant;
-  engine_.note_fast_grant(master, now_cycle());
+  engine_.note_fast_grant(txn.master_id, now_cycle());
   return txn_cycles(txn, back_to_back);
 }
 
-bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
+bool CamBase::try_fast_transport(Txn& txn) {
   std::size_t s = 0;
   if (!fast_eligible(txn, &s)) return false;
-  const Time occupancy = cycle() * fast_grant(master, txn);
+  const Time occupancy = cycle() * fast_grant(txn);
   ocp::ocp_tl_slave_if& target = slave(s);
   // Hold the bus: competing requests issued during the occupancy fall
   // back to the engine, whose gate stalls until fast_busy_until_.
@@ -180,23 +169,22 @@ bool CamBase::try_fast_transport(std::size_t master, Txn& txn) {
   }
   fast_inflight_ = false;
   ++*cnt_fast_hits_;
-  complete_txn(txn, master);
+  complete_txn(txn);
   // Competitors that fell back while we held the bus are grantable now;
   // the engine may be parked in its gate waiting for exactly this.
   if (engine_.any_pending()) new_request_.notify_delta();
   return true;
 }
 
-bool CamBase::try_fast_post(std::size_t master, Txn& txn) {
+bool CamBase::try_fast_post(Txn& txn) {
   std::size_t s = 0;
   if (!fast_eligible(txn, &s)) return false;
-  const Time occupancy = cycle() * fast_grant(master, txn);
+  const Time occupancy = cycle() * fast_grant(txn);
   // post() must not block: park the transaction in the single fast slot
   // and let the timed fast_step method pick it up at occupancy end.
   // Methods run before threads within a timestamp, so the slot (and the
   // bus) free up before any process scheduled at that instant can issue.
   fast_pending_ = &txn;
-  fast_pending_master_ = master;
   fast_pending_slave_ = s;
   // Bus occupancy is accounted by fast_post_step's next firing — the
   // engine's accounting instant (after its occupancy wait) — not here at
@@ -246,7 +234,7 @@ void CamBase::fast_post_step() {
   engine_busy_ = true;
   ++*cnt_fast_hits_;
   fast_pending_ = nullptr;
-  complete_txn(txn, fast_pending_master_);
+  complete_txn(txn);
   // Requests that fell back to the engine mid-flight are grantable now.
   // Only wake the engine when there is actually work: a spurious wake
   // would clear engine_busy_ and lose the back-to-back timing the next
@@ -277,8 +265,7 @@ void CamBase::atomic_engine() {
       }
       continue;
     }
-    std::size_t g = 0;
-    Txn* txn = engine_.grant(now_cycle(), &g);
+    Txn* txn = engine_.grant(now_cycle());
     if (!txn) {
       engine_busy_ = false;
       wait(new_request_);
@@ -308,8 +295,8 @@ void CamBase::atomic_engine() {
     last_txn_end_ = sim().now();
     engine_busy_ = true;
 
-    engine_.retire(g, *txn);
-    complete_txn(*txn, g);
+    engine_.retire(*txn);
+    complete_txn(*txn);
 
     // Yield one delta so just-completed masters can re-enqueue before the
     // next arbitration — otherwise a saturating high-priority master
@@ -323,8 +310,7 @@ void CamBase::atomic_engine() {
 
 void CamBase::addr_engine() {
   for (;;) {
-    std::size_t g = 0;
-    Txn* txn = engine_.grant(now_cycle(), &g);
+    Txn* txn = engine_.grant(now_cycle());
     if (!txn) {
       // Idle, or every requesting master is at its outstanding cap; a
       // new request or a retiring data phase re-arms the loop.
@@ -389,11 +375,8 @@ void CamBase::data_engine() {
     // the pipeline is bound by; hidden address phases are free.
     busy_time_ += occupancy;
 
-    const std::size_t g = engine_.owner_of(*txn);
-    STLM_ASSERT(g != GrantEngine::npos,
-                "split data phase for an unowned transaction");
-    engine_.retire(g, *txn);
-    complete_txn(*txn, g);
+    engine_.retire(*txn);
+    complete_txn(*txn);
     // The retirement freed an outstanding slot — the address engine may
     // have an eligible master again.
     new_request_.notify_delta();
@@ -412,8 +395,8 @@ void CamBase::stall_grant() {
 
 // Completion shared by both engines and both fast paths: the core's
 // completion point, then waking the initiator.
-void CamBase::complete_txn(Txn& txn, std::size_t master) {
-  finish(txn, master, txn.enqueued);
+void CamBase::complete_txn(Txn& txn) {
+  finish(txn);
   txn.done.complete(sim());  // immediate: initiator resumes within this delta
 }
 

@@ -105,20 +105,20 @@ protected:
   virtual std::uint64_t split_data_cycles(const Txn& txn) const;
 
 private:
-  void transport(std::size_t master, Txn& txn) override;
-  void submit(std::size_t master, Txn& txn) override;
+  void transport(Txn& txn) override;
+  void submit(Txn& txn) override;
   void on_master(std::size_t i) override;
 
   // Queue `txn` for the grant engine (the path every transaction takes
   // when the fast path declines it).
-  void enqueue(std::size_t master, Txn& txn);
+  void enqueue(Txn& txn);
 
   void atomic_engine();
   void addr_engine();
   void service_worker(std::size_t worker);
   void data_engine();
   void stall_grant();
-  void complete_txn(Txn& txn, std::size_t master);
+  void complete_txn(Txn& txn);
   std::uint64_t now_cycle() const { return sim().now() / cycle(); }
 
   // Fast path (see the class comment). try_fast_* return false without
@@ -126,9 +126,9 @@ private:
   bool fast_eligible(const Txn& txn, std::size_t* slave_out) const;
   // The engine's grant, mirrored inline: stamps, zero grant wait and
   // arbiter evolution. Returns the transaction's bus cycles.
-  std::uint64_t fast_grant(std::size_t master, Txn& txn);
-  bool try_fast_transport(std::size_t master, Txn& txn);
-  bool try_fast_post(std::size_t master, Txn& txn);
+  std::uint64_t fast_grant(Txn& txn);
+  bool try_fast_transport(Txn& txn);
+  bool try_fast_post(Txn& txn);
   void fast_post_step();  // timed method: occupancy end / service end
 
   bool split_active_;
@@ -158,7 +158,6 @@ private:
   Time fast_busy_until_ = Time::zero();
   bool fast_inflight_ = false;
   Txn* fast_pending_ = nullptr;
-  std::size_t fast_pending_master_ = 0;
   std::size_t fast_pending_slave_ = 0;
   Time fast_pending_busy_ = Time::zero();  // occupancy to charge at firing
   bool fast_in_service_ = false;  // stage 2: target latency elapsing

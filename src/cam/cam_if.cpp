@@ -77,17 +77,25 @@ void CamIf::attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
 void CamIf::post(std::size_t master, Txn& txn) {
   STLM_ASSERT(master < masters_.size(),
               "master index out of range on " + full_name());
-  // Audited per access point: the arbiter ranks same-delta requests from
-  // *different* masters deterministically, but two processes issuing
-  // through one master port race for its queue order.
-  const MasterPort& mp = *masters_[master];
-  audit::on_access(sim(), &mp, audit::Mode::Write, "cam.master", mp.label);
-  submit(master, txn);
+  arm(*masters_[master], txn);
+  submit(txn);
 }
 
 void CamIf::MasterPort::transport(Txn& txn) {
-  audit::on_access(cam->sim(), this, audit::Mode::Write, "cam.master", label);
-  cam->transport(index, txn);
+  cam->arm(*this, txn);
+  cam->transport(txn);
+}
+
+void CamIf::arm(const MasterPort& mp, Txn& txn) {
+  // Audited per access point: the arbiter ranks same-delta requests from
+  // *different* masters deterministically, but two processes issuing
+  // through one master port race for its queue order.
+  audit::on_access(sim(), &mp, audit::Mode::Write, "cam.master", mp.label);
+  txn.master_id = static_cast<std::uint32_t>(mp.index);
+  txn.enqueued = sim().now();
+  txn.reset_phases();
+  txn.status = Txn::Status::Pending;
+  txn.done.reset();
 }
 
 void CamIf::set_txn_logger(trace::TxnLogger* log) {
@@ -122,7 +130,7 @@ void CamIf::deliver(std::size_t s, Txn& txn) {
   slaves_[s]->handle(txn);
 }
 
-void CamIf::finish(Txn& txn, std::size_t master, Time issue) {
+void CamIf::finish(Txn& txn) {
   txn.t_complete = sim().now();
   if (txn.deadline_missed && txn.status == Txn::Status::Ok) {
     txn.status = Txn::Status::Timeout;
@@ -136,14 +144,14 @@ void CamIf::finish(Txn& txn, std::size_t master, Time issue) {
   if (log_) {
     const trace::TxnKind kind =
         read ? trace::TxnKind::Read : trace::TxnKind::Write;
-    log_.record(kind, txn.id, txn.payload_bytes(), issue, txn.t_complete,
-                txn.t_grant, txn.t_data, txn_row_status(txn), txn.retries,
-                masters_[master]->log_id);
+    log_.record(kind, txn.id, txn.payload_bytes(), txn.enqueued,
+                txn.t_complete, txn.t_grant, txn.t_data, txn_row_status(txn),
+                txn.retries, masters_[txn.master_id]->log_id);
   }
   // Every path of every bus completes here, so fast-path completions
   // show up on the timeline by construction.
   if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
-    ts->txn_phases(full_name(), txn, issue);
+    ts->txn_phases(full_name(), txn);
   }
 }
 

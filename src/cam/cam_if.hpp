@@ -12,12 +12,13 @@
 // any PE" connect regardless of its native interface (paper §3).
 //
 // CamIf owns the contract every bus keeps, so each bus keeps it once:
-// the master access points, the slave table and its address decode,
-// fault delivery to a decoded target, and the completion point that
-// stamps the final status, counts the transaction and writes its trace
-// row. A concrete bus implements only its timing and resource model: how
-// a transaction is routed, arbitrated and occupies the interconnect
-// (transport/submit).
+// the master access points, which arm each descriptor (master, issue
+// stamp, phase stamps, status, completion token), the slave table and its
+// address decode, fault delivery to a decoded target, and the completion
+// point that stamps the final status, counts the transaction and writes
+// its trace row. A concrete bus implements only its timing and resource
+// model: how a transaction is routed, arbitrated and occupies the
+// interconnect (submit, and transport where blocking differs).
 //
 // A bus keeps integer counters only. Every latency, queueing and service
 // figure comes from the rows finish() writes (trace/channel_stats.hpp).
@@ -51,8 +52,9 @@ public:
   std::size_t add_master(const std::string& name);
 
   /// Access point for master `i`; bind a PE's OcpMasterPort to this.
-  /// Its transport() blocks the calling process until the transaction
-  /// completes on the modeled interconnect.
+  /// Its transport() arms `txn` for master `i` and blocks the calling
+  /// process until the transaction completes on the modeled
+  /// interconnect; the descriptor then carries its phase stamps.
   ocp::ocp_tl_master_if& master_port(std::size_t i);
   std::size_t master_count() const { return masters_.size(); }
 
@@ -66,8 +68,8 @@ public:
   void attach_slave(ocp::ocp_tl_slave_if& slave, AddressRange range,
                     const std::string& label);
 
-  /// Non-blocking issue for split/out-of-order masters: enqueue `txn` on
-  /// master `master` and return without waiting; the initiator
+  /// Non-blocking issue for split/out-of-order masters: arm `txn` for
+  /// master `master`, enqueue it and return without waiting; the initiator
   /// synchronizes with `txn.done.wait(sim)` (completions may arrive out
   /// of order across the initiator's outstanding set). The descriptor
   /// must stay alive and untouched until completion. On configurations
@@ -102,11 +104,15 @@ protected:
   CamIf(Simulator& sim, std::string name, Time cycle, std::size_t width_bytes);
 
   // --- hooks a bus implements ------------------------------------------
-  // Blocking transaction from master `master`'s access point (already
-  // audited): returns once `txn` completed on the interconnect.
-  virtual void transport(std::size_t master, Txn& txn) = 0;
-  // The body of post(), after the index check and the audit.
-  virtual void submit(std::size_t master, Txn& txn) = 0;
+  // The body of post(), after the index check and the arming.
+  virtual void submit(Txn& txn) = 0;
+  // Blocking transaction from an armed access point: returns once `txn`
+  // completed on the interconnect. Post + wait unless the bus has a
+  // cheaper blocking path.
+  virtual void transport(Txn& txn) {
+    submit(txn);
+    txn.done.wait(sim());
+  }
   // Per-master / per-slave elaboration (stat slots, lanes, workers):
   // called right after the core registered master `i` / slave `s`.
   virtual void on_master(std::size_t /*i*/) {}
@@ -126,9 +132,9 @@ protected:
   // The completion point: stamps t_complete, promotes a watchdog-flagged
   // Ok to Timeout (an Error stays an Error — it already failed harder
   // than the deadline), counts the transaction, writes its row tagged
-  // with `master` and its timeline spans from `issue`. Waking the
-  // initiator stays with the bus.
-  void finish(Txn& txn, std::size_t master, Time issue);
+  // with its master and its timeline spans from its issue stamp. Waking
+  // the initiator stays with the bus.
+  void finish(Txn& txn);
 
   ocp::ocp_tl_slave_if& slave(std::size_t s) const { return *slaves_[s]; }
   fault::Injector* injector() const { return injector_; }
@@ -140,8 +146,8 @@ protected:
   Time busy_time_ = Time::zero();
 
 private:
-  // Access point given to each master: audits the port, then forwards
-  // to the bus's transport().
+  // Access point given to each master: arms the descriptor, then
+  // forwards to the bus's transport().
   struct MasterPort final : ocp::ocp_tl_master_if {
     using ocp::ocp_tl_master_if::transport;
     void transport(Txn& txn) override;
@@ -151,6 +157,11 @@ private:
     // Interned "<bus>.<master>" name carried on this master's rows.
     std::uint32_t log_id = trace::kNoMaster;
   };
+
+  // The one place a descriptor is armed for this bus: audits the access
+  // point, then stamps master index and issue time, clears the phase
+  // stamps and status and re-arms the completion token.
+  void arm(const MasterPort& mp, Txn& txn);
 
   Time cycle_;
   std::size_t width_;

@@ -15,22 +15,21 @@ GrantEngine::GrantEngine(std::unique_ptr<Arbiter> arbiter,
 
 std::size_t GrantEngine::add_master() {
   masters_.emplace_back();
-  // Reserve the cap up front so steady-state grant/retire never allocates.
-  masters_.back().inflight_ids.reserve(max_outstanding_);
   return masters_.size() - 1;
 }
 
-void GrantEngine::enqueue(std::size_t m, Txn& txn) {
-  STLM_ASSERT(m < masters_.size(), "GrantEngine: master index out of range");
-  masters_[m].pending.push_back(txn);
+void GrantEngine::enqueue(Txn& txn) {
+  STLM_ASSERT(txn.master_id < masters_.size(),
+              "GrantEngine: master index out of range");
+  masters_[txn.master_id].pending.push_back(txn);
 }
 
-Txn* GrantEngine::grant(std::uint64_t cycle, std::size_t* master_out) {
+Txn* GrantEngine::grant(std::uint64_t cycle) {
   eligible_.assign(masters_.size(), false);
   bool any = false;
   for (std::size_t i = 0; i < masters_.size(); ++i) {
     eligible_[i] = !masters_[i].pending.empty() &&
-                   masters_[i].inflight_ids.size() < max_outstanding_;
+                   masters_[i].inflight < max_outstanding_;
     any = any || eligible_[i];
   }
   if (!any) return nullptr;
@@ -42,26 +41,17 @@ Txn* GrantEngine::grant(std::uint64_t cycle, std::size_t* master_out) {
               "arbiter granted an ineligible master");
   Txn* txn = masters_[g].pending.pop_front();
   STLM_ASSERT(txn != nullptr, "granted master has empty queue");
-  masters_[g].inflight_ids.push_back(txn->id);
-  if (master_out) *master_out = g;
+  ++masters_[g].inflight;
   return txn;
 }
 
-void GrantEngine::retire(std::size_t m, const Txn& txn) {
-  STLM_ASSERT(m < masters_.size(), "GrantEngine: master index out of range");
-  auto& ids = masters_[m].inflight_ids;
-  const auto it = std::find(ids.begin(), ids.end(), txn.id);
-  STLM_ASSERT(it != ids.end(),
+void GrantEngine::retire(const Txn& txn) {
+  STLM_ASSERT(txn.master_id < masters_.size(),
+              "GrantEngine: master index out of range");
+  std::size_t& inflight = masters_[txn.master_id].inflight;
+  STLM_ASSERT(inflight > 0,
               "GrantEngine: retiring a transaction that is not in flight");
-  ids.erase(it);
-}
-
-std::size_t GrantEngine::owner_of(const Txn& txn) const {
-  for (std::size_t m = 0; m < masters_.size(); ++m) {
-    const auto& ids = masters_[m].inflight_ids;
-    if (std::find(ids.begin(), ids.end(), txn.id) != ids.end()) return m;
-  }
-  return npos;
+  --inflight;
 }
 
 bool GrantEngine::any_pending() const {
@@ -73,7 +63,7 @@ bool GrantEngine::any_pending() const {
 
 bool GrantEngine::any_inflight() const {
   for (const auto& m : masters_) {
-    if (!m.inflight_ids.empty()) return true;
+    if (m.inflight != 0) return true;
   }
   return false;
 }

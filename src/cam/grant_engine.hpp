@@ -3,8 +3,9 @@
 // bookkeeping shared by the bus-style CAMs.
 //
 // The engine tracks, per master, a pending request queue (an intrusive
-// TxnQueue — no allocation on enqueue/dequeue) and the set of granted but
-// not-yet-retired transactions, keyed by txn id. A master is *eligible*
+// TxnQueue — no allocation on enqueue/dequeue) and the count of granted
+// but not-yet-retired transactions. The master of a transaction is the
+// `master_id` its bus access point armed it with. A master is *eligible*
 // for arbitration while it has a pending request and fewer than
 // `max_outstanding` transactions in flight; `grant()` arbitrates among
 // eligible masters only. This is what lets a split bus accept a new
@@ -49,8 +50,6 @@ struct SplitConfig {
 /// atomic and the split engine loops.
 class GrantEngine {
  public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
   /// @param arbiter          policy picking among eligible masters (owned)
   /// @param max_outstanding  per-master in-flight cap, clamped to >= 1
   GrantEngine(std::unique_ptr<Arbiter> arbiter, std::size_t max_outstanding);
@@ -59,21 +58,19 @@ class GrantEngine {
   std::size_t add_master();
   std::size_t master_count() const { return masters_.size(); }
 
-  /// Queue a pending request for master `m` (intrusive; no allocation).
-  void enqueue(std::size_t m, Txn& txn);
+  /// Queue a pending request for master `txn.master_id` (intrusive; no
+  /// allocation).
+  void enqueue(Txn& txn);
 
   /// Arbitrate among eligible masters at bus cycle `cycle`. On success
-  /// pops the winner's oldest request, marks it in flight, stores the
-  /// winning master in `*master_out` and returns the descriptor; returns
-  /// nullptr when no master is eligible (idle or all at their cap).
-  Txn* grant(std::uint64_t cycle, std::size_t* master_out);
+  /// pops the winner's oldest request, counts it in flight and returns
+  /// the descriptor; returns nullptr when no master is eligible (idle or
+  /// all at their cap).
+  Txn* grant(std::uint64_t cycle);
 
-  /// Remove a granted transaction from master `m`'s in-flight set
-  /// (matched by txn id). Must be called exactly once per grant.
-  void retire(std::size_t m, const Txn& txn);
-
-  /// Master whose in-flight set holds `txn` (by id), or `npos`.
-  std::size_t owner_of(const Txn& txn) const;
+  /// Count a granted transaction out of its master's in-flight set. Must
+  /// be called exactly once per grant.
+  void retire(const Txn& txn);
 
   /// True if any master has a queued request (regardless of caps).
   bool any_pending() const;
@@ -93,15 +90,15 @@ class GrantEngine {
     return masters_[m].pending.size();
   }
   std::size_t inflight_count(std::size_t m) const {
-    return masters_[m].inflight_ids.size();
+    return masters_[m].inflight;
   }
   std::size_t max_outstanding() const { return max_outstanding_; }
   const Arbiter& arbiter() const { return *arbiter_; }
 
  private:
   struct MasterState {
-    TxnQueue pending;                        // intrusive FIFO of requests
-    std::vector<std::uint64_t> inflight_ids;  // granted, not yet retired
+    TxnQueue pending;          // intrusive FIFO of requests
+    std::size_t inflight = 0;  // granted, not yet retired
   };
 
   std::unique_ptr<Arbiter> arbiter_;

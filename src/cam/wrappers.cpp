@@ -42,7 +42,7 @@ void ShipMasterWrapper::transport_checked(Txn& txn) {
 }
 
 std::uint32_t ShipMasterWrapper::read_u32(std::uint64_t addr) {
-  bus_txn_.begin_read(addr, 4, static_cast<std::uint32_t>(master_));
+  bus_txn_.begin_read(addr, 4);
   transport_checked(bus_txn_);
   return ocp::u32_from_le(bus_txn_.resp_data.data());
 }
@@ -52,8 +52,7 @@ void ShipMasterWrapper::put(const ship::ship_serializable_if& msg,
   BusyGuard busy(*this, kind == ship::MsgKind::Send ? "send" : "request");
   pusher_.push(msg, MailboxLayout::flags(kind),
                [this](std::uint64_t addr, const std::uint8_t* p, std::size_t n) {
-                 bus_txn_.begin_write(addr, p, n,
-                                      static_cast<std::uint32_t>(master_));
+                 bus_txn_.begin_write(addr, p, n);
                  transport_checked(bus_txn_);
                });
 }
@@ -72,14 +71,12 @@ bool ShipMasterWrapper::take(ship::ship_serializable_if& msg, bool) {
     }
     const std::uint32_t chunk =
         std::min<std::uint32_t>(remaining, remote_.window_bytes);
-    bus_txn_.begin_read(remote_.data_out(), chunk,
-                        static_cast<std::uint32_t>(master_));
+    bus_txn_.begin_read(remote_.data_out(), chunk);
     transport_checked(bus_txn_);
     rx_buf_.insert(rx_buf_.end(), bus_txn_.resp_data.begin(),
                    bus_txn_.resp_data.end());
     static constexpr std::uint8_t kZeros[4] = {};
-    bus_txn_.begin_write(remote_.rack(), kZeros, sizeof kZeros,
-                         static_cast<std::uint32_t>(master_));
+    bus_txn_.begin_write(remote_.rack(), kZeros, sizeof kZeros);
     transport_checked(bus_txn_);
     if (chunk == remaining) break;
   }

@@ -17,6 +17,13 @@
 //     Simulator's TxnPool, link through the intrusive `next` pointer, and
 //     release after consumption — the free list recycles descriptors and
 //     their payload capacity.
+//
+// A descriptor is on one bus at a time. A bus's access point
+// (cam::CamIf) arms it for the bus — master index, issue stamp, phase
+// stamps, status, completion token — so re-issuing a completed
+// descriptor needs no begin_*() and an initiator reads its own stamps
+// after completion. A layer that crosses into another bus while its
+// initiator waits (a bus bridge) forwards a pooled descriptor of its own.
 
 #include <atomic>
 #include <cstddef>
@@ -57,36 +64,6 @@ public:
     waiter_ = nullptr;
   }
 
-  // Blocking layers strictly nest (e.g. a bus bridge forwards the granted
-  // Txn into a downstream CAM while the initiator still waits on the same
-  // descriptor). NestedScope shelves the outer waiter for the duration of
-  // the inner round-trip and restores it on exit, so one CompletionEvent
-  // serves every nesting level without extra allocation.
-  class NestedScope {
-  public:
-    explicit NestedScope(CompletionEvent& e)
-        : e_(e),
-          waiter_(e.waiter_),
-          waiter_gen_(e.waiter_gen_),
-          completed_(e.completed_) {
-      e_.waiter_ = nullptr;
-      e_.completed_ = false;
-    }
-    ~NestedScope() {
-      e_.waiter_ = waiter_;
-      e_.waiter_gen_ = waiter_gen_;
-      e_.completed_ = completed_;
-    }
-    NestedScope(const NestedScope&) = delete;
-    NestedScope& operator=(const NestedScope&) = delete;
-
-  private:
-    CompletionEvent& e_;
-    Process* waiter_;
-    std::uint64_t waiter_gen_;
-    bool completed_;
-  };
-
 private:
   Process* waiter_ = nullptr;
   std::uint64_t waiter_gen_ = 0;  // waiter's wake_gen at registration
@@ -120,7 +97,7 @@ public:
   // --- request half ------------------------------------------------------
   Op op = Op::Read;
   std::uint32_t flags = 0;
-  std::uint32_t master_id = 0;
+  std::uint32_t master_id = 0;             // bus access point's index
   std::uint64_t addr = 0;
   std::uint32_t read_bytes = 0;            // requested bytes (reads only)
   std::vector<std::uint8_t> data;          // write / message payload
@@ -130,7 +107,7 @@ public:
   std::vector<std::uint8_t> resp_data;     // read / reply payload
 
   // --- bookkeeping -------------------------------------------------------
-  Time enqueued = Time::zero();            // set when a layer queues the txn
+  Time enqueued = Time::zero();            // issue time at the access point
   std::uint32_t cursor = 0;                // consumer progress (chunked IO)
   std::uint64_t id = 0;                    // unique per begin_*(); for tracing
   std::uint32_t retries = 0;               // re-issues so far (RetryPolicy)
@@ -156,40 +133,12 @@ public:
   Time t_data = Time::zero();      // data phase began on the bus
   Time t_complete = Time::zero();  // initiator-visible completion
 
-  /// Reset the phase stamps (a layer that re-queues a descriptor it does
-  /// not begin_*() afresh — bridges, wrappers — calls this instead).
+  /// Reset the phase stamps (the bus access point does this per issue).
   void reset_phases() {
     t_grant = Time::zero();
     t_data = Time::zero();
     t_complete = Time::zero();
   }
-
-  // Shelves the issue/phase timestamps for a nested round trip — a layer
-  // forwarding the same descriptor downstream mid-transaction — and
-  // restores them on scope exit, so the inner interconnect's stamps never
-  // corrupt the outer layer's row. The timestamp analogue of
-  // CompletionEvent::NestedScope; the two typically nest together.
-  class PhaseShelf {
-  public:
-    explicit PhaseShelf(Txn& t)
-        : t_(t),
-          enqueued_(t.enqueued),
-          grant_(t.t_grant),
-          data_(t.t_data),
-          complete_(t.t_complete) {}
-    ~PhaseShelf() {
-      t_.enqueued = enqueued_;
-      t_.t_grant = grant_;
-      t_.t_data = data_;
-      t_.t_complete = complete_;
-    }
-    PhaseShelf(const PhaseShelf&) = delete;
-    PhaseShelf& operator=(const PhaseShelf&) = delete;
-
-  private:
-    Txn& t_;
-    Time enqueued_, grant_, data_, complete_;
-  };
 
   Txn() = default;
   Txn(const Txn&) = delete;
@@ -199,15 +148,13 @@ public:
 
   /// Arm the descriptor as a read of `bytes` from address `a`. Resets
   /// the response half and the CompletionEvent; keeps buffer capacity.
-  void begin_read(std::uint64_t a, std::uint32_t bytes,
-                  std::uint32_t master = 0) {
-    begin(Op::Read, a, master);
+  void begin_read(std::uint64_t a, std::uint32_t bytes) {
+    begin(Op::Read, a);
     read_bytes = bytes;
   }
   /// Arm the descriptor as a write of `n` bytes at `p` to address `a`.
-  void begin_write(std::uint64_t a, const void* p, std::size_t n,
-                   std::uint32_t master = 0) {
-    begin(Op::Write, a, master);
+  void begin_write(std::uint64_t a, const void* p, std::size_t n) {
+    begin(Op::Write, a);
     const auto* b = static_cast<const std::uint8_t*>(p);
     data.assign(b, b + n);
   }
@@ -215,7 +162,7 @@ public:
   /// the caller into `data` afterwards (typically via serialization
   /// straight into the buffer).
   void begin_msg(std::uint32_t f = 0) {
-    begin(Op::Msg, 0, 0);
+    begin(Op::Msg, 0);
     flags = f;
   }
 
@@ -242,17 +189,15 @@ public:
   }
   bool is_request() const { return (flags & kFlagRequest) != 0; }
 
-  /// Re-arm a completed descriptor for a retry attempt: the request half
-  /// (op/addr/payload) survives, the response state, completion token and
-  /// phase stamps reset, and the retry counter advances. Unlike begin_*()
+  /// Prepare a completed descriptor for a retry attempt: the request half
+  /// (op/addr/payload) survives, the response payload and watchdog flag
+  /// reset, and the retry counter advances (the bus access point re-arms
+  /// status, stamps and completion token on re-issue). Unlike begin_*()
   /// the id is kept — trace rows of every attempt correlate to one
   /// logical transaction.
   void rearm_retry() {
     resp_data.clear();
-    status = Status::Pending;
     deadline_missed = false;
-    done.reset();
-    reset_phases();
     ++retries;
   }
 
@@ -285,10 +230,16 @@ private:
   friend class TxnPool;
   friend class TxnQueue;
 
-  void begin(Op o, std::uint64_t a, std::uint32_t master) {
+  void begin(Op o, std::uint64_t a) {
+    reset_logical();
     op = o;
     addr = a;
-    master_id = master;
+    id = next_id();
+  }
+
+  // The logical state a fresh transaction starts from (begin_*() and
+  // TxnPool::release); both payload buffers keep their capacity.
+  void reset_logical() {
     flags = 0;
     read_bytes = 0;
     cursor = 0;
@@ -299,7 +250,6 @@ private:
     deadline_missed = false;
     done.reset();
     reset_phases();
-    id = next_id();
   }
 
   // Monotonic across every simulator (descriptors are recycled, logical
@@ -375,17 +325,7 @@ public:
   void release(Txn& t) {
     audit_release(t);
     ++released_;
-    // Reset logical state but keep both payload buffers' capacity.
-    t.flags = 0;
-    t.read_bytes = 0;
-    t.cursor = 0;
-    t.data.clear();
-    t.resp_data.clear();
-    t.status = Txn::Status::Pending;
-    t.retries = 0;
-    t.deadline_missed = false;
-    t.done.reset();
-    t.reset_phases();
+    t.reset_logical();
     free_.push_back(t);
   }
 

@@ -132,8 +132,7 @@ void TraceSession::process_end(const ProcessBase& p, Time now) {
                        intern("run"), 'E'});
 }
 
-void TraceSession::txn_phases(const std::string& track, const Txn& txn,
-                              Time issue) {
+void TraceSession::txn_phases(const std::string& track, const Txn& txn) {
   if (!opts_.txn_spans) return;
   const std::uint32_t tid = track_of(track);
   if (!room(4)) return;
@@ -142,7 +141,7 @@ void TraceSession::txn_phases(const std::string& track, const Txn& txn,
   // Async pairs keyed by the globally unique Txn id: queue covers
   // issue -> grant, service covers grant -> completion. Recorded as an
   // atomic group of four so pairs can never be half-dropped at the cap.
-  record('b', tid, queue, issue.femtoseconds(), txn.id);
+  record('b', tid, queue, txn.enqueued.femtoseconds(), txn.id);
   record('e', tid, queue, txn.t_grant.femtoseconds(), txn.id);
   record('b', tid, service, txn.t_grant.femtoseconds(), txn.id);
   record('e', tid, service, txn.t_complete.femtoseconds(), txn.id);

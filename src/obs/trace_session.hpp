@@ -69,11 +69,9 @@ public:
   void process_begin(const ProcessBase& p, Time now);
   void process_end(const ProcessBase& p, Time now);
   // Queue + service async spans for a completed transaction on the track
-  // named `track` (the bus/channel full name). `issue` is when the
-  // request entered the fabric — the Txn's own `enqueued` stamp for flat
-  // buses, the outer arrival time for hierarchical routes that re-stamp
-  // the descriptor per hop.
-  void txn_phases(const std::string& track, const Txn& txn, Time issue);
+  // named `track` (the bus/channel full name), from the Txn's own
+  // `enqueued` issue stamp.
+  void txn_phases(const std::string& track, const Txn& txn);
   void instant(const std::string& track, const std::string& name, Time now);
   // Retrospective async span (e.g. a retry policy's "watchdog" window,
   // recorded when the transaction settles): one balanced "b"/"e" pair on

@@ -75,25 +75,20 @@ struct Request {
   std::uint64_t addr = 0;
   std::vector<std::uint8_t> data;  // write payload (empty for reads)
   std::uint32_t read_bytes = 0;    // requested bytes (reads only)
-  std::uint32_t master_id = 0;     // initiator id for arbitration/stats
 
-  static Request read(std::uint64_t addr, std::uint32_t bytes,
-                      std::uint32_t master_id = 0) {
+  static Request read(std::uint64_t addr, std::uint32_t bytes) {
     Request r;
     r.cmd = Cmd::Read;
     r.addr = addr;
     r.read_bytes = bytes;
-    r.master_id = master_id;
     return r;
   }
 
-  static Request write(std::uint64_t addr, std::vector<std::uint8_t> bytes,
-                       std::uint32_t master_id = 0) {
+  static Request write(std::uint64_t addr, std::vector<std::uint8_t> bytes) {
     Request r;
     r.cmd = Cmd::Write;
     r.addr = addr;
     r.data = std::move(bytes);
-    r.master_id = master_id;
     return r;
   }
 
@@ -154,9 +149,9 @@ inline RespCode txn_resp_code(const Txn& t) {
 inline void request_to_txn(const Request& req, Txn& t) {
   STLM_ASSERT(req.cmd != Cmd::Idle, "transport of IDLE request");
   if (req.cmd == Cmd::Read) {
-    t.begin_read(req.addr, req.read_bytes, req.master_id);
+    t.begin_read(req.addr, req.read_bytes);
   } else {
-    t.begin_write(req.addr, req.data.data(), req.data.size(), req.master_id);
+    t.begin_write(req.addr, req.data.data(), req.data.size());
   }
 }
 

@@ -21,11 +21,10 @@ TEST(OcpTypes, BeatsRoundUpToWords) {
 }
 
 TEST(OcpTypes, FactoryHelpers) {
-  auto r = Request::read(0x100, 8, 3);
+  auto r = Request::read(0x100, 8);
   EXPECT_EQ(r.cmd, Cmd::Read);
   EXPECT_EQ(r.addr, 0x100u);
   EXPECT_EQ(r.read_bytes, 8u);
-  EXPECT_EQ(r.master_id, 3u);
   EXPECT_EQ(r.payload_bytes(), 8u);
 
   auto w = Request::write(0x200, {1, 2, 3});

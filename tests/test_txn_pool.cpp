@@ -213,11 +213,12 @@ TEST(PooledTxnStress, SteadyStateHasZeroEventAndAllocationChurn) {
   EXPECT_LE(compat.pool_created, kMasters);
 }
 
-// ------------------------------------------------- bridge nesting guard --
+// -------------------------------------------------- bridge forwarding --
 
-TEST(PooledTxn, BridgeForwardsSameDescriptorThroughNestedCams) {
-  // Two-tier CoreConnect topology: the same descriptor crosses PLB ->
-  // bridge -> OPB and back, exercising CompletionEvent::NestedScope.
+TEST(PooledTxn, BridgeForwardsOnAPooledDescriptorOfItsOwn) {
+  // Two-tier CoreConnect topology: the initiator's descriptor stays on
+  // the PLB while the bridge carries the access across the OPB on a
+  // pooled descriptor of its own, recycled between the two accesses.
   Simulator sim;
   cam::PlbCam plb(sim, "plb", 10_ns, std::make_unique<cam::PriorityArbiter>());
   cam::OpbCam opb(sim, "opb", 20_ns, std::make_unique<cam::PriorityArbiter>());
@@ -245,4 +246,6 @@ TEST(PooledTxn, BridgeForwardsSameDescriptorThroughNestedCams) {
   EXPECT_EQ(bridge.forwarded(), 2u);
   EXPECT_EQ(plb.stats().counter("transactions"), 2u);
   EXPECT_EQ(opb.stats().counter("transactions"), 2u);
+  EXPECT_EQ(sim.txn_pool().created(), 1u);
+  EXPECT_EQ(sim.txn_pool().outstanding(), 0u);
 }
