@@ -18,7 +18,9 @@ namespace stlm::cam {
 /// grant engine passes the mask of masters that may be granted *now*
 /// and the policy picks one. In split mode the mask already excludes
 /// masters at their outstanding cap, so one policy implementation
-/// serves both the atomic and the split engines unchanged.
+/// serves both the atomic and the split engines unchanged. Every policy
+/// is work-conserving and grants the sole eligible master when there is
+/// one; GrantEngine::contended_picks relies on this.
 class Arbiter {
 public:
   virtual ~Arbiter() = default;

@@ -26,13 +26,14 @@ void GrantEngine::enqueue(Txn& txn) {
 
 Txn* GrantEngine::grant(std::uint64_t cycle) {
   eligible_.assign(masters_.size(), false);
-  bool any = false;
+  std::size_t n_eligible = 0;
   for (std::size_t i = 0; i < masters_.size(); ++i) {
     eligible_[i] = !masters_[i].pending.empty() &&
                    masters_[i].inflight < max_outstanding_;
-    any = any || eligible_[i];
+    n_eligible += eligible_[i] ? 1 : 0;
   }
-  if (!any) return nullptr;
+  if (n_eligible == 0) return nullptr;
+  if (n_eligible > 1) ++contended_picks_;
 
   const int picked = arbiter_->pick(eligible_, cycle);
   STLM_ASSERT(picked >= 0, "arbiter returned no grant with eligible masters");

@@ -65,7 +65,8 @@ class GrantEngine {
   /// Arbitrate among eligible masters at bus cycle `cycle`. On success
   /// pops the winner's oldest request, counts it in flight and returns
   /// the descriptor; returns nullptr when no master is eligible (idle or
-  /// all at their cap).
+  /// all at their cap). A grant with two or more eligible masters counts
+  /// as a contended pick.
   Txn* grant(std::uint64_t cycle);
 
   /// Count a granted transaction out of its master's in-flight set. Must
@@ -83,8 +84,15 @@ class GrantEngine {
   /// (round-robin rotation, TDMA reclamation) evolve exactly as if the
   /// engine had granted it. Only legal when the fast path verified no
   /// other master was pending (then `m` is the pick the engine would
-  /// have made).
+  /// have made). Never a contended pick: it has one candidate.
   void note_fast_grant(std::size_t m, std::uint64_t cycle);
+
+  /// Grants so far that had two or more eligible masters: the only picks
+  /// where the arbiter chose. Every policy grants the sole eligible
+  /// master, so a run that ends with 0 here would have run identically
+  /// under any other arbiter (the row-sharing certificate, see
+  /// Explorer::sweep_parallel).
+  std::uint64_t contended_picks() const { return contended_picks_; }
 
   std::size_t pending_count(std::size_t m) const {
     return masters_[m].pending.size();
@@ -105,6 +113,7 @@ class GrantEngine {
   std::size_t max_outstanding_;
   std::vector<MasterState> masters_;
   std::vector<bool> eligible_;  // scratch mask reused across grant() calls
+  std::uint64_t contended_picks_ = 0;
 };
 
 }  // namespace stlm::cam

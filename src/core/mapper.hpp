@@ -166,10 +166,13 @@ public:
                                            const Platform& platform,
                                            AbstractionLevel level);
 
+  // The arbitration policy a bus of `p` is built with; throws when the
+  // policy's parameters are invalid (a zero TDMA slot).
+  static std::unique_ptr<cam::Arbiter> make_arbiter(const Platform& p);
+
 private:
   static void build_abstract(MappedSystem& ms, SystemGraph& g, bool timed);
   static void build_cam(MappedSystem& ms, SystemGraph& g);
-  static std::unique_ptr<cam::Arbiter> make_arbiter(const Platform& p);
   static std::unique_ptr<cam::CamIf> make_bus(Simulator& sim,
                                               const Platform& p);
 };

@@ -41,6 +41,16 @@ double Platform::cost_proxy() const {
   return cost;
 }
 
+Platform arbiter_free_point(Platform p) {
+  const Platform defaults;
+  p.name.clear();
+  p.arb = defaults.arb;
+  p.tdma_slot_cycles = defaults.tdma_slot_cycles;
+  p.aging_cycles = defaults.aging_cycles;
+  p.qos_shares.clear();
+  return p;
+}
+
 bool knob_point_valid(BusKind bus, std::size_t outstanding, bool fast) {
   // OPB has no address pipelining: only the atomic point exists.
   if (outstanding > 1 && bus == BusKind::Opb) return false;

@@ -105,7 +105,17 @@ struct Platform {
   // Dimensionless (comparisons only); deterministic per Platform, so it
   // is a legitimate search objective without running a simulation.
   double cost_proxy() const;
+
+  bool operator==(const Platform&) const = default;
 };
+
+// `p` with every field only its arbiter reads reset: name, arb,
+// tdma_slot_cycles, aging_cycles and qos_shares. Two platforms with equal
+// arbiter-free points are arbiter siblings: they build the same system
+// and differ only in the policy GrantEngine consults on a contended pick
+// (a crossbar builds no arbiter at all), so a run with no contended pick
+// is exact for all of them (see Explorer::sweep_parallel).
+Platform arbiter_free_point(Platform p);
 
 // Knob axes of the exploration space: the ordered value lists a search
 // may step through, one knob at a time. expl::GridSpec crosses the same

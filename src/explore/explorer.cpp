@@ -119,6 +119,9 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
       row.fast_hit_rate = static_cast<double>(st.counter("fast_path_hits")) /
                           static_cast<double>(tx);
     }
+    if (const auto* cb = dynamic_cast<const cam::CamBase*>(ms->bus())) {
+      row.contended_picks = cb->grant_engine().contended_picks();
+    }
   }
   row.ctx_switches = sim.ctx_switches();
   // With auditing on (audit::set_default_enabled before the sweep), fold
@@ -142,18 +145,71 @@ std::vector<ExplorationRow> Explorer::sweep_parallel(
     unsigned n_threads) {
   const std::size_t nw = workloads.size();
   std::vector<ExplorationRow> rows(cands.size() * nw);
+
+  // rep[c]: the first candidate with c's arbiter-free point (c itself
+  // for a representative); siblings[r]: the others r represents.
+  std::vector<std::size_t> rep(cands.size());
+  std::vector<std::vector<std::size_t>> siblings(cands.size());
+  std::vector<core::Platform> points(cands.size());
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    points[c] = core::arbiter_free_point(cands[c]);
+    const auto seen = points.begin() + static_cast<std::ptrdiff_t>(c);
+    rep[c] = static_cast<std::size_t>(
+        std::find(points.begin(), seen, points[c]) - points.begin());
+    if (rep[c] == c) continue;
+    // A copied row skips the sibling's elaboration, so build its policy
+    // here: one that cannot be built fails the sweep as evaluate() would.
+    if (cands[c].bus != core::BusKind::Crossbar) {
+      core::Mapper::make_arbiter(cands[c]);
+    }
+    siblings[rep[c]].push_back(c);
+  }
+  // The trace target is always simulated, so its trace file is written.
+  auto traced = [&](std::size_t i) {
+    return !trace_target_.path.empty() &&
+           trace_target_.platform == cands[i / nw].name &&
+           trace_target_.workload == workloads[i % nw].name;
+  };
+
   // Cells submitted before run() queue FIFO, so a lone caller thread
-  // evaluates them in row order.
+  // evaluates them in row order; re-queued siblings follow.
   WorkPool pool(
       static_cast<unsigned>(std::min<std::size_t>(n_threads, rows.size())),
       thread_factory_);
+  auto run_cell = [&](std::size_t i) {
+    rows[i] = evaluate(cands[i / nw], workloads[i % nw], max_time);
+  };
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    pool.submit([&, i] {
-      rows[i] = evaluate(cands[i / nw], workloads[i % nw], max_time);
+    const std::size_t c = i / nw;
+    if (rep[c] != c) {
+      if (traced(i)) pool.submit([&, i] { run_cell(i); });
+      continue;
+    }
+    pool.submit([&, i, c] {
+      run_cell(i);
+      const ExplorationRow& rep_row = rows[i];
+      for (std::size_t s : siblings[c]) {
+        const std::size_t j = s * nw + i % nw;
+        if (traced(j)) continue;  // queued up front
+        if (rep_row.contended_picks != 0) {
+          pool.submit([&, j] { run_cell(j); });
+          continue;
+        }
+        ExplorationRow& row = rows[j];
+        row = rep_row;
+        row.platform = cands[s].name;
+        row.cost = cands[s].cost_proxy();
+        row.wall_ms = 0.0;
+        row.shared_from = rep_row.platform;
+      }
     });
   }
   pool.run();
   last_spawn_failures_ = pool.spawn_failures();
+  last_shared_cells_ = static_cast<std::size_t>(
+      std::count_if(rows.begin(), rows.end(), [](const ExplorationRow& r) {
+        return !r.shared_from.empty();
+      }));
   if (pool.first_error()) std::rethrow_exception(pool.first_error());
   return rows;
 }

@@ -58,6 +58,11 @@ struct ExplorationRow {
   // Kernel thread-coroutine dispatches this cell's simulator performed —
   // the scheduler-overhead side of the wall_ms column (src/obs).
   std::uint64_t ctx_switches = 0;
+  // Bus grants made with two or more masters eligible, the only picks
+  // where the arbiter chose (cam::GrantEngine::contended_picks; 0 on the
+  // crossbar, which has no arbiter). 0 certifies this row for every
+  // arbiter of the same point (core::arbiter_free_point).
+  std::uint64_t contended_picks = 0;
   // Fast-path completions / total bus transactions for this cell (0 for
   // buses without a fast path, e.g. the crossbar).
   double fast_hit_rate = 0.0;
@@ -87,6 +92,11 @@ struct ExplorationRow {
   // workload finished: the sim columns describe a truncated run and must
   // not be compared against completed rows.
   bool pruned = false;
+  // Set when sweep_parallel copied this row from its certified arbiter
+  // sibling instead of simulating it: that sibling's platform name. The
+  // simulated columns are the sibling's, platform and cost are this
+  // cell's own, and wall_ms is 0.
+  std::string shared_from;
 
   // Raw delivered bandwidth in MB/s (bytes / us == MB/s); the
   // maximization objective search drivers minimize the negation of.
@@ -158,11 +168,22 @@ public:
 
   // Evaluate the platform x workload grid on `n_threads` WorkPool workers,
   // the calling thread included. Rows are platform-major: row index =
-  // platform_index * workloads.size() + workload_index. Every cell is a
-  // complete evaluate(), so no simulation state crosses threads (the
-  // kernel's "current simulator" is thread-local by design) and the
-  // simulated metrics are bit-identical at any thread count. With one
-  // thread the caller runs the cells in row order. The first exception
+  // platform_index * workloads.size() + workload_index.
+  //
+  // Each behaviour is simulated once. Candidates with equal
+  // core::arbiter_free_point are arbiter siblings; the first of them in
+  // input order is the group's representative. Only representatives,
+  // ungrouped cells and the TraceTarget cell are queued up front. When a
+  // representative's cell finishes with contended_picks == 0, no arbiter
+  // ever chose, so every sibling would have run identically: their rows
+  // are copies (shared_from set, wall_ms 0, own platform and cost).
+  // Otherwise the finishing task queues the siblings' cells as ordinary
+  // evaluate() tasks. Every simulated cell is a complete evaluate(), so
+  // no simulation state crosses threads (the kernel's "current
+  // simulator" is thread-local by design), and since the certificate is
+  // a simulated column, rows and the shared-cell count are bit-identical
+  // at any thread count. With one thread the caller runs the queued
+  // cells in row order, then the re-queued siblings. The first exception
   // thrown by any cell is rethrown on the calling thread after all
   // workers have joined; remaining cells are abandoned.
   //
@@ -182,6 +203,10 @@ public:
   // failed spawn can never stall the sweep) — degraded, not wrong.
   unsigned last_spawn_failures() const { return last_spawn_failures_; }
 
+  // Cells of the last sweep whose row was copied from a certified arbiter
+  // sibling rather than simulated (rows with shared_from set).
+  std::size_t last_shared_cells() const { return last_shared_cells_; }
+
   // Test seam: substitute how sweep workers are created (see
   // WorkPool::ThreadFactory). Default-constructed = real std::thread.
   void set_thread_factory(WorkPool::ThreadFactory f) {
@@ -197,6 +222,7 @@ private:
   Time slo_ = Time::zero();
   WorkPool::ThreadFactory thread_factory_;
   unsigned last_spawn_failures_ = 0;
+  std::size_t last_shared_cells_ = 0;
 };
 
 // Canonical candidate list covering the CAM library.

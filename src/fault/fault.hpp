@@ -46,6 +46,8 @@ struct FaultProfile {
     return error_rate > 0.0 || (spike_rate > 0.0 && spike_cycles > 0) ||
            (stall_rate > 0.0 && stall_cycles > 0);
   }
+
+  bool operator==(const FaultProfile&) const = default;
 };
 
 // Initiator-side failure policy knobs (consumed by cam::RetryPolicy).
@@ -63,6 +65,8 @@ struct RetrySpec {
   bool active() const {
     return max_retries > 0 || timeout != Time::zero();
   }
+
+  bool operator==(const RetrySpec&) const = default;
 };
 
 // Seeded fault source consulted by the CAM engines. One Injector per

@@ -27,6 +27,8 @@ struct DriverConfig {
   std::uint64_t call_overhead_cycles = 50;
   // CPU cycles charged per ISR invocation.
   std::uint64_t isr_overhead_cycles = 80;
+
+  bool operator==(const DriverConfig&) const = default;
 };
 
 class ShipDriver final : public ship::ship_if {

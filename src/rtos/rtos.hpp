@@ -32,6 +32,8 @@ class Rtos;
 struct RtosConfig {
   Time tick = Time::us(1);                    // delay granularity
   std::uint64_t context_switch_cycles = 20;   // charged per dispatch
+
+  bool operator==(const RtosConfig&) const = default;
 };
 
 class Task {

@@ -39,7 +39,8 @@ inline workload::WorkloadCase two_streams(std::uint64_t msgs,
           }};
 }
 
-// Every simulated column — everything except the host-side wall clock.
+// Every simulated column — everything except the host-side wall clock
+// and the sweep's shared_from note.
 inline void expect_sim_columns_equal(const expl::ExplorationRow& a,
                                      const expl::ExplorationRow& b) {
   const std::string cell = a.platform + "/" + a.workload;
@@ -58,6 +59,8 @@ inline void expect_sim_columns_equal(const expl::ExplorationRow& a,
   EXPECT_EQ(a.transactions, b.transactions) << cell;
   EXPECT_EQ(a.bytes, b.bytes) << cell;
   EXPECT_EQ(a.ctx_switches, b.ctx_switches) << cell;
+  EXPECT_EQ(a.audit_conflicts, b.audit_conflicts) << cell;
+  EXPECT_EQ(a.contended_picks, b.contended_picks) << cell;
   EXPECT_EQ(a.fast_hit_rate, b.fast_hit_rate) << cell;
   EXPECT_EQ(a.error_rate, b.error_rate) << cell;
   EXPECT_EQ(a.retries, b.retries) << cell;

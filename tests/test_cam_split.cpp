@@ -112,6 +112,50 @@ TEST(GrantEngine, CapGatesEligibilityNotQueueing) {
   EXPECT_EQ(ge.grant(0), &b);
 }
 
+// The row-sharing certificate: a grant counts as a contended pick only
+// when two or more masters are eligible at once.
+TEST(GrantEngine, CountsOnlyPicksAmongTwoOrMoreEligibleMasters) {
+  Simulator sim;
+  GrantEngine ge(std::make_unique<PriorityArbiter>(), /*max_outstanding=*/1);
+  const std::size_t m0 = ge.add_master();
+  const std::size_t m1 = ge.add_master();
+  Txn a, b, c;
+  a.begin_read(0x0, 4);
+  b.begin_read(0x4, 4);
+  c.begin_read(0x8, 4);
+  a.master_id = b.master_id = static_cast<std::uint32_t>(m0);
+  c.master_id = static_cast<std::uint32_t>(m1);
+
+  // One eligible master: the arbiter has no choice.
+  ge.enqueue(a);
+  ASSERT_EQ(ge.grant(0), &a);
+  EXPECT_EQ(ge.contended_picks(), 0u);
+  EXPECT_EQ(ge.grant(0), nullptr);  // nothing eligible: no pick at all
+  EXPECT_EQ(ge.contended_picks(), 0u);
+
+  // m0 is at its cap with b queued behind a: b is not eligible, so c
+  // is granted alone.
+  ge.enqueue(b);
+  ge.enqueue(c);
+  ASSERT_EQ(ge.grant(0), &c);
+  EXPECT_EQ(ge.contended_picks(), 0u);
+
+  // Two eligible masters: a contended pick.
+  ge.retire(a);
+  ge.retire(c);
+  Txn d;
+  d.begin_read(0xc, 4);
+  d.master_id = static_cast<std::uint32_t>(m1);
+  ge.enqueue(d);
+  ASSERT_EQ(ge.grant(0), &b);  // priority: master 0 wins
+  EXPECT_EQ(ge.contended_picks(), 1u);
+
+  // A fast-path grant has one candidate by contract and never counts.
+  ge.note_fast_grant(m1, 1);
+  ge.note_fast_grant(m0, 2);
+  EXPECT_EQ(ge.contended_picks(), 1u);
+}
+
 // --------------------------------------- bit-identical atomic timing ----
 
 namespace {

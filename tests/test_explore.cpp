@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -457,9 +460,11 @@ TEST(Explorer, PrintTableShowsWorkloadColumnOnlyWhenPresent) {
   EXPECT_NE(os.str().find("pipeline"), std::string::npos);
 }
 
-TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInRowOrder) {
+TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInQueueOrder) {
   // Each factory call records which cell it builds; with one thread the
-  // caller must build them in platform-major row order.
+  // caller must build them in queue order: every cell but the arbiter
+  // siblings' in platform-major row order, then the sibling cells a
+  // representative that made a contended pick re-queued.
   std::vector<std::string> built;
   const std::thread::id caller = std::this_thread::get_id();
   auto recording = [&](std::string name, WorkloadCase inner) {
@@ -476,11 +481,23 @@ TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInRowOrder) {
                                         recording("b", two_streams(2, 32))};
   const auto rows = ex.sweep_parallel(cands, loads, 50_ms, 1);
   ASSERT_EQ(rows.size(), cands.size() * loads.size());
-  ASSERT_EQ(built.size(), rows.size());
+  // plb-round-robin and plb-tdma are plb-priority's arbiter siblings.
+  auto sibling = [](const std::string& name) {
+    return name == "plb-round-robin" || name == "plb-tdma";
+  };
+  std::vector<std::string> expected;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_TRUE(rows[i].completed) << rows[i].platform;
-    EXPECT_EQ(built[i], loads[i % loads.size()].name) << i;
+    if (!sibling(rows[i].platform)) expected.push_back(rows[i].workload);
   }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].platform != "plb-priority" || rows[i].contended_picks == 0) {
+      continue;
+    }
+    expected.insert(expected.end(), 2, rows[i].workload);
+  }
+  EXPECT_EQ(built, expected);
+  EXPECT_EQ(built.size() + ex.last_shared_cells(), rows.size());
 }
 
 TEST(Explorer, ParallelSweepPropagatesWorkerExceptions) {
@@ -595,4 +612,172 @@ TEST(Explorer, GoodputCountsLateButDeliveredTimeoutPayloads) {
   EXPECT_GT(row.goodput_mbps, 0.0);
   EXPECT_DOUBLE_EQ(row.goodput_mbps,
                    static_cast<double>(row.bytes) / row.sim_time_us);
+}
+
+namespace {
+
+// Sweeps `plats` x `loads` at 1 and 4 threads and holds every row, copied
+// or simulated, to its own cell's evaluate() in every simulated column. A
+// copied row must name a simulated row of the same workload. Returns the
+// shared-cell count, which must not depend on the thread count.
+std::size_t expect_shared_rows_equal_evaluated(
+    const std::vector<Platform>& plats,
+    const std::vector<WorkloadCase>& loads) {
+  const Time horizon = 200_ms;
+  Explorer ex;
+  std::vector<ExplorationRow> evaluated;
+  for (const auto& p : plats) {
+    for (const auto& w : loads) evaluated.push_back(ex.evaluate(p, w, horizon));
+  }
+  std::size_t shared = 0;
+  for (unsigned threads : {1u, 4u}) {
+    const auto rows = ex.sweep_parallel(plats, loads, horizon, threads);
+    if (rows.size() != evaluated.size()) {
+      ADD_FAILURE() << "sweep returned " << rows.size() << " rows";
+      return 0;
+    }
+    std::map<std::pair<std::string, std::string>, const ExplorationRow*> cell;
+    for (const auto& r : rows) cell[{r.platform, r.workload}] = &r;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const ExplorationRow& r = rows[i];
+      expect_sim_columns_equal(r, evaluated[i]);
+      if (r.shared_from.empty()) continue;
+      ++n;
+      EXPECT_EQ(r.wall_ms, 0.0) << r.platform << "/" << r.workload;
+      EXPECT_EQ(r.contended_picks, 0u) << r.platform << "/" << r.workload;
+      const auto rep = cell.find({r.shared_from, r.workload});
+      EXPECT_TRUE(rep != cell.end() && rep->second->shared_from.empty())
+          << r.platform << " copies " << r.shared_from;
+    }
+    EXPECT_EQ(n, ex.last_shared_cells()) << threads << " threads";
+    if (threads == 1) {
+      shared = n;
+    } else {
+      EXPECT_EQ(n, shared) << threads << " threads";
+    }
+  }
+  return shared;
+}
+
+}  // namespace
+
+// A certified representative's row is exact for its arbiter siblings:
+// every copied row equals the row its own evaluate() produces, on the
+// default grid, a five-arbiter space with non-default policy
+// parameters, a faulted + retry space and a HW/SW workload.
+TEST(Explorer, SharedRowsEqualEvaluatedCells) {
+  const auto grid = grid_candidates();
+  EXPECT_EQ(expect_shared_rows_equal_evaluated(grid, workload_candidates()),
+            42u);
+  EXPECT_GT(expect_shared_rows_equal_evaluated(grid, workload_candidates(1)),
+            0u);
+
+  GridSpec five;
+  five.knobs.arbs = {ArbKind::Priority, ArbKind::RoundRobin, ArbKind::Tdma,
+                     ArbKind::PriorityAging, ArbKind::Bandwidth};
+  five.knobs.bus_cycles = {10_ns};
+  five.knobs.data_widths = {4};
+  auto qos = grid_candidates(five);
+  for (auto& p : qos) {
+    p.tdma_slot_cycles = 4;
+    p.aging_cycles = 8;
+    p.qos_shares = {3, 1, 2};
+  }
+  EXPECT_GT(expect_shared_rows_equal_evaluated(qos, workload_candidates()),
+            0u);
+
+  GridSpec faulted;
+  faulted.knobs.buses = {BusKind::SharedBus, BusKind::Plb};
+  faulted.knobs.bus_cycles = {10_ns};
+  faulted.knobs.data_widths = {4};
+  faulted.faults = {{"flaky", 0xfa, 0.05, 0.03, 4, 0.02, 2}};
+  faulted.retries = {{"r6", 6, 2, Time::zero()}};
+  EXPECT_GT(expect_shared_rows_equal_evaluated(grid_candidates(faulted),
+                                               workload_candidates()),
+            0u);
+
+  std::atomic<std::size_t> sw_tasks{0};
+  WorkloadCase sw = workload_candidates().front();
+  sw.name += "-sw-sinks";
+  sw.factory = [inner = sw.factory, &sw_tasks](
+                   SystemGraph& g,
+                   std::vector<std::unique_ptr<ProcessingElement>>& o) {
+    inner(g, o);
+    for (ProcessingElement* pe : g.pes()) {
+      if (pe->name().ends_with(".sink")) {
+        g.set_partition(*pe, Partition::Software);
+        ++sw_tasks;
+      }
+    }
+  };
+  EXPECT_GT(expect_shared_rows_equal_evaluated(grid, {sw}), 0u);
+  EXPECT_GT(sw_tasks.load(), 0u);
+}
+
+// The trace target is always simulated, even when it is a certified
+// sibling whose row the sweep would otherwise copy, so its trace file is
+// written. The file is left for the explore_sibling_trace_check ctest
+// entry, which validates it with tools/check_trace.py.
+TEST(Explorer, TraceTargetOnACertifiedSiblingIsSimulated) {
+  const auto plats = grid_candidates();
+  const auto loads = workload_candidates();
+  Explorer ex;
+  const auto plain = ex.sweep_parallel(plats, loads, 200_ms, 4);
+  const std::size_t shared = ex.last_shared_cells();
+  const auto copied =
+      std::find_if(plain.begin(), plain.end(), [](const ExplorationRow& r) {
+        return !r.shared_from.empty();
+      });
+  ASSERT_NE(copied, plain.end());
+  const auto i = static_cast<std::size_t>(copied - plain.begin());
+
+  const std::string path = "explore_sibling_trace.json";
+  std::remove(path.c_str());
+  ex.set_trace_target({copied->platform, copied->workload, path});
+  for (unsigned threads : {1u, 4u}) {
+    const auto rows = ex.sweep_parallel(plats, loads, 200_ms, threads);
+    ASSERT_EQ(rows.size(), plain.size());
+    EXPECT_TRUE(rows[i].shared_from.empty()) << threads << " threads";
+    EXPECT_GT(rows[i].wall_ms, 0.0) << threads << " threads";
+    expect_sim_columns_equal(rows[i], *copied);
+    EXPECT_EQ(ex.last_shared_cells(), shared - 1) << threads << " threads";
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "trace target file missing";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(buf.str().find("\"ph\":\"B\""), std::string::npos);
+}
+
+// A copied row skips its sibling's elaboration, yet a sibling whose
+// arbiter cannot be built (a zero TDMA slot) must still fail the sweep,
+// as its own evaluate() does.
+TEST(Explorer, SweepRejectsASiblingWhoseArbiterCannotBeBuilt) {
+  const WorkloadCase one_stream{
+      "", [](SystemGraph& g,
+             std::vector<std::unique_ptr<ProcessingElement>>& o) {
+        auto p = std::make_unique<workload::ProducerPe>("p", 4, 64, 20);
+        auto s = std::make_unique<workload::SinkPe>("s", 4);
+        g.add_pe(*p);
+        g.add_pe(*s);
+        g.connect("ch", *p, "out", *s, "in", 2);
+        o.push_back(std::move(p));
+        o.push_back(std::move(s));
+      }};
+  Platform rep;  // plb-priority
+  Platform tdma = rep;
+  tdma.name = "plb-tdma";
+  tdma.arb = ArbKind::Tdma;
+  Explorer ex;
+  // One bus master never contends, so the TDMA row is a copy.
+  const auto rows = ex.sweep_parallel({rep, tdma}, {one_stream}, 10_ms, 1);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].shared_from, rep.name);
+
+  tdma.tdma_slot_cycles = 0;
+  EXPECT_THROW(ex.evaluate(tdma, one_stream, 10_ms), SimulationError);
+  EXPECT_THROW(ex.sweep_parallel({rep, tdma}, {one_stream}, 10_ms, 1),
+               SimulationError);
 }
