@@ -4,11 +4,13 @@
 Usage:
     compare_bench.py BASELINE.json CURRENT.json [--threshold 0.20] [--strict]
 
-Matches benchmarks by name and compares wall-clock (`real_time`,
-normalized to nanoseconds via each entry's `time_unit`). Prints one row
-per benchmark and emits a GitHub Actions `::warning::` annotation for
-every benchmark whose real time regressed by more than the threshold
-(default 20%).
+Matches benchmarks by run name and compares wall-clock (`real_time`,
+normalized to nanoseconds via each entry's `time_unit`). A run measured
+with --benchmark_repetitions is represented by its `median` aggregate,
+so one slow repetition on a shared host does not read as a regression;
+a run without one by its iteration row. Prints one row per benchmark and
+emits a GitHub Actions `::warning::` annotation for every benchmark
+whose real time regressed by more than the threshold (default 20%).
 
 The baselines under bench/baselines/ are advisory anchors for the perf
 trajectory, not hard gates: absolute times shift with the runner
@@ -20,8 +22,8 @@ deliberate change moves the numbers.
 Simulated counters are NOT advisory. A baseline may list counter names
 in a top-level "exact_counters" array. Each such counter that a baseline
 benchmark carries must appear on the same benchmark in the current file
-with exactly the baseline value, or the comparison exits 1 with or
-without --strict. These counters are
+with exactly the baseline value on every repetition's iteration row, or
+the comparison exits 1 with or without --strict. These counters are
 pure functions of the simulated model (simulated time, bus transactions,
 interrupts), so any difference is a behaviour change, not noise.
 
@@ -61,41 +63,49 @@ def load(path):
             isinstance(c, str) for c in exact):
         raise BenchFileError(f"{path}: 'exact_counters' is not a list of "
                              f"counter names")
-    rows = {}
-    entries = {}
+    rows = {}      # run name -> real time in ns
+    medians = {}   # run name -> real time of its median aggregate in ns
+    entries = {}   # run name -> its iteration rows, one per repetition
     for b in benchmarks:
         if not isinstance(b, dict):
             raise BenchFileError(f"{path}: non-object benchmark entry ({b!r})")
-        if b.get("run_type") == "aggregate":
+        aggregate = b.get("run_type") == "aggregate"
+        if aggregate and b.get("aggregate_name") != "median":
             continue
         try:
+            name = b.get("run_name", b["name"])
             scale = _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
-            rows[b["name"]] = b["real_time"] * scale
-            entries[b["name"]] = b
+            (medians if aggregate else rows)[name] = b["real_time"] * scale
         except (KeyError, TypeError) as e:
             raise BenchFileError(
                 f"{path}: benchmark entry missing name/real_time ({e})"
             ) from e
+        if not aggregate:
+            entries.setdefault(name, []).append(b)
+    rows.update(medians)
     if not rows:
         raise BenchFileError(f"{path}: no benchmark entries")
     for c in exact:
-        if not any(c in entry for entry in entries.values()):
+        if not any(c in e for reps in entries.values() for e in reps):
             raise BenchFileError(f"{path}: exact counter {c!r} appears in "
                                  f"no benchmark entry")
     return rows, entries, exact
 
 
 def counter_mismatches(base_entries, cur_entries, exact):
-    """(benchmark, counter, baseline value, current value) per difference."""
+    """(benchmark, counter, baseline value, current value) per differing
+    current repetition; a benchmark missing from the current file counts
+    once."""
     out = []
     for name in sorted(base_entries):
         for c in exact:
-            if c not in base_entries[name]:
+            want = next((e[c] for e in base_entries[name] if c in e), None)
+            if want is None:
                 continue
-            want = base_entries[name][c]
-            got = cur_entries.get(name, {}).get(c)
-            if got != want:
-                out.append((name, c, want, got))
+            for rep in cur_entries.get(name, [{}]):
+                got = rep.get(c)
+                if got != want:
+                    out.append((name, c, want, got))
     return out
 
 

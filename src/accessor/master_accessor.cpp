@@ -14,7 +14,7 @@ MasterAccessor::MasterAccessor(Simulator& sim, std::string name,
   engine_.self = this;
 }
 
-void MasterAccessor::BusEngine::handle(Txn& txn) {
+Time MasterAccessor::BusEngine::handle(Txn& txn) {
   MasterAccessor& a = *self;
   Event& edge = a.clk_.posedge_event();
   const std::uint32_t beats = txn.beats();
@@ -55,7 +55,7 @@ void MasterAccessor::BusEngine::handle(Txn& txn) {
     } else {
       txn.respond_ok();
     }
-    return;
+    return Time::zero();
   }
 
   // Read data phase: capture words on RdAck (straight into the response
@@ -79,6 +79,7 @@ void MasterAccessor::BusEngine::handle(Txn& txn) {
   } else {
     txn.status = Txn::Status::Ok;
   }
+  return Time::zero();
 }
 
 }  // namespace stlm::accessor

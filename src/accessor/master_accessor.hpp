@@ -27,7 +27,8 @@ public:
 private:
   struct BusEngine final : ocp::ocp_tl_slave_if {
     using ocp::ocp_tl_slave_if::handle;
-    void handle(Txn& txn) override;
+    // Runs the bus protocol wire by wire; returns zero.
+    Time handle(Txn& txn) override;
     MasterAccessor* self = nullptr;
     std::uint64_t transactions = 0;
   };

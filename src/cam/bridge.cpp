@@ -9,7 +9,7 @@ BusBridge::BusBridge(Simulator& sim, std::string name, CamIf& downstream,
       down_master_(downstream.add_master(full_name())),
       crossing_cycles_(crossing_cycles) {}
 
-void BusBridge::handle(Txn& txn) {
+Time BusBridge::handle(Txn& txn) {
   if (crossing_cycles_) wait(down_.cycle() * crossing_cycles_);
   ++forwarded_;
   // The upstream descriptor stays on the upstream bus, whose initiator
@@ -28,6 +28,7 @@ void BusBridge::handle(Txn& txn) {
   down_.master_port(down_master_).transport(down);
   txn.status = down.status;
   txn.resp_data = down.resp_data;
+  return Time::zero();
 }
 
 }  // namespace stlm::cam

@@ -23,7 +23,8 @@ public:
             std::uint32_t crossing_cycles = 2);
 
   using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override;
+  // Blocks for the crossing and the downstream transport; returns zero.
+  Time handle(Txn& txn) override;
 
   std::uint64_t forwarded() const { return forwarded_; }
 

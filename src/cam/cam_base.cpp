@@ -151,16 +151,16 @@ bool CamBase::try_fast_transport(Txn& txn) {
     fast_busy_until_ = sim().now() + occupancy + *fixed;
     last_txn_end_ = fast_busy_until_;
     engine_busy_ = true;
-    const Time latency = target.fast_handle(txn);
+    const Time latency = target.handle(txn);
     wait(occupancy + latency);
     busy_time_ += occupancy;
   } else {
     fast_busy_until_ = sim().now() + occupancy;
     wait(occupancy);
     busy_time_ += occupancy;
-    const Time latency = target.fast_handle(txn);
+    const Time latency = target.handle(txn);
     if (!latency.is_zero()) {
-      // Target service time: the engine path would sit in handle() here.
+      // Target service time: the engine path waits it in deliver().
       fast_busy_until_ = sim().now() + latency;
       wait(latency);
     }
@@ -197,7 +197,7 @@ bool CamBase::try_fast_post(Txn& txn) {
     // merged completion — fast_post_step fires once, straight into its
     // completion stage. The retire instant is known now; stamp it so a
     // completion-instant reader can never observe a stale value.
-    const Time latency = slave(s).fast_handle(txn);
+    const Time latency = slave(s).handle(txn);
     fast_in_service_ = true;
     fast_busy_until_ = sim().now() + occupancy + latency;
     last_txn_end_ = fast_busy_until_;
@@ -222,7 +222,7 @@ void CamBase::fast_post_step() {
   if (!fast_in_service_) {
     // Occupancy elapsed — the effective access instant, exactly when the
     // engine path would have called handle().
-    const Time latency = slave(fast_pending_slave_).fast_handle(txn);
+    const Time latency = slave(fast_pending_slave_).handle(txn);
     if (!latency.is_zero()) {
       fast_in_service_ = true;
       fast_busy_until_ = sim().now() + latency;

@@ -127,7 +127,7 @@ void CamIf::deliver(std::size_t s, Txn& txn) {
       return;
     }
   }
-  slaves_[s]->handle(txn);
+  if (const Time t = slaves_[s]->handle(txn); !t.is_zero()) wait(t);
 }
 
 void CamIf::finish(Txn& txn) {

@@ -4,20 +4,21 @@
 
 namespace stlm::cam {
 
-MailboxTarget::MailboxTarget(Simulator& sim, const std::string& owner,
-                             MailboxLayout layout)
-    : sim_(sim),
+MailboxTerminal::MailboxTerminal(Simulator& sim, std::string name,
+                                 MailboxLayout layout, ship::Role fixed)
+    : Module(sim, std::move(name)),
+      ship::ship_if(Module::name(), fixed),
       layout_(layout),
-      rx_ev_{{sim, owner + ".rx"}, {sim, owner + ".rx_reply"}} {
+      rx_ev_{{sim, full_name() + ".rx"}, {sim, full_name() + ".rx_reply"}} {
   STLM_ASSERT(layout.window_bytes >= ocp::kWordBytes &&
                   layout.window_bytes <= MailboxLayout::kLenMask,
-              "mailbox window of " + owner + " must hold 4.." +
+              "mailbox window of " + full_name() + " must hold 4.." +
                   std::to_string(MailboxLayout::kLenMask) + " bytes, not " +
                   std::to_string(layout.window_bytes));
   chunk_buf_.assign(layout.window_bytes, 0);
 }
 
-void MailboxTarget::handle(Txn& txn) {
+Time MailboxTerminal::handle(Txn& txn) {
   const std::uint64_t a = txn.addr;
   const std::size_t n = txn.data.size();
   Txn* head = out_.front();
@@ -28,7 +29,7 @@ void MailboxTarget::handle(Txn& txn) {
                 chunk_buf_.begin() + static_cast<std::ptrdiff_t>(
                                          a - layout_.data_in()));
       txn.respond_ok();
-      return;
+      return Time::zero();
     }
     // CTRL: commit a chunk. A one-word write commits the bytes staged in
     // DATA_IN; a longer write is a coalesced commit carrying its own chunk
@@ -41,13 +42,13 @@ void MailboxTarget::handle(Txn& txn) {
       if (len > layout_.window_bytes ||
           (coalesced && len != n - ocp::kWordBytes)) {
         txn.respond_error();
-        return;
+        return Time::zero();
       }
       const std::uint8_t* chunk =
           coalesced ? txn.data.data() : chunk_buf_.data();
       rx_accum_.insert(rx_accum_.end(), chunk, chunk + len);
       if (ctrl & MailboxLayout::kLastFlag) {
-        Txn& m = sim_.txn_pool().acquire();
+        Txn& m = sim().txn_pool().acquire();
         m.begin_msg(ctrl & ~MailboxLayout::kLenMask);
         m.data.assign(rx_accum_.begin(), rx_accum_.end());
         rx_accum_.clear();
@@ -57,7 +58,7 @@ void MailboxTarget::handle(Txn& txn) {
         rx_ev_[reply].notify_delta();
       }
       txn.respond_ok();
-      return;
+      return Time::zero();
     }
     if (a == layout_.rack()) {
       if (head != nullptr) {
@@ -65,11 +66,12 @@ void MailboxTarget::handle(Txn& txn) {
             head->data.size() - head->cursor, layout_.window_bytes));
         if (head->cursor >= head->data.size()) {
           out_.pop_front();
-          sim_.txn_pool().release(*head);
+          sim().txn_pool().release(*head);
+          if (out_.empty()) outbound_changed(false);
         }
       }
       txn.respond_ok();
-      return;
+      return Time::zero();
     }
   } else if (txn.op == Txn::Op::Read) {
     if (a == layout_.rstatus()) {
@@ -84,7 +86,7 @@ void MailboxTarget::handle(Txn& txn) {
       std::uint8_t bytes[ocp::kWordBytes];
       ocp::u32_to_le(status, bytes);
       txn.respond_data(bytes, sizeof bytes);
-      return;
+      return Time::zero();
     }
     if (a >= layout_.data_out() &&
         a + txn.read_bytes <= layout_.data_out() + layout_.window_bytes) {
@@ -95,48 +97,39 @@ void MailboxTarget::handle(Txn& txn) {
           if (from + i < head->data.size()) bytes[i] = head->data[from + i];
         }
       }
-      return;
+      return Time::zero();
     }
   }
   txn.respond_error();
+  return Time::zero();
 }
 
-bool MailboxTarget::take(ship::ship_serializable_if& msg, bool reply) {
+bool MailboxTerminal::take(ship::ship_serializable_if& msg, bool reply) {
   while (rx_[reply].empty()) wait(rx_ev_[reply]);
   Txn* m = rx_[reply].pop_front();
   const bool is_request = (m->flags & MailboxLayout::kRequestFlag) != 0;
   ship::from_bytes(msg, m->data);
-  sim_.txn_pool().release(*m);
+  sim().txn_pool().release(*m);
   return is_request;
-}
-
-bool MailboxTarget::put(const ship::ship_serializable_if& msg,
-                        std::uint32_t flags) {
-  Txn& t = sim_.txn_pool().acquire();
-  t.begin_msg(flags);
-  ship::to_bytes_into(msg, t.data);
-  if (t.data.empty()) t.data.push_back(0);
-  const bool was_empty = out_.empty();
-  out_.push_back(t);
-  ++messages_out_;
-  return was_empty;
-}
-
-MailboxTerminal::MailboxTerminal(Simulator& sim, std::string name,
-                                 MailboxLayout layout, ship::Role fixed)
-    : Module(sim, std::move(name)),
-      ship::ship_if(Module::name(), fixed),
-      mailbox_(sim, full_name(), layout) {}
-
-void MailboxTerminal::handle(Txn& txn) {
-  const bool was_pending = mailbox_.outbound_pending();
-  mailbox_.handle(txn);
-  if (was_pending && !mailbox_.outbound_pending()) outbound_changed(false);
 }
 
 void MailboxTerminal::put(const ship::ship_serializable_if& msg,
                           ship::MsgKind kind) {
-  if (mailbox_.put(msg, MailboxLayout::flags(kind))) outbound_changed(true);
+  Txn& t = sim().txn_pool().acquire();
+  t.begin_msg(MailboxLayout::flags(kind));
+  ship::to_bytes_into(msg, t.data);
+  if (const std::size_t n = t.data.size(); n > MailboxLayout::kLenMask) {
+    sim().txn_pool().release(t);
+    throw ProtocolError("SHIP mailbox " + full_name() + ": a " +
+                        std::to_string(n) + "-byte message exceeds the " +
+                        std::to_string(MailboxLayout::kLenMask) +
+                        "-byte limit of RSTATUS's length field");
+  }
+  if (t.data.empty()) t.data.push_back(0);
+  const bool was_empty = out_.empty();
+  out_.push_back(t);
+  ++messages_out_;
+  if (was_empty) outbound_changed(true);
 }
 
 void decode_outbound(std::vector<std::uint8_t>& bytes,

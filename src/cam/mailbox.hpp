@@ -62,37 +62,48 @@ struct MailboxLayout {
   }
 };
 
-// Target side: the register FSM. Inbound chunks are reassembled into
-// pooled Txns, queued apart by the reply bit. Outbound messages wait in
-// one pooled-Txn queue; RSTATUS, DATA_OUT and RACK serve its head, whose
-// `cursor` counts the bytes already acknowledged. handle() is wait-free
-// (register decode plus delta notifies), so a front-end that forwards to
-// it may declare itself fast_capable.
-class MailboxTarget {
+// The target-side SHIP terminal: an OCP slave toward the bus that serves
+// the mailbox registers, and a ship_if toward its PE. Inbound chunks are
+// reassembled into pooled Txns, queued apart by the reply bit. Outbound
+// messages wait in one pooled-Txn queue; RSTATUS, DATA_OUT and RACK serve
+// its head, whose `cursor` counts the bytes already acknowledged.
+// handle() is wait-free (register decode plus delta notifies). The caller
+// must attach it to the CAM: cam.attach_slave(t, layout.range(), name)
+// (the mapper does this).
+class MailboxTerminal : public Module,
+                        public ocp::ocp_tl_slave_if,
+                        public ship::ship_if {
 public:
   // Throws SimulationError unless 4 <= window_bytes <= kLenMask: a chunk
   // must hold a word, and its length must fit the descriptor's len field.
-  MailboxTarget(Simulator& sim, const std::string& owner, MailboxLayout layout);
+  MailboxTerminal(Simulator& sim, std::string name, MailboxLayout layout,
+                  ship::Role fixed = ship::Role::Unknown);
 
-  void handle(Txn& txn);
-
-  // Blocks the calling process until a send or request (a reply when
-  // `reply`) is complete, deserializes it into `msg` and returns true for
-  // a request.
-  bool take(ship::ship_serializable_if& msg, bool reply);
-  bool message_available() const { return !rx_[0].empty(); }
-
-  // Queues `msg` with descriptor `flags` (kRequestFlag or kReplyFlag) for
-  // the initiator to drain; an empty payload travels as one marker byte
-  // so RSTATUS can show it. Returns true when the queue was empty before.
-  bool put(const ship::ship_serializable_if& msg, std::uint32_t flags);
-  bool outbound_pending() const { return !out_.empty(); }
+  using ocp::ocp_tl_slave_if::handle;
+  Time handle(Txn& txn) override;
+  bool fast_capable() const override { return true; }
+  bool message_available() const override { return !rx_[0].empty(); }
 
   std::uint64_t messages_in() const { return messages_in_; }
   std::uint64_t messages_out() const { return messages_out_; }
 
+protected:
+  // Runs when the outbound queue turns non-empty (put() behind an empty
+  // queue; `pending` true) or empty (the RACK that pops its last message;
+  // `pending` false).
+  virtual void outbound_changed(bool /*pending*/) {}
+
 private:
-  Simulator& sim_;
+  // Queues `msg` for the initiator to drain; an empty payload travels as
+  // one marker byte so RSTATUS can show it. Throws ProtocolError beyond
+  // kLenMask serialized bytes, the most RSTATUS can announce.
+  void put(const ship::ship_serializable_if& msg,
+           ship::MsgKind kind) override;
+  // Blocks the calling process until a send or request (a reply when
+  // `reply`) is complete, deserializes it into `msg` and returns true for
+  // a request.
+  bool take(ship::ship_serializable_if& msg, bool reply) override;
+
   MailboxLayout layout_;
   std::vector<std::uint8_t> chunk_buf_;  // DATA_IN staging
   std::vector<std::uint8_t> rx_accum_;   // chunks of the current message
@@ -102,46 +113,6 @@ private:
   TxnQueue out_;
   std::uint64_t messages_in_ = 0;
   std::uint64_t messages_out_ = 0;
-};
-
-// The target-side SHIP terminal: an OCP slave toward the bus that serves
-// the mailbox registers, and a ship_if toward its PE whose transport is
-// the MailboxTarget's queues. The caller must attach it to the CAM:
-// cam.attach_slave(t, layout.range(), name) (the mapper does this).
-class MailboxTerminal : public Module,
-                        public ocp::ocp_tl_slave_if,
-                        public ship::ship_if {
-public:
-  MailboxTerminal(Simulator& sim, std::string name, MailboxLayout layout,
-                  ship::Role fixed = ship::Role::Unknown);
-
-  using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override;
-  // The mailbox FSM is wait-free, so the default zero-latency
-  // fast_handle(), which runs handle() at the effective access time, is
-  // exact.
-  bool fast_capable() const override { return true; }
-  bool message_available() const override {
-    return mailbox_.message_available();
-  }
-
-  std::uint64_t messages_in() const { return mailbox_.messages_in(); }
-  std::uint64_t messages_out() const { return mailbox_.messages_out(); }
-
-protected:
-  // Runs when the outbound queue turns non-empty (put() behind an empty
-  // queue; `pending` true) or empty (the RACK that pops its last message;
-  // `pending` false).
-  virtual void outbound_changed(bool /*pending*/) {}
-
-private:
-  void put(const ship::ship_serializable_if& msg,
-           ship::MsgKind kind) override;
-  bool take(ship::ship_serializable_if& msg, bool reply) override {
-    return mailbox_.take(msg, reply);
-  }
-
-  MailboxTarget mailbox_;
 };
 
 // Initiator side: deserializes a message drained from DATA_OUT into

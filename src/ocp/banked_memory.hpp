@@ -59,33 +59,29 @@ public:
   }
 
   using ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override {
-    const std::size_t len = txn.payload_bytes();
-    if (txn.addr < base_ || txn.addr + len > base_ + mem_.size()) {
-      txn.respond_error();
-      return;
-    }
-    const Time latency = access_latency(txn.addr - base_, len ? len : 1);
-    if (!latency.is_zero()) wait(latency);
-    access(txn);
-  }
-
-  // Fast path: bank state (free_at, open_row) evolves as a pure function
-  // of (current time, offset, length) — the wait in the slow path never
-  // changes what the *next* access observes, because free_at is stamped
-  // before waiting. So the same evolution can run from the initiator's
-  // context with the latency returned instead of wait()ed.
-  bool fast_capable() const override { return true; }
-  Time fast_handle(Txn& txn) override {
+  // Bank state (free_at, open_row) evolves as a pure function of
+  // (current time, offset, length), stamped when handle() is called, so
+  // the caller waiting the returned latency never changes what the next
+  // access observes.
+  Time handle(Txn& txn) override {
     const std::size_t len = txn.payload_bytes();
     if (txn.addr < base_ || txn.addr + len > base_ + mem_.size()) {
       txn.respond_error();
       return Time::zero();
     }
     const Time latency = access_latency(txn.addr - base_, len ? len : 1);
-    access(txn);
+    const std::size_t off = static_cast<std::size_t>(txn.addr - base_);
+    if (txn.op == Txn::Op::Write) {
+      std::copy(txn.data.begin(), txn.data.end(), mem_.begin() + off);
+      ++writes_;
+      txn.respond_ok();
+    } else {
+      ++reads_;
+      txn.respond_data(mem_.data() + off, len);
+    }
     return latency;
   }
+  bool fast_capable() const override { return true; }
 
   // Test/back-door access (no simulated time).
   std::uint8_t peek(std::uint64_t addr) const { return mem_.at(addr - base_); }
@@ -111,8 +107,7 @@ private:
   };
 
   // Evolve the bank timing state for an access starting now and return
-  // its service latency (stall-until-free + hit/miss). Does not wait:
-  // the slow path waits the result, the fast path returns it upward.
+  // its service latency (stall-until-free + hit/miss).
   Time access_latency(std::uint64_t offset, std::size_t len) {
     Simulator& sim = Simulator::require_current();
     const Time now = sim.now();
@@ -156,20 +151,6 @@ private:
       b.open_row = row;
     }
     return done - now;
-  }
-
-  // The untimed copy/respond half, shared by both paths.
-  void access(Txn& txn) {
-    const std::size_t len = txn.payload_bytes();
-    const std::size_t off = static_cast<std::size_t>(txn.addr - base_);
-    if (txn.op == Txn::Op::Write) {
-      std::copy(txn.data.begin(), txn.data.end(), mem_.begin() + off);
-      ++writes_;
-      txn.respond_ok();
-      return;
-    }
-    ++reads_;
-    txn.respond_data(mem_.data() + off, len);
   }
 
   std::string name_;

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "kernel/simulator.hpp"
 #include "kernel/time.hpp"
 #include "ocp/tl_if.hpp"
 
@@ -25,20 +24,28 @@ public:
         access_time_(access_time) {}
 
   using ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override {
-    if (!access_time_.is_zero()) wait(access_time_);
-    access(txn);
-  }
-
-  // Fast path: a flat memory is a pure function of (state, txn) plus a
-  // constant leading latency, so it can run from the initiator's
-  // context with the latency returned instead of wait()ed.
-  bool fast_capable() const override { return true; }
-  Time fast_handle(Txn& txn) override {
-    access(txn);
+  // A flat memory is a pure function of (state, txn) plus one constant
+  // latency, which the error response also pays.
+  Time handle(Txn& txn) override {
+    const std::size_t len = txn.payload_bytes();
+    if (txn.addr < base_ || txn.addr + len > base_ + mem_.size()) {
+      txn.respond_error();
+      return access_time_;
+    }
+    const std::size_t off = static_cast<std::size_t>(txn.addr - base_);
+    if (txn.op == Txn::Op::Write) {
+      std::copy(txn.data.begin(), txn.data.end(), mem_.begin() + off);
+      ++writes_;
+      txn.respond_ok();
+    } else {
+      ++reads_;
+      txn.respond_data(mem_.data() + off, len);
+    }
     return access_time_;
   }
-  // The latency is one configured constant and access() is a pure
+
+  bool fast_capable() const override { return true; }
+  // The latency is one configured constant and handle() is a pure
   // state/txn function — the merged-completion contract holds.
   std::optional<Time> fast_fixed_latency() const override {
     return access_time_;
@@ -55,25 +62,6 @@ public:
   const std::string& name() const { return name_; }
 
 private:
-  // The untimed access itself (both paths; the error response also pays
-  // the full access time, matching the pre-fast-path behaviour).
-  void access(Txn& txn) {
-    const std::size_t len = txn.payload_bytes();
-    if (txn.addr < base_ || txn.addr + len > base_ + mem_.size()) {
-      txn.respond_error();
-      return;
-    }
-    const std::size_t off = static_cast<std::size_t>(txn.addr - base_);
-    if (txn.op == Txn::Op::Write) {
-      std::copy(txn.data.begin(), txn.data.end(), mem_.begin() + off);
-      ++writes_;
-      txn.respond_ok();
-      return;
-    }
-    ++reads_;
-    txn.respond_data(mem_.data() + off, len);
-  }
-
   std::string name_;
   std::uint64_t base_;
   std::vector<std::uint8_t> mem_;

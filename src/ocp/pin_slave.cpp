@@ -41,7 +41,7 @@ void OcpPinSlave::fsm() {
       bytes.resize(byte_cnt);  // drop final-word padding
       pins_.SCmdAccept.write(false);
       for (std::uint32_t i = 0; i < latency_; ++i) wait(edge);
-      device_.handle(txn_);
+      if (const Time t = device_.handle(txn_); !t.is_zero()) wait(t);
       pins_.SResp.write(static_cast<std::uint8_t>(
           txn_.ok() ? RespCode::DVA : RespCode::Err));
       wait(edge);
@@ -55,7 +55,7 @@ void OcpPinSlave::fsm() {
     pins_.SCmdAccept.write(false);
     for (std::uint32_t i = 0; i < latency_; ++i) wait(edge);
     txn_.begin_read(addr, byte_cnt);
-    device_.handle(txn_);
+    if (const Time t = device_.handle(txn_); !t.is_zero()) wait(t);
     if (!txn_.ok()) {
       pins_.SResp.write(static_cast<std::uint8_t>(RespCode::Err));
       wait(edge);

@@ -18,7 +18,8 @@ namespace stlm::ocp {
 class OcpPinSlave final : public Module {
 public:
   // `device_latency_cycles` adds wait states between command capture and
-  // response (on top of whatever time the device's handle() consumes).
+  // response (on top of the service latency the device's handle()
+  // returns).
   OcpPinSlave(Simulator& sim, std::string name, OcpPins& pins, Clock& clk,
               ocp_tl_slave_if& device, std::uint32_t device_latency_cycles = 0,
               Module* parent = nullptr);

@@ -25,7 +25,8 @@ void OcpTlChannel::transport(Txn& txn) {
                                    timing_.cycles_per_beat +
                                timing_.response_cycles;
   wait(timing_.cycle * cycles);
-  slave_.handle(txn);  // may consume further wait states
+  // The target's wait states.
+  if (const Time t = slave_.handle(txn); !t.is_zero()) wait(t);
 
   ++transactions_;
   if (log_) {

@@ -18,7 +18,7 @@ Response ocp_tl_master_if::transport(const Request& req) {
 Response ocp_tl_slave_if::handle(const Request& req) {
   PooledTxn t(Simulator::require_current().txn_pool());
   request_to_txn(req, *t);
-  handle(*t);
+  if (const Time latency = handle(*t); !latency.is_zero()) wait(latency);
   return response_from_txn(*t);
 }
 

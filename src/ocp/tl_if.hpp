@@ -7,8 +7,8 @@
 //     this, so a PE refined from SHIP to OCP never changes again while
 //     the fabric below it is swapped (the paper's exploration story).
 //   * ocp_tl_slave_if  — the device-side callback a target implements.
-//     handle() may consume simulated time with wait() to model wait
-//     states.
+//     handle() performs the access and returns the target's wait states;
+//     the caller charges them.
 //
 // The virtual hot path moves a pooled stlm::Txn by reference through
 // every layer — no payload copies, no per-transaction events or heap
@@ -36,45 +36,34 @@ public:
 class ocp_tl_slave_if {
 public:
   virtual ~ocp_tl_slave_if() = default;
-  virtual void handle(Txn& txn) = 0;
-  Response handle(const Request& req);
+  // Performs the access (completing the txn, error responses included)
+  // and returns the service latency the caller waits. Only a target that
+  // forwards into another fabric may block inside; it returns zero.
+  virtual Time handle(Txn& txn) = 0;
+  Response handle(const Request& req);  // also waits the latency
 
   // --- fast-target contract (kernel fast path) ---------------------------
   //
   // A CAM may bypass its grant-engine process for an uncontended access
-  // and service the target inline from the initiator's coroutine. That
-  // is only legal for targets whose handle() never blocks mid-state —
-  // i.e. pure functions of (state, txn, current time) plus an optional
-  // leading service latency. Such a target opts in by overriding
-  // fast_capable() to return true, and fast_handle() to perform the
-  // access *without waiting* and return the service latency the caller
-  // must account for (the engine path's handle() would have wait()ed
-  // it).
-  //
-  // fast_handle() is invoked at the same simulated time the engine
-  // path would have invoked handle(): after bus occupancy, before the
-  // target's own service latency elapses. Any events it notifies are
-  // therefore indistinguishable from the slow path. It must not call
-  // wait() and must always complete the txn (error responses included) —
-  // eligibility is decided entirely before side effects happen, so
-  // there is no fallback after this point.
+  // and call handle() inline from the initiator's coroutine, at the same
+  // simulated time the engine path would: after bus occupancy, before the
+  // returned latency elapses. A target opts in by returning true from
+  // fast_capable(), promising that handle() never waits. Eligibility is
+  // decided before side effects happen, so there is no fallback after
+  // this point.
   virtual bool fast_capable() const { return false; }
-  virtual Time fast_handle(Txn& txn) {
-    handle(txn);
-    return Time::zero();
-  }
 
   // Stronger, optional contract on top of fast_capable(): a target whose
   // service latency is one constant — independent of simulated time,
   // transaction content and access history (the access-cycles-table
-  // case) — returns it here. The CAM may then invoke fast_handle() at
-  // grant time rather than at the effective access instant and schedule
-  // one merged occupancy+latency completion instead of two stages. Only
-  // legal when fast_handle() neither reads the clock, evolves timing
-  // state, nor notifies events: the reordering is unobservable solely
-  // because the bus is held for the whole occupancy+latency span.
-  // Targets that cannot promise this keep the nullopt default and get
-  // the effective-access-instant invocation.
+  // case) — returns it here. The CAM may then invoke handle() at grant
+  // time rather than at the effective access instant and schedule one
+  // merged occupancy+latency completion instead of two stages. Only
+  // legal when handle() neither reads the clock, evolves timing state,
+  // nor notifies events: the reordering is unobservable solely because
+  // the bus is held for the whole occupancy+latency span. Targets that
+  // cannot promise this keep the nullopt default and get the
+  // effective-access-instant invocation.
   virtual std::optional<Time> fast_fixed_latency() const {
     return std::nullopt;
   }

@@ -35,7 +35,7 @@ Time timed_write(Simulator& sim, ocp::BankedMemorySlave& mem,
     Txn t;
     t.begin_write(addr, payload.data(), payload.size());
     const Time start = sim.now();
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_TRUE(t.ok());
     elapsed = sim.now() - start;
   });
@@ -55,20 +55,20 @@ TEST(BankedMemory, RowMissThenHitTiming) {
     Txn t;
     t.begin_write(0x0, &b, 1);
     Time start = sim.now();
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_EQ((sim.now() - start), 60_ns);  // cold row: miss
 
     wait(100_ns);  // let the bank go idle
     t.begin_write(0x4, &b, 1);
     start = sim.now();
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_EQ((sim.now() - start), 20_ns);  // open row: hit
 
     wait(100_ns);
     // Row 4 lands on bank 0 too (4096/64 % 4 == 0) but a different row.
     t.begin_write(0x1000, &b, 1);
     start = sim.now();
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_EQ((sim.now() - start), 60_ns);  // row switch: miss
   });
   sim.run();
@@ -88,18 +88,18 @@ TEST(BankedMemory, BackToBackSameBankPaysConflictPenalty) {
     // Two immediate accesses to the same bank: the second stalls through
     // the 40 ns recovery window before paying its own latency.
     t.begin_write(0x0, &b, 1);
-    same.handle(t);
+    wait(same.handle(t));
     const Time start_same = sim.now();
     t.begin_write(0x1000, &b, 1);  // bank 0 again, different row
-    same.handle(t);
+    wait(same.handle(t));
     const Time same_cost = sim.now() - start_same;
 
     // Two immediate accesses to different banks: no stall.
     t.begin_write(0x0, &b, 1);
-    spread.handle(t);
+    wait(spread.handle(t));
     const Time start_spread = sim.now();
     t.begin_write(0x40, &b, 1);  // next 64B block -> bank 1
-    spread.handle(t);
+    wait(spread.handle(t));
     const Time spread_cost = sim.now() - start_spread;
 
     EXPECT_GT(same_cost, spread_cost);
@@ -123,10 +123,10 @@ TEST(BankedMemory, WideAccessSpansBanks) {
     std::vector<std::uint8_t> payload(256, 0xab);
     Txn t;
     t.begin_write(0x0, payload.data(), payload.size());
-    mem2.handle(t);
+    wait(mem2.handle(t));
     std::uint8_t b = 0;
     t.begin_write(0xc0, &b, 1);  // bank 3, still busy
-    mem2.handle(t);
+    wait(mem2.handle(t));
   });
   sim2.run();
   EXPECT_EQ(mem2.bank_conflicts(), 1u);
@@ -139,13 +139,13 @@ TEST(BankedMemory, OutOfRangeRespondsError) {
     std::uint8_t b = 1;
     Txn t;
     t.begin_write(0xfff, &b, 1);
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_FALSE(t.ok());
     t.begin_read(0x10fd, 8);
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_FALSE(t.ok());
     t.begin_write(0x1000, &b, 1);
-    mem.handle(t);
+    wait(mem.handle(t));
     EXPECT_TRUE(t.ok());
   });
   sim.run();

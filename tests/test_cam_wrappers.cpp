@@ -119,6 +119,38 @@ TEST(ShipWrappers, LargeReplyIsChunkedBack) {
   EXPECT_EQ(done, Time::ns(1380));
 }
 
+// RSTATUS announces the remaining length in 24 bits, so a message whose
+// serialized size does not fit is refused where it is queued. Unchecked,
+// a 2^24-byte reply reads as "nothing queued" and the master polls
+// forever.
+TEST(ShipWrappers, ReplyBeyondTheLengthFieldThrows) {
+  WrapperFixture f;
+  Process& m = f.sim.spawn_thread("m", [&] {
+    PodMsg<std::uint8_t> req(1);
+    VectorMsg<> resp;
+    f.master.request(req, resp);
+  });
+  f.sim.spawn_thread("s", [&] {
+    PodMsg<std::uint8_t> req;
+    f.slave.recv(req);
+    // 4-byte length prefix + payload = 2^24 bytes, one past kLenMask.
+    VectorMsg<> resp(std::size_t{MailboxLayout::kLenMask} - 3);
+    f.slave.reply(resp);
+  });
+  try {
+    f.sim.run_for(Time::us(100));
+    FAIL() << "an oversized reply was queued";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("16777216-byte message exceeds the "
+                                         "16777215-byte limit"),
+              std::string::npos)
+        << e.what();
+  }
+  // The master still polls for its reply: unwind it while its wrapper is
+  // alive (the fixture destroys the wrappers before the simulator).
+  f.sim.kill_process(m);
+}
+
 TEST(ShipWrappers, RoleViolationsThrow) {
   WrapperFixture f;
   f.sim.spawn_thread("bad", [&] {

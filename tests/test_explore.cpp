@@ -344,6 +344,43 @@ TEST(Explorer, WorkloadGrid200RowsParallelMatchesSequentialBitExactly) {
   }
 }
 
+// Time-scale law: the model has no hidden time constant, so doubling
+// every clock of a platform doubles every simulated time column exactly
+// and moves neither a transaction nor a byte. Checked on every non-fast
+// default-grid point x every canonical workload except "banked", whose
+// memory timing is the workload's own (BankedMemoryConfig), not the
+// platform's.
+TEST(Explorer, DoublingEveryClockDoublesEveryTimeColumn) {
+  GridSpec spec;
+  spec.knobs.fast_targets = {false};
+  const auto plats = grid_candidates(spec);
+  auto loads = workload_candidates();
+  std::erase_if(loads, [](const WorkloadCase& w) { return w.name == "banked"; });
+  ASSERT_EQ(plats.size() * loads.size(), 272u);
+  std::vector<Platform> slow = plats;
+  for (Platform& p : slow) {
+    p.bus_cycle = p.bus_cycle * 2;
+    p.pe_clock = p.pe_clock * 2;
+    p.cpu_clock = p.cpu_clock * 2;
+    p.poll_interval = p.poll_interval * 2;
+  }
+  Explorer ex;
+  const auto base = ex.sweep_parallel(plats, loads, 200_ms, 4);
+  const auto twice = ex.sweep_parallel(slow, loads, 400_ms, 4);
+  ASSERT_EQ(twice.size(), base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const ExplorationRow& a = base[i];
+    const ExplorationRow& b = twice[i];
+    const std::string cell = a.platform + "/" + a.workload;
+    ASSERT_TRUE(a.completed && b.completed) << cell;
+    EXPECT_EQ(b.sim_time_us, 2 * a.sim_time_us) << cell;
+    EXPECT_EQ(b.mean_latency_ns, 2 * a.mean_latency_ns) << cell;
+    EXPECT_EQ(b.p99_latency_ns, 2 * a.p99_latency_ns) << cell;
+    EXPECT_EQ(b.transactions, a.transactions) << cell;
+    EXPECT_EQ(b.bytes, a.bytes) << cell;
+  }
+}
+
 namespace {
 
 // Traffic signature of one grid cell: logical SHIP traffic plus the bus

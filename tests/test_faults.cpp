@@ -34,18 +34,17 @@ class FlakySlave final : public ocp::ocp_tl_slave_if {
 public:
   explicit FlakySlave(int fails) : fails_(fails) {}
   using ocp::ocp_tl_slave_if::handle;
-  void handle(Txn& txn) override {
+  Time handle(Txn& txn) override {
     ++accesses_;
     if (fails_ > 0) {
       --fails_;
       txn.respond_error();
-      return;
-    }
-    if (txn.op == Txn::Op::Read) {
+    } else if (txn.op == Txn::Op::Read) {
       txn.respond_buffer(txn.payload_bytes());
     } else {
       txn.respond_ok();
     }
+    return Time::zero();
   }
   int accesses() const { return accesses_; }
 

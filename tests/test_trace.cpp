@@ -17,6 +17,7 @@
 #include "trace/stats.hpp"
 #include "trace/txn_log.hpp"
 #include "trace/vcd.hpp"
+#include "workload/rng.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -335,6 +336,94 @@ void record_rows(trace::TxnLogger& log, int n) {
 }  // namespace
 
 // Each case runs on a thread of its own, whose spare slot starts empty.
+namespace {
+
+// One mutation of `text`, drawn from `rng`: a bit flip, a deletion, or an
+// inserted quote, comma, line break or number too large for its field.
+void mutate(std::string& text, workload::SplitMix64& rng) {
+  static const char* const kInserts[] = {
+      "\"", ",", "\n", "\r\n", "\"\"",
+      "18446744073709551616",           // 2^64: overflows every u64 field
+      "99999999999999999999999999999",  // overflows double precision too
+      "1e999", "4294967296"};          // inf latency; retries > 32 bits
+  const std::size_t at = rng.uniform(0, text.size());
+  switch (rng.uniform(0, 2)) {
+    case 0:
+      if (!text.empty()) {
+        const std::size_t i = std::min(at, text.size() - 1);
+        text[i] = static_cast<char>(text[i] ^ (1u << rng.uniform(0, 7)));
+      }
+      break;
+    case 1:
+      text.erase(at, rng.uniform(1, 8));
+      break;
+    default:
+      text.insert(at, kInserts[rng.uniform(0, std::size(kInserts) - 1)]);
+      break;
+  }
+}
+
+}  // namespace
+
+// Hostile traces: seeded mutations of a golden v4 dump and of v1-v3
+// documents. Every input either loads or throws SimulationError (leaving
+// the logger empty), and whatever loads re-dumps to a fixed point.
+TEST(TxnLog, MutatedCsvLoadsOrThrowsSimulationError) {
+  trace::TxnLogger golden;
+  const auto bus = golden.intern("plb");
+  const auto odd = golden.intern("plb.b,\"odd\"\nname");
+  golden.record(bus, trace::TxnKind::Write, 1, 64, 0_ns, 100_ns, 10_ns,
+                20_ns, trace::TxnStatus::Ok, 0, golden.intern("plb.a"));
+  golden.record(bus, trace::TxnKind::Read, 2, 32, 5_ns, 150_ns, 100_ns,
+                120_ns, trace::TxnStatus::Timeout, 3, odd);
+  golden.record("ship", trace::TxnKind::Request, 8, 0_ns, 10_ns);
+  golden.record("ship", trace::TxnKind::Reply, 4, 1_fs, 3_fs);
+  std::ostringstream v4;
+  golden.dump_csv(v4);
+  const std::vector<std::string> corpus{
+      v4.str(),
+      "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn,"
+      "status,retries\n"
+      "plb,write,64,0,0,0,100000000,100,1,ok,0\n"
+      "\"p,b\",read,32,0,1,2,180000000,180,2,aborted,1\n",
+      "channel,kind,bytes,start_fs,grant_fs,data_fs,end_fs,latency_ns,txn\n"
+      "ch,send,4,0,10,20,1000000,0.001,7\n"
+      "ch,reply,0,5,5,5,5,0,0\n",
+      "channel,kind,bytes,start_fs,end_fs,latency_ns,txn\n"
+      "ch0,send,64,1000000,2000000,1,9\n"
+      "ch1,read,32,0,500000,0.5,0\n"};
+  workload::SplitMix64 rng(0x5eed);
+  std::size_t loaded = 0, refused = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = corpus[i % corpus.size()];
+    for (std::uint64_t m = rng.uniform(1, 4); m > 0; --m) mutate(text, rng);
+    trace::TxnLogger log;
+    std::istringstream is(text);
+    try {
+      log.load_csv(is);
+    } catch (const SimulationError&) {
+      EXPECT_EQ(log.size(), 0u) << "input #" << i;
+      ++refused;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "input #" << i << " threw an untyped error: "
+                    << e.what() << "\n" << text;
+      continue;
+    }
+    ++loaded;
+    std::ostringstream once, twice;
+    log.dump_csv(once);
+    trace::TxnLogger back;
+    std::istringstream again(once.str());
+    back.load_csv(again);
+    back.dump_csv(twice);
+    EXPECT_EQ(twice.str(), once.str()) << "input #" << i;
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(loaded, 100u);
+  EXPECT_GT(refused, 1000u);
+}
+
 TEST(TxnLog, NextLoggerOnAThreadStartsWithTheLargestReleasedRows) {
   std::size_t inherited = 0;
   std::thread([&] {

@@ -5,7 +5,9 @@ Runs the comparator against well-formed, malformed, missing and empty
 inputs and checks the exit-code contract: 0 for a clean comparison, 2
 for any input that cannot anchor one (the failure mode used to be a
 silent "no regressions" pass), and 1 whenever a counter the baseline
-lists under "exact_counters" differs, even without --strict.
+lists under "exact_counters" differs, even without --strict. A repeated
+run is timed by its median and its counters are checked on every
+repetition.
 """
 
 import json
@@ -38,6 +40,25 @@ def with_counters(doc, exact=None, **values):
     if exact is not None:
         out["exact_counters"] = exact
     return out
+
+
+def repeated(times_ns, **counters):
+    """A --benchmark_repetitions document: BM_A/1 once per entry of
+    `times_ns`, then its aggregates as Google Benchmark writes them.
+    `counters` maps a counter name to one value per repetition."""
+    runs = [dict({"name": "BM_A/1", "run_name": "BM_A/1",
+                  "run_type": "iteration", "repetition_index": i,
+                  "real_time": t, "time_unit": "ns"},
+                 **{c: v[i] for c, v in counters.items()})
+            for i, t in enumerate(times_ns)]
+    mid = sorted(times_ns)[len(times_ns) // 2]
+    aggregates = [{"name": f"BM_A/1_{agg}", "run_name": "BM_A/1",
+                   "run_type": "aggregate", "aggregate_name": agg,
+                   "real_time": t, "time_unit": "ns"}
+                  for agg, t in (("mean", sum(times_ns) / len(times_ns)),
+                                 ("median", mid), ("stddev", 1.0),
+                                 ("cv", 0.01))]
+    return {"benchmarks": runs + aggregates}
 
 
 def run(baseline, current, *flags):
@@ -103,6 +124,19 @@ def main():
                run(gated, slow_same), 0)
         expect("exact_counters not a list", run(bad_list, good), 2)
         expect("exact counter in no baseline row", run(typo, good), 2)
+        # The last repetition is the outlier, so a comparator that kept
+        # whichever iteration row came last would fail this strict run.
+        one_slow = dump("one_slow.json", repeated([100, 102, 99, 101, 500]))
+        all_slow = dump("all_slow.json", repeated([480, 500, 520, 510, 490]))
+        expect("median absorbs one slow repetition",
+               run(good, one_slow, "--strict"), 0)
+        expect("median regression strict", run(good, all_slow, "--strict"), 1)
+        gated_reps = dump("gated_reps.json", dict(
+            repeated([100] * 5, sim_us=[128.02] * 5), exact_counters=["sim_us"]))
+        one_moved = dump("one_moved.json", repeated(
+            [100] * 5, sim_us=[128.02, 128.02, 128.03, 128.02, 128.02]))
+        expect("exact counters on every repetition",
+               run(gated_reps, one_moved), 1)
         expect("help mentions validation",
                run(good, good, "--help"), 0)
         help_text = run(good, good, "--help").stdout
@@ -112,7 +146,7 @@ def main():
     if failures:
         print("\n".join(failures))
         return 1
-    print("compare_bench.py exit-code contract holds (15 cases)")
+    print("compare_bench.py exit-code contract holds (18 cases)")
     return 0
 
 
