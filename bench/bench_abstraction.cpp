@@ -62,8 +62,11 @@ void BM_Cam(benchmark::State& state) {
 
 // Pin level: the equivalent traffic as pin-accurate bursts through the
 // accessor stack onto an RTL bus (one 64-byte write per message).
+// Its thread resumes per message are simulated, hence exact: the pin
+// rung's switching cost, gated next to sim_us.
 void BM_Pin(benchmark::State& state) {
   double sim_us = 0.0;
+  std::uint64_t ctx_switches = 0;
   for (auto _ : state) {
     bench::PinRig rig;
     // The compute budget the mapped producer charges, as clock cycles.
@@ -71,10 +74,13 @@ void BM_Pin(benchmark::State& state) {
       state.SkipWithError("pin-level write failed");
     }
     sim_us = rig.sim.now().to_seconds() * 1e6;
+    ctx_switches = rig.sim.ctx_switches();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kMessages));
   state.counters["sim_us"] = sim_us;
+  state.counters["ctx_switches_per_msg"] =
+      static_cast<double>(ctx_switches) / static_cast<double>(kMessages);
   state.counters["msgs_per_wall_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * static_cast<double>(kMessages),
       benchmark::Counter::kIsRate);

@@ -56,6 +56,14 @@ workload::GraphFactory soc_factory() {
 std::vector<expl::ExplorationRow> g_last_rows;
 bool g_grid_bench_ran = false;
 
+// Begins one transaction with no simulator current: its id is the
+// process-wide count of transactions begun so far, itself included.
+std::uint64_t process_wide_txn_id() {
+  Txn probe;
+  probe.begin_msg();
+  return probe.id;
+}
+
 // Kernel-observability counters from the last sweep's rows (src/obs):
 // total coroutine dispatches across the grid and the mean fast-path hit
 // rate. Both land in the emitted JSON next to real_time, so the bench
@@ -228,6 +236,11 @@ void BM_ExploreWorkloadGrid(benchmark::State& state) {
 // the Pareto front plus a pad, and only survivors pay the full horizon;
 // the emitted counters record how much full-horizon work the search
 // avoided (full_horizon_evals vs cells) next to its wall cost.
+//
+// txns_begun is every transaction the search's simulators began, read
+// as perfbench's search workload reads its divisor: the difference of
+// two process-wide ids around the run. It must not depend on the thread
+// count.
 void BM_SearchFrontier(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   expl::Explorer explorer;
@@ -236,14 +249,18 @@ void BM_SearchFrontier(benchmark::State& state) {
   expl::SearchConfig cfg;
   cfg.n_threads = threads;
   expl::SearchReport report;
+  std::uint64_t txns_begun = 0;
   for (auto _ : state) {
     expl::SearchDriver driver(cfg);
+    const std::uint64_t ids_before = process_wide_txn_id();
     report = driver.run(explorer, seeds, workloads);
+    txns_begun = process_wide_txn_id() - ids_before - 1;
     if (report.frontier.empty()) state.SkipWithError("empty frontier");
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(report.candidates_seen));
+  state.counters["txns_begun"] = static_cast<double>(txns_begun);
   state.counters["cells"] = static_cast<double>(report.candidates_seen);
   state.counters["frontier"] = static_cast<double>(report.frontier.size());
   state.counters["full_horizon_evals"] =

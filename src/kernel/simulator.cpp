@@ -15,12 +15,35 @@ namespace stlm {
 namespace {
 // Stack of live simulators on this thread; the top one is "current".
 // This is the single piece of global state in the library (see the header
-// for the rationale).
+// for the rationale); detail::t_txn_ids mirrors its top.
 thread_local std::vector<Simulator*> g_sim_stack;
 }  // namespace
 
+void Simulator::sync_txn_ids() {
+  detail::t_txn_ids =
+      g_sim_stack.empty() ? nullptr : &g_sim_stack.back()->txn_ids_;
+}
+
+// While running, and while unwinding a killed process, the simulator is
+// the thread-current one, so that wait()/notify() and Txn ids resolve
+// against it even when several simulators are alive (e.g. a scratch
+// role-discovery run) or while ~Simulator runs.
+struct Simulator::CurrentGuard {
+  explicit CurrentGuard(Simulator* s) {
+    g_sim_stack.push_back(s);
+    detail::t_txn_ids = &s->txn_ids_;
+  }
+  ~CurrentGuard() {
+    g_sim_stack.pop_back();
+    sync_txn_ids();
+  }
+  CurrentGuard(const CurrentGuard&) = delete;
+  CurrentGuard& operator=(const CurrentGuard&) = delete;
+};
+
 Simulator::Simulator() {
   g_sim_stack.push_back(this);
+  detail::t_txn_ids = &txn_ids_;
   txn_pool_.sim_ = this;
   if (audit::default_enabled()) set_audit_enabled(true);
 }
@@ -32,6 +55,9 @@ Simulator::~Simulator() {
   if (it != g_sim_stack.rend()) {
     g_sim_stack.erase(std::next(it).base());
   }
+  sync_txn_ids();
+  // stlm-lint: allow(hot-path-atomic): once per simulator, at teardown
+  detail::g_txn_ids.fetch_add(txn_ids_, std::memory_order_relaxed);
 }
 
 Simulator* Simulator::current() {
@@ -211,13 +237,7 @@ void Simulator::run_for(Time duration) { run_impl(now_ + duration); }
 
 void Simulator::run_impl(std::optional<Time> end_time) {
   STLM_ASSERT(!running_, "Simulator::run() is not reentrant");
-  // While running, this simulator is the thread-current one, so that
-  // wait()/notify() inside processes resolve correctly even when several
-  // simulators are alive (e.g. a scratch role-discovery run).
-  struct CurrentGuard {
-    explicit CurrentGuard(Simulator* s) { g_sim_stack.push_back(s); }
-    ~CurrentGuard() { g_sim_stack.pop_back(); }
-  } guard(this);
+  CurrentGuard guard(this);
 #ifdef STLM_TSAN_FIBERS
   tsan_sched_fiber_ = detail::tsan_fiber_current();
 #endif
@@ -342,12 +362,8 @@ void Simulator::kill_process(Process& p) {
   // Mid-run destruction therefore keeps the old behavior (stack reclaimed
   // without unwinding).
   if (running_ || current_process_ != nullptr) return;
-  // Destructors on the dying stack may wait()/notify(); make sure those
-  // resolve against this simulator even during ~Simulator.
-  struct CurrentGuard {
-    explicit CurrentGuard(Simulator* s) { g_sim_stack.push_back(s); }
-    ~CurrentGuard() { g_sim_stack.pop_back(); }
-  } guard(this);
+  // Destructors on the dying stack may wait()/notify().
+  CurrentGuard guard(this);
 #ifdef STLM_TSAN_FIBERS
   tsan_sched_fiber_ = detail::tsan_fiber_current();
 #endif
@@ -367,6 +383,14 @@ void Simulator::kill_process(Process& p) {
   // dropped the ProcessKilled itself.
   p.error_ = nullptr;
 #endif
+}
+
+void Simulator::kill_threads() {
+  for (const auto& p : owned_processes_) {
+    if (p->kind() == ProcessBase::Kind::Thread) {
+      kill_process(static_cast<Process&>(*p));
+    }
+  }
 }
 
 // Both phases walk a snapshot swapped into a member scratch vector:

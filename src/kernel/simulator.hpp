@@ -11,11 +11,12 @@
 //
 // One Simulator per thread is "current" at a time (they nest like a stack,
 // so tests may create them sequentially or in scopes). Events, processes
-// and modules bind to the current Simulator at construction. The
-// thread-local is the one piece of global state in the library; it exists
-// because blocking calls such as `wait(10_ns)` deep inside a channel need
-// to find the running process without threading a context parameter
-// through every protocol layer.
+// and modules bind to the current Simulator at construction, and
+// transactions draw their ids from it (kernel/txn.hpp). The thread-local
+// is the one piece of global state in the library; it exists because
+// blocking calls such as `wait(10_ns)` deep inside a channel need to find
+// the running process without threading a context parameter through
+// every protocol layer.
 
 #include <cstdint>
 #include <functional>
@@ -184,6 +185,10 @@ public:
   // simulator; see kernel/txn.hpp. Steady-state transaction traffic must
   // not grow the pool (asserted by the pooled-Txn stress test).
   TxnPool& txn_pool() { return txn_pool_; }
+  // Transaction ids begun while this simulator was current (Txn::id runs
+  // 1..txn_ids_issued() here). ~Simulator adds the count to the
+  // process-wide one, after its processes are unwound.
+  std::uint64_t txn_ids_issued() const { return txn_ids_; }
 
   // Observability for allocation-churn regression tests: current number of
   // live Events and the total ever registered. A pooled transaction hot
@@ -210,6 +215,10 @@ public:
   // sound from the scheduler context. ~Process calls this for any
   // started, unterminated process, so teardown leaks nothing.
   void kill_process(Process& p);
+  // kill_process for every thread process this simulator owns, the twin
+  // of Module::kill_threads: for owners whose threads reference objects
+  // that die before the simulator does.
+  void kill_threads();
 
   Event* last_triggered_event() const;
 
@@ -251,6 +260,13 @@ public:
 
 private:
   using TimedEntry = detail::TimedEntry;
+  // Makes a simulator the thread-current one for a scope (see
+  // kernel/simulator.cpp).
+  struct CurrentGuard;
+
+  // Point detail::t_txn_ids at the current simulator's id counter; runs
+  // wherever the thread's simulator stack changes.
+  static void sync_txn_ids();
 
   void initialize();
   void check_elaboration();
@@ -293,6 +309,7 @@ private:
 
   std::vector<ProcessBase*> all_processes_;
   TxnPool txn_pool_;
+  std::uint64_t txn_ids_ = 0;  // see txn_ids_issued()
   std::uint64_t events_registered_total_ = 0;
   bool event_unregistered_ever_ = false;
   bool process_unregistered_ever_ = false;

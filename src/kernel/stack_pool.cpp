@@ -65,8 +65,12 @@ void StackPool::unmap_block(const Block& b) {
 }
 
 void StackPool::reconcile() {
-  const std::size_t n =
-      foreign_released_.exchange(0, std::memory_order_relaxed);
+  // A plain load on the common path: the owner's acquire/release take
+  // the cache line exclusively only after a foreign release.
+  if (foreign_released_.load(std::memory_order_relaxed) == 0) return;
+  // stlm-lint: allow(hot-path-atomic): only after a cross-thread release
+  const std::size_t n = foreign_released_.exchange(
+      0, std::memory_order_relaxed);
   in_use_ -= std::min(n, in_use_);
 }
 
@@ -100,6 +104,8 @@ void StackPool::release(Block b) {
     // pages to the kernel here and credit the owning pool through its
     // atomic, which the owner reconciles on its next operation (the
     // owning thread's pool must still be alive; see the header).
+    // stlm-lint: allow(hot-path-atomic): cross-thread release only, which
+    // unmaps the block anyway
     b.owner->foreign_released_.fetch_add(1, std::memory_order_relaxed);
     ++unmaps_;
     unmap_block(b);

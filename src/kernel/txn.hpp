@@ -1,4 +1,7 @@
 #pragma once
+// stlm-lint: hot-path — every bus access, mailbox poll and SHIP message
+// begins a descriptor here (see tools/stlm_lint.py).
+//
 // Pooled transaction descriptor — the single currency every communication
 // layer moves (OCP TL channels, CAMs, SHIP channels, the HW/SW interface).
 //
@@ -41,6 +44,20 @@ class Process;
 class Txn;
 class TxnPool;
 class TxnQueue;
+
+namespace detail {
+// Transaction ids (Txn::id). Each simulator numbers the transactions
+// begun while it is current on a thread from 1 up, in its own counter.
+// `t_txn_ids` points at the counter of the simulator that is current on
+// this thread (kernel/simulator.cpp keeps it in step with the simulator
+// stack) and is null when none is; a constant-initialized pointer, so
+// reading it costs no TLS wrapper call. `g_txn_ids` holds the ids no
+// live simulator holds: those begun with no simulator current, plus the
+// final count of each destroyed simulator. With no run in flight it is
+// the process's exact count of begun transactions.
+inline constinit thread_local std::uint64_t* t_txn_ids = nullptr;
+inline std::atomic<std::uint64_t> g_txn_ids{0};
+}  // namespace detail
 
 /// Lightweight completion token: one waiter, no simulator registration,
 /// no allocation. Safe to embed in pooled or stack-allocated
@@ -109,7 +126,7 @@ public:
   // --- bookkeeping -------------------------------------------------------
   Time enqueued = Time::zero();            // issue time at the access point
   std::uint32_t cursor = 0;                // consumer progress (chunked IO)
-  std::uint64_t id = 0;                    // unique per begin_*(); for tracing
+  std::uint64_t id = 0;                    // per begin_*(); for tracing
   std::uint32_t retries = 0;               // re-issues so far (RetryPolicy)
   // Set by a RetryPolicy watchdog while the txn is outstanding past its
   // deadline; the CAM completion point promotes Ok -> Timeout from it.
@@ -252,11 +269,17 @@ private:
     reset_phases();
   }
 
-  // Monotonic across every simulator (descriptors are recycled, logical
-  // transactions are not): gives trace rows a usable correlation key.
+  // Ids give trace rows a correlation key (descriptors are recycled,
+  // logical transactions are not). They are dense from 1 within the
+  // simulator current on the calling thread, so a cell's ids do not
+  // depend on which cells ran before it or beside it, and a running
+  // simulator touches no process-wide state here. Only logs and traces
+  // read them.
   static std::uint64_t next_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (std::uint64_t* ids = detail::t_txn_ids) return ++*ids;
+    // stlm-lint: allow(hot-path-atomic): no simulator is current, so
+    // this is not a simulated transaction's path
+    return detail::g_txn_ids.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
   Txn* next_ = nullptr;  // intrusive link (pending queue / free list)
@@ -313,6 +336,8 @@ public:
       audit_acquire(*t);
       return *t;
     }
+    // stlm-lint: allow(hot-path-alloc): free-list miss only; a warmed-up
+    // pool recycles (the pooled-Txn stress test pins created())
     auto owned = std::make_unique<Txn>();
     Txn& t = *owned;
     storage_.push_back(std::move(owned));

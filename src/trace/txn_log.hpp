@@ -56,7 +56,9 @@ struct TxnRecord {
   // "<bus>.<label>" name, so per-master views are a group-by on this
   // field. kNoMaster on layers without masters.
   std::uint32_t master = kNoMaster;
-  std::uint64_t txn;      // stlm::Txn::id of the pooled descriptor (0 = n/a)
+  // stlm::Txn::id of the transaction (0 = n/a). Ids count from 1 in each
+  // simulator, so a cell's column does not depend on other cells.
+  std::uint64_t txn;
   std::uint64_t bytes;
   Time start;             // issue: the initiator handed the txn to the layer
   Time end;               // completion visible to the initiator

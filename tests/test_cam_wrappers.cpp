@@ -27,6 +27,11 @@ struct WrapperFixture {
       : master(sim, "ch.master", bus, bus.add_master("pe0"), layout, 100_ns) {
     bus.attach_slave(slave, layout.range(), "ch.mailbox");
   }
+  // The wrappers die before the simulator: unwind a test's still-parked
+  // threads while the objects their frames reference are alive.
+  ~WrapperFixture() { sim.kill_threads(); }
+  WrapperFixture(const WrapperFixture&) = delete;
+  WrapperFixture& operator=(const WrapperFixture&) = delete;
 };
 
 }  // namespace
@@ -125,7 +130,7 @@ TEST(ShipWrappers, LargeReplyIsChunkedBack) {
 // forever.
 TEST(ShipWrappers, ReplyBeyondTheLengthFieldThrows) {
   WrapperFixture f;
-  Process& m = f.sim.spawn_thread("m", [&] {
+  f.sim.spawn_thread("m", [&] {
     PodMsg<std::uint8_t> req(1);
     VectorMsg<> resp;
     f.master.request(req, resp);
@@ -146,9 +151,6 @@ TEST(ShipWrappers, ReplyBeyondTheLengthFieldThrows) {
               std::string::npos)
         << e.what();
   }
-  // The master still polls for its reply: unwind it while its wrapper is
-  // alive (the fixture destroys the wrappers before the simulator).
-  f.sim.kill_process(m);
 }
 
 TEST(ShipWrappers, RoleViolationsThrow) {

@@ -34,6 +34,16 @@ reproducible and the library embeddable:
                           every thread of the process), so it belongs
                           where the cache misses, not on a per-cell or
                           per-event path.
+  hot-path-atomic         files tagged `// stlm-lint: hot-path` must not
+                          do an atomic read-modify-write (fetch_add/
+                          fetch_sub/fetch_and/fetch_or/fetch_xor,
+                          exchange, compare_exchange_*, as members or as
+                          std::atomic_* free functions) outside a
+                          justified allow(): one counter bumped per event
+                          makes every thread of a parallel sweep bounce
+                          one cache line. Keep per-simulator state in the
+                          simulator. `++`/`--` on an atomic is invisible
+                          to the scan, so spell it fetch_add.
   build-switch            no STLM_AUDIT / STLM_OBS in src/ or tests/, code
                           or comments: the audit and observability hooks
                           are always compiled in, so the library has one
@@ -68,6 +78,7 @@ RULES = (
     "io-stdout",
     "hot-path-alloc",
     "hot-path-syscall",
+    "hot-path-atomic",
     "build-switch",
     "test-coverage",
 )
@@ -122,6 +133,16 @@ SYSCALL_RULES = [
     ("hot-path-syscall",
      re.compile(r"(?<![\w:])::(?:mmap|munmap|mprotect)\s*\("),
      "memory-mapping syscall in a hot-path file; cache the mapping"),
+]
+
+ATOMIC_RULES = [
+    ("hot-path-atomic",
+     re.compile(r"(?:\.|->)\s*(?:fetch_(?:add|sub|and|or|xor)|exchange|"
+                r"compare_exchange_(?:weak|strong))\s*\(|"
+                r"(?<![\w])atomic_(?:fetch_(?:add|sub|and|or|xor)|exchange|"
+                r"compare_exchange_(?:weak|strong))(?:_explicit)?\s*\("),
+     "atomic read-modify-write in a hot-path file; keep the state per "
+     "simulator or justify the allow()"),
 ]
 
 # Checked on raw lines (comments included) of src/ and tests/ files.
@@ -238,7 +259,8 @@ def scan_file(path, findings):
     scan_build_switch(path, raw_lines, allowed, findings, consumed)
 
     hot = any(HOT_PATH_TAG.search(l) for l in raw_lines[:30])
-    rules = TOKEN_RULES + (ALLOC_RULES + SYSCALL_RULES if hot else [])
+    rules = TOKEN_RULES + (ALLOC_RULES + SYSCALL_RULES + ATOMIC_RULES
+                           if hot else [])
 
     for lineno, line in enumerate(raw_lines, start=1):
         m = ALLOW.search(line)

@@ -196,6 +196,53 @@ class TestHotPathSyscall(LintHarness):
         self.assertIn("[bad-suppression]", out)
 
 
+class TestHotPathAtomic(LintHarness):
+    RMW = ("#include <atomic>\n"
+           "std::atomic<unsigned long> g{0};\n"
+           "unsigned long f(std::atomic<int>* p) {\n"
+           "  g.fetch_add(1, std::memory_order_relaxed);\n"
+           "  p->fetch_sub(1);\n"
+           "  int want = 0;\n"
+           "  p->compare_exchange_weak(want, 1);\n"
+           "  std::atomic_fetch_or(p, 2);\n"
+           "  return g.exchange(0);\n}")
+
+    def test_rmw_in_tagged_file_flagged(self):
+        code, out = self.lint_src("// stlm-lint: hot-path\n" + self.RMW)
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[hot-path-atomic]"), 5)
+
+    def test_rmw_in_untagged_file_ok(self):
+        code, out = self.lint_src(self.RMW)
+        self.assertEqual(code, 0, out)
+
+    def test_loads_stores_and_std_exchange_ok(self):
+        code, out = self.lint_src(
+            "// stlm-lint: hot-path\n#include <atomic>\n#include <utility>\n"
+            "std::atomic<int> a{0};\n"
+            "int f(int& x) {\n"
+            "  a.store(a.load(std::memory_order_relaxed) + 1);\n"
+            "  return std::exchange(x, 0);\n}")
+        self.assertEqual(code, 0, out)
+
+    def test_rmw_suppressible_with_justification(self):
+        code, out = self.lint_src(
+            "// stlm-lint: hot-path\n#include <atomic>\n"
+            "std::atomic<int> a{0};\n"
+            "void f() {\n"
+            "  // stlm-lint: allow(hot-path-atomic): once per simulator\n"
+            "  a.fetch_add(1);\n}")
+        self.assertEqual(code, 0, out)
+
+    def test_bare_allow_on_rmw_is_finding(self):
+        code, out = self.lint_src(
+            "// stlm-lint: hot-path\n#include <atomic>\n"
+            "std::atomic<int> a{0};\n"
+            "void f() { a.fetch_add(1); }  // stlm-lint: allow(hot-path-atomic)\n")
+        self.assertEqual(code, 1)
+        self.assertIn("[bad-suppression]", out)
+
+
 class TestBuildSwitch(LintHarness):
     def test_switch_in_src_flagged_in_code_and_comments(self):
         code, out = self.lint_src(
