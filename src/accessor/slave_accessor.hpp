@@ -22,7 +22,6 @@ public:
                 BusPins& bus, Clock& clk, cam::AddressRange decode);
 
   std::uint64_t transactions() const { return transactions_; }
-  const cam::AddressRange& decode_range() const { return decode_; }
 
 private:
   void fsm();

@@ -85,10 +85,6 @@ public:
   // Failure-semantics plumbing (non-null / non-empty only when the
   // platform's FaultProfile / RetrySpec are active).
   fault::Injector* injector() { return injector_.get(); }
-  const std::vector<std::unique_ptr<cam::RetryPolicy>>& retry_policies()
-      const {
-    return retries_;
-  }
   // Aggregated initiator/injector outcome counters across the system.
   struct FailureTotals {
     std::uint64_t injected_errors = 0;

@@ -40,13 +40,23 @@ void Auditor::access(const void* key, Mode mode, const char* kind,
     obj.delta = delta;
     obj.accesses.clear();
   }
-  const Access a{p, sim_.audit_dispatch_seq(), p->audit_enq_seq(), mode};
+  const std::uint64_t dispatch = sim_.audit_dispatch_seq();
+  if (names_delta_ != delta) {
+    names_delta_ = delta;
+    names_.clear();
+  }
+  if (names_.empty() || names_dispatch_ != dispatch) {
+    names_dispatch_ = dispatch;
+    names_.push_back(p->name());
+  }
+  const Access a{dispatch, p->audit_enq_seq(),
+                 static_cast<std::uint32_t>(names_.size() - 1), mode};
   for (const Access& prev : obj.accesses) {
-    if (prev.proc == p) {
-      // Re-access by the same process within the dispatch: the earlier
-      // identical entry already ran the pair checks — bail before the
-      // loop below double-counts every conflict.
-      if (prev.dispatch == a.dispatch && prev.mode == a.mode) return;
+    if (prev.dispatch == a.dispatch) {
+      // Re-access within the dispatch: the earlier identical entry
+      // already ran the pair checks — bail before the loop below
+      // double-counts every conflict.
+      if (prev.mode == a.mode) return;
       continue;
     }
     if (prev.mode == Mode::Read && a.mode == Mode::Read) continue;
@@ -54,6 +64,8 @@ void Auditor::access(const void* key, Mode mode, const char* kind,
     // queue when `prev`'s dispatch began, so FIFO policy — not simulated
     // causality — decided who touched the object first. enq == dispatch
     // means `prev`'s process itself made us runnable: causal, benign.
+    // An earlier dispatch of this same process never passes: it can only
+    // be enqueued again once that dispatch has begun.
     if (a.enq < prev.dispatch) note_conflict(obj, prev, a);
   }
   obj.accesses.push_back(a);
@@ -72,8 +84,8 @@ void Auditor::note_conflict(const Object& obj, const Access& first,
   if (obs::TraceSession* ts = sim_.trace_session(); ts != nullptr) {
     ts->instant("audit", "conflict: " + obj.label, sim_.now());
   }
-  const std::string f = process_name(first.proc);
-  const std::string s = process_name(second.proc);
+  const std::string& f = names_[first.who];
+  const std::string& s = names_[second.who];
   std::string pair_key;
   pair_key.reserve(obj.label.size() + f.size() + s.size() + 2);
   pair_key.append(obj.label).append("|").append(f).append("|").append(s);
@@ -91,10 +103,6 @@ void Auditor::note_conflict(const Object& obj, const Access& first,
   c.when = sim_.now();
   c.delta = sim_.delta_count();
   conflicts_.push_back(std::move(c));
-}
-
-std::string Auditor::process_name(const ProcessBase* p) const {
-  return sim_.process_alive(p) ? p->name() : std::string("<destroyed>");
 }
 
 Report Auditor::report() const {

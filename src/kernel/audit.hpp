@@ -114,10 +114,12 @@ class Auditor {
   Report report() const;
 
  private:
+  // A record names its process by a copy taken at its dispatch's first
+  // audited access, never through a pointer to a process that may die.
   struct Access {
-    const ProcessBase* proc;
     std::uint64_t dispatch;  // scheduler dispatch seq of the access
-    std::uint64_t enq;       // dispatch seq when `proc` was enqueued
+    std::uint64_t enq;       // dispatch seq when the process was enqueued
+    std::uint32_t who;       // index into names_
     Mode mode;
   };
   struct Object {
@@ -128,9 +130,12 @@ class Auditor {
 
   void note_conflict(const Object& obj, const Access& first,
                      const Access& second);
-  std::string process_name(const ProcessBase* p) const;
 
   Simulator& sim_;
+  // Process names of this delta's auditing dispatches (Access::who).
+  std::vector<std::string> names_;
+  std::uint64_t names_delta_ = ~0ull;
+  std::uint64_t names_dispatch_ = ~0ull;
   std::unordered_map<const void*, Object> objects_;
   // (object label | first | second) -> index into conflicts_.
   std::unordered_map<std::string, std::size_t> conflict_index_;

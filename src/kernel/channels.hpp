@@ -161,8 +161,6 @@ public:
     unlocked_.notify_delta();
   }
 
-  bool locked() const { return locked_; }
-
 private:
   std::string name_;
   Event unlocked_;

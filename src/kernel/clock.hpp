@@ -29,7 +29,6 @@ public:
   Event& negedge_event() { return sig_.negedge_event(); }
 
   Time period() const { return period_; }
-  double frequency_mhz() const { return 1e-6 / period_.to_seconds(); }
   // Number of rising edges generated so far.
   std::uint64_t cycle_count() const { return cycles_; }
 

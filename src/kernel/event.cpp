@@ -18,7 +18,10 @@ Event::Event(Simulator& sim, std::string name)
   sim_->register_event(*this);
 }
 
-Event::~Event() { sim_->unregister_event(*this); }
+Event::~Event() {
+  for (ProcessBase* pb : static_) std::erase(pb->static_events_, this);
+  sim_->retire_slot(slot_);
+}
 
 void Event::notify() {
   // Immediate: wake waiters into the current evaluation phase.
@@ -29,7 +32,7 @@ void Event::notify_delta() {
   if (delta_pending_) return;
   if (timed_pending_) {
     // A delta notification is always earlier than a timed one: override.
-    ++sched_gen_;
+    sim_->invalidate(slot_);
     timed_pending_ = false;
   }
   delta_pending_ = true;
@@ -45,7 +48,7 @@ void Event::notify(Time delay) {
   const Time abs = sim_->now() + delay;
   if (timed_pending_) {
     if (timed_when_ <= abs) return;  // pending one is earlier; keep it
-    ++sched_gen_;                    // invalidate the later pending entry
+    sim_->invalidate(slot_);         // lapse the later pending entry
   }
   timed_pending_ = true;
   timed_when_ = abs;
@@ -53,28 +56,29 @@ void Event::notify(Time delay) {
 }
 
 void Event::cancel() {
-  ++sched_gen_;
+  sim_->invalidate(slot_);
   delta_pending_ = false;
   timed_pending_ = false;
 }
 
 void Event::add_dynamic_waiter(Process& p) {
-  dynamic_.push_back(DynWaiter{&p, p.wake_gen()});
+  dynamic_.push_back(sim_->handle(p));
 }
 
 void Event::trigger() {
   delta_pending_ = false;
   timed_pending_ = false;
-  ++sched_gen_;
+  sim_->invalidate(slot_);
 
   // One-shot dynamic waiters, walked in place: make_runnable only
   // enqueues, so nothing re-enters add_dynamic_waiter on this event
   // mid-loop, and clear() keeps the buffer for the next wait.
-  for (const DynWaiter& w : dynamic_) {
-    if (!sim_->process_alive(w.proc)) continue;
-    if (w.proc->terminated()) continue;
-    if (w.gen != w.proc->wake_gen()) continue;  // stale registration
-    sim_->make_runnable(*w.proc, Process::WakeReason::Event, this);
+  // A waiter's handle lapses when it resumes (woken by something else),
+  // terminates or dies.
+  for (const detail::Handle<Process>& w : dynamic_) {
+    if (sim_->current(w)) {
+      sim_->make_runnable(w, Process::WakeReason::Event, this);
+    }
   }
   dynamic_.clear();
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "kernel/handle.hpp"
 #include "kernel/time.hpp"
 
 namespace stlm {
@@ -58,16 +59,14 @@ private:
   // sensitive ones. Called by the scheduler (or by notify() directly).
   void trigger();
 
-  struct DynWaiter {
-    Process* proc;
-    std::uint64_t gen;  // proc->wake_gen() at registration; stale if changed
-  };
-
   Simulator* sim_;
   std::string name_;
-  std::vector<DynWaiter> dynamic_;        // one-shot waiters
-  std::vector<ProcessBase*> static_;      // statically sensitive processes
-  std::uint64_t sched_gen_ = 0;           // bumps on cancel/trigger
+  std::uint32_t slot_ = 0;                // generation slot (handle.hpp)
+  std::vector<detail::Handle<Process>> dynamic_;  // one-shot waiters
+  // Statically sensitive processes. Kept in step with each process's
+  // static_events_ from both sides (whichever dies first unlinks), so
+  // both lists only ever hold live objects.
+  std::vector<ProcessBase*> static_;
   Time timed_when_ = Time::zero();        // valid while timed_pending_
   bool delta_pending_ = false;
   bool timed_pending_ = false;

@@ -45,9 +45,6 @@ Process& Module::spawn_thread(std::string name, std::function<void()> body) {
                                         std::move(body));
   Process& ref = *proc;
   processes_.push_back(std::move(proc));
-  if (sim_.initialized()) {
-    sim_.make_runnable(ref, Process::WakeReason::Start, nullptr);
-  }
   return ref;
 }
 
@@ -67,7 +64,6 @@ MethodProcess& Module::spawn_method(std::string name, std::function<void()> fn,
   MethodProcess& ref = *proc;
   ref.set_static_sensitivity(sensitivity);
   processes_.push_back(std::move(proc));
-  if (sim_.initialized() && run_at_start) sim_.queue_method(ref);
   return ref;
 }
 

@@ -45,23 +45,19 @@ void throw_process_killed() { throw ProcessKilled{}; }
 // ---------------------------------------------------------------- base --
 
 ProcessBase::ProcessBase(Simulator& sim, std::string name, Kind kind)
-    : sim_(sim), name_(std::move(name)), kind_(kind) {
-  sim_.register_process(*this);
-}
+    : sim_(sim),
+      name_(std::move(name)),
+      kind_(kind),
+      slot_(sim.claim_slot()) {}
 
 ProcessBase::~ProcessBase() {
-  // Remove ourselves from the static lists of still-live events.
-  for (Event* e : static_events_) {
-    if (!sim_.event_alive(e)) continue;
-    std::erase(e->static_, this);
-  }
-  sim_.unregister_process(*this);
+  // Every event still listed is live: a dying event unlinks itself here.
+  for (Event* e : static_events_) std::erase(e->static_, this);
+  sim_.retire_slot(slot_);
 }
 
 void ProcessBase::set_static_sensitivity(const std::vector<Event*>& events) {
-  for (Event* e : static_events_) {
-    if (sim_.event_alive(e)) std::erase(e->static_, this);
-  }
+  for (Event* e : static_events_) std::erase(e->static_, this);
   static_events_ = events;
   for (Event* e : static_events_) {
     STLM_ASSERT(e != nullptr, "null event in sensitivity list of " + name_);
@@ -76,6 +72,7 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body)
       body_(std::move(body)),
       stack_(detail::StackPool::local().acquire()) {
   STLM_ASSERT(body_ != nullptr, "thread process needs a body: " + name_);
+  sim_.make_runnable(sim_.handle(*this), WakeReason::Start, nullptr);
 }
 
 Process::~Process() {
@@ -111,6 +108,7 @@ void Process::trampoline() {
     self->error_ = std::current_exception();
   }
   self->terminated_ = true;
+  self->sim_.invalidate(self->slot_);
   if (self->terminated_event_) self->terminated_event_->notify_delta();
   // Hand control back to the scheduler for good (null handle: this
   // fiber is done, release its sanitizer fake frames).
@@ -149,6 +147,7 @@ MethodProcess::MethodProcess(Simulator& sim, std::string name,
       fn_(std::move(fn)),
       run_at_start_(run_at_start) {
   STLM_ASSERT(fn_ != nullptr, "method process needs a callback: " + name_);
+  if (run_at_start_) sim_.queue_method(*this);
 }
 
 }  // namespace stlm

@@ -82,6 +82,7 @@ protected:
   Simulator& sim_;
   std::string name_;
   Kind kind_;
+  std::uint32_t slot_ = 0;  // generation slot (kernel/handle.hpp)
   bool terminated_ = false;
   std::uint64_t audit_enq_seq_ = 0;
   std::vector<Event*> static_events_;
@@ -98,8 +99,6 @@ public:
 
   // Event that fires when this process terminates (body returned or threw).
   Event& terminated_event();
-
-  std::uint64_t wake_gen() const { return wake_gen_; }
 
   // The event that most recently woke this process (nullptr after a
   // timeout or initial start). Valid right after wait() returns.
@@ -119,7 +118,6 @@ private:
   void* sp_ = nullptr;  // saved stack pointer while suspended
   bool started_ = false;
   bool runnable_ = false;                    // queued in the runnable list
-  std::uint64_t wake_gen_ = 0;               // invalidates stale wakeups
   WakeReason wake_reason_ = WakeReason::None;
   Event* last_event_ = nullptr;              // event that caused the wake
   std::exception_ptr error_;

@@ -19,7 +19,7 @@ template <class T>
 class Signal final : public UpdateIf {
 public:
   explicit Signal(Simulator& sim, std::string name = "signal", T init = T{})
-      : sim_(sim),
+      : UpdateIf(sim),
         name_(std::move(name)),
         cur_(init),
         next_(init),
@@ -68,7 +68,6 @@ private:
     }
   }
 
-  Simulator& sim_;
   std::string name_;
   T cur_;
   T next_;

@@ -49,8 +49,10 @@ Simulator::Simulator() {
 }
 
 Simulator::~Simulator() {
-  tearing_down_ = true;  // dying processes skip the registry erase
   owned_processes_.clear();
+  // An observer that outlives the simulator must not detach from it later.
+  if (trace_session_ != nullptr) trace_session_->detach();
+  if (profiler_ != nullptr) profiler_->detach();
   auto it = std::find(g_sim_stack.rbegin(), g_sim_stack.rend(), this);
   if (it != g_sim_stack.rend()) {
     g_sim_stack.erase(std::next(it).base());
@@ -90,7 +92,6 @@ Process& Simulator::spawn_thread(std::string name, std::function<void()> body) {
                                         std::move(body));
   Process& ref = *proc;
   owned_processes_.push_back(std::move(proc));
-  if (initialized_) make_runnable(ref, Process::WakeReason::Start, nullptr);
   return ref;
 }
 
@@ -105,46 +106,31 @@ MethodProcess& Simulator::spawn_method(std::string name,
   MethodProcess& ref = *proc;
   ref.set_static_sensitivity(sensitivity);
   owned_processes_.push_back(std::move(proc));
-  if (initialized_ && run_at_start) queue_method(ref);
   return ref;
 }
 
 // ---------------------------------------------------------- registries --
 
-void Simulator::register_process(ProcessBase& p) {
-  all_processes_.push_back(&p);
-  live_processes_.insert(&p);
-}
-
-void Simulator::unregister_process(ProcessBase& p) {
-  process_unregistered_ever_ = true;
-  // The liveness set stays exact even in teardown: destructors unwinding
-  // a later process may still trigger events whose waiters died before.
-  // all_processes_ is only read by initialize(), which never runs again
-  // once ~Simulator has begun, so its erase (a scan and shift per
-  // process, quadratic over a teardown) is skipped there.
-  if (!tearing_down_) std::erase(all_processes_, &p);
-  live_processes_.erase(&p);
-}
-
 void Simulator::register_event(Event& e) {
   ++events_registered_total_;
-  live_events_.insert(&e);
+  e.slot_ = gens_.acquire();
 }
-void Simulator::unregister_event(Event& e) {
-  event_unregistered_ever_ = true;
-  live_events_.erase(&e);
-}
+
+UpdateIf::UpdateIf(Simulator& sim) : sim_(sim), slot_(sim.claim_slot()) {}
+
+UpdateIf::~UpdateIf() { sim_.retire_slot(slot_); }
 
 void Simulator::register_module(Module& m) { modules_.push_back(&m); }
 void Simulator::unregister_module(Module& m) { std::erase(modules_, &m); }
 
-void Simulator::register_owned(std::unique_ptr<ProcessBase> p) {
-  owned_processes_.push_back(std::move(p));
+void Simulator::add_post_delta_hook(const void* owner,
+                                    std::function<void(Time)> hook) {
+  post_delta_hooks_.push_back({owner, std::move(hook)});
 }
 
-void Simulator::add_post_delta_hook(std::function<void(Time)> hook) {
-  post_delta_hooks_.push_back(std::move(hook));
+void Simulator::remove_post_delta_hooks(const void* owner) {
+  std::erase_if(post_delta_hooks_,
+                [owner](const PostDeltaHook& h) { return h.owner == owner; });
 }
 
 // ---------------------------------------------------------- scheduling --
@@ -152,39 +138,37 @@ void Simulator::add_post_delta_hook(std::function<void(Time)> hook) {
 void Simulator::request_update(UpdateIf& u) {
   if (u.update_pending_) return;
   u.update_pending_ = true;
-  update_requests_.push_back(&u);
+  update_requests_.push_back(handle(u));
 }
 
-void Simulator::make_runnable(Process& p, Process::WakeReason reason,
-                              Event* cause) {
+void Simulator::make_runnable(detail::Handle<Process> h,
+                              Process::WakeReason reason, Event* cause) {
+  Process& p = *h.obj;
   if (p.terminated_ || p.runnable_) return;
   p.runnable_ = true;
   p.wake_reason_ = reason;
   p.last_event_ = cause;
   p.audit_enq_seq_ = audit_dispatch_seq_;
-  runnable_.push_back(&p);
+  runnable_.push_back(h);
 }
 
 void Simulator::queue_method(MethodProcess& m) {
   if (m.terminated_ || m.queued_) return;
   m.queued_ = true;
   m.audit_enq_seq_ = audit_dispatch_seq_;
-  method_queue_.push_back(&m);
+  method_queue_.push_back(handle(m));
 }
 
 void Simulator::schedule_timed_event(Event& e, Time abs_time) {
-  timed_.push(TimedEntry{abs_time, timed_seq_++, &e, nullptr, e.sched_gen_});
+  timed_.push({abs_time, timed_seq_++, &e, gens_.key(e.slot_), true});
 }
 
-void Simulator::schedule_delta_event(Event& e) { delta_events_.push_back(&e); }
-
-void Simulator::schedule_timeout(Process& p, Time abs_time,
-                                 std::uint64_t gen) {
-  timed_.push(TimedEntry{abs_time, timed_seq_++, nullptr, &p, gen});
+void Simulator::schedule_delta_event(Event& e) {
+  delta_events_.push_back(handle(e));
 }
 
-Event* Simulator::last_triggered_event() const {
-  return current_process_ ? current_process_->last_event_ : nullptr;
+void Simulator::schedule_timeout(Process& p, Time abs_time) {
+  timed_.push({abs_time, timed_seq_++, &p, gens_.key(p.slot_), false});
 }
 
 // ------------------------------------------------------------- auditing --
@@ -201,23 +185,6 @@ audit::Report Simulator::audit_report() const {
 }
 
 // ------------------------------------------------------------- running --
-
-void Simulator::initialize() {
-  initialized_ = true;
-  // Only the processes registered so far: one spawned during
-  // initialization joins immediately via spawn_*'s initialized_ check.
-  for (std::size_t i = 0, n = all_processes_.size(); i < n; ++i) {
-    ProcessBase* pb = all_processes_[i];
-    if (!process_alive(pb) || pb->terminated_) continue;
-    if (pb->kind() == ProcessBase::Kind::Thread) {
-      make_runnable(static_cast<Process&>(*pb), Process::WakeReason::Start,
-                    nullptr);
-    } else {
-      auto& m = static_cast<MethodProcess&>(*pb);
-      if (m.run_at_start_) queue_method(m);
-    }
-  }
-}
 
 void Simulator::check_elaboration() {
   if (elaborated_) return;
@@ -248,7 +215,7 @@ void Simulator::run_impl(std::optional<Time> end_time) {
   stop_requested_ = false;
   run_end_time_ = end_time;
 
-  if (!initialized_) initialize();
+  initialized_ = true;
 
   while (true) {
     evaluate_phase();
@@ -256,7 +223,7 @@ void Simulator::run_impl(std::optional<Time> end_time) {
     update_phase();
     delta_phase();
     ++delta_count_;
-    for (const auto& hook : post_delta_hooks_) hook(now_);
+    for (const PostDeltaHook& hook : post_delta_hooks_) hook.fn(now_);
     if (!runnable_.empty() || !method_queue_.empty()) continue;
     // Run-budget poll: between settled deltas, before time advances, so
     // an abort can never split an evaluation step.
@@ -278,14 +245,12 @@ void Simulator::evaluate_phase() {
   while (!method_queue_.empty() || !runnable_.empty()) {
     if (stop_requested_) return;
     if (!method_queue_.empty()) {
-      MethodProcess* m = method_queue_.pop_front();
-      if (!process_alive(m)) continue;
-      run_method(*m);
+      const detail::Handle<MethodProcess> m = method_queue_.pop_front();
+      if (current(m)) run_method(*m.obj);
       continue;
     }
-    Process* p = runnable_.pop_front();
-    if (!process_alive(p) || p->terminated_) continue;
-    resume_thread(*p);
+    const detail::Handle<Process> p = runnable_.pop_front();
+    if (current(p)) resume_thread(*p.obj);
   }
 }
 
@@ -300,6 +265,7 @@ void Simulator::run_method(MethodProcess& m) {
   } catch (...) {
     if (!pending_error_) pending_error_ = std::current_exception();
     m.terminated_ = true;
+    gens_.bump(m.slot_);
     stop_requested_ = true;
   }
   if (trace_session_ != nullptr) trace_session_->process_end(m, now_);
@@ -309,7 +275,7 @@ void Simulator::run_method(MethodProcess& m) {
 
 void Simulator::resume_thread(Process& p) {
   p.runnable_ = false;
-  ++p.wake_gen_;  // invalidate every stale registration of this process
+  gens_.bump(p.slot_);  // lapse every other wake-up this process registered
   current_process_ = &p;
   ++audit_dispatch_seq_;
   audit_current_ = &p;
@@ -367,7 +333,7 @@ void Simulator::kill_process(Process& p) {
 #ifdef STLM_TSAN_FIBERS
   tsan_sched_fiber_ = detail::tsan_fiber_current();
 #endif
-  ++p.wake_gen_;  // invalidate stale timeouts/waits on this process
+  gens_.bump(p.slot_);  // lapse its pending timeouts and waits
   p.runnable_ = false;
   p.wake_reason_ = Process::WakeReason::Kill;
   p.last_event_ = nullptr;
@@ -403,9 +369,10 @@ void Simulator::kill_threads() {
 void Simulator::update_phase() {
   if (update_requests_.empty()) return;
   update_scratch_.swap(update_requests_);
-  for (UpdateIf* u : update_scratch_) {
-    u->update_pending_ = false;
-    u->update();
+  for (const detail::Handle<UpdateIf>& u : update_scratch_) {
+    if (!current(u)) continue;  // destroyed with the update queued
+    u.obj->update_pending_ = false;
+    u.obj->update();
   }
   update_scratch_.clear();
 }
@@ -413,25 +380,20 @@ void Simulator::update_phase() {
 void Simulator::delta_phase() {
   if (delta_events_.empty()) return;
   delta_scratch_.swap(delta_events_);
-  for (Event* e : delta_scratch_) {
-    if (!event_alive(e)) continue;
-    if (!e->delta_pending_) continue;  // cancelled meanwhile
-    e->trigger();
+  for (const detail::Handle<Event>& e : delta_scratch_) {
+    if (current(e)) e.obj->trigger();  // else cancelled, fired or dead
   }
   delta_scratch_.clear();
 }
 
+// `entry` was current at the peek() that returned it, and nothing has
+// run since.
 void Simulator::dispatch_timed(const TimedEntry& entry) {
-  if (entry.event) {
-    Event* e = entry.event;
-    if (!event_alive(e)) return;
-    if (!e->timed_pending_ || e->sched_gen_ != entry.gen) return;  // stale
-    e->trigger();
+  if (entry.is_event) {
+    static_cast<Event*>(entry.target)->trigger();
   } else {
-    Process* p = entry.proc;
-    if (!process_alive(p) || p->terminated_) return;
-    if (p->wake_gen_ != entry.gen) return;  // stale timeout
-    make_runnable(*p, Process::WakeReason::Timeout, nullptr);
+    make_runnable({static_cast<Process*>(entry.target), entry.key},
+                  Process::WakeReason::Timeout, nullptr);
   }
 }
 
@@ -439,13 +401,7 @@ void Simulator::dispatch_timed(const TimedEntry& entry) {
 // or overridden since registration never advance time. Plain function
 // pointer + context so peek allocates nothing per call.
 bool Simulator::timed_entry_stale(const void* ctx, const TimedEntry& e) {
-  const auto* self = static_cast<const Simulator*>(ctx);
-  if (e.event) {
-    return !self->event_alive(e.event) || !e.event->timed_pending_ ||
-           e.event->sched_gen_ != e.gen;
-  }
-  return !self->process_alive(e.proc) || e.proc->terminated_ ||
-         e.proc->wake_gen_ != e.gen;
+  return !static_cast<const Simulator*>(ctx)->gens_.current(e.key);
 }
 
 bool Simulator::advance_inline(Time abs) {
@@ -505,7 +461,7 @@ void wait(Time delay) {
   // Zero-delay waits keep their yield-past-this-instant semantics; any
   // other delay tries the lone-runner inline advance first.
   if (!delay.is_zero() && sim.advance_inline(sim.now() + delay)) return;
-  sim.schedule_timeout(p, sim.now() + delay, p.wake_gen());
+  sim.schedule_timeout(p, sim.now() + delay);
   sim.suspend_current();
 }
 
@@ -513,7 +469,7 @@ bool wait(Time timeout, Event& e) {
   Simulator& sim = Simulator::require_current();
   Process& p = sim.require_process("wait(Time, Event)");
   e.add_dynamic_waiter(p);
-  sim.schedule_timeout(p, sim.now() + timeout, p.wake_gen());
+  sim.schedule_timeout(p, sim.now() + timeout);
   return sim.suspend_current() == Process::WakeReason::Event;
 }
 

@@ -23,11 +23,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "kernel/audit.hpp"
 #include "kernel/event.hpp"
+#include "kernel/handle.hpp"
 #include "kernel/process.hpp"
 #include "kernel/report.hpp"
 #include "kernel/time.hpp"
@@ -45,7 +45,7 @@ class Profiler;
 
 namespace detail {
 
-// FIFO of scheduler pointers: a vector plus a consume index that rewinds
+// FIFO of scheduler handles: a vector plus a consume index that rewinds
 // to the front whenever the queue drains. Unlike std::deque, a steady
 // stream of push/pop never returns storage to the heap — the buffer
 // settles at the peak depth and stays there.
@@ -84,11 +84,19 @@ private:
 // Implemented by primitive channels (signals) that need an update phase.
 class UpdateIf {
 public:
-  virtual ~UpdateIf() = default;
+  virtual ~UpdateIf();
+  UpdateIf(const UpdateIf&) = delete;
+  UpdateIf& operator=(const UpdateIf&) = delete;
 
 protected:
-  friend class Simulator;
+  explicit UpdateIf(Simulator& sim);
   virtual void update() = 0;
+
+  Simulator& sim_;
+
+private:
+  friend class Simulator;
+  std::uint32_t slot_ = 0;  // generation slot (kernel/handle.hpp)
   bool update_pending_ = false;
 };
 
@@ -107,8 +115,8 @@ public:
   bool initialized() const { return initialized_; }
 
   // --- process creation --------------------------------------------------
-  // Processes spawned before run() start in the initialization phase;
-  // processes spawned while running become runnable immediately.
+  // A process is runnable from construction: one spawned before run()
+  // starts in the first delta cycle, one spawned while running at once.
   Process& spawn_thread(std::string name, std::function<void()> body);
   MethodProcess& spawn_method(std::string name, std::function<void()> fn,
                               std::vector<Event*> sensitivity,
@@ -136,8 +144,10 @@ public:
   bool idle() const;
 
   // --- hooks ---------------------------------------------------------------
-  // Called after every delta cycle's update phase; used by tracing.
-  void add_post_delta_hook(std::function<void(Time)> hook);
+  // Called after every delta cycle's update phase; used by tracing. An
+  // owner that dies before the simulator must remove its hooks.
+  void add_post_delta_hook(const void* owner, std::function<void(Time)> hook);
+  void remove_post_delta_hooks(const void* owner);
 
   // --- kernel-internal API (used by Event/Process/Module/wait) ----------
   static Simulator* current();
@@ -147,11 +157,13 @@ public:
   Process& require_process(const char* what) const;
 
   void request_update(UpdateIf& u);
-  void make_runnable(Process& p, Process::WakeReason reason, Event* cause);
+  // `p` must be current (just taken, or just checked).
+  void make_runnable(detail::Handle<Process> p, Process::WakeReason reason,
+                     Event* cause);
   void queue_method(MethodProcess& m);
   void schedule_timed_event(Event& e, Time abs_time);
   void schedule_delta_event(Event& e);
-  void schedule_timeout(Process& p, Time abs_time, std::uint64_t gen);
+  void schedule_timeout(Process& p, Time abs_time);
 
   // Lone-runner fast path for wait(delay): when the calling process is
   // the only activity in the simulator and nothing else — runnable
@@ -164,21 +176,20 @@ public:
   // exactly the empty ones the scheduler would have burned through.
   bool advance_inline(Time abs);
 
-  void register_process(ProcessBase& p);
-  void unregister_process(ProcessBase& p);
-  // Liveness checks run on every scheduler dispatch (millions per
-  // simulation). Until the first unregistration, every pointer the
-  // scheduler holds is necessarily live — short-circuit the hash lookup
-  // and fall back to the registry only once some object has actually
-  // died (typically only at teardown, when nothing is dispatched).
-  bool process_alive(const ProcessBase* p) const {
-    return !process_unregistered_ever_ || live_processes_.contains(p);
-  }
-  bool event_alive(const Event* e) const {
-    return !event_unregistered_ever_ || live_events_.contains(e);
-  }
+  // Generation table (kernel/handle.hpp): a slot per Event (through
+  // register_event, which counts it), ProcessBase and UpdateIf.
   void register_event(Event& e);
-  void unregister_event(Event& e);
+  std::uint32_t claim_slot() { return gens_.acquire(); }
+  void retire_slot(std::uint32_t slot) { gens_.release(slot); }
+  void invalidate(std::uint32_t slot) { gens_.bump(slot); }
+  template <class T>
+  detail::Handle<T> handle(T& obj) const {
+    return {&obj, gens_.key(obj.slot_)};
+  }
+  template <class T>
+  bool current(detail::Handle<T> h) const {
+    return gens_.current(h.key);
+  }
 
   // --- pooled transaction descriptors ------------------------------------
   // Free-list pool shared by every communication layer bound to this
@@ -190,16 +201,14 @@ public:
   // process-wide one, after its processes are unwound.
   std::uint64_t txn_ids_issued() const { return txn_ids_; }
 
-  // Observability for allocation-churn regression tests: current number of
-  // live Events and the total ever registered. A pooled transaction hot
-  // path keeps the total flat while transactions flow.
-  std::size_t live_event_count() const { return live_events_.size(); }
+  // Observability for allocation-churn regression tests: the number of
+  // Events ever registered. A pooled transaction hot path keeps it flat
+  // while transactions flow.
   std::uint64_t events_registered_total() const {
     return events_registered_total_;
   }
   void register_module(Module& m);
   void unregister_module(Module& m);
-  void register_owned(std::unique_ptr<ProcessBase> p);  // sim-owned processes
 
   const std::vector<Module*>& modules() const { return modules_; }
 
@@ -219,8 +228,6 @@ public:
   // of Module::kill_threads: for owners whose threads reference objects
   // that die before the simulator does.
   void kill_threads();
-
-  Event* last_triggered_event() const;
 
   // --- determinism auditor (kernel/audit.hpp) ----------------------------
   // Runtime switch for per-delta access-set recording. New simulators
@@ -268,7 +275,6 @@ private:
   // wherever the thread's simulator stack changes.
   static void sync_txn_ids();
 
-  void initialize();
   void check_elaboration();
   void evaluate_phase();
   void update_phase();
@@ -285,7 +291,7 @@ private:
   Time now_ = Time::zero();
   std::uint64_t delta_count_ = 0;
   std::uint64_t timed_seq_ = 0;
-  bool initialized_ = false;
+  bool initialized_ = false;  // a run has begun
   bool elaborated_ = false;
   bool running_ = false;
   bool stop_requested_ = false;
@@ -296,29 +302,30 @@ private:
   // advance_inline never warps simulated time past it.
   std::optional<Time> run_end_time_;
 
-  detail::FifoQueue<Process*> runnable_;
-  detail::FifoQueue<MethodProcess*> method_queue_;
-  std::vector<Event*> delta_events_;
-  std::vector<UpdateIf*> update_requests_;
+  // Declared before everything whose teardown retires slots.
+  detail::GenTable gens_;
+
+  detail::FifoQueue<detail::Handle<Process>> runnable_;
+  detail::FifoQueue<detail::Handle<MethodProcess>> method_queue_;
+  std::vector<detail::Handle<Event>> delta_events_;
+  std::vector<detail::Handle<UpdateIf>> update_requests_;
   // Scratch twins of the two lists above (see update_phase).
-  std::vector<Event*> delta_scratch_;
-  std::vector<UpdateIf*> update_scratch_;
+  std::vector<detail::Handle<Event>> delta_scratch_;
+  std::vector<detail::Handle<UpdateIf>> update_scratch_;
   // Timed notifications: min-heap with deterministic FIFO order within a
   // timestamp (see kernel/timed_queue.hpp).
   detail::TimedQueue timed_;
 
-  std::vector<ProcessBase*> all_processes_;
   TxnPool txn_pool_;
   std::uint64_t txn_ids_ = 0;  // see txn_ids_issued()
   std::uint64_t events_registered_total_ = 0;
-  bool event_unregistered_ever_ = false;
-  bool process_unregistered_ever_ = false;
-  bool tearing_down_ = false;  // set by ~Simulator
-  std::unordered_set<const Event*> live_events_;
-  std::unordered_set<const ProcessBase*> live_processes_;
   std::vector<Module*> modules_;
   std::vector<std::unique_ptr<ProcessBase>> owned_processes_;
-  std::vector<std::function<void(Time)>> post_delta_hooks_;
+  struct PostDeltaHook {
+    const void* owner;
+    std::function<void(Time)> fn;
+  };
+  std::vector<PostDeltaHook> post_delta_hooks_;
 
   Process* current_process_ = nullptr;
   // Determinism-audit bookkeeping (see audit.hpp): the process a hook

@@ -7,9 +7,9 @@
 // push order.
 //
 // Cancellation: the queue never removes an entry eagerly. Event::cancel
-// and notify-override bump the owner's generation counter; peek() prunes
-// such stale entries when they reach the top, via the caller's StaleFn (a
-// plain function pointer + context, so peek allocates nothing).
+// and notify-override lapse the entry's handle (kernel/handle.hpp); peek()
+// prunes such stale entries when they reach the top, via the caller's
+// StaleFn (a plain function pointer + context, so peek allocates nothing).
 //
 // Storage: one vector, taken from the calling OS thread's spare slot on
 // the first push and handed back, cleared, when the queue dies
@@ -25,20 +25,17 @@
 
 namespace stlm {
 
-class Event;
-class Process;
-
 namespace detail {
 
-// One timed registration: exactly one of event/proc is set. `gen` is the
-// owner's generation counter at registration; a mismatch marks the entry
-// stale (cancelled or overridden).
+// One timed registration: an event's timed notification or a process's
+// timeout. (target, key) is the registrant's handle (kernel/handle.hpp);
+// once it lapses the entry is stale.
 struct TimedEntry {
   Time when;
   std::uint64_t seq;  // FIFO tie-break for determinism
-  Event* event;
-  Process* proc;
-  std::uint64_t gen;
+  void* target;       // Event* when is_event, else Process*
+  std::uint64_t key;
+  bool is_event;
   bool operator>(const TimedEntry& o) const {
     if (when != o.when) return when > o.when;
     return seq > o.seq;

@@ -10,25 +10,23 @@ namespace stlm {
 
 void CompletionEvent::complete(Simulator& sim) {
   completed_ = true;
-  Process* w = waiter_;
-  waiter_ = nullptr;
-  if (!w) return;                     // completion before (or without) wait
-  if (!sim.process_alive(w)) return;
-  if (w->terminated()) return;
-  if (w->wake_gen() != waiter_gen_) return;  // waiter moved on; stale
-  sim.make_runnable(*w, Process::WakeReason::Event, nullptr);
+  const detail::Handle<Process> w = waiter_;
+  waiter_ = {};
+  if (!w.obj) return;  // completion before (or without) wait
+  if (sim.current(w)) {
+    sim.make_runnable(w, Process::WakeReason::Event, nullptr);
+  }
 }
 
 void CompletionEvent::wait(Simulator& sim) {
   Process& p = sim.require_process("CompletionEvent::wait");
   while (!completed_) {
-    STLM_ASSERT(waiter_ == nullptr || waiter_ == &p,
+    STLM_ASSERT(waiter_.obj == nullptr || waiter_.obj == &p,
                 "CompletionEvent supports a single waiter");
-    waiter_ = &p;
-    waiter_gen_ = p.wake_gen();
+    waiter_ = sim.handle(p);
     sim.suspend_current();
   }
-  waiter_ = nullptr;
+  waiter_ = {};
 }
 
 }  // namespace stlm

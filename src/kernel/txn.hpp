@@ -8,10 +8,10 @@
 // A Txn carries one transaction's request half (operation, address, write
 // or message payload) and response half (status, read/reply payload) in
 // buffers that keep their capacity across reuse, plus a CompletionEvent
-// the initiator blocks on. Unlike Event, a CompletionEvent does not
-// register with the Simulator's liveness registry and allocates nothing,
-// so the steady-state transaction hot path performs zero per-transaction
-// heap allocation and zero hash-set churn.
+// the initiator blocks on. Unlike Event, a CompletionEvent takes no slot
+// in the Simulator's generation table and allocates nothing, so the
+// steady-state transaction hot path performs zero per-transaction heap
+// allocation and no table growth.
 //
 // Lifetime models:
 //   * blocking round-trips (CAM/OCP masters): the initiator owns the Txn
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "kernel/audit.hpp"
+#include "kernel/handle.hpp"
 #include "kernel/time.hpp"
 
 namespace stlm {
@@ -78,12 +79,13 @@ public:
   /// Re-arm the token for the next transaction.
   void reset() {
     completed_ = false;
-    waiter_ = nullptr;
+    waiter_ = {};
   }
 
 private:
-  Process* waiter_ = nullptr;
-  std::uint64_t waiter_gen_ = 0;  // waiter's wake_gen at registration
+  // The waiting process's handle (kernel/handle.hpp); it lapses if the
+  // waiter resumes for another reason, terminates or dies.
+  detail::Handle<Process> waiter_;
   bool completed_ = false;
 };
 

@@ -79,7 +79,10 @@ public:
     double total_wall_ns = 0.0;
   };
 
-  // Register with `sim` so scheduler hooks feed this profiler.
+  ~Profiler() { detach(); }
+
+  // Register with `sim` so scheduler hooks feed this profiler. A profiler
+  // detaches when either side is destroyed.
   void attach(Simulator& sim);
   void detach();
   Simulator* simulator() const { return sim_; }

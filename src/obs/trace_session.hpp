@@ -58,9 +58,11 @@ public:
 
   TraceSession() : TraceSession(Options{}) {}
   explicit TraceSession(Options opts);
+  ~TraceSession() { detach(); }
 
   // Register with `sim` so the kernel/CAM hooks see this session. One
-  // session per simulator; attach replaces any previous one.
+  // session per simulator; attach replaces any previous one. A session
+  // detaches when either side is destroyed.
   void attach(Simulator& sim);
   void detach();
   Simulator* simulator() const { return sim_; }

@@ -70,6 +70,5 @@ public:
 };
 
 using OcpMasterPort = Port<ocp_tl_master_if>;
-using OcpSlavePort = Port<ocp_tl_slave_if>;
 
 }  // namespace stlm::ocp

@@ -67,9 +67,6 @@ inline void append_word(std::vector<std::uint8_t>& bytes, std::uint32_t w) {
 enum class Cmd : std::uint8_t { Idle = 0, Write = 1, Read = 2 };
 enum class RespCode : std::uint8_t { Null = 0, DVA = 1, Fail = 2, Err = 3 };
 
-const char* cmd_name(Cmd c);
-const char* resp_name(RespCode r);
-
 struct Request {
   Cmd cmd = Cmd::Idle;
   std::uint64_t addr = 0;
@@ -111,12 +108,6 @@ struct Response {
   static Response ok() {
     Response r;
     r.resp = RespCode::DVA;
-    return r;
-  }
-  static Response ok_with(std::vector<std::uint8_t> bytes) {
-    Response r;
-    r.resp = RespCode::DVA;
-    r.data = std::move(bytes);
     return r;
   }
   static Response error() {

@@ -18,13 +18,6 @@ void Semaphore::wait() {
   // Ownership was handed over by post(); nothing to decrement here.
 }
 
-bool Semaphore::try_wait() {
-  os_.require_task("Semaphore::try_wait");
-  if (count_ == 0) return false;
-  --count_;
-  return true;
-}
-
 void Semaphore::post() {
   if (!waiters_.empty()) {
     Task* t = waiters_.front();

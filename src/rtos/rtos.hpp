@@ -64,7 +64,6 @@ public:
   Semaphore(Rtos& os, std::string name, std::size_t initial);
 
   void wait();            // task context; blocks while the count is zero
-  bool try_wait();        // task context; never blocks
   void post();            // task context
   void post_from_isr();   // ISR/any-process context
   std::size_t count() const { return count_; }
@@ -96,14 +95,6 @@ public:
     buf_.pop_front();
     space_.post();
     return v;
-  }
-
-  bool try_recv(T& out) {
-    if (!items_.try_wait()) return false;
-    out = std::move(buf_.front());
-    buf_.pop_front();
-    space_.post();
-    return true;
   }
 
   std::size_t size() const { return buf_.size(); }

@@ -188,7 +188,4 @@ private:
   std::uint64_t bytes_ = 0;
 };
 
-// Convenience alias for PE ports.
-using ShipPort = Port<ship_if>;
-
 }  // namespace stlm::ship

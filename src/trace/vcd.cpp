@@ -6,12 +6,16 @@
 
 namespace stlm::trace {
 
-VcdWriter::VcdWriter(Simulator& sim, const std::string& path) : out_(path) {
+VcdWriter::VcdWriter(Simulator& sim, const std::string& path)
+    : sim_(sim), out_(path) {
   if (!out_) throw SimulationError("cannot open VCD file: " + path);
-  sim.add_post_delta_hook([this](Time now) { on_delta(now); });
+  sim.add_post_delta_hook(this, [this](Time now) { on_delta(now); });
 }
 
-VcdWriter::~VcdWriter() { out_.flush(); }
+VcdWriter::~VcdWriter() {
+  sim_.remove_post_delta_hooks(this);
+  out_.flush();
+}
 
 void VcdWriter::add_entry(std::string name, int width,
                           std::function<std::uint64_t()> sampler) {

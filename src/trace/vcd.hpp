@@ -65,6 +65,7 @@ private:
   void emit(const Entry& e, std::uint64_t value);
   static std::string make_id(std::size_t index);
 
+  Simulator& sim_;  // whose post-delta hook this writer is
   std::ofstream out_;
   std::vector<Entry> entries_;
   bool header_written_ = false;

@@ -89,20 +89,20 @@ TEST(TimedQueue, MatchesSortedReference) {
         case 0: {  // a same-instant cluster
           const Time at = now + Time::ns((r >> 8) % 4);
           for (std::uint64_t k = 0; k < 2 + (r >> 16) % 4; ++k) {
-            pending.push_back({at, seq++, nullptr, nullptr, 0});
+            pending.push_back({at, seq++, nullptr, 0, false});
             q.push(pending.back());
           }
           break;
         }
         case 1:
         case 2:  // 1 ns apart
-          pending.push_back({now + Time::ns(1 + (r >> 8) % 3), seq++,
-                             nullptr, nullptr, 0});
+          pending.push_back(
+              {now + Time::ns(1 + (r >> 8) % 3), seq++, nullptr, 0, false});
           q.push(pending.back());
           break;
         case 3:  // microseconds away
-          pending.push_back({now + Time::us(1 + (r >> 8) % 20), seq++,
-                             nullptr, nullptr, 0});
+          pending.push_back(
+              {now + Time::us(1 + (r >> 8) % 20), seq++, nullptr, 0, false});
           q.push(pending.back());
           break;
         case 4:

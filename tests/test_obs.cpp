@@ -24,6 +24,7 @@
 #include "obs/obs.hpp"
 #include "ocp/memory.hpp"
 #include "ocp/ocp.hpp"
+#include "trace/vcd.hpp"
 
 using namespace stlm;
 using namespace stlm::time_literals;
@@ -307,6 +308,47 @@ TEST(ObsProfiler, InlineAdvancesCounted) {
   });
   sim.run();
   EXPECT_GT(sim.inline_advances(), 0u);
+}
+
+// Observers destroyed while attached leave nothing behind for the next
+// run to call into: the trace session and the profiler detach, and the
+// VCD writer withdraws its post-delta hook. A simulator destroyed first
+// detaches its observers, so their own destruction touches nothing dead.
+TEST(ObsLifetime, DestroyedObserversDetach) {
+  const std::string vcd_path = "/tmp/stlm_test_obs_lifetime.vcd";
+  Simulator sim;
+  Signal<bool> strobe(sim, "strobe", false);
+  sim.spawn_thread("toggler", [&] {
+    for (int i = 0; i < 4; ++i) {
+      strobe.write(!strobe.read());
+      wait(10_ns);
+    }
+  });
+  {
+    obs::TraceSession trace;
+    trace.attach(sim);
+    obs::Profiler prof;
+    prof.attach(sim);
+    trace::VcdWriter vcd(sim, vcd_path);
+    vcd.add(strobe);
+    sim.run_for(15_ns);
+  }
+  std::remove(vcd_path.c_str());
+  EXPECT_EQ(sim.trace_session(), nullptr);
+  EXPECT_EQ(sim.profiler(), nullptr);
+  sim.run();
+  EXPECT_EQ(sim.now(), 40_ns);
+
+  obs::TraceSession trace;
+  obs::Profiler prof;
+  {
+    Simulator inner;
+    trace.attach(inner);
+    prof.attach(inner);
+    inner.run();
+  }
+  EXPECT_EQ(trace.simulator(), nullptr);
+  EXPECT_EQ(prof.simulator(), nullptr);
 }
 
 // Metrics: the periodic sampler reads every gauge on a fixed simulated
