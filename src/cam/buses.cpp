@@ -55,10 +55,7 @@ void CrossbarCam::submit(Txn& txn) {
   while (inflight_[master] >= split_.max_outstanding) wait(slot_free_);
   ++inflight_[master];
   // Lanes are arbiter-free FIFOs: same-delta pushes from two masters
-  // would be served in dispatch order, so the push side of each lane
-  // queue is an audited object (the pop side is a single lane engine).
-  audit::on_access(sim(), lane_q_[*slave].get(), audit::Mode::Write,
-                   "cam.lane", Module::name());
+  // are served in dispatch order (the pop side is a single lane engine).
   lane_q_[*slave]->push_back(txn);
   lane_avail_[*slave]->notify_delta();
 }

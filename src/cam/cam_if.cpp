@@ -87,10 +87,6 @@ void CamIf::MasterPort::transport(Txn& txn) {
 }
 
 void CamIf::arm(const MasterPort& mp, Txn& txn) {
-  // Audited per access point: the arbiter ranks same-delta requests from
-  // *different* masters deterministically, but two processes issuing
-  // through one master port race for its queue order.
-  audit::on_access(sim(), &mp, audit::Mode::Write, "cam.master", mp.label);
   txn.master_id = static_cast<std::uint32_t>(mp.index);
   txn.enqueued = sim().now();
   txn.reset_phases();

@@ -158,9 +158,9 @@ private:
     std::uint32_t log_id = trace::kNoMaster;
   };
 
-  // The one place a descriptor is armed for this bus: audits the access
-  // point, then stamps master index and issue time, clears the phase
-  // stamps and status and re-arms the completion token.
+  // The one place a descriptor is armed for this bus: stamps master
+  // index and issue time, clears the phase stamps and status and re-arms
+  // the completion token.
   void arm(const MasterPort& mp, Txn& txn);
 
   Time cycle_;

@@ -124,10 +124,6 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
     }
   }
   row.ctx_switches = sim.ctx_switches();
-  // With auditing on (audit::set_default_enabled before the sweep), fold
-  // this cell's conflict-pair count into the row so grid tests can assert
-  // a clean sweep without reaching into worker-thread simulators.
-  row.audit_conflicts = sim.audit_report().conflicts.size();
   if (cell_trace) {
     cell_trace->detach();
     std::ofstream trace_out(trace_target_.path);

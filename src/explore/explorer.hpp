@@ -40,6 +40,10 @@ struct ExplorationRow {
   // what tells split/OoO platforms apart once the mean stops moving.
   double p50_latency_ns = 0.0;
   double p95_latency_ns = 0.0;
+  // Nearest-rank p99: on fewer than 100 samples it is the largest one.
+  // The canonical cells (workload_candidates) log 32 (uniform, bursty),
+  // 48 (banked), 64 (pipeline) and 76-96 (reqreply) transactions, so
+  // there this column is the single worst transaction.
   double p99_latency_ns = 0.0;
   // Mean queueing delay (issue -> grant): arbitration/outstanding-cap
   // wait, as opposed to the service span the bus itself charges.
@@ -51,10 +55,6 @@ struct ExplorationRow {
   double bus_utilization = 0.0;
   std::uint64_t transactions = 0;
   std::uint64_t bytes = 0;
-  // Same-delta scheduling conflicts the determinism auditor recorded for
-  // this cell's simulator (kernel/audit.hpp). Zero whenever auditing was
-  // off; the grid-audit test asserts zero with it on.
-  std::uint64_t audit_conflicts = 0;
   // Kernel thread-coroutine dispatches this cell's simulator performed —
   // the scheduler-overhead side of the wall_ms column (src/obs).
   std::uint64_t ctx_switches = 0;

@@ -51,7 +51,10 @@ std::vector<std::size_t> pareto_front(const std::vector<ExplorationRow>& rows,
                                       const std::vector<Objective>& objectives);
 
 struct SearchConfig {
-  // Dominance objectives for selection and the final frontier.
+  // Dominance objectives for selection and the final frontier. P99 reads
+  // ExplorationRow::p99_latency_ns, which on every canonical cell (fewer
+  // than 100 transactions) is the worst transaction, not a tail
+  // percentile.
   std::vector<Objective> objectives{Objective::Throughput, Objective::P99,
                                     Objective::Cost};
   // Successive-halving horizons, shortest first; the last entry is the

@@ -8,24 +8,20 @@
 #include <deque>
 #include <string>
 
-#include "kernel/audit.hpp"
 #include "kernel/event.hpp"
 #include "kernel/report.hpp"
 #include "kernel/simulator.hpp"
 
 namespace stlm {
 
-// Determinism-audit model for these channels (see kernel/audit.hpp): each
-// channel is audited as two sub-objects — the producer side (fifo tail /
-// mutex-semaphore release) and the consumer side (fifo head /
-// mutex-semaphore acquisition). A same-delta blocking producer/consumer
-// pair commutes (delta cycles are timeless: whoever runs second converges
-// on the same simulated outcome), so the sides use distinct keys and stay
-// quiet; two same-side accesses (two pops, two lock acquisitions) are
-// genuine queue-order hazards and collide on one key. Non-blocking
-// probes (nb_read/nb_write/try_*) additionally *read* the opposite side:
-// their boolean result flips with dispatch order against that side's
-// writer, which is exactly the hazard to surface.
+// Two same-delta callers of one side (two pushes, two pops, two lock
+// acquisitions) are served in dispatch order, and so is a non-blocking
+// probe (nb_read/nb_write/try_*) against the other side's same-delta
+// writer: which one goes first is the kernel's choice, not the model's.
+// The dispatch-order check (docs/ARCHITECTURE.md) shows such a race as a
+// different outcome under DispatchOrder::Reverse. A blocking producer/
+// consumer pair commutes: whoever runs second converges on the same
+// simulated result.
 
 // Read side of a FIFO (bindable via Port<FifoInIf<T>>).
 template <class T>
@@ -63,8 +59,6 @@ public:
 
   T read() override {
     while (buf_.empty()) wait(written_);
-    audit::on_access(written_.sim(), &read_, audit::Mode::Write, "fifo.head",
-                     name_);
     T v = std::move(buf_.front());
     buf_.pop_front();
     read_.notify_delta();
@@ -72,17 +66,7 @@ public:
   }
 
   bool nb_read(T& out) override {
-    // Probe: the result depends on same-delta pushes, so the tail is read
-    // either way; a successful pop also writes the head.
-    audit::on_access(written_.sim(), &written_, audit::Mode::Read, "fifo.tail",
-                     name_);
-    if (buf_.empty()) {
-      audit::on_access(written_.sim(), &read_, audit::Mode::Read, "fifo.head",
-                       name_);
-      return false;
-    }
-    audit::on_access(written_.sim(), &read_, audit::Mode::Write, "fifo.head",
-                     name_);
+    if (buf_.empty()) return false;
     out = std::move(buf_.front());
     buf_.pop_front();
     read_.notify_delta();
@@ -91,22 +75,12 @@ public:
 
   void write(T v) override {
     while (buf_.size() >= capacity_) wait(read_);
-    audit::on_access(written_.sim(), &written_, audit::Mode::Write, "fifo.tail",
-                     name_);
     buf_.push_back(std::move(v));
     written_.notify_delta();
   }
 
   bool nb_write(T v) override {
-    audit::on_access(written_.sim(), &read_, audit::Mode::Read, "fifo.head",
-                     name_);
-    if (buf_.size() >= capacity_) {
-      audit::on_access(written_.sim(), &written_, audit::Mode::Read,
-                       "fifo.tail", name_);
-      return false;
-    }
-    audit::on_access(written_.sim(), &written_, audit::Mode::Write, "fifo.tail",
-                     name_);
+    if (buf_.size() >= capacity_) return false;
     buf_.push_back(std::move(v));
     written_.notify_delta();
     return true;
@@ -134,29 +108,17 @@ public:
 
   void lock() {
     while (locked_) wait(unlocked_);
-    audit::on_access(unlocked_.sim(), this, audit::Mode::Write, "mutex.acquire",
-                     name_);
     locked_ = true;
   }
 
   bool try_lock() {
-    audit::on_access(unlocked_.sim(), &unlocked_, audit::Mode::Read,
-                     "mutex.release", name_);
-    if (locked_) {
-      audit::on_access(unlocked_.sim(), this, audit::Mode::Read,
-                       "mutex.acquire", name_);
-      return false;
-    }
-    audit::on_access(unlocked_.sim(), this, audit::Mode::Write, "mutex.acquire",
-                     name_);
+    if (locked_) return false;
     locked_ = true;
     return true;
   }
 
   void unlock() {
     STLM_ASSERT(locked_, "unlock of unlocked mutex: " + name_);
-    audit::on_access(unlocked_.sim(), &unlocked_, audit::Mode::Write,
-                     "mutex.release", name_);
     locked_ = false;
     unlocked_.notify_delta();
   }
@@ -188,29 +150,17 @@ public:
 
   void acquire() {
     while (value_ == 0) wait(posted_);
-    audit::on_access(posted_.sim(), this, audit::Mode::Write, "sem.acquire",
-                     name_);
     --value_;
   }
 
   bool try_acquire() {
-    audit::on_access(posted_.sim(), &posted_, audit::Mode::Read, "sem.release",
-                     name_);
-    if (value_ == 0) {
-      audit::on_access(posted_.sim(), this, audit::Mode::Read, "sem.acquire",
-                       name_);
-      return false;
-    }
-    audit::on_access(posted_.sim(), this, audit::Mode::Write, "sem.acquire",
-                     name_);
+    if (value_ == 0) return false;
     --value_;
     return true;
   }
 
   void release() {
     ++value_;
-    audit::on_access(posted_.sim(), &posted_, audit::Mode::Write, "sem.release",
-                     name_);
     posted_.notify_delta();
   }
 

@@ -48,7 +48,8 @@ ProcessBase::ProcessBase(Simulator& sim, std::string name, Kind kind)
     : sim_(sim),
       name_(std::move(name)),
       kind_(kind),
-      slot_(sim.claim_slot()) {}
+      slot_(sim.claim_slot()),
+      serial_(sim.next_process_serial()) {}
 
 ProcessBase::~ProcessBase() {
   // Every event still listed is live: a dying event unlinks itself here.

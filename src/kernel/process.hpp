@@ -70,10 +70,10 @@ public:
   void set_static_sensitivity(const std::vector<Event*>& events);
   const std::vector<Event*>& static_sensitivity() const { return static_events_; }
 
-  // Dispatch sequence number at the moment this process was last made
-  // runnable (determinism auditor; see kernel/audit.hpp). enq == the
-  // enqueuer's own dispatch seq means the wake was causal.
-  std::uint64_t audit_enq_seq() const { return audit_enq_seq_; }
+  // Construction order within the simulator, from 0. Unlike the
+  // address, it is never shared with a process built later in a dead
+  // one's storage, so observers key processes by it.
+  std::uint64_t serial() const { return serial_; }
 
 protected:
   friend class Simulator;
@@ -84,7 +84,7 @@ protected:
   Kind kind_;
   std::uint32_t slot_ = 0;  // generation slot (kernel/handle.hpp)
   bool terminated_ = false;
-  std::uint64_t audit_enq_seq_ = 0;
+  std::uint64_t serial_;
   std::vector<Event*> static_events_;
 };
 

@@ -4,6 +4,7 @@
 #include "kernel/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "kernel/context.hpp"
 #include "kernel/module.hpp"
@@ -17,6 +18,8 @@ namespace {
 // This is the single piece of global state in the library (see the header
 // for the rationale); detail::t_txn_ids mirrors its top.
 thread_local std::vector<Simulator*> g_sim_stack;
+// Sampled by every Simulator's constructor (see set_dispatch_order).
+std::atomic<DispatchOrder> g_default_order{DispatchOrder::Fifo};
 }  // namespace
 
 void Simulator::sync_txn_ids() {
@@ -41,11 +44,18 @@ struct Simulator::CurrentGuard {
   CurrentGuard& operator=(const CurrentGuard&) = delete;
 };
 
-Simulator::Simulator() {
+Simulator::Simulator()
+    : order_(g_default_order.load(std::memory_order_relaxed)) {
   g_sim_stack.push_back(this);
   detail::t_txn_ids = &txn_ids_;
-  txn_pool_.sim_ = this;
-  if (audit::default_enabled()) set_audit_enabled(true);
+}
+
+void Simulator::set_default_dispatch_order(DispatchOrder o) {
+  g_default_order.store(o, std::memory_order_relaxed);
+}
+
+DispatchOrder Simulator::default_dispatch_order() {
+  return g_default_order.load(std::memory_order_relaxed);
 }
 
 Simulator::~Simulator() {
@@ -148,14 +158,12 @@ void Simulator::make_runnable(detail::Handle<Process> h,
   p.runnable_ = true;
   p.wake_reason_ = reason;
   p.last_event_ = cause;
-  p.audit_enq_seq_ = audit_dispatch_seq_;
   runnable_.push_back(h);
 }
 
 void Simulator::queue_method(MethodProcess& m) {
   if (m.terminated_ || m.queued_) return;
   m.queued_ = true;
-  m.audit_enq_seq_ = audit_dispatch_seq_;
   method_queue_.push_back(handle(m));
 }
 
@@ -169,19 +177,6 @@ void Simulator::schedule_delta_event(Event& e) {
 
 void Simulator::schedule_timeout(Process& p, Time abs_time) {
   timed_.push({abs_time, timed_seq_++, &p, gens_.key(p.slot_), false});
-}
-
-// ------------------------------------------------------------- auditing --
-
-void Simulator::set_audit_enabled(bool on) {
-  if (on == audit_enabled()) return;
-  // stlm-lint: allow(hot-path-alloc): configuration switch, flipped
-  // before a run, never per event
-  auditor_ = on ? std::make_unique<audit::Auditor>(*this) : nullptr;
-}
-
-audit::Report Simulator::audit_report() const {
-  return auditor_ ? auditor_->report() : audit::Report{};
 }
 
 // ------------------------------------------------------------- running --
@@ -218,7 +213,11 @@ void Simulator::run_impl(std::optional<Time> end_time) {
   initialized_ = true;
 
   while (true) {
-    evaluate_phase();
+    if (order_ == DispatchOrder::Fifo) {
+      evaluate_phase<DispatchOrder::Fifo>();
+    } else {
+      evaluate_phase<DispatchOrder::Reverse>();
+    }
     if (stop_requested_) break;
     update_phase();
     delta_phase();
@@ -241,23 +240,31 @@ void Simulator::run_impl(std::optional<Time> end_time) {
   }
 }
 
+// The order is a template parameter so the Fifo loop carries no
+// per-dispatch branch; run_impl picks the instance once per delta.
+template <DispatchOrder O>
 void Simulator::evaluate_phase() {
+  auto pop = [](auto& q) {
+    if constexpr (O == DispatchOrder::Fifo) {
+      return q.pop_front();
+    } else {
+      return q.pop_back();
+    }
+  };
   while (!method_queue_.empty() || !runnable_.empty()) {
     if (stop_requested_) return;
     if (!method_queue_.empty()) {
-      const detail::Handle<MethodProcess> m = method_queue_.pop_front();
+      const detail::Handle<MethodProcess> m = pop(method_queue_);
       if (current(m)) run_method(*m.obj);
       continue;
     }
-    const detail::Handle<Process> p = runnable_.pop_front();
+    const detail::Handle<Process> p = pop(runnable_);
     if (current(p)) resume_thread(*p.obj);
   }
 }
 
 void Simulator::run_method(MethodProcess& m) {
   m.queued_ = false;
-  ++audit_dispatch_seq_;
-  audit_current_ = &m;
   if (profiler_ != nullptr) profiler_->dispatch_begin(m);
   if (trace_session_ != nullptr) trace_session_->process_begin(m, now_);
   try {
@@ -270,15 +277,12 @@ void Simulator::run_method(MethodProcess& m) {
   }
   if (trace_session_ != nullptr) trace_session_->process_end(m, now_);
   if (profiler_ != nullptr) profiler_->dispatch_end(m);
-  audit_current_ = nullptr;
 }
 
 void Simulator::resume_thread(Process& p) {
   p.runnable_ = false;
   gens_.bump(p.slot_);  // lapse every other wake-up this process registered
   current_process_ = &p;
-  ++audit_dispatch_seq_;
-  audit_current_ = &p;
   ++ctx_switches_;
   if (profiler_ != nullptr) profiler_->dispatch_begin(p);
   if (trace_session_ != nullptr) trace_session_->process_begin(p, now_);
@@ -293,7 +297,6 @@ void Simulator::resume_thread(Process& p) {
   // advances), so the end stamp closes a span of real simulated width.
   if (trace_session_ != nullptr) trace_session_->process_end(p, now_);
   if (profiler_ != nullptr) profiler_->dispatch_end(p);
-  audit_current_ = nullptr;
   if (p.error_) {
     if (!pending_error_) pending_error_ = p.error_;
     p.error_ = nullptr;

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "kernel/audit.hpp"
 #include "kernel/event.hpp"
 #include "kernel/handle.hpp"
 #include "kernel/process.hpp"
@@ -72,6 +71,17 @@ public:
     }
     return x;
   }
+  // The newest entry (DispatchOrder::Reverse). Leaves the consumed
+  // prefix alone, so the two pops mix freely.
+  T pop_back() {
+    T x = v_.back();
+    v_.pop_back();
+    if (head_ == v_.size()) {
+      v_.clear();
+      head_ = 0;
+    }
+    return x;
+  }
 
 private:
   static constexpr std::size_t kCompactAt = 4096;
@@ -80,6 +90,15 @@ private:
 };
 
 }  // namespace detail
+
+// The order in which one evaluation phase takes co-runnable processes
+// off the two run queues. IEEE 1666 leaves it unspecified, so a
+// simulated outcome that differs between the two orders depends on the
+// kernel's queue, not on the modelled hardware. Fifo is the kernel's
+// documented order; Reverse takes the newest entry first (methods still
+// run before threads). Reverse exists for the dispatch-order check in
+// the tests (docs/ARCHITECTURE.md), not as a modelling option.
+enum class DispatchOrder : std::uint8_t { Fifo, Reverse };
 
 // Implemented by primitive channels (signals) that need an update phase.
 class UpdateIf {
@@ -229,24 +248,17 @@ public:
   // that die before the simulator does.
   void kill_threads();
 
-  // --- determinism auditor (kernel/audit.hpp) ----------------------------
-  // Runtime switch for per-delta access-set recording. New simulators
-  // sample audit::default_enabled(); flip that before constructing (or
-  // before Explorer sweeps construct their internal simulators) to audit
-  // whole runs.
-  void set_audit_enabled(bool on);
-  bool audit_enabled() const { return auditor_ != nullptr; }
-  // Conflict summary for this simulator's run so far. With auditing off
-  // returns a report with enabled == false.
-  audit::Report audit_report() const;
+  // --- dispatch order (see DispatchOrder) --------------------------------
+  // Set before a run. New simulators take the process-wide default, so a
+  // test can reverse the simulators an Explorer builds internally.
+  void set_dispatch_order(DispatchOrder o) { order_ = o; }
+  DispatchOrder dispatch_order() const { return order_; }
+  static void set_default_dispatch_order(DispatchOrder o);
+  static DispatchOrder default_dispatch_order();
 
-  // Hook plumbing (see audit.hpp). audit_current() is the dispatched
-  // process an access is attributed to — unlike current_process() it also
-  // covers method processes; audit_dispatch_seq() numbers dispatches so
-  // the auditor can tell co-runnable accesses from causally ordered ones.
-  audit::Auditor* auditor() { return auditor_.get(); }
-  ProcessBase* audit_current() const { return audit_current_; }
-  std::uint64_t audit_dispatch_seq() const { return audit_dispatch_seq_; }
+  // Serial of the next process built on this simulator (ProcessBase::
+  // serial); observers key processes by it, never by address.
+  std::uint64_t next_process_serial() { return processes_built_++; }
 
   // --- observability layer (src/obs) -------------------------------------
   // Non-owning session pointers set by obs::TraceSession::attach /
@@ -276,6 +288,7 @@ private:
   static void sync_txn_ids();
 
   void check_elaboration();
+  template <DispatchOrder O>
   void evaluate_phase();
   void update_phase();
   void delta_phase();
@@ -328,12 +341,8 @@ private:
   std::vector<PostDeltaHook> post_delta_hooks_;
 
   Process* current_process_ = nullptr;
-  // Determinism-audit bookkeeping (see audit.hpp): the process a hook
-  // attributes accesses to, a monotonically increasing dispatch counter,
-  // and the recorder itself (null while auditing is off).
-  ProcessBase* audit_current_ = nullptr;
-  std::uint64_t audit_dispatch_seq_ = 0;
-  std::unique_ptr<audit::Auditor> auditor_;
+  DispatchOrder order_;
+  std::uint64_t processes_built_ = 0;  // see next_process_serial()
   // Observability hooks (see the public obs section above).
   obs::TraceSession* trace_session_ = nullptr;
   obs::Profiler* profiler_ = nullptr;

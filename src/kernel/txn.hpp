@@ -34,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "kernel/audit.hpp"
 #include "kernel/handle.hpp"
 #include "kernel/time.hpp"
 
@@ -334,23 +333,18 @@ public:
   /// freshly allocated (and owned by the pool) otherwise.
   Txn& acquire() {
     ++acquired_;
-    if (Txn* t = free_.pop_front()) {
-      audit_acquire(*t);
-      return *t;
-    }
+    if (Txn* t = free_.pop_front()) return *t;
     // stlm-lint: allow(hot-path-alloc): free-list miss only; a warmed-up
     // pool recycles (the pooled-Txn stress test pins created())
     auto owned = std::make_unique<Txn>();
     Txn& t = *owned;
     storage_.push_back(std::move(owned));
-    audit_acquire(t);
     return t;
   }
 
   /// Return a descriptor to the free list. The caller must be done with
   /// it: the pool may hand it to anyone on the next acquire().
   void release(Txn& t) {
-    audit_release(t);
     ++released_;
     t.reset_logical();
     free_.push_back(t);
@@ -364,34 +358,6 @@ public:
   }
 
 private:
-  friend class Simulator;
-
-  // Determinism audit (kernel/audit.hpp): descriptors are audited
-  // per-descriptor, not pool-wide, and each descriptor splits into a
-  // live-side key (acquire) and a free-side key (release). A same-delta
-  // release -> acquire handoff through the FIFO free list only decides
-  // *which* interchangeable descriptor the acquirer gets — host-level
-  // identity, not simulated outcome — so the sides stay quiet against
-  // each other, and acquire() additionally starts a fresh audit lifetime
-  // for the descriptor (the previous occupant's same-delta accesses
-  // belong to a logically different object). A double release of one
-  // live window is a same-key W/W on the free side and gets flagged.
-  void audit_acquire(Txn& t) {
-    if (sim_ != nullptr) {
-      static const std::string label("descriptor");
-      audit::on_fresh(*sim_, &t);
-      audit::on_fresh(*sim_, &t.done);
-      audit::on_access(*sim_, &t, audit::Mode::Write, "txn.live", label);
-    }
-  }
-  void audit_release(Txn& t) {
-    if (sim_ != nullptr) {
-      static const std::string label("descriptor");
-      audit::on_access(*sim_, &t.done, audit::Mode::Write, "txn.free", label);
-    }
-  }
-
-  Simulator* sim_ = nullptr;  // owning simulator; set by Simulator's ctor
   TxnQueue free_;
   std::vector<std::unique_ptr<Txn>> storage_;
   std::uint64_t acquired_ = 0;

@@ -28,6 +28,7 @@ std::uint64_t wall_now_ns() {
 }  // namespace
 
 void Profiler::attach(Simulator& sim) {
+  if (&sim != sim_) proc_rows_.clear();  // serials are per simulator
   detach();
   sim_ = &sim;
   sim.set_profiler(this);
@@ -38,7 +39,7 @@ void Profiler::detach() {
     sim_->set_profiler(nullptr);
   }
   sim_ = nullptr;
-  active_ = nullptr;
+  active_ = kNone;
 }
 
 void Profiler::add_bus(std::string name, BusSampleFn sample) {
@@ -46,19 +47,19 @@ void Profiler::add_bus(std::string name, BusSampleFn sample) {
 }
 
 void Profiler::dispatch_begin(const ProcessBase& p) {
-  auto [it, inserted] = procs_.try_emplace(&p);
-  if (inserted) it->second.name = p.name();
-  ++it->second.dispatches;
-  active_ = &p;
+  auto [it, inserted] = proc_rows_.try_emplace(p.serial(), procs_.size());
+  if (inserted) procs_.push_back({p.name(), 0, 0.0});
+  active_ = it->second;
+  ++procs_[active_].dispatches;
   t0_ns_ = wall_now_ns();
 }
 
-void Profiler::dispatch_end(const ProcessBase& p) {
-  if (active_ != &p) return;  // begin was missed (attached mid-dispatch)
-  active_ = nullptr;
-  auto it = procs_.find(&p);
-  if (it == procs_.end()) return;
-  it->second.wall_ns += static_cast<double>(wall_now_ns() - t0_ns_);
+// The scheduler runs one process at a time, so the open row is the
+// ending process's.
+void Profiler::dispatch_end(const ProcessBase& /*p*/) {
+  if (active_ == kNone) return;  // begin was missed (attached mid-dispatch)
+  procs_[active_].wall_ns += static_cast<double>(wall_now_ns() - t0_ns_);
+  active_ = kNone;
 }
 
 Profiler::Snapshot Profiler::snapshot() const {
@@ -94,7 +95,7 @@ Profiler::Snapshot Profiler::snapshot() const {
                         ? static_cast<double>(s.total_fast_hits) /
                               static_cast<double>(s.total_transactions)
                         : 0.0;
-  for (const auto& [key, slot] : procs_) {
+  for (const ProcessSlot& slot : procs_) {
     s.processes.push_back(slot);
     s.total_wall_ns += slot.wall_ns;
   }

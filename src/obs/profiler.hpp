@@ -82,7 +82,9 @@ public:
   ~Profiler() { detach(); }
 
   // Register with `sim` so scheduler hooks feed this profiler. A profiler
-  // detaches when either side is destroyed.
+  // detaches when either side is destroyed. Attaching to another
+  // simulator keeps the rows recorded so far and starts new ones for its
+  // processes.
   void attach(Simulator& sim);
   void detach();
   Simulator* simulator() const { return sim_; }
@@ -102,10 +104,14 @@ public:
   void write_json(std::ostream& os) const;
 
 private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
   Simulator* sim_ = nullptr;
-  std::unordered_map<const void*, ProcessSlot> procs_;
+  std::vector<ProcessSlot> procs_;
+  // ProcessBase::serial -> row of procs_, for the attached simulator.
+  std::unordered_map<std::uint64_t, std::size_t> proc_rows_;
   std::vector<std::pair<std::string, BusSampleFn>> buses_;
-  const void* active_ = nullptr;
+  std::size_t active_ = kNone;  // row of the process being dispatched
   std::uint64_t t0_ns_ = 0;  // dispatch start, steady-clock nanoseconds
 };
 

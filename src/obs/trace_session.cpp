@@ -59,6 +59,7 @@ TraceSession::TraceSession(Options opts) : opts_(opts) {
 }
 
 void TraceSession::attach(Simulator& sim) {
+  if (&sim != sim_) proc_tracks_.clear();  // serials are per simulator
   detach();
   sim_ = &sim;
   sim.set_trace_session(this);
@@ -80,7 +81,7 @@ std::uint32_t TraceSession::intern(const std::string& s) {
 
 std::uint32_t TraceSession::track_of(const ProcessBase& p) {
   auto [it, inserted] = proc_tracks_.try_emplace(
-      &p, static_cast<std::uint32_t>(track_names_.size()));
+      p.serial(), static_cast<std::uint32_t>(track_names_.size()));
   if (inserted) track_names_.push_back(intern(p.name()));
   return it->second;
 }

@@ -14,8 +14,8 @@
 //     pipelined buses keep several transactions in flight on one track at
 //     once, which plain B/E nesting cannot express; each pair is keyed by
 //     the Txn's globally unique id.
-//   * Instant events — determinism-audit conflicts and fast-path
-//     fallbacks, so "why did this run deviate / slow down" is visible at
+//   * Instant events — fast-path fallbacks, injected faults, retries,
+//     timeouts and aborts, so "why did this run slow down" is visible at
 //     the exact simulated time it happened.
 //
 // Simulated femtoseconds map to trace microseconds (ts = fs / 1e9),
@@ -50,7 +50,7 @@ public:
   struct Options {
     bool process_spans = true;  // B/E span per scheduler dispatch
     bool txn_spans = true;      // async queue/service spans per Txn
-    bool instants = true;       // audit conflicts, fast-path fallbacks
+    bool instants = true;       // fallbacks, faults, retries, timeouts
     // Hard cap on stored events; once reached, new spans are dropped
     // (and counted) instead of growing without bound on long runs.
     std::size_t max_events = 1u << 20;
@@ -62,7 +62,9 @@ public:
 
   // Register with `sim` so the kernel/CAM hooks see this session. One
   // session per simulator; attach replaces any previous one. A session
-  // detaches when either side is destroyed.
+  // detaches when either side is destroyed. Attaching to another
+  // simulator keeps the tracks recorded so far and starts new ones for
+  // its processes.
   void attach(Simulator& sim);
   void detach();
   Simulator* simulator() const { return sim_; }
@@ -117,7 +119,8 @@ private:
   std::vector<Ev> events_;
   std::vector<std::string> strings_;
   std::unordered_map<std::string, std::uint32_t> string_ids_;
-  std::unordered_map<const void*, std::uint32_t> proc_tracks_;
+  // ProcessBase::serial -> track, for the attached simulator.
+  std::unordered_map<std::uint64_t, std::uint32_t> proc_tracks_;
   std::unordered_map<std::string, std::uint32_t> named_tracks_;
   std::vector<std::uint32_t> track_names_;  // tid -> interned name
   // Per-track count of dispatch begins dropped at the event cap; the

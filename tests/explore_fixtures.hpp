@@ -59,7 +59,6 @@ inline void expect_sim_columns_equal(const expl::ExplorationRow& a,
   EXPECT_EQ(a.transactions, b.transactions) << cell;
   EXPECT_EQ(a.bytes, b.bytes) << cell;
   EXPECT_EQ(a.ctx_switches, b.ctx_switches) << cell;
-  EXPECT_EQ(a.audit_conflicts, b.audit_conflicts) << cell;
   EXPECT_EQ(a.contended_picks, b.contended_picks) << cell;
   EXPECT_EQ(a.fast_hit_rate, b.fast_hit_rate) << cell;
   EXPECT_EQ(a.error_rate, b.error_rate) << cell;

@@ -1,9 +1,15 @@
 // Tests for address map, arbiters, and CAM decode/stat behaviour.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "cam/cam.hpp"
 #include "kernel/kernel.hpp"
+#include "ocp/banked_memory.hpp"
 #include "ocp/memory.hpp"
+#include "trace/channel_stats.hpp"
 
 using namespace stlm;
 using namespace stlm::cam;
@@ -291,6 +297,57 @@ TEST(Cam, CrossbarParallelLanesOutperformSharedBus) {
   // Both complete at the same time: (1 + 8 beats) * 10 ns = 90 ns.
   EXPECT_EQ(done[0], 90_ns);
   EXPECT_EQ(done[1], 90_ns);
+}
+
+// Crossbar counters: the two lanes complete concurrently and bump the
+// same integer counters, which commute, so under either dispatch order
+// the counters match the row groups of the bus and of each master.
+TEST(Cam, CrossbarCountersMatchRowGroups) {
+  for (const DispatchOrder order :
+       {DispatchOrder::Fifo, DispatchOrder::Reverse}) {
+    Simulator sim;
+    sim.set_dispatch_order(order);
+    trace::TxnLogger log;
+    CrossbarCam xbar(sim, "xbar", 10_ns, 8);
+    xbar.set_txn_logger(&log);
+    ocp::BankedMemorySlave mem0("m0", 0, 1 << 12);
+    ocp::BankedMemorySlave mem1("m1", 0, 1 << 12);
+    xbar.attach_slave(mem0, {0, 1 << 12}, "m0");
+    xbar.attach_slave(mem1, {1 << 12, 2 << 12}, "m1");
+    const std::size_t a = xbar.add_master("a");
+    const std::size_t b = xbar.add_master("b");
+    sim.spawn_thread("a", [&] {
+      std::vector<std::uint8_t> p(32, 1);
+      Txn t;
+      for (int i = 0; i < 5; ++i) {
+        t.begin_write(static_cast<std::uint64_t>(i) * 64, p.data(), p.size());
+        xbar.master_port(a).transport(t);
+      }
+    });
+    sim.spawn_thread("b", [&] {
+      std::vector<std::uint8_t> p(32, 2);
+      Txn t;
+      for (int i = 0; i < 5; ++i) {
+        t.begin_write((1 << 12) + static_cast<std::uint64_t>(i) * 64,
+                      p.data(), p.size());
+        xbar.master_port(b).transport(t);
+      }
+    });
+    sim.run();
+    const trace::StatSet& st = xbar.stats();
+    EXPECT_EQ(st.counter("transactions"), 10u);
+    EXPECT_EQ(st.counter("bytes"), 320u);
+    std::map<std::string, std::uint64_t> count_of;
+    std::map<std::string, std::uint64_t> bytes_of;
+    for (const auto& c : trace::per_channel_stats(log)) {
+      count_of[c.channel] = c.dist.count;
+      bytes_of[c.channel] = c.dist.bytes;
+    }
+    EXPECT_EQ(count_of["xbar"], st.counter("transactions"));
+    EXPECT_EQ(bytes_of["xbar"], st.counter("bytes"));
+    EXPECT_EQ(count_of["xbar.a"], 5u);
+    EXPECT_EQ(count_of["xbar.b"], 5u);
+  }
 }
 
 TEST(Cam, CrossbarSameLaneSerializes) {

@@ -80,6 +80,14 @@ void expect_identical(const RunResult& fast, const RunResult& slow) {
   EXPECT_EQ(fast.bytes, slow.bytes);
 }
 
+// The dispatch-order check (docs/ARCHITECTURE.md): a run under
+// DispatchOrder::Reverse reproduces the Fifo run of the same path.
+void expect_order_free(const RunResult& reverse, const RunResult& fifo,
+                       const char* path) {
+  SCOPED_TRACE(std::string(path) + ": Reverse vs Fifo");
+  expect_identical(reverse, fifo);
+}
+
 // Single blocking master: writes and reads with think-time gaps against
 // a memory with real service latency.
 RunResult run_single_master(BusProto proto, bool fast, Time access_time) {
@@ -201,8 +209,9 @@ TEST(CamFast, BankedMemoryStateEvolutionBitIdentical) {
 // (The masters issue at different instants; same-delta issue is the one
 // documented divergence and is pinned by FallbackKeepsDeterminism.)
 TEST(CamFast, ContendedTrafficFallsBackBitIdentical) {
-  auto run = [](bool fast) {
+  auto run = [](bool fast, DispatchOrder order) {
     Simulator sim;
+    sim.set_dispatch_order(order);
     trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
@@ -234,9 +243,11 @@ TEST(CamFast, ContendedTrafficFallsBackBitIdentical) {
     sim.run();
     return collect(sim, bus, log);
   };
-  const RunResult slow = run(false);
-  const RunResult fast = run(true);
+  const RunResult slow = run(false, DispatchOrder::Fifo);
+  const RunResult fast = run(true, DispatchOrder::Fifo);
   expect_identical(fast, slow);
+  expect_order_free(run(false, DispatchOrder::Reverse), slow, "engine");
+  expect_order_free(run(true, DispatchOrder::Reverse), fast, "fast path");
   // Some transactions ride the fast path (idle windows), some fall back
   // (contended windows) — both must occur for this test to mean much.
   EXPECT_GT(fast.fast_hits, 0u);
@@ -251,8 +262,9 @@ TEST(CamFast, ContendedTrafficFallsBackBitIdentical) {
 // otherwise two fast transactions overlap and bank-state evolution
 // diverges from the engine run.
 TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
-  auto run = [](bool fast) {
+  auto run = [](bool fast, DispatchOrder order) {
     Simulator sim;
+    sim.set_dispatch_order(order);
     trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
@@ -288,12 +300,18 @@ TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
     sim.run();
     return collect(sim, bus, log);
   };
-  const RunResult slow = run(false);
-  const RunResult fast = run(true);
+  const RunResult slow = run(false, DispatchOrder::Fifo);
+  const RunResult fast = run(true, DispatchOrder::Fifo);
   expect_identical(fast, slow);
+  // Exactly, not within a few ULPs: "close" would hide order bugs.
+  EXPECT_EQ(fast.mean_latency_ns, slow.mean_latency_ns);
+  EXPECT_EQ(fast.mean_service_ns, slow.mean_service_ns);
   EXPECT_GT(fast.fast_hits, 0u);
   EXPECT_LT(fast.fast_hits, fast.transactions)
       << "the boundary-instant issue must fall back to the engine";
+  // Neither path may depend on which co-runnable process goes first.
+  expect_order_free(run(false, DispatchOrder::Reverse), slow, "engine");
+  expect_order_free(run(true, DispatchOrder::Reverse), fast, "fast path");
 }
 
 // Completion-instant boundary (fixed-latency target): b wakes at exactly
@@ -301,8 +319,9 @@ TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
 // b must not read stale last-transaction state — the engine path would
 // retire a first and then grant b with back-to-back timing.
 TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
-  auto run = [](bool fast) {
+  auto run = [](bool fast, DispatchOrder order) {
     Simulator sim;
+    sim.set_dispatch_order(order);
     trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
@@ -335,10 +354,64 @@ TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
     sim.run();
     return collect(sim, bus, log);
   };
-  const RunResult slow = run(false);
-  const RunResult fast = run(true);
+  const RunResult slow = run(false, DispatchOrder::Fifo);
+  const RunResult fast = run(true, DispatchOrder::Fifo);
   expect_identical(fast, slow);
   EXPECT_GT(fast.fast_hits, 0u);
+  expect_order_free(run(false, DispatchOrder::Reverse), slow, "engine");
+  expect_order_free(run(true, DispatchOrder::Reverse), fast, "fast path");
+}
+
+// A utilization sample taken at the instant a fixed-latency fast
+// transaction is granted. The bus charges occupancy when it has elapsed
+// (the engine's convention), so the sample reads the same on both paths,
+// blocking or posted, whichever of sampler and master runs first there.
+TEST(CamFast, UtilizationSampledAtGrantInstantIsOrderFree) {
+  auto run = [](bool fast, bool posted, DispatchOrder order) {
+    Simulator sim;
+    sim.set_dispatch_order(order);
+    PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
+               SplitConfig{}, fast);
+    ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);  // fixed latency
+    bus.attach_slave(mem, {0, 1 << 16}, "mem");
+    const std::size_t m = bus.add_master("cpu");
+    std::vector<double> samples;
+    sim.spawn_thread("cpu", [&] {
+      std::vector<std::uint8_t> p(64, 1);
+      Txn t;
+      wait(200_ns);
+      t.begin_write(0, p.data(), p.size());
+      if (posted) {
+        bus.post(m, t);
+        t.done.wait(sim);
+      } else {
+        bus.master_port(m).transport(t);
+      }
+    });
+    // Two hops to the grant instant: with one, Reverse would flip the
+    // order of the two 200 ns wakes a second time and restore Fifo's.
+    sim.spawn_thread("sampler", [&] {
+      wait(100_ns);
+      wait(100_ns);
+      samples.push_back(bus.utilization());
+    });
+    sim.run();
+    samples.push_back(bus.utilization());
+    return std::make_pair(samples, bus.fast_path_hits());
+  };
+  for (const bool posted : {false, true}) {
+    SCOPED_TRACE(posted ? "posted" : "blocking");
+    const auto engine = run(false, posted, DispatchOrder::Fifo);
+    ASSERT_EQ(engine.first.size(), 2u);
+    EXPECT_EQ(engine.first[0], 0.0) << "no occupancy has elapsed yet";
+    const auto fast = run(true, posted, DispatchOrder::Fifo);
+    EXPECT_EQ(fast.second, 1u);
+    EXPECT_EQ(fast.first, engine.first) << "fast path vs engine";
+    EXPECT_EQ(run(true, posted, DispatchOrder::Reverse).first, fast.first)
+        << "fast path: Reverse vs Fifo";
+    EXPECT_EQ(run(false, posted, DispatchOrder::Reverse).first, engine.first)
+        << "engine: Reverse vs Fifo";
+  }
 }
 
 // The documented divergence: two masters issuing in the same delta at

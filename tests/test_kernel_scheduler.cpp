@@ -208,3 +208,107 @@ TEST(Scheduler, LongImmediateNotifyChainStaysFifo) {
   EXPECT_EQ(sim.now(), Time::zero());
   EXPECT_EQ(sim.delta_count(), 1u);
 }
+
+// ---- dispatch order (DispatchOrder) ---------------------------------------
+
+namespace {
+
+// Two threads and two methods, all runnable at time zero; returns the
+// order they ran in.
+std::vector<std::string> first_delta_order(Simulator& sim) {
+  std::vector<std::string> order;
+  for (const char* name : {"t0", "t1"}) {
+    sim.spawn_thread(name, [&order, name] { order.emplace_back(name); });
+  }
+  for (const char* name : {"m0", "m1"}) {
+    sim.spawn_method(name, [&order, name] { order.emplace_back(name); }, {});
+  }
+  sim.run();
+  return order;
+}
+
+}  // namespace
+
+TEST(Scheduler, FifoIsTheDefaultDispatchOrder) {
+  EXPECT_EQ(Simulator::default_dispatch_order(), DispatchOrder::Fifo);
+  Simulator sim;
+  EXPECT_EQ(sim.dispatch_order(), DispatchOrder::Fifo);
+  EXPECT_EQ(first_delta_order(sim),
+            (std::vector<std::string>{"m0", "m1", "t0", "t1"}));
+}
+
+TEST(Scheduler, ReverseRunsCoRunnableProcessesLifoMethodsFirst) {
+  Simulator sim;
+  sim.set_dispatch_order(DispatchOrder::Reverse);
+  EXPECT_EQ(first_delta_order(sim),
+            (std::vector<std::string>{"m1", "m0", "t1", "t0"}));
+}
+
+TEST(Scheduler, NewSimulatorsTakeTheDefaultDispatchOrder) {
+  Simulator::set_default_dispatch_order(DispatchOrder::Reverse);
+  Simulator reversed;
+  Simulator::set_default_dispatch_order(DispatchOrder::Fifo);
+  Simulator plain;
+  EXPECT_EQ(reversed.dispatch_order(), DispatchOrder::Reverse);
+  EXPECT_EQ(plain.dispatch_order(), DispatchOrder::Fifo);
+}
+
+TEST(Scheduler, LongImmediateNotifyChainRunsToCompletionUnderReverse) {
+  // "last" is runnable from the start and never waits; "p" and "q" hand
+  // one event back and forth by immediate notification, so the run
+  // queue holds two entries for the whole phase. Reverse always takes
+  // the newest: the ping-pong runs first, all of it, and "last" last.
+  Simulator sim;
+  sim.set_dispatch_order(DispatchOrder::Reverse);
+  Event ev(sim, "ev");
+  constexpr int kRounds = 5000;
+  std::string order;
+  order.reserve(2 * kRounds + 1);
+  sim.spawn_thread("last", [&] { order.push_back('L'); });
+  for (const char c : {'p', 'q'}) {
+    sim.spawn_thread(std::string(1, c), [&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        order.push_back(c);
+        ev.notify();
+        if (r + 1 < kRounds) wait(ev);
+      }
+    });
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 2u * kRounds + 1);
+  for (std::size_t k = 0; k + 1 < order.size(); ++k) {
+    ASSERT_EQ(order[k], k % 2 == 0 ? 'q' : 'p') << "hand-off " << k;
+  }
+  EXPECT_EQ(order.back(), 'L');
+  EXPECT_EQ(sim.now(), Time::zero());
+  EXPECT_EQ(sim.delta_count(), 1u);
+}
+
+TEST(Scheduler, RunQueueCompactsCorrectlyWhenPoppedFromBothEnds) {
+  // Past the compaction threshold, pushes drop the consumed prefix;
+  // entries taken from the back must not disturb what is left.
+  detail::FifoQueue<int> q;
+  std::vector<int> model;  // live entries, oldest first
+  int next = 0;
+  for (int round = 0; round < 20000; ++round) {
+    q.push_back(next);
+    model.push_back(next++);
+    if (round % 3 == 0) {
+      q.push_back(next);
+      model.push_back(next++);
+    }
+    if (round % 7 == 0) {
+      ASSERT_EQ(q.pop_back(), model.back());
+      model.pop_back();
+    } else {
+      ASSERT_EQ(q.pop_front(), model.front());
+      model.erase(model.begin());
+    }
+  }
+  while (!model.empty()) {
+    ASSERT_FALSE(q.empty());
+    ASSERT_EQ(q.pop_back(), model.back());
+    model.pop_back();
+  }
+  EXPECT_TRUE(q.empty());
+}

@@ -279,6 +279,38 @@ TEST(ObsProfiler, AttributesDispatchesAndCounters) {
   EXPECT_NE(json.str().find("\"fast_hit_rate\": 1"), std::string::npos);
 }
 
+// Observers key processes by ProcessBase::serial, not by address: a
+// process built in a dead one's storage gets its own track and its own
+// profiler row instead of being recorded as the dead one.
+TEST(ObsLifetime, ProcessBuiltInDeadStorageIsANewProcess) {
+  Simulator sim;
+  obs::TraceSession trace;
+  trace.attach(sim);
+  obs::Profiler prof;
+  prof.attach(sim);
+  alignas(Process) unsigned char storage[sizeof(Process)];
+  Process* first = new (storage) Process(sim, "first", [] {});
+  sim.run();
+  ASSERT_TRUE(first->terminated());
+  const std::uint64_t first_serial = first->serial();
+  first->~Process();
+  Process* second = new (storage) Process(sim, "second", [] {});
+  sim.run();
+  ASSERT_TRUE(second->terminated());
+  EXPECT_NE(second->serial(), first_serial);
+  second->~Process();
+
+  const obs::Profiler::Snapshot s = prof.snapshot();
+  ASSERT_EQ(s.processes.size(), 2u);
+  for (const auto& p : s.processes) {
+    EXPECT_EQ(p.dispatches, 1u) << p.name;
+  }
+  std::ostringstream json;
+  trace.write_json(json);
+  EXPECT_EQ(count_of(json.str(), "\"args\":{\"name\":\"first\"}"), 1u);
+  EXPECT_EQ(count_of(json.str(), "\"args\":{\"name\":\"second\"}"), 1u);
+}
+
 // The timed-queue and stack-pool internals the profiler snapshots move when the
 // kernel actually schedules timed work across coroutine stacks.
 TEST(ObsProfiler, KernelInternalCountersMove) {

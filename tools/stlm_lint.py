@@ -45,10 +45,10 @@ reproducible and the library embeddable:
                           simulator. `++`/`--` on an atomic is invisible
                           to the scan, so spell it fetch_add.
   build-switch            no STLM_AUDIT / STLM_OBS in src/ or tests/, code
-                          or comments: the audit and observability hooks
-                          are always compiled in, so the library has one
-                          configuration and no test may gate on a switch
-                          that no longer exists.
+                          or comments: the observability hooks are always
+                          compiled in and the audit hooks are gone, so the
+                          library has one configuration and no test may
+                          gate on a switch that no longer exists.
   test-coverage           every src/**/*.cpp translation unit must be
                           reachable from at least one tests/test_*.cpp via
                           the quoted-include graph (a .cpp counts as
@@ -148,8 +148,8 @@ ATOMIC_RULES = [
 # Checked on raw lines (comments included) of src/ and tests/ files.
 BUILD_SWITCH_RULE = (
     "build-switch", re.compile(r"STLM_(?:AUDIT|OBS)(?!\w)"),
-    "removed build switch; the audit and observability hooks are always "
-    "compiled in")
+    "removed build switch; the observability hooks are always compiled in "
+    "and the audit hooks are gone")
 
 HOT_PATH_TAG = re.compile(r"//\s*stlm-lint:\s*hot-path\b")
 ALLOW = re.compile(r"//\s*stlm-lint:\s*allow\(([a-z-]+)\)\s*(?::\s*(.*?))?\s*$")
