@@ -85,7 +85,6 @@ void BM_CamRoundtrip(benchmark::State& state) {
 struct RunOut {
   double sim_us = 0.0;
   double util = 0.0;
-  double fast_hits = 0.0;
   double ctx_switches = 0.0;
 };
 
@@ -93,7 +92,6 @@ RunOut finish_run(Simulator& sim, const cam::PlbCam& bus) {
   RunOut out;
   out.sim_us = sim.now().to_seconds() * 1e6;
   out.util = bus.utilization();
-  out.fast_hits = static_cast<double>(bus.fast_path_hits());
   out.ctx_switches = static_cast<double>(sim.ctx_switches());
   return out;
 }
@@ -174,12 +172,12 @@ void BM_Contention(benchmark::State& state) {
 // N masters keep a window of `outstanding` posted 64-byte writes against
 // a PLB whose memory target has real service latency; `log`, when set,
 // receives every transaction's row.
-RunOut run_split(std::size_t masters, std::size_t outstanding, bool fast,
+RunOut run_split(std::size_t masters, std::size_t outstanding,
                  trace::TxnLogger* log) {
   const cam::SplitConfig split{outstanding > 1, outstanding};
   Simulator sim;
   cam::PlbCam bus(sim, "plb", 10_ns, std::make_unique<cam::RoundRobinArbiter>(),
-                  0, split, fast);
+                  0, split);
   bus.set_txn_logger(log);
   ocp::MemorySlave mem("mem", 0, 1 << 20, /*access_time=*/200_ns);
   bus.attach_slave(mem, {0, 1 << 20}, "mem");
@@ -214,19 +212,13 @@ RunOut run_split(std::size_t masters, std::size_t outstanding, bool fast,
 void BM_SplitOutstanding(benchmark::State& state) {
   const auto masters = static_cast<std::size_t>(state.range(0));
   const auto outstanding = static_cast<std::size_t>(state.range(1));
-  // Third axis: the kernel fast path. Only the outstanding == 1 rows can
-  // engage it (fast is atomic-mode only) and contention pushes most
-  // transactions back to the engine — the fast rows measure the
-  // eligibility check's overhead under load, not a win.
-  const bool fast = state.range(2) != 0;
   RunOut run;
-  for (auto _ : state) run = run_split(masters, outstanding, fast, nullptr);
+  for (auto _ : state) run = run_split(masters, outstanding, nullptr);
   trace::TxnLogger log;
-  run_split(masters, outstanding, fast, &log);
+  run_split(masters, outstanding, &log);
   const RowFigures f = row_figures(log, "plb");
 
-  state.SetLabel(std::string(outstanding > 1 ? "split" : "atomic") +
-                 (fast ? "+fast" : ""));
+  state.SetLabel(outstanding > 1 ? "split" : "atomic");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(masters) *
                           kTxnsPerMaster);
@@ -238,7 +230,6 @@ void BM_SplitOutstanding(benchmark::State& state) {
   // number that says the split bus did not get slower, it got deeper.
   state.counters["mean_queue_ns"] = f.mean_queue;
   state.counters["mean_service_ns"] = f.mean_service;
-  state.counters["fast_hits"] = run.fast_hits;
   // Coroutine resumes of one run: deterministic, and the number that
   // shows whether a granted split transaction wakes one service worker
   // or the whole pool (it then grows with the window depth).
@@ -319,7 +310,7 @@ BENCHMARK(BM_Contention)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_SplitOutstanding)
-    ->ArgsProduct({{1, 2, 4}, {1, 4, 8}, {0, 1}})
+    ->ArgsProduct({{1, 2, 4}, {1, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_Crossbar)

@@ -19,14 +19,11 @@ CamBase::CamBase(Simulator& sim, std::string name, Time cycle,
       new_request_(sim, full_name() + ".new_request"),
       resp_avail_(sim, full_name() + ".resp_avail"),
       fast_targets_(fast_targets && !split_active_),
-      fast_complete_(sim, full_name() + ".fast_complete"),
       cnt_decode_errors_(&stats_.counter_slot("decode_errors")) {
   if (fast_targets_) {
     // Only materialize the stat slot when the knob is on, so the stats
     // table of a fast-off platform is unchanged.
     cnt_fast_hits_ = &stats_.counter_slot("fast_path_hits");
-    spawn_method("fast_step", [this] { fast_post_step(); }, {&fast_complete_},
-                 /*run_at_start=*/false);
   }
   if (split_active_) {
     spawn_thread("addr_engine", [this] { addr_engine(); });
@@ -66,9 +63,7 @@ void CamBase::on_master(std::size_t i) {
   }
 }
 
-void CamBase::submit(Txn& txn) {
-  if (!try_fast_post(txn)) enqueue(txn);
-}
+void CamBase::submit(Txn& txn) { enqueue(txn); }
 
 void CamBase::transport(Txn& txn) {
   if (try_fast_transport(txn)) return;
@@ -77,9 +72,10 @@ void CamBase::transport(Txn& txn) {
 }
 
 void CamBase::enqueue(Txn& txn) {
-  // A fast-capable bus fell back to the full engine path (contention,
-  // non-fast target): mark the spot on the timeline so fast-hit-rate
-  // regressions can be localized in simulated time.
+  // A fast-capable bus sent a transaction to the full engine path
+  // (contention, non-fast target, or a posted access): mark the spot on
+  // the timeline so fast-hit-rate regressions can be localized in
+  // simulated time.
   if (fast_targets_) {
     if (obs::TraceSession* ts = sim().trace_session(); ts != nullptr) {
       ts->instant(full_name(), "fast_fallback", sim().now());
@@ -100,12 +96,10 @@ void CamBase::enqueue(Txn& txn) {
 
 bool CamBase::fast_eligible(const Txn& txn, std::size_t* slave_out) const {
   if (!fast_targets_) return false;
-  // Fault injection voids the fast path wholesale: injected spikes break
-  // the constant-latency contract merged completions rely on, and the
-  // injector draw itself must happen at the engine's delivery point to
-  // keep the per-slave streams in simulation order.
+  // Fault injection voids the fast path wholesale: the injector draw
+  // must happen at the engine's delivery point to keep the per-slave
+  // streams in simulation order.
   if (injector() != nullptr) return false;
-  if (fast_pending_) return false;                 // a fast post is in flight
   if (fast_inflight_) return false;                // a fast transport is
   if (sim().now() < fast_busy_until_) return false;  // bus still occupied
   // Any queued or granted engine work means arbitration order matters —
@@ -141,32 +135,17 @@ bool CamBase::try_fast_transport(Txn& txn) {
   // fast_busy_until_ and runs before this process resumes must still
   // see the bus as taken.
   fast_inflight_ = true;
-  const auto fixed = target.fast_fixed_latency();
-  if (fixed) {
-    // Constant-latency target: the access resolves at grant time and a
-    // single merged wait covers occupancy + service (see the
-    // fast_fixed_latency() contract for why the reordering is legal).
-    // The retire instant is known now — stamp it up front so a
-    // completion-instant reader can never observe a stale value.
-    fast_busy_until_ = sim().now() + occupancy + *fixed;
-    last_txn_end_ = fast_busy_until_;
-    engine_busy_ = true;
-    const Time latency = target.handle(txn);
-    wait(occupancy + latency);
-    busy_time_ += occupancy;
-  } else {
-    fast_busy_until_ = sim().now() + occupancy;
-    wait(occupancy);
-    busy_time_ += occupancy;
-    const Time latency = target.handle(txn);
-    if (!latency.is_zero()) {
-      // Target service time: the engine path waits it in deliver().
-      fast_busy_until_ = sim().now() + latency;
-      wait(latency);
-    }
-    last_txn_end_ = sim().now();
-    engine_busy_ = true;
+  fast_busy_until_ = sim().now() + occupancy;
+  wait(occupancy);
+  busy_time_ += occupancy;
+  const Time latency = target.handle(txn);
+  if (!latency.is_zero()) {
+    // Target service time: the engine path waits it in deliver().
+    fast_busy_until_ = sim().now() + latency;
+    wait(latency);
   }
+  last_txn_end_ = sim().now();
+  engine_busy_ = true;
   fast_inflight_ = false;
   ++*cnt_fast_hits_;
   complete_txn(txn);
@@ -174,72 +153,6 @@ bool CamBase::try_fast_transport(Txn& txn) {
   // the engine may be parked in its gate waiting for exactly this.
   if (engine_.any_pending()) new_request_.notify_delta();
   return true;
-}
-
-bool CamBase::try_fast_post(Txn& txn) {
-  std::size_t s = 0;
-  if (!fast_eligible(txn, &s)) return false;
-  const Time occupancy = cycle() * fast_grant(txn);
-  // post() must not block: park the transaction in the single fast slot
-  // and let the timed fast_step method pick it up at occupancy end.
-  // Methods run before threads within a timestamp, so the slot (and the
-  // bus) free up before any process scheduled at that instant can issue.
-  fast_pending_ = &txn;
-  fast_pending_slave_ = s;
-  // Bus occupancy is accounted by fast_post_step's next firing — the
-  // engine's accounting instant (after its occupancy wait) — not here at
-  // grant, so a run_for() cutoff mid-transaction samples the same
-  // utilization either way.
-  fast_pending_busy_ = occupancy;
-  const auto fixed = slave(s).fast_fixed_latency();
-  if (fixed) {
-    // Constant-latency target: service the access now and schedule one
-    // merged completion — fast_post_step fires once, straight into its
-    // completion stage. The retire instant is known now; stamp it so a
-    // completion-instant reader can never observe a stale value.
-    const Time latency = slave(s).handle(txn);
-    fast_in_service_ = true;
-    fast_busy_until_ = sim().now() + occupancy + latency;
-    last_txn_end_ = fast_busy_until_;
-    engine_busy_ = true;
-    fast_complete_.notify(occupancy + latency);
-  } else {
-    fast_in_service_ = false;
-    fast_busy_until_ = sim().now() + occupancy;
-    fast_complete_.notify(occupancy);
-  }
-  return true;
-}
-
-void CamBase::fast_post_step() {
-  if (!fast_pending_) return;
-  Txn& txn = *fast_pending_;
-  // Deferred occupancy accounting: charged exactly once, at the first
-  // firing after the occupancy elapsed (for merged fixed-latency posts
-  // that is the single completion firing).
-  busy_time_ += fast_pending_busy_;
-  fast_pending_busy_ = Time::zero();
-  if (!fast_in_service_) {
-    // Occupancy elapsed — the effective access instant, exactly when the
-    // engine path would have called handle().
-    const Time latency = slave(fast_pending_slave_).handle(txn);
-    if (!latency.is_zero()) {
-      fast_in_service_ = true;
-      fast_busy_until_ = sim().now() + latency;
-      fast_complete_.notify(latency);
-      return;
-    }
-  }
-  last_txn_end_ = sim().now();
-  engine_busy_ = true;
-  ++*cnt_fast_hits_;
-  fast_pending_ = nullptr;
-  complete_txn(txn);
-  // Requests that fell back to the engine mid-flight are grantable now.
-  // Only wake the engine when there is actually work: a spurious wake
-  // would clear engine_busy_ and lose the back-to-back timing the next
-  // grant is entitled to.
-  if (engine_.any_pending()) new_request_.notify_delta();
 }
 
 // ------------------------------------------------------ atomic engine ----
@@ -250,13 +163,12 @@ void CamBase::fast_post_step() {
 void CamBase::atomic_engine() {
   for (;;) {
     // Fast-path gate: a fast transaction holds the bus until
-    // fast_busy_until_; stall behind it (re-checked, because a fast
-    // post's service stage may extend it). Never taken with the fast
-    // knob off — fast_busy_until_ and fast_inflight_ stay clear. At the
-    // exact occupancy-end instant a fast *transport* may not have
-    // resumed yet (fast posts are finished by the method, which runs
-    // before threads); its completion notifies new_request_ when work is
-    // pending, so parking on the event cannot strand a grantable txn.
+    // fast_busy_until_; stall behind it (re-checked, because its service
+    // stage may extend it). Never taken with the fast knob off —
+    // fast_busy_until_ and fast_inflight_ stay clear. At the exact
+    // occupancy-end instant a fast transport may not have resumed yet;
+    // its completion notifies new_request_ when work is pending, so
+    // parking on the event cannot strand a grantable txn.
     if (fast_inflight_ || sim().now() < fast_busy_until_) {
       if (sim().now() < fast_busy_until_) {
         wait(fast_busy_until_ - sim().now());
@@ -393,7 +305,7 @@ void CamBase::stall_grant() {
   }
 }
 
-// Completion shared by both engines and both fast paths: the core's
+// Completion shared by both engines and the fast path: the core's
 // completion point, then waking the initiator.
 void CamBase::complete_txn(Txn& txn) {
   finish(txn);

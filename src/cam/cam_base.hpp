@@ -26,15 +26,16 @@
 // bit-identically (guarded by tests/test_cam_split.cpp).
 //
 // Fast path (atomic mode only, opt-in via the `fast_targets` ctor knob):
-// when a transaction arrives while the bus is provably idle — no queued
-// or in-flight engine work, no fast transaction in progress — and its
-// target opted into the fast-target contract (ocp_tl_slave_if::
-// fast_capable()), transport()/post() resolve the whole transaction
-// from the initiator's context: same arbiter evolution (a single-
-// candidate pick), same occupancy math, same stamps/counters/log rows —
-// but no grant-engine wakeup and no coroutine switches. The moment
-// anything contends, the request falls back to the unchanged engine,
-// which also stalls behind any fast transaction still holding the bus
+// when a blocking transport() arrives while the bus is provably idle —
+// no queued or in-flight engine work, no fast transaction in progress —
+// and its target opted into the fast-target contract (ocp_tl_slave_if::
+// fast_capable()), the transaction runs from the initiator's coroutine in
+// the engine's two stages: occupancy, then the target's latency. Same
+// arbiter evolution (a single-candidate pick), same occupancy math, same
+// stamps/counters/log rows — but no grant-engine wakeup and no coroutine
+// switches. Posted accesses always take the engine. The moment anything
+// contends, the request falls back to the unchanged engine, which also
+// stalls behind any fast transaction still holding the bus
 // (`fast_busy_until_`). With the knob off, behaviour is bit-identical
 // to the engine-only build. The one documented divergence with the
 // knob on: two masters issuing in the same delta at the same timestamp
@@ -109,8 +110,8 @@ private:
   void submit(Txn& txn) override;
   void on_master(std::size_t i) override;
 
-  // Queue `txn` for the grant engine (the path every transaction takes
-  // when the fast path declines it).
+  // Queue `txn` for the grant engine (every post, and every transport
+  // the fast path declines).
   void enqueue(Txn& txn);
 
   void atomic_engine();
@@ -121,15 +122,13 @@ private:
   void complete_txn(Txn& txn);
   std::uint64_t now_cycle() const { return sim().now() / cycle(); }
 
-  // Fast path (see the class comment). try_fast_* return false without
-  // side effects when the transaction must take the engine.
+  // Fast path (see the class comment). try_fast_transport returns false
+  // without side effects when the transaction must take the engine.
   bool fast_eligible(const Txn& txn, std::size_t* slave_out) const;
   // The engine's grant, mirrored inline: stamps, zero grant wait and
   // arbiter evolution. Returns the transaction's bus cycles.
   std::uint64_t fast_grant(Txn& txn);
   bool try_fast_transport(Txn& txn);
-  bool try_fast_post(Txn& txn);
-  void fast_post_step();  // timed method: occupancy end / service end
 
   bool split_active_;
   GrantEngine engine_;
@@ -148,20 +147,13 @@ private:
   bool engine_busy_ = false;
 
   // Fast-path state. fast_busy_until_ is the instant the bus frees again
-  // after a fast transaction (the engine's gate); fast_inflight_ marks a fast
-  // *transport* for its whole span — the strict time check alone would
+  // after a fast transaction (the engine's gate); fast_inflight_ marks a
+  // fast transport for its whole span — the strict time check alone would
   // let a competitor waking at exactly fast_busy_until_, before the
-  // initiator's coroutine resumes, treat the bus as idle; the
-  // fast_pending_* slot holds the single posted fast transaction between
-  // its issue and the timed fast_complete_ callback that finishes it.
+  // initiator's coroutine resumes, treat the bus as idle.
   bool fast_targets_ = false;
   Time fast_busy_until_ = Time::zero();
   bool fast_inflight_ = false;
-  Txn* fast_pending_ = nullptr;
-  std::size_t fast_pending_slave_ = 0;
-  Time fast_pending_busy_ = Time::zero();  // occupancy to charge at firing
-  bool fast_in_service_ = false;  // stage 2: target latency elapsing
-  Event fast_complete_;
   // Cached counter slots (stable addresses inside stats_).
   std::uint64_t* cnt_fast_hits_ = nullptr;
   std::uint64_t* cnt_decode_errors_;

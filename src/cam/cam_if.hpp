@@ -92,8 +92,9 @@ public:
   /// Attach a seeded fault source (fault/fault.hpp): deliver() consults
   /// it per access (error responses, latency spikes) and an arbitrated
   /// bus per grant (stall bursts). nullptr detaches. While an injector
-  /// is attached a bus must disable constant-latency fast paths —
-  /// injected spikes break their fixed-latency contract.
+  /// is attached a bus must route every access through its engine, the
+  /// one delivery point that draws the injector's per-slave streams in
+  /// simulation order.
   void set_fault_injector(fault::Injector* inj) { injector_ = inj; }
 
   /// Fraction of elapsed bus cycles spent moving transactions.

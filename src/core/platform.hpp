@@ -79,12 +79,13 @@ struct Platform {
   bool split_txns = false;
   std::size_t max_outstanding = 1;
 
-  // Kernel fast path: let the bus CAM resolve uncontended transactions
-  // to fast-capable slaves inline (no grant-engine wakeup, no coroutine
-  // switch). Simulated timing is unchanged except for one documented
-  // same-delta arbitration corner (see cam/cam_base.hpp); the knob only
-  // engages in atomic mode (split_active() forces it off), so the
-  // exploration grid sweeps it on atomic design points only.
+  // Kernel fast path: let the bus CAM resolve uncontended blocking
+  // transactions to fast-capable slaves inline (no grant-engine wakeup,
+  // no coroutine switch; posted accesses always take the engine).
+  // Simulated timing is unchanged except for one documented same-delta
+  // arbitration corner (see cam/cam_base.hpp); the knob only engages in
+  // atomic mode (split_active() forces it off), so the exploration grid
+  // sweeps it on atomic design points only.
   bool fast_targets = false;
 
   // SHIP master wrappers merge each chunk's DATA_IN burst and its CTRL

@@ -102,7 +102,7 @@ public:
   /// stamp Ok or Error; the two failure-semantics states are derived:
   ///   * Timeout — the access completed, but after its armed watchdog
   ///     deadline (promoted from Ok at the CAM completion point, the one
-  ///     place atomic/split engines and both fast paths share);
+  ///     place the atomic/split engines and the fast path share);
   ///   * Aborted — the initiator's RetryPolicy exhausted its retry budget
   ///     on Error responses and gave up (stamped initiator-side).
   enum class Status : std::uint8_t { Pending, Ok, Error, Timeout, Aborted };

@@ -45,11 +45,6 @@ public:
   }
 
   bool fast_capable() const override { return true; }
-  // The latency is one configured constant and handle() is a pure
-  // state/txn function — the merged-completion contract holds.
-  std::optional<Time> fast_fixed_latency() const override {
-    return access_time_;
-  }
 
   // Test/back-door access (no simulated time).
   std::uint8_t peek(std::uint64_t addr) const { return mem_.at(addr - base_); }

@@ -18,8 +18,6 @@
 // (rather than through this interface) should `using` the base overloads
 // so both spellings stay visible.
 
-#include <optional>
-
 #include "kernel/module.hpp"
 #include "kernel/time.hpp"
 #include "ocp/types.hpp"
@@ -44,29 +42,14 @@ public:
 
   // --- fast-target contract (kernel fast path) ---------------------------
   //
-  // A CAM may bypass its grant-engine process for an uncontended access
-  // and call handle() inline from the initiator's coroutine, at the same
-  // simulated time the engine path would: after bus occupancy, before the
-  // returned latency elapses. A target opts in by returning true from
+  // A CAM may bypass its grant-engine process for an uncontended blocking
+  // access and call handle() inline from the initiator's coroutine, at the
+  // same simulated time the engine path would: after bus occupancy, before
+  // the returned latency elapses. A target opts in by returning true from
   // fast_capable(), promising that handle() never waits. Eligibility is
   // decided before side effects happen, so there is no fallback after
   // this point.
   virtual bool fast_capable() const { return false; }
-
-  // Stronger, optional contract on top of fast_capable(): a target whose
-  // service latency is one constant — independent of simulated time,
-  // transaction content and access history (the access-cycles-table
-  // case) — returns it here. The CAM may then invoke handle() at grant
-  // time rather than at the effective access instant and schedule one
-  // merged occupancy+latency completion instead of two stages. Only
-  // legal when handle() neither reads the clock, evolves timing state,
-  // nor notifies events: the reordering is unobservable solely because
-  // the bus is held for the whole occupancy+latency span. Targets that
-  // cannot promise this keep the nullopt default and get the
-  // effective-access-instant invocation.
-  virtual std::optional<Time> fast_fixed_latency() const {
-    return std::nullopt;
-  }
 };
 
 using OcpMasterPort = Port<ocp_tl_master_if>;

@@ -1,6 +1,6 @@
 // Tests for the kernel fast path (fast-target contract): with
-// `fast_targets` on, uncontended transactions to fast-capable slaves
-// resolve inline — no grant-engine wakeup, no coroutine switch — and
+// `fast_targets` on, uncontended blocking transactions to fast-capable
+// slaves resolve inline — no grant-engine wakeup, no coroutine switch — and
 // every observable (simulated time, counters, rows, bank state
 // evolution) stays bit-identical to the engine path. Contention
 // falls back to the unchanged engine.
@@ -134,8 +134,8 @@ TEST(CamFast, SingleMasterBitIdenticalAcrossProtocols) {
   }
 }
 
-// The posted (non-blocking) API takes the two-stage timed fast path;
-// same bit-identity contract.
+// The posted (non-blocking) API always takes the grant engine, even on an
+// idle fast bus; the run is bit-identical to the engine-only one.
 TEST(CamFast, PostedTransactionsBitIdentical) {
   auto run = [](bool fast) {
     Simulator sim;
@@ -163,7 +163,7 @@ TEST(CamFast, PostedTransactionsBitIdentical) {
   const RunResult slow = run(false);
   const RunResult fast = run(true);
   expect_identical(fast, slow);
-  EXPECT_EQ(fast.fast_hits, 10u);
+  EXPECT_EQ(fast.fast_hits, 0u) << "posts never take the fast path";
 }
 
 // Banked memory: the fast path must evolve the bank state (free_at /
@@ -314,8 +314,9 @@ TEST(CamFast, OccupancyEndBoundaryContentionBitIdentical) {
   expect_order_free(run(true, DispatchOrder::Reverse), fast, "fast path");
 }
 
-// Completion-instant boundary (fixed-latency target): b wakes at exactly
-// the instant a's fast transaction completes, before a's thread resumes.
+// Completion-instant boundary (constant-latency target, which runs the
+// same two-stage transport as any other): b wakes at exactly the
+// instant a's fast transaction completes, before a's thread resumes.
 // b must not read stale last-transaction state — the engine path would
 // retire a first and then grant b with back-to-back timing.
 TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
@@ -325,7 +326,7 @@ TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
     trace::TxnLogger log;
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
-    ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);  // fixed latency
+    ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);  // two-stage transport
     bus.attach_slave(mem, {0, 1 << 16}, "mem");
     const std::size_t m0 = bus.add_master("a");
     const std::size_t m1 = bus.add_master("b");
@@ -362,17 +363,17 @@ TEST(CamFast, CompletionInstantBackToBackBitIdentical) {
   expect_order_free(run(true, DispatchOrder::Reverse), fast, "fast path");
 }
 
-// A utilization sample taken at the instant a fixed-latency fast
-// transaction is granted. The bus charges occupancy when it has elapsed
-// (the engine's convention), so the sample reads the same on both paths,
-// blocking or posted, whichever of sampler and master runs first there.
+// A utilization sample taken at the instant a fast transaction is
+// granted. The bus charges occupancy when it has elapsed (the engine's
+// convention), so the sample reads the same on both paths, whichever of
+// sampler and master runs first there.
 TEST(CamFast, UtilizationSampledAtGrantInstantIsOrderFree) {
-  auto run = [](bool fast, bool posted, DispatchOrder order) {
+  auto run = [](bool fast, DispatchOrder order) {
     Simulator sim;
     sim.set_dispatch_order(order);
     PlbCam bus(sim, "bus", 10_ns, std::make_unique<PriorityArbiter>(), 0,
                SplitConfig{}, fast);
-    ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);  // fixed latency
+    ocp::MemorySlave mem("mem", 0, 1 << 16, 40_ns);  // two-stage transport
     bus.attach_slave(mem, {0, 1 << 16}, "mem");
     const std::size_t m = bus.add_master("cpu");
     std::vector<double> samples;
@@ -381,12 +382,7 @@ TEST(CamFast, UtilizationSampledAtGrantInstantIsOrderFree) {
       Txn t;
       wait(200_ns);
       t.begin_write(0, p.data(), p.size());
-      if (posted) {
-        bus.post(m, t);
-        t.done.wait(sim);
-      } else {
-        bus.master_port(m).transport(t);
-      }
+      bus.master_port(m).transport(t);
     });
     // Two hops to the grant instant: with one, Reverse would flip the
     // order of the two 200 ns wakes a second time and restore Fifo's.
@@ -399,19 +395,16 @@ TEST(CamFast, UtilizationSampledAtGrantInstantIsOrderFree) {
     samples.push_back(bus.utilization());
     return std::make_pair(samples, bus.fast_path_hits());
   };
-  for (const bool posted : {false, true}) {
-    SCOPED_TRACE(posted ? "posted" : "blocking");
-    const auto engine = run(false, posted, DispatchOrder::Fifo);
-    ASSERT_EQ(engine.first.size(), 2u);
-    EXPECT_EQ(engine.first[0], 0.0) << "no occupancy has elapsed yet";
-    const auto fast = run(true, posted, DispatchOrder::Fifo);
-    EXPECT_EQ(fast.second, 1u);
-    EXPECT_EQ(fast.first, engine.first) << "fast path vs engine";
-    EXPECT_EQ(run(true, posted, DispatchOrder::Reverse).first, fast.first)
-        << "fast path: Reverse vs Fifo";
-    EXPECT_EQ(run(false, posted, DispatchOrder::Reverse).first, engine.first)
-        << "engine: Reverse vs Fifo";
-  }
+  const auto engine = run(false, DispatchOrder::Fifo);
+  ASSERT_EQ(engine.first.size(), 2u);
+  EXPECT_EQ(engine.first[0], 0.0) << "no occupancy has elapsed yet";
+  const auto fast = run(true, DispatchOrder::Fifo);
+  EXPECT_EQ(fast.second, 1u);
+  EXPECT_EQ(fast.first, engine.first) << "fast path vs engine";
+  EXPECT_EQ(run(true, DispatchOrder::Reverse).first, fast.first)
+      << "fast path: Reverse vs Fifo";
+  EXPECT_EQ(run(false, DispatchOrder::Reverse).first, engine.first)
+      << "engine: Reverse vs Fifo";
 }
 
 // The documented divergence: two masters issuing in the same delta at

@@ -115,6 +115,43 @@ TEST(Explorer, LatencyPercentilesAreOrderedAndQueueingVisible) {
   EXPECT_LT(r.mean_queue_ns, r.mean_latency_ns);
 }
 
+// Row invariants on every cell of the default grid x canonical workloads:
+// each row completes with traffic, its latency columns are ordered, its
+// ratios are ratios, goodput never exceeds raw throughput, and the
+// fast-path and arbiter columns read 0 where the platform has neither.
+TEST(Explorer, EveryDefaultGridRowKeepsTheRowInvariants) {
+  const auto plats = grid_candidates();
+  const auto loads = workload_candidates();
+  ASSERT_EQ(plats.size() * loads.size(), 540u);
+  Explorer ex;
+  std::size_t fast_rows_with_hits = 0;
+  for (const Platform& p : plats) {
+    const bool crossbar = p.bus == BusKind::Crossbar;
+    for (const auto& w : loads) {
+      const ExplorationRow r = ex.evaluate(p, w, 200_ms);
+      SCOPED_TRACE(p.name + "/" + w.name);
+      EXPECT_TRUE(r.completed);
+      EXPECT_GT(r.transactions, 0u);
+      EXPECT_GT(r.bytes, 0u);
+      EXPECT_LE(r.p50_latency_ns, r.p95_latency_ns);
+      EXPECT_LE(r.p95_latency_ns, r.p99_latency_ns);
+      EXPECT_LE(r.mean_queue_ns, r.mean_latency_ns);
+      EXPECT_GE(r.bus_utilization, 0.0);
+      EXPECT_LE(r.bus_utilization, 1.0);
+      EXPECT_GE(r.error_rate, 0.0);
+      EXPECT_LE(r.error_rate, 1.0);
+      EXPECT_LE(r.goodput_mbps, r.throughput_mbps());
+      EXPECT_GE(r.fast_hit_rate, 0.0);
+      EXPECT_LE(r.fast_hit_rate, 1.0);
+      if (!p.fast_targets || crossbar) EXPECT_EQ(r.fast_hit_rate, 0.0);
+      if (crossbar) EXPECT_EQ(r.contended_picks, 0u);
+      if (r.fast_hit_rate > 0.0) ++fast_rows_with_hits;
+    }
+  }
+  // The fast-path bounds above are not vacuous: the -fast points hit.
+  EXPECT_GT(fast_rows_with_hits, 0u);
+}
+
 // analyze_log's claim: every latency column of a row is bit-identical to
 // trace::latency_dist over the cell's records, and the worst-master tail
 // is the largest p99 among the per-master row groups. The reference is

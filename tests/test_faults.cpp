@@ -561,8 +561,8 @@ TEST(FaultConservation, FastPathPlatformConservesOutcomesAndVetoesFastPath) {
   p.fast_targets = true;
   const auto run = run_faulted(p);
   expect_outcomes_conserved(run, "fast");
-  // An attached injector disables the fast path wholesale: injected
-  // spikes break its fixed-latency merged-completion contract.
+  // An attached injector disables the fast path wholesale: its draws
+  // belong to the engine's delivery point.
   EXPECT_EQ(run.fast_hits, 0u);
 }
 
