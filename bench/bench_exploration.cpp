@@ -265,7 +265,64 @@ void BM_SearchFrontier(benchmark::State& state) {
   state.counters["frontier"] = static_cast<double>(report.frontier.size());
   state.counters["full_horizon_evals"] =
       static_cast<double>(report.full_horizon_evals);
+  state.counters["pruned_cells"] = static_cast<double>(report.pruned_cells);
   state.counters["threads"] = static_cast<double>(threads);
+}
+
+// The search's abort path, which the default grid never takes: the
+// two-platform search of SearchDriver.DominatedCandidateIsAbortedMidRun.
+// A PLB and a twice-slower OPB carry two 200-message streams; the OPB
+// cell survives rung 0 off the front, and the full-horizon rung runs it
+// only to abort_slack x the PLB cell's completion time, where it is
+// pruned. The gated counters pin that verdict (pruned_cells=1,
+// full_horizon_evals=1, frontier=1) and the transactions it cost.
+void BM_SearchPrunesDominatedCell(benchmark::State& state) {
+  const workload::WorkloadCase streams{
+      "", [](core::SystemGraph& g,
+             std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
+        for (const char* n : {"0", "1"}) {
+          auto p = std::make_unique<workload::ProducerPe>(
+              std::string("p") + n, 200, 512, 20);
+          auto s = std::make_unique<workload::SinkPe>(std::string("s") + n,
+                                                      200);
+          g.add_pe(*p);
+          g.add_pe(*s);
+          g.connect(std::string("ch") + n, *p, "out", *s, "in", 2);
+          o.push_back(std::move(p));
+          o.push_back(std::move(s));
+        }
+      }};
+  core::Platform fast;
+  fast.name = "fast-plb";
+  core::Platform slow;
+  slow.name = "slow-opb";
+  slow.bus = core::BusKind::Opb;
+  slow.bus_cycle = 20_ns;
+  expl::Explorer explorer;
+  const double fast_us = explorer.evaluate(fast, streams, 500_ms).sim_time_us;
+  const double slow_us = explorer.evaluate(slow, streams, 500_ms).sim_time_us;
+  const double mid_us = 0.5 * (fast_us + slow_us);
+  expl::SearchConfig cfg;
+  cfg.objectives = {expl::Objective::Throughput};
+  cfg.horizons = {Time::us(static_cast<std::uint64_t>(mid_us)), 500_ms};
+  cfg.keep_fraction = 1.0;
+  cfg.pad_fraction = 1.0;
+  cfg.abort_slack = mid_us / fast_us;
+  expl::SearchReport report;
+  std::uint64_t txns_begun = 0;
+  for (auto _ : state) {
+    expl::SearchDriver driver(cfg);
+    const std::uint64_t ids_before = process_wide_txn_id();
+    report = driver.run(explorer, {fast, slow}, {streams});
+    txns_begun = process_wide_txn_id() - ids_before - 1;
+    if (report.pruned_cells != 1) state.SkipWithError("slow cell not pruned");
+    benchmark::DoNotOptimize(report);
+  }
+  state.counters["txns_begun"] = static_cast<double>(txns_begun);
+  state.counters["frontier"] = static_cast<double>(report.frontier.size());
+  state.counters["full_horizon_evals"] =
+      static_cast<double>(report.full_horizon_evals);
+  state.counters["pruned_cells"] = static_cast<double>(report.pruned_cells);
 }
 
 // Exploring at CCATB instead (no CAM structure, SHIP annotation only):
@@ -354,6 +411,7 @@ BENCHMARK(BM_SearchFrontier)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_ExploreAtCcatbLevel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SearchPrunesDominatedCell)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

@@ -11,7 +11,7 @@
 // well past a thousand distinct platforms without ever enumerating the
 // cross product. Successive halving then keeps the Pareto front (plus a
 // near-front pad) for the full-horizon rung, and dominated survivors
-// run under an abort budget.
+// run only to a shorter horizon, where they are pruned if unfinished.
 //
 // It writes one artifact:
 //

@@ -41,46 +41,18 @@ MappedSystem::~MappedSystem() {
   }
 }
 
-bool MappedSystem::workload_done() const {
-  for (const Process* p : hw_procs_) {
-    if (!p->terminated()) return false;
-  }
-  if (rtos_ && !rtos_->all_tasks_terminated()) return false;
-  return true;
+std::function<void()> MappedSystem::pe_body(ProcessingElement* pe,
+                                            ExecContext* ctx) {
+  ++pes_running_;
+  return [this, pe, ctx] {
+    pe->run(*ctx);
+    if (--pes_running_ == 0) sim_.stop();
+  };
 }
 
-bool MappedSystem::run_until_done(Time max_time, Time slice) {
-  const Time deadline = sim_.now() + max_time;
-  while (!workload_done() && sim_.now() < deadline) {
-    const Time before = sim_.now();
-    const Time remaining = deadline - sim_.now();
-    sim_.run_for(remaining < slice ? remaining : slice);
-    if (sim_.now() == before) {
-      // Event starvation before the deadline (e.g. PEs deadlocked on a
-      // channel): no further slice can make progress.
-      break;
-    }
-  }
+bool MappedSystem::run_until_done(Time max_time) {
+  if (!workload_done()) sim_.run_for(max_time);
   return workload_done();
-}
-
-bool MappedSystem::run_until_done(Time max_time, const RunBudget& budget,
-                                  Time slice) {
-  aborted_early_ = false;
-  if (!budget.should_abort) return run_until_done(max_time, slice);
-  // Route the budget through the kernel's run guard so an abort always
-  // lands at a settled delta boundary — the slice loop stays byte-for-
-  // byte the unbudgeted one up to the abort point.
-  bool fired = false;
-  sim_.set_run_guard([&](Time now) {
-    if (fired) return true;
-    fired = budget.should_abort(now);
-    return fired;
-  });
-  const bool done = run_until_done(max_time, slice);
-  sim_.clear_run_guard();
-  aborted_early_ = fired && !done;
-  return done;
 }
 
 void MappedSystem::report(std::ostream& out) const {
@@ -272,8 +244,8 @@ void Mapper::build_abstract(MappedSystem& ms, SystemGraph& g, bool timed) {
 
   for (ProcessingElement* pe : g.pes()) {
     HwExecContext* ctx = ctx_of[pe];
-    ms.hw_procs_.push_back(&ms.sim_.spawn_thread(
-        "pe." + pe->name(), [pe, ctx] { pe->run(*ctx); }));
+    ms.hw_procs_.push_back(
+        &ms.sim_.spawn_thread("pe." + pe->name(), ms.pe_body(pe, ctx)));
   }
 }
 
@@ -468,11 +440,10 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
   for (ProcessingElement* pe : g.pes()) {
     ExecContext* ctx = ctx_of.at(pe);
     if (g.partition(*pe) == Partition::Hardware) {
-      ms.hw_procs_.push_back(&ms.sim_.spawn_thread(
-          "pe." + pe->name(), [pe, ctx] { pe->run(*ctx); }));
+      ms.hw_procs_.push_back(
+          &ms.sim_.spawn_thread("pe." + pe->name(), ms.pe_body(pe, ctx)));
     } else {
-      ms.rtos_->create_task(pe->name(), /*priority=*/1,
-                            [pe, ctx] { pe->run(*ctx); });
+      ms.rtos_->create_task(pe->name(), /*priority=*/1, ms.pe_body(pe, ctx));
       ms.mapping_notes_.push_back("pe " + pe->name() +
                                   " -> eSW task on RTOS (synthesized)");
     }

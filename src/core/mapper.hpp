@@ -53,25 +53,12 @@ public:
   AbstractionLevel level() const { return level_; }
 
   void run_for(Time d) { sim_.run_for(d); }
-  // Run in slices until every PE finished (HW threads terminated, RTOS
-  // tasks terminated) or `max_time` of simulated time passed. Returns
-  // true if the workload completed.
-  bool run_until_done(Time max_time, Time slice = Time::us(50));
-  // Cooperative abort for adaptive exploration: `should_abort` is polled
-  // by the kernel between settled deltas (see Simulator::set_run_guard),
-  // so it must be a pure function of simulated state — no wall clock, no
-  // global RNG — to preserve the determinism contract. When it fires the
-  // run stops at a clean delta boundary and aborted_early() reports true
-  // (unless the workload happened to finish at that same instant).
-  struct RunBudget {
-    std::function<bool(Time)> should_abort;
-  };
-  bool run_until_done(Time max_time, const RunBudget& budget,
-                      Time slice = Time::us(50));
-  bool workload_done() const;
-  // True when the last budgeted run_until_done was stopped by its budget
-  // before the workload completed.
-  bool aborted_early() const { return aborted_early_; }
+  // Run until every PE returned (HW threads and RTOS task bodies), the
+  // simulator runs out of activity (a deadlock) or `max_time` of
+  // simulated time passed, whichever comes first: the last PE to return
+  // stops the run at its return. Returns true if the workload completed.
+  bool run_until_done(Time max_time);
+  bool workload_done() const { return pes_running_ == 0; }
 
   trace::TxnLogger& txn_log() { return log_; }
   // The SHIP channels of the abstract levels, in SystemGraph::channels()
@@ -127,10 +114,15 @@ private:
   MappedSystem(Simulator& sim, const Platform& p, AbstractionLevel l)
       : sim_(sim), plat_(p), level_(l) {}
 
+  // The body of PE `pe`'s thread or RTOS task: pe->run(*ctx), after which
+  // the last of this system's PEs to return stops the simulator.
+  std::function<void()> pe_body(ProcessingElement* pe, ExecContext* ctx);
+
   Simulator& sim_;
   Platform plat_;
   AbstractionLevel level_;
-  bool aborted_early_ = false;
+  // PEs spawned whose body has not returned yet (see pe_body).
+  std::size_t pes_running_ = 0;
   trace::TxnLogger log_;
 
   std::vector<std::unique_ptr<ship::ShipChannel>> channels_;

@@ -74,8 +74,8 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
 }
 
 ExplorationRow Explorer::evaluate(const core::Platform& platform,
-                                  const WorkloadCase& workload, Time max_time,
-                                  const EvalBudget& budget) {
+                                  const WorkloadCase& workload,
+                                  Time max_time) {
   STLM_ASSERT(workload.factory != nullptr,
               "Explorer: workload '" + workload.name + "' has no factory");
   ExplorationRow row;
@@ -101,8 +101,7 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
   // stlm-lint: allow(determinism-wall-clock): measures host wall time for
   // the row's wall_ms speed metric; never feeds back into simulated state
   const auto wall_start = std::chrono::steady_clock::now();
-  row.completed = ms->run_until_done(max_time, budget);
-  row.pruned = ms->aborted_early();
+  row.completed = ms->run_until_done(max_time);
   // stlm-lint: allow(determinism-wall-clock): second endpoint of the
   // wall_ms measurement above; reporting-only
   const auto wall_end = std::chrono::steady_clock::now();

@@ -88,9 +88,10 @@ struct ExplorationRow {
   // Platform::cost_proxy() of the cell's platform — recorded on the row
   // so Pareto extraction over (perf, cost) needs no platform lookup.
   double cost = 0.0;
-  // True when an EvalBudget stopped this cell's simulation before the
-  // workload finished: the sim columns describe a truncated run and must
-  // not be compared against completed rows.
+  // Set by SearchDriver when it ran this cell only up to its abort time
+  // (SearchConfig::abort_slack) and the workload did not finish by then:
+  // the sim columns describe a truncated run and must not be compared
+  // against completed rows.
   bool pruned = false;
   // Set when sweep_parallel copied this row from its certified arbiter
   // sibling instead of simulating it: that sibling's platform name. The
@@ -151,20 +152,13 @@ public:
   // (default) disables the column.
   void set_slo(Time threshold) { slo_ = threshold; }
 
-  // Mid-simulation early-termination hook for adaptive search: the
-  // should_abort predicate is polled by the kernel between settled deltas
-  // (see Simulator::set_run_guard) with the cell's simulated time;
-  // returning true stops the run and marks the row pruned. Must be a pure
-  // function of its argument — no wall clock, no shared mutable state —
-  // so budgeted runs keep the determinism contract. A default-constructed
-  // budget (null predicate) is "no budget".
-  using EvalBudget = core::MappedSystem::RunBudget;
-
   // Map + simulate one cell: a fresh SystemGraph (from the workload's
-  // factory), Simulator and MappedSystem, run for at most `max_time`.
+  // factory), Simulator and MappedSystem, run until the last PE returns,
+  // the cell deadlocks or `max_time` passes (MappedSystem::
+  // run_until_done). The row's `pruned` stays false; only SearchDriver
+  // sets it.
   ExplorationRow evaluate(const core::Platform& platform,
-                          const WorkloadCase& workload, Time max_time,
-                          const EvalBudget& budget = {});
+                          const WorkloadCase& workload, Time max_time);
 
   // Evaluate the platform x workload grid on `n_threads` WorkPool workers,
   // the calling thread included. Rows are platform-major: row index =

@@ -92,7 +92,7 @@ struct Cell {
   std::size_t expanded_at = kNoDepth;
   ExplorationRow row;
   bool evaluated = false;
-  bool done = false;       // row is final: completed, not pruned
+  bool done = false;       // row is final: the workload completed
   bool alive = true;       // survived every selection so far
   bool off_front = false;  // dominated at the last selection (pad keep)
 };
@@ -134,9 +134,9 @@ SearchReport SearchDriver::run(Explorer& ex,
     RungStats rs;
     rs.horizon = cfg_.horizons[r];
 
-    // Budget reference for this rung: the longest completion time any
-    // completed cell has demonstrated. Computed from settled state
-    // between rungs, so it is deterministic.
+    // Abort time for this rung's dominated survivors, from the longest
+    // completion time any completed cell has demonstrated. Computed from
+    // settled state between rungs, so it is deterministic.
     Time abort_at = Time::zero();
     if (r > 0 && cfg_.abort_slack > 0.0) {
       double max_done_us = 0.0;
@@ -223,16 +223,16 @@ SearchReport SearchDriver::run(Explorer& ex,
     };
 
     eval_cell = [&](Cell* c) {
-      Explorer::EvalBudget budget;
-      if (c->off_front && abort_at > Time::zero()) {
-        const Time limit = abort_at;
-        budget.should_abort = [limit](Time now) { return now >= limit; };
-      }
-      c->row = ex.evaluate(c->platform, workloads[c->workload], horizon,
-                           budget);
+      // A dominated survivor runs only up to abort_at; one that has not
+      // finished by then is pruned.
+      const bool cut_short = c->off_front && abort_at > Time::zero() &&
+                             abort_at < horizon;
+      c->row = ex.evaluate(c->platform, workloads[c->workload],
+                           cut_short ? abort_at : horizon);
+      c->row.pruned = cut_short && !c->row.completed;
       c->evaluated = true;
       std::lock_guard<std::mutex> lock(m);
-      c->done = c->row.completed && !c->row.pruned;
+      c->done = c->row.completed;
       ++rs.evaluated;
       if (c->row.pruned) ++rs.aborted;
       if (mutate && c->done && c->depth < cfg_.mutation_depth &&
@@ -259,7 +259,7 @@ SearchReport SearchDriver::run(Explorer& ex,
       for (Cell& c : cells) {
         if (!c.alive || c.workload != g) continue;
         if (c.row.pruned) {
-          // A budget abort is a terminal verdict: the truncated row
+          // Pruning is a terminal verdict: the truncated row
           // never competes with completed rows.
           c.alive = false;
           ++report.pruned_cells;

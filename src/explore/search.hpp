@@ -5,15 +5,16 @@
 //
 // The driver evaluates candidate cells in rungs of increasing simulated
 // horizon. A cell whose workload *completes* at any horizon has a final,
-// horizon-independent row (the slice loop stops at event starvation, so
-// re-running it with a longer budget reproduces the same row bit for
+// horizon-independent row (the run stops at the last PE's return, so
+// re-running it with a longer horizon reproduces the same row bit for
 // bit) — it is carried forward, never re-simulated. Only cells still
 // running at the rung's horizon pay for the next, longer rung; that is
 // what caps full-horizon evaluations well below the grid size. Between
 // rungs the survivor set shrinks to the Pareto front plus a configurable
-// pad of near-front cells, and surviving dominated cells re-run under an
-// EvalBudget that aborts them once they overshoot the completion times
-// the front has already demonstrated.
+// pad of near-front cells, and surviving dominated cells re-run under a
+// shorter horizon: the completion time the front has already
+// demonstrated, times abort_slack. One that does not finish by then is
+// pruned.
 //
 // Determinism: candidate identity is (platform name, workload), results
 // land in per-cell slots, every set operation (selection, fronts, the
@@ -81,10 +82,11 @@ struct SearchConfig {
   // from it and the cell's name hash).
   std::uint64_t seed = 0x5eed;
   unsigned n_threads = 1;
-  // Early termination of dominated survivors at rungs > 0: abort once
-  // simulated time exceeds abort_slack x the longest completion time
-  // any completed cell has demonstrated (0 disables). An aborted cell
-  // is pruned — dropped from the search with a truncated row.
+  // Early termination of dominated survivors at rungs > 0: when
+  // abort_slack x the longest completion time any completed cell has
+  // demonstrated (0 disables) comes before the rung's horizon, they run
+  // only that long. One that does not finish by then is pruned —
+  // dropped from the search with a truncated row.
   double abort_slack = 4.0;
 };
 
@@ -93,7 +95,7 @@ struct RungStats {
   std::size_t evaluated = 0;  // cells simulated at this rung's horizon
   std::size_t carried = 0;    // completed cells carried forward, not re-run
   std::size_t cut = 0;        // cells dropped by selection after this rung
-  std::size_t aborted = 0;    // budgeted runs stopped early this rung
+  std::size_t aborted = 0;    // cells pruned at their abort time this rung
 };
 
 struct SearchReport {
@@ -106,7 +108,7 @@ struct SearchReport {
   std::size_t candidates_seen = 0;     // distinct cells admitted overall
   std::size_t proposed = 0;            // mutation proposals generated
   std::size_t duplicates = 0;          // proposals rejected as already seen
-  std::size_t pruned_cells = 0;        // evaluations aborted by budget
+  std::size_t pruned_cells = 0;        // cells pruned at their abort time
   std::size_t full_horizon_evals = 0;  // evaluations run at the last horizon
 };
 

@@ -224,9 +224,6 @@ void Simulator::run_impl(std::optional<Time> end_time) {
     ++delta_count_;
     for (const PostDeltaHook& hook : post_delta_hooks_) hook.fn(now_);
     if (!runnable_.empty() || !method_queue_.empty()) continue;
-    // Run-budget poll: between settled deltas, before time advances, so
-    // an abort can never split an evaluation step.
-    if (run_guard_ && run_guard_(now_)) break;
     if (!advance_time(end_time)) break;
   }
 

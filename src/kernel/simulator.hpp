@@ -146,18 +146,12 @@ public:
   void run();
   // Run for at most `duration` of simulated time past the current time.
   void run_for(Time duration);
-  // Request an orderly stop at the end of the current evaluation step.
+  // Request a stop: the calling process runs on until it yields, then
+  // run()/run_for() return at once, at the same simulated time. The
+  // processes not yet dispatched in this evaluation phase and its update
+  // and delta phases are left queued; the next run() takes them up at
+  // that instant. A stop() between runs is discarded.
   void stop() { stop_requested_ = true; }
-
-  // Cooperative run budget (adaptive exploration): when a guard is set,
-  // it is polled once per time advance — after the delta settles, before
-  // simulated time moves — with the current simulated time; returning
-  // true ends the run like stop(). Unset, the cost is one branch per
-  // advance. The guard must be a pure function of simulated state (never
-  // wall clock, never cross-thread state): its firing point is then the
-  // same in every same-seed run, preserving byte-identical results.
-  void set_run_guard(std::function<bool(Time)> g) { run_guard_ = std::move(g); }
-  void clear_run_guard() { run_guard_ = nullptr; }
 
   // True when no runnable process, no delta and no timed activity remains.
   bool idle() const;
@@ -308,8 +302,6 @@ private:
   bool elaborated_ = false;
   bool running_ = false;
   bool stop_requested_ = false;
-  // Run-budget guard (see set_run_guard); null when no budget is active.
-  std::function<bool(Time)> run_guard_;
 
   // run_for() horizon of the active run (nullopt for run()); stored so
   // advance_inline never warps simulated time past it.

@@ -8,11 +8,13 @@
 // transaction count, channel queue depth, ...). The PeriodicSampler is an
 // ordinary simulation thread process: it reads every gauge, appends one
 // row stamped with the simulated time, and wait()s for the interval.
-// Because the sampler is a real process it keeps the simulator non-idle —
-// use run_for()/stop() to bound runs, and note that the lone-runner
-// inline-advance fast path is naturally off while a sampler coexists with
-// the workload (there are two live processes). That is the expected cost
-// of opting into time-series capture.
+// Because the sampler is a real process it keeps the simulator non-idle:
+// a bare run() never starves, so bound it with run_for()/stop(). A mapped
+// system's run_until_done() needs nothing more — its last PE's return
+// stops the run — so a sampled run reports the plain run's results. The
+// lone-runner inline-advance fast path is naturally off while a sampler
+// coexists with the workload (there are two live processes); that is
+// the expected cost of opting into time-series capture.
 //
 // Determinism: rows contain only simulated time and gauge values, so for
 // a deterministic simulation the CSV/JSON artifacts are byte-identical

@@ -70,4 +70,31 @@ inline void expect_sim_columns_equal(const expl::ExplorationRow& a,
   EXPECT_EQ(a.cost, b.cost) << cell;
 }
 
+// The invariants every finished row keeps on platform `p`: the cell
+// completes with traffic, its latency columns are ordered, its ratios
+// are ratios, goodput never exceeds raw throughput, and the fast-path
+// and arbiter columns read 0 where the platform has neither.
+inline void expect_row_invariants(const core::Platform& p,
+                                  const expl::ExplorationRow& r) {
+  SCOPED_TRACE(p.name + "/" + r.workload);
+  const bool crossbar = p.bus == core::BusKind::Crossbar;
+  EXPECT_EQ(r.platform, p.name);
+  EXPECT_TRUE(r.completed);
+  EXPECT_FALSE(r.pruned);
+  EXPECT_GT(r.transactions, 0u);
+  EXPECT_GT(r.bytes, 0u);
+  EXPECT_LE(r.p50_latency_ns, r.p95_latency_ns);
+  EXPECT_LE(r.p95_latency_ns, r.p99_latency_ns);
+  EXPECT_LE(r.mean_queue_ns, r.mean_latency_ns);
+  EXPECT_GE(r.bus_utilization, 0.0);
+  EXPECT_LE(r.bus_utilization, 1.0);
+  EXPECT_GE(r.error_rate, 0.0);
+  EXPECT_LE(r.error_rate, 1.0);
+  EXPECT_LE(r.goodput_mbps, r.throughput_mbps());
+  EXPECT_GE(r.fast_hit_rate, 0.0);
+  EXPECT_LE(r.fast_hit_rate, 1.0);
+  if (!p.fast_targets || crossbar) EXPECT_EQ(r.fast_hit_rate, 0.0);
+  if (crossbar) EXPECT_EQ(r.contended_picks, 0u);
+}
+
 }  // namespace stlm::test

@@ -21,6 +21,7 @@
 using namespace stlm;
 using namespace stlm::core;
 using namespace stlm::expl;
+using stlm::test::expect_row_invariants;
 using stlm::test::expect_sim_columns_equal;
 using stlm::test::two_streams;
 using namespace stlm::time_literals;
@@ -115,10 +116,8 @@ TEST(Explorer, LatencyPercentilesAreOrderedAndQueueingVisible) {
   EXPECT_LT(r.mean_queue_ns, r.mean_latency_ns);
 }
 
-// Row invariants on every cell of the default grid x canonical workloads:
-// each row completes with traffic, its latency columns are ordered, its
-// ratios are ratios, goodput never exceeds raw throughput, and the
-// fast-path and arbiter columns read 0 where the platform has neither.
+// Row invariants (expect_row_invariants) on every cell of the default
+// grid x canonical workloads.
 TEST(Explorer, EveryDefaultGridRowKeepsTheRowInvariants) {
   const auto plats = grid_candidates();
   const auto loads = workload_candidates();
@@ -126,30 +125,45 @@ TEST(Explorer, EveryDefaultGridRowKeepsTheRowInvariants) {
   Explorer ex;
   std::size_t fast_rows_with_hits = 0;
   for (const Platform& p : plats) {
-    const bool crossbar = p.bus == BusKind::Crossbar;
     for (const auto& w : loads) {
       const ExplorationRow r = ex.evaluate(p, w, 200_ms);
-      SCOPED_TRACE(p.name + "/" + w.name);
-      EXPECT_TRUE(r.completed);
-      EXPECT_GT(r.transactions, 0u);
-      EXPECT_GT(r.bytes, 0u);
-      EXPECT_LE(r.p50_latency_ns, r.p95_latency_ns);
-      EXPECT_LE(r.p95_latency_ns, r.p99_latency_ns);
-      EXPECT_LE(r.mean_queue_ns, r.mean_latency_ns);
-      EXPECT_GE(r.bus_utilization, 0.0);
-      EXPECT_LE(r.bus_utilization, 1.0);
-      EXPECT_GE(r.error_rate, 0.0);
-      EXPECT_LE(r.error_rate, 1.0);
-      EXPECT_LE(r.goodput_mbps, r.throughput_mbps());
-      EXPECT_GE(r.fast_hit_rate, 0.0);
-      EXPECT_LE(r.fast_hit_rate, 1.0);
-      if (!p.fast_targets || crossbar) EXPECT_EQ(r.fast_hit_rate, 0.0);
-      if (crossbar) EXPECT_EQ(r.contended_picks, 0u);
+      expect_row_invariants(p, r);
       if (r.fast_hit_rate > 0.0) ++fast_rows_with_hits;
     }
   }
-  // The fast-path bounds above are not vacuous: the -fast points hit.
+  // The fast-path bounds are not vacuous: the -fast points hit.
   EXPECT_GT(fast_rows_with_hits, 0u);
+}
+
+// The same invariants on the faulted grid: every timing point with one
+// active FaultProfile (errors, latency spikes, arbiter stalls) and one
+// active RetrySpec (re-issues with backoff and a per-attempt watchdog).
+TEST(Explorer, EveryFaultedGridRowKeepsTheRowInvariants) {
+  GridSpec spec;
+  spec.faults = {{"flaky", 0xfa, 0.05, 0.03, 4, 0.02, 2}};
+  spec.retries = {{"r6", 6, 2, 2_us}};
+  const auto plats = grid_candidates(spec);
+  const auto loads = workload_candidates();
+  ASSERT_EQ(plats.size() * loads.size(), 540u);
+  Explorer ex;
+  std::uint64_t retried = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t errored_rows = 0;
+  for (const Platform& p : plats) {
+    ASSERT_TRUE(p.fault.active() && p.retry.active()) << p.name;
+    for (const auto& w : loads) {
+      const ExplorationRow r = ex.evaluate(p, w, 200_ms);
+      expect_row_invariants(p, r);
+      retried += r.retries;
+      timeouts += r.timeouts;
+      if (r.error_rate > 0.0) ++errored_rows;
+    }
+  }
+  // The failure paths ran: every row saw injected errors, which were
+  // retried, and watchdogs fired.
+  EXPECT_GT(retried, 0u);
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_EQ(errored_rows, plats.size() * loads.size());
 }
 
 // analyze_log's claim: every latency column of a row is bit-identical to
@@ -595,6 +609,50 @@ TEST(Explorer, ParallelSweepPropagatesFactoryExceptions) {
       }};
   EXPECT_THROW(ex.sweep_parallel(default_candidates(), {boom}, 10_ms, 4),
                std::runtime_error);
+}
+
+// A workload that deadlocks by construction — each sink waits for more
+// messages than its producer sends — stops where its activity runs out,
+// long before the horizon: run_until_done reports an unfinished
+// workload on an idle simulator, and the row reads neither completed
+// nor pruned, with its simulated time below the horizon. Checked with
+// hardware sinks and with a software sink behind the HW/SW driver.
+TEST(Explorer, DeadlockedCellStopsAtItsDeadlock) {
+  for (const bool sw_sink : {false, true}) {
+    const WorkloadCase starved{
+        sw_sink ? "starved-sw-sink" : "starved-sink",
+        [sw_sink](SystemGraph& g,
+                  std::vector<std::unique_ptr<ProcessingElement>>& o) {
+          auto prod = std::make_unique<workload::ProducerPe>("prod", 4, 64, 20);
+          auto sink = std::make_unique<workload::SinkPe>("sink", 8);
+          g.add_pe(*prod);
+          g.add_pe(*sink);
+          g.connect("ch", *prod, "out", *sink, "in", 2);
+          if (sw_sink) g.set_partition(*sink, Partition::Software);
+          o.push_back(std::move(prod));
+          o.push_back(std::move(sink));
+        }};
+    SCOPED_TRACE(starved.name);
+    const Time horizon = 10_ms;
+    std::vector<std::unique_ptr<ProcessingElement>> owned;
+    SystemGraph graph;
+    starved.factory(graph, owned);
+    graph.discover_roles();
+    Simulator sim;
+    auto ms = Mapper::map(sim, graph, Platform{}, AbstractionLevel::Cam);
+    EXPECT_FALSE(ms->run_until_done(horizon));
+    EXPECT_TRUE(sim.idle());
+    EXPECT_GT(sim.now(), Time::zero());
+    EXPECT_LT(sim.now(), horizon);
+
+    Explorer ex;
+    const ExplorationRow row = ex.evaluate(Platform{}, starved, horizon);
+    EXPECT_FALSE(row.completed);
+    EXPECT_FALSE(row.pruned);
+    EXPECT_EQ(row.sim_time_us, sim.now().to_seconds() * 1e6);
+    EXPECT_LT(row.sim_time_us, horizon.to_seconds() * 1e6);
+    EXPECT_GT(row.transactions, 0u);
+  }
 }
 
 // A horizon too short to finish leaves PE threads parked inside bus

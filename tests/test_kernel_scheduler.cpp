@@ -312,3 +312,57 @@ TEST(Scheduler, RunQueueCompactsCorrectlyWhenPoppedFromBothEnds) {
   }
   EXPECT_TRUE(q.empty());
 }
+
+// stop() ends the run as soon as the calling process yields: run()
+// returns at the same instant, before a co-runnable thread is
+// dispatched, and the next run() dispatches that thread at that instant.
+TEST(Scheduler, StopFromAThreadReturnsBeforeTheNextDispatch) {
+  Simulator sim;
+  bool second_ran = false;
+  Time second_at;
+  sim.spawn_thread("stopper", [&] {
+    wait(5_ns);
+    sim.stop();
+  });
+  sim.spawn_thread("second", [&] {
+    wait(5_ns);
+    second_ran = true;
+    second_at = sim.now();
+  });
+  sim.run();
+  EXPECT_EQ(sim.now(), 5_ns);
+  EXPECT_FALSE(second_ran);
+  EXPECT_FALSE(sim.idle());
+  sim.run();
+  EXPECT_TRUE(second_ran);
+  EXPECT_EQ(second_at, 5_ns);
+  EXPECT_EQ(sim.now(), 5_ns);
+}
+
+// The same from a method process: methods run before threads in an
+// evaluation phase, so the thread that became runnable with the method
+// waits for the next run().
+TEST(Scheduler, StopFromAMethodReturnsBeforeTheNextDispatch) {
+  Simulator sim;
+  Event go(sim, "go");
+  bool thread_ran = false;
+  Time thread_at;
+  sim.spawn_method("stopper", [&] { sim.stop(); }, {&go},
+                   /*run_at_start=*/false);
+  sim.spawn_thread("kick", [&] {
+    wait(5_ns);
+    go.notify();
+  });
+  sim.spawn_thread("second", [&] {
+    wait(5_ns);
+    thread_ran = true;
+    thread_at = sim.now();
+  });
+  sim.run();
+  EXPECT_EQ(sim.now(), 5_ns);
+  EXPECT_FALSE(thread_ran);
+  sim.run();
+  EXPECT_TRUE(thread_ran);
+  EXPECT_EQ(thread_at, 5_ns);
+  EXPECT_EQ(sim.now(), 5_ns);
+}

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "obs/obs.hpp"
 #include "ocp/memory.hpp"
 #include "ocp/ocp.hpp"
+#include "trace/channel_stats.hpp"
 #include "trace/vcd.hpp"
 
 using namespace stlm;
@@ -455,6 +457,61 @@ TEST(ObsIntegration, MappedSystemReportAndDefaultGauges) {
   EXPECT_NE(rep.find("kernel ctx switches"), std::string::npos);
   EXPECT_NE(rep.find("kernel inline advances"), std::string::npos);
   EXPECT_NE(rep.find("bus fast-path hit rate"), std::string::npos);
+}
+
+// Observing a run must not change it. A PeriodicSampler is a process
+// that outlives the workload and a TraceSession hooks every delta, yet
+// the run still ends at the last PE's return with the plain run's
+// completion time, traffic and bus utilization.
+TEST(ObsIntegration, ObserversLeaveTheRunsResultsUnchanged) {
+  enum class Observer { None, Sampler, Trace };
+  struct Result {
+    bool done = false;
+    Time end;
+    std::uint64_t txns = 0;
+    std::uint64_t bytes = 0;
+    double utilization = 0.0;
+  };
+  auto run = [](Observer o) {
+    std::vector<std::unique_ptr<core::ProcessingElement>> owned;
+    core::SystemGraph graph;
+    tiny_factory()(graph, owned);
+    graph.discover_roles();
+    Simulator sim;
+    obs::TraceSession trace;
+    if (o == Observer::Trace) trace.attach(sim);
+    auto ms = core::Mapper::map(sim, graph, fast_plb_platform(),
+                                core::AbstractionLevel::Cam);
+    obs::MetricsRegistry reg;
+    ms->install_default_gauges(reg);
+    std::optional<obs::PeriodicSampler> sampler;
+    if (o == Observer::Sampler) sampler.emplace(sim, reg, 200_ns);
+    Result r;
+    r.done = ms->run_until_done(Time::us(300));
+    if (sampler) sampler->stop();
+    r.end = sim.now();
+    const auto d = trace::latency_dist(ms->txn_log().records());
+    r.txns = d.count;
+    r.bytes = d.bytes;
+    r.utilization = ms->bus()->utilization();
+    if (o == Observer::Sampler) EXPECT_GT(reg.rows().size(), 0u);
+    if (o == Observer::Trace) EXPECT_GT(trace.event_count(), 0u);
+    return r;
+  };
+  const Result plain = run(Observer::None);
+  ASSERT_TRUE(plain.done);
+  ASSERT_GT(plain.txns, 0u);
+  for (const Observer o : {Observer::Sampler, Observer::Trace}) {
+    const Result seen = run(o);
+    const char* which = o == Observer::Sampler ? "sampler" : "trace";
+    EXPECT_TRUE(seen.done) << which;
+    EXPECT_EQ(seen.end, plain.end)
+        << which << " ended at " << seen.end.to_string() << ", plain at "
+        << plain.end.to_string();
+    EXPECT_EQ(seen.txns, plain.txns) << which;
+    EXPECT_EQ(seen.bytes, plain.bytes) << which;
+    EXPECT_EQ(seen.utilization, plain.utilization) << which;
+  }
 }
 
 // Attached OCP monitors show up in the report with their full counter set

@@ -1,7 +1,7 @@
 // Tests for adaptive exploration: the Pareto/successive-halving search
 // driver, the FIFO work pool underneath it, the knob-space neighbor
-// enumeration it mutates with, and the run-budget early-termination
-// hook.
+// enumeration it mutates with, and the pruning of dominated survivors
+// at a shorter horizon.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 using namespace stlm;
 using namespace stlm::core;
 using namespace stlm::expl;
+using stlm::test::expect_row_invariants;
 using stlm::test::expect_sim_columns_equal;
 using stlm::test::two_streams;
 using namespace stlm::time_literals;
@@ -262,39 +263,7 @@ TEST(Explorer, SpawnFailureDegradesParallelSweepLoudly) {
   }
 }
 
-// ------------------------------------------------- run budget / abort ----
-
-TEST(EvalBudget, AbortsMidSimulationAtACleanDeltaBoundary) {
-  Explorer ex;
-  const WorkloadCase wl = two_streams(64, 256);
-  Platform p;
-  const auto full = ex.evaluate(p, wl, 10_ms);
-  ASSERT_TRUE(full.completed);
-  ASSERT_GT(full.sim_time_us, 20.0);
-
-  Explorer::EvalBudget budget;
-  budget.should_abort = [](Time now) { return now >= 10_us; };
-  const auto cut = ex.evaluate(p, wl, 10_ms, budget);
-  EXPECT_TRUE(cut.pruned);
-  EXPECT_FALSE(cut.completed);
-  EXPECT_GE(cut.sim_time_us, 10.0);
-  EXPECT_LT(cut.sim_time_us, full.sim_time_us);
-  EXPECT_LT(cut.transactions, full.transactions);
-}
-
-TEST(EvalBudget, NullAndNeverFiringBudgetsReproduceThePlainRun) {
-  Explorer ex;
-  const WorkloadCase wl = two_streams(8, 64);
-  Platform p;
-  const auto plain = ex.evaluate(p, wl, 10_ms);
-  const auto null_budget = ex.evaluate(p, wl, 10_ms, Explorer::EvalBudget{});
-  expect_sim_columns_equal(plain, null_budget);
-  Explorer::EvalBudget never;
-  never.should_abort = [](Time) { return false; };
-  const auto idle = ex.evaluate(p, wl, 10_ms, never);
-  EXPECT_FALSE(idle.pruned);
-  expect_sim_columns_equal(plain, idle);
-}
+// ---------------------------------------------------------- abort ----
 
 TEST(SearchDriver, DominatedCandidateIsAbortedMidRun) {
   // A fast platform and a much slower one on a single-objective search:
@@ -376,7 +345,10 @@ TEST(SearchDriver, RecoversExhaustiveParetoFrontOnTheDefaultGrid) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     expect_sim_columns_equal(report.frontier[i], expected[i]);
   }
-  EXPECT_EQ(report.frontier.size(), report.frontier_platforms.size());
+  ASSERT_EQ(report.frontier.size(), report.frontier_platforms.size());
+  for (std::size_t i = 0; i < report.frontier.size(); ++i) {
+    expect_row_invariants(report.frontier_platforms[i], report.frontier[i]);
+  }
 
   // The carry-forward economy: at most 50% of the 540 cells may pay the
   // full horizon (here every workload completes inside rung 0, so the
