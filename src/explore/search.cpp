@@ -1,14 +1,17 @@
 #include "explore/search.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <iomanip>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "explore/pool.hpp"
@@ -49,30 +52,75 @@ bool dominates(const ExplorationRow& a, const ExplorationRow& b,
   return strict;
 }
 
-std::vector<std::size_t> pareto_front(
-    const std::vector<ExplorationRow>& rows,
-    const std::vector<Objective>& objectives) {
-  std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < rows.size() && !dominated; ++j) {
-      if (j != i && dominates(rows[j], rows[i], objectives)) dominated = true;
+namespace {
+
+// Non-dominated rows of a row-major n x k matrix of minimized objective
+// values, as ascending row indices. Rows are visited in lexicographic
+// order of their vectors, and a row joins the front unless a row already
+// on it dominates it. A dominator sorts strictly before the row it
+// dominates, and dominance is transitive, so whatever dominates a row
+// has a front member that dominates it by then; a later row never
+// dominates an earlier one, so the front only grows. Equal vectors do not
+// dominate each other and survive together. O(n log n + n * |front|).
+std::vector<std::size_t> front_of(const std::vector<double>& values,
+                                  std::size_t n, std::size_t k) {
+  const double* const v = values.data();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::lexicographical_compare(v + a * k, v + a * k + k, v + b * k,
+                                        v + b * k + k);
+  });
+  const auto dominated_by = [&](std::size_t a, std::size_t b) {
+    bool strict = false;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (v[a * k + j] > v[b * k + j]) return false;
+      if (v[a * k + j] < v[b * k + j]) strict = true;
     }
-    if (!dominated) front.push_back(i);
+    return strict;
+  };
+  std::vector<std::size_t> front;
+  for (const std::size_t i : order) {
+    if (std::none_of(front.begin(), front.end(),
+                     [&](std::size_t f) { return dominated_by(f, i); })) {
+      front.push_back(i);
+    }
   }
+  std::sort(front.begin(), front.end());
   return front;
 }
 
-namespace {
-
-// FNV-1a: stable per-cell hash for mutation's RNG stream — a pure
-// function of the cell's identity, never of evaluation order.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
+// The objective matrix front_of() reads: row i holds the objective
+// values of row_at(i).
+template <typename RowAt>
+std::vector<double> objective_matrix(std::size_t n, RowAt row_at,
+                                     const std::vector<Objective>& objectives) {
+  std::vector<double> values;
+  values.reserve(n * objectives.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const Objective o : objectives) {
+      values.push_back(objective_value(row_at(i), o));
+    }
   }
+  return values;
+}
+
+// FNV-1a over the cell key "<platform name>\n<workload index>": the
+// cell's table key and the seed of its mutation stream, so a pure
+// function of the cell's identity, never of evaluation order.
+std::uint64_t cell_hash(std::string_view platform_name, std::size_t workload) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::string_view s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  char digits[24];
+  const auto res = std::to_chars(digits, digits + sizeof digits, workload);
+  mix(platform_name);
+  mix("\n");
+  mix(std::string_view(digits, static_cast<std::size_t>(res.ptr - digits)));
   return h;
 }
 
@@ -85,6 +133,7 @@ constexpr std::size_t kNoDepth = static_cast<std::size_t>(-1);
 struct Cell {
   core::Platform platform;
   std::size_t workload = 0;  // index into the workload list
+  std::uint64_t hash = 0;    // cell_hash(platform.name, workload)
   std::size_t depth = 0;     // mutation hops from a seed candidate
   // Depth this cell last proposed neighbors at (kNoDepth = never). A
   // later, shorter discovery path relaxes `depth` below it and the cell
@@ -92,12 +141,32 @@ struct Cell {
   std::size_t expanded_at = kNoDepth;
   ExplorationRow row;
   bool evaluated = false;
-  bool done = false;       // row is final: the workload completed
-  bool alive = true;       // survived every selection so far
-  bool off_front = false;  // dominated at the last selection (pad keep)
+  bool done = false;        // row is final: the workload completed
+  bool deadlocked = false;  // stopped before its horizon, not completed
+  bool alive = true;        // survived every selection so far
+  bool off_front = false;   // dominated at the last selection (pad keep)
+};
+
+// A cell's turn to propose neighbors at depth `at`; `first` keeps
+// re-expansions out of the proposal counter.
+struct Expansion {
+  Cell* cell;
+  std::size_t at;
+  bool first;
 };
 
 }  // namespace
+
+std::vector<std::size_t> pareto_front(
+    const std::vector<ExplorationRow>& rows,
+    const std::vector<Objective>& objectives) {
+  return front_of(
+      objective_matrix(
+          rows.size(),
+          [&](std::size_t i) -> const ExplorationRow& { return rows[i]; },
+          objectives),
+      rows.size(), objectives.size());
+}
 
 SearchDriver::SearchDriver(SearchConfig cfg) : cfg_(std::move(cfg)) {}
 
@@ -110,24 +179,41 @@ SearchReport SearchDriver::run(Explorer& ex,
   SearchReport report;
   const std::size_t n_wl = workloads.size();
 
-  auto cell_key = [](const std::string& platform_name, std::size_t wl) {
-    return platform_name + '\n' + std::to_string(wl);
-  };
-
+  // Sized for the seeds plus every point of `space`, so a search whose
+  // seeds lie in its space never rehashes the table under the lock.
+  std::size_t space_points = 0;
+  if (cfg_.mutation_depth > 0) {
+    const core::KnobSpace& sp = cfg_.space;
+    space_points = sp.buses.size() * sp.arbs.size() * sp.bus_cycles.size() *
+                   sp.data_widths.size() * sp.max_outstanding.size() *
+                   sp.fast_targets.size();
+  }
   std::deque<Cell> cells;
-  std::map<std::string, Cell*> seen;
-  std::mutex m;  // guards cells growth, seen, and report counters
+  std::unordered_multimap<std::uint64_t, Cell*> seen;  // by Cell::hash
+  seen.reserve((platforms.size() + space_points) * n_wl);
+  std::mutex m;  // guards cells growth, seen, depths, and report counters
+  // Names are compared on a hash hit, so colliding cells stay distinct.
+  const auto find_cell = [&seen](std::uint64_t hash, const std::string& name,
+                                 std::size_t workload) -> Cell* {
+    for (auto [it, end] = seen.equal_range(hash); it != end; ++it) {
+      Cell* const c = it->second;
+      if (c->workload == workload && c->platform.name == name) return c;
+    }
+    return nullptr;
+  };
   for (const auto& p : platforms) {
     for (std::size_t w = 0; w < n_wl; ++w) {
-      if (seen.count(cell_key(p.name, w))) continue;
-      Cell c;
+      const std::uint64_t h = cell_hash(p.name, w);
+      if (find_cell(h, p.name, w) != nullptr) continue;
+      Cell& c = cells.emplace_back();
       c.platform = p;
       c.workload = w;
-      cells.push_back(std::move(c));
-      seen.emplace(cell_key(p.name, w), &cells.back());
+      c.hash = h;
+      seen.emplace(h, &c);
     }
   }
   const std::size_t n_seed_cells = cells.size();
+  const std::size_t n_obj = cfg_.objectives.size();
 
   const std::size_t n_rungs = cfg_.horizons.size();
   for (std::size_t r = 0; r < n_rungs; ++r) {
@@ -175,75 +261,95 @@ SearchReport SearchDriver::run(Explorer& ex,
     // a pure function of (seeds, space, seed), at any thread count. The
     // pool's FIFO order admits most cells by a shortest path already,
     // so re-expansions stay rare.
+    //
+    // `m` guards bookkeeping only: table lookups and inserts, depths and
+    // expansion marks, and the report counters. Neighbor enumeration,
+    // key hashing and every pool.submit happen outside it; a task claims
+    // its follow-up work under the lock and submits it after unlocking.
     std::function<void(Cell*)> eval_cell;
-    std::function<void(Cell*, std::size_t, bool)> expand_cell;
+    std::function<void(const Expansion&)> expand_cell;
 
-    // Caller holds `m`. `first` keeps re-expansions out of the proposal
-    // counter: a cell contributes its picks to `proposed` exactly once.
-    auto schedule_expand = [&](Cell* c) {
-      const bool first = c->expanded_at == kNoDepth;
-      const std::size_t at = c->depth;
-      c->expanded_at = at;
-      pool.submit([&expand_cell, c, at, first] { expand_cell(c, at, first); });
+    // Caller holds `m`.
+    const auto wants_expansion = [&](const Cell& c) {
+      return c.done && c.depth < cfg_.mutation_depth && c.expanded_at > c.depth;
+    };
+    const auto claim_expansion = [](Cell& c) {
+      const Expansion e{&c, c.depth, c.expanded_at == kNoDepth};
+      c.expanded_at = c.depth;
+      return e;
+    };
+    const auto submit_eval = [&](Cell* c) {
+      pool.submit([&eval_cell, c] { eval_cell(c); });
+    };
+    const auto submit_expansion = [&](const Expansion& e) {
+      pool.submit([&expand_cell, e] { expand_cell(e); });
     };
 
-    expand_cell = [&](Cell* c, std::size_t at_depth, bool first) {
-      auto neighbors = core::grid_neighbors(c->platform, cfg_.space);
+    expand_cell = [&](const Expansion& e) {
+      const Cell& c = *e.cell;
+      auto neighbors = core::grid_neighbors(c.platform, cfg_.space);
       if (neighbors.empty()) return;
-      workload::SplitMix64 g(workload::SplitMix64::derive(
-          cfg_.seed, fnv1a(cell_key(c->platform.name, c->workload))));
+      workload::SplitMix64 g(workload::SplitMix64::derive(cfg_.seed, c.hash));
       const std::size_t picks = std::min(cfg_.mutation_limit, neighbors.size());
+      std::vector<std::uint64_t> keys(picks);
       for (std::size_t k = 0; k < picks; ++k) {
         const std::size_t j =
             k + static_cast<std::size_t>(g.uniform(0, neighbors.size() - 1 - k));
         std::swap(neighbors[k], neighbors[j]);
+        keys[k] = cell_hash(neighbors[k].name, c.workload);
       }
-      std::lock_guard<std::mutex> lock(m);
-      if (first) report.proposed += picks;
-      for (std::size_t k = 0; k < picks; ++k) {
-        const std::string key = cell_key(neighbors[k].name, c->workload);
-        const auto it = seen.find(key);
-        if (it == seen.end()) {
-          Cell nc;
-          nc.platform = std::move(neighbors[k]);
-          nc.workload = c->workload;
-          nc.depth = at_depth + 1;
-          cells.push_back(std::move(nc));
-          Cell* const fresh = &cells.back();
-          seen.emplace(key, fresh);
-          pool.submit([&eval_cell, fresh] { eval_cell(fresh); });
-        } else if (Cell* const hit = it->second; hit->depth > at_depth + 1) {
-          hit->depth = at_depth + 1;
-          if (hit->done && hit->depth < cfg_.mutation_depth &&
-              hit->expanded_at > hit->depth) {
-            schedule_expand(hit);
+      std::vector<Cell*> fresh;
+      std::vector<Expansion> again;
+      fresh.reserve(picks);
+      {
+        std::lock_guard<std::mutex> lock(m);
+        if (e.first) report.proposed += picks;
+        for (std::size_t k = 0; k < picks; ++k) {
+          Cell* const hit = find_cell(keys[k], neighbors[k].name, c.workload);
+          if (hit == nullptr) {
+            Cell& nc = cells.emplace_back();
+            nc.platform = std::move(neighbors[k]);
+            nc.workload = c.workload;
+            nc.hash = keys[k];
+            nc.depth = e.at + 1;
+            seen.emplace(keys[k], &nc);
+            fresh.push_back(&nc);
+          } else if (hit->depth > e.at + 1) {
+            hit->depth = e.at + 1;
+            if (wants_expansion(*hit)) again.push_back(claim_expansion(*hit));
           }
         }
       }
+      for (Cell* const f : fresh) submit_eval(f);
+      for (const Expansion& x : again) submit_expansion(x);
     };
 
     eval_cell = [&](Cell* c) {
       // A dominated survivor runs only up to abort_at; one that has not
-      // finished by then is pruned.
+      // finished by then is pruned. A cell that stops short of the time
+      // it was run to has nothing left to run: it is deadlocked, and
+      // final as it stands. (A run cut by its horizon stops exactly
+      // there, and sim_time_us converts sim.now() the same way.)
       const bool cut_short = c->off_front && abort_at > Time::zero() &&
                              abort_at < horizon;
-      c->row = ex.evaluate(c->platform, workloads[c->workload],
-                           cut_short ? abort_at : horizon);
-      c->row.pruned = cut_short && !c->row.completed;
+      const Time run_to = cut_short ? abort_at : horizon;
+      c->row = ex.evaluate(c->platform, workloads[c->workload], run_to);
+      c->deadlocked = !c->row.completed &&
+                      c->row.sim_time_us < run_to.to_seconds() * 1e6;
+      c->row.pruned = cut_short && !c->row.completed && !c->deadlocked;
       c->evaluated = true;
-      std::lock_guard<std::mutex> lock(m);
-      c->done = c->row.completed;
-      ++rs.evaluated;
-      if (c->row.pruned) ++rs.aborted;
-      if (mutate && c->done && c->depth < cfg_.mutation_depth &&
-          c->expanded_at > c->depth) {
-        schedule_expand(c);
+      std::optional<Expansion> next;
+      {
+        std::lock_guard<std::mutex> lock(m);
+        c->done = c->row.completed;
+        ++rs.evaluated;
+        if (c->row.pruned) ++rs.aborted;
+        if (mutate && wants_expansion(*c)) next = claim_expansion(*c);
       }
+      if (next) submit_expansion(*next);
     };
 
-    for (Cell* c : to_eval) {
-      pool.submit([&eval_cell, c] { eval_cell(c); });
-    }
+    for (Cell* c : to_eval) submit_eval(c);
     pool.run();
     if (pool.first_error()) std::rethrow_exception(pool.first_error());
     if (mutate) {
@@ -258,11 +364,11 @@ SearchReport SearchDriver::run(Explorer& ex,
       std::vector<Cell*> group;
       for (Cell& c : cells) {
         if (!c.alive || c.workload != g) continue;
-        if (c.row.pruned) {
-          // Pruning is a terminal verdict: the truncated row
-          // never competes with completed rows.
+        if (c.row.pruned || c.deadlocked) {
+          // Both are terminal verdicts: a truncated or deadlocked row
+          // never competes with completed rows, and is never re-run.
           c.alive = false;
-          ++report.pruned_cells;
+          ++(c.deadlocked ? report.deadlocked_cells : report.pruned_cells);
           continue;
         }
         group.push_back(&c);
@@ -270,10 +376,11 @@ SearchReport SearchDriver::run(Explorer& ex,
       std::sort(group.begin(), group.end(), [](const Cell* a, const Cell* b) {
         return a->platform.name < b->platform.name;
       });
-      std::vector<ExplorationRow> rows;
-      rows.reserve(group.size());
-      for (const Cell* c : group) rows.push_back(c->row);
-      const auto front = pareto_front(rows, cfg_.objectives);
+      const std::vector<double> values = objective_matrix(
+          group.size(),
+          [&](std::size_t i) -> const ExplorationRow& { return group[i]->row; },
+          cfg_.objectives);
+      const auto front = front_of(values, group.size(), n_obj);
 
       if (r + 1 < n_rungs) {
         // Successive-halving selection: the front always survives; pads
@@ -287,15 +394,16 @@ SearchReport SearchDriver::run(Explorer& ex,
         };
         const std::size_t cap = std::max(frac(cfg_.keep_fraction), kept);
         const std::size_t pad = frac(cfg_.pad_fraction);
-        for (const Objective o : cfg_.objectives) {
-          std::vector<std::size_t> order(group.size());
+        std::vector<std::size_t> order(group.size());
+        for (std::size_t o = 0; o < n_obj && kept < cap; ++o) {
+          // Ties on the objective fall to the index, which is name order.
           for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
           std::sort(order.begin(), order.end(),
                     [&](std::size_t a, std::size_t b) {
-                      const double va = objective_value(rows[a], o);
-                      const double vb = objective_value(rows[b], o);
+                      const double va = values[a * n_obj + o];
+                      const double vb = values[b * n_obj + o];
                       if (va != vb) return va < vb;
-                      return group[a]->platform.name < group[b]->platform.name;
+                      return a < b;
                     });
           for (std::size_t i = 0; i < pad && i < order.size(); ++i) {
             if (kept >= cap) break;
@@ -375,8 +483,13 @@ void SearchDriver::print_frontier(std::ostream& os,
   os << "\ncandidates=" << report.candidates_seen
      << " proposed=" << report.proposed
      << " duplicates=" << report.duplicates
-     << " pruned=" << report.pruned_cells
-     << " full_horizon_evals=" << report.full_horizon_evals
+     << " pruned=" << report.pruned_cells;
+  // Only a search that met a deadlock says so, so the summary of every
+  // other search keeps its layout.
+  if (report.deadlocked_cells > 0) {
+    os << " deadlocked=" << report.deadlocked_cells;
+  }
+  os << " full_horizon_evals=" << report.full_horizon_evals
      << " frontier=" << report.frontier.size() << "\n";
 }
 

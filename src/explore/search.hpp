@@ -7,14 +7,17 @@
 // horizon. A cell whose workload *completes* at any horizon has a final,
 // horizon-independent row (the run stops at the last PE's return, so
 // re-running it with a longer horizon reproduces the same row bit for
-// bit) — it is carried forward, never re-simulated. Only cells still
-// running at the rung's horizon pay for the next, longer rung; that is
-// what caps full-horizon evaluations well below the grid size. Between
-// rungs the survivor set shrinks to the Pareto front plus a configurable
-// pad of near-front cells, and surviving dominated cells re-run under a
-// shorter horizon: the completion time the front has already
-// demonstrated, times abort_slack. One that does not finish by then is
-// pruned.
+// bit) — it is carried forward, never re-simulated. So is a cell that
+// deadlocks: it stops, incomplete, before the time it was run to, and a
+// longer horizon would stop it at the same instant; it leaves the search
+// (SearchReport::deadlocked_cells) and never reaches the frontier. Only
+// cells still running at the rung's horizon pay for the next, longer
+// rung; that is what caps full-horizon evaluations well below the grid
+// size. Between rungs the survivor set shrinks to the Pareto front plus
+// a configurable pad of near-front cells, and surviving dominated cells
+// re-run under a shorter horizon: the completion time the front has
+// already demonstrated, times abort_slack. One that does not finish by
+// then is pruned.
 //
 // Determinism: candidate identity is (platform name, workload), results
 // land in per-cell slots, every set operation (selection, fronts, the
@@ -22,6 +25,10 @@
 // its SplitMix64 stream from the parent cell's name hash — never from
 // execution order. Same-seed searches are byte-identical, at any thread
 // count.
+//
+// Concurrency: workers simulate cells and enumerate neighbors without
+// holding the driver's lock; they take it only for bookkeeping (the cell
+// table, depths, counters) and submit follow-up tasks after releasing it.
 
 #include <cstdint>
 #include <ostream>
@@ -47,7 +54,11 @@ bool dominates(const ExplorationRow& a, const ExplorationRow& b,
 
 // Indices of the non-dominated rows of `rows` under `objectives`, in
 // input order. Non-strict ties survive: two rows with identical
-// objective vectors are both on the front.
+// objective vectors are both on the front. Precondition: no objective
+// value is NaN (throughput_mbps() and cost_proxy() guard their
+// divisions, so rows from Explorer::evaluate never carry one). Sorts the
+// rows by objective vector, then scans each against the front so far:
+// O(n log n + n * |front|) rather than all pairs.
 std::vector<std::size_t> pareto_front(const std::vector<ExplorationRow>& rows,
                                       const std::vector<Objective>& objectives);
 
@@ -109,6 +120,7 @@ struct SearchReport {
   std::size_t proposed = 0;            // mutation proposals generated
   std::size_t duplicates = 0;          // proposals rejected as already seen
   std::size_t pruned_cells = 0;        // cells pruned at their abort time
+  std::size_t deadlocked_cells = 0;    // cells that stopped short, incomplete
   std::size_t full_horizon_evals = 0;  // evaluations run at the last horizon
 };
 

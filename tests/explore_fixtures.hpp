@@ -39,6 +39,25 @@ inline workload::WorkloadCase two_streams(std::uint64_t msgs,
           }};
 }
 
+// A 4-message producer feeding a sink that waits for 8: on every
+// platform the four arrive and then nothing is left to run, so the cell
+// deadlocks. `sw_sink` puts the sink behind the HW/SW driver.
+inline workload::WorkloadCase starved_sink(bool sw_sink = false) {
+  return {sw_sink ? "starved-sw-sink" : "starved-sink",
+          [sw_sink](core::SystemGraph& g,
+                    std::vector<std::unique_ptr<core::ProcessingElement>>& o) {
+            auto prod =
+                std::make_unique<workload::ProducerPe>("prod", 4, 64, 20);
+            auto sink = std::make_unique<workload::SinkPe>("sink", 8);
+            g.add_pe(*prod);
+            g.add_pe(*sink);
+            g.connect("ch", *prod, "out", *sink, "in", 2);
+            if (sw_sink) g.set_partition(*sink, core::Partition::Software);
+            o.push_back(std::move(prod));
+            o.push_back(std::move(sink));
+          }};
+}
+
 // Every simulated column — everything except the host-side wall clock
 // and the sweep's shared_from note.
 inline void expect_sim_columns_equal(const expl::ExplorationRow& a,

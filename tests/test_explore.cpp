@@ -619,19 +619,7 @@ TEST(Explorer, ParallelSweepPropagatesFactoryExceptions) {
 // hardware sinks and with a software sink behind the HW/SW driver.
 TEST(Explorer, DeadlockedCellStopsAtItsDeadlock) {
   for (const bool sw_sink : {false, true}) {
-    const WorkloadCase starved{
-        sw_sink ? "starved-sw-sink" : "starved-sink",
-        [sw_sink](SystemGraph& g,
-                  std::vector<std::unique_ptr<ProcessingElement>>& o) {
-          auto prod = std::make_unique<workload::ProducerPe>("prod", 4, 64, 20);
-          auto sink = std::make_unique<workload::SinkPe>("sink", 8);
-          g.add_pe(*prod);
-          g.add_pe(*sink);
-          g.connect("ch", *prod, "out", *sink, "in", 2);
-          if (sw_sink) g.set_partition(*sink, Partition::Software);
-          o.push_back(std::move(prod));
-          o.push_back(std::move(sink));
-        }};
+    const WorkloadCase starved = stlm::test::starved_sink(sw_sink);
     SCOPED_TRACE(starved.name);
     const Time horizon = 10_ms;
     std::vector<std::unique_ptr<ProcessingElement>> owned;

@@ -18,12 +18,14 @@
 #include "explore/explore.hpp"
 #include "explore_fixtures.hpp"
 #include "kernel/kernel.hpp"
+#include "workload/rng.hpp"
 
 using namespace stlm;
 using namespace stlm::core;
 using namespace stlm::expl;
 using stlm::test::expect_row_invariants;
 using stlm::test::expect_sim_columns_equal;
+using stlm::test::starved_sink;
 using stlm::test::two_streams;
 using namespace stlm::time_literals;
 
@@ -363,41 +365,76 @@ TEST(SearchDriver, RecoversExhaustiveParetoFrontOnTheDefaultGrid) {
 TEST(SearchDriver, SameSeedSearchesAreByteIdenticalAcrossThreadCounts) {
   // Mutation on, starting from a handful of seeds: the discovered
   // candidate set, the report counters, and the printed frontier must
-  // not depend on run or thread count.
-  const GridSpec spec;
-  const auto grid = grid_candidates(spec);
-  const std::vector<Platform> seeds(grid.begin(), grid.begin() + 4);
-  const std::vector<workload::WorkloadCase> wls{
-      workload::workload_candidates()[0]};
-
-  auto search = [&](unsigned n_threads) {
-    Explorer ex;
-    SearchConfig cfg;
-    cfg.space = spec.knobs;
-    cfg.mutation_depth = 2;
-    cfg.mutation_limit = 3;
-    cfg.n_threads = n_threads;
-    SearchDriver driver(cfg);
-    const auto report = driver.run(ex, seeds, wls);
-    std::ostringstream os;
-    SearchDriver::print_frontier(os, report);
-    return std::pair<SearchReport, std::string>(report, os.str());
+  // not depend on run or thread count. Two spaces: the default grid's,
+  // and perfbench's expanded one mutated three hops deep from ten
+  // grid points (349 admitted cells, 978 duplicate proposals). Under
+  // TSan this also checks the driver lock's discipline.
+  struct Case {
+    const char* name;
+    KnobSpace space;
+    std::vector<Platform> seeds;
+    std::vector<WorkloadCase> wls;
+    std::size_t depth;
+    std::size_t limit;
   };
+  const auto grid = grid_candidates();
+  KnobSpace expanded;
+  expanded.buses = {BusKind::SharedBus, BusKind::Plb, BusKind::Opb,
+                    BusKind::Crossbar};
+  expanded.arbs = {ArbKind::Priority, ArbKind::RoundRobin, ArbKind::Tdma,
+                   ArbKind::PriorityAging, ArbKind::Bandwidth};
+  expanded.bus_cycles = {5_ns, 10_ns, 20_ns, 40_ns};
+  expanded.data_widths = {2, 4, 8, 16};
+  expanded.max_outstanding = {1, 2, 4, 8};
+  expanded.fast_targets = {false, true};
+  const std::vector<Case> cases{
+      {"default grid", GridSpec{}.knobs,
+       std::vector<Platform>(grid.begin(), grid.begin() + 4),
+       {workload::workload_candidates()[0]}, 2, 3},
+      {"perfbench space", expanded,
+       std::vector<Platform>(grid.begin(), grid.begin() + 10),
+       {two_streams(1, 16)}, 3, 12}};
 
-  const auto [ra, sa] = search(4);
-  const auto [rb, sb] = search(4);
-  const auto [rc, sc] = search(1);
-  EXPECT_EQ(sa, sb);
-  EXPECT_EQ(sa, sc);
-  EXPECT_GT(ra.proposed, 0u);
-  EXPECT_GT(ra.candidates_seen, seeds.size());  // mutation discovered work
-  EXPECT_EQ(ra.candidates_seen, rb.candidates_seen);
-  EXPECT_EQ(ra.candidates_seen, rc.candidates_seen);
-  EXPECT_EQ(ra.duplicates, rb.duplicates);
-  EXPECT_EQ(ra.proposed, rb.proposed);
-  ASSERT_EQ(ra.frontier.size(), rc.frontier.size());
-  for (std::size_t i = 0; i < ra.frontier.size(); ++i) {
-    expect_sim_columns_equal(ra.frontier[i], rc.frontier[i]);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto search = [&](unsigned n_threads) {
+      Explorer ex;
+      SearchConfig cfg;
+      cfg.space = c.space;
+      cfg.mutation_depth = c.depth;
+      cfg.mutation_limit = c.limit;
+      cfg.n_threads = n_threads;
+      SearchDriver driver(cfg);
+      const auto report = driver.run(ex, c.seeds, c.wls);
+      std::ostringstream os;
+      SearchDriver::print_frontier(os, report);
+      return std::pair<SearchReport, std::string>(report, os.str());
+    };
+
+    const auto [one, one_text] = search(1);
+    EXPECT_GT(one.proposed, 0u);
+    EXPECT_GT(one.candidates_seen, c.seeds.size());  // mutation found work
+    for (const unsigned n_threads : {1u, 4u, 4u}) {
+      const auto [r, text] = search(n_threads);
+      EXPECT_EQ(text, one_text);
+      EXPECT_EQ(r.candidates_seen, one.candidates_seen);
+      EXPECT_EQ(r.proposed, one.proposed);
+      EXPECT_EQ(r.duplicates, one.duplicates);
+      EXPECT_EQ(r.pruned_cells, one.pruned_cells);
+      EXPECT_EQ(r.deadlocked_cells, one.deadlocked_cells);
+      EXPECT_EQ(r.full_horizon_evals, one.full_horizon_evals);
+      ASSERT_EQ(r.rungs.size(), one.rungs.size());
+      for (std::size_t i = 0; i < r.rungs.size(); ++i) {
+        EXPECT_EQ(r.rungs[i].evaluated, one.rungs[i].evaluated) << i;
+        EXPECT_EQ(r.rungs[i].carried, one.rungs[i].carried) << i;
+        EXPECT_EQ(r.rungs[i].cut, one.rungs[i].cut) << i;
+        EXPECT_EQ(r.rungs[i].aborted, one.rungs[i].aborted) << i;
+      }
+      ASSERT_EQ(r.frontier.size(), one.frontier.size());
+      for (std::size_t i = 0; i < r.frontier.size(); ++i) {
+        expect_sim_columns_equal(r.frontier[i], one.frontier[i]);
+      }
+    }
   }
 }
 
@@ -435,4 +472,124 @@ TEST(SearchDriver, SingleHorizonSearchFrontsAllCandidates) {
     const auto direct = ex.evaluate(report.frontier_platforms[i], wl, 50_ms);
     expect_sim_columns_equal(report.frontier[i], direct);
   }
+}
+
+// ------------------------------------------------------- deadlocks ----
+
+namespace {
+
+std::vector<Platform> plb_and_opb() {
+  std::vector<Platform> out;
+  for (const auto& p : grid_candidates()) {
+    if (p.name == "plb-priority-10ns-32b" ||
+        p.name == "opb-priority-20ns-32b") {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(SearchDriver, DeadlockedCellsAreFinalAtRungZero) {
+  const auto plats = plb_and_opb();
+  ASSERT_EQ(plats.size(), 2u);
+  Explorer ex;
+  SearchDriver driver{SearchConfig{}};
+  const auto report = driver.run(ex, plats, {starved_sink()});
+
+  ASSERT_EQ(report.rungs.size(), 2u);
+  EXPECT_EQ(report.rungs[0].evaluated, 2u);
+  EXPECT_EQ(report.rungs[1].evaluated, 0u);  // never re-simulated
+  EXPECT_EQ(report.rungs[1].carried, 0u);
+  EXPECT_EQ(report.full_horizon_evals, 0u);
+  EXPECT_EQ(report.deadlocked_cells, 2u);
+  EXPECT_EQ(report.pruned_cells, 0u);
+  EXPECT_TRUE(report.frontier.empty());
+  EXPECT_TRUE(report.frontier_platforms.empty());
+
+  std::ostringstream os;
+  SearchDriver::print_frontier(os, report);
+  EXPECT_NE(os.str().find(" deadlocked=2 "), std::string::npos) << os.str();
+}
+
+TEST(SearchDriver, DeadlockedCellsLeaveOnlyTheCompletingWorkloadOnTheFront) {
+  const auto plats = plb_and_opb();
+  ASSERT_EQ(plats.size(), 2u);
+  WorkloadCase fine = two_streams(8, 128);
+  fine.name = "fine";
+  Explorer ex;
+  SearchDriver driver{SearchConfig{}};
+  const auto report = driver.run(ex, plats, {starved_sink(), fine});
+
+  EXPECT_EQ(report.deadlocked_cells, 2u);
+  EXPECT_EQ(report.full_horizon_evals, 0u);
+  ASSERT_FALSE(report.frontier.empty());
+  ASSERT_EQ(report.frontier.size(), report.frontier_platforms.size());
+  for (std::size_t i = 0; i < report.frontier.size(); ++i) {
+    EXPECT_EQ(report.frontier[i].workload, "fine");
+    expect_row_invariants(report.frontier_platforms[i], report.frontier[i]);
+  }
+
+  // A search that meets no deadlock prints no deadlock count.
+  SearchReport none = report;
+  none.deadlocked_cells = 0;
+  std::ostringstream os;
+  SearchDriver::print_frontier(os, none);
+  EXPECT_EQ(os.str().find("deadlocked"), std::string::npos) << os.str();
+}
+
+// ---------------------------------------------------- pareto front ----
+
+TEST(ParetoFront, MatchesTheQuadraticDefinition) {
+  // The reference: a row is on the front when no other row dominates it.
+  const auto reference = [](const std::vector<ExplorationRow>& rows,
+                            const std::vector<Objective>& objectives) {
+    std::vector<std::size_t> front;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      bool dominated = false;
+      for (std::size_t j = 0; j < rows.size() && !dominated; ++j) {
+        dominated = j != i && dominates(rows[j], rows[i], objectives);
+      }
+      if (!dominated) front.push_back(i);
+    }
+    return front;
+  };
+  const std::vector<Objective> all{Objective::Throughput, Objective::Goodput,
+                                   Objective::P99, Objective::Cost};
+  workload::SplitMix64 g(0x9a2e70);
+  std::size_t nonempty_fronts = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Objectives: 1-4 distinct axes in a random order.
+    std::vector<Objective> objectives = all;
+    for (std::size_t k = 0; k + 1 < objectives.size(); ++k) {
+      std::swap(objectives[k],
+                objectives[k + g.uniform(0, objectives.size() - 1 - k)]);
+    }
+    objectives.resize(g.uniform(1, 4));
+    // Small value ranges force ties on single axes; a wide one gives
+    // long fronts.
+    const std::uint64_t span = trial % 3 == 0 ? 1000 : g.uniform(1, 6);
+    const std::size_t n = trial == 0 ? 0 : g.uniform(0, 400);
+    std::vector<ExplorationRow> rows;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!rows.empty() && g.uniform(0, 9) == 0) {
+        rows.push_back(rows[g.uniform(0, rows.size() - 1)]);  // exact copy
+        continue;
+      }
+      ExplorationRow r;
+      r.sim_time_us = static_cast<double>(g.uniform(0, span));
+      r.bytes = g.uniform(0, span);
+      r.goodput_mbps = static_cast<double>(g.uniform(0, span));
+      r.p99_latency_ns = static_cast<double>(g.uniform(0, span)) * 0.5;
+      r.cost = static_cast<double>(g.uniform(0, span));
+      rows.push_back(r);
+    }
+    const auto got = pareto_front(rows, objectives);
+    ASSERT_EQ(got, reference(rows, objectives))
+        << "trial " << trial << ", " << n << " rows, "
+        << objectives.size() << " objectives";
+    if (!got.empty()) ++nonempty_fronts;
+  }
+  EXPECT_GT(nonempty_fronts, 250u);
 }
