@@ -39,7 +39,7 @@ void BM_HwSwRoundTrip(benchmark::State& state) {
     hwsw::HwAdapter adapter(sim, "hwacc", layout);
     bus.attach_slave(adapter, layout.range(), "hwacc");
     cpu::CpuModel cpu(sim, "cpu", 10_ns);
-    cpu.bus().bind(bus.master_port(bus.add_master("cpu")));
+    cpu.bind_bus(bus.master_port(bus.add_master("cpu")));
     cpu::IrqController ic(sim, "ic");
     ic.attach(adapter.irq(), 0);
     rtos::Rtos os(sim, "os", cpu, {1_us, 20});

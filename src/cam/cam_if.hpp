@@ -51,7 +51,8 @@ public:
   /// @return the master's index (stable for the CAM's lifetime)
   std::size_t add_master(const std::string& name);
 
-  /// Access point for master `i`; bind a PE's OcpMasterPort to this.
+  /// Access point for master `i`; a master (CpuModel::bind_bus, a SHIP
+  /// wrapper) holds it as its ocp_tl_master_if.
   /// Its transport() arms `txn` for master `i` and blocks the calling
   /// process until the transaction completes on the modeled
   /// interconnect; the descriptor then carries its phase stamps.

@@ -6,7 +6,7 @@
 // A RetryPolicy is an OCP TL shim: it implements ocp_tl_master_if and
 // forwards to one CAM master's access point, so it drops between any
 // blocking initiator and the fabric without touching PE code — the
-// mapper rebinds CpuModel::bus() and the SHIP master wrappers to the
+// mapper binds CpuModel::bind_bus() and the SHIP master wrappers to the
 // policy when the platform carries an active RetrySpec. Posted
 // (split-window) initiators use the post()/settle() pair instead: post()
 // arms the watchdog and forwards to CamIf::post(); settle(), called by

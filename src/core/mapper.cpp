@@ -227,13 +227,12 @@ void Mapper::build_abstract(MappedSystem& ms, SystemGraph& g, bool timed) {
   }
 
   for (const ChannelSpec& spec : g.channels()) {
-    std::unique_ptr<ship::TimingModel> timing;
+    std::optional<ship::CcatbModel> timing;
     if (timed) {
-      timing = std::make_unique<ship::CcatbModel>(
-          p.bus_cycle, p.bus_width_bytes(), p.ccatb_setup_cycles);
+      timing.emplace(p.bus_cycle, p.bus_width_bytes(), p.ccatb_setup_cycles);
     }
     ms.channels_.push_back(std::make_unique<ship::ShipChannel>(
-        ms.sim_, spec.name, spec.queue_depth, std::move(timing)));
+        ms.sim_, spec.name, spec.queue_depth, timing));
     ship::ShipChannel& ch = *ms.channels_.back();
     ch.set_txn_logger(&ms.log_);
     ctx_of[spec.a]->add_channel(spec.port_a, ch.a());
@@ -293,9 +292,9 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
     if (with_retry) {
       // The driver-level MMIO (HW/SW ShipDriver) rides the CPU's bus
       // port, so one shim in front of it covers the whole SW partition.
-      ms.cpu_->bus().bind(*make_retry("cpu.retry", cpu_midx));
+      ms.cpu_->bind_bus(*make_retry("cpu.retry", cpu_midx));
     } else {
-      ms.cpu_->bus().bind(ms.cam_->master_port(cpu_midx));
+      ms.cpu_->bind_bus(ms.cam_->master_port(cpu_midx));
     }
   }
 

@@ -5,8 +5,18 @@ namespace stlm::cpu {
 CpuModel::CpuModel(Simulator& sim, std::string name, Time period,
                    Module* parent)
     : Module(sim, std::move(name), parent),
-      period_(period),
-      bus_(*this, "bus") {}
+      period_(period) {}
+
+void CpuModel::bind_bus(ocp::ocp_tl_master_if& bus) {
+  STLM_ASSERT(bus_ == nullptr, "bus already bound: " + full_name());
+  bus_ = &bus;
+}
+
+void CpuModel::transport(Txn& t) {
+  if (bus_ == nullptr) throw ElaborationError("unbound bus: " + full_name());
+  ++bus_txns_;
+  bus_->transport(t);
+}
 
 void CpuModel::consume(std::uint64_t cycles) {
   if (cycles == 0) return;
@@ -15,10 +25,9 @@ void CpuModel::consume(std::uint64_t cycles) {
 }
 
 std::uint32_t CpuModel::mmio_read32(std::uint64_t addr) {
-  ++bus_txns_;
   PooledTxn t(sim().txn_pool());
   t->begin_read(addr, 4);
-  bus_->transport(*t);
+  transport(*t);
   if (!t->data_valid()) {
     throw ProtocolError(full_name() + ": bus error reading 0x" +
                         std::to_string(addr));
@@ -34,10 +43,9 @@ void CpuModel::mmio_write32(std::uint64_t addr, std::uint32_t value) {
 
 void CpuModel::mmio_read_append(std::uint64_t addr, std::uint32_t bytes,
                                 std::vector<std::uint8_t>& out) {
-  ++bus_txns_;
   PooledTxn t(sim().txn_pool());
   t->begin_read(addr, bytes);
-  bus_->transport(*t);
+  transport(*t);
   if (!t->data_valid()) {
     throw ProtocolError(full_name() + ": bus error reading block at 0x" +
                         std::to_string(addr));
@@ -47,10 +55,9 @@ void CpuModel::mmio_read_append(std::uint64_t addr, std::uint32_t bytes,
 
 void CpuModel::mmio_write_span(std::uint64_t addr, const void* p,
                                std::size_t n) {
-  ++bus_txns_;
   PooledTxn t(sim().txn_pool());
   t->begin_write(addr, p, n);
-  bus_->transport(*t);
+  transport(*t);
   if (!t->data_valid()) {
     throw ProtocolError(full_name() + ": bus error writing 0x" +
                         std::to_string(addr));

@@ -3,8 +3,8 @@
 //
 // The SW partition of a mapped system executes on this model: an
 // instruction-budget CPU (computation is charged as cycle counts, the
-// Herrera-style timing annotation) with one OCP TL master port into the
-// communication architecture and a set of interrupt inputs.
+// Herrera-style timing annotation) with one OCP TL master interface into
+// the communication architecture and a set of interrupt inputs.
 
 #include <cstdint>
 #include <string>
@@ -20,8 +20,9 @@ public:
   CpuModel(Simulator& sim, std::string name, Time period,
            Module* parent = nullptr);
 
-  // Bind to a CAM master port (or any OCP TL target).
-  ocp::OcpMasterPort& bus() { return bus_; }
+  // Bind the bus: a CAM master port (or any OCP TL target). Once only;
+  // the first MMIO access on an unbound CPU throws, naming the CPU.
+  void bind_bus(ocp::ocp_tl_master_if& bus);
 
   // Charge `cycles` of computation time (callable from task context).
   void consume(std::uint64_t cycles);
@@ -39,8 +40,11 @@ public:
   std::uint64_t bus_transactions() const { return bus_txns_; }
 
 private:
+  // One bus transaction: counts it and carries it to completion.
+  void transport(Txn& t);
+
   Time period_;
-  ocp::OcpMasterPort bus_;
+  ocp::ocp_tl_master_if* bus_ = nullptr;
   std::uint64_t cycles_ = 0;
   std::uint64_t bus_txns_ = 0;
 };

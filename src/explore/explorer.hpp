@@ -191,23 +191,28 @@ public:
   static void print_table(std::ostream& os,
                           const std::vector<ExplorationRow>& rows);
 
-  // Helper-thread creation failures during the last sweep on this
-  // explorer. Non-zero means the sweep *completed correctly* but at
-  // reduced parallelism (the calling thread always participates, so a
-  // failed spawn can never stall the sweep) — degraded, not wrong.
+  // Helper-thread creation failures during the last sweep or search on
+  // this explorer (a search sums its rungs' pools). Non-zero means the
+  // run *completed correctly* but at reduced parallelism (the calling
+  // thread always participates, so a failed spawn can never stall it) —
+  // degraded, not wrong.
   unsigned last_spawn_failures() const { return last_spawn_failures_; }
 
   // Cells of the last sweep whose row was copied from a certified arbiter
   // sibling rather than simulated (rows with shared_from set).
   std::size_t last_shared_cells() const { return last_shared_cells_; }
 
-  // Test seam: substitute how sweep workers are created (see
+  // Test seam: substitute how sweep and search workers are created (see
   // WorkPool::ThreadFactory). Default-constructed = real std::thread.
   void set_thread_factory(WorkPool::ThreadFactory f) {
     thread_factory_ = std::move(f);
   }
 
 private:
+  // A search builds its rung pools from thread_factory_ and reports
+  // their spawn failures through last_spawn_failures_.
+  friend class SearchDriver;
+
   // Fill the row's latency, failure and goodput columns from the cell's
   // transaction log (sim_time_us must already be set).
   void analyze_log(core::MappedSystem& ms, ExplorationRow& row) const;

@@ -178,6 +178,7 @@ SearchReport SearchDriver::run(Explorer& ex,
               "SearchDriver: no objectives configured");
   SearchReport report;
   const std::size_t n_wl = workloads.size();
+  ex.last_spawn_failures_ = 0;  // summed over the rungs' pools below
 
   // Sized for the seeds plus every point of `space`, so a search whose
   // seeds lie in its space never rehashes the table under the lock.
@@ -247,7 +248,8 @@ SearchReport SearchDriver::run(Explorer& ex,
       }
     }
 
-    WorkPool pool(cfg_.n_threads == 0 ? 1 : cfg_.n_threads);
+    WorkPool pool(cfg_.n_threads == 0 ? 1 : cfg_.n_threads,
+                  ex.thread_factory_);
     const bool mutate = r == 0 && cfg_.mutation_depth > 0;
     const Time horizon = rs.horizon;
 
@@ -351,6 +353,7 @@ SearchReport SearchDriver::run(Explorer& ex,
 
     for (Cell* c : to_eval) submit_eval(c);
     pool.run();
+    ex.last_spawn_failures_ += pool.spawn_failures();
     if (pool.first_error()) std::rethrow_exception(pool.first_error());
     if (mutate) {
       // Every proposal either admitted a new cell or hit a seen one;

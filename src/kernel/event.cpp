@@ -19,7 +19,7 @@ Event::Event(Simulator& sim, std::string name)
 }
 
 Event::~Event() {
-  for (ProcessBase* pb : static_) std::erase(pb->static_events_, this);
+  for (MethodProcess* m : static_) std::erase(m->static_events_, this);
   sim_->retire_slot(slot_);
 }
 
@@ -77,19 +77,12 @@ void Event::trigger() {
   // terminates or dies.
   for (const detail::Handle<Process>& w : dynamic_) {
     if (sim_->current(w)) {
-      sim_->make_runnable(w, Process::WakeReason::Event, this);
+      sim_->make_runnable(w, Process::WakeReason::Event);
     }
   }
   dynamic_.clear();
 
-  // Statically sensitive processes. Thread processes handle static
-  // sensitivity via wait_static() (which registers dynamically), so only
-  // method processes live here.
-  for (ProcessBase* pb : static_) {
-    if (pb->kind() == ProcessBase::Kind::Method) {
-      sim_->queue_method(static_cast<MethodProcess&>(*pb));
-    }
-  }
+  for (MethodProcess* m : static_) sim_->queue_method(*m);
 }
 
 }  // namespace stlm

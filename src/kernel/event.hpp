@@ -23,7 +23,7 @@ namespace stlm {
 
 class Simulator;
 class Process;
-class ProcessBase;
+class MethodProcess;
 
 class Event {
 public:
@@ -53,20 +53,20 @@ public:
 private:
   friend class Simulator;
   friend class Process;
-  friend class ProcessBase;
+  friend class MethodProcess;
 
-  // Wake every dynamically waiting process and trigger statically
-  // sensitive ones. Called by the scheduler (or by notify() directly).
+  // Wake every dynamically waiting process and queue statically
+  // sensitive methods. Called by the scheduler (or by notify() directly).
   void trigger();
 
   Simulator* sim_;
   std::string name_;
   std::uint32_t slot_ = 0;                // generation slot (handle.hpp)
   std::vector<detail::Handle<Process>> dynamic_;  // one-shot waiters
-  // Statically sensitive processes. Kept in step with each process's
-  // static_events_ from both sides (whichever dies first unlinks), so
-  // both lists only ever hold live objects.
-  std::vector<ProcessBase*> static_;
+  // Statically sensitive method processes. Kept in step with each
+  // method's static_events_ from both sides (whichever dies first
+  // unlinks), so both lists only ever hold live objects.
+  std::vector<MethodProcess*> static_;
   Time timed_when_ = Time::zero();        // valid while timed_pending_
   bool delta_pending_ = false;
   bool timed_pending_ = false;

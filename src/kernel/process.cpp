@@ -51,20 +51,7 @@ ProcessBase::ProcessBase(Simulator& sim, std::string name, Kind kind)
       slot_(sim.claim_slot()),
       serial_(sim.next_process_serial()) {}
 
-ProcessBase::~ProcessBase() {
-  // Every event still listed is live: a dying event unlinks itself here.
-  for (Event* e : static_events_) std::erase(e->static_, this);
-  sim_.retire_slot(slot_);
-}
-
-void ProcessBase::set_static_sensitivity(const std::vector<Event*>& events) {
-  for (Event* e : static_events_) std::erase(e->static_, this);
-  static_events_ = events;
-  for (Event* e : static_events_) {
-    STLM_ASSERT(e != nullptr, "null event in sensitivity list of " + name_);
-    e->static_.push_back(this);
-  }
-}
+ProcessBase::~ProcessBase() { sim_.retire_slot(slot_); }
 
 // -------------------------------------------------------------- thread --
 
@@ -73,7 +60,7 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body)
       body_(std::move(body)),
       stack_(detail::StackPool::local().acquire()) {
   STLM_ASSERT(body_ != nullptr, "thread process needs a body: " + name_);
-  sim_.make_runnable(sim_.handle(*this), WakeReason::Start, nullptr);
+  sim_.make_runnable(sim_.handle(*this), WakeReason::Start);
 }
 
 Process::~Process() {
@@ -149,6 +136,20 @@ MethodProcess::MethodProcess(Simulator& sim, std::string name,
       run_at_start_(run_at_start) {
   STLM_ASSERT(fn_ != nullptr, "method process needs a callback: " + name_);
   if (run_at_start_) sim_.queue_method(*this);
+}
+
+MethodProcess::~MethodProcess() {
+  // Every event still listed is live: a dying event unlinks itself here.
+  for (Event* e : static_events_) std::erase(e->static_, this);
+}
+
+void MethodProcess::set_static_sensitivity(const std::vector<Event*>& events) {
+  for (Event* e : static_events_) std::erase(e->static_, this);
+  static_events_ = events;
+  for (Event* e : static_events_) {
+    STLM_ASSERT(e != nullptr, "null event in sensitivity list of " + name_);
+    e->static_.push_back(this);
+  }
 }
 
 }  // namespace stlm

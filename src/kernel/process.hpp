@@ -66,10 +66,6 @@ public:
   bool terminated() const { return terminated_; }
   Simulator& sim() const { return sim_; }
 
-  // Replace the static sensitivity list (registers with each event).
-  void set_static_sensitivity(const std::vector<Event*>& events);
-  const std::vector<Event*>& static_sensitivity() const { return static_events_; }
-
   // Construction order within the simulator, from 0. Unlike the
   // address, it is never shared with a process built later in a dead
   // one's storage, so observers key processes by it.
@@ -77,7 +73,6 @@ public:
 
 protected:
   friend class Simulator;
-  friend class Event;
 
   Simulator& sim_;
   std::string name_;
@@ -85,7 +80,6 @@ protected:
   std::uint32_t slot_ = 0;  // generation slot (kernel/handle.hpp)
   bool terminated_ = false;
   std::uint64_t serial_;
-  std::vector<Event*> static_events_;
 };
 
 // Thread process: coroutine with dedicated stack.
@@ -99,10 +93,6 @@ public:
 
   // Event that fires when this process terminates (body returned or threw).
   Event& terminated_event();
-
-  // The event that most recently woke this process (nullptr after a
-  // timeout or initial start). Valid right after wait() returns.
-  Event* last_wake_event() const { return last_event_; }
 
 private:
   friend class Simulator;
@@ -119,22 +109,28 @@ private:
   bool started_ = false;
   bool runnable_ = false;                    // queued in the runnable list
   WakeReason wake_reason_ = WakeReason::None;
-  Event* last_event_ = nullptr;              // event that caused the wake
   std::exception_ptr error_;
   std::unique_ptr<Event> terminated_event_;  // lazily created
 };
 
-// Method process: callback re-run on every trigger.
+// Method process: callback re-run on every trigger of its static
+// sensitivity. Only method processes have one; a thread process waits
+// on the events it names in each wait().
 class MethodProcess final : public ProcessBase {
 public:
   MethodProcess(Simulator& sim, std::string name, std::function<void()> fn,
                 bool run_at_start = true);
+  ~MethodProcess() override;
+
+  // Replace the static sensitivity list (registers with each event).
+  void set_static_sensitivity(const std::vector<Event*>& events);
 
 private:
   friend class Simulator;
   friend class Event;
 
   std::function<void()> fn_;
+  std::vector<Event*> static_events_;
   bool queued_ = false;
   bool run_at_start_ = true;
 };

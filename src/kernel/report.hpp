@@ -22,8 +22,9 @@ public:
   using SimulationError::SimulationError;
 };
 
-// Structural problems found before simulation starts (unbound port,
-// overlapping address ranges, unmapped channel, ...).
+// Structural problems in how a system is wired (unbound CPU bus,
+// overlapping address ranges, unmapped channel, ...), found while it is
+// built or at the first use of the missing connection.
 class ElaborationError : public SimulationError {
 public:
   using SimulationError::SimulationError;

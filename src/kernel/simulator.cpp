@@ -7,7 +7,6 @@
 #include <atomic>
 
 #include "kernel/context.hpp"
-#include "kernel/module.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_session.hpp"
 
@@ -130,9 +129,6 @@ UpdateIf::UpdateIf(Simulator& sim) : sim_(sim), slot_(sim.claim_slot()) {}
 
 UpdateIf::~UpdateIf() { sim_.retire_slot(slot_); }
 
-void Simulator::register_module(Module& m) { modules_.push_back(&m); }
-void Simulator::unregister_module(Module& m) { std::erase(modules_, &m); }
-
 void Simulator::add_post_delta_hook(const void* owner,
                                     std::function<void(Time)> hook) {
   post_delta_hooks_.push_back({owner, std::move(hook)});
@@ -152,12 +148,11 @@ void Simulator::request_update(UpdateIf& u) {
 }
 
 void Simulator::make_runnable(detail::Handle<Process> h,
-                              Process::WakeReason reason, Event* cause) {
+                              Process::WakeReason reason) {
   Process& p = *h.obj;
   if (p.terminated_ || p.runnable_) return;
   p.runnable_ = true;
   p.wake_reason_ = reason;
-  p.last_event_ = cause;
   runnable_.push_back(h);
 }
 
@@ -181,18 +176,6 @@ void Simulator::schedule_timeout(Process& p, Time abs_time) {
 
 // ------------------------------------------------------------- running --
 
-void Simulator::check_elaboration() {
-  if (elaborated_) return;
-  elaborated_ = true;
-  for (const Module* m : modules_) {
-    for (const PortBase* p : m->ports()) {
-      if (!p->is_bound() && !p->is_optional()) {
-        throw ElaborationError("unbound port: " + p->full_name());
-      }
-    }
-  }
-}
-
 void Simulator::run() { run_impl(std::nullopt); }
 
 void Simulator::run_for(Time duration) { run_impl(now_ + duration); }
@@ -203,9 +186,6 @@ void Simulator::run_impl(std::optional<Time> end_time) {
 #ifdef STLM_TSAN_FIBERS
   tsan_sched_fiber_ = detail::tsan_fiber_current();
 #endif
-  // New modules/ports may have appeared since the last run.
-  elaborated_ = false;
-  check_elaboration();
   running_ = true;
   stop_requested_ = false;
   run_end_time_ = end_time;
@@ -336,7 +316,6 @@ void Simulator::kill_process(Process& p) {
   gens_.bump(p.slot_);  // lapse its pending timeouts and waits
   p.runnable_ = false;
   p.wake_reason_ = Process::WakeReason::Kill;
-  p.last_event_ = nullptr;
   current_process_ = &p;
   detail::fiber_switch_begin(&sched_fake_stack_, p.stack_.base,
                              detail::StackPool::kStackBytes);
@@ -393,7 +372,7 @@ void Simulator::dispatch_timed(const TimedEntry& entry) {
     static_cast<Event*>(entry.target)->trigger();
   } else {
     make_runnable({static_cast<Process*>(entry.target), entry.key},
-                  Process::WakeReason::Timeout, nullptr);
+                  Process::WakeReason::Timeout);
   }
 }
 
@@ -471,29 +450,6 @@ bool wait(Time timeout, Event& e) {
   e.add_dynamic_waiter(p);
   sim.schedule_timeout(p, sim.now() + timeout);
   return sim.suspend_current() == Process::WakeReason::Event;
-}
-
-Event& wait_any(const std::vector<Event*>& events) {
-  Simulator& sim = Simulator::require_current();
-  Process& p = sim.require_process("wait_any");
-  STLM_ASSERT(!events.empty(), "wait_any needs at least one event");
-  for (Event* e : events) {
-    STLM_ASSERT(e != nullptr, "null event passed to wait_any");
-    e->add_dynamic_waiter(p);
-  }
-  sim.suspend_current();
-  STLM_ASSERT(p.last_wake_event() != nullptr, "wait_any woke without event");
-  return *p.last_wake_event();
-}
-
-void wait_static() {
-  Simulator& sim = Simulator::require_current();
-  Process& p = sim.require_process("wait_static");
-  const auto& events = p.static_sensitivity();
-  STLM_ASSERT(!events.empty(),
-              "wait_static on process without static sensitivity: " + p.name());
-  for (Event* e : events) e->add_dynamic_waiter(p);
-  sim.suspend_current();
 }
 
 }  // namespace stlm

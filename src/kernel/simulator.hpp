@@ -10,13 +10,13 @@
 //                 notifications and advance simulated time.
 //
 // One Simulator per thread is "current" at a time (they nest like a stack,
-// so tests may create them sequentially or in scopes). Events, processes
-// and modules bind to the current Simulator at construction, and
-// transactions draw their ids from it (kernel/txn.hpp). The thread-local
-// is the one piece of global state in the library; it exists because
-// blocking calls such as `wait(10_ns)` deep inside a channel need to find
-// the running process without threading a context parameter through
-// every protocol layer.
+// so tests may create them sequentially or in scopes). Events bind to the
+// current Simulator at construction unless given one, and transactions
+// draw their ids from it (kernel/txn.hpp). The thread-local is the one
+// piece of global state in the library; it exists because blocking calls
+// such as `wait(10_ns)` deep inside a channel need to find the running
+// process without threading a context parameter through every protocol
+// layer.
 
 #include <cstdint>
 #include <functional>
@@ -34,8 +34,6 @@
 #include "kernel/txn.hpp"
 
 namespace stlm {
-
-class Module;
 
 namespace obs {
 class TraceSession;
@@ -162,7 +160,7 @@ public:
   void add_post_delta_hook(const void* owner, std::function<void(Time)> hook);
   void remove_post_delta_hooks(const void* owner);
 
-  // --- kernel-internal API (used by Event/Process/Module/wait) ----------
+  // --- kernel-internal API (used by Event/Process/wait) ------------------
   static Simulator* current();
   static Simulator& require_current();
 
@@ -171,8 +169,7 @@ public:
 
   void request_update(UpdateIf& u);
   // `p` must be current (just taken, or just checked).
-  void make_runnable(detail::Handle<Process> p, Process::WakeReason reason,
-                     Event* cause);
+  void make_runnable(detail::Handle<Process> p, Process::WakeReason reason);
   void queue_method(MethodProcess& m);
   void schedule_timed_event(Event& e, Time abs_time);
   void schedule_delta_event(Event& e);
@@ -220,11 +217,6 @@ public:
   std::uint64_t events_registered_total() const {
     return events_registered_total_;
   }
-  void register_module(Module& m);
-  void unregister_module(Module& m);
-
-  const std::vector<Module*>& modules() const { return modules_; }
-
   // Suspend the calling thread process; the scheduler resumes others.
   // Returns the reason the process was woken.
   Process::WakeReason suspend_current();
@@ -281,7 +273,6 @@ private:
   // wherever the thread's simulator stack changes.
   static void sync_txn_ids();
 
-  void check_elaboration();
   template <DispatchOrder O>
   void evaluate_phase();
   void update_phase();
@@ -299,7 +290,6 @@ private:
   std::uint64_t delta_count_ = 0;
   std::uint64_t timed_seq_ = 0;
   bool initialized_ = false;  // a run has begun
-  bool elaborated_ = false;
   bool running_ = false;
   bool stop_requested_ = false;
 
@@ -324,7 +314,6 @@ private:
   TxnPool txn_pool_;
   std::uint64_t txn_ids_ = 0;  // see txn_ids_issued()
   std::uint64_t events_registered_total_ = 0;
-  std::vector<Module*> modules_;
   std::vector<std::unique_ptr<ProcessBase>> owned_processes_;
   struct PostDeltaHook {
     const void* owner;
@@ -363,9 +352,5 @@ void wait(Event& e);
 void wait(Time delay);
 // Wait for `e` with a timeout; true if the event fired first.
 bool wait(Time timeout, Event& e);
-// Wait until any of the events fires; returns the event that did.
-Event& wait_any(const std::vector<Event*>& events);
-// Wait on the calling process's static sensitivity list.
-void wait_static();
 
 }  // namespace stlm

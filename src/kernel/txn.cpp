@@ -14,7 +14,7 @@ void CompletionEvent::complete(Simulator& sim) {
   waiter_ = {};
   if (!w.obj) return;  // completion before (or without) wait
   if (sim.current(w)) {
-    sim.make_runnable(w, Process::WakeReason::Event, nullptr);
+    sim.make_runnable(w, Process::WakeReason::Event);
   }
 }
 

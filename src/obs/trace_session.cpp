@@ -106,7 +106,6 @@ void TraceSession::record(char ph, std::uint32_t tid, std::uint32_t name,
 }
 
 void TraceSession::process_begin(const ProcessBase& p, Time now) {
-  if (!opts_.process_spans) return;
   const std::uint32_t tid = track_of(p);
   if (!room(1)) {
     // Remember the dropped begin so the matching end is dropped too and
@@ -118,7 +117,6 @@ void TraceSession::process_begin(const ProcessBase& p, Time now) {
 }
 
 void TraceSession::process_end(const ProcessBase& p, Time now) {
-  if (!opts_.process_spans) return;
   const std::uint32_t tid = track_of(p);
   auto it = dropped_open_.find(tid);
   if (it != dropped_open_.end() && it->second > 0) {
@@ -134,7 +132,6 @@ void TraceSession::process_end(const ProcessBase& p, Time now) {
 }
 
 void TraceSession::txn_phases(const std::string& track, const Txn& txn) {
-  if (!opts_.txn_spans) return;
   const std::uint32_t tid = track_of(track);
   if (!room(4)) return;
   const std::uint32_t queue = intern("queue");
@@ -151,7 +148,6 @@ void TraceSession::txn_phases(const std::string& track, const Txn& txn) {
 void TraceSession::async_span(const std::string& track,
                               const std::string& name, std::uint64_t id,
                               Time begin, Time end) {
-  if (!opts_.txn_spans) return;
   const std::uint32_t tid = track_of(track);
   if (!room(2)) return;
   const std::uint32_t n = intern(name);
@@ -161,7 +157,6 @@ void TraceSession::async_span(const std::string& track,
 
 void TraceSession::instant(const std::string& track, const std::string& name,
                            Time now) {
-  if (!opts_.instants) return;
   const std::uint32_t tid = track_of(track);
   if (!room(1)) return;
   record('i', tid, intern(name), now.femtoseconds(), 0);

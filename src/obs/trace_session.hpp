@@ -48,9 +48,6 @@ namespace obs {
 class TraceSession {
 public:
   struct Options {
-    bool process_spans = true;  // B/E span per scheduler dispatch
-    bool txn_spans = true;      // async queue/service spans per Txn
-    bool instants = true;       // fallbacks, faults, retries, timeouts
     // Hard cap on stored events; once reached, new spans are dropped
     // (and counted) instead of growing without bound on long runs.
     std::size_t max_events = 1u << 20;

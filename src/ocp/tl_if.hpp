@@ -1,7 +1,7 @@
 #pragma once
 // OCP transaction-level interfaces.
 //
-//   * ocp_tl_master_if — what a master-side port binds to: a blocking
+//   * ocp_tl_master_if — what a master binds its bus to: a blocking
 //     transport() that carries one request to completion. CAMs, TL
 //     channels, pin-level master adapters and accessor stacks all expose
 //     this, so a PE refined from SHIP to OCP never changes again while
@@ -18,7 +18,6 @@
 // (rather than through this interface) should `using` the base overloads
 // so both spellings stay visible.
 
-#include "kernel/module.hpp"
 #include "kernel/time.hpp"
 #include "ocp/types.hpp"
 
@@ -51,7 +50,5 @@ public:
   // this point.
   virtual bool fast_capable() const { return false; }
 };
-
-using OcpMasterPort = Port<ocp_tl_master_if>;
 
 }  // namespace stlm::ocp

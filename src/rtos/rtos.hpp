@@ -75,7 +75,7 @@ private:
   std::deque<Task*> waiters_;
 };
 
-// Bounded message queue (the RTOS substitute for kernel Fifo channels).
+// Bounded message queue (the RTOS substitute for SystemC's sc_fifo).
 template <class T>
 class Queue {
 public:

@@ -29,11 +29,11 @@ void ship_if::throw_unanswered() const {
 
 ShipChannel::ShipChannel(Simulator& sim, std::string name,
                          std::size_t queue_depth,
-                         std::unique_ptr<TimingModel> timing)
+                         std::optional<CcatbModel> timing)
     : sim_(sim),
       name_(std::move(name)),
       depth_(queue_depth),
-      timing_(timing ? std::move(timing) : std::make_unique<UntimedModel>()) {
+      timing_(timing) {
   STLM_ASSERT(depth_ > 0, "SHIP queue depth must be positive: " + name_);
   for (int i = 0; i < 2; ++i) {
     dir_[i].written =
@@ -41,11 +41,6 @@ ShipChannel::ShipChannel(Simulator& sim, std::string name,
     dir_[i].consumed =
         std::make_unique<Event>(sim, name_ + ".dir" + std::to_string(i) + ".consumed");
   }
-}
-
-void ShipChannel::set_timing(std::unique_ptr<TimingModel> t) {
-  STLM_ASSERT(t != nullptr, "null timing model for channel " + name_);
-  timing_ = std::move(t);
 }
 
 void ShipChannel::set_txn_logger(trace::TxnLogger* log) {
@@ -66,8 +61,10 @@ ShipChannel::Sent ShipChannel::send_msg(Direction& d,
   t.enqueued = sim_.now();
   const std::size_t n = to_bytes_into(msg, t.data);
   const std::uint64_t id = t.id;
-  const Time lat = timing_->transfer_latency(n);
-  if (!lat.is_zero()) wait(lat);
+  if (timing_) {
+    const Time lat = timing_->transfer_latency(n);
+    if (!lat.is_zero()) wait(lat);
+  }
   while (d.queue.size() >= depth_) wait(*d.consumed);
   d.queue.push_back(t);
   d.written->notify_delta();

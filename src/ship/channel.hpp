@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "kernel/event.hpp"
@@ -114,8 +115,9 @@ class ShipChannel {
 public:
   // `queue_depth` bounds the number of in-flight messages per direction;
   // a full queue blocks the sender (depth 1 = single-buffered handshake).
+  // `timing` nullopt = component assembly (untimed), a model = CCATB.
   ShipChannel(Simulator& sim, std::string name, std::size_t queue_depth = 1,
-              std::unique_ptr<TimingModel> timing = nullptr);
+              std::optional<CcatbModel> timing = std::nullopt);
 
   ShipChannel(const ShipChannel&) = delete;
   ShipChannel& operator=(const ShipChannel&) = delete;
@@ -129,9 +131,8 @@ public:
   Role role_a() const { return term_[0].role(); }
   Role role_b() const { return term_[1].role(); }
 
-  // Replace the timing policy (switching abstraction level in place).
-  void set_timing(std::unique_ptr<TimingModel> t);
-  const TimingModel& timing() const { return *timing_; }
+  // Switch abstraction level in place (nullopt = untimed).
+  void set_timing(std::optional<CcatbModel> t) { timing_ = t; }
 
   void set_txn_logger(trace::TxnLogger* log);
 
@@ -180,7 +181,7 @@ private:
   Simulator& sim_;
   std::string name_;
   std::size_t depth_;
-  std::unique_ptr<TimingModel> timing_;
+  std::optional<CcatbModel> timing_;
   Terminal term_[2]{{*this, 0}, {*this, 1}};
   Direction dir_[2];  // dir_[i]: messages flowing *out of* terminal i
   trace::LogHandle log_;

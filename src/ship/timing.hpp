@@ -1,44 +1,33 @@
 #pragma once
-// SHIP channel timing policies.
+// SHIP channel timing.
 //
 // The same channel object serves two of the paper's abstraction levels:
-//   * component-assembly model -> Untimed (delta-cycle delivery only);
-//   * CCATB model              -> Approximate (per-message setup cost plus
+//   * component-assembly model -> no timing (delta-cycle delivery only);
+//     a ShipChannel holds std::nullopt;
+//   * CCATB model              -> a CcatbModel: per-message setup cost plus
 //                                 per-beat transfer cost derived from a bus
-//                                 width and clock period).
+//                                 width and clock period.
 // Below CCATB the channel is *replaced* by wrappers routing through a CAM
-// (see src/cam/wrappers.hpp), so no further policy exists here.
+// (see src/cam/wrappers.hpp), so no further model exists here.
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "kernel/time.hpp"
 
 namespace stlm::ship {
 
-class TimingModel {
-public:
-  virtual ~TimingModel() = default;
-  // Simulated time consumed to transfer a `bytes`-sized message.
-  virtual Time transfer_latency(std::size_t bytes) const = 0;
-};
-
-// Component-assembly level: communication costs no simulated time.
-class UntimedModel final : public TimingModel {
-public:
-  Time transfer_latency(std::size_t) const override { return Time::zero(); }
-};
-
 // CCATB level: `setup + ceil(bytes / bus_width) * cycle` per message —
 // cycle-count accurate at the transaction boundary, unsynchronized inside.
-class CcatbModel final : public TimingModel {
+class CcatbModel {
 public:
   CcatbModel(Time cycle, std::size_t bus_width_bytes, std::uint64_t setup_cycles)
       : cycle_(cycle),
         width_(bus_width_bytes ? bus_width_bytes : 1),
         setup_cycles_(setup_cycles) {}
 
-  Time transfer_latency(std::size_t bytes) const override {
+  // Simulated time consumed to transfer a `bytes`-sized message.
+  Time transfer_latency(std::size_t bytes) const {
     const std::uint64_t beats =
         (bytes + width_ - 1) / width_;
     return cycle_ * (setup_cycles_ + beats);

@@ -87,7 +87,6 @@ void TxnLogger::record(std::uint32_t channel_id, TxnKind kind,
                        std::uint64_t txn_id, std::uint64_t bytes, Time start,
                        Time end, Time grant, Time data, TxnStatus status,
                        std::uint32_t retries, std::uint32_t master) {
-  if (!enabled_) return;
   if (records_.size() == records_.capacity()) [[unlikely]] take_spare_rows();
   records_.push_back(TxnRecord{channel_id, master, txn_id, bytes, start, end,
                                grant, data, kind, status, retries});
@@ -95,14 +94,12 @@ void TxnLogger::record(std::uint32_t channel_id, TxnKind kind,
 
 void TxnLogger::record(const std::string& channel, TxnKind kind,
                        std::uint64_t bytes, Time start, Time end) {
-  if (!enabled_) return;
   record(intern(channel), kind, /*txn_id=*/0, bytes, start, end);
 }
 
 void TxnLogger::record(const std::string& channel, TxnKind kind,
                        std::uint64_t bytes, Time start, Time end, Time grant,
                        Time data) {
-  if (!enabled_) return;
   record(intern(channel), kind, /*txn_id=*/0, bytes, start, end, grant, data);
 }
 

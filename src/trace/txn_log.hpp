@@ -98,9 +98,6 @@ public:
   TxnLogger(TxnLogger&&) noexcept = default;
   TxnLogger& operator=(TxnLogger&&) noexcept = default;
 
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   // Register (or look up) a channel name; the returned id is stable for
   // the logger's lifetime. Channels call this once at wiring time.
   std::uint32_t intern(const std::string& channel);
@@ -173,7 +170,6 @@ private:
 
   void load_csv_impl(std::istream& is);
 
-  bool enabled_ = true;
   std::vector<std::string> channels_;
   std::unordered_map<std::string, std::uint32_t> channel_index_;
   std::vector<TxnRecord> records_;

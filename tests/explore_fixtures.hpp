@@ -112,8 +112,12 @@ inline void expect_row_invariants(const core::Platform& p,
   EXPECT_LE(r.goodput_mbps, r.throughput_mbps());
   EXPECT_GE(r.fast_hit_rate, 0.0);
   EXPECT_LE(r.fast_hit_rate, 1.0);
-  if (!p.fast_targets || crossbar) EXPECT_EQ(r.fast_hit_rate, 0.0);
-  if (crossbar) EXPECT_EQ(r.contended_picks, 0u);
+  if (!p.fast_targets || crossbar) {
+    EXPECT_EQ(r.fast_hit_rate, 0.0);
+  }
+  if (crossbar) {
+    EXPECT_EQ(r.contended_picks, 0u);
+  }
 }
 
 }  // namespace stlm::test

@@ -138,7 +138,9 @@ TEST(CamIf, DecodeErrorLogsOneErrorRowOnEveryBus) {
     EXPECT_LE(row.start, row.grant);
     EXPECT_LE(row.grant, row.data);
     EXPECT_LE(row.data, row.end);
-    if (c.crossbar) EXPECT_EQ(row.end, row.start);
+    if (c.crossbar) {
+      EXPECT_EQ(row.end, row.start);
+    }
   }
 }
 
@@ -612,7 +614,9 @@ TEST(CamIf, AccessPointReArmsACompletedDescriptor) {
     EXPECT_EQ(posted.end, post_end);
     EXPECT_LT(post_start, post_end);
     // Back to back on the PLB the setup cycles hide: one 8-byte beat.
-    if (c.kind == BusKind::Plb) EXPECT_EQ(reissue_end - reissue_start, 10_ns);
+    if (c.kind == BusKind::Plb) {
+      EXPECT_EQ(reissue_end - reissue_start, 10_ns);
+    }
   }
 }
 

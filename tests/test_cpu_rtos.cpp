@@ -25,7 +25,7 @@ struct CpuFixture {
 
   CpuFixture() {
     bus.attach_slave(mem, {0x0, 0x10000}, "mem");
-    cpu.bus().bind(bus.master_port(bus.add_master("cpu")));
+    cpu.bind_bus(bus.master_port(bus.add_master("cpu")));
   }
 };
 
@@ -61,6 +61,27 @@ TEST(Cpu, MmioBusErrorThrows) {
   CpuFixture f;
   f.sim.spawn_thread("prog", [&] { f.cpu.mmio_read32(0xdead0000); });
   EXPECT_THROW(f.sim.run(), ProtocolError);
+}
+
+TEST(Cpu, UnboundBusFailsNamingTheCpu) {
+  Simulator sim;
+  Module soc(sim, "soc");
+  cpu::CpuModel cpu(sim, "cpu", 10_ns, &soc);
+  sim.spawn_thread("prog", [&] { cpu.mmio_write32(0x100, 1); });
+  try {
+    sim.run();
+    FAIL() << "MMIO on an unbound CPU must throw";
+  } catch (const ElaborationError& e) {
+    EXPECT_NE(std::string(e.what()).find("soc.cpu"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cpu.bus_transactions(), 0u);
+}
+
+TEST(Cpu, SecondBusBindThrows) {
+  CpuFixture f;
+  EXPECT_THROW(f.cpu.bind_bus(f.bus.master_port(f.bus.add_master("dup"))),
+               SimulationError);
 }
 
 TEST(Irq, EdgeLatchedAndClaimed) {

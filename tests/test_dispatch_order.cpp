@@ -22,84 +22,88 @@ using namespace stlm::time_literals;
 
 namespace {
 
-// Everything a fixture's processes push into one FIFO, in order.
-std::vector<int> drain(Fifo<int>& f) {
-  std::vector<int> out;
-  int v = 0;
-  while (f.nb_read(v)) out.push_back(v);
-  return out;
-}
-
-// Two processes, both runnable from time zero, both pushing into one
-// FIFO in the same delta cycle: the run queue, not simulated causality,
-// decides whose value lands first.
+// Two processes, both runnable from time zero, both appending to one
+// shared vector in the same delta cycle: the run queue, not simulated
+// causality, decides whose value lands first.
 std::vector<int> co_runnable_writers(DispatchOrder order) {
   Simulator sim;
   sim.set_dispatch_order(order);
-  Fifo<int> f(sim, "f", 4);
-  sim.spawn_thread("w1", [&] { f.nb_write(1); });
-  sim.spawn_thread("w2", [&] { f.nb_write(2); });
+  std::vector<int> out;
+  sim.spawn_thread("w1", [&] { out.push_back(1); });
+  sim.spawn_thread("w2", [&] { out.push_back(2); });
   sim.run();
-  return drain(f);
+  return out;
 }
 
 // The same race repeated every 10 ns.
 std::vector<int> repeated_writers(DispatchOrder order) {
   Simulator sim;
   sim.set_dispatch_order(order);
-  Fifo<int> f(sim, "f", 64);
+  std::vector<int> out;
   sim.spawn_thread("w1", [&] {
     for (int i = 1; i <= 3; ++i) {
-      f.nb_write(i);
+      out.push_back(i);
       wait(10_ns);
     }
   });
   sim.spawn_thread("w2", [&] {
     for (int i = 1; i <= 3; ++i) {
-      f.nb_write(-i);
+      out.push_back(-i);
       wait(10_ns);
     }
   });
   sim.run();
-  return drain(f);
+  return out;
 }
 
-// A blocking producer/consumer pair through one FIFO: the consumer only
-// runs because the producer woke it, so the order cannot matter.
+// A blocking producer/consumer pair through a two-slot buffer (a shared
+// vector and a read index, with one event per direction): the consumer
+// only runs because the producer woke it, and the producer only refills
+// because the consumer woke it, so the order cannot matter.
 struct CausalResult {
   std::vector<int> read;
   Time end;
   bool operator==(const CausalResult&) const = default;
 };
 CausalResult causal_producer_consumer(DispatchOrder order) {
+  constexpr std::size_t kSlots = 2;
   Simulator sim;
   sim.set_dispatch_order(order);
-  Fifo<int> f(sim, "f", 2);
+  Event written(sim, "written");
+  Event taken(sim, "taken");
+  std::vector<int> buf;
+  std::size_t head = 0;
   CausalResult r;
   sim.spawn_thread("producer", [&] {
     for (int i = 1; i <= 16; ++i) {
-      f.write(i);
+      while (buf.size() - head >= kSlots) wait(taken);
+      buf.push_back(i);
+      written.notify_delta();
       if (i % 4 == 0) wait(5_ns);
     }
   });
   sim.spawn_thread("consumer", [&] {
-    for (int i = 0; i < 16; ++i) r.read.push_back(f.read());
+    for (int i = 0; i < 16; ++i) {
+      while (head == buf.size()) wait(written);
+      r.read.push_back(buf[head++]);
+      taken.notify_delta();
+    }
   });
   sim.run();
   r.end = sim.now();
   return r;
 }
 
-// One process touching a FIFO repeatedly is not a race with itself.
+// One process appending repeatedly is not a race with itself.
 std::vector<int> single_process(DispatchOrder order) {
   Simulator sim;
   sim.set_dispatch_order(order);
-  Fifo<int> f(sim, "f", 8);
+  std::vector<int> out;
   std::vector<int> seen;
   sim.spawn_thread("solo", [&] {
-    for (int i = 0; i < 8; ++i) f.nb_write(i);
+    for (int i = 0; i < 8; ++i) out.push_back(i);
     wait(10_ns);
-    seen = drain(f);
+    seen = out;
   });
   sim.run();
   return seen;

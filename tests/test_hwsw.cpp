@@ -36,7 +36,7 @@ struct HwSwFixture {
 
   HwSwFixture() {
     bus.attach_slave(adapter, layout.range(), "hwacc");
-    cpu.bus().bind(bus.master_port(bus.add_master("cpu")));
+    cpu.bind_bus(bus.master_port(bus.add_master("cpu")));
     ic.attach(adapter.irq(), 0);
     os.attach_isr(ic, [this](int line) {
       if (line == 0) drv.on_irq();
@@ -280,7 +280,7 @@ struct StressRig {
 
   explicit StressRig(StressBus kind) : bus(make_stress_bus(sim, kind)) {
     bus->attach_slave(adapter, layout.range(), "hwacc");
-    cpu.bus().bind(bus->master_port(bus->add_master("cpu")));
+    cpu.bind_bus(bus->master_port(bus->add_master("cpu")));
     ic.attach(adapter.irq(), 0);
     os.attach_isr(ic, [this](int line) {
       if (line == 0) drv.on_irq();
@@ -477,7 +477,7 @@ TEST(HwSw, PostedDmaWindowsDoNotPerturbInOrderDriverDelivery) {
   ocp::BankedMemorySlave dram("dram", 0x200000, 0x10000);
   bus.attach_slave(slowmem, {0x100000, 0x1000}, "slowmem");
   bus.attach_slave(dram, {0x200000, 0x10000}, "dram");
-  cpu.bus().bind(bus.master_port(bus.add_master("cpu")));
+  cpu.bind_bus(bus.master_port(bus.add_master("cpu")));
   const std::size_t dma_idx = bus.add_master("dma");
   ic.attach(adapter.irq(), 0);
   os.attach_isr(ic, [&](int line) {

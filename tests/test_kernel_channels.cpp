@@ -1,7 +1,6 @@
-// Tests for Signal update semantics and the primitive blocking channels.
+// Tests for Signal update semantics and the kernel Mutex.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -83,81 +82,6 @@ TEST(Signal, BoolEdgesFire) {
   EXPECT_EQ(edges[2], "pos");
 }
 
-TEST(Fifo, BlockingReadWaitsForData) {
-  Simulator sim;
-  Fifo<int> f(sim, "f", 4);
-  int got = 0;
-  Time got_at;
-  sim.spawn_thread("reader", [&] {
-    got = f.read();
-    got_at = sim.now();
-  });
-  sim.spawn_thread("writer", [&] {
-    wait(15_ns);
-    f.write(99);
-  });
-  sim.run();
-  EXPECT_EQ(got, 99);
-  EXPECT_EQ(got_at, 15_ns);
-}
-
-TEST(Fifo, BlockingWriteWaitsForSpace) {
-  Simulator sim;
-  Fifo<int> f(sim, "f", 2);
-  std::vector<int> got;
-  sim.spawn_thread("writer", [&] {
-    for (int i = 0; i < 4; ++i) f.write(i);  // blocks after 2
-  });
-  sim.spawn_thread("reader", [&] {
-    wait(10_ns);
-    for (int i = 0; i < 4; ++i) got.push_back(f.read());
-  });
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(Fifo, PreservesOrderUnderConcurrency) {
-  Simulator sim;
-  Fifo<int> f(sim, "f", 3);
-  std::vector<int> got;
-  sim.spawn_thread("writer", [&] {
-    for (int i = 0; i < 100; ++i) {
-      f.write(i);
-      if (i % 7 == 0) wait(1_ns);
-    }
-  });
-  sim.spawn_thread("reader", [&] {
-    for (int i = 0; i < 100; ++i) {
-      got.push_back(f.read());
-      if (i % 5 == 0) wait(2_ns);
-    }
-  });
-  sim.run();
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-}
-
-TEST(Fifo, NonBlockingVariants) {
-  Simulator sim;
-  Fifo<int> f(sim, "f", 1);
-  sim.spawn_thread("t", [&] {
-    int v = -1;
-    EXPECT_FALSE(f.nb_read(v));
-    EXPECT_TRUE(f.nb_write(5));
-    EXPECT_FALSE(f.nb_write(6));  // full
-    EXPECT_EQ(f.num_available(), 1u);
-    EXPECT_EQ(f.num_free(), 0u);
-    EXPECT_TRUE(f.nb_read(v));
-    EXPECT_EQ(v, 5);
-  });
-  sim.run();
-}
-
-TEST(Fifo, ZeroCapacityRejected) {
-  Simulator sim;
-  EXPECT_THROW(Fifo<int>(sim, "f", 0), SimulationError);
-}
-
 TEST(Mutex, ProvidesMutualExclusion) {
   Simulator sim;
   Mutex m(sim, "m");
@@ -190,60 +114,3 @@ TEST(Mutex, TryLockAndDoubleUnlock) {
   });
   sim.run();
 }
-
-TEST(Semaphore, LimitsConcurrency) {
-  Simulator sim;
-  Semaphore sem(sim, 2, "sem");
-  int inside = 0, max_inside = 0;
-  for (int i = 0; i < 6; ++i) {
-    sim.spawn_thread("w" + std::to_string(i), [&] {
-      sem.acquire();
-      ++inside;
-      max_inside = std::max(max_inside, inside);
-      wait(5_ns);
-      --inside;
-      sem.release();
-    });
-  }
-  sim.run();
-  EXPECT_EQ(max_inside, 2);
-  EXPECT_EQ(sem.value(), 2);
-}
-
-TEST(Semaphore, TryAcquire) {
-  Simulator sim;
-  Semaphore sem(sim, 1, "sem");
-  sim.spawn_thread("t", [&] {
-    EXPECT_TRUE(sem.try_acquire());
-    EXPECT_FALSE(sem.try_acquire());
-    sem.release();
-    EXPECT_TRUE(sem.try_acquire());
-  });
-  sim.run();
-}
-
-TEST(Semaphore, NegativeInitialRejected) {
-  Simulator sim;
-  EXPECT_THROW(Semaphore(sim, -1, "sem"), SimulationError);
-}
-
-// Parameterized producer/consumer capacity sweep: total transferred data
-// is invariant under fifo depth.
-class FifoSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FifoSweep, TransfersEverythingAtAnyDepth) {
-  Simulator sim;
-  Fifo<int> f(sim, "f", GetParam());
-  long sum = 0;
-  sim.spawn_thread("producer", [&] {
-    for (int i = 1; i <= 200; ++i) f.write(i);
-  });
-  sim.spawn_thread("consumer", [&] {
-    for (int i = 0; i < 200; ++i) sum += f.read();
-  });
-  sim.run();
-  EXPECT_EQ(sum, 200L * 201 / 2);
-}
-
-INSTANTIATE_TEST_SUITE_P(Depths, FifoSweep,
-                         ::testing::Values(1u, 2u, 3u, 8u, 64u, 1024u));

@@ -217,22 +217,6 @@ TEST(Events, WaitWithTimeoutReturnsFalseOnTimeout) {
   EXPECT_EQ(woke_at, 100_ns);
 }
 
-TEST(Events, WaitAnyReturnsTriggeredEvent) {
-  Simulator sim;
-  Event a(sim, "a"), b(sim, "b"), c(sim, "c");
-  std::string winner;
-  sim.spawn_thread("waiter", [&] {
-    Event& e = wait_any({&a, &b, &c});
-    winner = e.name();
-  });
-  sim.spawn_thread("notifier", [&] {
-    wait(7_ns);
-    b.notify();
-  });
-  sim.run();
-  EXPECT_EQ(winner, "b");
-}
-
 TEST(Events, MultipleWaitersAllWake) {
   Simulator sim;
   Event ev(sim, "ev");

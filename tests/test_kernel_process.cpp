@@ -1,4 +1,4 @@
-// Tests for thread/method processes, modules, ports, and elaboration.
+// Tests for thread/method processes and modules.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -108,51 +108,6 @@ TEST(Module, FullNamesAreHierarchical) {
   Module sub(sim, "sub", &top);
   Module leaf(sim, "leaf", &sub);
   EXPECT_EQ(leaf.full_name(), "top.sub.leaf");
-  EXPECT_EQ(top.children().size(), 1u);
-  EXPECT_EQ(sub.children().size(), 1u);
-}
-
-namespace {
-struct DummyIf {
-  virtual ~DummyIf() = default;
-  virtual int value() const = 0;
-};
-struct DummyChannel : DummyIf {
-  int value() const override { return 42; }
-};
-}  // namespace
-
-TEST(Module, UnboundPortFailsElaboration) {
-  Simulator sim;
-  Module top(sim, "top");
-  Port<DummyIf> port(top, "p");
-  EXPECT_THROW(sim.run(), ElaborationError);
-}
-
-TEST(Module, OptionalPortMayStayUnbound) {
-  Simulator sim;
-  Module top(sim, "top");
-  OptionalPort<DummyIf> port(top, "p");
-  EXPECT_NO_THROW(sim.run());
-}
-
-TEST(Module, BoundPortForwardsCalls) {
-  Simulator sim;
-  Module top(sim, "top");
-  Port<DummyIf> port(top, "p");
-  DummyChannel ch;
-  port.bind(ch);
-  EXPECT_EQ(port->value(), 42);
-  EXPECT_NO_THROW(sim.run());
-}
-
-TEST(Module, DoubleBindThrows) {
-  Simulator sim;
-  Module top(sim, "top");
-  Port<DummyIf> port(top, "p");
-  DummyChannel ch1, ch2;
-  port.bind(ch1);
-  EXPECT_THROW(port.bind(ch2), SimulationError);
 }
 
 TEST(Module, SpawnedThreadNamePrefixed) {

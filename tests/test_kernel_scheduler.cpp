@@ -1,5 +1,5 @@
-// Scheduler-semantics tests: method processes, static sensitivity for
-// threads (wait_static), update-phase ordering, and determinism — the
+// Scheduler-semantics tests: method processes and their static
+// sensitivity, update-phase ordering, and determinism — the
 // kernel behaviours the pin-level FSMs, monitors, and arbiters rely on.
 #include <gtest/gtest.h>
 
@@ -54,37 +54,6 @@ TEST(Scheduler, MethodWritingSignalTriggersDownstreamMethod) {
   EXPECT_EQ(at, 5_ns);  // all within one timestep
 }
 
-TEST(Scheduler, WaitStaticUsesSensitivityList) {
-  Simulator sim;
-  Event ev_a(sim, "a"), ev_b(sim, "b");
-  std::vector<std::string> wakes;
-  Process& p = sim.spawn_thread("t", [&] {
-    for (int i = 0; i < 2; ++i) {
-      wait_static();
-      wakes.push_back(Simulator::current()->current_process()
-                          ->last_wake_event()
-                          ->name());
-    }
-  });
-  p.set_static_sensitivity({&ev_a, &ev_b});
-  sim.spawn_thread("driver", [&] {
-    wait(1_ns);
-    ev_b.notify();
-    wait(1_ns);
-    ev_a.notify();
-  });
-  sim.run();
-  ASSERT_EQ(wakes.size(), 2u);
-  EXPECT_EQ(wakes[0], "b");
-  EXPECT_EQ(wakes[1], "a");
-}
-
-TEST(Scheduler, WaitStaticWithoutSensitivityThrows) {
-  Simulator sim;
-  sim.spawn_thread("t", [&] { wait_static(); });
-  EXPECT_THROW(sim.run(), SimulationError);
-}
-
 TEST(Scheduler, MethodSpawnedDuringSimulationRuns) {
   Simulator sim;
   Event ev(sim, "ev");
@@ -133,26 +102,36 @@ TEST(Scheduler, RunsAreResumable) {
 }
 
 TEST(Scheduler, DeterministicAcrossRuns) {
-  // Two identical simulations produce identical interleavings.
+  // Two identical simulations produce identical interleavings: three
+  // producers at different rates append to one shared buffer and notify
+  // a consumer, which drains whatever has arrived each time it wakes.
   auto run_once = [] {
     Simulator sim;
-    Fifo<int> f(sim, "f", 2);
+    Event written(sim, "written");
+    std::vector<int> buf;
     std::vector<int> order;
     for (int id = 0; id < 3; ++id) {
       sim.spawn_thread("p" + std::to_string(id), [&, id] {
         for (int i = 0; i < 5; ++i) {
-          f.write(id * 10 + i);
+          buf.push_back(id * 10 + i);
+          written.notify_delta();
           wait(Time::ns(static_cast<std::uint64_t>(1 + id)));
         }
       });
     }
     sim.spawn_thread("c", [&] {
-      for (int i = 0; i < 15; ++i) order.push_back(f.read());
+      while (order.size() < 15) {
+        wait(written);
+        order.insert(order.end(), buf.begin(), buf.end());
+        buf.clear();
+      }
     });
     sim.run();
     return order;
   };
-  EXPECT_EQ(run_once(), run_once());
+  const std::vector<int> first = run_once();
+  EXPECT_EQ(first.size(), 15u);
+  EXPECT_EQ(run_once(), first);
 }
 
 TEST(Scheduler, ModuleSpawnedMethodWithParentHierarchy) {

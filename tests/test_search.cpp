@@ -265,6 +265,43 @@ TEST(Explorer, SpawnFailureDegradesParallelSweepLoudly) {
   }
 }
 
+TEST(SearchDriver, RungPoolsUseTheExplorersThreadFactory) {
+  // Every rung's pool spawns its helpers through the explorer's factory.
+  // With every spawn failing, the search completes on the calling
+  // thread, prints the 1-thread frontier byte for byte, and the explorer
+  // reports each failed helper of each rung.
+  const auto cands = default_candidates();
+  const std::vector<WorkloadCase> wl{two_streams(6, 64)};
+  auto search = [&](Explorer& ex, unsigned n_threads) {
+    SearchConfig cfg;
+    cfg.horizons = {2_ms, 50_ms};
+    cfg.mutation_depth = 1;
+    cfg.n_threads = n_threads;
+    const SearchReport report = SearchDriver(cfg).run(ex, cands, wl);
+    std::ostringstream os;
+    SearchDriver::print_frontier(os, report);
+    return std::pair<SearchReport, std::string>(report, os.str());
+  };
+
+  Explorer one;
+  const auto [one_report, one_text] = search(one, 1);
+  EXPECT_EQ(one.last_spawn_failures(), 0u);
+
+  Explorer ex;
+  ex.set_thread_factory([](std::function<void()>) -> std::thread {
+    throw std::runtime_error("EAGAIN");
+  });
+  const auto [report, text] = search(ex, 4);
+  EXPECT_EQ(text, one_text);
+  ASSERT_EQ(report.rungs.size(), 2u);
+  EXPECT_EQ(ex.last_spawn_failures(), report.rungs.size() * 3u);
+
+  // The count is the last search's own, not a sum across runs.
+  ex.set_thread_factory({});
+  search(ex, 4);
+  EXPECT_EQ(ex.last_spawn_failures(), 0u);
+}
+
 // ---------------------------------------------------------- abort ----
 
 TEST(SearchDriver, DominatedCandidateIsAbortedMidRun) {

@@ -158,8 +158,7 @@ TEST(ShipChannel, UntimedTransferTakesNoSimTime) {
 TEST(ShipChannel, CcatbTimingChargesSetupPlusBeats) {
   Simulator sim;
   // 10 ns cycle, 4-byte bus, 3 setup cycles.
-  ShipChannel ch(sim, "ch", 1,
-                 std::make_unique<CcatbModel>(10_ns, 4, 3));
+  ShipChannel ch(sim, "ch", 1, CcatbModel(10_ns, 4, 3));
   Time recv_done = Time::zero();
   sim.spawn_thread("p", [&] {
     VectorMsg<> m(16);  // 16 bytes + 4-byte length prefix = 20 bytes
@@ -175,7 +174,7 @@ TEST(ShipChannel, CcatbTimingChargesSetupPlusBeats) {
   EXPECT_EQ(recv_done, 80_ns);
 }
 
-TEST(ShipChannel, SwitchTimingModelInPlace) {
+TEST(ShipChannel, SwitchAbstractionLevelInPlace) {
   Simulator sim;
   ShipChannel ch(sim, "ch");
   std::vector<Time> arrivals;
@@ -183,20 +182,24 @@ TEST(ShipChannel, SwitchTimingModelInPlace) {
     PodMsg<std::uint32_t> m(1);
     ch.a().send(m);             // untimed
     wait(1_ns);
-    ch.set_timing(std::make_unique<CcatbModel>(10_ns, 4, 0));
+    ch.set_timing(CcatbModel(10_ns, 4, 0));
     ch.a().send(m);             // now costs 1 beat = 10 ns
+    wait(1_ns);
+    ch.set_timing(std::nullopt);
+    ch.a().send(m);             // untimed again
   });
   sim.spawn_thread("c", [&] {
     PodMsg<std::uint32_t> m;
-    ch.b().recv(m);
-    arrivals.push_back(sim.now());
-    ch.b().recv(m);
-    arrivals.push_back(sim.now());
+    for (int i = 0; i < 3; ++i) {
+      ch.b().recv(m);
+      arrivals.push_back(sim.now());
+    }
   });
   sim.run();
-  ASSERT_EQ(arrivals.size(), 2u);
+  ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], 0_ns);
   EXPECT_EQ(arrivals[1], 11_ns);
+  EXPECT_EQ(arrivals[2], 12_ns);
 }
 
 TEST(ShipChannel, TxnLoggerRecordsTraffic) {

@@ -1,4 +1,4 @@
-// Unit tests for SHIP timing policies and the mailbox layout arithmetic
+// Unit tests for the SHIP CCATB timing model and the mailbox layout arithmetic
 // shared by wrappers and the HW/SW adapter.
 #include <gtest/gtest.h>
 
@@ -8,13 +8,6 @@
 using namespace stlm;
 using namespace stlm::ship;
 using namespace stlm::time_literals;
-
-TEST(ShipTiming, UntimedIsAlwaysZero) {
-  UntimedModel m;
-  EXPECT_EQ(m.transfer_latency(0), Time::zero());
-  EXPECT_EQ(m.transfer_latency(1), Time::zero());
-  EXPECT_EQ(m.transfer_latency(1 << 20), Time::zero());
-}
 
 TEST(ShipTiming, CcatbBeatsRoundUp) {
   CcatbModel m(10_ns, 4, 0);

@@ -561,13 +561,6 @@ TEST(TxnLog, InternIsStableAndDeduplicates) {
   }
 }
 
-TEST(TxnLog, DisabledLoggerRecordsNothing) {
-  trace::TxnLogger log;
-  log.set_enabled(false);
-  log.record("ch", trace::TxnKind::Send, 1, 0_ns, 1_ns);
-  EXPECT_EQ(log.size(), 0u);
-}
-
 TEST(Vcd, EmitsHeaderAndChanges) {
   TempVcd tmp("header");
   Simulator sim;
