@@ -5,7 +5,8 @@ Usage:
     python3 bench/append_history.py BUILD_DIR SHORT_LABEL
 
 Copies BUILD_DIR/BENCH_cam.json and BUILD_DIR/BENCH_exploration.json
-(and BUILD_DIR/BENCH_abstraction.json when present) into
+(and BUILD_DIR/BENCH_abstraction.json and BUILD_DIR/BENCH_kernel.json
+when present) into
 bench/history/NNNN-SHORT_LABEL/ where NNNN is one past the highest
 existing entry number. Refuses to overwrite and validates that each file
 is Google-Benchmark JSON (has a "benchmarks" list) before copying.
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 SUITES = ("BENCH_cam.json", "BENCH_exploration.json")
-OPTIONAL_SUITES = ("BENCH_abstraction.json",)
+OPTIONAL_SUITES = ("BENCH_abstraction.json", "BENCH_kernel.json")
 
 # Benchmarks whose per-PR trajectory the summary tracks; substring match
 # against the emitted row names (which carry /arg/real_time suffixes).

@@ -11,9 +11,8 @@
 // channels are SwLocalChannel on rtos::Queue, and rtos::Semaphore is the
 // semaphore (src/core/esw.hpp, src/rtos/rtos.hpp).
 //
-// Two same-delta lock() calls are served in dispatch order, and so is a
-// try_lock() against a same-delta unlock(): which goes first is the
-// kernel's choice, not the model's. The dispatch-order check
+// Two same-delta lock() calls are served in dispatch order: which goes
+// first is the kernel's choice, not the model's. The dispatch-order check
 // (docs/ARCHITECTURE.md) shows such a race as a different outcome under
 // DispatchOrder::Reverse.
 
@@ -33,12 +32,6 @@ public:
   void lock() {
     while (locked_) wait(unlocked_);
     locked_ = true;
-  }
-
-  bool try_lock() {
-    if (locked_) return false;
-    locked_ = true;
-    return true;
   }
 
   void unlock() {

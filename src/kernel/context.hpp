@@ -8,6 +8,13 @@
 // registers and the stack pointer, load the peer's. This is the same
 // technique SystemC's QuickThreads package uses.
 //
+// A resume costs at most one such switch. The scheduler loop has no
+// stack of its own while a run is in flight: it runs on the stack of the
+// process that yields and switches from there straight into the next
+// one (Simulator::schedule_next), so the run's caller is switched to
+// only at the run's end. Every switch goes through
+// Simulator::switch_to, which carries the sanitizer annotations below.
+//
 // x86-64 System V only (the platform this repository targets); the
 // assembly lives in process.cpp.
 
@@ -105,23 +112,37 @@ inline void fiber_switch_begin(void** save, const void* bottom,
 
 // Call as the first action after control (re)enters a context: `save` is
 // the handle stored by this context's previous fiber_switch_begin
-// (nullptr on a fiber's first entry); bottom_old/size_old, when
-// non-null, receive the bounds of the stack control came from.
-inline void fiber_switch_end(void* save, const void** bottom_old = nullptr,
-                             std::size_t* size_old = nullptr) {
+// (nullptr on a fiber's first entry).
+inline void fiber_switch_end(void* save) {
 #ifdef STLM_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(save, bottom_old, size_old);
+  __sanitizer_finish_switch_fiber(save, nullptr, nullptr);
 #else
   (void)save;
-  (void)bottom_old;
-  (void)size_old;
+#endif
+}
+
+// Learn the bounds of the stack the caller runs on, as ASan records
+// them, for the switches that later come back to it: a no-op switch to
+// an empty stack reports the current bounds, and a second one restores
+// them. The bounds are those of the OS thread's stack, or of a
+// coroutine's for a simulator run from inside another's process.
+inline void fiber_current_stack(const void** bottom, std::size_t* size) {
+#ifdef STLM_ASAN_FIBERS
+  void* fake = nullptr;
+  __sanitizer_start_switch_fiber(&fake, nullptr, 0);
+  __sanitizer_finish_switch_fiber(fake, bottom, size);
+  __sanitizer_start_switch_fiber(&fake, *bottom, *size);
+  __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
+#else
+  (void)bottom;
+  (void)size;
 #endif
 }
 
 // --- TSan fiber identities (no-ops in non-TSan builds) ------------------
 //
 // Each thread process owns a fiber handle created at first start and
-// destroyed with the process; the scheduler context is the OS thread's
+// destroyed with the process; run()'s context is the OS thread's
 // implicit fiber. tsan_fiber_switch is called immediately before each
 // stlm_ctx_swap with the handle of the context being switched *to*, with
 // flag 0 so TSan carries synchronization (happens-before) across the

@@ -1,7 +1,9 @@
 #include "kernel/process.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "kernel/context.hpp"
 #include "kernel/event.hpp"
@@ -38,6 +40,14 @@ namespace {
 // Handoff slot for the coroutine trampoline (the initial frame carries no
 // arguments; the spawner sets this immediately before the first switch).
 thread_local Process* g_starting_process = nullptr;
+
+// Whether the calling code runs on `b` (the frame address is the real
+// stack even where ASan moves locals to fake frames).
+bool running_on(const detail::StackPool::Block& b) {
+  const auto sp = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  const auto base = reinterpret_cast<std::uintptr_t>(b.base);
+  return sp >= base && sp - base < detail::StackPool::kStackBytes;
+}
 }  // namespace
 
 void throw_process_killed() { throw ProcessKilled{}; }
@@ -64,6 +74,17 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body)
 }
 
 Process::~Process() {
+  // Methods, updates and hooks run on the stack of the process that
+  // yielded (Simulator::schedule_next). One that destroys that process
+  // would hand its live stack back to the pool for the next spawn to
+  // reuse under the running frames: stop here instead.
+  if (running_on(stack_)) [[unlikely]] {
+    std::fprintf(stderr,
+                 "stlm: thread process %s destroyed while running on its "
+                 "own stack\n",
+                 name_.c_str());
+    std::abort();
+  }
   // A process destroyed while parked mid-wait still has live frames (and
   // their locals) on its coroutine stack. Unwind them so destructors run
   // and LeakSanitizer sees every allocation released — without this,
@@ -73,37 +94,31 @@ Process::~Process() {
   detail::StackPool::local().release(stack_);
 }
 
-Event& Process::terminated_event() {
-  if (!terminated_event_) {
-    terminated_event_ =
-        std::make_unique<Event>(sim_, name_ + ".terminated");
-  }
-  return *terminated_event_;
-}
-
 void Process::trampoline() {
   Process* self = g_starting_process;
   g_starting_process = nullptr;
-  // First entry on this fiber: tell the sanitizer the switch completed
-  // and learn the scheduler stack's bounds for the switches back.
-  detail::fiber_switch_end(nullptr, &self->sim_.sched_stack_bottom_,
-                           &self->sim_.sched_stack_size_);
+  Simulator& sim = self->sim_;
+  // First entry on this fiber: tell the sanitizer the switch completed.
+  detail::fiber_switch_end(nullptr);
   try {
     self->body_();
   } catch (const ProcessKilled&) {
     // Teardown unwind (Simulator::kill_process): expected, not an error.
   } catch (...) {
-    self->error_ = std::current_exception();
+    // Anything thrown while a killed process unwinds has nowhere to go
+    // (the killer is usually ~Simulator); drop it like the ProcessKilled.
+    if (sim.running_) sim.fail(std::current_exception());
   }
   self->terminated_ = true;
-  self->sim_.invalidate(self->slot_);
-  if (self->terminated_event_) self->terminated_event_->notify_delta();
-  // Hand control back to the scheduler for good (null handle: this
-  // fiber is done, release its sanitizer fake frames).
-  detail::fiber_switch_begin(nullptr, self->sim_.sched_stack_bottom_,
-                             self->sim_.sched_stack_size_);
-  detail::tsan_fiber_switch(self->sim_.tsan_sched_fiber_);
-  detail::stlm_ctx_swap(&self->sp_, self->sim_.sched_sp_);
+  sim.invalidate(self->slot_);
+  Process* next = nullptr;
+  if (sim.running_) {
+    sim.resume_end(*self);
+    next = sim.schedule_next();
+  }
+  // Leave this fiber for good (null fake-stack handle: the sanitizer
+  // releases its fake frames).
+  sim.switch_to(next, &self->sp_, nullptr);
   // A terminated process is never resumed.
   std::abort();
 }

@@ -12,9 +12,7 @@
 //                     by clocked pin-level FSMs.
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -91,9 +89,6 @@ public:
 
   enum class WakeReason { None, Start, Event, Timeout, Kill };
 
-  // Event that fires when this process terminates (body returned or threw).
-  Event& terminated_event();
-
 private:
   friend class Simulator;
   friend class Event;
@@ -109,8 +104,6 @@ private:
   bool started_ = false;
   bool runnable_ = false;                    // queued in the runnable list
   WakeReason wake_reason_ = WakeReason::None;
-  std::exception_ptr error_;
-  std::unique_ptr<Event> terminated_event_;  // lazily created
 };
 
 // Method process: callback re-run on every trigger of its static

@@ -183,6 +183,10 @@ void Simulator::run_for(Time duration) { run_impl(now_ + duration); }
 void Simulator::run_impl(std::optional<Time> end_time) {
   STLM_ASSERT(!running_, "Simulator::run() is not reentrant");
   CurrentGuard guard(this);
+  // The run's last switch comes back here from whichever process is
+  // current then, so the sanitizers learn this stack here, not from the
+  // process a run first enters.
+  detail::fiber_current_stack(&sched_stack_bottom_, &sched_stack_size_);
 #ifdef STLM_TSAN_FIBERS
   tsan_sched_fiber_ = detail::tsan_fiber_current();
 #endif
@@ -192,19 +196,12 @@ void Simulator::run_impl(std::optional<Time> end_time) {
 
   initialized_ = true;
 
-  while (true) {
-    if (order_ == DispatchOrder::Fifo) {
-      evaluate_phase<DispatchOrder::Fifo>();
-    } else {
-      evaluate_phase<DispatchOrder::Reverse>();
-    }
-    if (stop_requested_) break;
-    update_phase();
-    delta_phase();
-    ++delta_count_;
-    for (const PostDeltaHook& hook : post_delta_hooks_) hook.fn(now_);
-    if (!runnable_.empty() || !method_queue_.empty()) continue;
-    if (!advance_time(end_time)) break;
+  // The scheduler loop runs here only until it picks the first process;
+  // from then on it runs on the stack of each process that yields, and
+  // the one that finds the run over switches back.
+  if (Process* first = schedule_next()) {
+    switch_to(first, &sched_sp_, &sched_fake_stack_);
+    detail::fiber_switch_end(sched_fake_stack_);
   }
 
   running_ = false;
@@ -217,10 +214,15 @@ void Simulator::run_impl(std::optional<Time> end_time) {
   }
 }
 
+Process* Simulator::schedule_next() noexcept {
+  return order_ == DispatchOrder::Fifo ? schedule_next<DispatchOrder::Fifo>()
+                                       : schedule_next<DispatchOrder::Reverse>();
+}
+
 // The order is a template parameter so the Fifo loop carries no
-// per-dispatch branch; run_impl picks the instance once per delta.
+// per-dispatch branch; schedule_next picks the instance once per call.
 template <DispatchOrder O>
-void Simulator::evaluate_phase() {
+Process* Simulator::schedule_next() noexcept {
   auto pop = [](auto& q) {
     if constexpr (O == DispatchOrder::Fifo) {
       return q.pop_front();
@@ -228,16 +230,43 @@ void Simulator::evaluate_phase() {
       return q.pop_back();
     }
   };
-  while (!method_queue_.empty() || !runnable_.empty()) {
-    if (stop_requested_) return;
-    if (!method_queue_.empty()) {
-      const detail::Handle<MethodProcess> m = pop(method_queue_);
-      if (current(m)) run_method(*m.obj);
-      continue;
+  while (true) {
+    // Evaluate: methods run here; a thread process is handed back.
+    while (!method_queue_.empty() || !runnable_.empty()) {
+      if (stop_requested_) return nullptr;
+      if (!method_queue_.empty()) {
+        const detail::Handle<MethodProcess> m = pop(method_queue_);
+        if (current(m)) run_method(*m.obj);
+        continue;
+      }
+      const detail::Handle<Process> p = pop(runnable_);
+      if (current(p)) {
+        resume_begin(*p.obj);
+        return p.obj;
+      }
     }
-    const detail::Handle<Process> p = pop(runnable_);
-    if (current(p)) resume_thread(*p.obj);
+    if (stop_requested_) return nullptr;
+    update_phase();
+    delta_phase();
+    ++delta_count_;
+    for (const PostDeltaHook& hook : post_delta_hooks_) {
+      try {
+        hook.fn(now_);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    // An update or a hook that failed (or stopped) ends the run at this
+    // instant.
+    if (stop_requested_) return nullptr;
+    if (!runnable_.empty() || !method_queue_.empty()) continue;
+    if (!advance_time(run_end_time_)) return nullptr;
   }
+}
+
+void Simulator::fail(std::exception_ptr e) noexcept {
+  if (!pending_error_) pending_error_ = std::move(e);
+  stop_requested_ = true;
 }
 
 void Simulator::run_method(MethodProcess& m) {
@@ -247,47 +276,58 @@ void Simulator::run_method(MethodProcess& m) {
   try {
     m.fn_();
   } catch (...) {
-    if (!pending_error_) pending_error_ = std::current_exception();
+    fail(std::current_exception());
     m.terminated_ = true;
     gens_.bump(m.slot_);
-    stop_requested_ = true;
   }
   if (trace_session_ != nullptr) trace_session_->process_end(m, now_);
   if (profiler_ != nullptr) profiler_->dispatch_end(m);
 }
 
-void Simulator::resume_thread(Process& p) {
+void Simulator::resume_begin(Process& p) {
   p.runnable_ = false;
   gens_.bump(p.slot_);  // lapse every other wake-up this process registered
   current_process_ = &p;
   ++ctx_switches_;
   if (profiler_ != nullptr) profiler_->dispatch_begin(p);
   if (trace_session_ != nullptr) trace_session_->process_begin(p, now_);
-  p.ensure_started();
-  detail::fiber_switch_begin(&sched_fake_stack_, p.stack_.base,
-                             detail::StackPool::kStackBytes);
-  detail::tsan_fiber_switch(p.tsan_fiber_);
-  detail::stlm_ctx_swap(&sched_sp_, p.sp_);
-  detail::fiber_switch_end(sched_fake_stack_);
+}
+
+void Simulator::resume_end(Process& p) {
   current_process_ = nullptr;
   // now_ may have moved while the process ran (lone-runner inline
   // advances), so the end stamp closes a span of real simulated width.
   if (trace_session_ != nullptr) trace_session_->process_end(p, now_);
   if (profiler_ != nullptr) profiler_->dispatch_end(p);
-  if (p.error_) {
-    if (!pending_error_) pending_error_ = p.error_;
-    p.error_ = nullptr;
-    stop_requested_ = true;
+}
+
+void Simulator::switch_to(Process* to, void** save_sp, void** save_fake) {
+  if (to != nullptr) {
+    to->ensure_started();
+    detail::fiber_switch_begin(save_fake, to->stack_.base,
+                               detail::StackPool::kStackBytes);
+    detail::tsan_fiber_switch(to->tsan_fiber_);
+    detail::stlm_ctx_swap(save_sp, to->sp_);
+  } else {
+    detail::fiber_switch_begin(save_fake, sched_stack_bottom_,
+                               sched_stack_size_);
+    detail::tsan_fiber_switch(tsan_sched_fiber_);
+    detail::stlm_ctx_swap(save_sp, sched_sp_);
   }
 }
 
 Process::WakeReason Simulator::suspend_current() {
   Process& p = require_process("wait");
-  detail::fiber_switch_begin(&p.fake_stack_, sched_stack_bottom_,
-                             sched_stack_size_);
-  detail::tsan_fiber_switch(tsan_sched_fiber_);
-  detail::stlm_ctx_swap(&p.sp_, sched_sp_);
-  detail::fiber_switch_end(p.fake_stack_);
+  Process* next = nullptr;
+  if (running_) {
+    resume_end(p);
+    next = schedule_next();
+  }
+  // Picked again (its own delta notification, say): no switch at all.
+  if (next != &p) {
+    switch_to(next, &p.sp_, &p.fake_stack_);
+    detail::fiber_switch_end(p.fake_stack_);
+  }
 #ifdef STLM_KILL_UNWIND
   if (p.wake_reason_ == Process::WakeReason::Kill) [[unlikely]]
     throw_process_killed();
@@ -310,6 +350,7 @@ void Simulator::kill_process(Process& p) {
   if (running_ || current_process_ != nullptr) return;
   // Destructors on the dying stack may wait()/notify().
   CurrentGuard guard(this);
+  detail::fiber_current_stack(&sched_stack_bottom_, &sched_stack_size_);
 #ifdef STLM_TSAN_FIBERS
   tsan_sched_fiber_ = detail::tsan_fiber_current();
 #endif
@@ -317,16 +358,9 @@ void Simulator::kill_process(Process& p) {
   p.runnable_ = false;
   p.wake_reason_ = Process::WakeReason::Kill;
   current_process_ = &p;
-  detail::fiber_switch_begin(&sched_fake_stack_, p.stack_.base,
-                             detail::StackPool::kStackBytes);
-  detail::tsan_fiber_switch(p.tsan_fiber_);
-  detail::stlm_ctx_swap(&sched_sp_, p.sp_);
+  switch_to(&p, &sched_sp_, &sched_fake_stack_);
   detail::fiber_switch_end(sched_fake_stack_);
   current_process_ = nullptr;
-  // Anything thrown while unwinding a killed process has nowhere to go
-  // (we are usually inside ~Simulator); drop it like the trampoline
-  // dropped the ProcessKilled itself.
-  p.error_ = nullptr;
 #endif
 }
 
@@ -345,18 +379,22 @@ void Simulator::kill_threads() {
 // the swap: the buffers then alternate per use rather than per delta and
 // both reach the working size (with an even number of deltas between
 // uses, one would otherwise never be filled).
-void Simulator::update_phase() {
+void Simulator::update_phase() noexcept {
   if (update_requests_.empty()) return;
   update_scratch_.swap(update_requests_);
   for (const detail::Handle<UpdateIf>& u : update_scratch_) {
     if (!current(u)) continue;  // destroyed with the update queued
     u.obj->update_pending_ = false;
-    u.obj->update();
+    try {
+      u.obj->update();
+    } catch (...) {
+      fail(std::current_exception());
+    }
   }
   update_scratch_.clear();
 }
 
-void Simulator::delta_phase() {
+void Simulator::delta_phase() noexcept {
   if (delta_events_.empty()) return;
   delta_scratch_.swap(delta_events_);
   for (const detail::Handle<Event>& e : delta_scratch_) {

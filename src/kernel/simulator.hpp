@@ -217,8 +217,10 @@ public:
   std::uint64_t events_registered_total() const {
     return events_registered_total_;
   }
-  // Suspend the calling thread process; the scheduler resumes others.
-  // Returns the reason the process was woken.
+  // Suspend the calling thread process: the scheduler loop runs on its
+  // stack and switches straight into the next process it picks (or back
+  // to run()'s caller when the run ends), or returns at once when it
+  // picks the caller again. Returns the reason the process was woken.
   Process::WakeReason suspend_current();
 
   // Unwind a parked coroutine by resuming it with WakeReason::Kill; the
@@ -226,7 +228,7 @@ public:
   // run, and the trampoline retires the process. Only legal between
   // runs (no-op while the simulator is running or a process is current):
   // the unwound frames hand control straight back here, which is only
-  // sound from the scheduler context. ~Process calls this for any
+  // sound from outside every process. ~Process calls this for any
   // started, unterminated process, so teardown leaks nothing.
   void kill_process(Process& p);
   // kill_process for every thread process this simulator owns, the twin
@@ -256,7 +258,9 @@ public:
   obs::TraceSession* trace_session() const { return trace_session_; }
   void set_profiler(obs::Profiler* p) { profiler_ = p; }
   obs::Profiler* profiler() const { return profiler_; }
-  // Thread-coroutine resumes (two raw context swaps each: in and out).
+  // Thread-process resumes. Each costs at most one raw stack swap,
+  // straight from the yielding process into the resumed one, and none
+  // when the yielding process is picked again.
   std::uint64_t ctx_switches() const { return ctx_switches_; }
   // Successful lone-runner inline advances (see advance_inline).
   std::uint64_t inline_advances() const { return inline_advances_; }
@@ -273,14 +277,31 @@ private:
   // wherever the thread's simulator stack changes.
   static void sync_txn_ids();
 
-  template <DispatchOrder O>
-  void evaluate_phase();
-  void update_phase();
-  void delta_phase();
-  bool advance_time(std::optional<Time> end_time);
   void run_impl(std::optional<Time> end_time);
+  // The scheduler loop: evaluate, update, delta, post-delta hooks and
+  // time advance. It runs on the stack of whichever context yields —
+  // run_impl's at the start of a run, else the thread process that
+  // suspends or returns — and stops at the next thread process to
+  // resume, returned already current (resume_begin has run). nullptr
+  // means the run is over: stop, starvation, horizon or error. Called
+  // only while running_. An exception from a method, an update or a
+  // hook becomes pending_error_ plus a stop, for run() to rethrow.
+  Process* schedule_next() noexcept;
+  template <DispatchOrder O>
+  Process* schedule_next() noexcept;
+  void update_phase() noexcept;
+  void delta_phase() noexcept;
+  bool advance_time(std::optional<Time> end_time);
   void run_method(MethodProcess& m);
-  void resume_thread(Process& p);
+  // Bookkeeping and observer hooks that bracket one thread resume.
+  void resume_begin(Process& p);
+  void resume_end(Process& p);
+  // The one stack switch of a resume, with its sanitizer annotations:
+  // from the context that saves its stack pointer to *save_sp (and its
+  // fake-stack handle to *save_fake, null when that context dies) into
+  // `to`, or back into run_impl's context when `to` is null.
+  void switch_to(Process* to, void** save_sp, void** save_fake);
+  void fail(std::exception_ptr e) noexcept;
   void dispatch_timed(const TimedEntry& e);
   // Stale predicate shared by advance_time and advance_inline: entries
   // cancelled or overridden since registration never advance time.
@@ -329,14 +350,14 @@ private:
   obs::Profiler* profiler_ = nullptr;
   std::uint64_t ctx_switches_ = 0;
   std::uint64_t inline_advances_ = 0;
-  void* sched_sp_ = nullptr;  // scheduler context while a process runs
-  // Sanitizer fiber bookkeeping (unused in non-ASan builds): the
-  // scheduler context's fake-stack handle, and the bounds of the stack
-  // the scheduler runs on (learned at the first fiber entry).
+  void* sched_sp_ = nullptr;  // run_impl's context while processes run
+  // Sanitizer fiber bookkeeping (unused in non-ASan builds): run_impl's
+  // fake-stack handle, and the bounds of the stack it runs on (learned
+  // at the start of each run and each kill).
   void* sched_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;
   std::size_t sched_stack_size_ = 0;
-  // TSan identity of the scheduler context (the OS thread's implicit
+  // TSan identity of run_impl's context (the OS thread's implicit
   // fiber); refreshed on each run in case the simulator migrates threads.
   void* tsan_sched_fiber_ = nullptr;
   std::exception_ptr pending_error_;

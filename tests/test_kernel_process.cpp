@@ -52,9 +52,13 @@ TEST(Process, DeepCallStackCanWait) {
 TEST(Process, TerminatedEventFires) {
   Simulator sim;
   bool observed = false;
-  Process& p = sim.spawn_thread("worker", [&] { wait(10_ns); });
+  Event done(sim, "worker.done");
+  Process& p = sim.spawn_thread("worker", [&] {
+    wait(10_ns);
+    done.notify_delta();  // the body's last statement
+  });
   sim.spawn_thread("watcher", [&] {
-    wait(p.terminated_event());
+    wait(done);
     observed = true;
     EXPECT_TRUE(p.terminated());
   });

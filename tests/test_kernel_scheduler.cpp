@@ -3,6 +3,7 @@
 // kernel behaviours the pin-level FSMs, monitors, and arbiters rely on.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -344,4 +345,189 @@ TEST(Scheduler, StopFromAMethodReturnsBeforeTheNextDispatch) {
   EXPECT_TRUE(thread_ran);
   EXPECT_EQ(thread_at, 5_ns);
   EXPECT_EQ(sim.now(), 5_ns);
+}
+
+// ---- the scheduler loop on a process's stack ------------------------------
+//
+// Once a run has entered its first process, the loop runs on the stack of
+// the process that yields (Simulator::schedule_next). The tests below pin
+// what that must not change: errors, self-wakes, stop() and starvation.
+
+// A post-delta hook that throws while the loop runs inside a ticker's
+// wait(): run_for() rethrows it at that instant, and the simulator stays
+// usable and tears down with the ticker parked.
+TEST(Scheduler, HookExceptionOnAProcessStackIsRethrownByRun) {
+  Simulator sim;
+  int ticks = 0;
+  sim.spawn_thread("ticker", [&] {
+    for (int i = 0; i < 10; ++i) {
+      wait(1_ns);
+      ++ticks;
+    }
+  });
+  const int owner = 0;
+  sim.add_post_delta_hook(&owner, [&](Time now) {
+    if (now == 3_ns) {
+      EXPECT_GT(sim.ctx_switches(), 0u);  // called from the ticker's wait()
+      throw ProtocolError("hook boom");
+    }
+  });
+  EXPECT_THROW(sim.run_for(100_ns), ProtocolError);
+  EXPECT_EQ(sim.now(), 3_ns);
+  EXPECT_FALSE(sim.running());
+  sim.remove_post_delta_hooks(&owner);
+  sim.run();
+  EXPECT_EQ(ticks, 10);
+  EXPECT_EQ(sim.now(), 10_ns);
+}
+
+// A hook that calls stop() while the loop runs on a process's stack ends
+// the run at the hook's instant: time does not first advance to the next
+// timed entry (like SystemC's sc_stop, which finishes the delta only).
+TEST(Scheduler, HookStopOnAProcessStackEndsTheRunAtThatInstant) {
+  Simulator sim;
+  int ticks = 0;
+  sim.spawn_thread("ticker", [&] {
+    for (int i = 0; i < 10; ++i) {
+      wait(1_ns);
+      ++ticks;
+    }
+  });
+  const int owner = 0;
+  bool stopped = false;
+  sim.add_post_delta_hook(&owner, [&](Time now) {
+    if (now == 3_ns && !stopped) {
+      EXPECT_GT(sim.ctx_switches(), 0u);  // called from the ticker's wait()
+      stopped = true;
+      sim.stop();
+    }
+  });
+  sim.run_for(100_ns);
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(sim.now(), 3_ns);
+  EXPECT_EQ(ticks, 3);
+  EXPECT_FALSE(sim.running());
+  sim.run();
+  EXPECT_EQ(ticks, 10);
+  EXPECT_EQ(sim.now(), 10_ns);
+}
+
+// A method that destroys the thread process whose wait() it runs in
+// would free the stack under its own frames; ~Process stops the program
+// instead of letting the pool hand that stack to the next spawn.
+TEST(SchedulerDeathTest, DestroyingTheYieldingProcessFromAMethodAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        Event kick(sim, "kick");
+        auto owner = std::make_unique<Module>(sim, "owner");
+        owner->spawn_thread("worker", [&] {
+          wait(1_ns);
+          kick.notify();
+          wait(5_ns);  // the method runs inside this wait()
+        });
+        sim.spawn_method("reaper", [&] { owner.reset(); }, {&kick},
+                         /*run_at_start=*/false);
+        sim.run();
+      },
+      "destroyed while running on its own stack");
+}
+
+// A method that throws when a thread's immediate notification queues it:
+// the method runs inside that thread's wait(), and run() rethrows.
+TEST(Scheduler, MethodExceptionOnAProcessStackIsRethrownByRun) {
+  Simulator sim;
+  Event ev(sim, "ev");
+  sim.spawn_method("bad", [] { throw ProtocolError("method boom"); }, {&ev},
+                   /*run_at_start=*/false);
+  sim.spawn_thread("kick", [&] {
+    wait(2_ns);
+    ev.notify();
+    wait(5_ns);  // parked here when the run ends
+  });
+  EXPECT_THROW(sim.run(), ProtocolError);
+  EXPECT_EQ(sim.now(), 2_ns);
+  EXPECT_FALSE(sim.running());
+}
+
+// A process woken only by its own delta notification is picked again:
+// one resume, counted once, and the loop hands control straight back.
+TEST(Scheduler, SelfDeltaWakeCountsOneResume) {
+  Simulator sim;
+  Event ev(sim, "ev");
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  sim.spawn_thread("self", [&] {
+    before = sim.ctx_switches();
+    ev.notify_delta();
+    wait(ev);
+    after = sim.ctx_switches();
+  });
+  sim.run();
+  EXPECT_EQ(before, 1u);
+  EXPECT_EQ(after, before + 1);
+  EXPECT_EQ(sim.delta_count(), 2u);
+}
+
+// Starving inside a process's wait() ends run() there; a later notify
+// and run_for() resume the process and run to the new horizon.
+TEST(Scheduler, StarvationInsideAWaitReturnsAndRunForContinues) {
+  Simulator sim;
+  Event ev(sim, "ev");
+  Time woke_at;
+  sim.spawn_thread("waiter", [&] {
+    wait(7_ns);
+    wait(ev);
+    woke_at = sim.now();
+    wait(20_ns);
+  });
+  sim.run();
+  EXPECT_EQ(sim.now(), 7_ns);
+  ev.notify(3_ns);
+  sim.run_for(10_ns);
+  EXPECT_EQ(woke_at, 10_ns);
+  EXPECT_EQ(sim.now(), 17_ns);
+  sim.run();
+  EXPECT_EQ(sim.now(), 30_ns);
+  EXPECT_TRUE(sim.idle());
+}
+
+namespace {
+
+// Four threads runnable at the start; the first one dispatched calls
+// stop() when `stop_first` is set. Returns the dispatch order over two
+// runs and the count dispatched by the first.
+std::pair<std::vector<int>, std::size_t> order_with_stop(DispatchOrder o,
+                                                         bool stop_first) {
+  Simulator sim;
+  sim.set_dispatch_order(o);
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    sim.spawn_thread("t" + std::to_string(i), [&, i] {
+      if (stop_first && order.empty()) sim.stop();
+      order.push_back(i);
+      wait(1_ns);
+    });
+  }
+  sim.run();
+  const std::size_t first_run = order.size();
+  sim.run();
+  return {order, first_run};
+}
+
+}  // namespace
+
+TEST(Scheduler, StopInsideAProcessKeepsTheRestQueuedInOrder) {
+  for (const DispatchOrder o : {DispatchOrder::Fifo, DispatchOrder::Reverse}) {
+    const auto [reference, all] = order_with_stop(o, false);
+    const auto [stopped, first] = order_with_stop(o, true);
+    EXPECT_EQ(all, 4u);
+    EXPECT_EQ(first, 1u);
+    EXPECT_EQ(stopped, reference);
+  }
+  EXPECT_EQ(order_with_stop(DispatchOrder::Fifo, true).first,
+            (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(order_with_stop(DispatchOrder::Reverse, true).first,
+            (std::vector<int>{3, 2, 1, 0}));
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Alternating A/B runs of one perfbench workload on two source trees.
+"""Alternating A/B runs of one perfbench workload, or of one
+Google-Benchmark suite, on two source trees.
 
     python3 tools/ab.py BASE CHANGE --workload search --pairs 10 --seconds 20
+    python3 tools/ab.py BASE CHANGE --bench kernel [--filter REGEX]
 
 BASE and CHANGE are each a git revision of this repository, checked out
 into a temporary `git worktree` that is removed afterwards, or the path
@@ -17,6 +19,13 @@ two medians, the base's interquartile range, the pairs the change won
 and a two-sided sign-test p-value over the pairs that were not ties,
 then each side's values in run order. It also prints each side's
 digest, and exits 1 if one side's runs printed different digests.
+
+With --bench SUITE the tool instead builds the `bench_SUITE` target in
+each tree (a Release build in the tree's `.bench_build/ab-bench/`) and
+alternates single runs of it, each with the --filter regex as
+--benchmark_filter. For every benchmark row it prints the same summary
+over the row's `real_time`, and then each side's values in run order.
+
 Nothing is written under perfbench/; the temporary directory honours
 TMPDIR.
 """
@@ -131,6 +140,77 @@ def run_once(tree, workload, seed, seconds):
     return ({k: v["value"] for k, v in result["metrics"].items()}, digest)
 
 
+def bench_build(tree, suite):
+    """Build bench_SUITE in `tree`; return the executable's path."""
+    build = os.path.join(tree, ".bench_build", "ab-bench")
+    subprocess.run(["cmake", "-S", tree, "-B", build,
+                    "-DCMAKE_BUILD_TYPE=Release", "-DSTLM_BUILD_TESTS=OFF",
+                    "-DSTLM_BUILD_EXAMPLES=OFF"],
+                   check=True, stdout=subprocess.DEVNULL)
+    subprocess.run(["cmake", "--build", build, "--target", f"bench_{suite}",
+                    "-j", "2"], check=True, stdout=subprocess.DEVNULL)
+    return os.path.join(build, f"bench_{suite}")
+
+
+def bench_rows(doc):
+    """Row name -> (real_time, time_unit) of a Google-Benchmark JSON
+    document's iteration rows (aggregates are skipped)."""
+    return {row["name"]: (row["real_time"], row["time_unit"])
+            for row in doc["benchmarks"]
+            if row.get("run_type", "iteration") == "iteration"}
+
+
+def bench_once(exe, regex):
+    cmd = [exe, "--benchmark_format=json"]
+    if regex:
+        cmd.append(f"--benchmark_filter={regex}")
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{exe} failed (exit {proc.returncode})")
+    rows = bench_rows(json.loads(proc.stdout))
+    if not rows:
+        raise RuntimeError(f"{exe} ran no benchmark")
+    return rows
+
+
+def alternate(pairs, run):
+    """Call run(side) for N pairs, alternating which side goes first;
+    return each side's results in run order."""
+    results = ([], [])
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            results[side].append(run(side))
+        print(f"pair {i + 1}/{pairs} done", file=sys.stderr)
+    return results
+
+
+def print_samples(base, change):
+    for label, vals in (("base", base), ("change", change)):
+        print(f"  {label}: " + " ".join(f"{v:.6g}" for v in vals))
+
+
+def main_bench(args, trees):
+    exes = [bench_build(tree, args.bench) for tree in trees]
+    runs = alternate(args.pairs, lambda side: bench_once(
+        exes[side], args.filter))
+    print(f"bench_{args.bench}, {args.pairs} alternating pairs"
+          + (f", filter {args.filter}" if args.filter else "")
+          + f"; base {args.base}, change {args.change}")
+    missing = False
+    for name, (_, unit) in runs[0][0].items():
+        try:
+            base = [r[name][0] for r in runs[0]]
+            change = [r[name][0] for r in runs[1]]
+        except KeyError:
+            print(f"{name}: not run on both sides")
+            missing = True
+            continue
+        print(summarize(f"{name} real_time", unit, "lower", base, change))
+        print_samples(base, change)
+    return 1 if missing else 0
+
+
 class Trees:
     """Source trees for the two sides; revisions become temporary
     worktrees, removed on exit."""
@@ -173,45 +253,23 @@ class Trees:
         return False
 
 
-def main():
-    ap = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("base", help="git revision or source directory")
-    ap.add_argument("change", help="git revision or source directory")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-
+def main_perfbench(args, trees):
     metrics = end_to_end_metrics()
-    samples = {side: {m[0]: [] for m in metrics} for side in (0, 1)}
-    digests = (set(), set())
-    with Trees([args.base, args.change]) as trees:
-        for side in (0, 1):
-            print(f"warm-up build and run: {trees[side]}", file=sys.stderr)
-            run_once(trees[side], args.workload, args.seed, 1)
-        for i in range(args.pairs):
-            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                values, digest = run_once(trees[side], args.workload,
-                                          args.seed, args.seconds)
-                digests[side].add(digest)
-                for name, _, _ in metrics:
-                    samples[side][name].append(values[name])
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    for side in (0, 1):
+        print(f"warm-up build and run: {trees[side]}", file=sys.stderr)
+        run_once(trees[side], args.workload, args.seed, 1)
+    runs = alternate(args.pairs, lambda side: run_once(
+        trees[side], args.workload, args.seed, args.seconds))
 
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} "
           f"alternating {args.seconds:g} s pairs; base {args.base}, "
           f"change {args.change}")
     for name, unit, better in metrics:
-        print(summarize(name, unit, better, samples[0][name],
-                        samples[1][name]))
-        for side, label in ((0, "base"), (1, "change")):
-            vals = " ".join(f"{v:.6g}" for v in samples[side][name])
-            print(f"  {label}: {vals}")
+        base = [values[name] for values, _ in runs[0]]
+        change = [values[name] for values, _ in runs[1]]
+        print(summarize(name, unit, better, base, change))
+        print_samples(base, change)
+    digests = [{digest for _, digest in runs[side]} for side in (0, 1)]
     steady = True
     for side, label in ((0, "base"), (1, "change")):
         if len(digests[side]) != 1:
@@ -223,6 +281,34 @@ def main():
         print(f"digests ({same}): base {digests[0].pop()}, "
               f"change {digests[1].pop()}")
     return 0 if steady else 1
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("base", help="git revision or source directory")
+    ap.add_argument("change", help="git revision or source directory")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="perfbench workload")
+    mode.add_argument("--bench", metavar="SUITE",
+                      help="Google-Benchmark suite: builds bench_SUITE")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20,
+                    help="perfbench seconds per run")
+    ap.add_argument("--seed", type=int, default=1, help="perfbench seed")
+    ap.add_argument("--filter", default="",
+                    help="--benchmark_filter regex for --bench")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if args.filter and not args.bench:
+        ap.error("--filter needs --bench")
+
+    with Trees([args.base, args.change]) as trees:
+        if args.bench:
+            return main_bench(args, trees)
+        return main_perfbench(args, trees)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 """CTest guard for the statistics of tools/ab.py, on canned samples.
 
 Checks the median and interquartile range, the pair count with each
-metric's direction and with ties, the exact two-sided sign test, and
-one formatted summary line.
+metric's direction and with ties, the exact two-sided sign test, one
+formatted summary line, the --bench mode's reading of a canned
+Google-Benchmark document, and the pair alternation.
 """
 
 import importlib.util
@@ -57,6 +58,34 @@ want = ("host_ns_per_txn (ns, lower is better), 5 pairs: base median 138, "
         "change median 129 (-6.5%), base IQR 2; change better in 4 of 5 "
         "pairs (1 tied), sign test p = 0.125")
 check("summary", line, want)
+
+# --bench: a canned Google-Benchmark document. Iteration rows are kept
+# by name with their real_time and unit; aggregate rows are skipped.
+doc = {"context": {"executable": "./bench_kernel"}, "benchmarks": [
+    {"name": "BM_ImmediatePingPong", "run_type": "iteration",
+     "real_time": 258121.0, "cpu_time": 258038.0, "time_unit": "ns",
+     "ctx_switches": 4098.0},
+    {"name": "BM_LoneClock", "run_type": "iteration",
+     "real_time": 370.751, "time_unit": "us"},
+    {"name": "BM_LoneClock_median", "run_type": "aggregate",
+     "aggregate_name": "median", "real_time": 1.0, "time_unit": "us"},
+]}
+check("bench rows", ab.bench_rows(doc),
+      {"BM_ImmediatePingPong": (258121.0, "ns"),
+       "BM_LoneClock": (370.751, "us")})
+line = ab.summarize("BM_ImmediatePingPong real_time", "ns", "lower",
+                    [258121.0, 251000.0, 262000.0],
+                    [167092.0, 170000.0, 165000.0])
+want = ("BM_ImmediatePingPong real_time (ns, lower is better), 3 pairs: "
+        "base median 258121, change median 167092 (-35.3%), base IQR 5500; "
+        "change better in 3 of 3 pairs, sign test p = 0.25")
+check("bench summary", line, want)
+
+# Pairs alternate which side runs first.
+order = []
+runs = ab.alternate(3, lambda side: order.append(side) or side)
+check("alternation", order, [0, 1, 1, 0, 0, 1])
+check("alternate results", runs, ([0, 0, 0], [1, 1, 1]))
 
 try:
     ab.pairs_won([1, 2], [1], "lower")
