@@ -205,11 +205,24 @@ void BM_ExploreSplitGrid(benchmark::State& state) {
 // (0 shared), so the gate catches a certificate that shares too much;
 // Explorer.SharedRowsEqualEvaluatedCells pins the 42 shared cells of
 // the full 108-platform grid.
-void BM_ExploreWorkloadGrid(benchmark::State& state) {
+//
+// The seeds axis (second argument; the plain rows run 1 seed) repeats
+// the canonical workloads at that many seeds, as perfbench's grid-sweep
+// does. Each (platform, workload) pair is one shape group, mapped once:
+// `mapped_cells` counts the cells that were mapped and `reused_cells`
+// the simulated ones that ran on a reset system, both exact.
+void explore_workload_grid(benchmark::State& state, std::size_t seeds) {
   const auto threads = static_cast<unsigned>(state.range(0));
   expl::Explorer explorer;
   const auto candidates = atomic_grid();
-  const auto workloads = expl::workload_candidates();
+  std::vector<workload::WorkloadCase> workloads;
+  for (std::size_t k = 0; k < seeds; ++k) {
+    for (workload::WorkloadCase c : expl::workload_candidates(
+             k == 0 ? 0x5eed : workload::SplitMix64::derive(0x5eed, k))) {
+      if (seeds > 1) c.name += "#" + std::to_string(k);
+      workloads.push_back(std::move(c));
+    }
+  }
   const std::size_t cells = candidates.size() * workloads.size();
   for (auto _ : state) {
     auto rows = explorer.sweep_parallel(candidates, workloads, 200_ms,
@@ -224,9 +237,22 @@ void BM_ExploreWorkloadGrid(benchmark::State& state) {
   state.counters["cells"] = static_cast<double>(cells);
   state.counters["shared_cells"] =
       static_cast<double>(explorer.last_shared_cells());
-  state.counters["simulated_cells"] =
-      static_cast<double>(cells - explorer.last_shared_cells());
+  const std::size_t simulated = cells - explorer.last_shared_cells();
+  state.counters["simulated_cells"] = static_cast<double>(simulated);
+  state.counters["mapped_cells"] =
+      static_cast<double>(explorer.last_mapped_cells());
+  state.counters["reused_cells"] =
+      static_cast<double>(simulated - explorer.last_mapped_cells());
+  state.counters["seeds"] = static_cast<double>(seeds);
   state.counters["threads"] = static_cast<double>(threads);
+}
+
+void BM_ExploreWorkloadGrid(benchmark::State& state) {
+  explore_workload_grid(state, 1);
+}
+
+void BM_ExploreWorkloadGridSeeds(benchmark::State& state) {
+  explore_workload_grid(state, static_cast<std::size_t>(state.range(1)));
 }
 
 // Adaptive Pareto search (src/explore/search.hpp) over the default
@@ -403,6 +429,13 @@ BENCHMARK(BM_ExploreSplitGrid)
 BENCHMARK(BM_ExploreWorkloadGrid)
     ->Arg(1)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+// Rows BM_ExploreWorkloadGrid/<threads>/10: the same grid at 10 seeds.
+BENCHMARK(BM_ExploreWorkloadGridSeeds)
+    ->Name("BM_ExploreWorkloadGrid")
+    ->Args({1, 10})
+    ->Args({4, 10})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_SearchFrontier)

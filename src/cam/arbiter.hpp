@@ -34,6 +34,8 @@ public:
   virtual int pick(const std::vector<bool>& requesting, std::uint64_t cycle) = 0;
   /// Policy name for reports ("priority", "round-robin", "tdma").
   virtual std::string name() const = 0;
+  /// Back to the state right after construction (a reset system).
+  virtual void reset() {}
 };
 
 /// Static priority: lowest index wins (index order = priority order).
@@ -63,6 +65,7 @@ public:
     return -1;
   }
   std::string name() const override { return "round-robin"; }
+  void reset() override { last_ = 0; }
 
 private:
   std::size_t last_ = 0;
@@ -87,6 +90,7 @@ public:
     return fallback_.pick(requesting, cycle);
   }
   std::string name() const override { return "tdma"; }
+  void reset() override { fallback_.reset(); }
 
 private:
   std::vector<std::size_t> table_;
@@ -133,6 +137,8 @@ public:
     return winner;
   }
   std::string name() const override { return "aging"; }
+  // Idle everywhere, as the lazily grown table starts.
+  void reset() override { since_.assign(since_.size(), kIdle); }
 
 private:
   static constexpr std::uint64_t kIdle = static_cast<std::uint64_t>(-1);
@@ -169,6 +175,7 @@ public:
     return winner;
   }
   std::string name() const override { return "bandwidth"; }
+  void reset() override { credit_.assign(credit_.size(), 0); }
 
 private:
   std::int64_t share(std::size_t i) const {

@@ -3,6 +3,8 @@
 // heap-allocation-free (see tools/stlm_lint.py).
 #include "cam/buses.hpp"
 
+#include <algorithm>
+
 namespace stlm::cam {
 
 CrossbarCam::CrossbarCam(Simulator& sim, std::string name, Time cycle,
@@ -26,6 +28,13 @@ void CrossbarCam::on_slave(std::size_t lane, const std::string& label) {
     lane_avail_.push_back(std::make_unique<Event>(sim(), lane_name + ".avail"));
     spawn_thread("lane_" + label, [this, lane] { lane_engine(lane); });
   }
+}
+
+void CrossbarCam::reset() {
+  CamIf::reset();
+  for (const auto& lane : lanes_) lane->reset();
+  for (const auto& q : lane_q_) q->clear();
+  std::fill(inflight_.begin(), inflight_.end(), 0);
 }
 
 double CrossbarCam::utilization() const {

@@ -121,6 +121,7 @@ public:
               SplitConfig split = {});
 
   double utilization() const override;
+  void reset() override;
 
   bool split_active() const { return split_.active(); }
   // Clamped like CamBase: an inactive split config models depth 1.

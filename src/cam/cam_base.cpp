@@ -33,6 +33,18 @@ CamBase::CamBase(Simulator& sim, std::string name, Time cycle,
   }
 }
 
+void CamBase::reset() {
+  CamIf::reset();
+  engine_.reset();
+  service_q_.clear();
+  resp_q_.clear();
+  idle_workers_.clear();
+  last_txn_end_ = Time::zero();
+  engine_busy_ = false;
+  fast_busy_until_ = Time::zero();
+  fast_inflight_ = false;
+}
+
 std::uint64_t CamBase::split_addr_cycles(const Txn&) const {
   throw SimulationError("CAM " + full_name() +
                         " enabled split mode without split timing");

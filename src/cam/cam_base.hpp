@@ -83,6 +83,8 @@ public:
   std::uint64_t fast_path_hits() const {
     return cnt_fast_hits_ ? *cnt_fast_hits_ : 0;
   }
+  void reset() override;
+
   // Requests enqueued but not yet granted, summed over masters — an
   // instantaneous queue-depth gauge for obs::MetricsRegistry time series.
   std::size_t queued_requests() const {

@@ -101,6 +101,11 @@ void CamIf::set_txn_logger(trace::TxnLogger* log) {
   }
 }
 
+void CamIf::reset() {
+  stats_.reset();
+  busy_time_ = Time::zero();
+}
+
 double CamIf::utilization() const {
   // Guard: before any simulated time has elapsed there is nothing to
   // normalize by — report an idle bus instead of dividing by zero.

@@ -101,6 +101,12 @@ public:
   /// Fraction of elapsed bus cycles spent moving transactions.
   virtual double utilization() const;
 
+  /// Back to the state right after elaboration (core::MappedSystem::
+  /// reset, after Simulator::reset): counters, occupancy and whatever the
+  /// bus's engines queue. Masters, slaves, logger and injector stay
+  /// bound.
+  virtual void reset();
+
 protected:
   // `width_bytes` is the data-path width the bus's beat math uses.
   CamIf(Simulator& sim, std::string name, Time cycle, std::size_t width_bytes);

@@ -18,6 +18,15 @@ std::size_t GrantEngine::add_master() {
   return masters_.size() - 1;
 }
 
+void GrantEngine::reset() {
+  for (MasterState& m : masters_) {
+    m.pending.clear();
+    m.inflight = 0;
+  }
+  contended_picks_ = 0;
+  arbiter_->reset();
+}
+
 void GrantEngine::enqueue(Txn& txn) {
   STLM_ASSERT(txn.master_id < masters_.size(),
               "GrantEngine: master index out of range");

@@ -56,6 +56,11 @@ class GrantEngine {
 
   /// Register a new master; returns its index.
   std::size_t add_master();
+
+  /// Back to the state right after elaboration: no request queued or in
+  /// flight, no contended pick, the arbiter as built. The forgotten
+  /// descriptors are not touched (their owners are reset too).
+  void reset();
   std::size_t master_count() const { return masters_.size(); }
 
   /// Queue a pending request for master `txn.master_id` (intrusive; no

@@ -18,6 +18,17 @@ MailboxTerminal::MailboxTerminal(Simulator& sim, std::string name,
   chunk_buf_.assign(layout.window_bytes, 0);
 }
 
+void MailboxTerminal::reset() {
+  reset_protocol();
+  std::fill(chunk_buf_.begin(), chunk_buf_.end(), 0);
+  rx_accum_.clear();
+  rx_[0].clear();
+  rx_[1].clear();
+  out_.clear();
+  messages_in_ = 0;
+  messages_out_ = 0;
+}
+
 Time MailboxTerminal::handle(Txn& txn) {
   const std::uint64_t a = txn.addr;
   const std::size_t n = txn.data.size();

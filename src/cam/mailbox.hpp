@@ -87,6 +87,11 @@ public:
   std::uint64_t messages_in() const { return messages_in_; }
   std::uint64_t messages_out() const { return messages_out_; }
 
+  // Back to the state right after construction (after Simulator::reset):
+  // empty windows and queues, zero counters, the protocol unlatched. The
+  // queued descriptors are left to the pool's reset.
+  virtual void reset();
+
 protected:
   // Runs when the outbound queue turns non-empty (put() behind an empty
   // queue; `pending` true) or empty (the RACK that pops its last message;

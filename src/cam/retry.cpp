@@ -20,6 +20,14 @@ RetryPolicy::RetryPolicy(Simulator& sim, std::string name,
   }
 }
 
+void RetryPolicy::reset() {
+  armed_.clear();
+  errors_ = 0;
+  retries_ = 0;
+  timeouts_ = 0;
+  aborts_ = 0;
+}
+
 void RetryPolicy::arm(Txn& txn) {
   const Time now = sim().now();
   armed_.push_back(Armed{&txn, now + spec_.timeout, now});

@@ -63,6 +63,10 @@ public:
   // (blocking) and stamps Aborted on exhaustion.
   void settle(Txn& txn);
 
+  // Back to the state right after construction (after Simulator::reset):
+  // nothing armed, zero counters.
+  void reset();
+
   const fault::RetrySpec& spec() const { return spec_; }
   // Policy-local outcome counters (not bus statistics: they belong to
   // the initiator side and stay off the CAM's report strings).

@@ -26,6 +26,14 @@ ShipMasterWrapper::BusyGuard::BusyGuard(ShipMasterWrapper& w, const char* call)
   w_.busy_ = true;
 }
 
+void ShipMasterWrapper::reset() {
+  reset_protocol();
+  rx_buf_.clear();
+  busy_ = false;
+  bus_txns_ = 0;
+  polls_ = 0;
+}
+
 void ShipMasterWrapper::transport_checked(Txn& txn) {
   ++bus_txns_;
   if (retry_via_ != nullptr) {

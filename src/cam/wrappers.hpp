@@ -52,6 +52,10 @@ public:
   // wrapper was wired with.
   void set_retry(ocp::ocp_tl_master_if* via) { retry_via_ = via; }
 
+  // Back to the state right after construction (after Simulator::reset):
+  // idle, zero counters. The bus and retry bindings stay.
+  void reset();
+
 private:
   // put() pushes into the remote mailbox; take() polls for the reply (a
   // master terminal takes nothing else).

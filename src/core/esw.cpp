@@ -30,6 +30,13 @@ SwLocalChannel::SwLocalChannel(rtos::Rtos& os, std::string name,
   STLM_ASSERT(depth > 0, "SW channel depth must be positive: " + name_);
 }
 
+void SwLocalChannel::reset() {
+  for (int i = 0; i < 2; ++i) {
+    term_[i].reset_protocol();
+    dir_[i].reset();
+  }
+}
+
 void SwLocalChannel::Terminal::put(const ship::ship_serializable_if& msg,
                                    ship::MsgKind kind) {
   ch->dir_[index].send(

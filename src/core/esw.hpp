@@ -74,6 +74,9 @@ public:
   ship::ship_if& b() { return term_[1]; }
   const std::string& name() const { return name_; }
 
+  // Empty queues, unlatched terminals (a reset system).
+  void reset();
+
 private:
   struct Message {
     std::vector<std::uint8_t> payload;

@@ -41,13 +41,42 @@ MappedSystem::~MappedSystem() {
   }
 }
 
-std::function<void()> MappedSystem::pe_body(ProcessingElement* pe,
+std::function<void()> MappedSystem::pe_body(std::size_t i,
                                             ExecContext* ctx) {
   ++pes_running_;
-  return [this, pe, ctx] {
-    pe->run(*ctx);
+  return [this, i, ctx] {
+    pes_[i]->run(*ctx);
     if (--pes_running_ == 0) sim_.stop();
   };
+}
+
+void MappedSystem::reset(SystemGraph& graph) {
+  if (!same_shape(graph)) {
+    throw ElaborationError(
+        "MappedSystem::reset: the graph does not have the shape the system "
+        "on " + plat_.name + " was mapped from");
+  }
+  // The kernel first: it unwinds or abandons the parked frames, whose
+  // destructors may still touch the modules below, and drops every
+  // queued entry before the modules queue their own again.
+  sim_.reset();
+  pes_.assign(graph.pes().begin(), graph.pes().end());
+  pes_running_ = pes_.size();
+  log_.clear();
+  sim_.txn_pool().reset();
+  for (const auto& ch : channels_) ch->reset();
+  if (cam_) cam_->reset();
+  if (injector_) injector_->reset();
+  for (const auto& rp : retries_) rp->reset();
+  for (const auto& mem : memories_) mem->reset();
+  for (const auto& w : slave_wraps_) w->reset();
+  for (const auto& w : master_wraps_) w->reset();
+  for (const auto& ad : adapters_) ad->reset();
+  if (cpu_) cpu_->reset();
+  if (irq_) irq_->reset();
+  if (rtos_) rtos_->reset();
+  for (const auto& drv : drivers_) drv->reset();
+  for (const auto& ch : sw_channels_) ch->reset();
 }
 
 bool MappedSystem::run_until_done(Time max_time) {
@@ -202,6 +231,8 @@ std::unique_ptr<MappedSystem> Mapper::map(Simulator& sim, SystemGraph& graph,
                                           AbstractionLevel level) {
   std::unique_ptr<MappedSystem> ms(
       new MappedSystem(sim, platform, level));
+  ms->shape_ = GraphShape(graph);
+  ms->pes_ = graph.pes();
   switch (level) {
     case AbstractionLevel::ComponentAssembly:
       build_abstract(*ms, graph, /*timed=*/false);
@@ -241,10 +272,10 @@ void Mapper::build_abstract(MappedSystem& ms, SystemGraph& g, bool timed) {
                                 (timed ? "ccatb" : "untimed") + ")");
   }
 
-  for (ProcessingElement* pe : g.pes()) {
-    HwExecContext* ctx = ctx_of[pe];
+  for (std::size_t i = 0; i < g.pes().size(); ++i) {
+    ProcessingElement* pe = g.pes()[i];
     ms.hw_procs_.push_back(
-        &ms.sim_.spawn_thread("pe." + pe->name(), ms.pe_body(pe, ctx)));
+        &ms.sim_.spawn_thread("pe." + pe->name(), ms.pe_body(i, ctx_of[pe])));
   }
 }
 
@@ -436,13 +467,14 @@ void Mapper::build_cam(MappedSystem& ms, SystemGraph& g) {
   }
 
   // Spawn PE execution.
-  for (ProcessingElement* pe : g.pes()) {
+  for (std::size_t i = 0; i < g.pes().size(); ++i) {
+    ProcessingElement* pe = g.pes()[i];
     ExecContext* ctx = ctx_of.at(pe);
     if (g.partition(*pe) == Partition::Hardware) {
       ms.hw_procs_.push_back(
-          &ms.sim_.spawn_thread("pe." + pe->name(), ms.pe_body(pe, ctx)));
+          &ms.sim_.spawn_thread("pe." + pe->name(), ms.pe_body(i, ctx)));
     } else {
-      ms.rtos_->create_task(pe->name(), /*priority=*/1, ms.pe_body(pe, ctx));
+      ms.rtos_->create_task(pe->name(), /*priority=*/1, ms.pe_body(i, ctx));
       ms.mapping_notes_.push_back("pe " + pe->name() +
                                   " -> eSW task on RTOS (synthesized)");
     }

@@ -60,6 +60,25 @@ public:
   bool run_until_done(Time max_time);
   bool workload_done() const { return pes_running_ == 0; }
 
+  // Elaborate once, run many: return the system to the state map() left
+  // it in and bind its PE threads and tasks to the PEs of `graph`, which
+  // must have the shape the system was mapped from (same_shape; throws
+  // ElaborationError otherwise). Simulator::reset restarts the kernel at
+  // t = 0 with every process runnable again in spawn order; then every
+  // module the mapper built is reset (bus and arbiter, wrappers, mailbox
+  // terminals, retry shims, fault injector, memories, CPU, IRQ
+  // controller, RTOS, drivers, channels), the log and the transaction
+  // pool are emptied, and the RTOS's first wake-up is queued again. A
+  // run after reset() is the run a fresh map() of `graph` would give,
+  // row for row. `graph`'s PEs must outlive the next run, and the old
+  // graph's must outlive this call (its parked frames are unwound here
+  // where unwinding is compiled in).
+  void reset(SystemGraph& graph);
+  // Whether `graph` has the shape this system was mapped from.
+  bool same_shape(const SystemGraph& graph) const {
+    return shape_.matches(graph);
+  }
+
   trace::TxnLogger& txn_log() { return log_; }
   // The SHIP channels of the abstract levels, in SystemGraph::channels()
   // order (empty at the CAM level).
@@ -114,13 +133,18 @@ private:
   MappedSystem(Simulator& sim, const Platform& p, AbstractionLevel l)
       : sim_(sim), plat_(p), level_(l) {}
 
-  // The body of PE `pe`'s thread or RTOS task: pe->run(*ctx), after which
-  // the last of this system's PEs to return stops the simulator.
-  std::function<void()> pe_body(ProcessingElement* pe, ExecContext* ctx);
+  // The body of the thread or RTOS task of the graph's PE `i`:
+  // pes_[i]->run(*ctx), after which the last of this system's PEs to
+  // return stops the simulator. It reads pes_ when it starts, so reset()
+  // rebinds it.
+  std::function<void()> pe_body(std::size_t i, ExecContext* ctx);
 
   Simulator& sim_;
   Platform plat_;
   AbstractionLevel level_;
+  GraphShape shape_;
+  // The bound graph's PEs, in SystemGraph::pes() order.
+  std::vector<ProcessingElement*> pes_;
   // PEs spawned whose body has not returned yet (see pe_body).
   std::size_t pes_running_ = 0;
   trace::TxnLogger log_;

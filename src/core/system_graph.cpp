@@ -6,30 +6,40 @@
 
 namespace stlm::core {
 
+std::size_t SystemGraph::index_of(const ProcessingElement& pe) const {
+  return static_cast<std::size_t>(std::find(pes_.begin(), pes_.end(), &pe) -
+                                  pes_.begin());
+}
+
 void SystemGraph::add_pe(ProcessingElement& pe, Partition part) {
-  STLM_ASSERT(std::find(pes_.begin(), pes_.end(), &pe) == pes_.end(),
-              "PE registered twice: " + pe.name());
+  STLM_ASSERT(index_of(pe) == pes_.size(), "PE registered twice: " + pe.name());
+  // Room for a typical graph at once rather than by doubling.
+  if (pes_.capacity() == 0) {
+    pes_.reserve(kTypicalPes);
+    partitions_.reserve(kTypicalPes);
+  }
   pes_.push_back(&pe);
-  partitions_[&pe] = part;
+  partitions_.push_back(part);
 }
 
 void SystemGraph::set_partition(ProcessingElement& pe, Partition part) {
-  STLM_ASSERT(partitions_.contains(&pe), "unknown PE: " + pe.name());
-  partitions_[&pe] = part;
+  const std::size_t i = index_of(pe);
+  STLM_ASSERT(i < pes_.size(), "unknown PE: " + pe.name());
+  partitions_[i] = part;
 }
 
 Partition SystemGraph::partition(const ProcessingElement& pe) const {
-  auto it = partitions_.find(&pe);
-  STLM_ASSERT(it != partitions_.end(), "unknown PE: " + pe.name());
-  return it->second;
+  const std::size_t i = index_of(pe);
+  STLM_ASSERT(i < pes_.size(), "unknown PE: " + pe.name());
+  return partitions_[i];
 }
 
 void SystemGraph::connect(const std::string& channel, ProcessingElement& a,
                           const std::string& port_a, ProcessingElement& b,
                           const std::string& port_b, std::size_t queue_depth,
                           ship::Role role_a) {
-  STLM_ASSERT(partitions_.contains(&a), "connect: unknown PE " + a.name());
-  STLM_ASSERT(partitions_.contains(&b), "connect: unknown PE " + b.name());
+  STLM_ASSERT(index_of(a) < pes_.size(), "connect: unknown PE " + a.name());
+  STLM_ASSERT(index_of(b) < pes_.size(), "connect: unknown PE " + b.name());
   STLM_ASSERT(&a != &b, "channel endpoints must differ: " + channel);
   for (const auto& c : channels_) {
     STLM_ASSERT(c.name != channel, "duplicate channel name: " + channel);
@@ -53,10 +63,76 @@ void SystemGraph::add_memory(MemorySpec spec) {
   }
   for (ProcessingElement* pe : spec.clients) {
     STLM_ASSERT(pe != nullptr, "null client on memory " + spec.name);
-    STLM_ASSERT(partitions_.contains(pe),
+    STLM_ASSERT(index_of(*pe) < pes_.size(),
                 "add_memory: unknown client PE " + pe->name());
   }
   memories_.push_back(std::move(spec));
+}
+
+namespace {
+
+// Position of `pe` in `pes` (pes.size() when absent).
+std::size_t index_of(const std::vector<ProcessingElement*>& pes,
+                     const ProcessingElement* pe) {
+  return static_cast<std::size_t>(std::find(pes.begin(), pes.end(), pe) -
+                                  pes.begin());
+}
+
+}  // namespace
+
+GraphShape::GraphShape(const SystemGraph& g) {
+  const auto& pes = g.pes();
+  for (const ProcessingElement* pe : pes) {
+    pes_.push_back({pe->name(), typeid(*pe), g.partition(*pe)});
+  }
+  for (const ChannelSpec& c : g.channels()) {
+    channels_.push_back({c.name, index_of(pes, c.a), index_of(pes, c.b),
+                         c.port_a, c.port_b, c.queue_depth, c.role_a});
+  }
+  for (const MemorySpec& m : g.memories()) {
+    Memory mem{m.name, m.base, m.size, m.cfg, {}};
+    for (const ProcessingElement* pe : m.clients) {
+      mem.clients.push_back(index_of(pes, pe));
+    }
+    memories_.push_back(std::move(mem));
+  }
+}
+
+bool GraphShape::matches(const SystemGraph& g) const {
+  const auto& pes = g.pes();
+  if (pes.size() != pes_.size() || g.channels().size() != channels_.size() ||
+      g.memories().size() != memories_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < pes.size(); ++i) {
+    const Pe& s = pes_[i];
+    if (pes[i]->name() != s.name || std::type_index(typeid(*pes[i])) != s.type ||
+        g.partition(*pes[i]) != s.part) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    const ChannelSpec& c = g.channels()[i];
+    const Channel& s = channels_[i];
+    if (c.name != s.name || index_of(pes, c.a) != s.a ||
+        index_of(pes, c.b) != s.b || c.port_a != s.port_a ||
+        c.port_b != s.port_b || c.queue_depth != s.depth ||
+        c.role_a != s.role_a) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < memories_.size(); ++i) {
+    const MemorySpec& m = g.memories()[i];
+    const Memory& s = memories_[i];
+    if (m.name != s.name || m.base != s.base || m.size != s.size ||
+        !(m.cfg == s.cfg) || m.clients.size() != s.clients.size()) {
+      return false;
+    }
+    for (std::size_t k = 0; k < s.clients.size(); ++k) {
+      if (index_of(pes, m.clients[k]) != s.clients[k]) return false;
+    }
+  }
+  return true;
 }
 
 bool SystemGraph::roles_known() const {

@@ -36,6 +36,12 @@ public:
                         std::vector<std::uint8_t>& out);
   void mmio_write_span(std::uint64_t addr, const void* p, std::size_t n);
 
+  // Zero the counters (a reset system); the bus binding stays.
+  void reset() {
+    cycles_ = 0;
+    bus_txns_ = 0;
+  }
+
   std::uint64_t cycles_consumed() const { return cycles_; }
   std::uint64_t bus_transactions() const { return bus_txns_; }
 

@@ -24,6 +24,12 @@ public:
   // Claim (and clear) the lowest pending line; returns -1 if none.
   int claim();
 
+  // Nothing pending, zero counters (a reset system); lines stay attached.
+  void reset() {
+    pending_ = 0;
+    taken_ = 0;
+  }
+
   Event& irq_event() { return irq_event_; }
   std::uint64_t interrupts_taken() const { return taken_; }
 

@@ -1,6 +1,7 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iomanip>
@@ -73,20 +74,99 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
   }
 }
 
-ExplorationRow Explorer::evaluate(const core::Platform& platform,
-                                  const WorkloadCase& workload,
-                                  Time max_time) {
+namespace {
+
+ExplorationRow new_row(const core::Platform& platform,
+                       const WorkloadCase& workload) {
   STLM_ASSERT(workload.factory != nullptr,
               "Explorer: workload '" + workload.name + "' has no factory");
   ExplorationRow row;
   row.platform = platform.name;
   row.workload = workload.name;
   row.cost = platform.cost_proxy();
+  return row;
+}
 
+// A workload's graph and the PEs it points at, as its factory built them.
+struct BuiltGraph {
   std::vector<std::unique_ptr<core::ProcessingElement>> owned;
   core::SystemGraph graph;
-  workload.factory(graph, owned);
-  graph.discover_roles();
+
+  explicit BuiltGraph(const WorkloadCase& workload) {
+    workload.factory(graph, owned);
+  }
+};
+
+// One system elaborated for a run of cells of one platform: each cell's
+// graph is bound by a reset when it has the mapped shape, else mapped
+// afresh on a new simulator.
+class Elaborated {
+public:
+  // Returns true when the cell had to be mapped.
+  bool bind(const core::Platform& platform, const WorkloadCase& workload) {
+    auto next = std::make_unique<BuiltGraph>(workload);
+    next->graph.discover_roles();
+    const bool map = !ms_ || !ms_->same_shape(next->graph);
+    if (map) {
+      // The old system goes before its simulator, both before the old
+      // graph whose PEs their parked frames point into.
+      ms_.reset();
+      sim_.reset();
+      sim_ = std::make_unique<Simulator>();
+      ms_ = core::Mapper::map(*sim_, next->graph, platform,
+                              core::AbstractionLevel::Cam);
+    } else {
+      ms_->reset(next->graph);
+    }
+    built_ = std::move(next);
+    return map;
+  }
+  core::MappedSystem& system() { return *ms_; }
+
+private:
+  // Declared first, destroyed last.
+  std::unique_ptr<BuiltGraph> built_;
+  std::unique_ptr<Simulator> sim_;
+  std::unique_ptr<core::MappedSystem> ms_;
+};
+
+}  // namespace
+
+void Explorer::simulate(core::MappedSystem& ms, Time max_time,
+                        ExplorationRow& row) const {
+  // stlm-lint: allow(determinism-wall-clock): measures host wall time for
+  // the row's wall_ms speed metric; never feeds back into simulated state
+  const auto wall_start = std::chrono::steady_clock::now();
+  row.completed = ms.run_until_done(max_time);
+  // stlm-lint: allow(determinism-wall-clock): second endpoint of the
+  // wall_ms measurement above; reporting-only
+  const auto wall_end = std::chrono::steady_clock::now();
+
+  row.sim_time_us = ms.sim().now().to_seconds() * 1e6;
+  row.wall_ms =
+      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
+  analyze_log(ms, row);
+  if (ms.bus()) {
+    row.bus_utilization = ms.bus()->utilization();
+    const trace::StatSet& st = ms.bus()->stats();
+    const std::uint64_t tx = st.counter("transactions");
+    if (tx != 0) {
+      row.fast_hit_rate = static_cast<double>(st.counter("fast_path_hits")) /
+                          static_cast<double>(tx);
+    }
+    if (const auto* cb = dynamic_cast<const cam::CamBase*>(ms.bus())) {
+      row.contended_picks = cb->grant_engine().contended_picks();
+    }
+  }
+  row.ctx_switches = ms.sim().ctx_switches();
+}
+
+ExplorationRow Explorer::evaluate(const core::Platform& platform,
+                                  const WorkloadCase& workload,
+                                  Time max_time) {
+  ExplorationRow row = new_row(platform, workload);
+  BuiltGraph built(workload);
+  built.graph.discover_roles();
 
   Simulator sim;
   // Opt-in per-cell timeline trace (see TraceTarget in the header).
@@ -96,33 +176,9 @@ ExplorationRow Explorer::evaluate(const core::Platform& platform,
     cell_trace.emplace();
     cell_trace->attach(sim);
   }
-  auto ms = core::Mapper::map(sim, graph, platform,
+  auto ms = core::Mapper::map(sim, built.graph, platform,
                               core::AbstractionLevel::Cam);
-  // stlm-lint: allow(determinism-wall-clock): measures host wall time for
-  // the row's wall_ms speed metric; never feeds back into simulated state
-  const auto wall_start = std::chrono::steady_clock::now();
-  row.completed = ms->run_until_done(max_time);
-  // stlm-lint: allow(determinism-wall-clock): second endpoint of the
-  // wall_ms measurement above; reporting-only
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  row.sim_time_us = sim.now().to_seconds() * 1e6;
-  row.wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  analyze_log(*ms, row);
-  if (ms->bus()) {
-    row.bus_utilization = ms->bus()->utilization();
-    const trace::StatSet& st = ms->bus()->stats();
-    const std::uint64_t tx = st.counter("transactions");
-    if (tx != 0) {
-      row.fast_hit_rate = static_cast<double>(st.counter("fast_path_hits")) /
-                          static_cast<double>(tx);
-    }
-    if (const auto* cb = dynamic_cast<const cam::CamBase*>(ms->bus())) {
-      row.contended_picks = cb->grant_engine().contended_picks();
-    }
-  }
-  row.ctx_switches = sim.ctx_switches();
+  simulate(*ms, max_time, row);
   if (cell_trace) {
     cell_trace->detach();
     std::ofstream trace_out(trace_target_.path);
@@ -159,35 +215,52 @@ std::vector<ExplorationRow> Explorer::sweep_parallel(
     }
     siblings[rep[c]].push_back(c);
   }
-  // The trace target is always simulated, so its trace file is written.
+  // Shape groups of the workload axis, each in input order, found from
+  // one graph per factory.
+  std::vector<std::vector<std::size_t>> shape_groups;
+  {
+    std::vector<core::GraphShape> shapes;
+    for (std::size_t w = 0; w < nw; ++w) {
+      STLM_ASSERT(workloads[w].factory != nullptr,
+                  "Explorer: workload '" + workloads[w].name +
+                      "' has no factory");
+      const core::GraphShape shape(BuiltGraph(workloads[w]).graph);
+      const auto it = std::find(shapes.begin(), shapes.end(), shape);
+      if (it == shapes.end()) {
+        shapes.push_back(shape);
+        shape_groups.push_back({w});
+      } else {
+        shape_groups[static_cast<std::size_t>(it - shapes.begin())]
+            .push_back(w);
+      }
+    }
+  }
+  // The trace target is always simulated fresh, so its trace file is
+  // written.
   auto traced = [&](std::size_t i) {
     return !trace_target_.path.empty() &&
            trace_target_.platform == cands[i / nw].name &&
            trace_target_.workload == workloads[i % nw].name;
   };
 
-  // Cells submitted before run() queue FIFO, so a lone caller thread
-  // evaluates them in row order; re-queued siblings follow.
+  // Tasks submitted before run() queue FIFO, so a lone caller thread
+  // runs them in platform-major order; re-queued siblings follow.
   WorkPool pool(
       static_cast<unsigned>(std::min<std::size_t>(n_threads, rows.size())),
       thread_factory_);
-  auto run_cell = [&](std::size_t i) {
-    rows[i] = evaluate(cands[i / nw], workloads[i % nw], max_time);
-  };
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::size_t c = i / nw;
-    if (rep[c] != c) {
-      if (traced(i)) pool.submit([&, i] { run_cell(i); });
-      continue;
-    }
-    pool.submit([&, i, c] {
-      run_cell(i);
-      const ExplorationRow& rep_row = rows[i];
-      for (std::size_t s : siblings[c]) {
-        const std::size_t j = s * nw + i % nw;
+  std::atomic<std::size_t> mapped{0};
+  // Copy representative c's rows of workloads `ws` to its siblings, or
+  // queue one task per sibling for the cells it must simulate.
+  std::function<void(std::size_t, std::vector<std::size_t>)> run_cells;
+  auto settle_siblings = [&](std::size_t c, const std::vector<std::size_t>& ws) {
+    for (std::size_t s : siblings[c]) {
+      std::vector<std::size_t> todo;
+      for (std::size_t w : ws) {
+        const std::size_t j = s * nw + w;
         if (traced(j)) continue;  // queued up front
+        const ExplorationRow& rep_row = rows[c * nw + w];
         if (rep_row.contended_picks != 0) {
-          pool.submit([&, j] { run_cell(j); });
+          todo.push_back(w);
           continue;
         }
         ExplorationRow& row = rows[j];
@@ -197,7 +270,44 @@ std::vector<ExplorationRow> Explorer::sweep_parallel(
         row.wall_ms = 0.0;
         row.shared_from = rep_row.platform;
       }
-    });
+      if (!todo.empty()) {
+        pool.submit([&, s, todo = std::move(todo)] { run_cells(s, todo); });
+      }
+    }
+  };
+  // Simulate platform c's cells of workloads `ws` (one shape group) on
+  // one elaborated system.
+  run_cells = [&](std::size_t c, std::vector<std::size_t> ws) {
+    Elaborated system;
+    for (std::size_t w : ws) {
+      ExplorationRow& row = rows[c * nw + w];
+      row = new_row(cands[c], workloads[w]);
+      if (system.bind(cands[c], workloads[w])) {
+        mapped.fetch_add(1, std::memory_order_relaxed);
+      }
+      simulate(system.system(), max_time, row);
+    }
+    if (rep[c] == c) settle_siblings(c, ws);
+  };
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    for (const std::vector<std::size_t>& group : shape_groups) {
+      std::vector<std::size_t> ws;
+      for (std::size_t w : group) {
+        const std::size_t i = c * nw + w;
+        if (!traced(i)) {
+          if (rep[c] == c) ws.push_back(w);
+          continue;
+        }
+        pool.submit([&, c, w, i] {
+          rows[i] = evaluate(cands[c], workloads[w], max_time);
+          mapped.fetch_add(1, std::memory_order_relaxed);
+          if (rep[c] == c) settle_siblings(c, {w});
+        });
+      }
+      if (!ws.empty()) {
+        pool.submit([&, c, ws = std::move(ws)] { run_cells(c, ws); });
+      }
+    }
   }
   pool.run();
   last_spawn_failures_ = pool.spawn_failures();
@@ -205,6 +315,7 @@ std::vector<ExplorationRow> Explorer::sweep_parallel(
       std::count_if(rows.begin(), rows.end(), [](const ExplorationRow& r) {
         return !r.shared_from.empty();
       }));
+  last_mapped_cells_ = mapped.load(std::memory_order_relaxed);
   if (pool.first_error()) std::rethrow_exception(pool.first_error());
   return rows;
 }

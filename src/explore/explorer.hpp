@@ -164,6 +164,16 @@ public:
   // the calling thread included. Rows are platform-major: row index =
   // platform_index * workloads.size() + workload_index.
   //
+  // Each system is elaborated once. Workloads whose factories build
+  // graphs of one core::GraphShape (a seeded workload at several seeds:
+  // the seeds live inside the PEs) form a shape group; the sweep calls
+  // every factory once up front to find them. One task per (platform,
+  // shape group) maps the first cell, and runs each further cell of the
+  // group on the same system after MappedSystem::reset rebinds it to
+  // that cell's graph; its rows equal evaluate()'s in every simulated
+  // column. A graph that turns out not to have the mapped shape (roles
+  // found by discovery, say) is mapped afresh.
+  //
   // Each behaviour is simulated once. Candidates with equal
   // core::arbiter_free_point are arbiter siblings; the first of them in
   // input order is the group's representative. Only representatives,
@@ -171,15 +181,18 @@ public:
   // representative's cell finishes with contended_picks == 0, no arbiter
   // ever chose, so every sibling would have run identically: their rows
   // are copies (shared_from set, wall_ms 0, own platform and cost).
-  // Otherwise the finishing task queues the siblings' cells as ordinary
-  // evaluate() tasks. Every simulated cell is a complete evaluate(), so
-  // no simulation state crosses threads (the kernel's "current
-  // simulator" is thread-local by design), and since the certificate is
-  // a simulated column, rows and the shared-cell count are bit-identical
-  // at any thread count. With one thread the caller runs the queued
-  // cells in row order, then the re-queued siblings. The first exception
-  // thrown by any cell is rethrown on the calling thread after all
-  // workers have joined; remaining cells are abandoned.
+  // Otherwise the sibling's cell is simulated: once a representative's
+  // task is done, each sibling gets one task for the cells it must
+  // simulate, shape-grouped the same way. The TraceTarget cell is always
+  // a fresh evaluate() of its own. Every task runs its cells on its own
+  // simulator, so no simulation state crosses threads (the kernel's
+  // "current simulator" is thread-local by design), and since the
+  // certificate is a simulated column, rows, the shared-cell count and
+  // the mapped-cell count are bit-identical at any thread count. With
+  // one thread the caller runs the queued tasks in platform-major order,
+  // then the re-queued siblings. The first exception thrown by any cell
+  // is rethrown on the calling thread after all workers have joined;
+  // remaining cells are abandoned.
   //
   // Workload factories are invoked concurrently and must be thread-safe
   // (stateless factories, like every one in this repo, are).
@@ -202,6 +215,10 @@ public:
   // sibling rather than simulated (rows with shared_from set).
   std::size_t last_shared_cells() const { return last_shared_cells_; }
 
+  // Cells of the last sweep that were mapped (core::Mapper::map); the
+  // other simulated cells ran on a reset system of their shape group.
+  std::size_t last_mapped_cells() const { return last_mapped_cells_; }
+
   // Test seam: substitute how sweep and search workers are created (see
   // WorkPool::ThreadFactory). Default-constructed = real std::thread.
   void set_thread_factory(WorkPool::ThreadFactory f) {
@@ -216,12 +233,17 @@ private:
   // Fill the row's latency, failure and goodput columns from the cell's
   // transaction log (sim_time_us must already be set).
   void analyze_log(core::MappedSystem& ms, ExplorationRow& row) const;
+  // Run a mapped (or reset) cell until done and fill every simulated
+  // column of `row` from it, and wall_ms.
+  void simulate(core::MappedSystem& ms, Time max_time,
+                ExplorationRow& row) const;
 
   TraceTarget trace_target_;
   Time slo_ = Time::zero();
   WorkPool::ThreadFactory thread_factory_;
   unsigned last_spawn_failures_ = 0;
   std::size_t last_shared_cells_ = 0;
+  std::size_t last_mapped_cells_ = 0;
 };
 
 // Canonical candidate list covering the CAM library.

@@ -75,8 +75,18 @@ struct RetrySpec {
 class Injector {
 public:
   explicit Injector(FaultProfile profile) : profile_(std::move(profile)) {
+    reset();
+  }
+
+  /// Restart every stream at its seed and the counters at 0: the same
+  /// draws again, for a reset system.
+  void reset() {
     grant_ = workload::SplitMix64(
         workload::SplitMix64::derive(profile_.seed, 0));
+    streams_.clear();  // re-derived on first use, within the capacity
+    errors_ = 0;
+    spikes_ = 0;
+    stalls_ = 0;
   }
 
   struct Access {

@@ -15,6 +15,15 @@ ShipDriver::ShipDriver(std::string name, rtos::Rtos& os, cpu::CpuModel& cpu,
       rx_sem_{{os, name_ + ".rx_normal", 0}, {os, name_ + ".rx_reply", 0}},
       pusher_(mailbox, /*coalesce=*/false) {}
 
+void ShipDriver::reset() {
+  reset_protocol();
+  for (int i = 0; i < 2; ++i) {
+    rx_sem_[i].reset();
+    rx_[i].clear();
+  }
+  isrs_ = 0;
+}
+
 void ShipDriver::put(const ship::ship_serializable_if& msg,
                      ship::MsgKind kind) {
   os_.require_task("ShipDriver::put");

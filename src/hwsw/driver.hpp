@@ -43,6 +43,11 @@ public:
 
   std::uint64_t isr_count() const { return isrs_; }
 
+  // Back to the state right after construction (after Simulator::reset):
+  // nothing drained, zero counters. The drained descriptors are left to
+  // the pool's reset.
+  void reset();
+
 private:
   // The SHIP calls' transport (RTOS task context): put() pushes into the
   // adapter's mailbox by MMIO; take() blocks the task until the ISR has

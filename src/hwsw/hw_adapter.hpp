@@ -44,6 +44,12 @@ public:
   // Rising edges of irq().
   std::uint64_t irq_count() const { return irqs_; }
 
+  void reset() override {
+    MailboxTerminal::reset();
+    irq_.reset(false);
+    irqs_ = 0;
+  }
+
 private:
   void outbound_changed(bool pending) override {
     // read() is the settled level: a lower and a raise in one delta leave

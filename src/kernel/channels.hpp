@@ -40,6 +40,10 @@ public:
     unlocked_.notify_delta();
   }
 
+  // Unlocked, without a notification: for the owner of a reset system,
+  // whose holder's frame was abandoned (Simulator::reset).
+  void reset() { locked_ = false; }
+
 private:
   std::string name_;
   Event unlocked_;

@@ -42,6 +42,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      size_t* size_old);
+void __asan_unpoison_memory_region(const void* addr, size_t size);
 }
 #endif
 
@@ -135,6 +136,17 @@ inline void fiber_current_stack(const void** bottom, std::size_t* size) {
   __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #else
   (void)bottom;
+  (void)size;
+#endif
+}
+
+// Clear the shadow poison a coroutine's frames left on its stack, before
+// the stack is entered afresh (a process restarted by Simulator::reset).
+inline void fiber_stack_unpoison(const void* base, std::size_t size) {
+#ifdef STLM_ASAN_FIBERS
+  __asan_unpoison_memory_region(base, size);
+#else
+  (void)base;
   (void)size;
 #endif
 }

@@ -20,7 +20,7 @@ Event::Event(Simulator& sim, std::string name)
 
 Event::~Event() {
   for (MethodProcess* m : static_) std::erase(m->static_events_, this);
-  sim_->retire_slot(slot_);
+  sim_->retire_event(*this);
 }
 
 void Event::notify() {

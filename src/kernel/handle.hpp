@@ -57,6 +57,10 @@ public:
     free_.push_back(slot);
   }
   void bump(std::uint32_t slot) { keys_[slot] += kSlotMask + 1; }
+  // Lapse every handle ever taken (Simulator::reset).
+  void bump_all() {
+    for (std::uint64_t& k : keys_) k += kSlotMask + 1;
+  }
   std::uint64_t key(std::uint32_t slot) const { return keys_[slot]; }
   bool current(std::uint64_t key) const {
     return keys_[key & kSlotMask] == key;

@@ -59,9 +59,14 @@ ProcessBase::ProcessBase(Simulator& sim, std::string name, Kind kind)
       name_(std::move(name)),
       kind_(kind),
       slot_(sim.claim_slot()),
-      serial_(sim.next_process_serial()) {}
+      serial_(sim.next_process_serial()) {
+  sim_.register_process(*this);
+}
 
-ProcessBase::~ProcessBase() { sim_.retire_slot(slot_); }
+ProcessBase::~ProcessBase() {
+  sim_.unregister_process(*this);
+  sim_.retire_slot(slot_);
+}
 
 // -------------------------------------------------------------- thread --
 
@@ -140,6 +145,19 @@ void Process::ensure_started() {
   tsan_fiber_ = detail::tsan_fiber_create(name_.c_str());
 #endif
   g_starting_process = this;
+}
+
+void Process::rewind() {
+  started_ = false;
+  runnable_ = false;
+  wake_reason_ = WakeReason::None;
+  sp_ = nullptr;
+  fake_stack_ = nullptr;
+  // The old frames' redzones would trip the new ones (ASan builds).
+  detail::fiber_stack_unpoison(stack_.base, detail::StackPool::kStackBytes);
+  // A fresh start creates a fresh fiber identity (ensure_started).
+  detail::tsan_fiber_destroy(tsan_fiber_);
+  tsan_fiber_ = nullptr;
 }
 
 // -------------------------------------------------------------- method --

@@ -78,6 +78,7 @@ protected:
   std::uint32_t slot_ = 0;  // generation slot (kernel/handle.hpp)
   bool terminated_ = false;
   std::uint64_t serial_;
+  std::size_t reg_index_ = 0;  // position in the simulator's process list
 };
 
 // Thread process: coroutine with dedicated stack.
@@ -95,6 +96,9 @@ private:
 
   static void trampoline();  // coroutine entry; dispatches via tls pointer
   void ensure_started();
+  // Back to "never started" (Simulator::reset): the next resume crafts a
+  // fresh initial frame, so the body runs from its first statement.
+  void rewind();
 
   std::function<void()> body_;
   detail::StackPool::Block stack_;  // pooled, guard-paged (see stack_pool.hpp)

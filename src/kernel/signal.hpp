@@ -42,6 +42,13 @@ public:
   const std::string& name() const { return name_; }
   Event& value_changed_event() { return changed_; }
 
+  // Set the value outright, with no update and no event: for the owner
+  // of a reset system (after Simulator::reset dropped any queued write).
+  void reset(const T& v) {
+    cur_ = v;
+    next_ = v;
+  }
+
   // Edge events are meaningful for bool signals (clocks, strobes, IRQs).
   Event& posedge_event()
     requires std::same_as<T, bool>

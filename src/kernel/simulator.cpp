@@ -123,6 +123,40 @@ MethodProcess& Simulator::spawn_method(std::string name,
 void Simulator::register_event(Event& e) {
   ++events_registered_total_;
   e.slot_ = gens_.acquire();
+  if (e.slot_ >= event_at_.size()) event_at_.resize(e.slot_ + 1, nullptr);
+  event_at_[e.slot_] = &e;
+}
+
+void Simulator::retire_event(Event& e) {
+  event_at_[e.slot_] = nullptr;
+  gens_.release(e.slot_);
+}
+
+void Simulator::register_process(ProcessBase& p) {
+  p.reg_index_ = processes_.size();
+  processes_.push_back(&p);
+}
+
+void Simulator::unregister_process(ProcessBase& p) {
+  processes_[p.reg_index_] = nullptr;
+  ++dead_processes_;
+  // Simulators whose processes come and go (one per test cell, say) keep
+  // the list near its live size.
+  if (dead_processes_ > 64 && 2 * dead_processes_ > processes_.size()) {
+    compact_processes();
+  }
+}
+
+void Simulator::compact_processes() {
+  if (dead_processes_ == 0) return;
+  std::size_t n = 0;
+  for (ProcessBase* p : processes_) {
+    if (p == nullptr) continue;
+    p->reg_index_ = n;
+    processes_[n++] = p;
+  }
+  processes_.resize(n);
+  dead_processes_ = 0;
 }
 
 UpdateIf::UpdateIf(Simulator& sim) : sim_(sim), slot_(sim.claim_slot()) {}
@@ -365,9 +399,68 @@ void Simulator::kill_process(Process& p) {
 }
 
 void Simulator::kill_threads() {
-  for (const auto& p : owned_processes_) {
-    if (p->kind() == ProcessBase::Kind::Thread) {
+  // By index: an unwound frame may not spawn, but the list is re-read in
+  // case it does.
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    ProcessBase* p = processes_[i];
+    if (p != nullptr && p->kind() == ProcessBase::Kind::Thread) {
       kill_process(static_cast<Process&>(*p));
+    }
+  }
+}
+
+void Simulator::reset() {
+  STLM_ASSERT(!running_ && current_process_ == nullptr,
+              "Simulator::reset() is only legal between runs");
+  compact_processes();
+  // Unwind parked frames first: their destructors may still notify
+  // events or request updates, and all of that is dropped below.
+  if constexpr (kill_unwind_compiled_in()) kill_threads();
+
+  // stlm-lint: allow(hot-path-atomic): once per reset, as at teardown
+  detail::g_txn_ids.fetch_add(txn_ids_, std::memory_order_relaxed);
+  txn_ids_ = 0;
+
+  // A pending flag always has a queued entry behind it, and the entries
+  // go below; waiters are lapsed by the bump, so their lists are dropped
+  // rather than left to the next trigger.
+  for (Event* e : event_at_) {
+    if (e == nullptr) continue;
+    e->delta_pending_ = false;
+    e->timed_pending_ = false;
+    e->dynamic_.clear();
+  }
+  for (const detail::Handle<UpdateIf>& u : update_requests_) {
+    if (current(u)) u.obj->update_pending_ = false;
+  }
+  runnable_.clear();
+  method_queue_.clear();
+  delta_events_.clear();
+  update_requests_.clear();
+  timed_.clear();
+  gens_.bump_all();
+
+  now_ = Time::zero();
+  delta_count_ = 0;
+  timed_seq_ = 0;
+  ctx_switches_ = 0;
+  inline_advances_ = 0;
+  initialized_ = false;
+  stop_requested_ = false;
+  run_end_time_.reset();
+  pending_error_ = nullptr;
+
+  // Spawn order, as the constructors queued them.
+  for (ProcessBase* p : processes_) {
+    p->terminated_ = false;
+    if (p->kind() == ProcessBase::Kind::Thread) {
+      auto& t = static_cast<Process&>(*p);
+      t.rewind();
+      make_runnable(handle(t), Process::WakeReason::Start);
+    } else {
+      auto& m = static_cast<MethodProcess&>(*p);
+      m.queued_ = false;
+      if (m.run_at_start_) queue_method(m);
     }
   }
 }
@@ -460,7 +553,7 @@ bool Simulator::advance_time(std::optional<Time> end_time) {
 
 bool Simulator::idle() const {
   return runnable_.empty() && method_queue_.empty() && delta_events_.empty() &&
-         timed_.empty();
+         update_requests_.empty() && timed_.empty();
 }
 
 // ------------------------------------------------------------ wait API --

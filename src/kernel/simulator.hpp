@@ -61,6 +61,10 @@ public:
     }
     v_.push_back(x);
   }
+  void clear() {
+    v_.clear();
+    head_ = 0;
+  }
   T pop_front() {
     T x = v_[head_++];
     if (head_ == v_.size()) {
@@ -151,8 +155,26 @@ public:
   // that instant. A stop() between runs is discarded.
   void stop() { stop_requested_ = true; }
 
-  // True when no runnable process, no delta and no timed activity remains.
+  // True when no runnable process, no delta, no update and no timed
+  // activity remains.
   bool idle() const;
+
+  // Return to t = 0 between runs, keeping every process, event and
+  // channel: the elaborated system runs again as if just built. Parked
+  // thread processes are unwound first where unwinding is compiled in
+  // (kill_process) and abandoned otherwise; then every queued process,
+  // method, delta, update and timed entry is dropped, every pending event
+  // notification and waiter forgotten, every generation slot bumped (no
+  // handle taken before survives), now, delta_count, ctx_switches,
+  // inline_advances, the timed-queue stats and the transaction ids
+  // restart at 0 (the ids issued so far join the process-wide count, as
+  // at destruction), and every process is made ready again in spawn
+  // order: thread processes restart at the first statement of their
+  // body, run-at-start methods are queued. Modules keep their own state;
+  // their owner resets it (core::MappedSystem::reset). Hooks and
+  // attached observers stay attached. Throws SimulationError while a run
+  // is in flight.
+  void reset();
 
   // --- hooks ---------------------------------------------------------------
   // Called after every delta cycle's update phase; used by tracing. An
@@ -187,8 +209,14 @@ public:
   bool advance_inline(Time abs);
 
   // Generation table (kernel/handle.hpp): a slot per Event (through
-  // register_event, which counts it), ProcessBase and UpdateIf.
+  // register_event, which counts it, and retire_event), ProcessBase and
+  // UpdateIf.
   void register_event(Event& e);
+  void retire_event(Event& e);
+  // Every process built on this simulator, in spawn order (reset's
+  // restart order); ProcessBase's constructor and destructor keep it.
+  void register_process(ProcessBase& p);
+  void unregister_process(ProcessBase& p);
   std::uint32_t claim_slot() { return gens_.acquire(); }
   void retire_slot(std::uint32_t slot) { gens_.release(slot); }
   void invalidate(std::uint32_t slot) { gens_.bump(slot); }
@@ -231,9 +259,9 @@ public:
   // sound from outside every process. ~Process calls this for any
   // started, unterminated process, so teardown leaks nothing.
   void kill_process(Process& p);
-  // kill_process for every thread process this simulator owns, the twin
-  // of Module::kill_threads: for owners whose threads reference objects
-  // that die before the simulator does.
+  // kill_process for every thread process built on this simulator,
+  // whoever owns it: for owners whose threads reference objects that die
+  // before the simulator does.
   void kill_threads();
 
   // --- dispatch order (see DispatchOrder) --------------------------------
@@ -302,6 +330,8 @@ private:
   // `to`, or back into run_impl's context when `to` is null.
   void switch_to(Process* to, void** save_sp, void** save_fake);
   void fail(std::exception_ptr e) noexcept;
+  // Drop the dead processes' nulls from processes_.
+  void compact_processes();
   void dispatch_timed(const TimedEntry& e);
   // Stale predicate shared by advance_time and advance_inline: entries
   // cancelled or overridden since registration never advance time.
@@ -335,6 +365,13 @@ private:
   TxnPool txn_pool_;
   std::uint64_t txn_ids_ = 0;  // see txn_ids_issued()
   std::uint64_t events_registered_total_ = 0;
+  // Live events by generation slot (null where the slot holds none), so
+  // reset() can clear their pending notifications and waiters.
+  std::vector<Event*> event_at_;
+  // register_process's list; a dead process leaves a null until the next
+  // compaction (compact_processes).
+  std::vector<ProcessBase*> processes_;
+  std::size_t dead_processes_ = 0;
   std::vector<std::unique_ptr<ProcessBase>> owned_processes_;
   struct PostDeltaHook {
     const void* owner;

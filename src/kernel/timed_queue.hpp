@@ -61,6 +61,12 @@ public:
   bool empty() const { return heap_.empty(); }
 
   void push(const TimedEntry& e);
+  // Drop every entry and restart the stats (Simulator::reset); keeps the
+  // storage.
+  void clear() {
+    heap_.clear();
+    stats_ = {};
+  }
 
   // Behaviour counters for the obs::Profiler. overflow_pushes is always
   // 0 (a heap has no overflow tier); it stays only because the perfbench

@@ -316,6 +316,14 @@ public:
 
   Txn* front() const { return head_; }
 
+  // Forget the queued descriptors without touching them (their owner is
+  // being reset; see TxnPool::reset).
+  void clear() {
+    head_ = nullptr;
+    tail_ = nullptr;
+    count_ = 0;
+  }
+
 private:
   Txn* head_ = nullptr;
   Txn* tail_ = nullptr;
@@ -348,6 +356,20 @@ public:
     ++released_;
     t.reset_logical();
     free_.push_back(t);
+  }
+
+  /// Take every descriptor back, wherever it was left (a queue, a parked
+  /// process's frame), and restart the counters: the pool of a system
+  /// being reset (core::MappedSystem::reset), whose holders have all
+  /// forgotten theirs. Allocates nothing.
+  void reset() {
+    free_.clear();
+    for (const auto& t : storage_) {
+      t->reset_logical();
+      free_.push_back(*t);
+    }
+    acquired_ = 0;
+    released_ = 0;
   }
 
   std::uint64_t created() const { return storage_.size(); }

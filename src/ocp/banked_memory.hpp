@@ -18,6 +18,7 @@
 // CCATB-style: the total is charged as one timed wait at transaction
 // granularity, no per-beat activity.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,8 @@ struct BankedMemoryConfig {
   // completes (precharge/writeback); the next access touching it stalls
   // until the window closes (the conflict penalty).
   Time bank_busy = Time::ns(40);
+
+  bool operator==(const BankedMemoryConfig&) const = default;
 };
 
 class BankedMemorySlave final : public ocp_tl_slave_if {
@@ -73,6 +76,7 @@ public:
     const std::size_t off = static_cast<std::size_t>(txn.addr - base_);
     if (txn.op == Txn::Op::Write) {
       std::copy(txn.data.begin(), txn.data.end(), mem_.begin() + off);
+      mark_dirty(off, txn.data.size());
       ++writes_;
       txn.respond_ok();
     } else {
@@ -83,9 +87,31 @@ public:
   }
   bool fast_capable() const override { return true; }
 
+  // Back to the state right after construction (a reset system): zeroed
+  // contents — only the span written since the last reset is touched —
+  // closed rows, free banks and zero counters.
+  void reset() {
+    if (dirty_lo_ < dirty_hi_) {
+      std::fill(mem_.begin() + static_cast<std::ptrdiff_t>(dirty_lo_),
+                mem_.begin() + static_cast<std::ptrdiff_t>(dirty_hi_), 0);
+    }
+    dirty_lo_ = mem_.size();
+    dirty_hi_ = 0;
+    std::fill(banks_.begin(), banks_.end(), Bank{});
+    reads_ = 0;
+    writes_ = 0;
+    row_hits_ = 0;
+    row_misses_ = 0;
+    bank_conflicts_ = 0;
+    conflict_stall_ = Time::zero();
+  }
+
   // Test/back-door access (no simulated time).
   std::uint8_t peek(std::uint64_t addr) const { return mem_.at(addr - base_); }
-  void poke(std::uint64_t addr, std::uint8_t v) { mem_.at(addr - base_) = v; }
+  void poke(std::uint64_t addr, std::uint8_t v) {
+    mem_.at(addr - base_) = v;
+    mark_dirty(static_cast<std::size_t>(addr - base_), 1);
+  }
 
   std::uint64_t base() const { return base_; }
   std::size_t size() const { return mem_.size(); }
@@ -105,6 +131,11 @@ private:
     Time free_at = Time::zero();
     std::uint64_t open_row = ~0ull;  // no row open yet
   };
+
+  void mark_dirty(std::size_t off, std::size_t n) {
+    dirty_lo_ = std::min(dirty_lo_, off);
+    dirty_hi_ = std::max(dirty_hi_, off + n);
+  }
 
   // Evolve the bank timing state for an access starting now and return
   // its service latency (stall-until-free + hit/miss).
@@ -156,6 +187,10 @@ private:
   std::string name_;
   std::uint64_t base_;
   std::vector<std::uint8_t> mem_;
+  // [dirty_lo_, dirty_hi_): the bytes written since construction or the
+  // last reset (empty when lo >= hi).
+  std::size_t dirty_lo_ = mem_.size();
+  std::size_t dirty_hi_ = 0;
   BankedMemoryConfig cfg_;
   std::vector<Bank> banks_;
   std::uint64_t reads_ = 0;

@@ -5,7 +5,7 @@ namespace stlm::rtos {
 // ----------------------------------------------------------- semaphore --
 
 Semaphore::Semaphore(Rtos& os, std::string name, std::size_t initial)
-    : os_(os), name_(std::move(name)), count_(initial) {}
+    : os_(os), name_(std::move(name)), initial_(initial), count_(initial) {}
 
 void Semaphore::wait() {
   Task& t = os_.require_task("Semaphore::wait");
@@ -58,6 +58,18 @@ Task& Rtos::create_task(std::string name, int priority,
   });
   sched_wake_.notify_delta();
   return t;
+}
+
+void Rtos::reset() {
+  for (const auto& t : tasks_) {
+    t->state_ = Task::State::Ready;
+    t->wake_at_ = Time::zero();
+    t->dispatch_seq_ = 0;
+  }
+  current_ = nullptr;
+  switches_ = 0;
+  dispatch_counter_ = 0;
+  if (!tasks_.empty()) sched_wake_.notify_delta();
 }
 
 Task& Rtos::require_task(const char* what) const {

@@ -67,10 +67,16 @@ public:
   void post();            // task context
   void post_from_isr();   // ISR/any-process context
   std::size_t count() const { return count_; }
+  // The initial count and no waiter (a reset system).
+  void reset() {
+    count_ = initial_;
+    waiters_.clear();
+  }
 
 private:
   Rtos& os_;
   std::string name_;
+  std::size_t initial_;
   std::size_t count_;
   std::deque<Task*> waiters_;
 };
@@ -98,6 +104,12 @@ public:
   }
 
   std::size_t size() const { return buf_.size(); }
+  // Empty, with the full capacity free (a reset system).
+  void reset() {
+    items_.reset();
+    space_.reset();
+    buf_.clear();
+  }
 
 private:
   Semaphore items_;
@@ -126,6 +138,12 @@ public:
   // Spawns a dispatcher that claims pending lines from `ic` and invokes
   // `isr(line)` (non-task context; use post_from_isr to ready tasks).
   void attach_isr(cpu::IrqController& ic, std::function<void(int)> isr);
+
+  // Back to the state right after its tasks were created (after
+  // Simulator::reset, which restarts their threads): every task ready
+  // and undispatched, no task running, zero counters, and the
+  // scheduler's wake-up queued as create_task queued it.
+  void reset();
 
   // ---- introspection ----------------------------------------------------
   std::uint64_t context_switches() const { return switches_; }

@@ -43,6 +43,15 @@ ShipChannel::ShipChannel(Simulator& sim, std::string name,
   }
 }
 
+void ShipChannel::reset() {
+  for (int i = 0; i < 2; ++i) {
+    term_[i].reset_protocol();
+    dir_[i].queue.clear();
+  }
+  messages_ = 0;
+  bytes_ = 0;
+}
+
 void ShipChannel::set_txn_logger(trace::TxnLogger* log) {
   log_.bind(log, name_);
 }

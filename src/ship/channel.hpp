@@ -88,11 +88,18 @@ public:
   virtual bool message_available() const = 0;
   Role role() const { return role_; }
 
+  // Forget the role the calls latched (back to the fixed one) and the
+  // requests awaiting a reply: the endpoint of a reset system.
+  void reset_protocol() {
+    role_ = fixed_;
+    pending_replies_ = 0;
+  }
+
 protected:
   // `name` is owned by the endpoint and names it in errors. An endpoint
   // whose role is fixed by construction passes it as `fixed`.
   explicit ship_if(const std::string& name, Role fixed = Role::Unknown)
-      : name_(name), role_(fixed) {}
+      : name_(name), fixed_(fixed), role_(fixed) {}
 
   virtual void put(const ship_serializable_if& msg, MsgKind kind) = 0;
   virtual bool take(ship_serializable_if& msg, bool reply) = 0;
@@ -107,6 +114,7 @@ private:
   [[noreturn]] void throw_unanswered() const;
 
   const std::string& name_;
+  Role fixed_;
   Role role_;
   std::uint64_t pending_replies_ = 0;
 };
@@ -135,6 +143,11 @@ public:
   void set_timing(std::optional<CcatbModel> t) { timing_ = t; }
 
   void set_txn_logger(trace::TxnLogger* log);
+
+  // Back to the state right after construction (after Simulator::reset):
+  // empty queues, unlatched roles, zero counters. The queued descriptors
+  // are left to the pool's reset.
+  void reset();
 
   // Lifetime counters.
   std::uint64_t messages_transferred() const { return messages_; }

@@ -53,6 +53,12 @@ public:
 
   void report(std::ostream& os, const std::string& title) const;
 
+  // Every counter back to 0; names and slots stay (a reset system). A
+  // counter first counted during a run stays listed, at 0.
+  void reset() {
+    for (auto& [name, value] : counters_) value = 0;
+  }
+
 private:
   std::map<std::string, std::uint64_t> counters_;
 };

@@ -140,6 +140,8 @@ GraphFactory WorkloadSpec::factory() const {
   STLM_ASSERT(streams > 0, "workload spec needs at least one stream: " + name);
   STLM_ASSERT(messages > 0, "workload spec needs at least one message: " + name);
   return [spec = *this](core::SystemGraph& g, Owned& o) {
+    // Every shape owns at most 2 PEs per stream plus 2.
+    o.reserve(o.size() + 2 * spec.streams + 2);
     switch (spec.shape) {
       case TrafficShape::Uniform: build_uniform(spec, g, o); return;
       case TrafficShape::Bursty: build_bursty(spec, g, o); return;

@@ -10,13 +10,17 @@
 //  * a mapped CAM cell (atomic PLB, split PLB, crossbar) running a
 //    uniform workload, built after an identical cell on the same thread
 //    as in a sweep, must allocate nothing either: its TxnLogger starts
-//    from the row buffer the earlier cell's logger left on the thread.
+//    from the row buffer the earlier cell's logger left on the thread;
+//  * a whole uniform cell on a system reset and rebound to the cell's
+//    graph (MappedSystem::reset, as a sweep runs the seeds of one
+//    workload) stays under 20 allocations, graph building included.
 //
 // A fresh Simulator on a thread that already ran one must also reuse the
 // timed queue's bucket storage instead of allocating it again.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "core/core.hpp"
+#include "explore/explore.hpp"
 #include "kernel/kernel.hpp"
 #include "workload/spec.hpp"
 
@@ -226,5 +231,62 @@ TEST(AllocFree, SecondMappedCellOnAThreadAllocatesNothing) {
     ASSERT_GT(c.records, 1000u);
     EXPECT_EQ(c.allocs, 0u)
         << c.allocs << " allocations for " << c.records << " logged records";
+  }
+}
+
+namespace {
+
+workload::WorkloadCase canonical_uniform(std::uint64_t seed) {
+  return expl::workload_candidates(seed).front();
+}
+
+// Allocations of one whole cell on a reset system: building the seed's
+// graph, resetting and rebinding the system to it, running it to the
+// end. The system was mapped at another seed and has already run two
+// cells, so pools, queues and buffers are warm.
+std::uint64_t measure_reset_cell(const core::Platform& platform) {
+  struct Built {
+    std::vector<std::unique_ptr<core::ProcessingElement>> owned;
+    core::SystemGraph graph;
+  };
+  auto build = [](std::uint64_t seed) {
+    auto b = std::make_unique<Built>();
+    canonical_uniform(seed).factory(b->graph, b->owned);
+    b->graph.discover_roles();
+    return b;
+  };
+  auto first = build(1);
+  Simulator sim;
+  auto ms =
+      core::Mapper::map(sim, first->graph, platform, core::AbstractionLevel::Cam);
+  EXPECT_TRUE(ms->run_until_done(Time::ms(200)));
+  auto second = build(2);
+  ms->reset(second->graph);
+  EXPECT_TRUE(ms->run_until_done(Time::ms(200)));
+
+  // The case (its factory closure) is built outside the window, as a
+  // sweep builds its workload axis once.
+  const workload::WorkloadCase third_case = canonical_uniform(3);
+  const std::uint64_t before = allocs();
+  Built third;
+  third_case.factory(third.graph, third.owned);
+  third.graph.discover_roles();
+  ms->reset(third.graph);
+  const bool done = ms->run_until_done(Time::ms(200));
+  const std::uint64_t during = allocs() - before;
+  EXPECT_TRUE(done);
+  EXPECT_GT(ms->txn_log().size(), 0u);
+  return during;
+}
+
+}  // namespace
+
+TEST(AllocFree, ResetCellStaysUnderTwentyAllocations) {
+  for (const core::Platform& p : {plb(false), plb(true), crossbar()}) {
+    SCOPED_TRACE(p.name);
+    const std::uint64_t n = measure_reset_cell(p);
+    std::printf("reset cell on %s: %llu allocations\n", p.name.c_str(),
+                static_cast<unsigned long long>(n));
+    EXPECT_LT(n, 20u);
   }
 }

@@ -550,9 +550,11 @@ TEST(Explorer, PrintTableShowsWorkloadColumnOnlyWhenPresent) {
 
 TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInQueueOrder) {
   // Each factory call records which cell it builds; with one thread the
-  // caller must build them in queue order: every cell but the arbiter
-  // siblings' in platform-major row order, then the sibling cells a
-  // representative that made a contended pick re-queued.
+  // caller must build them in queue order: one graph per workload to
+  // find the shape groups, then every cell but the arbiter siblings' in
+  // platform-major row order, then, per sibling, the cells its
+  // representative made a contended pick in. "a" and "b" have one
+  // shape, so each platform's two cells share one mapped system.
   std::vector<std::string> built;
   const std::thread::id caller = std::this_thread::get_id();
   auto recording = [&](std::string name, WorkloadCase inner) {
@@ -573,19 +575,24 @@ TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInQueueOrder) {
   auto sibling = [](const std::string& name) {
     return name == "plb-round-robin" || name == "plb-tdma";
   };
-  std::vector<std::string> expected;
+  std::vector<std::string> expected{"a", "b"};
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_TRUE(rows[i].completed) << rows[i].platform;
     if (!sibling(rows[i].platform)) expected.push_back(rows[i].workload);
   }
+  std::vector<std::string> contended;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].platform != "plb-priority" || rows[i].contended_picks == 0) {
-      continue;
+    if (rows[i].platform == "plb-priority" && rows[i].contended_picks != 0) {
+      contended.push_back(rows[i].workload);
     }
-    expected.insert(expected.end(), 2, rows[i].workload);
+  }
+  for (int s = 0; s < 2; ++s) {
+    expected.insert(expected.end(), contended.begin(), contended.end());
   }
   EXPECT_EQ(built, expected);
-  EXPECT_EQ(built.size() + ex.last_shared_cells(), rows.size());
+  EXPECT_EQ(built.size() + ex.last_shared_cells(), rows.size() + loads.size());
+  // One mapped system per simulated platform.
+  EXPECT_EQ(ex.last_mapped_cells(), 4u + (contended.empty() ? 0u : 2u));
 }
 
 TEST(Explorer, ParallelSweepPropagatesWorkerExceptions) {
@@ -900,4 +907,137 @@ TEST(Explorer, SweepRejectsASiblingWhoseArbiterCannotBeBuilt) {
   EXPECT_THROW(ex.evaluate(tdma, one_stream, 10_ms), SimulationError);
   EXPECT_THROW(ex.sweep_parallel({rep, tdma}, {one_stream}, 10_ms, 1),
                SimulationError);
+}
+
+namespace {
+
+// The canonical workloads at each of `seeds`, named "<case>#<seed>": one
+// shape group per canonical workload, so the sweep maps each of its
+// cells once per platform and resets the system for every further seed.
+std::vector<WorkloadCase> seed_groups(std::initializer_list<std::uint64_t> seeds) {
+  std::vector<WorkloadCase> loads;
+  for (std::uint64_t seed : seeds) {
+    for (WorkloadCase c : workload_candidates(seed)) {
+      c.name += "#" + std::to_string(seed);
+      loads.push_back(std::move(c));
+    }
+  }
+  return loads;
+}
+
+// `loads`'s cases with every sink PE moved into the software partition.
+std::vector<WorkloadCase> with_sw_sinks(std::vector<WorkloadCase> loads) {
+  for (WorkloadCase& c : loads) {
+    c.name += "-sw-sinks";
+    c.factory = [inner = c.factory](
+                    SystemGraph& g,
+                    std::vector<std::unique_ptr<ProcessingElement>>& o) {
+      inner(g, o);
+      for (ProcessingElement* pe : g.pes()) {
+        if (pe->name().ends_with(".sink") || pe->name() == "sink") {
+          g.set_partition(*pe, Partition::Software);
+        }
+      }
+    };
+  }
+  return loads;
+}
+
+// Sweeps `plats` x `loads` at 1 and 4 threads and holds every row to a
+// fresh evaluate() of its cell in every simulated column. Every shape
+// group holds `seeds` cases, so each platform maps at most one cell per
+// group, and fewer cells are mapped than simulated.
+void expect_reset_rows_equal_fresh(const std::vector<Platform>& plats,
+                                   const std::vector<WorkloadCase>& loads,
+                                   std::size_t seeds, Time horizon) {
+  Explorer ex;
+  std::vector<ExplorationRow> fresh;
+  for (const auto& p : plats) {
+    for (const auto& w : loads) fresh.push_back(ex.evaluate(p, w, horizon));
+  }
+  std::size_t mapped = 0;
+  for (unsigned threads : {1u, 4u}) {
+    const auto rows = ex.sweep_parallel(plats, loads, horizon, threads);
+    ASSERT_EQ(rows.size(), fresh.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      expect_sim_columns_equal(rows[i], fresh[i]);
+    }
+    const std::size_t simulated = rows.size() - ex.last_shared_cells();
+    EXPECT_GT(ex.last_mapped_cells(), 0u);
+    EXPECT_LE(ex.last_mapped_cells(), plats.size() * loads.size() / seeds);
+    EXPECT_LT(ex.last_mapped_cells(), simulated) << threads << " threads";
+    if (threads == 1) {
+      mapped = ex.last_mapped_cells();
+    } else {
+      EXPECT_EQ(ex.last_mapped_cells(), mapped) << threads << " threads";
+    }
+  }
+}
+
+}  // namespace
+
+// Elaborate once, run many: a cell run on a system reset and rebound to
+// its graph (MappedSystem::reset, by way of the sweep's shape groups)
+// gives the row a fresh map() gives, on the default grid at three seeds
+// run to completion and cut off mid-flight (PEs parked in bus
+// transactions, messages waiting in mailboxes), on a faulted grid with
+// retries, and with software sinks behind the HW/SW driver.
+TEST(Explorer, ResetRowsEqualFreshCells) {
+  const auto grid = grid_candidates();
+  const auto seeded = seed_groups({0x5eed, 1, 20261016});
+  expect_reset_rows_equal_fresh(grid, seeded, 3, 200_ms);
+  for (const Time cut : {2_us, 5_us}) {
+    SCOPED_TRACE("horizon " + cut.to_string());
+    expect_reset_rows_equal_fresh(grid, seeded, 3, cut);
+  }
+
+  GridSpec faulted;
+  faulted.faults = {{"flaky", 0xfa, 0.05, 0.03, 4, 0.02, 2}};
+  faulted.retries = {{"r6", 6, 2, Time::zero()}};
+  const auto faulted_grid = grid_candidates(faulted);
+  ASSERT_EQ(faulted_grid.size(), grid.size());
+  expect_reset_rows_equal_fresh(faulted_grid, seed_groups({0x5eed, 1}), 2,
+                                200_ms);
+
+  std::vector<Platform> sw_plats;
+  for (const auto& p : grid) {
+    if (p.name == "shared-bus-round-robin-10ns-32b" ||
+        p.name == "plb-priority-20ns-64b-split4" ||
+        p.name == "opb-tdma-10ns-32b-fast" || p.name == "crossbar-10ns-64b") {
+      sw_plats.push_back(p);
+    }
+  }
+  ASSERT_EQ(sw_plats.size(), 4u);
+  const auto sw = with_sw_sinks(seed_groups({0x5eed, 1, 20261016}));
+  expect_reset_rows_equal_fresh(sw_plats, sw, 3, 200_ms);
+  expect_reset_rows_equal_fresh(sw_plats, sw, 3, 20_us);
+}
+
+// The 10-seed default grid (perfbench's grid-sweep shape): 108 platforms
+// x 5 canonical workloads at 10 seeds map at most 540 systems, and rows,
+// shared cells and mapped cells do not depend on the thread count.
+TEST(Explorer, TenSeedGridMapsEachPlatformWorkloadPairAtMostOnce) {
+  std::vector<WorkloadCase> loads;
+  for (std::uint64_t k = 0; k < 10; ++k) {
+    for (WorkloadCase c :
+         workload_candidates(workload::SplitMix64::derive(1, k))) {
+      c.name += "#" + std::to_string(k);
+      loads.push_back(std::move(c));
+    }
+  }
+  const auto grid = grid_candidates();
+  Explorer ex;
+  const auto one = ex.sweep_parallel(grid, loads, 200_ms, 1);
+  const std::size_t shared = ex.last_shared_cells();
+  const std::size_t mapped = ex.last_mapped_cells();
+  EXPECT_LE(mapped, 540u);
+  EXPECT_GT(mapped, 0u);
+  const auto four = ex.sweep_parallel(grid, loads, 200_ms, 4);
+  ASSERT_EQ(four.size(), one.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    expect_sim_columns_equal(four[i], one[i]);
+    EXPECT_EQ(four[i].shared_from, one[i].shared_from);
+  }
+  EXPECT_EQ(ex.last_shared_cells(), shared);
+  EXPECT_EQ(ex.last_mapped_cells(), mapped);
 }

@@ -531,3 +531,255 @@ TEST(Scheduler, StopInsideAProcessKeepsTheRestQueuedInOrder) {
   EXPECT_EQ(order_with_stop(DispatchOrder::Reverse, true).first,
             (std::vector<int>{3, 2, 1, 0}));
 }
+
+// A write queued behind stop() is activity: idle() must say so, and the
+// next run applies it and wakes the value's waiter.
+TEST(Scheduler, IdleCountsAnUpdateLeftQueuedByStop) {
+  Simulator sim;
+  Signal<int> s(sim, "s", 0);
+  int woke = 0;
+  sim.spawn_thread("waiter", [&] {
+    wait(s.value_changed_event());
+    ++woke;
+  });
+  sim.spawn_thread("writer", [&] {
+    s.write(7);
+    sim.stop();
+  });
+  sim.run();
+  EXPECT_EQ(s.read(), 0);
+  EXPECT_FALSE(sim.idle());
+  sim.run();
+  EXPECT_EQ(s.read(), 7);
+  EXPECT_EQ(woke, 1);
+  EXPECT_TRUE(sim.idle());
+}
+
+// --- Simulator::reset -----------------------------------------------------
+
+namespace {
+
+// One dispatch as a process saw it on resuming.
+struct Dispatch {
+  std::string process;
+  Time at;
+  std::uint64_t delta;
+  bool operator==(const Dispatch&) const = default;
+};
+
+// Threads handing events around by immediate, delta and timed
+// notification, a signal write and a method on its change: every
+// dispatch is logged, so a trace is the run's (process, time, delta)
+// order.
+struct TracedModel {
+  explicit TracedModel(Simulator& sim)
+      : ping(sim, "ping"), pong(sim, "pong"), sig(sim, "sig", 0) {
+    auto log = [this, &sim](const char* who) {
+      trace.push_back({who, sim.now(), sim.delta_count()});
+    };
+    sim.spawn_thread("a", [this, log] {
+      for (int i = 0; i < 6; ++i) {
+        log("a");
+        ping.notify_delta();
+        wait(pong);
+        sig.write(i + 1);
+        wait(3_ns);
+      }
+    });
+    sim.spawn_thread("b", [this, log] {
+      for (;;) {
+        wait(ping);
+        log("b");
+        pong.notify(2_ns);
+      }
+    });
+    sim.spawn_thread("c", [log] {
+      for (int i = 0; i < 4; ++i) {
+        log("c");
+        wait(5_ns);
+      }
+    });
+    sim.spawn_method("m", [log] { log("m"); }, {&sig.value_changed_event()},
+                     /*run_at_start=*/true);
+  }
+
+  Event ping;
+  Event pong;
+  Signal<int> sig;
+  std::vector<Dispatch> trace;
+};
+
+}  // namespace
+
+// (a) A run stopped partway, reset and run again dispatches exactly what
+// a fresh simulator's run does, under both dispatch orders.
+TEST(Scheduler, ResetRunRepeatsTheFreshDispatchTrace) {
+  for (const DispatchOrder o : {DispatchOrder::Fifo, DispatchOrder::Reverse}) {
+    SCOPED_TRACE(o == DispatchOrder::Fifo ? "fifo" : "reverse");
+    std::vector<Dispatch> fresh;
+    {
+      Simulator sim;
+      sim.set_dispatch_order(o);
+      TracedModel model(sim);
+      sim.run();
+      fresh = model.trace;
+    }
+    ASSERT_GT(fresh.size(), 20u);
+
+    Simulator sim;
+    sim.set_dispatch_order(o);
+    TracedModel model(sim);
+    sim.run_for(11_ns);  // parks every thread mid-body
+    ASSERT_LT(model.trace.size(), fresh.size());
+    sim.reset();
+    model.sig.reset(0);
+    model.trace.clear();
+    sim.run();
+    EXPECT_EQ(model.trace, fresh);
+    // And once more from a finished run.
+    sim.reset();
+    model.sig.reset(0);
+    model.trace.clear();
+    sim.run();
+    EXPECT_EQ(model.trace, fresh);
+  }
+}
+
+// (b) A process parked in wait(Event), wait(Time) or CompletionEvent::wait
+// restarts at the first statement of its body.
+TEST(Scheduler, ResetRestartsParkedProcessesFromTheirFirstStatement) {
+  Simulator sim;
+  Event never(sim, "never");
+  Txn txn;  // its completion never comes
+  std::vector<std::string> starts;
+  std::vector<std::string> parked;
+  sim.spawn_thread("on_event", [&] {
+    starts.push_back("event@" + sim.now().to_string());
+    wait(1_ns);
+    parked.push_back("event");
+    wait(never);
+    ADD_FAILURE() << "resumed past wait(Event)";
+  });
+  sim.spawn_thread("on_time", [&] {
+    starts.push_back("time@" + sim.now().to_string());
+    wait(1_ns);
+    parked.push_back("time");
+    wait(1_ms);
+    ADD_FAILURE() << "resumed past wait(Time)";
+  });
+  sim.spawn_thread("on_completion", [&] {
+    starts.push_back("completion@" + sim.now().to_string());
+    wait(1_ns);
+    parked.push_back("completion");
+    txn.done.reset();
+    txn.done.wait(sim);
+    ADD_FAILURE() << "resumed past CompletionEvent::wait";
+  });
+  sim.run_for(10_ns);
+  const std::vector<std::string> first{"event@0 s", "time@0 s",
+                                       "completion@0 s"};
+  EXPECT_EQ(starts, first);
+  EXPECT_EQ(parked.size(), 3u);
+  sim.reset();
+  sim.run_for(10_ns);
+  std::vector<std::string> twice = first;
+  twice.insert(twice.end(), first.begin(), first.end());
+  EXPECT_EQ(starts, twice);
+  EXPECT_EQ(parked.size(), 6u);
+  EXPECT_EQ(sim.now(), 10_ns);
+}
+
+// (c) Nothing registered before a reset fires after it: no timed, delta
+// or update entry, no pending notification.
+TEST(Scheduler, ResetDropsEveryPendingNotificationAndUpdate) {
+  Simulator sim;
+  Event timed(sim, "timed");
+  Event delta(sim, "delta");
+  Signal<int> sig(sim, "sig", 0);
+  int fired = 0;
+  sim.spawn_method("watch", [&] { ++fired; },
+                   {&timed, &delta, &sig.value_changed_event()},
+                   /*run_at_start=*/false);
+  bool armed = false;
+  sim.spawn_thread("arm", [&] {
+    if (armed) return;  // the restarted body arms nothing
+    armed = true;
+    timed.notify(50_ns);
+    delta.notify_delta();
+    sig.write(7);
+    sim.stop();
+  });
+  sim.run();
+  ASSERT_TRUE(timed.pending());
+  ASSERT_TRUE(delta.pending());
+  ASSERT_FALSE(sim.idle());
+  ASSERT_EQ(fired, 0);
+
+  sim.reset();
+  EXPECT_FALSE(timed.pending());
+  EXPECT_FALSE(delta.pending());
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sig.read(), 0);
+  EXPECT_EQ(sim.now(), Time::zero());
+  EXPECT_TRUE(sim.idle());
+
+  // Notifications made after the reset are fresh and fire as usual.
+  sim.spawn_thread("again", [&] { timed.notify(5_ns); });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 5_ns);
+}
+
+// (d) The run's counters restart at 0; the transaction ids issued before
+// the reset stay in the process-wide count.
+TEST(Scheduler, ResetRestartsTheCountersAndKeepsTheProcessWideTxnIds) {
+  Simulator sim;
+  Event e(sim, "e");
+  sim.spawn_thread("t", [&] {
+    Txn txn;
+    for (int i = 0; i < 5; ++i) {
+      txn.begin_msg();
+      e.notify_delta();
+      wait(e);
+      wait(2_ns);  // the lone runner advances inline
+    }
+  });
+  sim.spawn_thread("u", [] { wait(1_ns); });  // one timed push
+  sim.run();
+  ASSERT_EQ(sim.txn_ids_issued(), 5u);
+  ASSERT_GT(sim.delta_count(), 0u);
+  ASSERT_GT(sim.ctx_switches(), 0u);
+  ASSERT_GT(sim.inline_advances(), 0u);
+  ASSERT_GT(sim.timed_queue().stats().pushes, 0u);
+  const std::uint64_t others = detail::g_txn_ids.load();
+
+  sim.reset();
+  EXPECT_EQ(sim.now(), Time::zero());
+  EXPECT_EQ(sim.delta_count(), 0u);
+  EXPECT_EQ(sim.ctx_switches(), 0u);
+  EXPECT_EQ(sim.inline_advances(), 0u);
+  EXPECT_EQ(sim.timed_queue().stats().pushes, 0u);
+  EXPECT_EQ(sim.timed_queue().stats().peak_size, 0u);
+  EXPECT_EQ(sim.txn_ids_issued(), 0u);
+  EXPECT_FALSE(sim.initialized());
+  EXPECT_EQ(detail::g_txn_ids.load(), others + 5);
+
+  // The restarted run numbers its transactions from 1 again.
+  sim.run();
+  EXPECT_EQ(sim.txn_ids_issued(), 5u);
+}
+
+TEST(Scheduler, ResetIsRefusedWhileRunning) {
+  Simulator sim;
+  bool threw = false;
+  sim.spawn_thread("t", [&] {
+    try {
+      sim.reset();
+    } catch (const SimulationError&) {
+      threw = true;
+    }
+  });
+  sim.run();
+  EXPECT_TRUE(threw);
+}
