@@ -94,7 +94,7 @@ void CrossbarCam::route(Txn& txn) {
 }
 
 void CrossbarCam::decode_error(Txn& txn) {
-  stats_.count("decode_errors");  // rare: the by-name lookup is fine
+  count_decode_error();
   txn.respond_error();
   txn.t_grant = sim().now();
   txn.t_data = txn.t_grant;

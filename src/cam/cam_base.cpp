@@ -18,8 +18,7 @@ CamBase::CamBase(Simulator& sim, std::string name, Time cycle,
       engine_(std::move(arbiter), split_active_ ? split.max_outstanding : 1),
       new_request_(sim, full_name() + ".new_request"),
       resp_avail_(sim, full_name() + ".resp_avail"),
-      fast_targets_(fast_targets && !split_active_),
-      cnt_decode_errors_(&stats_.counter_slot("decode_errors")) {
+      fast_targets_(fast_targets && !split_active_) {
   if (fast_targets_) {
     // Only materialize the stat slot when the knob is on, so the stats
     // table of a fast-off platform is unchanged.
@@ -213,7 +212,7 @@ void CamBase::atomic_engine() {
       deliver(*slave, *txn);
     } else {
       txn->respond_error();
-      ++*cnt_decode_errors_;
+      count_decode_error();
     }
 
     last_txn_end_ = sim().now();
@@ -252,7 +251,7 @@ void CamBase::addr_engine() {
     // service and go straight to the data engine for completion.
     if (!decode(*txn)) {
       txn->respond_error();
-      ++*cnt_decode_errors_;
+      count_decode_error();
       resp_q_.push_back(*txn);
       resp_avail_.notify_delta();
       continue;

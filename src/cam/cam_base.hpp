@@ -158,7 +158,6 @@ private:
   bool fast_inflight_ = false;
   // Cached counter slots (stable addresses inside stats_).
   std::uint64_t* cnt_fast_hits_ = nullptr;
-  std::uint64_t* cnt_decode_errors_;
 };
 
 }  // namespace stlm::cam

@@ -38,7 +38,8 @@ CamIf::CamIf(Simulator& sim, std::string name, Time cycle,
       cnt_transactions_(&stats_.counter_slot("transactions")),
       cnt_reads_(&stats_.counter_slot("reads")),
       cnt_writes_(&stats_.counter_slot("writes")),
-      cnt_bytes_(&stats_.counter_slot("bytes")) {
+      cnt_bytes_(&stats_.counter_slot("bytes")),
+      cnt_decode_errors_(&stats_.counter_slot("decode_errors")) {
   STLM_ASSERT(!cycle_.is_zero(), "CAM cycle must be positive: " + full_name());
 }
 

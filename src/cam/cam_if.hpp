@@ -85,7 +85,7 @@ public:
   const AddressMap& address_map() const { return map_; }
 
   /// Integer counters of this CAM: transactions, reads, writes, bytes,
-  /// plus the bus's own decode_errors / fast_path_hits.
+  /// decode_errors, plus the bus's own (fast_path_hits).
   const trace::StatSet& stats() const { return stats_; }
   /// Route per-transaction records into `log` (nullptr stops).
   void set_txn_logger(trace::TxnLogger* log);
@@ -137,6 +137,8 @@ protected:
   // as extra bus cycles, an injected error answers without touching the
   // slave — then the slave's handle().
   void deliver(std::size_t s, Txn& txn);
+  // An access no slave decodes, answered with an error by the bus.
+  void count_decode_error() { ++*cnt_decode_errors_; }
   // The completion point: stamps t_complete, promotes a watchdog-flagged
   // Ok to Timeout (an Error stays an Error — it already failed harder
   // than the deadline), counts the transaction, writes its row tagged
@@ -180,6 +182,7 @@ private:
   std::uint64_t* cnt_reads_;
   std::uint64_t* cnt_writes_;
   std::uint64_t* cnt_bytes_;
+  std::uint64_t* cnt_decode_errors_;
   std::vector<std::unique_ptr<MasterPort>> masters_;
   std::vector<ocp::ocp_tl_slave_if*> slaves_;
   AddressMap map_;

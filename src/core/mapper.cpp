@@ -60,6 +60,7 @@ void MappedSystem::reset(SystemGraph& graph) {
   // destructors may still touch the modules below, and drops every
   // queued entry before the modules queue their own again.
   sim_.reset();
+  graph_ = &graph;
   pes_.assign(graph.pes().begin(), graph.pes().end());
   pes_running_ = pes_.size();
   log_.clear();
@@ -231,7 +232,7 @@ std::unique_ptr<MappedSystem> Mapper::map(Simulator& sim, SystemGraph& graph,
                                           AbstractionLevel level) {
   std::unique_ptr<MappedSystem> ms(
       new MappedSystem(sim, platform, level));
-  ms->shape_ = GraphShape(graph);
+  ms->graph_ = &graph;
   ms->pes_ = graph.pes();
   switch (level) {
     case AbstractionLevel::ComponentAssembly:

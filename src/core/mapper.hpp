@@ -62,7 +62,7 @@ public:
 
   // Elaborate once, run many: return the system to the state map() left
   // it in and bind its PE threads and tasks to the PEs of `graph`, which
-  // must have the shape the system was mapped from (same_shape; throws
+  // must have the shape of the bound graph (same_shape; throws
   // ElaborationError otherwise). Simulator::reset restarts the kernel at
   // t = 0 with every process runnable again in spawn order; then every
   // module the mapper built is reset (bus and arbiter, wrappers, mailbox
@@ -74,9 +74,10 @@ public:
   // graph's must outlive this call (its parked frames are unwound here
   // where unwinding is compiled in).
   void reset(SystemGraph& graph);
-  // Whether `graph` has the shape this system was mapped from.
+  // Whether `graph` has the shape of the graph this system is bound to
+  // (SystemGraph::same_shape), which must still be alive.
   bool same_shape(const SystemGraph& graph) const {
-    return shape_.matches(graph);
+    return graph_->same_shape(graph);
   }
 
   trace::TxnLogger& txn_log() { return log_; }
@@ -142,7 +143,8 @@ private:
   Simulator& sim_;
   Platform plat_;
   AbstractionLevel level_;
-  GraphShape shape_;
+  // The graph map() or the last reset() bound this system to.
+  const SystemGraph* graph_ = nullptr;
   // The bound graph's PEs, in SystemGraph::pes() order.
   std::vector<ProcessingElement*> pes_;
   // PEs spawned whose body has not returned yet (see pe_body).

@@ -1,6 +1,7 @@
 #include "core/system_graph.hpp"
 
 #include <algorithm>
+#include <typeinfo>
 
 #include "core/mapper.hpp"
 
@@ -69,67 +70,41 @@ void SystemGraph::add_memory(MemorySpec spec) {
   memories_.push_back(std::move(spec));
 }
 
-namespace {
-
-// Position of `pe` in `pes` (pes.size() when absent).
-std::size_t index_of(const std::vector<ProcessingElement*>& pes,
-                     const ProcessingElement* pe) {
-  return static_cast<std::size_t>(std::find(pes.begin(), pes.end(), pe) -
-                                  pes.begin());
-}
-
-}  // namespace
-
-GraphShape::GraphShape(const SystemGraph& g) {
-  const auto& pes = g.pes();
-  for (const ProcessingElement* pe : pes) {
-    pes_.push_back({pe->name(), typeid(*pe), g.partition(*pe)});
-  }
-  for (const ChannelSpec& c : g.channels()) {
-    channels_.push_back({c.name, index_of(pes, c.a), index_of(pes, c.b),
-                         c.port_a, c.port_b, c.queue_depth, c.role_a});
-  }
-  for (const MemorySpec& m : g.memories()) {
-    Memory mem{m.name, m.base, m.size, m.cfg, {}};
-    for (const ProcessingElement* pe : m.clients) {
-      mem.clients.push_back(index_of(pes, pe));
-    }
-    memories_.push_back(std::move(mem));
-  }
-}
-
-bool GraphShape::matches(const SystemGraph& g) const {
-  const auto& pes = g.pes();
-  if (pes.size() != pes_.size() || g.channels().size() != channels_.size() ||
-      g.memories().size() != memories_.size()) {
+bool SystemGraph::same_shape(const SystemGraph& other) const {
+  if (pes_.size() != other.pes_.size() ||
+      channels_.size() != other.channels_.size() ||
+      memories_.size() != other.memories_.size() ||
+      partitions_ != other.partitions_) {
     return false;
   }
-  for (std::size_t i = 0; i < pes.size(); ++i) {
-    const Pe& s = pes_[i];
-    if (pes[i]->name() != s.name || std::type_index(typeid(*pes[i])) != s.type ||
-        g.partition(*pes[i]) != s.part) {
+  for (std::size_t i = 0; i < pes_.size(); ++i) {
+    if (pes_[i]->name() != other.pes_[i]->name() ||
+        typeid(*pes_[i]) != typeid(*other.pes_[i])) {
       return false;
     }
   }
+  // Endpoints and clients match when they sit at one index in pes().
+  auto same_pe = [&](const ProcessingElement* a, const ProcessingElement* b) {
+    return index_of(*a) == other.index_of(*b);
+  };
   for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const ChannelSpec& c = g.channels()[i];
-    const Channel& s = channels_[i];
-    if (c.name != s.name || index_of(pes, c.a) != s.a ||
-        index_of(pes, c.b) != s.b || c.port_a != s.port_a ||
-        c.port_b != s.port_b || c.queue_depth != s.depth ||
-        c.role_a != s.role_a) {
+    const ChannelSpec& a = channels_[i];
+    const ChannelSpec& b = other.channels_[i];
+    if (a.name != b.name || !same_pe(a.a, b.a) || !same_pe(a.b, b.b) ||
+        a.port_a != b.port_a || a.port_b != b.port_b ||
+        a.queue_depth != b.queue_depth || a.role_a != b.role_a) {
       return false;
     }
   }
   for (std::size_t i = 0; i < memories_.size(); ++i) {
-    const MemorySpec& m = g.memories()[i];
-    const Memory& s = memories_[i];
-    if (m.name != s.name || m.base != s.base || m.size != s.size ||
-        !(m.cfg == s.cfg) || m.clients.size() != s.clients.size()) {
+    const MemorySpec& a = memories_[i];
+    const MemorySpec& b = other.memories_[i];
+    if (a.name != b.name || a.base != b.base || a.size != b.size ||
+        !(a.cfg == b.cfg) || a.clients.size() != b.clients.size()) {
       return false;
     }
-    for (std::size_t k = 0; k < s.clients.size(); ++k) {
-      if (index_of(pes, m.clients[k]) != s.clients[k]) return false;
+    for (std::size_t k = 0; k < a.clients.size(); ++k) {
+      if (!same_pe(a.clients[k], b.clients[k])) return false;
     }
   }
   return true;

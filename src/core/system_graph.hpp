@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <typeindex>
 #include <vector>
 
 #include "core/pe.hpp"
@@ -92,6 +91,16 @@ public:
   // True once every channel has known roles.
   bool roles_known() const;
 
+  // Whether `other` has this graph's shape: everything Mapper::map reads
+  // from a graph, with PEs named by their index in pes(). That is each
+  // PE's name, dynamic type and partition; each channel's name,
+  // endpoints, ports, depth and role; each memory's name, range,
+  // configuration and clients. Two graphs of one shape map to the same
+  // system and differ only inside their PEs (a seeded workload at two
+  // seeds, say), so a system mapped from one can be reset and rebound to
+  // the other (MappedSystem::reset). Allocates nothing.
+  bool same_shape(const SystemGraph& other) const;
+
 private:
   std::vector<ProcessingElement*> pes_;
   static constexpr std::size_t kTypicalPes = 8;
@@ -104,53 +113,6 @@ private:
   std::vector<Partition> partitions_;
   std::vector<ChannelSpec> channels_;
   std::vector<MemorySpec> memories_;
-};
-
-// Everything Mapper::map reads from a graph, with PEs named by their
-// index in pes(): each PE's name, dynamic type and partition; each
-// channel's name, endpoints, ports, depth and role; each memory's name,
-// range, configuration and clients. Two graphs of one shape map to the
-// same system and differ only inside their PEs (a seeded workload at
-// two seeds, say), so a system mapped from one can be reset and rebound
-// to the other (MappedSystem::reset).
-class GraphShape {
-public:
-  GraphShape() = default;
-  explicit GraphShape(const SystemGraph& g);
-
-  // Whether `g` has this shape; allocates nothing.
-  bool matches(const SystemGraph& g) const;
-  bool operator==(const GraphShape&) const = default;
-
-private:
-  struct Pe {
-    std::string name;
-    std::type_index type{typeid(void)};
-    Partition part = Partition::Hardware;
-    bool operator==(const Pe&) const = default;
-  };
-  struct Channel {
-    std::string name;
-    std::size_t a = 0;
-    std::size_t b = 0;
-    std::string port_a;
-    std::string port_b;
-    std::size_t depth = 0;
-    ship::Role role_a = ship::Role::Unknown;
-    bool operator==(const Channel&) const = default;
-  };
-  struct Memory {
-    std::string name;
-    std::uint64_t base = 0;
-    std::size_t size = 0;
-    ocp::BankedMemoryConfig cfg;
-    std::vector<std::size_t> clients;
-    bool operator==(const Memory&) const = default;
-  };
-
-  std::vector<Pe> pes_;
-  std::vector<Channel> channels_;
-  std::vector<Memory> memories_;
 };
 
 }  // namespace stlm::core

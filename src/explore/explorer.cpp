@@ -74,120 +74,125 @@ void Explorer::analyze_log(core::MappedSystem& ms, ExplorationRow& row) const {
   }
 }
 
-namespace {
-
-ExplorationRow new_row(const core::Platform& platform,
-                       const WorkloadCase& workload) {
-  STLM_ASSERT(workload.factory != nullptr,
-              "Explorer: workload '" + workload.name + "' has no factory");
-  ExplorationRow row;
-  row.platform = platform.name;
-  row.workload = workload.name;
-  row.cost = platform.cost_proxy();
-  return row;
-}
-
-// A workload's graph and the PEs it points at, as its factory built them.
-struct BuiltGraph {
-  std::vector<std::unique_ptr<core::ProcessingElement>> owned;
-  core::SystemGraph graph;
-
-  explicit BuiltGraph(const WorkloadCase& workload) {
-    workload.factory(graph, owned);
-  }
-};
-
-// One system elaborated for a run of cells of one platform: each cell's
-// graph is bound by a reset when it has the mapped shape, else mapped
-// afresh on a new simulator.
-class Elaborated {
+// One system and the graph it is bound to, reused cell after cell: the
+// one place a cell is built, mapped or reset, traced, run and analysed.
+class Explorer::Runner {
 public:
-  // Returns true when the cell had to be mapped.
-  bool bind(const core::Platform& platform, const WorkloadCase& workload) {
-    auto next = std::make_unique<BuiltGraph>(workload);
+  // A workload's graph and the PEs it points at, as its factory built
+  // them.
+  struct Built {
+    std::vector<std::unique_ptr<core::ProcessingElement>> owned;
+    core::SystemGraph graph;
+
+    explicit Built(const WorkloadCase& workload) {
+      workload.factory(graph, owned);
+    }
+  };
+
+  explicit Runner(const Explorer& ex) : ex_(ex) {}
+
+  // Whether the cell is the TraceTarget (see the header).
+  bool traced(const core::Platform& platform,
+              const WorkloadCase& workload) const {
+    const TraceTarget& target = ex_.trace_target_;
+    return !target.path.empty() && target.platform == platform.name &&
+           target.workload == workload.name;
+  }
+
+  // Build the cell's graph, bind this runner's system to it (a fresh
+  // map for the first cell, a graph of another shape and the trace
+  // target; a reset otherwise), run it and return its row.
+  ExplorationRow run(const core::Platform& platform,
+                     const WorkloadCase& workload, Time max_time) {
+    STLM_ASSERT(workload.factory != nullptr,
+                "Explorer: workload '" + workload.name + "' has no factory");
+    ExplorationRow row;
+    row.platform = platform.name;
+    row.workload = workload.name;
+    row.cost = platform.cost_proxy();
+
+    auto next = std::make_unique<Built>(workload);
     next->graph.discover_roles();
-    const bool map = !ms_ || !ms_->same_shape(next->graph);
-    if (map) {
+    std::optional<obs::TraceSession> trace;
+    if (traced(platform, workload)) trace.emplace();
+    if (trace || !ms_ || !ms_->same_shape(next->graph)) {
       // The old system goes before its simulator, both before the old
       // graph whose PEs their parked frames point into.
       ms_.reset();
       sim_.reset();
       sim_ = std::make_unique<Simulator>();
+      if (trace) trace->attach(*sim_);
+      // stlm-lint: allow(one-cell-path): the runner's one map
       ms_ = core::Mapper::map(*sim_, next->graph, platform,
                               core::AbstractionLevel::Cam);
+      ++mapped_;
     } else {
       ms_->reset(next->graph);
     }
     built_ = std::move(next);
-    return map;
+    simulate(max_time, row);
+    if (trace) {
+      trace->detach();
+      const std::string& path = ex_.trace_target_.path;
+      std::ofstream trace_out(path);
+      if (!trace_out) {
+        throw SimulationError("cannot open trace file: " + path);
+      }
+      trace->write_json(trace_out);
+    }
+    return row;
   }
-  core::MappedSystem& system() { return *ms_; }
+
+  // Cells this runner mapped; the others ran on a reset system.
+  std::size_t mapped() const { return mapped_; }
 
 private:
-  // Declared first, destroyed last.
-  std::unique_ptr<BuiltGraph> built_;
+  // Run the bound cell until done and fill every simulated column of
+  // `row` from it, and wall_ms.
+  void simulate(Time max_time, ExplorationRow& row) {
+    core::MappedSystem& ms = *ms_;
+    // stlm-lint: allow(determinism-wall-clock): measures host wall time
+    // for the row's wall_ms speed metric; never feeds back into
+    // simulated state
+    const auto wall_start = std::chrono::steady_clock::now();
+    row.completed = ms.run_until_done(max_time);
+    // stlm-lint: allow(determinism-wall-clock): second endpoint of the
+    // wall_ms measurement above; reporting-only
+    const auto wall_end = std::chrono::steady_clock::now();
+
+    row.sim_time_us = ms.sim().now().to_seconds() * 1e6;
+    row.wall_ms = std::chrono::duration<double, std::milli>(wall_end -
+                                                            wall_start)
+                      .count();
+    ex_.analyze_log(ms, row);
+    if (ms.bus()) {
+      row.bus_utilization = ms.bus()->utilization();
+      const trace::StatSet& st = ms.bus()->stats();
+      const std::uint64_t tx = st.counter("transactions");
+      if (tx != 0) {
+        row.fast_hit_rate =
+            static_cast<double>(st.counter("fast_path_hits")) /
+            static_cast<double>(tx);
+      }
+      if (const auto* cb = dynamic_cast<const cam::CamBase*>(ms.bus())) {
+        row.contended_picks = cb->grant_engine().contended_picks();
+      }
+    }
+    row.ctx_switches = ms.sim().ctx_switches();
+  }
+
+  const Explorer& ex_;
+  std::size_t mapped_ = 0;
+  // The graph outlives the system bound to it.
+  std::unique_ptr<Built> built_;
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<core::MappedSystem> ms_;
 };
 
-}  // namespace
-
-void Explorer::simulate(core::MappedSystem& ms, Time max_time,
-                        ExplorationRow& row) const {
-  // stlm-lint: allow(determinism-wall-clock): measures host wall time for
-  // the row's wall_ms speed metric; never feeds back into simulated state
-  const auto wall_start = std::chrono::steady_clock::now();
-  row.completed = ms.run_until_done(max_time);
-  // stlm-lint: allow(determinism-wall-clock): second endpoint of the
-  // wall_ms measurement above; reporting-only
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  row.sim_time_us = ms.sim().now().to_seconds() * 1e6;
-  row.wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  analyze_log(ms, row);
-  if (ms.bus()) {
-    row.bus_utilization = ms.bus()->utilization();
-    const trace::StatSet& st = ms.bus()->stats();
-    const std::uint64_t tx = st.counter("transactions");
-    if (tx != 0) {
-      row.fast_hit_rate = static_cast<double>(st.counter("fast_path_hits")) /
-                          static_cast<double>(tx);
-    }
-    if (const auto* cb = dynamic_cast<const cam::CamBase*>(ms.bus())) {
-      row.contended_picks = cb->grant_engine().contended_picks();
-    }
-  }
-  row.ctx_switches = ms.sim().ctx_switches();
-}
-
 ExplorationRow Explorer::evaluate(const core::Platform& platform,
                                   const WorkloadCase& workload,
                                   Time max_time) {
-  ExplorationRow row = new_row(platform, workload);
-  BuiltGraph built(workload);
-  built.graph.discover_roles();
-
-  Simulator sim;
-  // Opt-in per-cell timeline trace (see TraceTarget in the header).
-  std::optional<obs::TraceSession> cell_trace;
-  if (!trace_target_.path.empty() && trace_target_.platform == platform.name &&
-      trace_target_.workload == workload.name) {
-    cell_trace.emplace();
-    cell_trace->attach(sim);
-  }
-  auto ms = core::Mapper::map(sim, built.graph, platform,
-                              core::AbstractionLevel::Cam);
-  simulate(*ms, max_time, row);
-  if (cell_trace) {
-    cell_trace->detach();
-    std::ofstream trace_out(trace_target_.path);
-    if (!trace_out) {
-      throw SimulationError("cannot open trace file: " + trace_target_.path);
-    }
-    cell_trace->write_json(trace_out);
-  }
-  return row;
+  return Runner(*this).run(platform, workload, max_time);
 }
 
 std::vector<ExplorationRow> Explorer::sweep_parallel(
@@ -219,94 +224,60 @@ std::vector<ExplorationRow> Explorer::sweep_parallel(
   // one graph per factory.
   std::vector<std::vector<std::size_t>> shape_groups;
   {
-    std::vector<core::GraphShape> shapes;
+    std::vector<Runner::Built> probes;  // the first graph of each group
+    probes.reserve(nw);
     for (std::size_t w = 0; w < nw; ++w) {
       STLM_ASSERT(workloads[w].factory != nullptr,
                   "Explorer: workload '" + workloads[w].name +
                       "' has no factory");
-      const core::GraphShape shape(BuiltGraph(workloads[w]).graph);
-      const auto it = std::find(shapes.begin(), shapes.end(), shape);
-      if (it == shapes.end()) {
-        shapes.push_back(shape);
-        shape_groups.push_back({w});
-      } else {
-        shape_groups[static_cast<std::size_t>(it - shapes.begin())]
-            .push_back(w);
+      Runner::Built probe(workloads[w]);
+      std::size_t g = 0;
+      while (g < probes.size() && !probes[g].graph.same_shape(probe.graph)) {
+        ++g;
       }
+      if (g == probes.size()) {
+        probes.push_back(std::move(probe));
+        shape_groups.emplace_back();
+      }
+      shape_groups[g].push_back(w);
     }
   }
-  // The trace target is always simulated fresh, so its trace file is
-  // written.
-  auto traced = [&](std::size_t i) {
-    return !trace_target_.path.empty() &&
-           trace_target_.platform == cands[i / nw].name &&
-           trace_target_.workload == workloads[i % nw].name;
-  };
 
-  // Tasks submitted before run() queue FIFO, so a lone caller thread
-  // runs them in platform-major order; re-queued siblings follow.
+  // One task per (representative, shape group): the representative's
+  // cells, then each sibling's, copied or simulated. Tasks queue FIFO,
+  // so a lone caller thread runs them in submission order.
   WorkPool pool(
       static_cast<unsigned>(std::min<std::size_t>(n_threads, rows.size())),
       thread_factory_);
   std::atomic<std::size_t> mapped{0};
-  // Copy representative c's rows of workloads `ws` to its siblings, or
-  // queue one task per sibling for the cells it must simulate.
-  std::function<void(std::size_t, std::vector<std::size_t>)> run_cells;
-  auto settle_siblings = [&](std::size_t c, const std::vector<std::size_t>& ws) {
-    for (std::size_t s : siblings[c]) {
-      std::vector<std::size_t> todo;
-      for (std::size_t w : ws) {
-        const std::size_t j = s * nw + w;
-        if (traced(j)) continue;  // queued up front
-        const ExplorationRow& rep_row = rows[c * nw + w];
-        if (rep_row.contended_picks != 0) {
-          todo.push_back(w);
-          continue;
-        }
-        ExplorationRow& row = rows[j];
-        row = rep_row;
-        row.platform = cands[s].name;
-        row.cost = cands[s].cost_proxy();
-        row.wall_ms = 0.0;
-        row.shared_from = rep_row.platform;
-      }
-      if (!todo.empty()) {
-        pool.submit([&, s, todo = std::move(todo)] { run_cells(s, todo); });
-      }
-    }
-  };
-  // Simulate platform c's cells of workloads `ws` (one shape group) on
-  // one elaborated system.
-  run_cells = [&](std::size_t c, std::vector<std::size_t> ws) {
-    Elaborated system;
-    for (std::size_t w : ws) {
-      ExplorationRow& row = rows[c * nw + w];
-      row = new_row(cands[c], workloads[w]);
-      if (system.bind(cands[c], workloads[w])) {
-        mapped.fetch_add(1, std::memory_order_relaxed);
-      }
-      simulate(system.system(), max_time, row);
-    }
-    if (rep[c] == c) settle_siblings(c, ws);
-  };
   for (std::size_t c = 0; c < cands.size(); ++c) {
+    if (rep[c] != c) continue;
     for (const std::vector<std::size_t>& group : shape_groups) {
-      std::vector<std::size_t> ws;
-      for (std::size_t w : group) {
-        const std::size_t i = c * nw + w;
-        if (!traced(i)) {
-          if (rep[c] == c) ws.push_back(w);
-          continue;
+      pool.submit([&, c] {
+        std::size_t task_mapped = 0;
+        // The representative first, then each sibling: one runner each,
+        // one system alive at a time.
+        for (std::size_t k = 0; k <= siblings[c].size(); ++k) {
+          const std::size_t p = k == 0 ? c : siblings[c][k - 1];
+          Runner runner(*this);
+          for (std::size_t w : group) {
+            const ExplorationRow& rep_row = rows[c * nw + w];
+            ExplorationRow& row = rows[p * nw + w];
+            if (p == c || rep_row.contended_picks != 0 ||
+                runner.traced(cands[p], workloads[w])) {
+              row = runner.run(cands[p], workloads[w], max_time);
+              continue;
+            }
+            row = rep_row;
+            row.platform = cands[p].name;
+            row.cost = cands[p].cost_proxy();
+            row.wall_ms = 0.0;
+            row.shared_from = rep_row.platform;
+          }
+          task_mapped += runner.mapped();
         }
-        pool.submit([&, c, w, i] {
-          rows[i] = evaluate(cands[c], workloads[w], max_time);
-          mapped.fetch_add(1, std::memory_order_relaxed);
-          if (rep[c] == c) settle_siblings(c, {w});
-        });
-      }
-      if (!ws.empty()) {
-        pool.submit([&, c, ws = std::move(ws)] { run_cells(c, ws); });
-      }
+        mapped.fetch_add(task_mapped, std::memory_order_relaxed);
+      });
     }
   }
   pool.run();

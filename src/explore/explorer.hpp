@@ -155,8 +155,10 @@ public:
   // Map + simulate one cell: a fresh SystemGraph (from the workload's
   // factory), Simulator and MappedSystem, run until the last PE returns,
   // the cell deadlocks or `max_time` passes (MappedSystem::
-  // run_until_done). The row's `pruned` stays false; only SearchDriver
-  // sets it.
+  // run_until_done). It is a one-cell run of the runner every sweep cell
+  // runs on, and its first cell is always mapped, so its row is the
+  // reference a reset cell's row must equal. The row's `pruned` stays
+  // false; only SearchDriver sets it.
   ExplorationRow evaluate(const core::Platform& platform,
                           const WorkloadCase& workload, Time max_time);
 
@@ -164,35 +166,40 @@ public:
   // the calling thread included. Rows are platform-major: row index =
   // platform_index * workloads.size() + workload_index.
   //
-  // Each system is elaborated once. Workloads whose factories build
-  // graphs of one core::GraphShape (a seeded workload at several seeds:
-  // the seeds live inside the PEs) form a shape group; the sweep calls
-  // every factory once up front to find them. One task per (platform,
-  // shape group) maps the first cell, and runs each further cell of the
-  // group on the same system after MappedSystem::reset rebinds it to
-  // that cell's graph; its rows equal evaluate()'s in every simulated
-  // column. A graph that turns out not to have the mapped shape (roles
-  // found by discovery, say) is mapped afresh.
+  // Every cell runs on a runner, the one path that builds a cell's graph,
+  // binds a system to it, runs it and fills its row (evaluate() is a
+  // one-cell run). A runner maps its first cell (core::Mapper::map); a
+  // later cell whose graph has the bound graph's shape
+  // (core::SystemGraph::same_shape) runs on the same system after
+  // MappedSystem::reset rebinds it, and its row equals evaluate()'s in
+  // every simulated column. Workloads whose factories build graphs of
+  // one shape (a seeded workload at several seeds: the seeds live inside
+  // the PEs) form a shape group; the sweep calls every factory once up
+  // front to find them.
   //
-  // Each behaviour is simulated once. Candidates with equal
-  // core::arbiter_free_point are arbiter siblings; the first of them in
-  // input order is the group's representative. Only representatives,
-  // ungrouped cells and the TraceTarget cell are queued up front. When a
-  // representative's cell finishes with contended_picks == 0, no arbiter
-  // ever chose, so every sibling would have run identically: their rows
-  // are copies (shared_from set, wall_ms 0, own platform and cost).
-  // Otherwise the sibling's cell is simulated: once a representative's
-  // task is done, each sibling gets one task for the cells it must
-  // simulate, shape-grouped the same way. The TraceTarget cell is always
-  // a fresh evaluate() of its own. Every task runs its cells on its own
-  // simulator, so no simulation state crosses threads (the kernel's
-  // "current simulator" is thread-local by design), and since the
-  // certificate is a simulated column, rows, the shared-cell count and
-  // the mapped-cell count are bit-identical at any thread count. With
-  // one thread the caller runs the queued tasks in platform-major order,
-  // then the re-queued siblings. The first exception thrown by any cell
-  // is rethrown on the calling thread after all workers have joined;
-  // remaining cells are abandoned.
+  // Candidates with equal core::arbiter_free_point are arbiter siblings;
+  // the first of them in input order is the group's representative. The
+  // sweep submits one task per (representative, shape group). The task
+  // runs the representative's cells of the group on one runner, then
+  // each sibling's cells in turn. A representative's cell that finished
+  // with contended_picks == 0 saw no arbiter choose, so every sibling
+  // would have run identically: the sibling's row is a copy (shared_from
+  // set, wall_ms 0, own platform and cost). Otherwise the sibling's cell
+  // runs on that sibling's own runner. A grid lists the crossbar, which
+  // has no siblings, last, so its short tasks are the queue's tail.
+  //
+  // The TraceTarget cell is always simulated, on a system mapped afresh
+  // with the trace session attached for its run only; the task's later
+  // cells of the group reset that system. Every task runs its cells on
+  // its own simulators, so no simulation state crosses threads (the
+  // kernel's "current simulator" is thread-local by design), and since
+  // the certificate is a simulated column, rows, the shared-cell count
+  // and the mapped-cell count are bit-identical at any thread count.
+  // With one thread the caller runs the tasks in submission order:
+  // representatives in platform order, each followed by its siblings'
+  // simulated cells. The first exception thrown by any cell is rethrown
+  // on the calling thread after all workers have joined; remaining cells
+  // are abandoned.
   //
   // Workload factories are invoked concurrently and must be thread-safe
   // (stateless factories, like every one in this repo, are).
@@ -230,13 +237,13 @@ private:
   // their spawn failures through last_spawn_failures_.
   friend class SearchDriver;
 
+  // Builds, binds (maps or resets), runs and analyses cells, one at a
+  // time, on one system (explorer.cpp).
+  class Runner;
+
   // Fill the row's latency, failure and goodput columns from the cell's
   // transaction log (sim_time_us must already be set).
   void analyze_log(core::MappedSystem& ms, ExplorationRow& row) const;
-  // Run a mapped (or reset) cell until done and fill every simulated
-  // column of `row` from it, and wall_ms.
-  void simulate(core::MappedSystem& ms, Time max_time,
-                ExplorationRow& row) const;
 
   TraceTarget trace_target_;
   Time slo_ = Time::zero();

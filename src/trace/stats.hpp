@@ -38,9 +38,6 @@ private:
 // Named integer counters, rendered as an aligned two-column table.
 class StatSet {
 public:
-  void count(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
   // Stable reference to a counter's storage (map nodes never move): hot
   // paths look the slot up once and bump it without string hashing.
   std::uint64_t& counter_slot(const std::string& name) {
@@ -53,8 +50,7 @@ public:
 
   void report(std::ostream& os, const std::string& title) const;
 
-  // Every counter back to 0; names and slots stay (a reset system). A
-  // counter first counted during a run stays listed, at 0.
+  // Every counter back to 0; names and slots stay (a reset system).
   void reset() {
     for (auto& [name, value] : counters_) value = 0;
   }

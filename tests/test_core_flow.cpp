@@ -12,6 +12,7 @@
 #include "kernel/kernel.hpp"
 #include "trace/channel_stats.hpp"
 #include "workload/generators.hpp"
+#include "workload/memory_traffic.hpp"
 
 using namespace stlm;
 using namespace stlm::core;
@@ -379,5 +380,179 @@ TEST(Mapper, PerMasterGroupsSumToTheBusChannel) {
     EXPECT_GT(bus_count, 0u) << p.name;
     EXPECT_EQ(master_count, bus_count) << p.name;
     EXPECT_EQ(master_bytes, bus_bytes) << p.name;
+  }
+}
+
+namespace {
+
+// What one variant of the shape test's base graph changes: one field of
+// what Mapper::map reads from a graph.
+struct ShapeKnobs {
+  bool extra_pe = false;
+  std::string sink_name = "sink";
+  bool sink_is_lambda = false;  // another dynamic type, same name
+  Partition sink_part = Partition::Hardware;
+  std::string channel = "stream";
+  bool to_dma = false;  // the channel's b endpoint is the DMA PE
+  std::string port_a = "out";
+  std::string port_b = "in";
+  std::size_t depth = 2;
+  ship::Role role_a = ship::Role::Master;
+  std::string mem_name = "mem";
+  std::uint64_t mem_base = 0x80000000;
+  std::size_t mem_size = 1 << 14;
+  std::size_t banks = 4;
+  bool prod_is_client = false;  // the producer instead of the DMA PE
+};
+
+// Producer -> sink over one channel with declared roles, plus a DMA PE
+// on a banked memory.
+struct ShapedSystem {
+  std::vector<std::unique_ptr<ProcessingElement>> owned;
+  SystemGraph graph;
+
+  explicit ShapedSystem(const ShapeKnobs& k) {
+    auto prod = std::make_unique<workload::ProducerPe>("prod", 8, 32, 10);
+    std::unique_ptr<ProcessingElement> sink;
+    if (k.sink_is_lambda) {
+      sink = std::make_unique<LambdaPe>(k.sink_name, [](ExecContext&) {});
+    } else {
+      sink = std::make_unique<workload::SinkPe>(k.sink_name, 8);
+    }
+    workload::MemoryTrafficConfig cfg;
+    cfg.accesses = 6;
+    cfg.span = 1 << 12;
+    auto dma = std::make_unique<workload::MemoryTrafficPe>("dma", cfg);
+    graph.add_pe(*prod);
+    graph.add_pe(*sink, k.sink_part);
+    graph.add_pe(*dma);
+    if (k.extra_pe) {
+      auto spare = std::make_unique<workload::SinkPe>("spare", 0);
+      graph.add_pe(*spare);
+      owned.push_back(std::move(spare));
+    }
+    graph.connect(k.channel, *prod, k.port_a, k.to_dma ? *dma : *sink,
+                  k.port_b, k.depth, k.role_a);
+    MemorySpec mem;
+    mem.name = k.mem_name;
+    mem.base = k.mem_base;
+    mem.size = k.mem_size;
+    mem.cfg.banks = k.banks;
+    mem.clients = {k.prod_is_client
+                       ? static_cast<ProcessingElement*>(prod.get())
+                       : dma.get()};
+    graph.add_memory(std::move(mem));
+    owned.push_back(std::move(prod));
+    owned.push_back(std::move(sink));
+    owned.push_back(std::move(dma));
+  }
+};
+
+std::string report_of(const MappedSystem& ms) {
+  std::ostringstream os;
+  ms.report(os);
+  return os.str();
+}
+
+}  // namespace
+
+// MappedSystem::reset binds a system only to a graph of the shape it is
+// bound to. Each variant changes one field Mapper::map reads: the shape
+// check rejects it, reset() throws and leaves the system as it was, and
+// the system still runs the base graph to the fresh map's result.
+TEST(Mapper, ResetRejectsAGraphOfAnotherShape) {
+  struct Variant {
+    const char* name;
+    std::function<void(ShapeKnobs&)> change;
+  };
+  const std::vector<Variant> variants{
+      {"pe count", [](ShapeKnobs& k) { k.extra_pe = true; }},
+      {"pe name", [](ShapeKnobs& k) { k.sink_name = "drain"; }},
+      {"pe type", [](ShapeKnobs& k) { k.sink_is_lambda = true; }},
+      {"pe partition",
+       [](ShapeKnobs& k) { k.sink_part = Partition::Software; }},
+      {"channel name", [](ShapeKnobs& k) { k.channel = "stream2"; }},
+      {"channel endpoint", [](ShapeKnobs& k) { k.to_dma = true; }},
+      {"channel port a", [](ShapeKnobs& k) { k.port_a = "out2"; }},
+      {"channel port b", [](ShapeKnobs& k) { k.port_b = "in2"; }},
+      {"channel depth", [](ShapeKnobs& k) { k.depth = 3; }},
+      {"channel role", [](ShapeKnobs& k) { k.role_a = ship::Role::Slave; }},
+      {"memory name", [](ShapeKnobs& k) { k.mem_name = "sram"; }},
+      {"memory base", [](ShapeKnobs& k) { k.mem_base = 0x90000000; }},
+      {"memory size", [](ShapeKnobs& k) { k.mem_size = 1 << 13; }},
+      {"memory config", [](ShapeKnobs& k) { k.banks = 2; }},
+      {"memory clients", [](ShapeKnobs& k) { k.prod_is_client = true; }},
+  };
+  for (const Platform& p : bus_platforms()) {
+    SCOPED_TRACE(p.name);
+    std::string fresh;
+    {
+      ShapedSystem sys{ShapeKnobs{}};
+      Simulator sim;
+      auto ms = Mapper::map(sim, sys.graph, p, AbstractionLevel::Cam);
+      ASSERT_TRUE(ms->run_until_done(10_ms));
+      fresh = report_of(*ms);
+    }
+    auto bound = std::make_unique<ShapedSystem>(ShapeKnobs{});
+    Simulator sim;
+    auto ms = Mapper::map(sim, bound->graph, p, AbstractionLevel::Cam);
+    ASSERT_TRUE(ms->run_until_done(10_ms));
+    EXPECT_EQ(report_of(*ms), fresh);
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(v.name);
+      ShapeKnobs knobs;
+      v.change(knobs);
+      ShapedSystem other(knobs);
+      EXPECT_FALSE(ms->same_shape(other.graph));
+      EXPECT_THROW(ms->reset(other.graph), ElaborationError);
+
+      auto next = std::make_unique<ShapedSystem>(ShapeKnobs{});
+      EXPECT_TRUE(ms->same_shape(next->graph));
+      ms->reset(next->graph);
+      bound = std::move(next);
+      ASSERT_TRUE(ms->run_until_done(10_ms));
+      EXPECT_EQ(report_of(*ms), fresh);
+    }
+  }
+}
+
+// A reset system reports what a fresh map of its graph reports, even
+// after a run that counted a decode error: every bus counts decode
+// errors through one stat slot made at construction, so none appears
+// during a run and stays listed after the reset.
+TEST(Mapper, ResetReportEqualsAFreshMapsAfterADecodeError) {
+  // One DMA access below the memory's range: no slave decodes it.
+  auto stray = [](std::vector<std::unique_ptr<ProcessingElement>>& owned,
+                  SystemGraph& graph) {
+    workload::MemoryTrafficConfig cfg;
+    cfg.accesses = 1;
+    cfg.base = 0x70000000;
+    cfg.span = 64;
+    auto dma = std::make_unique<workload::MemoryTrafficPe>("dma", cfg);
+    graph.add_pe(*dma);
+    MemorySpec mem;
+    mem.clients = {dma.get()};
+    graph.add_memory(std::move(mem));
+    owned.push_back(std::move(dma));
+  };
+  for (const Platform& p : bus_platforms()) {
+    SCOPED_TRACE(p.name);
+    std::vector<std::unique_ptr<ProcessingElement>> owned_a, owned_b, owned_c;
+    SystemGraph first, second, third;
+    stray(owned_a, first);
+    stray(owned_b, second);
+    stray(owned_c, third);
+    Simulator sim;
+    auto ms = Mapper::map(sim, first, p, AbstractionLevel::Cam);
+    ASSERT_TRUE(ms->run_until_done(1_ms));
+    ASSERT_EQ(ms->bus()->stats().counter("decode_errors"), 1u);
+    ms->reset(second);
+
+    Simulator fresh_sim;
+    auto fresh = Mapper::map(fresh_sim, third, p, AbstractionLevel::Cam);
+    EXPECT_EQ(report_of(*ms), report_of(*fresh));
+    ASSERT_TRUE(ms->run_until_done(1_ms));
+    ASSERT_TRUE(fresh->run_until_done(1_ms));
+    EXPECT_EQ(report_of(*ms), report_of(*fresh));
   }
 }

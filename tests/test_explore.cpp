@@ -551,10 +551,11 @@ TEST(Explorer, PrintTableShowsWorkloadColumnOnlyWhenPresent) {
 TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInQueueOrder) {
   // Each factory call records which cell it builds; with one thread the
   // caller must build them in queue order: one graph per workload to
-  // find the shape groups, then every cell but the arbiter siblings' in
-  // platform-major row order, then, per sibling, the cells its
-  // representative made a contended pick in. "a" and "b" have one
-  // shape, so each platform's two cells share one mapped system.
+  // find the shape groups, then one task per representative and shape
+  // group, which runs the representative's cells and then, per arbiter
+  // sibling, the cells its representative made a contended pick in.
+  // "a" and "b" have one shape, so each platform's simulated cells share
+  // one mapped system.
   std::vector<std::string> built;
   const std::thread::id caller = std::this_thread::get_id();
   auto recording = [&](std::string name, WorkloadCase inner) {
@@ -571,28 +572,28 @@ TEST(Explorer, OneThreadSweepRunsCellsOnTheCallerInQueueOrder) {
                                         recording("b", two_streams(2, 32))};
   const auto rows = ex.sweep_parallel(cands, loads, 50_ms, 1);
   ASSERT_EQ(rows.size(), cands.size() * loads.size());
-  // plb-round-robin and plb-tdma are plb-priority's arbiter siblings.
+  // plb-round-robin and plb-tdma are plb-priority's arbiter siblings and
+  // follow it in the candidate list, so the simulated cells run in row
+  // order: a sibling's cell is simulated when plb-priority's cell of its
+  // workload made a contended pick, and copied otherwise.
+  ASSERT_EQ(cands[1].name, "plb-priority");
   auto sibling = [](const std::string& name) {
     return name == "plb-round-robin" || name == "plb-tdma";
   };
   std::vector<std::string> expected{"a", "b"};
+  std::size_t contended = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_TRUE(rows[i].completed) << rows[i].platform;
-    if (!sibling(rows[i].platform)) expected.push_back(rows[i].workload);
+    const ExplorationRow& rep = rows[loads.size() + i % loads.size()];
+    if (sibling(rows[i].platform) && rep.contended_picks == 0) continue;
+    expected.push_back(rows[i].workload);
+    if (sibling(rows[i].platform)) ++contended;
   }
-  std::vector<std::string> contended;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].platform == "plb-priority" && rows[i].contended_picks != 0) {
-      contended.push_back(rows[i].workload);
-    }
-  }
-  for (int s = 0; s < 2; ++s) {
-    expected.insert(expected.end(), contended.begin(), contended.end());
-  }
+  ASSERT_GT(contended, 0u) << "no sibling cell is simulated";
   EXPECT_EQ(built, expected);
   EXPECT_EQ(built.size() + ex.last_shared_cells(), rows.size() + loads.size());
   // One mapped system per simulated platform.
-  EXPECT_EQ(ex.last_mapped_cells(), 4u + (contended.empty() ? 0u : 2u));
+  EXPECT_EQ(ex.last_mapped_cells(), 6u);
 }
 
 TEST(Explorer, ParallelSweepPropagatesWorkerExceptions) {
@@ -842,42 +843,6 @@ TEST(Explorer, SharedRowsEqualEvaluatedCells) {
   EXPECT_GT(sw_tasks.load(), 0u);
 }
 
-// The trace target is always simulated, even when it is a certified
-// sibling whose row the sweep would otherwise copy, so its trace file is
-// written. The file is left for the explore_sibling_trace_check ctest
-// entry, which validates it with tools/check_trace.py.
-TEST(Explorer, TraceTargetOnACertifiedSiblingIsSimulated) {
-  const auto plats = grid_candidates();
-  const auto loads = workload_candidates();
-  Explorer ex;
-  const auto plain = ex.sweep_parallel(plats, loads, 200_ms, 4);
-  const std::size_t shared = ex.last_shared_cells();
-  const auto copied =
-      std::find_if(plain.begin(), plain.end(), [](const ExplorationRow& r) {
-        return !r.shared_from.empty();
-      });
-  ASSERT_NE(copied, plain.end());
-  const auto i = static_cast<std::size_t>(copied - plain.begin());
-
-  const std::string path = "explore_sibling_trace.json";
-  std::remove(path.c_str());
-  ex.set_trace_target({copied->platform, copied->workload, path});
-  for (unsigned threads : {1u, 4u}) {
-    const auto rows = ex.sweep_parallel(plats, loads, 200_ms, threads);
-    ASSERT_EQ(rows.size(), plain.size());
-    EXPECT_TRUE(rows[i].shared_from.empty()) << threads << " threads";
-    EXPECT_GT(rows[i].wall_ms, 0.0) << threads << " threads";
-    expect_sim_columns_equal(rows[i], *copied);
-    EXPECT_EQ(ex.last_shared_cells(), shared - 1) << threads << " threads";
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "trace target file missing";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(buf.str().find("\"ph\":\"B\""), std::string::npos);
-}
-
 // A copied row skips its sibling's elaboration, yet a sibling whose
 // arbiter cannot be built (a zero TDMA slot) must still fail the sweep,
 // as its own evaluate() does.
@@ -1040,4 +1005,131 @@ TEST(Explorer, TenSeedGridMapsEachPlatformWorkloadPairAtMostOnce) {
   }
   EXPECT_EQ(ex.last_shared_cells(), shared);
   EXPECT_EQ(ex.last_mapped_cells(), mapped);
+}
+
+namespace {
+
+// Sweeps `plats` x `loads` at 1 and 4 threads with the trace target on
+// row `target` (written to `path`) and holds the sweep to the untraced
+// one: the traced cell is simulated, on a system mapped afresh (one map
+// more than the untraced sweep when `one_more_map`, at most one more
+// otherwise), and every row's simulated columns and provenance equal
+// the untraced sweep's. The cells after the traced one in its shape group and task
+// run on the reset traced system; `after` lists those rows, and each
+// must equal a fresh evaluate() of its cell. The trace file is left for
+// a ctest entry that validates it with tools/check_trace.py.
+void expect_traced_sweep_equals_untraced(
+    const std::vector<Platform>& plats,
+    const std::vector<WorkloadCase>& loads, std::size_t target,
+    const std::vector<std::size_t>& after, bool one_more_map,
+    const std::string& path) {
+  const Time horizon = 200_ms;
+  const std::size_t nw = loads.size();
+  Explorer ex;
+  const auto plain = ex.sweep_parallel(plats, loads, horizon, 4);
+  const std::size_t shared = ex.last_shared_cells();
+  const std::size_t mapped = ex.last_mapped_cells();
+  const bool was_copied = !plain[target].shared_from.empty();
+
+  std::remove(path.c_str());
+  ex.set_trace_target(
+      {plats[target / nw].name, loads[target % nw].name, path});
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto rows = ex.sweep_parallel(plats, loads, horizon, threads);
+    ASSERT_EQ(rows.size(), plain.size());
+    EXPECT_TRUE(rows[target].shared_from.empty());
+    EXPECT_GT(rows[target].wall_ms, 0.0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      expect_sim_columns_equal(rows[i], plain[i]);
+      if (i != target) {
+        EXPECT_EQ(rows[i].shared_from, plain[i].shared_from)
+            << rows[i].platform << "/" << rows[i].workload;
+      }
+    }
+    EXPECT_EQ(ex.last_shared_cells(), shared - (was_copied ? 1 : 0));
+    if (one_more_map) {
+      EXPECT_EQ(ex.last_mapped_cells(), mapped + 1);
+    } else {
+      EXPECT_GE(ex.last_mapped_cells(), mapped);
+      EXPECT_LE(ex.last_mapped_cells(), mapped + 1);
+    }
+    for (std::size_t i : after) {
+      EXPECT_TRUE(rows[i].shared_from.empty());
+      Explorer fresh;
+      expect_sim_columns_equal(
+          rows[i], fresh.evaluate(plats[i / nw], loads[i % nw], horizon));
+    }
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "trace target file missing";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(buf.str().find("\"ph\":\"B\""), std::string::npos);
+}
+
+// The rows after row `i` in its shape group of `loads` ("<case>#<seed>"
+// names) on the same platform that the sweep `rows` simulated.
+std::vector<std::size_t> simulated_after(
+    const std::vector<ExplorationRow>& rows,
+    const std::vector<WorkloadCase>& loads, std::size_t i) {
+  const std::size_t nw = loads.size();
+  auto group = [&](std::size_t w) {
+    return loads[w].name.substr(0, loads[w].name.find('#'));
+  };
+  std::vector<std::size_t> after;
+  for (std::size_t w = i % nw + 1; w < nw; ++w) {
+    const std::size_t j = i - i % nw + w;
+    if (group(w) == group(i % nw) && rows[j].shared_from.empty()) {
+      after.push_back(j);
+    }
+  }
+  return after;
+}
+
+}  // namespace
+
+// The trace target in the middle of a representative's shape group is
+// mapped afresh inside its task with the trace attached; the group's
+// next cell runs on that system, reset, with no trace.
+TEST(Explorer, TraceTargetInTheMiddleOfAShapeGroupIsMappedFresh) {
+  const auto plats = grid_candidates();
+  const auto loads = seed_groups({0x5eed, 1, 20261016});
+  const std::size_t nw = loads.size();
+  // Row `target` is uniform#1 on the first platform, a representative;
+  // uniform#20261016 follows it in its group.
+  const std::size_t target = nw / 3;
+  ASSERT_EQ(loads[target].name, "uniform#1");
+  ASSERT_EQ(loads[2 * nw / 3].name, "uniform#20261016");
+  expect_traced_sweep_equals_untraced(plats, loads, target, {2 * nw / 3},
+                                      true, "explore_task_trace.json");
+}
+
+// The trace target is always simulated, even when it is a certified
+// sibling whose row the sweep would otherwise copy, so its trace file is
+// written. The sibling's own runner maps it afresh (which is no extra
+// map when the sibling would otherwise have mapped a later cell); a
+// later cell of its group that the sibling must simulate runs on that
+// system, reset.
+TEST(Explorer, TraceTargetOnACertifiedSiblingIsSimulated) {
+  const auto plats = grid_candidates();
+  const auto loads = seed_groups({0x5eed, 1, 20261016});
+  Explorer ex;
+  const auto plain = ex.sweep_parallel(plats, loads, 200_ms, 4);
+  // A copied row, preferably one with a simulated cell after it in its
+  // group.
+  std::size_t target = plain.size();
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    if (plain[i].shared_from.empty()) continue;
+    if (target == plain.size()) target = i;
+    if (!simulated_after(plain, loads, i).empty()) {
+      target = i;
+      break;
+    }
+  }
+  ASSERT_LT(target, plain.size()) << "no copied row";
+  expect_traced_sweep_equals_untraced(plats, loads, target,
+                                      simulated_after(plain, loads, target),
+                                      false, "explore_sibling_trace.json");
 }

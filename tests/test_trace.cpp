@@ -42,7 +42,7 @@ struct TempVcd {
 
 TEST(Stats, StatSetReportRestoresStreamFormatting) {
   trace::StatSet s;
-  s.count("transactions", 7);
+  s.counter_slot("transactions") = 7;
   std::ostringstream os;
   const auto flags = os.flags();
   const auto precision = os.precision();
@@ -55,9 +55,10 @@ TEST(Stats, StatSetReportRestoresStreamFormatting) {
 
 TEST(Stats, StatSetCountersAndReport) {
   trace::StatSet s;
-  s.count("transactions");
-  s.count("transactions");
-  s.count("bytes", 128);
+  std::uint64_t& txns = s.counter_slot("transactions");
+  ++txns;
+  ++s.counter_slot("transactions");  // the same slot
+  s.counter_slot("bytes") += 128;
   EXPECT_EQ(s.counter("transactions"), 2u);
   EXPECT_EQ(s.counter("bytes"), 128u);
   EXPECT_EQ(s.counter("missing"), 0u);

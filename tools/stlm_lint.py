@@ -49,6 +49,12 @@ reproducible and the library embeddable:
                           compiled in and the audit hooks are gone, so the
                           library has one configuration and no test may
                           gate on a switch that no longer exists.
+  one-cell-path           no core::Mapper::map( call in src/explore/ outside
+                          a justified allow(): the explorer's cell runner
+                          is the one place a cell is mapped, so the sweep,
+                          evaluate() and the trace target share one path
+                          (map or reset, trace, run, analyse), and a row
+                          cannot come from a second copy of it.
   test-coverage           every src/**/*.cpp translation unit must be
                           reachable from at least one tests/test_*.cpp via
                           the quoted-include graph (a .cpp counts as
@@ -80,6 +86,7 @@ RULES = (
     "hot-path-syscall",
     "hot-path-atomic",
     "build-switch",
+    "one-cell-path",
     "test-coverage",
 )
 
@@ -143,6 +150,13 @@ ATOMIC_RULES = [
                 r"compare_exchange_(?:weak|strong))(?:_explicit)?\s*\("),
      "atomic read-modify-write in a hot-path file; keep the state per "
      "simulator or justify the allow()"),
+]
+
+# Applied to the code of src/explore/ files only.
+EXPLORE_RULES = [
+    ("one-cell-path", re.compile(r"(?<![\w])Mapper\s*::\s*map\s*\("),
+     "Mapper::map in src/explore/ outside the cell runner; run the cell "
+     "on a runner"),
 ]
 
 # Checked on raw lines (comments included) of src/ and tests/ files.
@@ -250,7 +264,7 @@ def scan_test_file(path, findings):
     scan_build_switch(path, raw_lines, allowances(raw_lines), findings, set())
 
 
-def scan_file(path, findings):
+def scan_file(path, findings, explore=False):
     raw = path.read_text(encoding="utf-8", errors="replace")
     raw_lines = raw.splitlines()
     code_lines = strip_code(raw).splitlines()
@@ -260,7 +274,7 @@ def scan_file(path, findings):
 
     hot = any(HOT_PATH_TAG.search(l) for l in raw_lines[:30])
     rules = TOKEN_RULES + (ALLOC_RULES + SYSCALL_RULES + ATOMIC_RULES
-                           if hot else [])
+                           if hot else []) + (EXPLORE_RULES if explore else [])
 
     for lineno, line in enumerate(raw_lines, start=1):
         m = ALLOW.search(line)
@@ -336,7 +350,8 @@ def main(argv=None):
 
     findings = Findings()
     for f in sorted(list(src_root.rglob("*.cpp")) + list(src_root.rglob("*.hpp"))):
-        scan_file(f, findings)
+        scan_file(f, findings,
+                  explore=f.relative_to(src_root).parts[0] == "explore")
     tests_root = repo / "tests"
     for f in sorted(list(tests_root.rglob("*.cpp")) + list(tests_root.rglob("*.hpp"))):
         scan_test_file(f, findings)

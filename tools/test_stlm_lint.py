@@ -264,6 +264,48 @@ class TestBuildSwitch(LintHarness):
         self.assertEqual(code, 0, out)
 
 
+class TestOneCellPath(LintHarness):
+    MAP = ("auto ms = core::Mapper::map(sim, graph, platform,\n"
+           "                            core::AbstractionLevel::Cam);\n")
+
+    def explore_files(self, body):
+        files = dict(self.BASE)
+        files["src/explore/cells.hpp"] = "#pragma once\n" + body
+        return self.run_lint(files)
+
+    def test_map_in_explore_flagged(self):
+        code, out = self.explore_files(
+            "void f() {\n" + self.MAP + "}\n"
+            "void g() { Mapper::map(sim, graph, platform, level); }\n")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[one-cell-path]"), 2)
+        self.assertIn("src/explore/cells.hpp:3: [one-cell-path]", out)
+
+    def test_the_runner_map_is_allowed(self):
+        code, out = self.explore_files(
+            "void f() {\n"
+            "  // stlm-lint: allow(one-cell-path): the runner's one map\n"
+            + self.MAP + "}\n")
+        self.assertEqual(code, 0, out)
+
+    def test_bare_allow_is_finding(self):
+        code, out = self.explore_files(
+            "void f() {\n  // stlm-lint: allow(one-cell-path)\n"
+            + self.MAP + "}\n")
+        self.assertEqual(code, 1)
+        self.assertIn("[bad-suppression]", out)
+
+    def test_map_outside_explore_and_in_prose_ok(self):
+        code, out = self.lint_src(
+            "// one cell: core::Mapper::map(sim, graph, p, level)\n"
+            "void f() {\n" + self.MAP + "}")
+        self.assertEqual(code, 0, out)
+        code, out = self.explore_files(
+            "// evaluate() maps through core::Mapper::map(...)\n"
+            "const char* s = \"Mapper::map(\";\n")
+        self.assertEqual(code, 0, out)
+
+
 class TestSuppressions(LintHarness):
     def test_trailing_allow_with_justification(self):
         code, out = self.lint_src(
